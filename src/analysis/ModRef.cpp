@@ -90,10 +90,15 @@ ModRefInfo ModRefInfo::compute(const Module &M, const CallGraph &CG) {
     }
   }
 
-  // Propagate effects from callees to callers to fixpoint.
+  // Propagate effects from callees to callers to fixpoint. Seeding
+  // callees first reaches the same least fixpoint as any order, and on an
+  // acyclic call graph every caller is still pending when its callees
+  // settle, so each procedure is visited once.
   Worklist<Procedure *> Work;
-  for (const std::unique_ptr<Procedure> &P : M.procedures())
-    Work.insert(P.get());
+  Work.reserve(NumProcs);
+  for (const std::vector<Procedure *> &SCC : CG.sccsBottomUp())
+    for (Procedure *P : SCC)
+      Work.insert(P);
 
   while (!Work.empty()) {
     Procedure *P = Work.pop();

@@ -30,6 +30,7 @@
 #include "support/Diagnostics.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace ipcp {
@@ -55,9 +56,9 @@ private:
     const ProcDecl *Proc = nullptr;
   };
 
-  void checkProc(const Program &Prog, const ProcDecl &Proc);
+  void checkProc(const ProcDecl &Proc);
   void declare(ProcScope &Scope, const DeclItem &Item, const char *What);
-  void checkStmt(const Program &Prog, ProcScope &Scope, const Stmt *S,
+  void checkStmt(ProcScope &Scope, const Stmt *S,
                  const std::string *LoopIndVar);
   void checkExpr(const ProcScope &Scope, const Expr *E);
   void checkLValue(const ProcScope &Scope, const Expr *E);
@@ -69,6 +70,9 @@ private:
   DiagnosticsEngine &Diags;
   bool RequireMain = true;
   std::unordered_map<std::string, Symbol> GlobalNames;
+  /// Name -> first definition of that name, viewing the names of the
+  /// Program being checked; empty outside check().
+  std::unordered_map<std::string_view, const ProcDecl *> ProcDecls;
 };
 
 } // namespace ipcp

@@ -12,26 +12,33 @@ using namespace ipcp;
 
 Procedure *Module::createProcedure(const std::string &Name) {
   Procs.push_back(std::make_unique<Procedure>(this, Name));
-  Procs.back()->ModuleIndex = uint32_t(Procs.size() - 1);
-  return Procs.back().get();
+  Procedure *P = Procs.back().get();
+  P->ModuleIndex = uint32_t(Procs.size() - 1);
+  ProcIndex.emplace(P->getName(), P); // an earlier namesake keeps the slot
+  return P;
 }
 
 Procedure *Module::findProcedure(const std::string &Name) const {
-  for (const std::unique_ptr<Procedure> &P : Procs)
-    if (P->getName() == Name)
-      return P.get();
-  return nullptr;
+  auto It = ProcIndex.find(Name);
+  return It == ProcIndex.end() ? nullptr : It->second;
 }
 
 void Module::eraseProcedure(Procedure *P) {
-  for (auto It = Procs.begin(); It != Procs.end(); ++It)
-    if (It->get() == P) {
-      It = Procs.erase(It);
-      for (; It != Procs.end(); ++It)
-        (*It)->ModuleIndex = uint32_t(It - Procs.begin());
-      return;
-    }
-  assert(false && "procedure not in this module");
+  assert(P->ModuleIndex < Procs.size() && Procs[P->ModuleIndex].get() == P &&
+         "procedure not in this module");
+  auto Pos = Procs.begin() + P->ModuleIndex;
+  auto Slot = ProcIndex.find(P->getName());
+  if (Slot->second == P) {
+    // The next namesake in module order, if any, takes over the name.
+    ProcIndex.erase(Slot);
+    for (auto It = Pos + 1; It != Procs.end(); ++It)
+      if ((*It)->getName() == P->getName()) {
+        ProcIndex.emplace((*It)->getName(), It->get());
+        break;
+      }
+  }
+  for (auto It = Procs.erase(Pos); It != Procs.end(); ++It)
+    (*It)->ModuleIndex = uint32_t(It - Procs.begin());
 }
 
 Variable *Module::addGlobal(const std::string &Name, ConstantValue ArraySize) {
@@ -82,6 +89,7 @@ std::unique_ptr<Module> Module::clone() const {
 
   // Create all procedures, variables, and blocks first so call and branch
   // targets can be mapped while cloning instructions.
+  NewM->ProcIndex.reserve(ProcIndex.size());
   for (const std::unique_ptr<Procedure> &P : Procs) {
     Procedure *NewP = NewM->createProcedure(P->getName());
     Maps.Procs.emplace(P.get(), NewP);

@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,8 @@ public:
     return Procs;
   }
 
+  /// The first procedure named \p Name in module order; null if absent.
+  /// A hash lookup: lowering resolves every call site through it.
   Procedure *findProcedure(const std::string &Name) const;
 
   /// Destroys \p P and removes it from the module. The caller must
@@ -98,6 +101,9 @@ public:
 
 private:
   std::vector<std::unique_ptr<Procedure>> Procs;
+  /// Name -> first procedure of that name. Keys view the procedures' own
+  /// names, which never change after creation.
+  std::unordered_map<std::string_view, Procedure *> ProcIndex;
   std::vector<Variable *> Globals;
   std::vector<std::unique_ptr<Variable>> OwnedGlobals;
   std::unordered_map<ConstantValue, std::unique_ptr<ConstantInt>> Constants;

@@ -36,7 +36,6 @@ public:
 
   Module *getModule() const { return Parent; }
   const std::string &getName() const { return Name; }
-  void setName(std::string NewName) { Name = std::move(NewName); }
 
   /// Dense position in the owning module's procedure list.
   uint32_t getModuleIndex() const { return ModuleIndex; }

@@ -6,6 +6,9 @@
 
 #include "workload/Oracle.h"
 
+#include <string_view>
+#include <unordered_map>
+
 using namespace ipcp;
 
 std::string OracleReport::str() const {
@@ -26,10 +29,18 @@ OracleReport ipcp::checkSoundness(const Module &M, const IPCPResult &R,
   Report.ExecStatus = Exec.TheStatus;
   Report.DynamicEntries = Exec.Entries.size();
 
+  // Name -> first result of that name (IPCPResult::findProc's answer),
+  // built once: the loop below looks up every dynamic entry.
+  std::unordered_map<std::string_view, const ProcedureResult *> Results;
+  Results.reserve(R.Procs.size());
+  for (const ProcedureResult &PR : R.Procs)
+    Results.emplace(PR.Name, &PR);
+
   for (const EntrySnapshot &Snap : Exec.Entries) {
-    const ProcedureResult *PR = R.findProc(Snap.Proc->getName());
-    if (!PR)
+    auto Found = Results.find(Snap.Proc->getName());
+    if (Found == Results.end())
       continue;
+    const ProcedureResult *PR = Found->second;
     for (const auto &[Name, Claimed] : PR->EntryConstants) {
       // Resolve the claimed name against the snapshot's variables: the
       // procedure's formal of that name, or the global of that name.

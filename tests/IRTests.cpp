@@ -81,6 +81,68 @@ TEST(IRModule, CloneVariableIdentityMapsByIdAndName) {
   EXPECT_NE(Main->locals()[0], CloneMain->locals()[0]);
 }
 
+TEST(IRModule, CallsResolveToLaterProcedures) {
+  auto M = lowerOk("proc main() { call later(1); }\n"
+                   "proc later(x) { print x; }");
+  Procedure *Later = getProc(*M, "later");
+  EXPECT_EQ(Later->getModuleIndex(), 1u);
+  auto *Call = firstInst<CallInst>(*getProc(*M, "main"));
+  ASSERT_NE(Call, nullptr);
+  EXPECT_EQ(Call->getCallee(), Later);
+}
+
+TEST(IRModule, CloneFindsItsOwnProcedures) {
+  auto M = lowerOk("proc f(a) { a = 1; }\n"
+                   "proc main() { var x; call f(x); }");
+  auto Clone = M->clone();
+  for (const std::unique_ptr<Procedure> &P : M->procedures()) {
+    Procedure *Twin = Clone->findProcedure(P->getName());
+    ASSERT_NE(Twin, nullptr) << P->getName();
+    EXPECT_NE(Twin, P.get());
+    EXPECT_EQ(Twin->getModule(), Clone.get());
+    EXPECT_EQ(M->findProcedure(P->getName()), P.get());
+  }
+  EXPECT_EQ(firstInst<CallInst>(*getProc(*Clone, "main"))->getCallee(),
+            Clone->findProcedure("f"));
+}
+
+TEST(IRModule, CloneProcedureIsFoundByItsNewName) {
+  auto M = lowerOk("proc p(a) { print a; }\nproc main() { call p(1); }");
+  Procedure *P = getProc(*M, "p");
+  Procedure *Copy = M->cloneProcedure(*P, "p.clone1");
+  EXPECT_EQ(M->findProcedure("p.clone1"), Copy);
+  EXPECT_EQ(Copy->getModuleIndex(), 2u);
+  EXPECT_EQ(M->findProcedure("p"), P);
+  expectVerifies(*M, VerifyMode::PreSSA);
+}
+
+TEST(IRModule, ErasedProcedureIsNoLongerFound) {
+  auto M = lowerOk("proc a() { }\nproc b() { }\nproc c() { }\n"
+                   "proc main() { }");
+  Procedure *C = getProc(*M, "c");
+  Procedure *Main = getProc(*M, "main");
+  M->eraseProcedure(getProc(*M, "b"));
+  EXPECT_EQ(M->findProcedure("b"), nullptr);
+  EXPECT_EQ(M->findProcedure("a"), M->procedures()[0].get());
+  EXPECT_EQ(M->findProcedure("c"), C);
+  EXPECT_EQ(M->findProcedure("main"), Main);
+  EXPECT_EQ(C->getModuleIndex(), 1u);
+  EXPECT_EQ(Main->getModuleIndex(), 2u);
+}
+
+TEST(IRModule, FirstNamesakeWinsUntilErased) {
+  Module M;
+  Procedure *First = M.createProcedure("f");
+  M.createProcedure("g");
+  Procedure *Second = M.createProcedure("f");
+  EXPECT_EQ(M.findProcedure("f"), First);
+  M.eraseProcedure(First);
+  EXPECT_EQ(M.findProcedure("f"), Second);
+  M.eraseProcedure(Second);
+  EXPECT_EQ(M.findProcedure("f"), nullptr);
+  EXPECT_NE(M.findProcedure("g"), nullptr);
+}
+
 TEST(IRBasicBlock, SuccessorsFromTerminator) {
   auto M = lowerOk("proc main() { var x; if (x) { x = 1; } }");
   Procedure *Main = getProc(*M, "main");

@@ -100,6 +100,39 @@ TEST(ModRef, RecursionReachesFixpoint) {
   EXPECT_TRUE(MRI.modifiedGlobals(getProc(*M, "b")).count(G));
 }
 
+TEST(ModRef, LeafEffectsReachRecursiveComponentAndItsCaller) {
+  // Module order lists callers first; the worklist still starts from the
+  // leaf. a and b form one component entered at a; b calls the leaf.
+  auto M = lowerOk("global g, h;\n"
+                   "proc main() { var v; call top(v); }\n"
+                   "proc top(t) { call a(t); }\n"
+                   "proc a(x) { if (x > 0) { call b(x); } }\n"
+                   "proc b(y) { call leaf(y); if (y > 0) { call a(y); } }\n"
+                   "proc leaf(r) { r = 1; g = 2; print h; }");
+  Procedure *Top = getProc(*M, "top");
+  Procedure *A = getProc(*M, "a");
+  Procedure *B = getProc(*M, "b");
+  Procedure *Leaf = getProc(*M, "leaf");
+  CallGraph CG(*M);
+  ASSERT_EQ(CG.sccIndex(A), CG.sccIndex(B));
+  ASSERT_LT(CG.sccIndex(Leaf), CG.sccIndex(A));
+  ASSERT_LT(CG.sccIndex(A), CG.sccIndex(Top));
+
+  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
+  using Vars = std::vector<Variable *>;
+  auto AsVars = [](const VariableSet &S) { return Vars(S.begin(), S.end()); };
+  Variable *G = M->findGlobal("g");
+  Variable *H = M->findGlobal("h");
+  for (Procedure *P : {Leaf, B, A, Top}) {
+    EXPECT_TRUE(MRI.formalMayBeModified(P, 0)) << P->getName();
+    EXPECT_EQ(AsVars(MRI.modifiedGlobals(P)), Vars{G}) << P->getName();
+    EXPECT_EQ(AsVars(MRI.extendedGlobals(P)), (Vars{G, H})) << P->getName();
+  }
+  Procedure *Main = getProc(*M, "main");
+  EXPECT_EQ(AsVars(MRI.modifiedGlobals(Main)), Vars{G});
+  EXPECT_EQ(AsVars(MRI.extendedGlobals(Main)), (Vars{G, H}));
+}
+
 TEST(ModRef, CallKillsCombineBindingsAndGlobals) {
   auto M = lowerOk("global g;\n"
                    "proc f(a, b) { a = 1; g = 2; print b; }\n"

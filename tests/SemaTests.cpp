@@ -91,6 +91,26 @@ TEST(Sema, ForwardReferencesAllowed) {
   parseOk("proc main() { call later(1); }\nproc later(x) { }");
 }
 
+TEST(Sema, CallToLaterProcedureIsArityChecked) {
+  parseOk("proc main() { call later(1, 2); }\nproc later(x, y) { }");
+  EXPECT_NE(parseErrors("proc main() { call later(1, 2); }\n"
+                        "proc later(x) { }")
+                .find("procedure 'later' expects 1 argument(s), got 2"),
+            std::string::npos);
+}
+
+TEST(Sema, DuplicateProcedureCallsResolveToFirstDefinition) {
+  std::string Errs = parseErrors("proc f(a) { }\nproc f(a, b) { }\n"
+                                 "proc main() { call f(1); }");
+  EXPECT_NE(Errs.find("redefinition of procedure 'f'"), std::string::npos);
+  EXPECT_EQ(Errs.find("expects"), std::string::npos)
+      << "call f(1) matches the first, one-parameter f";
+  EXPECT_NE(parseErrors("proc f(a) { }\nproc f(a, b) { }\n"
+                        "proc main() { call f(1, 2); }")
+                .find("procedure 'f' expects 1 argument(s), got 2"),
+            std::string::npos);
+}
+
 TEST(Sema, RecursionAllowed) {
   parseOk("proc f(n) { if (n > 0) { call f(n - 1); } }\n"
           "proc main() { call f(3); }");
