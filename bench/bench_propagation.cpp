@@ -21,7 +21,6 @@
 #include "BenchReport.h"
 #include "core/BindingGraph.h"
 #include "core/Pipeline.h"
-#include "core/ValueNumbering.h"
 #include "frontend/Parser.h"
 #include "ir/AstLower.h"
 #include "workload/Generator.h"
@@ -104,14 +103,10 @@ void BM_SolverFormulation(benchmark::State &State) {
 
   CallGraph CG(*M);
   ModRefInfo MRI = ModRefInfo::compute(*M, CG);
-  SSAMap SSA;
-  for (const std::unique_ptr<Procedure> &P : M->procedures())
-    SSA.emplace(P.get(), constructSSA(*P, MRI));
-  SymExprContext Ctx;
-  ReturnJumpFunctions RJFs = ReturnJumpFunctions::build(CG, MRI, SSA, Ctx);
-  ForwardJumpFunctions FJFs = ForwardJumpFunctions::build(
-      CG, MRI, SSA, &RJFs, Ctx, JumpFunctionKind::Polynomial);
   IPCPOptions Opts;
+  JumpFunctionTables Tables;
+  buildJumpFunctions(CG, MRI, Opts, Tables);
+  const ForwardJumpFunctions &FJFs = Tables.FJFs;
 
   bool Binding = State.range(1);
   State.SetLabel(Binding ? "binding-graph" : "call-graph");
@@ -138,14 +133,10 @@ JsonValue printSolverComparison() {
   auto M = lowerProgram(*Ast);
   CallGraph CG(*M);
   ModRefInfo MRI = ModRefInfo::compute(*M, CG);
-  SSAMap SSA;
-  for (const std::unique_ptr<Procedure> &P : M->procedures())
-    SSA.emplace(P.get(), constructSSA(*P, MRI));
-  SymExprContext Ctx;
-  ReturnJumpFunctions RJFs = ReturnJumpFunctions::build(CG, MRI, SSA, Ctx);
-  ForwardJumpFunctions FJFs = ForwardJumpFunctions::build(
-      CG, MRI, SSA, &RJFs, Ctx, JumpFunctionKind::Polynomial);
   IPCPOptions Opts;
+  JumpFunctionTables Tables;
+  buildJumpFunctions(CG, MRI, Opts, Tables);
+  const ForwardJumpFunctions &FJFs = Tables.FJFs;
   PropagatorStats CGStats, BGStats;
   ConstantsMap A = propagateConstants(CG, MRI, FJFs, Opts, &CGStats);
   ConstantsMap B =

@@ -1,5 +1,5 @@
 # Documentation-coherence lint (the docs-side complement of
-# CheckFlagDocs.cmake). Three drift modes, each fatal:
+# CheckFlagDocs.cmake). Four drift modes, each fatal:
 #
 #   1. An unindexed page: every docs/*.md must be listed in README.md's
 #      documentation index table.
@@ -9,6 +9,9 @@
 #   3. A phantom counter: every backticked token in the docs that looks
 #      like a registered counter (the Counters.def family prefixes) must
 #      actually be registered in src/support/Counters.def.
+#   4. A phantom span: every span in docs/OBSERVABILITY.md's span table
+#      must be opened by a `ScopedTraceSpan Name("span"` somewhere under
+#      src/ or tools/.
 #
 # Run by ctest (check_doc_index in tools/CMakeLists.txt) and by the CI
 # docs-lint job:
@@ -20,6 +23,8 @@ cmake_minimum_required(VERSION 3.16)
 if(NOT DEFINED SRCDIR)
   message(FATAL_ERROR "CheckDocIndex.cmake needs -DSRCDIR=<repo root>")
 endif()
+# file(GLOB ... RELATIVE) needs an absolute root (CI passes -DSRCDIR=.).
+get_filename_component(SRCDIR "${SRCDIR}" ABSOLUTE)
 
 set(Problems "")
 
@@ -104,10 +109,54 @@ foreach(File ${LintFiles})
   endforeach()
 endforeach()
 
+# --- 4. Every documented span is opened somewhere ----------------------
+
+file(READ ${SRCDIR}/docs/OBSERVABILITY.md Text)
+string(FIND "${Text}" "| Span | Detail | Opened by |" TableStart)
+if(TableStart EQUAL -1)
+  message(FATAL_ERROR "no span table found in docs/OBSERVABILITY.md")
+endif()
+string(SUBSTRING "${Text}" ${TableStart} -1 Table)
+string(FIND "${Table}" "\n\n" TableEnd)
+string(SUBSTRING "${Table}" 0 ${TableEnd} Table)
+string(REGEX MATCHALL "\n\\| `[^`]+`" Cells "${Table}")
+set(Spans "")
+foreach(Cell ${Cells})
+  string(REGEX REPLACE "\n\\| `([^`]+)`" "\\1" Span "${Cell}")
+  list(APPEND Spans ${Span})
+endforeach()
+list(LENGTH Spans NumSpans)
+if(NumSpans LESS 10)
+  message(FATAL_ERROR
+          "only ${NumSpans} spans parsed from docs/OBSERVABILITY.md — "
+          "the span-table regex is broken")
+endif()
+
+file(GLOB_RECURSE SpanSources ${SRCDIR}/src/*.cpp ${SRCDIR}/src/*.h
+     ${SRCDIR}/tools/*.cpp)
+set(OpenedSpans "")
+foreach(File ${SpanSources})
+  file(READ ${File} Text)
+  string(REGEX MATCHALL "ScopedTraceSpan [A-Za-z]*\\(\"[^\"]+\"" Opens
+         "${Text}")
+  foreach(Open ${Opens})
+    string(REGEX REPLACE ".*\"([^\"]+)\"$" "\\1" Name "${Open}")
+    list(APPEND OpenedSpans ${Name})
+  endforeach()
+endforeach()
+foreach(Span ${Spans})
+  if(NOT Span IN_LIST OpenedSpans)
+    list(APPEND Problems
+         "phantom span: \`${Span}\` is documented in docs/OBSERVABILITY.md "
+         "but no ScopedTraceSpan under src/ or tools/ opens it")
+  endif()
+endforeach()
+
 if(Problems)
   list(JOIN Problems "\n  " Pretty)
   message(FATAL_ERROR "documentation lint failed:\n  ${Pretty}")
 endif()
 message(STATUS
         "${NumPages} docs pages indexed, links resolve, counter tokens "
-        "match Counters.def (${NumCounters} registered)")
+        "match Counters.def (${NumCounters} registered), ${NumSpans} "
+        "documented spans are opened")

@@ -44,7 +44,6 @@
 #include "core/Pipeline.h"
 #include "core/Report.h"
 #include "core/SummaryCache.h"
-#include "core/ValueNumbering.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "ir/AstLower.h"
@@ -492,23 +491,19 @@ int main(int argc, char **argv) {
 
   if (DumpJF) {
     // Rebuild the jump functions on a scratch clone and print them — the
-    // analyzer's own view of each call site (paper Sections 3.1/3.2).
+    // analyzer's own view of each call site (paper Sections 3.1/3.2),
+    // under --intra-only too.
+    IPCPOptions DumpOpts = Opts;
+    DumpOpts.IntraproceduralOnly = false;
     std::unique_ptr<Module> Scratch = M->clone();
     CallGraph CG(*Scratch);
-    ModRefInfo MRI = Opts.UseModInformation
+    ModRefInfo MRI = DumpOpts.UseModInformation
                          ? ModRefInfo::compute(*Scratch, CG)
                          : ModRefInfo::worstCase(*Scratch);
-    SSAMap SSA;
-    for (const std::unique_ptr<Procedure> &P : Scratch->procedures())
-      SSA.emplace(P.get(), constructSSA(*P, MRI));
-    SymExprContext Ctx(Opts.MaxExprNodes);
-    std::unique_ptr<ReturnJumpFunctions> RJFs;
-    if (Opts.UseReturnJumpFunctions)
-      RJFs = std::make_unique<ReturnJumpFunctions>(ReturnJumpFunctions::build(
-          CG, MRI, SSA, Ctx, Opts.UseGatedSSA));
-    ForwardJumpFunctions FJFs =
-        ForwardJumpFunctions::build(CG, MRI, SSA, RJFs.get(), Ctx,
-                                    Opts.ForwardKind, Opts.UseGatedSSA);
+    JumpFunctionTables Tables(DumpOpts.MaxExprNodes);
+    buildJumpFunctions(CG, MRI, DumpOpts, Tables);
+    const ForwardJumpFunctions &FJFs = Tables.FJFs;
+    const ReturnJumpFunctions *RJFs = Tables.RJFs.get();
 
     std::printf("\njump functions (%s class):\n",
                 jumpFunctionKindName(Opts.ForwardKind));

@@ -6,7 +6,6 @@
 
 #include "core/Cloning.h"
 
-#include "core/ValueNumbering.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -54,27 +53,34 @@ std::string signatureFor(const CallSiteJumpFunctions &JFs,
   return Sig;
 }
 
-/// Plans one round of cloning decisions against a scratch analysis.
+/// Plans one round of cloning decisions against a scratch analysis,
+/// charged to the experiment's \p Guard. A round whose planning trips
+/// decides nothing.
 std::vector<CloneDecision> planRound(const Module &M,
-                                     const CloningOptions &Opts) {
+                                     const CloningOptions &Opts,
+                                     ResourceGuard &Guard) {
   std::vector<CloneDecision> Decisions;
 
   std::unique_ptr<Module> Scratch = M.clone();
   CallGraph CG(*Scratch);
-  ModRefInfo MRI = Opts.Analysis.UseModInformation
+  // Planning reads the forward jump functions even when the measured
+  // analysis is intraprocedural.
+  IPCPOptions PlanOpts = Opts.Analysis;
+  PlanOpts.IntraproceduralOnly = false;
+  ModRefInfo MRI = PlanOpts.UseModInformation
                        ? ModRefInfo::compute(*Scratch, CG)
                        : ModRefInfo::worstCase(*Scratch);
-  SSAMap SSA;
-  for (const std::unique_ptr<Procedure> &P : Scratch->procedures())
-    SSA.emplace(P.get(), constructSSA(*P, MRI));
-  SymExprContext Ctx(Opts.Analysis.MaxExprNodes);
-  std::unique_ptr<ReturnJumpFunctions> RJFs;
-  if (Opts.Analysis.UseReturnJumpFunctions)
-    RJFs = std::make_unique<ReturnJumpFunctions>(
-        ReturnJumpFunctions::build(CG, MRI, SSA, Ctx));
-  ForwardJumpFunctions FJFs = ForwardJumpFunctions::build(
-      CG, MRI, SSA, RJFs.get(), Ctx, Opts.Analysis.ForwardKind);
-  ConstantsMap CM = propagateConstants(CG, MRI, FJFs, Opts.Analysis);
+  JumpFunctionTables Tables(PlanOpts.MaxExprNodes);
+  buildJumpFunctions(CG, MRI, PlanOpts, Tables, &Guard);
+  if (Guard.tripped())
+    return Decisions;
+  const ForwardJumpFunctions &FJFs = Tables.FJFs;
+  ConstantsMap CM =
+      propagateConstants(CG, MRI, FJFs, PlanOpts, nullptr, &Guard);
+  // A tripped solve returns an empty map, on which every literal-argument
+  // site would look profitable.
+  if (Guard.tripped())
+    return Decisions;
 
   for (Procedure *Q : CG.procedures()) {
     if (Q->getName() == Opts.Analysis.EntryProcedure || CG.isRecursive(Q))
@@ -160,7 +166,7 @@ CloningResult ipcp::cloneForConstants(Module &M, const CloningOptions &Opts,
     if (M.instructionCount() >
         Result.InstructionsBefore * Opts.MaxGrowthFactor)
       break;
-    std::vector<CloneDecision> Decisions = planRound(M, Opts);
+    std::vector<CloneDecision> Decisions = planRound(M, Opts, *Guard);
     if (Decisions.empty())
       break;
     ++Result.RoundsRun;

@@ -98,23 +98,6 @@ void ForwardJumpFunctions::buildProcedure(
   }
 }
 
-ForwardJumpFunctions ForwardJumpFunctions::build(
-    const CallGraph &CG, const ModRefInfo &MRI, const SSAMap &SSA,
-    const ReturnJumpFunctions *RJFs, SymExprContext &Ctx,
-    JumpFunctionKind Kind, bool UseGatedSSA) {
-  ForwardJumpFunctions FJFs;
-  ScopedTraceSpan BuildSpan("forward-jf");
-
-  for (Procedure *P : CG.procedures()) {
-    auto SSAIt = SSA.find(P);
-    assert(SSAIt != SSA.end() && "missing SSA for procedure");
-    FJFs.buildProcedure(P, CG, MRI, SSAIt->second, RJFs, Ctx, Kind,
-                        UseGatedSSA);
-  }
-
-  return FJFs;
-}
-
 const CallSiteJumpFunctions &
 ForwardJumpFunctions::at(const CallInst *Site) const {
   auto It = Sites.find(Site);

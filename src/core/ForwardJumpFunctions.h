@@ -25,7 +25,9 @@
 ///
 /// All jump functions are built before propagation begins and never
 /// rebuilt (Section 3.1: "It is not necessary to reconstruct the jump
-/// functions on each iteration over G").
+/// functions on each iteration over G"): buildJumpFunctions
+/// (core/Pipeline.h) runs buildProcedure over the module once the return
+/// jump functions are final.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,20 +54,11 @@ struct CallSiteJumpFunctions {
 /// Forward jump functions for every call site in a module.
 class ForwardJumpFunctions {
 public:
-  /// Builds all call sites' jump functions of class \p Kind.
-  /// \p RJFs may be null (configurations without return jump functions);
-  /// \p UseGatedSSA selects the gated phi resolution (Options.h).
-  static ForwardJumpFunctions build(const CallGraph &CG,
-                                    const ModRefInfo &MRI, const SSAMap &SSA,
-                                    const ReturnJumpFunctions *RJFs,
-                                    SymExprContext &Ctx,
-                                    JumpFunctionKind Kind,
-                                    bool UseGatedSSA = false);
-
-  /// Builds the jump functions for every call site in \p P alone — the
-  /// per-procedure step the incremental pipeline runs for dirty
-  /// procedures (build() is this in a loop). Callee return jump
-  /// functions consulted through \p RJFs must be final.
+  /// Builds the jump functions of class \p Kind for every call site in
+  /// \p P. Callee return jump functions consulted through \p RJFs must be
+  /// final; \p RJFs may be null (configurations without return jump
+  /// functions). \p UseGatedSSA selects the gated phi resolution
+  /// (Options.h).
   void buildProcedure(Procedure *P, const CallGraph &CG, const ModRefInfo &MRI,
                       const SSAResult &ProcSSA,
                       const ReturnJumpFunctions *RJFs, SymExprContext &Ctx,

@@ -9,7 +9,6 @@
 #include "analysis/SCCP.h"
 #include "core/BindingGraph.h"
 #include "core/SummaryCache.h"
-#include "core/ValueNumbering.h"
 #include "support/Casting.h"
 #include "support/StableHash.h"
 #include "support/Trace.h"
@@ -17,6 +16,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <unordered_set>
 
 using namespace ipcp;
@@ -92,44 +92,34 @@ void recordGuardOutcome(IPCPResult &Result, const ResourceGuard &Guard) {
   }
 }
 
-/// Drives the summary-cache variant of stages 1-4 (docs/INCREMENTAL.md).
-/// Phase A replaces the cold SSA + return-JF + forward-JF stages with a
-/// single bottom-up SCC sweep that either restores a component's
-/// summaries from validated cache entries or rebuilds them from scratch;
-/// the resulting jump-function tables are indistinguishable from a cold
-/// build. buildPlan() then derives the propagation adoption closure, and
-/// replay()/finish() handle the record stage and restocking the cache.
+} // namespace
+
+namespace ipcp {
+
+/// The summary-cache hooks of one cached run (docs/INCREMENTAL.md).
+/// buildJumpFunctions calls hashBodies, mayAdopt, tryAdopt and
+/// finishComponent from its sweep; runIPCP then calls buildPlan for the
+/// propagation adoption closure, replay/noteRecord in the record stage,
+/// and finish to restock the cache.
 class IncrementalEngine {
 public:
   IncrementalEngine(SummaryCache &Cache, const CallGraph &CG,
-                    const ModRefInfo &MRI, SymExprContext &Ctx,
-                    const IPCPOptions &Opts, StatisticSet &Stats,
-                    ResourceGuard &Guard, SSAMap &SSA,
-                    ReturnJumpFunctions *RJFs, ForwardJumpFunctions &FJFs)
-      : Cache(Cache), CG(CG), MRI(MRI), Ctx(Ctx), Opts(Opts), Stats(Stats),
-        Guard(Guard), SSA(SSA), RJFs(RJFs), FJFs(FJFs) {
+                    const ModRefInfo &MRI, const IPCPOptions &Opts,
+                    StatisticSet &Stats, ResourceGuard &Guard,
+                    JumpFunctionTables &Tables)
+      : Cache(Cache), CG(CG), MRI(MRI), Opts(Opts), Stats(Stats),
+        Guard(Guard), Tables(Tables) {
     Cache.beginRun();
+    for (const char *Name : {"cache_hits", "cache_misses",
+                             "cache_invalidations", "cache_val_adopted",
+                             "cache_record_reused"})
+      Stats.add(Name, 0);
+    Stats.add("cache_load_failures", uint64_t(Cache.loadFailed() ? 1 : 0));
   }
 
-  /// SSA on demand: cache hits skip SSA construction entirely, but the
-  /// record stage still needs it for non-replayed procedures.
-  const SSAResult &ensureSSA(Procedure *P) {
-    auto It = SSA.find(P);
-    if (It != SSA.end())
-      return It->second;
-    traceEvent("ssa.proc", P->getName());
-    return SSA.emplace(P, constructSSA(*P, MRI)).first->second;
-  }
-
-  /// The bottom-up sweep. Body hashes come first (on the pristine,
-  /// pre-SSA clone — constructSSA mutates bodies); then each SCC either
-  /// adopts its cached summaries wholesale or rebuilds its members in the
-  /// exact cold order, so dirty lifts only ever consult final callee
-  /// tables.
-  void phaseA() {
-    Timer PhaseTimer;
-    uint64_t Hits = 0, Misses = 0, Invalidations = 0;
-
+  /// Body and caller hashes, taken on the pristine clone before
+  /// constructSSA mutates any body.
+  void hashBodies() {
     for (Procedure *P : CG.procedures())
       BodyHex.emplace(P, stableHashHex(hashProcedureBody(*P)));
     for (Procedure *P : CG.procedures()) {
@@ -145,49 +135,37 @@ public:
       }
       CallersHex.emplace(P, stableHashHex(H.result()));
     }
+    SCCKeyHex.resize(CG.sccsBottomUp().size());
+    HitSCC.assign(CG.sccsBottomUp().size(), 0);
+  }
 
-    const std::vector<std::vector<Procedure *>> &SCCs = CG.sccsBottomUp();
-    SCCKeyHex.resize(SCCs.size());
-    HitSCC.assign(SCCs.size(), 0);
-    for (size_t C = 0; C != SCCs.size(); ++C) {
-      if (!Guard.tripped())
-        Guard.checkDeadline("analysis");
-      if (Guard.tripped())
-        break;
-      const std::vector<Procedure *> &Members = SCCs[C];
-      SCCKeyHex[C] = sccKey(Members, C);
-      bool Hit = tryAdoptSummaries(Members, C);
-      HitSCC[C] = Hit ? 1 : 0;
-      for (Procedure *P : Members) {
-        if (Hit) {
-          ++Hits;
-          continue;
-        }
-        ++Misses;
-        if (Cache.find(P->getName()))
-          ++Invalidations;
-      }
-      if (!Hit)
-        buildDirty(Members);
-      // Content hashes only exist for finalized components, which is all
-      // later (caller) components ever look at.
-      for (Procedure *P : Members)
-        ContentHex.emplace(P, contentHash(P));
-    }
+  /// False when \p P's own body hash already rules out adoption.
+  bool mayAdopt(Procedure *P) const {
+    const CacheEntry *E = Cache.find(P->getName());
+    return E && E->BodyHash == BodyHex.at(P);
+  }
 
-    Stats.add("time_intraprocedural_us",
-              uint64_t(PhaseTimer.seconds() * 1e6));
-    Stats.add("time_return_jf_us", uint64_t(0));
-    if (RJFs) {
-      Stats.add("rjf_known", RJFs->knownCount());
-      Stats.add("rjf_entries", RJFs->entryCount());
+  /// Keys component \p C and adopts its cached summaries wholesale, or
+  /// returns false and leaves the component to be rebuilt.
+  bool tryAdopt(const std::vector<Procedure *> &Members, size_t C) {
+    SCCKeyHex[C] = sccKey(Members, C);
+    HitSCC[C] = tryAdoptSummaries(Members, C) ? 1 : 0;
+    if (HitSCC[C]) {
+      Stats.add("cache_hits", Members.size());
+      return true;
     }
-    Stats.add("cache_hits", Hits);
-    Stats.add("cache_misses", Misses);
-    Stats.add("cache_invalidations", Invalidations);
-    Stats.add("cache_val_adopted", uint64_t(0));
-    Stats.add("cache_record_reused", uint64_t(0));
-    Stats.add("cache_load_failures", uint64_t(Cache.loadFailed() ? 1 : 0));
+    Stats.add("cache_misses", Members.size());
+    for (Procedure *P : Members)
+      if (Cache.find(P->getName()))
+        Stats.add("cache_invalidations");
+    return false;
+  }
+
+  /// Content hashes only exist for finished components, which is all
+  /// later (caller) components ever look at.
+  void finishComponent(const std::vector<Procedure *> &Members) {
+    for (Procedure *P : Members)
+      ContentHex.emplace(P, contentHash(P));
   }
 
   /// The adoption closure for propagation (see Propagator.h). Walks
@@ -294,7 +272,7 @@ public:
       E.ExtGlobals = globalNames(MRI.extendedGlobals(P));
       E.ReturnJFs = rjfPairsOf(P);
       for (CallInst *Site : CG.callSitesIn(P)) {
-        const CallSiteJumpFunctions &JFs = FJFs.at(Site);
+        const CallSiteJumpFunctions &JFs = Tables.FJFs.at(Site);
         CacheEntry::SiteJFs S;
         S.Callee = Site->getCallee()->getName();
         for (const JumpFunction &JF : JFs.Formals)
@@ -356,9 +334,9 @@ private:
   std::vector<std::pair<std::string, std::string>>
   rjfPairsOf(Procedure *P) const {
     std::vector<std::pair<std::string, std::string>> Out;
-    if (!RJFs)
+    if (!Tables.RJFs)
       return Out;
-    if (const auto *Entries = RJFs->entriesOf(P))
+    if (const auto *Entries = Tables.RJFs->entriesOf(P))
       for (const auto &[Var, JF] : *Entries)
         Out.push_back(
             {SummaryCache::varRef(Var), SummaryCache::exprString(JF.expr())});
@@ -447,11 +425,11 @@ private:
       Pending.push_back(std::move(R));
     }
     for (Restored &R : Pending) {
-      if (RJFs)
+      if (Tables.RJFs)
         for (auto &[Var, JF] : R.RJFEntries)
-          RJFs->insert(R.P, Var, std::move(JF));
+          Tables.RJFs->insert(R.P, Var, std::move(JF));
       for (CallSiteJumpFunctions &S : R.Sites)
-        FJFs.insert(std::move(S));
+        Tables.FJFs.insert(std::move(S));
     }
     return true;
   }
@@ -469,7 +447,7 @@ private:
         E.ExtGlobals != globalNames(MRI.extendedGlobals(P)))
       return false;
 
-    if (RJFs) {
+    if (Tables.RJFs) {
       // The entry set must be exactly the modifiable set the table would
       // have been seeded with.
       std::vector<std::string> Expected;
@@ -489,7 +467,7 @@ private:
         if (!Var)
           return false;
         bool Ok = false;
-        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Ctx, &Ok);
+        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Tables.Ctx, &Ok);
         if (!Ok)
           return false;
         RJFEntries.push_back({Var, JumpFunction(Expr)});
@@ -514,7 +492,7 @@ private:
       JFs.Caller = P;
       for (const std::string &Text : SE.Formals) {
         bool Ok = false;
-        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Ctx, &Ok);
+        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Tables.Ctx, &Ok);
         if (!Ok)
           return false;
         JFs.Formals.push_back(JumpFunction(Expr));
@@ -528,7 +506,7 @@ private:
         if (SummaryCache::resolveVarRef(Ref, P) != G)
           return false;
         bool Ok = false;
-        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Ctx, &Ok);
+        const SymExpr *Expr = SummaryCache::parseExpr(Text, P, Tables.Ctx, &Ok);
         if (!Ok)
           return false;
         JFs.Globals.push_back({G, JumpFunction(Expr)});
@@ -536,23 +514,6 @@ private:
       Sites.push_back(std::move(JFs));
     }
     return true;
-  }
-
-  /// Cold rebuild of one component, in the exact cold-path order: SSA for
-  /// every member, bottoms seeded for every member (so recursive lifts
-  /// see "modified, unknown"), then lifts, then forward jump functions.
-  void buildDirty(const std::vector<Procedure *> &Members) {
-    for (Procedure *P : Members)
-      ensureSSA(P);
-    if (RJFs) {
-      for (Procedure *P : Members)
-        RJFs->seedBottoms(P, MRI);
-      for (Procedure *P : Members)
-        RJFs->liftProcedure(P, SSA.at(P), Ctx, Opts.UseGatedSSA);
-    }
-    for (Procedure *P : Members)
-      FJFs.buildProcedure(P, CG, MRI, SSA.at(P), RJFs, Ctx, Opts.ForwardKind,
-                          Opts.UseGatedSSA);
   }
 
   /// Decodes one cached VAL set; every entry must be one of the owner's
@@ -587,13 +548,10 @@ private:
   SummaryCache &Cache;
   const CallGraph &CG;
   const ModRefInfo &MRI;
-  SymExprContext &Ctx;
   const IPCPOptions &Opts;
   StatisticSet &Stats;
   ResourceGuard &Guard;
-  SSAMap &SSA;
-  ReturnJumpFunctions *RJFs;
-  ForwardJumpFunctions &FJFs;
+  JumpFunctionTables &Tables;
 
   std::unordered_map<Procedure *, std::string> BodyHex;
   std::unordered_map<Procedure *, std::string> CallersHex;
@@ -605,7 +563,96 @@ private:
   std::unordered_map<const Procedure *, RecordCounts> Records;
 };
 
-} // namespace
+} // namespace ipcp
+
+const SSAResult &JumpFunctionTables::ssaOf(Procedure *P,
+                                           const ModRefInfo &MRI) {
+  auto It = SSA.find(P);
+  if (It != SSA.end())
+    return It->second;
+  traceEvent("ssa.proc", P->getName());
+  return SSA.emplace(P, constructSSA(*P, MRI)).first->second;
+}
+
+void ipcp::buildJumpFunctions(const CallGraph &CG, const ModRefInfo &MRI,
+                              const IPCPOptions &Opts,
+                              JumpFunctionTables &Tables,
+                              ResourceGuard *Guard) {
+  IncrementalEngine *Cache = Tables.Cache;
+  Timer IntraTimer;
+  double LiftSeconds = 0;
+
+  // Intraprocedural analysis: SSA per procedure, in module order. The
+  // paper observes this dominates total analysis cost; bench_costs.cpp
+  // confirms. On a cached run, procedures whose bodies still match their
+  // entries wait: the sweep builds their SSA only if the component
+  // misses.
+  {
+    ScopedTraceSpan SSASpan("ssa-construction");
+    if (Cache)
+      Cache->hashBodies();
+    for (Procedure *P : CG.procedures())
+      if (!Cache || !Cache->mayAdopt(P))
+        Tables.ssaOf(P, MRI);
+  }
+
+  // Stage 1: return jump functions, bottom-up over the SCCs. Callees are
+  // final before their callers; inside a recursive component the seeded
+  // bottoms stand in for members not yet lifted.
+  const std::vector<std::vector<Procedure *>> &SCCs = CG.sccsBottomUp();
+  std::vector<char> Adopted(SCCs.size(), 0);
+  if (Opts.UseReturnJumpFunctions && !Opts.IntraproceduralOnly)
+    Tables.RJFs = std::make_unique<ReturnJumpFunctions>();
+  ReturnJumpFunctions *RJFs = Tables.RJFs.get();
+  if (!Opts.IntraproceduralOnly) {
+    ScopedTraceSpan RJFSpan("return-jf");
+    for (size_t C = 0; C != SCCs.size(); ++C) {
+      if (Guard && !Guard->checkDeadline("analysis"))
+        break;
+      const std::vector<Procedure *> &Members = SCCs[C];
+      Adopted[C] = Cache && Cache->tryAdopt(Members, C);
+      if (!Adopted[C]) {
+        for (Procedure *P : Members)
+          Tables.ssaOf(P, MRI);
+        if (RJFs) {
+          Timer LiftTimer;
+          for (Procedure *P : Members)
+            RJFs->seedBottoms(P, MRI);
+          for (Procedure *P : Members)
+            RJFs->liftProcedure(P, Tables.SSA.at(P), Tables.Ctx,
+                                Opts.UseGatedSSA);
+          LiftSeconds += LiftTimer.seconds();
+        }
+      }
+      if (Cache)
+        Cache->finishComponent(Members);
+    }
+  }
+  Tables.Stats.add("time_intraprocedural_us",
+                   uint64_t((IntraTimer.seconds() - LiftSeconds) * 1e6));
+  Tables.Stats.add("time_return_jf_us", uint64_t(LiftSeconds * 1e6));
+  if (RJFs) {
+    Tables.Stats.add("rjf_known", RJFs->knownCount());
+    Tables.Stats.add("rjf_entries", RJFs->entryCount());
+  }
+
+  // Stage 2: forward jump functions of every procedure the cache did not
+  // supply, in module order, against the final return jump functions.
+  if (Guard)
+    Guard->checkDeadline("analysis");
+  if (Opts.IntraproceduralOnly || (Guard && Guard->tripped()))
+    return;
+  Timer FJFTimer;
+  {
+    ScopedTraceSpan FJFSpan("forward-jf");
+    for (Procedure *P : CG.procedures())
+      if (!Adopted[CG.sccIndex(P)])
+        Tables.FJFs.buildProcedure(P, CG, MRI, Tables.SSA.at(P), RJFs,
+                                   Tables.Ctx, Opts.ForwardKind,
+                                   Opts.UseGatedSSA);
+  }
+  Tables.Stats.add("time_forward_jf_us", uint64_t(FJFTimer.seconds() * 1e6));
+}
 
 IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
                          ResourceGuard *Guard) {
@@ -655,62 +702,19 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
     Cache = nullptr;
   Result.UsedCache = Cache != nullptr;
 
-  SymExprContext Ctx(Opts.MaxExprNodes);
-  SSAMap SSA;
-  std::unique_ptr<ReturnJumpFunctions> RJFs;
-  ForwardJumpFunctions FJFs;
-  bool WantRJFs = Opts.UseReturnJumpFunctions && !Opts.IntraproceduralOnly;
-  std::unique_ptr<IncrementalEngine> Inc;
+  // Stages 1 + 2: SSA, return and forward jump functions.
+  JumpFunctionTables Tables(Opts.MaxExprNodes);
+  std::optional<IncrementalEngine> Inc;
+  if (Cache)
+    Tables.Cache = &Inc.emplace(*Cache, CG, MRI, Opts, Result.Stats, *Guard,
+                                Tables);
+  buildJumpFunctions(CG, MRI, Opts, Tables, Guard);
+  Result.Stats.merge(Tables.Stats);
 
-  if (!Cache) {
-    // Intraprocedural analysis: SSA per procedure. The paper observes
-    // this dominates total analysis cost; bench_costs.cpp confirms.
-    Timer IntraTimer;
-    {
-      ScopedTraceSpan SSASpan("ssa-construction");
-      for (const std::unique_ptr<Procedure> &P : Scratch->procedures()) {
-        traceEvent("ssa.proc", P->getName());
-        SSA.emplace(P.get(), constructSSA(*P, MRI));
-      }
-    }
-    Result.Stats.add("time_intraprocedural_us",
-                     uint64_t(IntraTimer.seconds() * 1e6));
-
-    // Stage 1: return jump functions (bottom-up).
-    Timer RJFTimer;
-    if (WantRJFs) {
-      RJFs = std::make_unique<ReturnJumpFunctions>(
-          ReturnJumpFunctions::build(CG, MRI, SSA, Ctx, Opts.UseGatedSSA));
-      Result.Stats.add("rjf_known", RJFs->knownCount());
-      Result.Stats.add("rjf_entries", RJFs->entryCount());
-    }
-    Result.Stats.add("time_return_jf_us", uint64_t(RJFTimer.seconds() * 1e6));
-  } else {
-    // Incremental mode: one bottom-up sweep restores or rebuilds each
-    // component's summaries (stages 1 + 2 fused per component; whole
-    // phase reported as time_intraprocedural_us, with zero JF timers so
-    // warm and cold runs emit identical counter key sets).
-    if (WantRJFs)
-      RJFs = std::make_unique<ReturnJumpFunctions>();
-    Inc = std::make_unique<IncrementalEngine>(*Cache, CG, MRI, Ctx, Opts,
-                                              Result.Stats, *Guard, SSA,
-                                              RJFs.get(), FJFs);
-    Inc->phaseA();
-  }
-
-  // Stage 2 + 3: forward jump functions, then propagation.
+  // Stage 3: propagation.
   ConstantsMap CM;
-  Guard->checkDeadline("analysis");
   if (!Opts.IntraproceduralOnly && !Guard->tripped()) {
-    if (!Inc) {
-      Timer FJFTimer;
-      FJFs = ForwardJumpFunctions::build(CG, MRI, SSA, RJFs.get(), Ctx,
-                                         Opts.ForwardKind, Opts.UseGatedSSA);
-      Result.Stats.add("time_forward_jf_us",
-                       uint64_t(FJFTimer.seconds() * 1e6));
-    } else {
-      Result.Stats.add("time_forward_jf_us", uint64_t(0));
-    }
+    const ForwardJumpFunctions &FJFs = Tables.FJFs;
     ForwardJumpFunctions::Stats JS = FJFs.stats();
     Result.Stats.add("jf_bottom", JS.Bottom);
     Result.Stats.add("jf_constant", JS.Constant);
@@ -765,12 +769,12 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
       break;
     if (Inc && Inc->replay(P.get(), CM, Result))
       continue;
-    const SSAResult &ProcSSA = Inc ? Inc->ensureSSA(P.get()) : SSA.at(P.get());
+    const SSAResult &ProcSSA = Tables.ssaOf(P.get(), MRI);
 
     SCCPOptions SCCPOpts;
     for (const auto &[Var, Value] : CM.constantsOf(P.get()))
       SCCPOpts.EntrySeeds[Var] = LatticeValue::constant(Value);
-    SCCPOpts.CallOutEval = makeCallOutHook(RJFs.get(), &ProcSSA);
+    SCCPOpts.CallOutEval = makeCallOutHook(Tables.RJFs.get(), &ProcSSA);
     traceEvent("record.proc", P->getName());
     SCCPResult SCCP = runSCCP(*P, SCCPOpts);
     Result.Stats.add("sccp_runs");
@@ -833,7 +837,7 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   Result.Stats.add("constant_refs", Result.TotalConstantRefs);
   for (const ProcedureResult &PR : Result.Procs)
     Result.Stats.add("constants_known_irrelevant", PR.IrrelevantConstants);
-  Result.Stats.add("unique_exprs", Ctx.uniqueExprCount());
+  Result.Stats.add("unique_exprs", Tables.Ctx.uniqueExprCount());
   recordGuardOutcome(Result, *Guard);
 
   return Result;

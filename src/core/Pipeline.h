@@ -12,7 +12,7 @@
 ///  1. generation of return jump functions (bottom-up over the call
 ///     graph, using SSA-based value numbering and MOD information);
 ///  2. generation of forward jump functions (per call site, of the
-///     configured class);
+///     configured class) — buildJumpFunctions builds both;
 ///  3. interprocedural propagation of the VAL sets over the call graph;
 ///  4. recording the results: CONSTANTS(p) per procedure, plus the
 ///     substitution metric — the number of source-level variable
@@ -43,10 +43,54 @@
 #include "core/ValueContexts.h"
 #include "support/Statistics.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace ipcp {
+
+class IncrementalEngine;
+
+/// What stages 1-2 produce for one module: every procedure's SSA form,
+/// the return jump functions and the forward jump functions of every call
+/// site, all interned in one expression context. The tables point into
+/// the module the call graph was built on.
+struct JumpFunctionTables {
+  explicit JumpFunctionTables(
+      unsigned MaxExprNodes = IPCPOptions().MaxExprNodes)
+      : Ctx(MaxExprNodes) {}
+
+  SymExprContext Ctx;
+  SSAMap SSA;
+  /// Null when return jump functions are off.
+  std::unique_ptr<ReturnJumpFunctions> RJFs;
+  ForwardJumpFunctions FJFs;
+
+  /// The stage timers and the rjf_* counters of the build.
+  StatisticSet Stats;
+
+  /// The summary-cache hooks runIPCP installs on a cached run; null
+  /// everywhere else.
+  IncrementalEngine *Cache = nullptr;
+
+  /// \p P's SSA form, constructed on first request.
+  const SSAResult &ssaOf(Procedure *P, const ModRefInfo &MRI);
+};
+
+/// Stages 1-2 of the analyzer (Section 4.1), the one place they are
+/// built. SSA comes first, in module order; with Tables.Cache set, a
+/// procedure whose body still matches its cache entry waits until its
+/// component misses. Stage 1 then walks the SCCs bottom-up: a component
+/// is either adopted from the cache or has bottoms seeded for every
+/// member before any member's exit values are lifted, so recursive
+/// members see "modified, unknown". Stage 2 builds the forward jump
+/// functions of every non-adopted procedure, in module order, once all
+/// return jump functions are final. IntraproceduralOnly builds SSA
+/// alone. \p Guard's deadline is checked per component and before
+/// stage 2; a trip leaves the tables partial.
+void buildJumpFunctions(const CallGraph &CG, const ModRefInfo &MRI,
+                        const IPCPOptions &Opts, JumpFunctionTables &Tables,
+                        ResourceGuard *Guard = nullptr);
 
 /// Per-procedure analysis outcome (reported by name: the scratch clone
 /// the analysis ran on is destroyed when the run finishes).

@@ -65,30 +65,3 @@ void ReturnJumpFunctions::liftProcedure(Procedure *P, const SSAResult &ProcSSA,
     JF = JumpFunction(Lifter.lift(ExitIt->second));
   }
 }
-
-ReturnJumpFunctions ReturnJumpFunctions::build(const CallGraph &CG,
-                                               const ModRefInfo &MRI,
-                                               const SSAMap &SSA,
-                                               SymExprContext &Ctx,
-                                               bool UseGatedSSA) {
-  ReturnJumpFunctions RJFs;
-  ScopedTraceSpan BuildSpan("return-jf");
-
-  // Pre-populate bottom entries for every modifiable variable, so that
-  // recursive components see "modified, unknown" rather than "not
-  // modified" for not-yet-processed members.
-  for (Procedure *P : CG.procedures())
-    RJFs.seedBottoms(P, MRI);
-
-  // Bottom-up over SCCs: callees are ready before their callers, except
-  // within a recursive component, where the pre-populated bottoms apply.
-  for (const std::vector<Procedure *> &SCC : CG.sccsBottomUp()) {
-    for (Procedure *P : SCC) {
-      auto SSAIt = SSA.find(P);
-      assert(SSAIt != SSA.end() && "missing SSA for procedure");
-      RJFs.liftProcedure(P, SSAIt->second, Ctx, UseGatedSSA);
-    }
-  }
-
-  return RJFs;
-}

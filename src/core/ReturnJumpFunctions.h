@@ -11,11 +11,13 @@
 /// return, as a polynomial over the procedure's entry values.
 ///
 /// They are "calculated during an initial bottom-up pass through the call
-/// graph": we walk Tarjan SCCs callee-first; inside a recursive component
-/// the not-yet-built members resolve to bottom, keeping the single pass
-/// sound. Interprocedural MOD information determines which variables need
-/// a return jump function at all, and already-built return jump functions
-/// feed the value numbering of later procedures, exactly as described.
+/// graph": buildJumpFunctions (core/Pipeline.h) walks Tarjan SCCs
+/// callee-first with the per-procedure steps below; inside a recursive
+/// component the not-yet-built members resolve to bottom, keeping the
+/// single pass sound. Interprocedural MOD information determines which
+/// variables need a return jump function at all, and already-built return
+/// jump functions feed the value numbering of later procedures, exactly
+/// as described.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +40,10 @@ using SSAMap = std::unordered_map<Procedure *, SSAResult>;
 /// The table of return jump functions for one module.
 class ReturnJumpFunctions {
 public:
-  /// Empty table; the incremental pipeline fills it procedure by
-  /// procedure (seedBottoms/liftProcedure for dirty procedures, insert
-  /// for cache-restored ones). The batch build() below remains the
-  /// cold-path entry point and is implemented on top of the same steps.
+  /// Empty table; buildJumpFunctions fills it component by component
+  /// (seedBottoms/liftProcedure for rebuilt procedures, insert for
+  /// cache-restored ones).
   ReturnJumpFunctions() = default;
-
-  /// Builds the table bottom-up. \p SSA must contain every procedure.
-  /// \p UseGatedSSA selects the gated phi resolution (Options.h).
-  static ReturnJumpFunctions build(const CallGraph &CG, const ModRefInfo &MRI,
-                                   const SSAMap &SSA, SymExprContext &Ctx,
-                                   bool UseGatedSSA = false);
 
   /// Pre-populates bottom entries for every variable \p P may modify, so
   /// recursive components see "modified, unknown" rather than "not
@@ -58,6 +53,7 @@ public:
 
   /// Lifts \p P's exit values into its (already seeded) entries. Callee
   /// entries this lift consults must be final (bottom-up SCC order).
+  /// \p UseGatedSSA selects the gated phi resolution (Options.h).
   void liftProcedure(Procedure *P, const SSAResult &ProcSSA,
                      SymExprContext &Ctx, bool UseGatedSSA);
 

@@ -222,9 +222,9 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
               Failed.set("index", uint64_t(I));
               if (Item.HasId)
                 Failed.set("id", Item.Id);
-              for (auto &[Key, Val] :
-                   errorBody("error", "internal", "analysis failed in worker")
-                       .members())
+              JsonValue Error =
+                  errorBody("error", "internal", "analysis failed in worker");
+              for (auto &[Key, Val] : Error.members())
                 Failed.set(Key, std::move(Val));
               State->Items[I] = std::move(Failed);
             }

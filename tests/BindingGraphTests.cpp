@@ -15,7 +15,6 @@
 
 #include "core/BindingGraph.h"
 #include "core/Pipeline.h"
-#include "core/ValueNumbering.h"
 #include "workload/Generator.h"
 #include "workload/Programs.h"
 
@@ -29,34 +28,23 @@ namespace {
 /// Builds the analysis state and runs both solvers on the same inputs.
 struct DualRun {
   std::unique_ptr<Module> M;
-  std::unique_ptr<CallGraph> CG;
-  std::unique_ptr<ModRefInfo> MRI;
-  SSAMap SSA;
-  SymExprContext Ctx;
-  std::unique_ptr<ReturnJumpFunctions> RJFs;
-  std::unique_ptr<ForwardJumpFunctions> FJFs;
   IPCPOptions Opts;
+  CallGraph CG;
+  ModRefInfo MRI;
+  JumpFunctionTables Tables;
 
   explicit DualRun(std::unique_ptr<Module> Input, IPCPOptions TheOpts = {})
-      : M(std::move(Input)), Opts(TheOpts) {
-    CG = std::make_unique<CallGraph>(*M);
-    MRI = std::make_unique<ModRefInfo>(
-        Opts.UseModInformation ? ModRefInfo::compute(*M, *CG)
-                               : ModRefInfo::worstCase(*M));
-    for (const std::unique_ptr<Procedure> &P : M->procedures())
-      SSA.emplace(P.get(), constructSSA(*P, *MRI));
-    if (Opts.UseReturnJumpFunctions)
-      RJFs = std::make_unique<ReturnJumpFunctions>(
-          ReturnJumpFunctions::build(*CG, *MRI, SSA, Ctx));
-    FJFs = std::make_unique<ForwardJumpFunctions>(ForwardJumpFunctions::build(
-        *CG, *MRI, SSA, RJFs.get(), Ctx, Opts.ForwardKind));
+      : M(std::move(Input)), Opts(TheOpts), CG(*M),
+        MRI(Opts.UseModInformation ? ModRefInfo::compute(*M, CG)
+                                   : ModRefInfo::worstCase(*M)) {
+    buildJumpFunctions(CG, MRI, Opts, Tables);
   }
 
   ConstantsMap callGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstants(*CG, *MRI, *FJFs, Opts, Stats);
+    return propagateConstants(CG, MRI, Tables.FJFs, Opts, Stats);
   }
   ConstantsMap bindingGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstantsBindingGraph(*CG, *MRI, *FJFs, Opts, Stats);
+    return propagateConstantsBindingGraph(CG, MRI, Tables.FJFs, Opts, Stats);
   }
 };
 

@@ -8,6 +8,7 @@
 
 #include "core/Cloning.h"
 #include "interp/Interpreter.h"
+#include "support/FileIO.h"
 #include "workload/Oracle.h"
 #include "workload/Programs.h"
 
@@ -118,6 +119,35 @@ TEST(Cloning, MultipleRoundsCascade) {
   EXPECT_GT(R.RefsAfter, R.RefsBefore);
   ExecutionResult Exec = interpret(*M);
   EXPECT_TRUE(Exec.ok());
+}
+
+TEST(Cloning, PlanningIsChargedToTheExperimentGuard) {
+  // One analysis of divergent.mf takes 6 evaluations, so planning the
+  // first round exceeds 8 and must then decide nothing.
+  std::string Source;
+  ASSERT_TRUE(readFileToString(
+      std::string(IPCP_EXAMPLES_DIR) + "/divergent.mf", Source));
+  auto M = lowerOk(Source);
+  CloningOptions Opts;
+  Opts.Analysis.Limits.MaxPropagationEvals = 8;
+  CloningResult R = cloneForConstants(*M, Opts);
+  EXPECT_EQ(R.ClonesCreated, 0u);
+  EXPECT_EQ(R.Status.TrippedLimit, "prop-evals");
+}
+
+TEST(Cloning, PlanningHonorsGatedSSA) {
+  // Only gated SSA sees y = 3 and z = 5, so only it tells the sites apart.
+  auto M = lowerOk("proc f(x) { print x; }\n"
+                   "proc main() { var y, z;\n"
+                   "  if (1 > 0) { y = 3; } else { y = 4; }\n"
+                   "  if (1 > 0) { z = 5; } else { z = 6; }\n"
+                   "  call f(y); call f(z); }");
+  CloningOptions Opts;
+  Opts.Analysis.UseGatedSSA = true;
+  CloningResult R = cloneForConstants(*M, Opts);
+  EXPECT_EQ(R.ClonesCreated, 1u);
+  EXPECT_EQ(R.RefsAfter, 4u) << "f gets x = 3, f.clone1 gets x = 5";
+  EXPECT_EQ(interpret(*M).Output, (std::vector<ConstantValue>{3, 5}));
 }
 
 TEST(Cloning, SuiteProgramsRemainSoundAfterCloning) {

@@ -148,9 +148,10 @@ TEST(ContextsEngine, NeverFewerConstantsOnSuite) {
       // branch and un-count the refs inside it (docs/CONTEXTS.md) —
       // but identical CONSTANTS sets mean identical record-stage seeds,
       // so the refs must then match exactly.
-      if (CtxSet == JumpSet)
+      if (CtxSet == JumpSet) {
         EXPECT_EQ(Ctx.TotalConstantRefs, Jump.TotalConstantRefs)
             << Prog.Name << " jf=" << jumpFunctionKindName(Kind);
+      }
       ASSERT_TRUE(Ctx.ContextStudy.Enabled) << Prog.Name;
       EXPECT_GE(Ctx.ContextStudy.ValConstants,
                 Ctx.ContextStudy.BaselineValConstants)
@@ -240,8 +241,9 @@ TEST(ContextsEngine, BudgetDegradesToBaselineSoundly) {
   auto CtxSet = allConstants(Ctx);
   for (const auto &Fact : JumpSet)
     EXPECT_TRUE(CtxSet.count(Fact));
-  if (CtxSet == JumpSet)
+  if (CtxSet == JumpSet) {
     EXPECT_EQ(Ctx.TotalConstantRefs, Jump.TotalConstantRefs);
+  }
 }
 
 TEST(ContextsEngine, UnboundedRecursionTerminates) {

@@ -6,7 +6,7 @@
 
 #include "TestUtil.h"
 
-#include "core/ForwardJumpFunctions.h"
+#include "core/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -43,19 +43,14 @@ proc main() {
 struct FJFFixture {
   std::unique_ptr<Module> M;
   std::unique_ptr<CallGraph> CG;
-  SSAMap SSA;
-  SymExprContext Ctx;
   std::unique_ptr<ModRefInfo> MRI;
-  std::unique_ptr<ReturnJumpFunctions> RJFs;
+  JumpFunctionTables Tables;
 
   explicit FJFFixture(const std::string &Source) {
     M = lowerOk(Source);
     CG = std::make_unique<CallGraph>(*M);
     MRI = std::make_unique<ModRefInfo>(ModRefInfo::compute(*M, *CG));
-    for (const std::unique_ptr<Procedure> &P : M->procedures())
-      SSA.emplace(P.get(), constructSSA(*P, *MRI));
-    RJFs = std::make_unique<ReturnJumpFunctions>(
-        ReturnJumpFunctions::build(*CG, *MRI, SSA, Ctx));
+    buildJumpFunctions(*CG, *MRI, {}, Tables);
   }
 
   /// Jump functions at the unique call site inside \p Caller.
@@ -67,8 +62,15 @@ struct FJFFixture {
     return FJFs.at(Sites.front());
   }
 
-  ForwardJumpFunctions build(JumpFunctionKind Kind) {
-    return ForwardJumpFunctions::build(*CG, *MRI, SSA, RJFs.get(), Ctx, Kind);
+  /// One more class over the same SSA and context: equal expressions stay
+  /// equal pointers across classes.
+  ForwardJumpFunctions build(JumpFunctionKind Kind, bool WithRJFs = true) {
+    ForwardJumpFunctions FJFs;
+    for (Procedure *P : CG->procedures())
+      FJFs.buildProcedure(P, *CG, *MRI, Tables.SSA.at(P),
+                          WithRJFs ? Tables.RJFs.get() : nullptr, Tables.Ctx,
+                          Kind, /*UseGatedSSA=*/false);
+    return FJFs;
   }
 };
 
@@ -215,9 +217,8 @@ TEST(ForwardJF, WithoutReturnJumpFunctionsCallOutsAreBottom) {
   FJFFixture F("proc setv(o) { o = 6; }\n"
                "proc use(x) { print x; }\n"
                "proc main() { var v; call setv(v); call use(v); }");
-  ForwardJumpFunctions FJFs = ForwardJumpFunctions::build(
-      *F.CG, *F.MRI, F.SSA, /*RJFs=*/nullptr, F.Ctx,
-      JumpFunctionKind::Polynomial);
+  ForwardJumpFunctions FJFs =
+      F.build(JumpFunctionKind::Polynomial, /*WithRJFs=*/false);
   const std::vector<CallInst *> &Sites =
       F.CG->callSitesIn(getProc(*F.M, "main"));
   const CallSiteJumpFunctions &UseSite = FJFs.at(Sites[1]);

@@ -6,7 +6,7 @@
 
 #include "TestUtil.h"
 
-#include "core/ReturnJumpFunctions.h"
+#include "core/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -18,20 +18,11 @@ namespace {
 /// Builds SSA and the return-jump-function table for a program.
 struct RJFFixture {
   std::unique_ptr<Module> M;
-  std::unique_ptr<CallGraph> CG;
-  ModRefInfo MRI = ModRefInfo::worstCase(Module()); // replaced in ctor
-  SSAMap SSA;
-  SymExprContext Ctx;
-  std::unique_ptr<ReturnJumpFunctions> RJFs;
+  JumpFunctionTables Tables;
 
-  explicit RJFFixture(const std::string &Source) {
-    M = lowerOk(Source);
-    CG = std::make_unique<CallGraph>(*M);
-    MRI = ModRefInfo::compute(*M, *CG);
-    for (const std::unique_ptr<Procedure> &P : M->procedures())
-      SSA.emplace(P.get(), constructSSA(*P, MRI));
-    RJFs = std::make_unique<ReturnJumpFunctions>(
-        ReturnJumpFunctions::build(*CG, MRI, SSA, Ctx));
+  explicit RJFFixture(const std::string &Source) : M(lowerOk(Source)) {
+    CallGraph CG(*M);
+    buildJumpFunctions(CG, ModRefInfo::compute(*M, CG), {}, Tables);
   }
 
   const JumpFunction *find(const std::string &Proc,
@@ -41,7 +32,7 @@ struct RJFFixture {
     if (!V)
       V = M->findGlobal(Var);
     EXPECT_NE(V, nullptr);
-    return RJFs->find(P, V);
+    return Tables.RJFs->find(P, V);
   }
 };
 
@@ -192,8 +183,8 @@ TEST(ReturnJF, CountsReflectKnowledge) {
   // Entries: known's g, unknown's a, and main's transitive g (main calls
   // known, so MOD(main) includes g). Known: both g entries — main's exit
   // value of g composes through known's constant return jump function.
-  EXPECT_EQ(F.RJFs->entryCount(), 3u);
-  EXPECT_EQ(F.RJFs->knownCount(), 2u);
+  EXPECT_EQ(F.Tables.RJFs->entryCount(), 3u);
+  EXPECT_EQ(F.Tables.RJFs->knownCount(), 2u);
 }
 
 } // namespace
