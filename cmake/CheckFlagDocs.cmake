@@ -6,11 +6,13 @@
 #
 #   cmake -DTOOL=<exe> -DSRCDIR=<repo root> -P CheckFlagDocs.cmake
 #
-# The reverse direction (documented-but-removed flags) is caught the
-# same way: a doc mentioning a dead flag survives only until someone
-# greps for it, and the golden --help transcripts pin the usage text
-# itself. This lint exists for the common drift: a new flag lands in a
-# tool and its documentation does not.
+# The reverse direction (documented-but-removed flags) is not checked:
+# a doc mentioning a dead flag survives until someone greps for it. This
+# lint exists for the common drift: a new flag lands in a tool and its
+# documentation does not. The analysis-option and resource-budget lines
+# of ipcp_driver, ipcp_serverd and suitecheck --help are generated from
+# the option table (src/core/Options.h), so every row with a flag is
+# linted here too.
 
 if(NOT DEFINED TOOL OR NOT DEFINED SRCDIR)
   message(FATAL_ERROR

@@ -10,10 +10,6 @@
 // propagation, recording the results):
 //
 //   ipcp_driver FILE.mf [options]
-//     --jf=literal|intra|passthrough|polynomial   forward jump functions
-//     --no-return-jf                              disable return JFs
-//     --no-mod                                    worst-case MOD info
-//     --intra-only                                intraprocedural baseline
 //     --complete                                  iterate with DCE
 //     --clone                                     procedure cloning first
 //     --dump-ir                                   print the IR
@@ -21,9 +17,9 @@
 //     --stats                                     counter summary table
 //     --trace[=FILE]                              per-pass span trace
 //     --report-json=FILE                          full JSON report
-//     --limit-parse-depth=N  --limit-tokens=N  --limit-ast-nodes=N
-//     --limit-ir-insts=N     --limit-prop-evals=N --deadline-ms=N
-//                                                 resource budgets
+//
+// plus the analysis-option and resource-budget flags of the option
+// table in core/Options.h, which --help lists.
 //
 // With no FILE, analyzes a built-in demo program.
 //
@@ -53,10 +49,7 @@
 #include "transform/Transform.h"
 #include "workload/Programs.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -79,17 +72,8 @@ proc main() {
 void printUsage() {
   std::printf(
       "usage: ipcp_driver [FILE.mf | --suite=NAME] [options]\n"
-      "  --jf=literal|intra|passthrough|polynomial  (default polynomial)\n"
-      "  --no-return-jf   --no-mod   --intra-only   --complete   --clone\n"
-      "  --binding-graph  --gated-ssa  --check-alias  --integrate\n"
+      "  --complete   --clone   --check-alias   --integrate\n"
       "  --dump-ir        --dump-jf   --run      --help\n"
-      "  --engine=jump|contexts  propagation engine (default jump): the\n"
-      "                   1986 caller-merge framework, or the value-contexts\n"
-      "                   tabulation (docs/CONTEXTS.md) that never finds\n"
-      "                   fewer constants and reports a context_study block\n"
-      "  --max-contexts=N contexts-engine tabulation budget (default 4096);\n"
-      "                   past it, new entry vectors merge into summary\n"
-      "                   contexts (graceful degradation toward jump)\n"
       "  --optimize[=PASSES]  rewrite the program: substitute proven\n"
       "                   constants, fold expressions and branches, then\n"
       "                   forward copies (docs/TRANSFORMS.md). PASSES is a\n"
@@ -103,37 +87,14 @@ void printUsage() {
       "  --no-cache       ignore --cache-dir (one-off cold run)\n"
       "  --scrub-timings  zero wall-clock fields in the JSON report so\n"
       "                   identical runs produce identical bytes\n"
-      "resource budgets (0 = unlimited; a trip degrades the run, exit 5):\n"
-      "  --limit-parse-depth=N  parser recursion depth (default 512)\n"
-      "  --limit-tokens=N       tokens per source buffer\n"
-      "  --limit-ast-nodes=N    AST nodes the parser may allocate\n"
-      "  --limit-ir-insts=N     IR instructions entering (or grown by)\n"
-      "                         the analysis\n"
-      "  --limit-prop-evals=N   jump-function evaluations per solve\n"
-      "  --deadline-ms=N        wall-clock deadline for the whole run\n"
+      "analysis options:\n%s"
+      "resource budgets (0 = unlimited; a trip degrades the run, exit 5):\n%s"
       "exit codes: 0 ok, 1 usage, 2 input unreadable, 3 source errors,\n"
       "            4 output write failed, 5 degraded (budget tripped)\n"
       "suite names: adm doduc fpppp linpackd matrix300 mdg ocean qcd\n"
-      "             simple snasa7 spec77 trfd\n");
-}
-
-/// Parses the numeric value of --NAME=N budget flags. Exits with a usage
-/// error (code 1) on a malformed or out-of-range value.
-uint64_t parseLimitValue(const std::string &Arg, size_t PrefixLen) {
-  std::string Text = Arg.substr(PrefixLen);
-  if (Text.empty() || Text.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "error: malformed value in '%s' (expect a "
-                         "non-negative integer)\n",
-                 Arg.c_str());
-    std::exit(1);
-  }
-  errno = 0;
-  unsigned long long Value = std::strtoull(Text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "error: value out of range in '%s'\n", Arg.c_str());
-    std::exit(1);
-  }
-  return Value;
+      "             simple snasa7 spec77 trfd\n",
+      optionHelp(OnDriver, OnOptions).c_str(),
+      optionHelp(OnDriver, OnLimits).c_str());
 }
 
 } // namespace
@@ -156,45 +117,8 @@ int main(int argc, char **argv) {
       printUsage();
       return 0;
     }
-    if (Arg.rfind("--jf=", 0) == 0) {
-      std::string Kind = Arg.substr(5);
-      if (Kind == "literal")
-        Opts.ForwardKind = JumpFunctionKind::Literal;
-      else if (Kind == "intra")
-        Opts.ForwardKind = JumpFunctionKind::IntraproceduralConstant;
-      else if (Kind == "passthrough")
-        Opts.ForwardKind = JumpFunctionKind::PassThrough;
-      else if (Kind == "polynomial")
-        Opts.ForwardKind = JumpFunctionKind::Polynomial;
-      else {
-        std::fprintf(stderr, "error: unknown jump function class '%s'\n",
-                     Kind.c_str());
-        return 1;
-      }
+    if (takeOptionFlag(Arg, OnDriver, Opts))
       continue;
-    }
-    if (Arg.rfind("--engine=", 0) == 0) {
-      std::string Engine = Arg.substr(9);
-      if (Engine == "jump")
-        Opts.Engine = PropagationEngine::Jump;
-      else if (Engine == "contexts")
-        Opts.Engine = PropagationEngine::Contexts;
-      else {
-        std::fprintf(stderr, "error: unknown propagation engine '%s'\n",
-                     Engine.c_str());
-        return 1;
-      }
-      continue;
-    }
-    if (Arg.rfind("--max-contexts=", 0) == 0) {
-      uint64_t V = parseLimitValue(Arg, 15);
-      if (V == 0 || V > 1u << 20) {
-        std::fprintf(stderr, "error: --max-contexts must be in [1, 1048576]\n");
-        return 1;
-      }
-      Opts.MaxContexts = unsigned(V);
-      continue;
-    }
     if (Arg.rfind("--suite=", 0) == 0) {
       const SuiteProgram *Prog = findSuiteProgram(Arg.substr(8));
       if (!Prog) {
@@ -256,48 +180,8 @@ int main(int argc, char **argv) {
       Optimize = true;
       continue;
     }
-    if (Arg.rfind("--limit-parse-depth=", 0) == 0) {
-      uint64_t V = parseLimitValue(Arg, 20);
-      if (V == 0 || V > 1u << 20) {
-        std::fprintf(stderr,
-                     "error: --limit-parse-depth must be in [1, 1048576]\n");
-        return 1;
-      }
-      Opts.Limits.MaxParseDepth = unsigned(V);
-      continue;
-    }
-    if (Arg.rfind("--limit-tokens=", 0) == 0) {
-      Opts.Limits.MaxTokens = parseLimitValue(Arg, 15);
-      continue;
-    }
-    if (Arg.rfind("--limit-ast-nodes=", 0) == 0) {
-      Opts.Limits.MaxAstNodes = parseLimitValue(Arg, 18);
-      continue;
-    }
-    if (Arg.rfind("--limit-ir-insts=", 0) == 0) {
-      Opts.Limits.MaxIRInstructions = parseLimitValue(Arg, 17);
-      continue;
-    }
-    if (Arg.rfind("--limit-prop-evals=", 0) == 0) {
-      Opts.Limits.MaxPropagationEvals = parseLimitValue(Arg, 19);
-      continue;
-    }
-    if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.Limits.DeadlineMs = parseLimitValue(Arg, 14);
-      continue;
-    }
-    if (Arg == "--no-return-jf") {
-      Opts.UseReturnJumpFunctions = false;
-    } else if (Arg == "--gated-ssa") {
-      Opts.UseGatedSSA = true;
-    } else if (Arg == "--binding-graph") {
-      Opts.UseBindingGraphPropagator = true;
-    } else if (Arg == "--check-alias") {
+    if (Arg == "--check-alias") {
       CheckAlias = true;
-    } else if (Arg == "--no-mod") {
-      Opts.UseModInformation = false;
-    } else if (Arg == "--intra-only") {
-      Opts.IntraproceduralOnly = true;
     } else if (Arg == "--complete") {
       Complete = true;
     } else if (Arg == "--clone") {

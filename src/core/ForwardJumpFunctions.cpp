@@ -13,20 +13,6 @@
 
 using namespace ipcp;
 
-const char *ipcp::jumpFunctionKindName(JumpFunctionKind Kind) {
-  switch (Kind) {
-  case JumpFunctionKind::Literal:
-    return "literal";
-  case JumpFunctionKind::IntraproceduralConstant:
-    return "intra";
-  case JumpFunctionKind::PassThrough:
-    return "pass-through";
-  case JumpFunctionKind::Polynomial:
-    return "polynomial";
-  }
-  return "?";
-}
-
 /// Applies the class restriction of Section 3.1 to a lifted expression.
 static JumpFunction trim(JumpFunctionKind Kind, const SymExpr *E) {
   switch (Kind) {

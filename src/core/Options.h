@@ -11,6 +11,11 @@
 /// whether interprocedural MOD information is available (Table 3), and the
 /// purely intraprocedural baseline.
 ///
+/// This file is the one home of the option vocabulary: optionTable()
+/// declares every IPCPOptions and ResourceLimits setting once, and the
+/// tools' flag parsers and --help lines, the service request parser, the
+/// report echo and the summary-cache fingerprint all walk it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_CORE_OPTIONS_H
@@ -18,8 +23,13 @@
 
 #include "support/ResourceGuard.h"
 
+#include <cstdint>
+#include <span>
+#include <string>
+
 namespace ipcp {
 
+class JsonValue;
 class SummaryCache;
 
 /// The four forward jump function classes, in increasing order of power.
@@ -151,6 +161,91 @@ struct IPCPOptions {
   /// external ResourceGuard instead (see runIPCP).
   ResourceLimits Limits;
 };
+
+//===----------------------------------------------------------------------===//
+// The option table
+//===----------------------------------------------------------------------===//
+
+/// The surfaces that read a setting, as a bit set per row.
+enum OptionSurface : unsigned {
+  OnDriver = 1u << 0,     ///< an ipcp_driver flag
+  OnServerd = 1u << 1,    ///< an ipcp_serverd default-budget flag
+  OnSuitecheck = 1u << 2, ///< a suitecheck flag
+  OnOptions = 1u << 3,    ///< a key of a service request's "options"
+  /// A ResourceLimits budget: a key of a request's "limits", merged with
+  /// the server default.
+  OnLimits = 1u << 4,
+  OnReport = 1u << 5, ///< echoed in the report's "options" object
+};
+
+enum class OptionType {
+  Switch, ///< a boolean; its bare flag turns it away from its default
+  Choice, ///< an enumerator, named by one of the row's spellings
+  Count,  ///< an unsigned integer within [Min, Max]
+  Name,   ///< a procedure name (echo and fingerprint only)
+};
+
+/// One spelling of a Choice row's enumerator. The first spelling of each
+/// enumerator is canonical (printed); later ones are accepted aliases.
+struct OptionChoice {
+  const char *Spelling;
+  unsigned Value;
+};
+
+/// One setting. Get/Set reach its IPCPOptions field (a budget through
+/// IPCPOptions::Limits) as an integer; the Name row reads GetName. The
+/// defaults are the member initializers above.
+struct OptionSpec {
+  const char *Key;                      ///< request and report key
+  const char *Flag = nullptr;           ///< flag without "=VALUE"
+  const char *FingerprintTag = nullptr; ///< null: not fingerprinted
+  unsigned Surfaces = 0;                ///< OptionSurface bits
+  OptionType Type = OptionType::Switch;
+  std::span<const OptionChoice> Choices = {};
+  uint64_t Min = 0, Max = UINT64_MAX; ///< Count: the accepted range
+  /// The flag's --help line; a Choice's is also the noun of its
+  /// "unknown <help> 'x'" error.
+  const char *Help = nullptr;
+  uint64_t (*Get)(const IPCPOptions &) = nullptr;
+  void (*Set)(IPCPOptions &, uint64_t) = nullptr;
+  const char *(*GetName)(const IPCPOptions &) = nullptr;
+};
+
+/// Every setting once: the IPCPOptions fields in report-echo order, then
+/// the ResourceLimits budgets.
+std::span<const OptionSpec> optionTable();
+
+/// A row's value as the fingerprint spells it: "1"/"0", a decimal count,
+/// the canonical spelling, or the procedure name.
+std::string optionText(const OptionSpec &Row, const IPCPOptions &Opts);
+
+/// True when \p Arg is the flag of a row on \p Surface (OptionSurface
+/// bits); its value goes into \p Opts, or, when invalid, its usage
+/// message (without "error: ") into \p Error.
+bool parseOptionFlag(const std::string &Arg, unsigned Surface,
+                     IPCPOptions &Opts, std::string &Error);
+
+/// parseOptionFlag for a tool's argument loop: an invalid value prints
+/// "error: <message>" and exits 1, the tools' usage-error contract.
+bool takeOptionFlag(const std::string &Arg, unsigned Surface,
+                    IPCPOptions &Opts);
+
+/// The tools' one numeric-flag parser: the decimal value of a --NAME=N
+/// argument from \p PrefixLen on. A malformed or out-of-range value
+/// prints the usage error and exits 1.
+uint64_t parseUintFlag(const std::string &Arg, size_t PrefixLen);
+
+/// The --help lines of the flags on \p Surface whose rows are in
+/// \p Group: OnOptions (the analysis options) or OnLimits (the budgets).
+std::string optionHelp(unsigned Surface, unsigned Group);
+
+/// Applies a service request's "options" and "limits" objects to
+/// \p Opts, storing each requested budget as MergeLimit(current,
+/// requested). Unknown keys, mistyped values and out-of-range counts
+/// fail with a message in \p Error.
+bool applyRequestOptions(const JsonValue &Request, IPCPOptions &Opts,
+                         uint64_t (*MergeLimit)(uint64_t, uint64_t),
+                         std::string *Error);
 
 } // namespace ipcp
 

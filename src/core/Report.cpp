@@ -14,16 +14,16 @@ using namespace ipcp;
 
 JsonValue ipcp::optionsToJson(const IPCPOptions &Opts) {
   JsonValue Obj = JsonValue::object();
-  Obj.set("forward_jf", jumpFunctionKindName(Opts.ForwardKind));
-  Obj.set("return_jf", Opts.UseReturnJumpFunctions);
-  Obj.set("mod_information", Opts.UseModInformation);
-  Obj.set("intraprocedural_only", Opts.IntraproceduralOnly);
-  Obj.set("gated_ssa", Opts.UseGatedSSA);
-  Obj.set("binding_graph", Opts.UseBindingGraphPropagator);
-  Obj.set("engine", propagationEngineName(Opts.Engine));
-  Obj.set("max_contexts", Opts.MaxContexts);
-  Obj.set("max_expr_nodes", Opts.MaxExprNodes);
-  Obj.set("entry_procedure", Opts.EntryProcedure);
+  for (const OptionSpec &Row : optionTable()) {
+    if (!(Row.Surfaces & OnReport))
+      continue;
+    if (Row.Type == OptionType::Switch)
+      Obj.set(Row.Key, Row.Get(Opts) != 0);
+    else if (Row.Type == OptionType::Count)
+      Obj.set(Row.Key, Row.Get(Opts));
+    else
+      Obj.set(Row.Key, optionText(Row, Opts));
+  }
   return Obj;
 }
 
@@ -46,21 +46,17 @@ void setDegradation(JsonValue &Obj, const PipelineStatus &Status) {
 }
 
 /// The per-stage timings as one object, pulled from the time_*_us
-/// counters so the JSON mirrors exactly what was measured.
+/// counters so the JSON mirrors exactly what was measured. Each stage's
+/// key is its counter name without the time_ and _us affixes.
 JsonValue timingsToJson(const StatisticSet &Stats) {
-  static const char *const Keys[][2] = {
-      {"callgraph", "time_callgraph_us"},
-      {"modref", "time_modref_us"},
-      {"intraprocedural", "time_intraprocedural_us"},
-      {"return_jf", "time_return_jf_us"},
-      {"forward_jf", "time_forward_jf_us"},
-      {"propagation", "time_propagation_us"},
-      {"record", "time_record_us"},
-      {"total", "time_total_us"},
+  static const char *const Counters[] = {
+      "time_callgraph_us", "time_modref_us",     "time_intraprocedural_us",
+      "time_return_jf_us", "time_forward_jf_us", "time_propagation_us",
+      "time_record_us",    "time_total_us",
   };
   JsonValue Obj = JsonValue::object();
-  for (const auto &Key : Keys)
-    Obj.set(Key[0], Stats.get(Key[1]));
+  for (const std::string Counter : Counters)
+    Obj.set(Counter.substr(5, Counter.size() - 8), Stats.get(Counter));
   return Obj;
 }
 

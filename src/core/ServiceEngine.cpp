@@ -63,154 +63,13 @@ bool readString(const JsonValue &Obj, const char *Key, std::string &Out,
   return true;
 }
 
-/// Reads an optional non-negative integer member.
-bool readUint(const JsonValue &Obj, const char *Key, uint64_t &Out,
-              bool &Present, std::string *Error) {
-  Present = false;
-  const JsonValue *V = Obj.find(Key);
-  if (!V)
-    return true;
-  if (!V->isInt() || V->asInt() < 0) {
-    *Error = std::string("'") + Key + "' must be a non-negative integer";
-    return false;
-  }
-  Out = uint64_t(V->asInt());
-  Present = true;
-  return true;
-}
-
-/// Parses the "options" object (keys mirror the report's "options"
-/// member; see docs/SERVICE.md). Unknown keys are rejected so a typo
-/// cannot silently analyze under defaults.
-bool parseOptionsObject(const JsonValue &Obj, IPCPOptions &Opts,
-                        std::string *Error) {
-  static const char *const Known[] = {
-      "forward_jf", "return_jf",     "mod_information", "intraprocedural_only",
-      "gated_ssa",  "binding_graph", "max_expr_nodes",  "engine",
-      "max_contexts"};
-  for (const auto &[Key, Val] : Obj.members()) {
-    if (std::find_if(std::begin(Known), std::end(Known), [&](const char *K) {
-          return Key == K;
-        }) == std::end(Known)) {
-      *Error = "unknown options key '" + Key + "'";
-      return false;
-    }
-  }
-  std::string Kind;
-  if (!readString(Obj, "forward_jf", Kind, Error))
-    return false;
-  if (!Kind.empty()) {
-    if (Kind == "literal")
-      Opts.ForwardKind = JumpFunctionKind::Literal;
-    else if (Kind == "intra")
-      Opts.ForwardKind = JumpFunctionKind::IntraproceduralConstant;
-    else if (Kind == "passthrough" || Kind == "pass-through")
-      Opts.ForwardKind = JumpFunctionKind::PassThrough;
-    else if (Kind == "polynomial")
-      Opts.ForwardKind = JumpFunctionKind::Polynomial;
-    else {
-      *Error = "unknown jump function class '" + Kind + "'";
-      return false;
-    }
-  }
-  if (!readBool(Obj, "return_jf", Opts.UseReturnJumpFunctions, Error) ||
-      !readBool(Obj, "mod_information", Opts.UseModInformation, Error) ||
-      !readBool(Obj, "intraprocedural_only", Opts.IntraproceduralOnly,
-                Error) ||
-      !readBool(Obj, "gated_ssa", Opts.UseGatedSSA, Error) ||
-      !readBool(Obj, "binding_graph", Opts.UseBindingGraphPropagator, Error))
-    return false;
-  std::string Engine;
-  if (!readString(Obj, "engine", Engine, Error))
-    return false;
-  if (!Engine.empty()) {
-    if (Engine == "jump")
-      Opts.Engine = PropagationEngine::Jump;
-    else if (Engine == "contexts")
-      Opts.Engine = PropagationEngine::Contexts;
-    else {
-      *Error = "unknown propagation engine '" + Engine + "'";
-      return false;
-    }
-  }
-  uint64_t MaxExpr = 0;
-  bool Present = false;
-  if (!readUint(Obj, "max_expr_nodes", MaxExpr, Present, Error))
-    return false;
-  if (Present) {
-    if (MaxExpr == 0 || MaxExpr > 1u << 20) {
-      *Error = "'max_expr_nodes' must be in [1, 1048576]";
-      return false;
-    }
-    Opts.MaxExprNodes = unsigned(MaxExpr);
-  }
-  uint64_t MaxCtx = 0;
-  if (!readUint(Obj, "max_contexts", MaxCtx, Present, Error))
-    return false;
-  if (Present) {
-    if (MaxCtx == 0 || MaxCtx > 1u << 20) {
-      *Error = "'max_contexts' must be in [1, 1048576]";
-      return false;
-    }
-    Opts.MaxContexts = unsigned(MaxCtx);
-  }
-  return true;
-}
-
 /// Effective value of one budget: the request overrides the server
 /// default, but a server-configured (non-zero) budget is a ceiling the
 /// request cannot raise or disable.
-uint64_t mergeLimit(uint64_t Server, bool Requested, uint64_t Request) {
-  if (!Requested)
-    return Server;
+uint64_t mergeLimit(uint64_t Server, uint64_t Request) {
   if (Server != 0 && (Request == 0 || Request > Server))
     return Server;
   return Request;
-}
-
-/// Parses the "limits" object against the server defaults (keys are the
-/// driver's --limit-* flags with underscores; see docs/SERVICE.md).
-bool parseLimitsObject(const JsonValue &Obj, const ResourceLimits &Defaults,
-                       ResourceLimits &Out, std::string *Error) {
-  static const char *const Known[] = {"parse_depth", "tokens",     "ast_nodes",
-                                      "ir_insts",    "prop_evals", "deadline_ms"};
-  for (const auto &[Key, Val] : Obj.members()) {
-    if (std::find_if(std::begin(Known), std::end(Known), [&](const char *K) {
-          return Key == K;
-        }) == std::end(Known)) {
-      *Error = "unknown limits key '" + Key + "'";
-      return false;
-    }
-  }
-  Out = Defaults;
-  uint64_t V = 0;
-  bool Present = false;
-  if (!readUint(Obj, "parse_depth", V, Present, Error))
-    return false;
-  if (Present) {
-    if (V == 0 || V > 1u << 20) {
-      *Error = "'parse_depth' must be in [1, 1048576]";
-      return false;
-    }
-    // Parse depth is always finite, so "stricter wins" is a plain min.
-    Out.MaxParseDepth = unsigned(std::min<uint64_t>(V, Defaults.MaxParseDepth));
-  }
-  if (!readUint(Obj, "tokens", V, Present, Error))
-    return false;
-  Out.MaxTokens = mergeLimit(Defaults.MaxTokens, Present, V);
-  if (!readUint(Obj, "ast_nodes", V, Present, Error))
-    return false;
-  Out.MaxAstNodes = mergeLimit(Defaults.MaxAstNodes, Present, V);
-  if (!readUint(Obj, "ir_insts", V, Present, Error))
-    return false;
-  Out.MaxIRInstructions = mergeLimit(Defaults.MaxIRInstructions, Present, V);
-  if (!readUint(Obj, "prop_evals", V, Present, Error))
-    return false;
-  Out.MaxPropagationEvals = mergeLimit(Defaults.MaxPropagationEvals, Present, V);
-  if (!readUint(Obj, "deadline_ms", V, Present, Error))
-    return false;
-  Out.DeadlineMs = mergeLimit(Defaults.DeadlineMs, Present, V);
-  return true;
 }
 
 } // namespace
@@ -218,7 +77,7 @@ bool parseLimitsObject(const JsonValue &Obj, const ResourceLimits &Defaults,
 ServiceEngine::ServiceEngine(Config C) : Conf(std::move(C)) {
   // A cache directory without an injected store means this engine owns a
   // private content-addressed tier; the sharded service instead passes
-  // one shared store to every shard.
+  // the first shard's store to every other shard.
   if (!Conf.Store && !Conf.CacheDir.empty()) {
     ContentStore::Options StoreOpts;
     StoreOpts.Durable = Conf.DurableStore;
@@ -255,23 +114,8 @@ static bool parseAnalyzeFields(const JsonValue &Obj,
 
   Req.Opts = IPCPOptions();
   Req.Opts.Limits = Conf.DefaultLimits;
-  if (const JsonValue *Options = Obj.find("options")) {
-    if (!Options->isObject()) {
-      *Error = "'options' must be an object";
-      return false;
-    }
-    if (!parseOptionsObject(*Options, Req.Opts, Error))
-      return false;
-  }
-  if (const JsonValue *Limits = Obj.find("limits")) {
-    if (!Limits->isObject()) {
-      *Error = "'limits' must be an object";
-      return false;
-    }
-    if (!parseLimitsObject(*Limits, Conf.DefaultLimits, Req.Opts.Limits,
-                           Error))
-      return false;
-  }
+  if (!applyRequestOptions(Obj, Req.Opts, mergeLimit, Error))
+    return false;
   if (const JsonValue *Passes = Obj.find("passes")) {
     if (!Passes->isString()) {
       *Error = "'passes' must be a string";
@@ -818,24 +662,16 @@ ServiceEngine::CountersSnapshot ServiceEngine::snapshot() const {
 }
 
 JsonValue ServiceEngine::flushCacheBody() {
-  std::unordered_map<std::string, std::shared_ptr<SessionState>> Dropped;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMutex);
-    Dropped.swap(Sessions);
-  }
-  unsigned Persisted = 0;
-  for (const auto &[Key, S] : Dropped) {
-    std::lock_guard<std::mutex> Lock(S->Lock);
-    Persisted += persistSession(*S);
-  }
+  size_t Dropped = 0;
+  unsigned Persisted = shutdownFlush(&Dropped);
   JsonValue Body = JsonValue::object();
   Body.set("status", "ok");
-  Body.set("sessions_flushed", uint64_t(Dropped.size()));
+  Body.set("sessions_flushed", uint64_t(Dropped));
   Body.set("persisted", uint64_t(Persisted));
   return Body;
 }
 
-unsigned ServiceEngine::shutdownFlush() {
+unsigned ServiceEngine::shutdownFlush(size_t *DroppedOut) {
   std::unordered_map<std::string, std::shared_ptr<SessionState>> Dropped;
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
@@ -846,5 +682,7 @@ unsigned ServiceEngine::shutdownFlush() {
     std::lock_guard<std::mutex> Lock(S->Lock);
     Persisted += persistSession(*S);
   }
+  if (DroppedOut)
+    *DroppedOut += Dropped.size();
   return Persisted;
 }

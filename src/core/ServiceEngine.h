@@ -270,9 +270,11 @@ public:
   /// Counts a queue-full rejection (the daemon answers `busy`).
   void noteBusy() { ++StatBusy; }
 
-  /// Persists dirty sessions on shutdown (write-behind final flush).
-  /// Returns the number of sessions persisted.
-  unsigned shutdownFlush();
+  /// Drops every resident session, persisting the dirty ones (the
+  /// write-behind final flush on shutdown, and flush-cache). Returns the
+  /// number persisted and adds the number dropped to \p Dropped when it
+  /// is non-null.
+  unsigned shutdownFlush(size_t *Dropped = nullptr);
 
   /// Number of resident session caches (tests and stats).
   size_t residentSessions() const;

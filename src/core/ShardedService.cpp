@@ -47,21 +47,16 @@ ShardedService::ShardedService(Config C)
     Conf.Shards = 1;
   unsigned Jobs = Conf.Jobs ? Conf.Jobs : ThreadPool::defaultConcurrency();
   unsigned PerShard = std::max(1u, Jobs / Conf.Shards);
-  // One content-addressed store shared by every shard — the property
-  // that makes cross-shard warm starts work.
-  if (!Conf.Engine.Store && !Conf.Engine.CacheDir.empty()) {
-    ContentStore::Options StoreOpts;
-    StoreOpts.Durable = Conf.Engine.DurableStore;
-    Conf.Engine.Store =
-        std::make_shared<ContentStore>(Conf.Engine.CacheDir, StoreOpts);
-  }
-  Store = Conf.Engine.Store;
   for (unsigned I = 0; I != Conf.Shards; ++I) {
     auto W = std::make_unique<Worker>();
     W->Engine = std::make_unique<ServiceEngine>(Conf.Engine);
     W->Pool = std::make_unique<ThreadPool>(PerShard);
+    // One content-addressed store shared by every shard — the property
+    // that makes cross-shard warm starts work: the first shard opens it.
+    Conf.Engine.Store = W->Engine->config().Store;
     Workers.push_back(std::move(W));
   }
+  Store = Conf.Engine.Store;
 }
 
 ShardedService::~ShardedService() = default;
@@ -266,18 +261,12 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
   }
   case ServiceRequest::Kind::FlushCache: {
     drainAll();
-    uint64_t Flushed = 0, Persisted = 0;
-    for (const std::unique_ptr<Worker> &W : Workers) {
-      JsonValue B = W->Engine->flushCacheBody();
-      if (const JsonValue *V = B.find("sessions_flushed"))
-        Flushed += uint64_t(V->asInt());
-      if (const JsonValue *V = B.find("persisted"))
-        Persisted += uint64_t(V->asInt());
-    }
+    size_t Flushed = 0;
+    unsigned Persisted = shutdownFlush(&Flushed);
     JsonValue Body = JsonValue::object();
     Body.set("status", "ok");
-    Body.set("sessions_flushed", Flushed);
-    Body.set("persisted", Persisted);
+    Body.set("sessions_flushed", uint64_t(Flushed));
+    Body.set("persisted", uint64_t(Persisted));
     pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, std::move(Body));
     break;
   }
@@ -298,10 +287,10 @@ void ShardedService::finishStream(Stream &St) {
   St.Results.close();
 }
 
-unsigned ShardedService::shutdownFlush() {
+unsigned ShardedService::shutdownFlush(size_t *Dropped) {
   unsigned Persisted = 0;
   for (const std::unique_ptr<Worker> &W : Workers)
-    Persisted += W->Engine->shutdownFlush();
+    Persisted += W->Engine->shutdownFlush(Dropped);
   return Persisted;
 }
 

@@ -121,9 +121,11 @@ public:
   /// call after EOF or shutdown, before joining the consumer.
   void finishStream(Stream &St);
 
-  /// Persists every dirty session across all shards (daemon exit path
-  /// when the stream ends without a shutdown request).
-  unsigned shutdownFlush();
+  /// Drops every session across all shards, persisting the dirty ones
+  /// (flush-cache, shutdown, and the daemon exit path when the stream
+  /// ends without a shutdown request). Returns the number persisted and
+  /// adds the number dropped to \p Dropped when it is non-null.
+  unsigned shutdownFlush(size_t *Dropped = nullptr);
 
   unsigned shards() const { return unsigned(Workers.size()); }
   size_t residentSessions() const;

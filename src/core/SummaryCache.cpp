@@ -33,25 +33,10 @@ constexpr const char *CacheSchema = "ipcp-cache-v1";
 
 std::string SummaryCache::optionsFingerprint(const IPCPOptions &Opts) {
   std::string FP = CacheSchema;
-  FP += ";jf=";
-  FP += jumpFunctionKindName(Opts.ForwardKind);
-  FP += ";rjf=";
-  FP += Opts.UseReturnJumpFunctions ? '1' : '0';
-  FP += ";mod=";
-  FP += Opts.UseModInformation ? '1' : '0';
-  FP += ";intra=";
-  FP += Opts.IntraproceduralOnly ? '1' : '0';
-  FP += ";gated=";
-  FP += Opts.UseGatedSSA ? '1' : '0';
-  FP += ";bg=";
-  FP += Opts.UseBindingGraphPropagator ? '1' : '0';
-  FP += ";sched=";
-  FP += Opts.Schedule == PropagationSchedule::FIFO ? "fifo" : "scc";
-  FP += ";engine=";
-  FP += propagationEngineName(Opts.Engine);
-  FP += ";maxexpr=" + std::to_string(Opts.MaxExprNodes);
-  FP += ";entry=";
-  FP += Opts.EntryProcedure;
+  for (const OptionSpec &Row : optionTable())
+    if (Row.FingerprintTag)
+      FP.append(";").append(Row.FingerprintTag).append("=").append(
+          optionText(Row, Opts));
   return FP;
 }
 

@@ -14,16 +14,6 @@
 
 using namespace ipcp;
 
-const char *ipcp::propagationEngineName(PropagationEngine Engine) {
-  switch (Engine) {
-  case PropagationEngine::Jump:
-    return "jump";
-  case PropagationEngine::Contexts:
-    return "contexts";
-  }
-  return "?";
-}
-
 namespace {
 
 /// The context-tabulation solver. Contexts live in SoA tables (proc

@@ -6,6 +6,7 @@
 
 #include "workload/ServiceWorkload.h"
 
+#include "core/Options.h"
 #include "workload/Programs.h"
 
 using namespace ipcp;
@@ -43,8 +44,6 @@ ServiceLogStream::ServiceLogStream(ServiceLogConfig C)
 
 /// One analyze request object (not yet wrapped in a batch).
 JsonValue ServiceLogStream::makeAnalyze(unsigned Id) {
-  static const char *const Kinds[] = {"literal", "intra", "pass-through",
-                                      "polynomial"};
   JsonValue Req = JsonValue::object();
   Req.set("op", "analyze");
   Req.set("id", "r" + std::to_string(Id));
@@ -57,7 +56,8 @@ JsonValue ServiceLogStream::makeAnalyze(unsigned Id) {
                              std::to_string(rngBelow(Config.SessionCount)));
   }
   JsonValue Options = JsonValue::object();
-  Options.set("forward_jf", Kinds[KindIndex % 4]);
+  Options.set("forward_jf",
+              jumpFunctionKindName(JumpFunctionKind(KindIndex % 4)));
   Req.set("options", std::move(Options));
   Req.set("scrub_timings", true);
   return Req;

@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 //
 // The robustness layer (docs/ROBUSTNESS.md): the fault-plan grammar and
-// its deterministic firing semantics, injection at the FileIO and
-// ContentStore fault points, torn-write recovery via the startup scrub
-// (temp sweep, corrupt-object quarantine, dangling-ref drop), and the
-// service failure boundary — injected analysis faults become structured
+// its deterministic firing semantics, injection at the FileIO,
+// ContentStore and SummaryCache fault points, torn-write recovery via the
+// startup scrub (temp sweep, corrupt-object quarantine, dangling-ref
+// drop), and the service failure boundary — injected analysis faults become structured
 // retryable errors and never poison the session cache.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+#include "core/Pipeline.h"
 #include "core/Report.h"
 #include "core/ServiceEngine.h"
 #include "core/ShardedService.h"
+#include "core/SummaryCache.h"
 #include "support/ContentStore.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
@@ -301,6 +304,67 @@ TEST(FaultInjectionTest, DurableStoreRoundTrips) {
     EXPECT_EQ(Report.TmpSwept, 0u) << "failed fsync must clean up its "
                                       "temp file";
   }
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Summary-cache file injection (the driver's --cache-dir path)
+//===----------------------------------------------------------------------===//
+
+const char *CacheSource = R"(
+proc leaf(x) { print x; }
+proc mid(y) { call leaf(y); }
+proc main() { call mid(7); }
+)";
+
+TEST(FaultInjectionTest, CacheLoadFaultRunsCold) {
+  std::string Dir = freshDir("ipcp-fault-cache-load");
+  std::unique_ptr<Module> M = test::lowerOk(CacheSource);
+  IPCPOptions Opts;
+  {
+    SummaryCache Writer(Dir);
+    IPCPOptions WriterOpts = Opts;
+    WriterOpts.Cache = &Writer;
+    runIPCP(*M, WriterOpts);
+    std::string Error;
+    ASSERT_TRUE(Writer.save("prog.mf", Opts, &Error)) << Error;
+  }
+  SummaryCache Reader(Dir);
+  {
+    PlanGuard Guard("cache.load");
+    EXPECT_FALSE(Reader.load("prog.mf", Opts));
+  }
+  EXPECT_TRUE(Reader.loadFailed());
+  IPCPOptions ReaderOpts = Opts;
+  ReaderOpts.Cache = &Reader;
+  IPCPResult Run = runIPCP(*M, ReaderOpts);
+  EXPECT_EQ(Run.Stats.get("cache_load_failures"), 1u);
+  EXPECT_EQ(Run.Stats.get("cache_hits"), 0u);
+  EXPECT_GT(Run.Stats.get("cache_misses"), 0u);
+  // The file itself is sound: without the plan it loads.
+  SummaryCache Healthy(Dir);
+  EXPECT_TRUE(Healthy.load("prog.mf", Opts));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(FaultInjectionTest, CacheSaveFaultWritesNoFile) {
+  std::string Dir = freshDir("ipcp-fault-cache-save");
+  std::unique_ptr<Module> M = test::lowerOk(CacheSource);
+  IPCPOptions Opts;
+  SummaryCache Cache(Dir);
+  IPCPOptions CacheOpts = Opts;
+  CacheOpts.Cache = &Cache;
+  runIPCP(*M, CacheOpts);
+  ASSERT_TRUE(Cache.committed());
+  {
+    PlanGuard Guard("cache.save");
+    std::string Error;
+    EXPECT_FALSE(Cache.save("prog.mf", Opts, &Error));
+    EXPECT_NE(Error.find("injected fault: cache.save"), std::string::npos)
+        << Error;
+  }
+  EXPECT_FALSE(std::filesystem::exists(Dir))
+      << "an injected save fault must write nothing";
   std::filesystem::remove_all(Dir);
 }
 

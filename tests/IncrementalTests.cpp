@@ -360,6 +360,41 @@ TEST(IncrementalCache, OptionsMismatchMissesTheCache) {
   EXPECT_EQ(Cache.size(), 0u);
 }
 
+TEST(IncrementalCache, FingerprintCoversEveryFingerprintedOption) {
+  const std::string Default = SummaryCache::optionsFingerprint(IPCPOptions());
+  EXPECT_EQ(Default, "ipcp-cache-v1;jf=polynomial;rjf=1;mod=1;intra=0;"
+                     "gated=0;bg=0;sched=scc;engine=jump;maxexpr=64;"
+                     "entry=main");
+  // Move every setting off its default, one at a time: a fingerprinted
+  // setting must change the fingerprint, and max_contexts and the
+  // budgets, which cached summaries do not depend on, must not.
+  for (const OptionSpec &Row : optionTable()) {
+    std::vector<IPCPOptions> Variants;
+    const IPCPOptions Defaults;
+    if (Row.Type == OptionType::Name) {
+      Variants.emplace_back().EntryProcedure = "start";
+    } else if (Row.Type == OptionType::Switch) {
+      Row.Set(Variants.emplace_back(), !Row.Get(Defaults));
+    } else if (Row.Type == OptionType::Choice) {
+      for (const OptionChoice &C : Row.Choices)
+        if (C.Value != Row.Get(Defaults))
+          Row.Set(Variants.emplace_back(), C.Value);
+    } else {
+      for (uint64_t V : {Row.Min, Row.Get(Defaults) + 1})
+        if (V != Row.Get(Defaults))
+          Row.Set(Variants.emplace_back(), V);
+    }
+    ASSERT_FALSE(Variants.empty()) << Row.Key;
+    for (const IPCPOptions &V : Variants) {
+      if (Row.FingerprintTag) {
+        EXPECT_NE(SummaryCache::optionsFingerprint(V), Default) << Row.Key;
+      } else {
+        EXPECT_EQ(SummaryCache::optionsFingerprint(V), Default) << Row.Key;
+      }
+    }
+  }
+}
+
 TEST(IncrementalCache, DiskRoundTripAndTruncation) {
   std::string Dir = ::testing::TempDir() + "ipcp-cache-test";
   std::filesystem::remove_all(Dir);

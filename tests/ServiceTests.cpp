@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <vector>
 
@@ -194,6 +195,268 @@ TEST(ServiceCodec, ParsesBatches) {
             "bad-request");
   EXPECT_EQ(parseCode(Engine, R"({"op":"analyze-batch","requests":[{}]})"),
             "bad-request");
+}
+
+/// Every setting spelled out independently of the option table: its key,
+/// the flag that sets it (null when no tool has one), and its field.
+struct Setting {
+  const char *Key;
+  const char *Flag;
+  void (*Set)(IPCPOptions &, uint64_t);
+};
+
+#define FIELD(F, T) [](IPCPOptions &O, uint64_t V) { O.F = T(V); }
+const Setting Vocabulary[] = {
+    {"forward_jf", "--jf", FIELD(ForwardKind, JumpFunctionKind)},
+    {"return_jf", "--no-return-jf", FIELD(UseReturnJumpFunctions, bool)},
+    {"mod_information", "--no-mod", FIELD(UseModInformation, bool)},
+    {"intraprocedural_only", "--intra-only", FIELD(IntraproceduralOnly, bool)},
+    {"gated_ssa", "--gated-ssa", FIELD(UseGatedSSA, bool)},
+    {"binding_graph", "--binding-graph", FIELD(UseBindingGraphPropagator, bool)},
+    {"schedule", nullptr, FIELD(Schedule, PropagationSchedule)},
+    {"engine", "--engine", FIELD(Engine, PropagationEngine)},
+    {"max_contexts", "--max-contexts", FIELD(MaxContexts, unsigned)},
+    {"max_expr_nodes", nullptr, FIELD(MaxExprNodes, unsigned)},
+    {"entry_procedure", nullptr, nullptr},
+    {"parse_depth", "--limit-parse-depth", FIELD(Limits.MaxParseDepth, unsigned)},
+    {"tokens", "--limit-tokens", FIELD(Limits.MaxTokens, uint64_t)},
+    {"ast_nodes", "--limit-ast-nodes", FIELD(Limits.MaxAstNodes, uint64_t)},
+    {"ir_insts", "--limit-ir-insts", FIELD(Limits.MaxIRInstructions, uint64_t)},
+    {"prop_evals", "--limit-prop-evals",
+     FIELD(Limits.MaxPropagationEvals, uint64_t)},
+    {"deadline_ms", "--deadline-ms", FIELD(Limits.DeadlineMs, uint64_t)},
+};
+#undef FIELD
+
+void expectSameOptions(const IPCPOptions &A, const IPCPOptions &B,
+                       const std::string &Where) {
+  EXPECT_EQ(A.ForwardKind, B.ForwardKind) << Where;
+  EXPECT_EQ(A.UseReturnJumpFunctions, B.UseReturnJumpFunctions) << Where;
+  EXPECT_EQ(A.UseModInformation, B.UseModInformation) << Where;
+  EXPECT_EQ(A.IntraproceduralOnly, B.IntraproceduralOnly) << Where;
+  EXPECT_EQ(A.MaxExprNodes, B.MaxExprNodes) << Where;
+  EXPECT_EQ(A.UseGatedSSA, B.UseGatedSSA) << Where;
+  EXPECT_EQ(A.Schedule, B.Schedule) << Where;
+  EXPECT_EQ(A.UseBindingGraphPropagator, B.UseBindingGraphPropagator)
+      << Where;
+  EXPECT_EQ(A.Engine, B.Engine) << Where;
+  EXPECT_EQ(A.MaxContexts, B.MaxContexts) << Where;
+  EXPECT_STREQ(A.EntryProcedure, B.EntryProcedure) << Where;
+  EXPECT_EQ(A.Limits.MaxParseDepth, B.Limits.MaxParseDepth) << Where;
+  EXPECT_EQ(A.Limits.MaxTokens, B.Limits.MaxTokens) << Where;
+  EXPECT_EQ(A.Limits.MaxAstNodes, B.Limits.MaxAstNodes) << Where;
+  EXPECT_EQ(A.Limits.MaxIRInstructions, B.Limits.MaxIRInstructions) << Where;
+  EXPECT_EQ(A.Limits.MaxPropagationEvals, B.Limits.MaxPropagationEvals)
+      << Where;
+  EXPECT_EQ(A.Limits.DeadlineMs, B.Limits.DeadlineMs) << Where;
+}
+
+/// One legal value of a row: its JSON spelling, the flag that selects it
+/// (empty when the value is the default a flag cannot name), and the
+/// integer Set stores.
+struct Sample {
+  std::string Json;
+  std::string Flag;
+  uint64_t Value;
+};
+
+std::vector<Sample> legalSamples(const OptionSpec &Row) {
+  std::vector<Sample> Out;
+  std::string Flag = Row.Flag ? Row.Flag : "";
+  if (Row.Type == OptionType::Switch) {
+    // The bare flag selects the non-default value.
+    bool Default = Row.Get(IPCPOptions()) != 0;
+    Out.push_back({Default ? "false" : "true", Flag, !Default});
+    Out.push_back({Default ? "true" : "false", "", Default});
+  } else if (Row.Type == OptionType::Choice) {
+    for (const OptionChoice &C : Row.Choices)
+      Out.push_back({std::string("\"") + C.Spelling + "\"",
+                     Row.Flag ? Flag + "=" + C.Spelling : "", C.Value});
+  } else if (Row.Type == OptionType::Count) {
+    uint64_t Top = std::min<uint64_t>(Row.Max, uint64_t(1) << 40);
+    for (uint64_t V : {Row.Min, Row.Get(IPCPOptions()), uint64_t(4097), Top})
+      Out.push_back({std::to_string(V),
+                     Row.Flag ? Flag + "=" + std::to_string(V) : "", V});
+  }
+  return Out;
+}
+
+TEST(ServiceCodec, OptionTableKeepsTheVocabulary) {
+  std::span<const OptionSpec> Table = optionTable();
+  ASSERT_EQ(Table.size(), std::size(Vocabulary));
+  std::string Driver, Serverd, Suitecheck, Options, Limits, Tags;
+  for (size_t I = 0; I != Table.size(); ++I) {
+    const OptionSpec &Row = Table[I];
+    EXPECT_STREQ(Row.Key, Vocabulary[I].Key);
+    EXPECT_STREQ(Row.Flag ? Row.Flag : "", Vocabulary[I].Flag
+                                               ? Vocabulary[I].Flag
+                                               : "");
+    if (Row.Flag || (Row.Type == OptionType::Choice &&
+                     (Row.Surfaces & OnOptions))) {
+      EXPECT_NE(Row.Help, nullptr) << Row.Key << " is parsed but has no help";
+    }
+    if (Row.Type == OptionType::Name) {
+      EXPECT_EQ(Row.Surfaces & (OnOptions | OnLimits), 0u) << Row.Key;
+    }
+    if (Row.Surfaces & OnDriver)
+      Driver += std::string(Row.Flag) + " ";
+    if (Row.Surfaces & OnServerd)
+      Serverd += std::string(Row.Flag) + " ";
+    if (Row.Surfaces & OnSuitecheck)
+      Suitecheck += std::string(Row.Flag) + " ";
+    if (Row.Surfaces & OnOptions)
+      Options += std::string(Row.Key) + " ";
+    if (Row.Surfaces & OnLimits)
+      Limits += std::string(Row.Key) + " ";
+    if (Row.FingerprintTag)
+      Tags += std::string(Row.FingerprintTag) + " ";
+  }
+  EXPECT_EQ(Driver, "--jf --no-return-jf --no-mod --intra-only --gated-ssa "
+                    "--binding-graph --engine --max-contexts "
+                    "--limit-parse-depth --limit-tokens --limit-ast-nodes "
+                    "--limit-ir-insts --limit-prop-evals --deadline-ms ");
+  EXPECT_EQ(Serverd, "--limit-parse-depth --limit-tokens --limit-ast-nodes "
+                     "--limit-ir-insts --limit-prop-evals --deadline-ms ");
+  EXPECT_EQ(Suitecheck, "--engine ");
+  EXPECT_EQ(Options, "forward_jf return_jf mod_information "
+                     "intraprocedural_only gated_ssa binding_graph engine "
+                     "max_contexts max_expr_nodes ");
+  EXPECT_EQ(Limits,
+            "parse_depth tokens ast_nodes ir_insts prop_evals deadline_ms ");
+  EXPECT_EQ(Tags, "jf rjf mod intra gated bg sched engine maxexpr entry ");
+  // Every accepted spelling and the enumerator it names.
+  const std::pair<const char *, JumpFunctionKind> Kinds[] = {
+      {"literal", JumpFunctionKind::Literal},
+      {"intra", JumpFunctionKind::IntraproceduralConstant},
+      {"pass-through", JumpFunctionKind::PassThrough},
+      {"passthrough", JumpFunctionKind::PassThrough},
+      {"polynomial", JumpFunctionKind::Polynomial}};
+  for (const auto &[Spelling, Kind] : Kinds) {
+    IPCPOptions Opts;
+    std::string Error;
+    EXPECT_TRUE(parseOptionFlag(std::string("--jf=") + Spelling, OnDriver,
+                                Opts, Error));
+    EXPECT_EQ(Opts.ForwardKind, Kind) << Spelling;
+  }
+  EXPECT_STREQ(jumpFunctionKindName(JumpFunctionKind::PassThrough),
+               "pass-through");
+  EXPECT_STREQ(propagationEngineName(PropagationEngine::Contexts),
+               "contexts");
+  EXPECT_NE(optionHelp(OnDriver, OnOptions)
+                .find("--jf=literal|intra|pass-through|passthrough|polynomial"),
+            std::string::npos);
+  EXPECT_NE(optionHelp(OnSuitecheck, OnOptions).find("--engine=jump|contexts"),
+            std::string::npos);
+
+  std::string Echoed;
+  JsonValue Echo = optionsToJson(IPCPOptions());
+  for (const auto &[Key, Val] : Echo.members())
+    Echoed += Key + " ";
+  EXPECT_EQ(Echoed, "forward_jf return_jf mod_information "
+                    "intraprocedural_only gated_ssa binding_graph engine "
+                    "max_contexts max_expr_nodes entry_procedure ");
+}
+
+TEST(ServiceCodec, OptionTableRowsAgreeAcrossSurfaces) {
+  // A parse-depth ceiling at the top of its range, so a request can
+  // tighten it to every legal value; the other budgets stay unlimited.
+  IPCPOptions Base;
+  Base.Limits.MaxParseDepth = 1u << 20;
+  ServiceEngine::Config Conf = basicConfig();
+  Conf.DefaultLimits = Base.Limits;
+  ServiceEngine Engine(std::move(Conf));
+
+  std::span<const OptionSpec> Table = optionTable();
+  for (size_t I = 0; I != Table.size(); ++I) {
+    const OptionSpec &Row = Table[I];
+    if (Row.Type == OptionType::Name) {
+      EXPECT_EQ(optionsToJson(Base).find(Row.Key)->asString(), "main");
+      continue;
+    }
+    for (const Sample &S : legalSamples(Row)) {
+      std::string Where = std::string(Row.Key) + "=" + S.Json;
+      IPCPOptions Expected = Base;
+      Vocabulary[I].Set(Expected, S.Value);
+
+      // The flag, on every tool that takes it.
+      for (unsigned Surface : {OnDriver, OnServerd, OnSuitecheck}) {
+        if (!(Row.Surfaces & Surface))
+          continue;
+        IPCPOptions FromFlag = Base;
+        std::string Error;
+        if (!S.Flag.empty()) {
+          EXPECT_TRUE(parseOptionFlag(S.Flag, Surface, FromFlag, Error))
+              << S.Flag;
+          EXPECT_EQ(Error, "") << S.Flag;
+        }
+        expectSameOptions(FromFlag, Expected, Where + " via " + S.Flag);
+      }
+
+      // The request member.
+      if (!(Row.Surfaces & (OnOptions | OnLimits)))
+        continue;
+      std::string Member = Row.Surfaces & OnLimits ? "limits" : "options";
+      ServiceRequest Req =
+          parseOk(Engine, R"({"op":"analyze","suite":"simple",")" + Member +
+                              R"(":{")" + Row.Key + "\":" + S.Json + "}}");
+      expectSameOptions(Req.Opts, Expected, Where + " via the request");
+
+      // The report echo, fed back as a request, lands on the same
+      // options (entry_procedure is echoed but never requested).
+      JsonValue Echo = optionsToJson(Req.Opts);
+      Echo.remove("entry_procedure");
+      ServiceRequest Back = parseOk(
+          Engine,
+          R"({"op":"analyze","suite":"simple","options":)" + Echo.dump() + "}");
+      Back.Opts.Limits = Req.Opts.Limits;
+      expectSameOptions(Back.Opts, Expected, Where + " via the echo");
+    }
+  }
+}
+
+TEST(ServiceCodec, OptionErrorsNameTheSurface) {
+  auto FlagError = [](const std::string &Arg, unsigned Surface) {
+    IPCPOptions Opts;
+    std::string Error;
+    EXPECT_TRUE(parseOptionFlag(Arg, Surface, Opts, Error)) << Arg;
+    return Error;
+  };
+  EXPECT_EQ(FlagError("--jf=bogus", OnDriver),
+            "unknown jump function class 'bogus'");
+  EXPECT_EQ(FlagError("--max-contexts=0", OnDriver),
+            "--max-contexts must be in [1, 1048576]");
+  EXPECT_EQ(FlagError("--limit-tokens=x", OnServerd),
+            "malformed value in '--limit-tokens=x' (expect a non-negative "
+            "integer)");
+  // Flags stay on the tools that take them.
+  IPCPOptions Opts;
+  std::string Error;
+  EXPECT_FALSE(parseOptionFlag("--jf=literal", OnServerd, Opts, Error));
+  EXPECT_FALSE(parseOptionFlag("--max-contexts=8", OnSuitecheck, Opts, Error));
+  EXPECT_FALSE(parseOptionFlag("--no-mod=1", OnDriver, Opts, Error));
+  EXPECT_EQ(Error, "");
+
+  ServiceEngine Engine(basicConfig());
+  auto Message = [&](const std::string &Line) {
+    ServiceRequest Req;
+    std::string Code, Msg;
+    EXPECT_FALSE(Engine.parseRequestLine(Line, Req, &Code, &Msg)) << Line;
+    return Msg;
+  };
+  EXPECT_EQ(Message(R"({"op":"analyze","suite":"x","options":{"max_expr_nodes":0}})"),
+            "'max_expr_nodes' must be in [1, 1048576]");
+  EXPECT_EQ(Message(R"({"op":"analyze","suite":"x","options":{"schedule":"fifo"}})"),
+            "unknown options key 'schedule'");
+  EXPECT_EQ(Message(R"({"op":"analyze","suite":"x","options":{"entry_procedure":"f"}})"),
+            "unknown options key 'entry_procedure'");
+  EXPECT_EQ(Message(R"({"op":"analyze","suite":"x","limits":{"max_contexts":1}})"),
+            "unknown limits key 'max_contexts'");
+  EXPECT_EQ(Message(R"({"op":"analyze","suite":"x","options":{"return_jf":""}})"),
+            "'return_jf' must be a boolean");
+  // An empty spelling leaves a choice at its default, as it always has.
+  ServiceRequest Req =
+      parseOk(Engine, R"({"op":"analyze","suite":"x","options":{"forward_jf":""}})");
+  EXPECT_EQ(Req.Opts.ForwardKind, JumpFunctionKind::Polynomial);
 }
 
 TEST(ServiceEnvelope, EchoesIdAndOrdersFields) {

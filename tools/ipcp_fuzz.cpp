@@ -581,13 +581,13 @@ int runChaos(uint64_t Requests, uint64_t Seed, const std::string &Dir) {
   LogConf.EndWithShutdown = false;
   std::vector<std::string> Lines = generateServiceLog(LogConf);
 
-  // Seeded store/cache plan. The periods are derived from the seed so
+  // Seeded store plan. The periods are derived from the seed so
   // different campaigns stress different interleavings, but any one
   // seed is fully replayable.
   char Plan[128];
   std::snprintf(Plan, sizeof Plan,
                 "store.commit.*:period=%u;store.read.*:period=%u;"
-                "cache.save:period=%u",
+                "store.write.*:period=%u",
                 unsigned(3 + Seed % 5), unsigned(5 + (Seed / 5) % 5),
                 unsigned(2 + (Seed / 25) % 4));
   std::printf("ipcp_fuzz chaos: %zu lines, plan '%s'\n", Lines.size(), Plan);

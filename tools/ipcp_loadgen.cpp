@@ -72,7 +72,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -128,25 +127,6 @@ void printUsage() {
       "  --durable-store    fsync store writes before rename\n"
       "  --help\n"
       "exit codes: 0 ok, 1 usage or failed invariant, 2 socket failure\n");
-}
-
-uint64_t parseUintValue(const std::string &Arg, size_t PrefixLen) {
-  std::string Text = Arg.substr(PrefixLen);
-  if (Text.empty() ||
-      Text.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr,
-                 "error: malformed value in '%s' (expect a non-negative "
-                 "integer)\n",
-                 Arg.c_str());
-    std::exit(1);
-  }
-  errno = 0;
-  unsigned long long Value = std::strtoull(Text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "error: value out of range in '%s'\n", Arg.c_str());
-    std::exit(1);
-  }
-  return Value;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -511,15 +491,15 @@ int main(int argc, char **argv) {
       return 0;
     }
     if (Arg.rfind("--requests=", 0) == 0) {
-      Workload.Requests = unsigned(parseUintValue(Arg, 11));
+      Workload.Requests = unsigned(parseUintFlag(Arg, 11));
       continue;
     }
     if (Arg.rfind("--seed=", 0) == 0) {
-      Workload.Seed = parseUintValue(Arg, 7);
+      Workload.Seed = parseUintFlag(Arg, 7);
       continue;
     }
     if (Arg.rfind("--sessions=", 0) == 0) {
-      Workload.SessionCount = unsigned(parseUintValue(Arg, 11));
+      Workload.SessionCount = unsigned(parseUintFlag(Arg, 11));
       if (Workload.SessionCount == 0) {
         std::fprintf(stderr, "error: --sessions must be at least 1\n");
         return 1;
@@ -527,11 +507,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--repeat-chance=", 0) == 0) {
-      Workload.RepeatChance = unsigned(parseUintValue(Arg, 16));
+      Workload.RepeatChance = unsigned(parseUintFlag(Arg, 16));
       continue;
     }
     if (Arg.rfind("--batch-chance=", 0) == 0) {
-      Workload.BatchChance = unsigned(parseUintValue(Arg, 15));
+      Workload.BatchChance = unsigned(parseUintFlag(Arg, 15));
       continue;
     }
     if (Arg.rfind("--programs=", 0) == 0) {
@@ -559,7 +539,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--shards=", 0) == 0) {
-      Service.Shards = unsigned(parseUintValue(Arg, 9));
+      Service.Shards = unsigned(parseUintFlag(Arg, 9));
       if (Service.Shards == 0) {
         std::fprintf(stderr, "error: --shards must be at least 1\n");
         return 1;
@@ -567,19 +547,19 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Service.Jobs = unsigned(parseUintValue(Arg, 7));
+      Service.Jobs = unsigned(parseUintFlag(Arg, 7));
       continue;
     }
     if (Arg.rfind("--queue-limit=", 0) == 0) {
-      Service.QueueLimit = size_t(parseUintValue(Arg, 14));
+      Service.QueueLimit = size_t(parseUintFlag(Arg, 14));
       continue;
     }
     if (Arg.rfind("--result-buffer=", 0) == 0) {
-      Service.ResultBuffer = size_t(parseUintValue(Arg, 16));
+      Service.ResultBuffer = size_t(parseUintFlag(Arg, 16));
       continue;
     }
     if (Arg.rfind("--max-sessions=", 0) == 0) {
-      Service.Engine.MaxSessions = unsigned(parseUintValue(Arg, 15));
+      Service.Engine.MaxSessions = unsigned(parseUintFlag(Arg, 15));
       if (Service.Engine.MaxSessions == 0) {
         std::fprintf(stderr, "error: --max-sessions must be at least 1\n");
         return 1;
@@ -599,7 +579,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--concurrency=", 0) == 0) {
-      Concurrency = parseUintValue(Arg, 14);
+      Concurrency = parseUintFlag(Arg, 14);
       if (Concurrency == 0) {
         std::fprintf(stderr, "error: --concurrency must be at least 1\n");
         return 1;
@@ -607,11 +587,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--rate=", 0) == 0) {
-      RateRps = double(parseUintValue(Arg, 7));
+      RateRps = double(parseUintFlag(Arg, 7));
       continue;
     }
     if (Arg.rfind("--saturation=", 0) == 0) {
-      SaturationSteps = unsigned(parseUintValue(Arg, 13));
+      SaturationSteps = unsigned(parseUintFlag(Arg, 13));
       continue;
     }
     if (Arg == "--overload") {
@@ -627,7 +607,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--retry-max=", 0) == 0) {
-      Retry.Max = parseUintValue(Arg, 12);
+      Retry.Max = parseUintFlag(Arg, 12);
       if (Retry.Max > 32) {
         std::fprintf(stderr, "error: --retry-max must be at most 32\n");
         return 1;
@@ -635,11 +615,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--retry-base-ms=", 0) == 0) {
-      Retry.BaseMs = parseUintValue(Arg, 16);
+      Retry.BaseMs = parseUintFlag(Arg, 16);
       continue;
     }
     if (Arg.rfind("--retry-cap-ms=", 0) == 0) {
-      Retry.CapMs = parseUintValue(Arg, 15);
+      Retry.CapMs = parseUintFlag(Arg, 15);
       if (Retry.CapMs == 0) {
         std::fprintf(stderr, "error: --retry-cap-ms must be at least 1\n");
         return 1;
@@ -647,7 +627,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--retry-jitter-seed=", 0) == 0) {
-      Retry.JitterSeed = parseUintValue(Arg, 20);
+      Retry.JitterSeed = parseUintFlag(Arg, 20);
       continue;
     }
     if (Arg.rfind("--fault-plan=", 0) == 0) {

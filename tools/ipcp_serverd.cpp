@@ -27,8 +27,7 @@
 //                      fixed buckets service-wide) before LRU eviction
 //   --scrub-timings    zero wall-clock fields in every response (and the
 //                      timing-dependent queue gauges in stats)
-//   --limit-parse-depth=N  --limit-tokens=N  --limit-ast-nodes=N
-//   --limit-ir-insts=N     --limit-prop-evals=N --deadline-ms=N
+//   the resource-budget flags of core/Options.h's table
 //                      default per-request budgets; a request's "limits"
 //                      can tighten but never exceed them
 //   --durable-store    fsync-before-rename store writes (docs/ROBUSTNESS.md)
@@ -62,11 +61,8 @@
 #include "workload/ServiceWorkload.h"
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -108,36 +104,10 @@ void printUsage() {
       "  --sample-seed=S      seed for --emit-sample-log (default 1)\n"
       "  --help\n"
       "default per-request budgets (0 = unlimited; a request's \"limits\"\n"
-      "object can tighten but never exceed them):\n"
-      "  --limit-parse-depth=N  parser recursion depth (default 512)\n"
-      "  --limit-tokens=N       tokens per source buffer\n"
-      "  --limit-ast-nodes=N    AST nodes the parser may allocate\n"
-      "  --limit-ir-insts=N     IR instructions entering the analysis\n"
-      "  --limit-prop-evals=N   jump-function evaluations per solve\n"
-      "  --deadline-ms=N        wall-clock deadline per request\n"
+      "object can tighten but never exceed them):\n%s"
       "exit codes: 0 clean shutdown or EOF, 1 usage, 2 socket/stdin\n"
-      "            failure, 4 response write failed\n");
-}
-
-/// Parses the numeric value of --NAME=N flags; exits 1 on malformed
-/// input (same contract as the driver's budget flags).
-uint64_t parseUintValue(const std::string &Arg, size_t PrefixLen) {
-  std::string Text = Arg.substr(PrefixLen);
-  if (Text.empty() ||
-      Text.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr,
-                 "error: malformed value in '%s' (expect a non-negative "
-                 "integer)\n",
-                 Arg.c_str());
-    std::exit(1);
-  }
-  errno = 0;
-  unsigned long long Value = std::strtoull(Text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "error: value out of range in '%s'\n", Arg.c_str());
-    std::exit(1);
-  }
-  return Value;
+      "            failure, 4 response write failed\n",
+      optionHelp(OnServerd, OnLimits).c_str());
 }
 
 /// Serves one request stream until EOF or a shutdown request: a reader
@@ -184,6 +154,7 @@ int main(int argc, char **argv) {
 
   ShardedService::Config Conf;
   Conf.Jobs = 0; // hardware concurrency
+  IPCPOptions Budgets; // only Limits is read: the per-request defaults
   std::string SocketPath;
   std::string ScrubStoreDir;
   std::string FaultPlan;
@@ -197,6 +168,8 @@ int main(int argc, char **argv) {
       printUsage();
       return 0;
     }
+    if (takeOptionFlag(Arg, OnServerd, Budgets))
+      continue;
     if (Arg == "--socket=") {
       std::fprintf(stderr, "error: --socket needs a path\n");
       return 1;
@@ -206,7 +179,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--shards=", 0) == 0) {
-      Conf.Shards = unsigned(parseUintValue(Arg, 9));
+      Conf.Shards = unsigned(parseUintFlag(Arg, 9));
       if (Conf.Shards == 0) {
         std::fprintf(stderr, "error: --shards must be at least 1\n");
         return 1;
@@ -214,7 +187,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Conf.Jobs = unsigned(parseUintValue(Arg, 7));
+      Conf.Jobs = unsigned(parseUintFlag(Arg, 7));
       if (Conf.Jobs == 0) {
         std::fprintf(stderr, "error: --jobs must be at least 1\n");
         return 1;
@@ -222,11 +195,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--queue-limit=", 0) == 0) {
-      Conf.QueueLimit = size_t(parseUintValue(Arg, 14));
+      Conf.QueueLimit = size_t(parseUintFlag(Arg, 14));
       continue;
     }
     if (Arg.rfind("--result-buffer=", 0) == 0) {
-      Conf.ResultBuffer = size_t(parseUintValue(Arg, 16));
+      Conf.ResultBuffer = size_t(parseUintFlag(Arg, 16));
       continue;
     }
     if (Arg == "--cache-dir=") {
@@ -238,7 +211,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--max-sessions=", 0) == 0) {
-      Conf.Engine.MaxSessions = unsigned(parseUintValue(Arg, 15));
+      Conf.Engine.MaxSessions = unsigned(parseUintFlag(Arg, 15));
       if (Conf.Engine.MaxSessions == 0) {
         std::fprintf(stderr, "error: --max-sessions must be at least 1\n");
         return 1;
@@ -266,43 +239,13 @@ int main(int argc, char **argv) {
       HaveFaultPlan = true;
       continue;
     }
-    if (Arg.rfind("--limit-parse-depth=", 0) == 0) {
-      uint64_t V = parseUintValue(Arg, 20);
-      if (V == 0 || V > 1u << 20) {
-        std::fprintf(stderr,
-                     "error: --limit-parse-depth must be in [1, 1048576]\n");
-        return 1;
-      }
-      Conf.Engine.DefaultLimits.MaxParseDepth = unsigned(V);
-      continue;
-    }
-    if (Arg.rfind("--limit-tokens=", 0) == 0) {
-      Conf.Engine.DefaultLimits.MaxTokens = parseUintValue(Arg, 15);
-      continue;
-    }
-    if (Arg.rfind("--limit-ast-nodes=", 0) == 0) {
-      Conf.Engine.DefaultLimits.MaxAstNodes = parseUintValue(Arg, 18);
-      continue;
-    }
-    if (Arg.rfind("--limit-ir-insts=", 0) == 0) {
-      Conf.Engine.DefaultLimits.MaxIRInstructions = parseUintValue(Arg, 17);
-      continue;
-    }
-    if (Arg.rfind("--limit-prop-evals=", 0) == 0) {
-      Conf.Engine.DefaultLimits.MaxPropagationEvals = parseUintValue(Arg, 19);
-      continue;
-    }
-    if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Conf.Engine.DefaultLimits.DeadlineMs = parseUintValue(Arg, 14);
-      continue;
-    }
     if (Arg.rfind("--emit-sample-log=", 0) == 0) {
       EmitSample = true;
-      SampleConf.Requests = unsigned(parseUintValue(Arg, 18));
+      SampleConf.Requests = unsigned(parseUintFlag(Arg, 18));
       continue;
     }
     if (Arg.rfind("--sample-seed=", 0) == 0) {
-      SampleConf.Seed = parseUintValue(Arg, 14);
+      SampleConf.Seed = parseUintFlag(Arg, 14);
       continue;
     }
     std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
@@ -348,6 +291,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
+  Conf.Engine.DefaultLimits = Budgets.Limits;
   Conf.Engine.SuiteResolver = [](const std::string &Name,
                                  std::string &SourceOut) {
     const SuiteProgram *Prog = findSuiteProgram(Name);

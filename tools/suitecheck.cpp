@@ -37,20 +37,21 @@ static void usage(std::FILE *Out) {
                        "  --no-cache     ignore --cache-dir\n"
                        "  --scrub-timings  zero wall-clock fields in the "
                        "JSON report\n"
-                       "  --engine=jump|contexts  propagation engine for "
-                       "the per-program analyses\n"
-                       "                 (contexts runs cache-less; "
-                       "docs/CONTEXTS.md)\n");
+                       "per-program analysis options (contexts runs "
+                       "cache-less):\n%s",
+               optionHelp(OnSuitecheck, OnOptions).c_str());
 }
 
 int main(int argc, char **argv) {
   bool ShowStats = false, TraceOn = false;
   bool NoCache = false, ScrubTimings = false;
   std::string TraceFile, ReportFile, CacheDir;
-  PropagationEngine Engine = PropagationEngine::Jump;
+  IPCPOptions Opts; // only Engine is read
   unsigned Jobs = ThreadPool::defaultConcurrency();
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    if (takeOptionFlag(Arg, OnSuitecheck, Opts))
+      continue;
     if (Arg == "--help") {
       usage(stdout);
       return 0;
@@ -62,10 +63,6 @@ int main(int argc, char **argv) {
       NoCache = true;
     } else if (Arg == "--scrub-timings") {
       ScrubTimings = true;
-    } else if (Arg == "--engine=jump") {
-      Engine = PropagationEngine::Jump;
-    } else if (Arg == "--engine=contexts") {
-      Engine = PropagationEngine::Contexts;
     } else if (Arg == "--trace") {
       TraceOn = true;
     } else if (Arg.rfind("--trace=", 0) == 0) {
@@ -95,7 +92,7 @@ int main(int argc, char **argv) {
   SuiteRunner Runner(Jobs);
   SuiteStudyResult Study =
       runSuiteStudy(Runner, !ReportFile.empty(),
-                    NoCache ? std::string() : CacheDir, Engine);
+                    NoCache ? std::string() : CacheDir, Opts.Engine);
   for (const std::string &Message : Study.Messages)
     if (!Message.empty())
       std::printf("%s", Message.c_str());
