@@ -21,14 +21,16 @@
 // per second plus p50/p99/p999 per-request latency — land in
 // BENCH_service.json
 // (when IPCP_BENCH_JSON_DIR is set, see docs/OBSERVABILITY.md) so
-// trajectories can compare them mechanically. Requests go through the
-// real wire codec (ServiceEngine::parseRequestLine), not hand-built
-// structs, so the measured path is the daemon's path minus the socket.
+// trajectories can compare them mechanically. Every mode is one client
+// stream on a one-shard, one-job ShardedService, held open for the whole
+// mode like a daemon connection; a request is timed from submitLine until
+// its response line pops, so the measured path is the daemon's dispatcher
+// minus the socket.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
-#include "core/ServiceEngine.h"
+#include "core/ShardedService.h"
 #include "support/Statistics.h"
 #include "workload/Programs.h"
 
@@ -43,10 +45,12 @@ using namespace ipcp;
 
 namespace {
 
-ServiceEngine::Config benchConfig() {
-  ServiceEngine::Config Conf;
-  Conf.ScrubTimings = true;
-  Conf.SuiteResolver = [](const std::string &Name, std::string &Out) {
+ShardedService::Config benchConfig() {
+  ShardedService::Config Conf;
+  Conf.Shards = 1;
+  Conf.Jobs = 1;
+  Conf.Engine.ScrubTimings = true;
+  Conf.Engine.SuiteResolver = [](const std::string &Name, std::string &Out) {
     const SuiteProgram *Prog = findSuiteProgram(Name);
     if (!Prog)
       return false;
@@ -78,27 +82,38 @@ std::string batchLine(const std::string &Session) {
   return Line + "]}";
 }
 
-/// Parses \p Line through the wire codec and dispatches it, returning
-/// the response body. Aborts loudly on anything but status "ok" — the
-/// suite programs all analyze cleanly, so an error here is a bench bug.
-JsonValue dispatch(ServiceEngine &Engine, const std::string &Line) {
-  ServiceRequest Req;
-  std::string Code, Error;
-  if (!Engine.parseRequestLine(Line, Req, &Code, &Error)) {
-    std::fprintf(stderr, "bench_service: bad request line (%s): %s\n",
-                 Code.c_str(), Error.c_str());
-    std::exit(1);
+/// One client connection: a single stream for its whole life, one
+/// request in flight at a time.
+class Client {
+public:
+  explicit Client(ShardedService &Svc) : Svc(Svc), St(Svc.openStream()) {}
+  ~Client() { Svc.finishStream(*St); }
+
+  /// Sends \p Line and blocks for its response line.
+  std::string send(const std::string &Line) {
+    Svc.submitLine(*St, Line);
+    std::string Response;
+    St->popResponse(Response);
+    return Response;
   }
-  JsonValue Body = Req.Op == ServiceRequest::Kind::AnalyzeBatch
-                       ? Engine.analyzeBatch(Req)
-                       : Engine.analyze(Req);
-  const JsonValue *Status = Body.find("status");
+
+private:
+  ShardedService &Svc;
+  std::unique_ptr<ShardedService::Stream> St;
+};
+
+/// Parses a response line. Aborts loudly on anything but status "ok" —
+/// the suite programs all analyze cleanly, so an error here is a bench
+/// bug.
+JsonValue checkedBody(const std::string &Response) {
+  std::optional<JsonValue> Body = JsonValue::parse(Response);
+  const JsonValue *Status = Body ? Body->find("status") : nullptr;
   if (!Status || !Status->isString() || Status->asString() != "ok") {
-    std::fprintf(stderr, "bench_service: request failed: %s\n",
-                 Body.dump().c_str());
+    std::fprintf(stderr, "bench_service: request failed: %s",
+                 Response.c_str());
     std::exit(1);
   }
-  return Body;
+  return std::move(*Body);
 }
 
 /// prop_evaluations out of one analyze response body.
@@ -140,7 +155,7 @@ double percentile(const std::vector<double> &Sorted, double Q) {
 }
 
 /// Runs \p Rounds passes over the request \p Lines, timing each request.
-ModeResult runMode(ServiceEngine &Engine, const std::vector<std::string> &Lines,
+ModeResult runMode(Client &C, const std::vector<std::string> &Lines,
                    unsigned Rounds, unsigned ProgramsPerRequest) {
   ModeResult R;
   std::vector<double> Latencies;
@@ -148,8 +163,9 @@ ModeResult runMode(ServiceEngine &Engine, const std::vector<std::string> &Lines,
   for (unsigned Round = 0; Round != Rounds; ++Round)
     for (const std::string &Line : Lines) {
       Timer T;
-      JsonValue Body = dispatch(Engine, Line);
+      std::string Response = C.send(Line);
       double Ms = T.seconds() * 1e3;
+      JsonValue Body = checkedBody(Response);
       Latencies.push_back(Ms);
       R.TotalMs += Ms;
       R.Evaluations += ProgramsPerRequest > 1 ? batchEvals(Body) : evalsOf(Body);
@@ -186,25 +202,27 @@ JsonValue modeJson(const ModeResult &R) {
 void BM_ServiceAnalyze(benchmark::State &State) {
   bool Warm = State.range(0) != 0;
   State.SetLabel(Warm ? "warm" : "cold");
-  ServiceEngine Engine(benchConfig());
+  ShardedService Svc(benchConfig());
+  Client C(Svc);
   std::vector<std::string> Lines;
   for (const SuiteProgram &Prog : benchmarkSuite())
     Lines.push_back(analyzeLine(Prog.Name, Warm ? "bm" : ""));
   if (Warm)
     for (const std::string &Line : Lines)
-      dispatch(Engine, Line); // populate the session caches
+      checkedBody(C.send(Line)); // populate the session caches
   for (auto _ : State)
     for (const std::string &Line : Lines)
-      benchmark::DoNotOptimize(dispatch(Engine, Line));
+      benchmark::DoNotOptimize(C.send(Line));
 }
 BENCHMARK(BM_ServiceAnalyze)->DenseRange(0, 1)->ArgName("warm");
 
 void BM_ServiceBatch(benchmark::State &State) {
-  ServiceEngine Engine(benchConfig());
+  ShardedService Svc(benchConfig());
+  Client C(Svc);
   std::string Line = batchLine("bm");
-  dispatch(Engine, Line); // populate
+  checkedBody(C.send(Line)); // populate
   for (auto _ : State)
-    benchmark::DoNotOptimize(dispatch(Engine, Line));
+    benchmark::DoNotOptimize(C.send(Line));
 }
 BENCHMARK(BM_ServiceBatch);
 
@@ -219,22 +237,24 @@ int main(int argc, char **argv) {
   }
 
   // Cold: no session, so every request re-analyzes from scratch.
-  ServiceEngine ColdEngine(benchConfig());
-  ModeResult Cold = runMode(ColdEngine, ColdLines, Rounds, 1);
+  ShardedService ColdSvc(benchConfig());
+  Client ColdClient(ColdSvc);
+  ModeResult Cold = runMode(ColdClient, ColdLines, Rounds, 1);
 
   // Warm: resident session caches, populated by one untimed pass.
-  ServiceEngine WarmEngine(benchConfig());
+  ShardedService WarmSvc(benchConfig());
+  Client WarmClient(WarmSvc);
   for (const std::string &Line : WarmLines)
-    dispatch(WarmEngine, Line);
-  ModeResult Warmed = runMode(WarmEngine, WarmLines, Rounds, 1);
+    checkedBody(WarmClient.send(Line));
+  ModeResult Warmed = runMode(WarmClient, WarmLines, Rounds, 1);
 
   // Batched warm: one request carries the whole suite.
-  ServiceEngine BatchEngine(benchConfig());
+  ShardedService BatchSvc(benchConfig());
+  Client BatchClient(BatchSvc);
   std::string Batch = batchLine("bench");
-  dispatch(BatchEngine, Batch);
+  checkedBody(BatchClient.send(Batch));
   ModeResult Batched =
-      runMode(BatchEngine, {Batch}, Rounds,
-              unsigned(benchmarkSuite().size()));
+      runMode(BatchClient, {Batch}, Rounds, unsigned(benchmarkSuite().size()));
 
   std::printf("service throughput over the %zu-program suite "
               "(%u rounds each):\n",

@@ -1,5 +1,5 @@
 # Documentation-coherence lint (the docs-side complement of
-# CheckFlagDocs.cmake). Four drift modes, each fatal:
+# CheckFlagDocs.cmake). Five drift modes, each fatal:
 #
 #   1. An unindexed page: every docs/*.md must be listed in README.md's
 #      documentation index table.
@@ -12,6 +12,10 @@
 #   4. A phantom span: every span in docs/OBSERVABILITY.md's span table
 #      must be opened by a `ScopedTraceSpan Name("span"` somewhere under
 #      src/ or tools/.
+#   5. An undocumented stats field: every row of the service's two
+#      counter tables (src/core/ServiceStats.def, src/support/
+#      StoreStats.def) must have a row in docs/SERVICE.md's stats table
+#      with the same key and scope.
 #
 # Run by ctest (check_doc_index in tools/CMakeLists.txt) and by the CI
 # docs-lint job:
@@ -152,6 +156,57 @@ foreach(Span ${Spans})
   endif()
 endforeach()
 
+# --- 5. Every stats field has a row in SERVICE.md's stats table -------
+
+file(READ ${SRCDIR}/docs/SERVICE.md Text)
+string(FIND "${Text}" "| Key | Scope | Meaning |" TableStart)
+if(TableStart EQUAL -1)
+  message(FATAL_ERROR "no stats table found in docs/SERVICE.md")
+endif()
+string(SUBSTRING "${Text}" ${TableStart} -1 Table)
+string(FIND "${Table}" "\n\n" TableEnd)
+string(SUBSTRING "${Table}" 0 ${TableEnd} Table)
+
+# Each table row's expected "| `key` | scope |" prefix, read from the
+# rows themselves: IPCP_SERVICE_STAT(Id, "key", per-shard) and
+# IPCP_STORE_STAT(Id, "key").
+set(StatRows "")
+file(STRINGS ${SRCDIR}/src/core/ServiceStats.def StatLines
+     REGEX "^IPCP_SERVICE_STAT\\(")
+foreach(Line ${StatLines})
+  string(REGEX REPLACE
+         "^IPCP_SERVICE_STAT\\([A-Za-z]+, \"([a-z_]+)\", (true|false)\\)$"
+         "\\1;\\2" Row "${Line}")
+  list(GET Row 0 Key)
+  list(GET Row 1 PerShard)
+  if(PerShard)
+    list(APPEND StatRows "| `${Key}` | aggregate, per-shard |")
+  else()
+    list(APPEND StatRows "| `${Key}` | aggregate |")
+  endif()
+endforeach()
+file(STRINGS ${SRCDIR}/src/support/StoreStats.def StatLines
+     REGEX "^IPCP_STORE_STAT\\(")
+foreach(Line ${StatLines})
+  string(REGEX REPLACE "^IPCP_STORE_STAT\\([A-Za-z]+, \"([a-z_]+)\"\\)$"
+         "\\1" Key "${Line}")
+  list(APPEND StatRows "| `${Key}` | store |")
+endforeach()
+list(LENGTH StatRows NumStatRows)
+if(NumStatRows LESS 20)
+  message(FATAL_ERROR
+          "only ${NumStatRows} stats fields parsed from ServiceStats.def "
+          "and StoreStats.def — the table regex is broken")
+endif()
+foreach(Row IN LISTS StatRows)
+  string(FIND "${Table}" "\n${Row}" Found)
+  if(Found EQUAL -1)
+    list(APPEND Problems
+         "undocumented stats field: docs/SERVICE.md's stats table has no "
+         "row starting '${Row}'")
+  endif()
+endforeach()
+
 if(Problems)
   list(JOIN Problems "\n  " Pretty)
   message(FATAL_ERROR "documentation lint failed:\n  ${Pretty}")
@@ -159,4 +214,5 @@ endif()
 message(STATUS
         "${NumPages} docs pages indexed, links resolve, counter tokens "
         "match Counters.def (${NumCounters} registered), ${NumSpans} "
-        "documented spans are opened")
+        "documented spans are opened, ${NumStatRows} stats fields are "
+        "documented")

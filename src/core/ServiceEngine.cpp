@@ -346,7 +346,7 @@ ServiceEngine::acquireSession(const ServiceRequest &Req) {
     E->TurnReady.wait(Lock, [&] {
       return E->NextTicket.load() == E->NowServing.load();
     });
-    ++StatEvictions;
+    bump(SessionEvictions);
     persistSession(*E);
   }
   // Consult the write-behind tier here, on the ordering thread, after
@@ -358,7 +358,7 @@ ServiceEngine::acquireSession(const ServiceRequest &Req) {
     std::string Bytes;
     if (Conf.Store->get(storeLogicalName(Req.Name, Req.Opts), Bytes) &&
         Turn.S->Cache.loadFromString(Bytes, Req.Opts))
-      ++StatDiskLoads;
+      bump(DiskLoads);
   }
   return Turn;
 }
@@ -402,16 +402,11 @@ unsigned ServiceEngine::persistSession(SessionState &S) {
            ->putNamed(storeLogicalName(S.SourceName, S.SaveOpts),
                       S.Cache.serialize(S.SaveOpts), &Error)
            .empty())
-    ++StatWriteBehindSaves;
+    bump(WriteBehindSaves);
   else
-    ++StatWriteBehindFailures;
+    bump(WriteBehindFailures);
   S.Dirty = false;
   return 1;
-}
-
-size_t ServiceEngine::residentSessions() const {
-  std::lock_guard<std::mutex> Lock(SessionsMutex);
-  return Sessions.size();
 }
 
 //===----------------------------------------------------------------------===//
@@ -434,9 +429,9 @@ ServiceEngine::reserveTurn(const ServiceRequest &Req) {
 }
 
 JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
-  ++StatAnalyses;
+  bump(AnalyzeRequests);
   if (Req.Optimize)
-    ++StatOptimizes;
+    bump(OptimizeRequests);
 
   // Enter the session turn before doing anything observable: the warm/
   // cold order of a session is its ticket order, and even an erroring
@@ -466,15 +461,15 @@ JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
       throw std::runtime_error(Msg);
     return analyzeLocked(Req, Session.get());
   } catch (const std::exception &E) {
-    ++StatErrors;
-    ++StatInternalErrors;
+    bump(Errors);
+    bump(InternalErrors);
     JsonValue Body = JsonValue::object();
     Body.set("status", "error");
     Body.set("error", serviceErrorObject("internal", E.what()));
     return Body;
   } catch (...) {
-    ++StatErrors;
-    ++StatInternalErrors;
+    bump(Errors);
+    bump(InternalErrors);
     JsonValue Body = JsonValue::object();
     Body.set("status", "error");
     Body.set("error", serviceErrorObject("internal", "unhandled exception"));
@@ -491,7 +486,7 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
   std::string SourceText = Req.Source;
   if (!Req.Suite.empty() &&
       (!Conf.SuiteResolver || !Conf.SuiteResolver(Req.Suite, SourceText))) {
-    ++StatErrors;
+    bump(Errors);
     Body.set("status", "error");
     Body.set("error", serviceErrorObject(
                           "unknown-suite",
@@ -507,7 +502,7 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
   std::optional<Program> Ast = parseAndCheck(SourceText, Diags, true, &Guard);
   if (!Ast) {
     if (!Guard.tripped()) {
-      ++StatErrors;
+      bump(Errors);
       Body.set("status", "error");
       Body.set("error", serviceErrorObject("source-error", Diags.str()));
       return Body;
@@ -522,7 +517,7 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
     JsonValue Doc = buildAnalysisReport(Report);
     if (Scrub)
       scrubReportTimings(Doc);
-    ++StatDegraded;
+    bump(Degraded);
     Body.set("status", "degraded");
     Body.set("report", std::move(Doc));
     return Body;
@@ -563,10 +558,10 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
       Session->HasSaveOpts = true;
     }
     if (SingleResult && SingleResult->UsedCache) {
-      StatCacheHits += SingleResult->Stats.get("cache_hits");
-      StatCacheMisses += SingleResult->Stats.get("cache_misses");
+      bump(CacheHits, SingleResult->Stats.get("cache_hits"));
+      bump(CacheMisses, SingleResult->Stats.get("cache_misses"));
       if (SingleResult->Stats.get("cache_hits") > 0)
-        ++StatCacheWarmHits;
+        bump(WarmHits);
     }
   }
 
@@ -584,91 +579,25 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
     scrubReportTimings(Doc);
 
   if (FinalStatus.Degraded)
-    ++StatDegraded;
+    bump(Degraded);
   Body.set("status", FinalStatus.Degraded ? "degraded" : "ok");
   Body.set("report", std::move(Doc));
   return Body;
 }
 
-JsonValue ServiceEngine::analyzeBatchItem(const ServiceRequest &Item,
-                                          size_t Index) {
-  return analyzeBatchItem(Item, Index, reserveTurn(Item));
-}
+const ServiceEngine::StatField ServiceEngine::StatFields[NumStats] = {
+#define IPCP_SERVICE_STAT(Id, Key, PerShard) {Key, PerShard},
+#include "core/ServiceStats.def"
+#undef IPCP_SERVICE_STAT
+};
 
-JsonValue ServiceEngine::analyzeBatchItem(const ServiceRequest &Item,
-                                          size_t Index, SessionTurn Turn) {
-  JsonValue Inner = analyze(Item, std::move(Turn));
-  JsonValue Out = JsonValue::object();
-  Out.set("index", uint64_t(Index));
-  if (Item.HasId)
-    Out.set("id", Item.Id);
-  for (auto &[Key, Val] : Inner.members())
-    Out.set(Key, std::move(Val));
-  return Out;
-}
-
-JsonValue ServiceEngine::analyzeBatch(const ServiceRequest &Req) {
-  noteBatch();
-  JsonValue Responses = JsonValue::array();
-  for (size_t I = 0; I != Req.Batch.size(); ++I)
-    Responses.push(analyzeBatchItem(Req.Batch[I], I));
-  JsonValue Body = JsonValue::object();
-  Body.set("status", "ok");
-  Body.set("responses", std::move(Responses));
-  return Body;
-}
-
-JsonValue ServiceEngine::statsBody() {
-  JsonValue Stats = JsonValue::object();
-  Stats.set("analyze_requests", StatAnalyses.load());
-  Stats.set("optimize_requests", StatOptimizes.load());
-  Stats.set("degraded", StatDegraded.load());
-  Stats.set("errors", StatErrors.load());
-  Stats.set("internal_errors", StatInternalErrors.load());
-  Stats.set("batches", StatBatches.load());
-  Stats.set("busy_rejections", StatBusy.load());
-  Stats.set("sessions_resident", uint64_t(residentSessions()));
-  Stats.set("session_evictions", StatEvictions.load());
-  Stats.set("warm_hits", StatCacheWarmHits.load());
-  Stats.set("cache_hits", StatCacheHits.load());
-  Stats.set("cache_misses", StatCacheMisses.load());
-  Stats.set("write_behind_saves", StatWriteBehindSaves.load());
-  Stats.set("write_behind_failures", StatWriteBehindFailures.load());
-  Stats.set("disk_loads", StatDiskLoads.load());
-  JsonValue Body = JsonValue::object();
-  Body.set("status", "ok");
-  Body.set("stats", std::move(Stats));
-  return Body;
-}
-
-ServiceEngine::CountersSnapshot ServiceEngine::snapshot() const {
-  CountersSnapshot S;
-  S.Analyses = StatAnalyses.load();
-  S.Optimizes = StatOptimizes.load();
-  S.Degraded = StatDegraded.load();
-  S.Errors = StatErrors.load();
-  S.InternalErrors = StatInternalErrors.load();
-  S.Batches = StatBatches.load();
-  S.Busy = StatBusy.load();
-  S.WarmHits = StatCacheWarmHits.load();
-  S.CacheHits = StatCacheHits.load();
-  S.CacheMisses = StatCacheMisses.load();
-  S.Evictions = StatEvictions.load();
-  S.WriteBehindSaves = StatWriteBehindSaves.load();
-  S.WriteBehindFailures = StatWriteBehindFailures.load();
-  S.DiskLoads = StatDiskLoads.load();
-  S.Resident = residentSessions();
-  return S;
-}
-
-JsonValue ServiceEngine::flushCacheBody() {
-  size_t Dropped = 0;
-  unsigned Persisted = shutdownFlush(&Dropped);
-  JsonValue Body = JsonValue::object();
-  Body.set("status", "ok");
-  Body.set("sessions_flushed", uint64_t(Dropped));
-  Body.set("persisted", uint64_t(Persisted));
-  return Body;
+ServiceEngine::Counts ServiceEngine::snapshot() const {
+  Counts C;
+  for (unsigned I = 0; I != NumStats; ++I)
+    C[I] = Counters[I].load();
+  std::lock_guard<std::mutex> Lock(SessionsMutex);
+  C[SessionsResident] = Sessions.size();
+  return C;
 }
 
 unsigned ServiceEngine::shutdownFlush(size_t *DroppedOut) {

@@ -5,14 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The analysis-as-a-service layer behind tools/ipcp_serverd
-/// (docs/SERVICE.md). A ServiceEngine turns the one-shot pipeline into a
-/// long-lived, thread-safe request handler:
+/// One shard of the analysis service behind tools/ipcp_serverd
+/// (docs/SERVICE.md). The dispatcher, core/ShardedService, turns every
+/// request line into a response: it parses the line with this engine's
+/// codec, admits it, routes it to a shard, and builds the batch, stats and
+/// flush bodies. A ServiceEngine supplies what one shard owns:
 ///
 ///  * the `ipcp-service-v1` request codec — one newline-delimited JSON
-///    object per request (`analyze`, `analyze-batch`, `stats`,
-///    `flush-cache`, `shutdown`) parsed into a ServiceRequest, with every
-///    malformed field reported as a structured error instead of a crash;
+///    object per request (`analyze`, `optimize`, `analyze-batch`,
+///    `stats`, `flush-cache`, `shutdown`) parsed into a ServiceRequest,
+///    with every malformed field reported as a structured error instead
+///    of a crash;
 ///
 ///  * session-scoped resident summary caches: a request naming a
 ///    `session` analyzes through an in-memory SummaryCache (PR-4's
@@ -38,12 +41,15 @@
 ///  * driver-parity reports: an analyze response embeds exactly the
 ///    `ipcp-report-v1` document `ipcp_driver --report-json` writes for
 ///    the same program and options — the differential tests and the CI
-///    service-smoke job byte-compare the two (after timing scrub).
+///    service-smoke job byte-compare the two (after timing scrub);
+///
+///  * the shard's counters, indexed by the stats table
+///    (core/ServiceStats.def), which the dispatcher sums across shards.
 ///
 /// All entry points except the parse helpers are safe to call from
 /// multiple threads; analyses of distinct sessions (and cache-less
 /// analyses) run fully in parallel, while requests sharing one session
-/// serialize on that session's lock *in arrival order*: the daemon
+/// serialize on that session's lock *in arrival order*: the dispatcher
 /// reserves a SessionTurn per request on its reader thread, and the
 /// per-session ticket turnstile replays the serial warm/cold sequence
 /// exactly no matter how the pool interleaves — which is what makes
@@ -59,6 +65,7 @@
 #include "support/Json.h"
 #include "transform/Transform.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -114,7 +121,7 @@ struct ServiceRequest {
   std::vector<ServiceRequest> Batch;
 };
 
-/// Long-lived, thread-safe analysis service over the pipeline.
+/// One shard of the analysis service: codec, sessions, analysis, counters.
 class ServiceEngine {
 public:
   struct Config {
@@ -177,7 +184,7 @@ public:
   };
 
   /// Issues the session turn for an analyze request. Call on the thread
-  /// that orders requests (the daemon's reader), in arrival order;
+  /// that orders requests (the dispatcher's reader), in arrival order;
   /// returns an empty turn for requests that do not use the session
   /// cache (no session, or complete propagation).
   SessionTurn reserveTurn(const ServiceRequest &Req);
@@ -210,7 +217,7 @@ public:
   JsonValue analyze(const ServiceRequest &Req);
 
   /// Same, redeeming a turn reserved earlier with reserveTurn() — the
-  /// daemon's concurrent path. Consumes the turn on every outcome
+  /// dispatcher's concurrent path. Consumes the turn on every outcome
   /// (including errors), so a failed request never wedges its session.
   ///
   /// This is also the service's failure boundary: any exception thrown
@@ -221,63 +228,33 @@ public:
   /// persisted.
   JsonValue analyze(const ServiceRequest &Req, SessionTurn Turn);
 
-  /// Executes every item of an AnalyzeBatch request sequentially on the
-  /// calling thread and returns the batch body ({"status", "responses":
-  /// [...]}). The daemon instead fans items onto its pool and assembles
-  /// the same body; both orders produce identical bytes.
-  JsonValue analyzeBatch(const ServiceRequest &Req);
-
-  /// One batch item's response object ({"index", "id"?, ...analyze
-  /// body...}) — shared by analyzeBatch and the daemon's parallel path
-  /// so the assembled bytes cannot diverge.
-  JsonValue analyzeBatchItem(const ServiceRequest &Item, size_t Index);
-  JsonValue analyzeBatchItem(const ServiceRequest &Item, size_t Index,
-                             SessionTurn Turn);
-
-  /// Counts one batch dispatch (the daemon's parallel path calls this
-  /// once per batch; analyzeBatch does it itself).
-  void noteBatch() { ++StatBatches; }
-
-  /// The "stats" response body: request/session/cache counters.
-  JsonValue statsBody();
-
-  /// Point-in-time copy of every counter statsBody() reports, for
-  /// aggregation across shards (core/ShardedService).
-  struct CountersSnapshot {
-    uint64_t Analyses = 0;
-    uint64_t Optimizes = 0;
-    uint64_t Degraded = 0;
-    uint64_t Errors = 0;
-    uint64_t InternalErrors = 0;
-    uint64_t Batches = 0;
-    uint64_t Busy = 0;
-    uint64_t WarmHits = 0;
-    uint64_t CacheHits = 0;
-    uint64_t CacheMisses = 0;
-    uint64_t Evictions = 0;
-    uint64_t WriteBehindSaves = 0;
-    uint64_t WriteBehindFailures = 0;
-    uint64_t DiskLoads = 0;
-    uint64_t Resident = 0;
+  /// The aggregate fields of the `stats` body, declared once each in
+  /// core/ServiceStats.def, in body order. The engine counts every field
+  /// except Batches and BusyRejections, which the dispatcher counts, and
+  /// SessionsResident, a gauge snapshot() reads from the session map.
+  enum Stat : unsigned {
+#define IPCP_SERVICE_STAT(Id, Key, PerShard) Id,
+#include "core/ServiceStats.def"
+#undef IPCP_SERVICE_STAT
+    NumStats
   };
-  CountersSnapshot snapshot() const;
+  /// One row of the stats table: the JSON key, and whether the `shards`
+  /// array also reports the field per shard.
+  struct StatField {
+    const char *Key;
+    bool PerShard;
+  };
+  static const StatField StatFields[NumStats];
 
-  /// The "flush-cache" response body: persists every dirty session to
-  /// the write-behind tier (when configured) and drops all resident
-  /// sessions.
-  JsonValue flushCacheBody();
-
-  /// Counts a queue-full rejection (the daemon answers `busy`).
-  void noteBusy() { ++StatBusy; }
+  /// Counter values indexed by Stat: one shard's snapshot, or a sum.
+  using Counts = std::array<uint64_t, NumStats>;
+  Counts snapshot() const;
 
   /// Drops every resident session, persisting the dirty ones (the
   /// write-behind final flush on shutdown, and flush-cache). Returns the
   /// number persisted and adds the number dropped to \p Dropped when it
   /// is non-null.
   unsigned shutdownFlush(size_t *Dropped = nullptr);
-
-  /// Number of resident session caches (tests and stats).
-  size_t residentSessions() const;
 
   const Config &config() const { return Conf; }
 
@@ -288,26 +265,15 @@ private:
                              std::vector<std::shared_ptr<SessionState>> &Out);
   unsigned persistSession(SessionState &S);
 
+  void bump(Stat S, uint64_t N = 1) { Counters[S] += N; }
+
   Config Conf;
 
   mutable std::mutex SessionsMutex;
   std::unordered_map<std::string, std::shared_ptr<SessionState>> Sessions;
   uint64_t UseCounter = 0;
 
-  std::atomic<uint64_t> StatAnalyses{0};
-  std::atomic<uint64_t> StatOptimizes{0};
-  std::atomic<uint64_t> StatDegraded{0};
-  std::atomic<uint64_t> StatErrors{0};
-  std::atomic<uint64_t> StatInternalErrors{0};
-  std::atomic<uint64_t> StatBatches{0};
-  std::atomic<uint64_t> StatBusy{0};
-  std::atomic<uint64_t> StatCacheWarmHits{0};
-  std::atomic<uint64_t> StatCacheHits{0};
-  std::atomic<uint64_t> StatCacheMisses{0};
-  std::atomic<uint64_t> StatEvictions{0};
-  std::atomic<uint64_t> StatWriteBehindSaves{0};
-  std::atomic<uint64_t> StatWriteBehindFailures{0};
-  std::atomic<uint64_t> StatDiskLoads{0};
+  std::array<std::atomic<uint64_t>, NumStats> Counters{};
 };
 
 } // namespace ipcp

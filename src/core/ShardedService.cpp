@@ -56,14 +56,9 @@ ShardedService::ShardedService(Config C)
     Conf.Engine.Store = W->Engine->config().Store;
     Workers.push_back(std::move(W));
   }
-  Store = Conf.Engine.Store;
 }
 
 ShardedService::~ShardedService() = default;
-
-ServiceEngine &ShardedService::engine(unsigned Shard) {
-  return *Workers[Shard]->Engine;
-}
 
 unsigned ShardedService::shardIndexFor(const std::string &SessionKey,
                                        unsigned ShardCount) {
@@ -142,6 +137,31 @@ static JsonValue busyBody() {
   return Body;
 }
 
+/// Runs one analyze on its shard. A backstop behind the engine's own
+/// failure boundary: whatever happens, the request gets an answer, so a
+/// throwing request can never wedge the response stream.
+static JsonValue analyzeOnShard(ServiceEngine &E, const ServiceRequest &Req,
+                                ServiceEngine::SessionTurn Turn) {
+  try {
+    return E.analyze(Req, std::move(Turn));
+  } catch (...) {
+    return errorBody("error", "internal", "analysis failed in worker");
+  }
+}
+
+/// One analyze-batch item's response: its index, its id (if any), then
+/// the members of its analyze body.
+static JsonValue batchItem(const ServiceRequest &Item, size_t Index,
+                           JsonValue Body) {
+  JsonValue Out = JsonValue::object();
+  Out.set("index", uint64_t(Index));
+  if (Item.HasId)
+    Out.set("id", Item.Id);
+  for (auto &[Key, Val] : Body.members())
+    Out.set(Key, std::move(Val));
+  return Out;
+}
+
 bool ShardedService::submitLine(Stream &St, const std::string &Line) {
   if (Line.find_first_not_of(" \t\r") == std::string::npos)
     return false; // blank keep-alive lines carry no request
@@ -154,12 +174,13 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
     pushEnvelope(St, Seq, nullptr, errorBody("error", Code, Error));
     return false;
   }
+  const JsonValue *Id = Req.HasId ? &Req.Id : nullptr;
 
   switch (Req.Op) {
   case ServiceRequest::Kind::Analyze: {
     if (!Gate.tryAcquire()) {
-      ++StatBusy;
-      pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, busyBody());
+      ++Counters[ServiceEngine::BusyRejections];
+      pushEnvelope(St, Seq, Id, busyBody());
       break;
     }
     unsigned Shard = routeShard(Req);
@@ -169,17 +190,7 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
     ServiceEngine::SessionTurn Turn = E.reserveTurn(Req);
     submitToShard(Shard,
                   [this, &St, &E, Seq, Req = std::move(Req), Turn]() mutable {
-                    // Backstop behind the engine's own failure boundary:
-                    // whatever happens, the sequence number is answered
-                    // and the admission slot is released — a throwing
-                    // request can never wedge the response stream.
-                    JsonValue Body;
-                    try {
-                      Body = E.analyze(Req, std::move(Turn));
-                    } catch (...) {
-                      Body = errorBody("error", "internal",
-                                       "analysis failed in worker");
-                    }
+                    JsonValue Body = analyzeOnShard(E, Req, std::move(Turn));
                     pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr,
                                  std::move(Body));
                     Gate.release();
@@ -188,12 +199,22 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
   }
   case ServiceRequest::Kind::AnalyzeBatch: {
     size_t N = Req.Batch.size();
-    if (!Gate.tryAcquire(N)) {
-      ++StatBusy;
-      pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, busyBody());
+    // A batch larger than the gate can never be admitted, so `busy`
+    // (retryable) would be a lie; limit 0 stays the always-busy mode.
+    if (Gate.limit() != 0 && N > Gate.limit()) {
+      pushEnvelope(St, Seq, Id,
+                   errorBody("error", "bad-request",
+                             "batch of " + std::to_string(N) +
+                                 " items exceeds the queue limit of " +
+                                 std::to_string(Gate.limit())));
       break;
     }
-    ++StatBatches;
+    if (!Gate.tryAcquire(N)) {
+      ++Counters[ServiceEngine::BusyRejections];
+      pushEnvelope(St, Seq, Id, busyBody());
+      break;
+    }
+    ++Counters[ServiceEngine::Batches];
     auto State = std::make_shared<BatchState>();
     State->Items.resize(N);
     State->Remaining.store(N);
@@ -210,19 +231,8 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
       submitToShard(
           Shard, [this, &St, &E, State, I, Item = Req.Batch[I],
                   Turn]() mutable {
-            try {
-              State->Items[I] = E.analyzeBatchItem(Item, I, std::move(Turn));
-            } catch (...) {
-              JsonValue Failed = JsonValue::object();
-              Failed.set("index", uint64_t(I));
-              if (Item.HasId)
-                Failed.set("id", Item.Id);
-              JsonValue Error =
-                  errorBody("error", "internal", "analysis failed in worker");
-              for (auto &[Key, Val] : Error.members())
-                Failed.set(Key, std::move(Val));
-              State->Items[I] = std::move(Failed);
-            }
+            State->Items[I] =
+                batchItem(Item, I, analyzeOnShard(E, Item, std::move(Turn)));
             Gate.release();
             if (State->Remaining.fetch_sub(1) != 1)
               return;
@@ -256,7 +266,7 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
         Shards->at(I).set("queue_peak", Depths[I][1]);
       }
     }
-    pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, std::move(Body));
+    pushEnvelope(St, Seq, Id, std::move(Body));
     break;
   }
   case ServiceRequest::Kind::FlushCache: {
@@ -267,7 +277,7 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
     Body.set("status", "ok");
     Body.set("sessions_flushed", uint64_t(Flushed));
     Body.set("persisted", uint64_t(Persisted));
-    pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, std::move(Body));
+    pushEnvelope(St, Seq, Id, std::move(Body));
     break;
   }
   case ServiceRequest::Kind::Shutdown: {
@@ -275,7 +285,7 @@ bool ShardedService::submitLine(Stream &St, const std::string &Line) {
     JsonValue Body = JsonValue::object();
     Body.set("status", "ok");
     Body.set("persisted", uint64_t(shutdownFlush()));
-    pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, std::move(Body));
+    pushEnvelope(St, Seq, Id, std::move(Body));
     return true;
   }
   }
@@ -294,72 +304,33 @@ unsigned ShardedService::shutdownFlush(size_t *Dropped) {
   return Persisted;
 }
 
-size_t ShardedService::residentSessions() const {
-  size_t N = 0;
-  for (const std::unique_ptr<Worker> &W : Workers)
-    N += W->Engine->residentSessions();
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Stats
 //===----------------------------------------------------------------------===//
 
 JsonValue ShardedService::statsBody() {
-  // Aggregate counters first (same keys as the single-engine body, so
-  // existing consumers keep working), then the per-shard breakdown the
-  // capacity-planning docs read, then the shared store's counters.
-  std::vector<ServiceEngine::CountersSnapshot> Snaps;
+  // Aggregate counters first (the dispatcher's own plus every shard's),
+  // then the per-shard breakdown the capacity-planning docs read, then
+  // the shared store's counters — each walks its stats table.
+  std::vector<ServiceEngine::Counts> Snaps;
   for (const std::unique_ptr<Worker> &W : Workers)
     Snaps.push_back(W->Engine->snapshot());
-  ServiceEngine::CountersSnapshot Sum;
-  for (const ServiceEngine::CountersSnapshot &S : Snaps) {
-    Sum.Analyses += S.Analyses;
-    Sum.Optimizes += S.Optimizes;
-    Sum.Degraded += S.Degraded;
-    Sum.Errors += S.Errors;
-    Sum.InternalErrors += S.InternalErrors;
-    Sum.Batches += S.Batches;
-    Sum.Busy += S.Busy;
-    Sum.WarmHits += S.WarmHits;
-    Sum.CacheHits += S.CacheHits;
-    Sum.CacheMisses += S.CacheMisses;
-    Sum.Evictions += S.Evictions;
-    Sum.WriteBehindSaves += S.WriteBehindSaves;
-    Sum.WriteBehindFailures += S.WriteBehindFailures;
-    Sum.DiskLoads += S.DiskLoads;
-    Sum.Resident += S.Resident;
-  }
 
   JsonValue Stats = JsonValue::object();
-  Stats.set("analyze_requests", Sum.Analyses);
-  Stats.set("optimize_requests", Sum.Optimizes);
-  Stats.set("degraded", Sum.Degraded);
-  Stats.set("errors", Sum.Errors);
-  Stats.set("internal_errors", Sum.InternalErrors);
-  Stats.set("batches", StatBatches.load() + Sum.Batches);
-  Stats.set("busy_rejections", StatBusy.load() + Sum.Busy);
-  Stats.set("sessions_resident", Sum.Resident);
-  Stats.set("session_evictions", Sum.Evictions);
-  Stats.set("warm_hits", Sum.WarmHits);
-  Stats.set("cache_hits", Sum.CacheHits);
-  Stats.set("cache_misses", Sum.CacheMisses);
-  Stats.set("write_behind_saves", Sum.WriteBehindSaves);
-  Stats.set("write_behind_failures", Sum.WriteBehindFailures);
-  Stats.set("disk_loads", Sum.DiskLoads);
+  for (unsigned F = 0; F != ServiceEngine::NumStats; ++F) {
+    uint64_t Sum = Counters[F].load();
+    for (const ServiceEngine::Counts &S : Snaps)
+      Sum += S[F];
+    Stats.set(ServiceEngine::StatFields[F].Key, Sum);
+  }
 
   JsonValue Shards = JsonValue::array();
   for (size_t I = 0; I != Snaps.size(); ++I) {
-    const ServiceEngine::CountersSnapshot &S = Snaps[I];
     JsonValue Entry = JsonValue::object();
     Entry.set("shard", uint64_t(I));
-    Entry.set("analyze_requests", S.Analyses);
-    Entry.set("sessions_resident", S.Resident);
-    Entry.set("session_evictions", S.Evictions);
-    Entry.set("warm_hits", S.WarmHits);
-    Entry.set("cache_hits", S.CacheHits);
-    Entry.set("cache_misses", S.CacheMisses);
-    Entry.set("disk_loads", S.DiskLoads);
+    for (unsigned F = 0; F != ServiceEngine::NumStats; ++F)
+      if (ServiceEngine::StatFields[F].PerShard)
+        Entry.set(ServiceEngine::StatFields[F].Key, Snaps[I][F]);
     // Live gauges; the stats handler overwrites them with its
     // pre-barrier sample unless timings are scrubbed (they are the only
     // timing-dependent stats fields).
@@ -370,17 +341,10 @@ JsonValue ShardedService::statsBody() {
   Stats.set("shards", std::move(Shards));
 
   JsonValue StoreStats = JsonValue::object();
-  ContentStore::Stats CS = Store ? Store->stats() : ContentStore::Stats();
-  StoreStats.set("objects_written", CS.ObjectsWritten);
-  StoreStats.set("dedup_hits", CS.DedupHits);
-  StoreStats.set("loads", CS.Loads);
-  StoreStats.set("misses", CS.Misses);
-  StoreStats.set("integrity_failures", CS.IntegrityFailures);
-  StoreStats.set("errors", CS.Errors);
-  StoreStats.set("scrub_runs", CS.ScrubRuns);
-  StoreStats.set("tmp_swept", CS.TmpSwept);
-  StoreStats.set("quarantined", CS.Quarantined);
-  StoreStats.set("dangling_refs_dropped", CS.DanglingDropped);
+  const std::shared_ptr<ContentStore> &Store = Conf.Engine.Store;
+  ContentStore::Stats CS = Store ? Store->stats() : ContentStore::Stats{};
+  for (unsigned F = 0; F != ContentStore::NumStats; ++F)
+    StoreStats.set(ContentStore::StatKeys[F], CS[F]);
   Stats.set("store", std::move(StoreStats));
 
   // Only present while a fault plan is installed: normal stats bodies

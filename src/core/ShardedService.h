@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-worker layer between the daemon's accept loop and the
-/// per-shard ServiceEngines (docs/SCALING.md). One reader thread feeds
-/// request lines into submitLine(); the service routes each request to
-/// a shard, runs it on that shard's pool, and delivers responses in
+/// The service's one dispatcher (docs/SCALING.md): the only code that
+/// turns a request line into a response line. One reader thread feeds
+/// request lines into submitLine(); the service parses each line, admits
+/// it, routes it to a shard — a ServiceEngine, which owns that shard's
+/// sessions and counters and runs its analyses — on that shard's pool,
+/// assembles batch, stats and flush bodies, and delivers responses in
 /// global sequence order through a per-stream reorder queue:
 ///
 ///  * routing is by session key: every request with the same (session,
@@ -26,18 +28,20 @@
 ///    from where the summaries were loaded;
 ///
 ///  * admission control is global: one AdmissionGate bounds in-flight
-///    analyses across all shards (`busy` beyond the limit), and the
-///    per-stream response queue is bounded, so a slow reader of the
-///    response stream backpressures the workers instead of growing an
-///    unbounded reorder buffer. Under overload, memory is bounded by
-///    queue-limit + result-buffer, never by the request backlog;
+///    analyses across all shards (`busy` beyond the limit; a batch that
+///    could never fit is a `bad-request`), and the per-stream response
+///    queue is bounded, so a slow reader of the response stream
+///    backpressures the workers instead of growing an unbounded reorder
+///    buffer. Under overload, memory is bounded by queue-limit +
+///    result-buffer, never by the request backlog;
 ///
 ///  * control ops (stats, flush-cache, shutdown) are barriers across
-///    every shard, exactly as they are barriers across the single pool
-///    today.
+///    every shard; `stats` sums the shards' counters and the
+///    dispatcher's own (batches, busy rejections) by walking the stats
+///    table (core/ServiceStats.def).
 ///
-/// With Shards=1 the service is behaviorally identical to the previous
-/// single-engine daemon: same bytes, same counters, same turnstile.
+/// Response bytes do not depend on Shards or Jobs; one shard with one
+/// job is the serial reference configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +51,7 @@
 #include "core/ServiceEngine.h"
 #include "support/BoundedQueue.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -55,7 +60,6 @@
 
 namespace ipcp {
 
-class ContentStore;
 class ThreadPool;
 
 /// A pool of ServiceEngine shards behind one dispatch entry point.
@@ -68,7 +72,8 @@ public:
     /// each shard gets max(1, Jobs / Shards).
     unsigned Jobs = 0;
     /// Global in-flight analysis bound before `busy` (0 rejects every
-    /// analyze — the backpressure tests).
+    /// analyze — the backpressure tests). A batch with more items than a
+    /// non-zero limit can never be admitted and is a `bad-request`.
     size_t QueueLimit = 256;
     /// Buffered out-of-order responses per stream before producers
     /// block (0 = unbounded). The next-in-order response is always
@@ -128,11 +133,6 @@ public:
   unsigned shutdownFlush(size_t *Dropped = nullptr);
 
   unsigned shards() const { return unsigned(Workers.size()); }
-  size_t residentSessions() const;
-
-  /// Direct access for tests and the engine-direct bench paths.
-  ServiceEngine &engine(unsigned Shard);
-  const std::shared_ptr<ContentStore> &store() const { return Store; }
 
   /// The routing function: which shard owns \p SessionKey (a
   /// ServiceEngine::sessionKeyFor result, non-empty).
@@ -151,12 +151,12 @@ private:
                     JsonValue Body);
 
   Config Conf;
-  std::shared_ptr<ContentStore> Store;
   AdmissionGate Gate;
   std::vector<std::unique_ptr<Worker>> Workers;
   uint64_t RoundRobin = 0; ///< reader-thread only: cache-less routing
-  std::atomic<uint64_t> StatBatches{0};
-  std::atomic<uint64_t> StatBusy{0};
+  /// The dispatcher's own counters (Batches, BusyRejections), indexed
+  /// like a shard's.
+  std::array<std::atomic<uint64_t>, ServiceEngine::NumStats> Counters{};
 };
 
 } // namespace ipcp

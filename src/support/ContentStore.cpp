@@ -204,28 +204,28 @@ std::string ContentStore::put(const std::string &Bytes, std::string *Error) {
   std::string Key = contentKey(Bytes);
   std::string Path = objectPath(Key);
   if (fileExists(Path)) {
-    StatDedupHits.fetch_add(1, std::memory_order_relaxed);
+    bump(DedupHits);
     return Key;
   }
   if (!ensureDir(Root) || !ensureDir(Root + "/objects")) {
-    StatErrors.fetch_add(1, std::memory_order_relaxed);
+    bump(Errors);
     if (Error)
       *Error = "cannot create object directory under " + Root;
     return std::string();
   }
   WriteFaultPoints FP{"store.write.object", "store.commit.object"};
   if (!atomicWrite(Path, Bytes, Error, FP, Opts.Durable)) {
-    StatErrors.fetch_add(1, std::memory_order_relaxed);
+    bump(Errors);
     return std::string();
   }
-  StatObjectsWritten.fetch_add(1, std::memory_order_relaxed);
+  bump(ObjectsWritten);
   return Key;
 }
 
 bool ContentStore::bind(const std::string &LogicalName, const std::string &Key,
                         std::string *Error) {
   if (!ensureDir(Root) || !ensureDir(Root + "/refs")) {
-    StatErrors.fetch_add(1, std::memory_order_relaxed);
+    bump(Errors);
     if (Error)
       *Error = "cannot create refs directory under " + Root;
     return false;
@@ -233,7 +233,7 @@ bool ContentStore::bind(const std::string &LogicalName, const std::string &Key,
   WriteFaultPoints FP{"store.write.ref", "store.commit.ref"};
   if (!atomicWrite(refPath(LogicalName), Key + "\n", Error, FP,
                    Opts.Durable)) {
-    StatErrors.fetch_add(1, std::memory_order_relaxed);
+    bump(Errors);
     return false;
   }
   return true;
@@ -254,7 +254,7 @@ bool ContentStore::get(const std::string &LogicalName, std::string &BytesOut) {
   std::string Ref;
   if (faultInjector().shouldFail("store.read.ref") ||
       !readFile(refPath(LogicalName), Ref)) {
-    StatMisses.fetch_add(1, std::memory_order_relaxed);
+    bump(Misses);
     return false;
   }
   while (!Ref.empty() && (Ref.back() == '\n' || Ref.back() == '\r'))
@@ -262,14 +262,14 @@ bool ContentStore::get(const std::string &LogicalName, std::string &BytesOut) {
   std::string Bytes;
   if (Ref.empty() || faultInjector().shouldFail("store.read.object") ||
       !readFile(objectPath(Ref), Bytes)) {
-    StatMisses.fetch_add(1, std::memory_order_relaxed);
+    bump(Misses);
     return false;
   }
   if (contentKey(Bytes) != Ref) {
-    StatIntegrityFailures.fetch_add(1, std::memory_order_relaxed);
+    bump(IntegrityFailures);
     return false;
   }
-  StatLoads.fetch_add(1, std::memory_order_relaxed);
+  bump(Loads);
   BytesOut = std::move(Bytes);
   return true;
 }
@@ -285,7 +285,7 @@ bool ContentStore::contains(const std::string &LogicalName) {
 
 ContentStore::ScrubReport ContentStore::scrub() {
   ScrubReport R;
-  StatScrubRuns.fetch_add(1, std::memory_order_relaxed);
+  bump(ScrubRuns);
   if (!dirExists(Root))
     return R;
 
@@ -348,26 +348,24 @@ ContentStore::ScrubReport ContentStore::scrub() {
     }
   }
 
-  StatTmpSwept.fetch_add(R.TmpSwept, std::memory_order_relaxed);
-  StatQuarantined.fetch_add(R.Quarantined, std::memory_order_relaxed);
-  StatDanglingDropped.fetch_add(R.DanglingDropped, std::memory_order_relaxed);
+  bump(TmpSwept, R.TmpSwept);
+  bump(Quarantined, R.Quarantined);
+  bump(DanglingDropped, R.DanglingDropped);
   if (!R.Ok)
-    StatErrors.fetch_add(1, std::memory_order_relaxed);
+    bump(Errors);
   return R;
 }
 
+const char *const ContentStore::StatKeys[NumStats] = {
+#define IPCP_STORE_STAT(Id, Key) Key,
+#include "support/StoreStats.def"
+#undef IPCP_STORE_STAT
+};
+
 ContentStore::Stats ContentStore::stats() const {
   Stats S;
-  S.ObjectsWritten = StatObjectsWritten.load(std::memory_order_relaxed);
-  S.DedupHits = StatDedupHits.load(std::memory_order_relaxed);
-  S.Loads = StatLoads.load(std::memory_order_relaxed);
-  S.Misses = StatMisses.load(std::memory_order_relaxed);
-  S.IntegrityFailures = StatIntegrityFailures.load(std::memory_order_relaxed);
-  S.Errors = StatErrors.load(std::memory_order_relaxed);
-  S.ScrubRuns = StatScrubRuns.load(std::memory_order_relaxed);
-  S.TmpSwept = StatTmpSwept.load(std::memory_order_relaxed);
-  S.Quarantined = StatQuarantined.load(std::memory_order_relaxed);
-  S.DanglingDropped = StatDanglingDropped.load(std::memory_order_relaxed);
+  for (unsigned I = 0; I != NumStats; ++I)
+    S[I] = Counters[I].load(std::memory_order_relaxed);
   return S;
 }
 

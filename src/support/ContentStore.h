@@ -43,6 +43,7 @@
 #ifndef IPCP_SUPPORT_CONTENTSTORE_H
 #define IPCP_SUPPORT_CONTENTSTORE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -108,25 +109,22 @@ public:
   /// repairs are unlink/rename); a missing root is an empty, Ok report.
   ScrubReport scrub();
 
-  /// Lifetime counters, all monotone. `DedupHits` counts puts that found
-  /// their object already present; `IntegrityFailures` counts loads
-  /// whose bytes did not hash back to their name. The scrub counters
-  /// accumulate across every `scrub()` run on this handle.
-  struct Stats {
-    uint64_t ObjectsWritten = 0;
-    uint64_t DedupHits = 0;
-    uint64_t Loads = 0;
-    uint64_t Misses = 0;
-    uint64_t IntegrityFailures = 0;
-    uint64_t Errors = 0;
-    uint64_t ScrubRuns = 0;
-    uint64_t TmpSwept = 0;
-    uint64_t Quarantined = 0;
-    uint64_t DanglingDropped = 0;
+  /// Lifetime counters, all monotone, declared once each in
+  /// support/StoreStats.def. `DedupHits` counts puts that found their
+  /// object already present; `IntegrityFailures` counts loads whose bytes
+  /// did not hash back to their name. The scrub counters accumulate
+  /// across every `scrub()` run on this handle.
+  enum Stat : unsigned {
+#define IPCP_STORE_STAT(Id, Key) Id,
+#include "support/StoreStats.def"
+#undef IPCP_STORE_STAT
+    NumStats
   };
+  /// The JSON key of each counter, indexed by Stat.
+  static const char *const StatKeys[NumStats];
+  using Stats = std::array<uint64_t, NumStats>;
   Stats stats() const;
 
-  const std::string &root() const { return Root; }
   std::string objectPath(const std::string &Key) const;
   std::string refPath(const std::string &LogicalName) const;
   std::string quarantinePath(const std::string &Key) const;
@@ -136,18 +134,13 @@ public:
   static std::string contentKey(const std::string &Bytes);
 
 private:
+  void bump(Stat S, uint64_t N = 1) {
+    Counters[S].fetch_add(N, std::memory_order_relaxed);
+  }
+
   std::string Root;
   Options Opts;
-  std::atomic<uint64_t> StatObjectsWritten{0};
-  std::atomic<uint64_t> StatDedupHits{0};
-  std::atomic<uint64_t> StatLoads{0};
-  std::atomic<uint64_t> StatMisses{0};
-  std::atomic<uint64_t> StatIntegrityFailures{0};
-  std::atomic<uint64_t> StatErrors{0};
-  std::atomic<uint64_t> StatScrubRuns{0};
-  std::atomic<uint64_t> StatTmpSwept{0};
-  std::atomic<uint64_t> StatQuarantined{0};
-  std::atomic<uint64_t> StatDanglingDropped{0};
+  std::array<std::atomic<uint64_t>, NumStats> Counters{};
 };
 
 } // namespace ipcp

@@ -68,7 +68,6 @@ void Trace::absorb(const Trace &Child) {
       E.Span += Base;
     Events.push_back(std::move(E));
   }
-  Counters.merge(Child.Counters);
 }
 
 void Trace::event(std::string Name, std::string Detail) {
@@ -114,16 +113,6 @@ std::string Trace::str() const {
       Out += '\n';
     }
   }
-  if (!Counters.counters().empty()) {
-    Out += "counters:\n";
-    for (const auto &[Name, Count] : Counters.counters()) {
-      Out += "  ";
-      Out += Name;
-      Out += " = ";
-      Out += std::to_string(Count);
-      Out += '\n';
-    }
-  }
   return Out;
 }
 
@@ -165,7 +154,5 @@ JsonValue Trace::toJson() const {
     }
     Obj.set("events", std::move(Evs));
   }
-  if (!Counters.counters().empty())
-    Obj.set("counters", Counters.toJson());
   return Obj;
 }

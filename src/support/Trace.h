@@ -6,16 +6,16 @@
 ///
 /// \file
 /// The tracing half of the observability layer: hierarchical timed spans
-/// (one per pipeline stage, per SCCP solve, per cloning round, ...),
-/// point events carrying a per-procedure detail string, and aggregated
-/// counters. Tracing is opt-in and thread-local: instrumentation sites
-/// go through the zero-cost-when-inactive helpers (ScopedTraceSpan,
-/// traceEvent, traceCounter) instead of threading a Trace through every
-/// analysis signature. Each thread has its own active trace; the parallel
-/// suite runner gives every worker task a private Trace and merges them
-/// into the parent trace in deterministic task order with absorb(), so a
-/// traced `suitecheck --jobs=8` run renders the same span tree as a
-/// sequential one (only the timings differ).
+/// (one per pipeline stage, per SCCP solve, per cloning round, ...) and
+/// point events carrying a per-procedure detail string. Tracing is
+/// opt-in and thread-local: instrumentation sites go through the
+/// zero-cost-when-inactive helpers (ScopedTraceSpan, traceEvent) instead
+/// of threading a Trace through every analysis signature. Each thread
+/// has its own active trace; the parallel suite runner gives every worker
+/// task a private Trace and merges them into the parent trace in
+/// deterministic task order with absorb(), so a traced
+/// `suitecheck --jobs=8` run renders the same span tree as a sequential
+/// one (only the timings differ).
 ///
 /// A finished trace renders as an indented text tree (`--trace`) or as
 /// JSON (embedded in the `--report-json` report). The span and event
@@ -25,8 +25,6 @@
 
 #ifndef IPCP_SUPPORT_TRACE_H
 #define IPCP_SUPPORT_TRACE_H
-
-#include "support/Statistics.h"
 
 #include <chrono>
 #include <cstdint>
@@ -86,22 +84,16 @@ public:
   /// Records a point event inside the currently open span.
   void event(std::string Name, std::string Detail = {});
 
-  /// Bumps an aggregated counter.
-  void count(const std::string &Name, uint64_t Delta = 1) {
-    Counters.add(Name, Delta);
-  }
-
   /// Appends \p Child's spans and events under this trace's currently
   /// open span (or as roots when none is open), offsetting their times by
-  /// the interval between the two traces' construction, and merges the
-  /// child's counters. The child is left untouched. This is how the
-  /// parallel suite runner folds per-worker traces back into the parent
-  /// trace in deterministic task order.
+  /// the interval between the two traces' construction. The child is
+  /// left untouched. This is how the parallel suite runner folds
+  /// per-worker traces back into the parent trace in deterministic task
+  /// order.
   void absorb(const Trace &Child);
 
   const std::vector<Span> &spans() const { return Spans; }
   const std::vector<Event> &events() const { return Events; }
-  const StatisticSet &counters() const { return Counters; }
 
   /// Microseconds since the trace was constructed.
   uint64_t nowUs() const {
@@ -110,12 +102,11 @@ public:
                         .count());
   }
 
-  /// Indented text rendering: the span tree with durations, then events,
-  /// then counters.
+  /// Indented text rendering: the span tree with durations, then events.
   std::string str() const;
 
-  /// JSON rendering: {"spans": [...], "events": [...], "counters": {...}}
-  /// with spans nested as trees.
+  /// JSON rendering: {"spans": [...], "events": [...]} with spans nested
+  /// as trees.
   JsonValue toJson() const;
 
 private:
@@ -128,7 +119,6 @@ private:
   Clock::time_point Start;
   std::vector<Span> Spans;
   std::vector<Event> Events;
-  StatisticSet Counters;
   std::vector<size_t> OpenStack;
 };
 
@@ -157,12 +147,6 @@ private:
 inline void traceEvent(const char *Name, std::string Detail = {}) {
   if (Trace *T = Trace::active())
     T->event(Name, std::move(Detail));
-}
-
-/// Bumps a counter on the active trace, if any.
-inline void traceCounter(const char *Name, uint64_t Delta = 1) {
-  if (Trace *T = Trace::active())
-    T->count(Name, Delta);
 }
 
 } // namespace ipcp

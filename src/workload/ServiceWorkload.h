@@ -77,10 +77,6 @@ public:
   /// shutdown trailer requests).
   bool next(std::string &LineOut);
 
-  /// Analyze requests this stream will emit in total (batch items each
-  /// count as one; the stats/shutdown trailers do not).
-  unsigned totalAnalyzeRequests() const { return Config.Requests; }
-
 private:
   uint64_t rngNext();
   unsigned rngBelow(unsigned N);

@@ -29,7 +29,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 using namespace ipcp;
@@ -198,7 +197,7 @@ TEST(FaultInjectionTest, StoreWriteFaultFailsCleanly) {
   std::string Error;
   EXPECT_TRUE(Store.put("blocked bytes", &Error).empty());
   EXPECT_NE(Error.find("injected fault"), std::string::npos);
-  EXPECT_GE(Store.stats().Errors, 1u);
+  EXPECT_GE(Store.stats()[ContentStore::Errors], 1u);
   // A write-point fault fails before the temp file exists: no litter.
   EXPECT_FALSE(std::filesystem::exists(Dir + "/objects") &&
                !std::filesystem::is_empty(Dir + "/objects"));
@@ -227,7 +226,7 @@ TEST(FaultInjectionTest, TornCommitLeavesTmpAndScrubSweeps) {
   EXPECT_EQ(Report.TmpSwept, 1u);
   EXPECT_EQ(Report.Quarantined, 0u);
   EXPECT_EQ(Report.DanglingDropped, 0u);
-  EXPECT_EQ(Store.stats().TmpSwept, 1u);
+  EXPECT_EQ(Store.stats()[ContentStore::TmpSwept], 1u);
 
   // The store still serves, and the torn object can be re-put.
   std::string Bytes;
@@ -253,9 +252,9 @@ TEST(FaultInjectionTest, ScrubQuarantinesCorruptAndDropsDanglingRefs) {
   // the ref that pointed at it.
   ContentStore Store(Dir);
   ContentStore::Stats Stats = Store.stats();
-  EXPECT_EQ(Stats.ScrubRuns, 1u);
-  EXPECT_EQ(Stats.Quarantined, 1u);
-  EXPECT_EQ(Stats.DanglingDropped, 1u);
+  EXPECT_EQ(Stats[ContentStore::ScrubRuns], 1u);
+  EXPECT_EQ(Stats[ContentStore::Quarantined], 1u);
+  EXPECT_EQ(Stats[ContentStore::DanglingDropped], 1u);
   EXPECT_TRUE(std::filesystem::exists(Store.quarantinePath(Key + ".blob")));
   std::string Bytes;
   EXPECT_FALSE(Store.get("name", Bytes)) << "a quarantined object reads "
@@ -278,7 +277,7 @@ TEST(FaultInjectionTest, ScrubOnOpenSweepsStaleTmp) {
   ASSERT_TRUE(writeStringToFile(Dir + "/objects/dead.blob.tmp.1.2", "junk"));
   ASSERT_TRUE(writeStringToFile(Dir + "/refs/dead.ref.tmp.3.4", "junk"));
   ContentStore Store(Dir);
-  EXPECT_EQ(Store.stats().TmpSwept, 2u);
+  EXPECT_EQ(Store.stats()[ContentStore::TmpSwept], 2u);
   EXPECT_FALSE(std::filesystem::exists(Dir + "/objects/dead.blob.tmp.1.2"));
   EXPECT_FALSE(std::filesystem::exists(Dir + "/refs/dead.ref.tmp.3.4"));
   std::string Bytes;
@@ -414,7 +413,7 @@ TEST(ServiceBoundaryTest, InjectedFaultBecomesRetryableInternalError) {
             std::string::npos);
   ASSERT_NE(Error->find("retryable"), nullptr);
   EXPECT_TRUE(Error->find("retryable")->asBool());
-  EXPECT_EQ(Engine.snapshot().InternalErrors, 1u);
+  EXPECT_EQ(Engine.snapshot()[ServiceEngine::InternalErrors], 1u);
 
   // The boundary held: the session survives and the retried request
   // produces the same (normalized) report as the pre-fault run.
@@ -467,23 +466,6 @@ TEST(ServiceBoundaryTest, ErrorCodesCarryTheRetryableContract) {
 // Sharded replay under faults
 //===----------------------------------------------------------------------===//
 
-std::vector<std::string> replayLines(ShardedService &Svc,
-                                     const std::vector<std::string> &Lines) {
-  std::unique_ptr<ShardedService::Stream> St = Svc.openStream();
-  std::vector<std::string> Out;
-  std::thread Consumer([&] {
-    std::string Response;
-    while (St->popResponse(Response))
-      Out.push_back(Response);
-  });
-  for (const std::string &Line : Lines)
-    if (Svc.submitLine(*St, Line))
-      break;
-  Svc.finishStream(*St);
-  Consumer.join();
-  return Out;
-}
-
 TEST(ShardedChaosTest, StoreFaultReplaysAreByteIdenticalAcrossShards) {
   ServiceLogConfig LogConf;
   LogConf.Session = "chaos";
@@ -503,7 +485,7 @@ TEST(ShardedChaosTest, StoreFaultReplaysAreByteIdenticalAcrossShards) {
     Conf.Engine.MaxSessions = 2;
     Conf.Engine.CacheDir = freshDir(Dir);
     ShardedService Svc(Conf);
-    std::vector<std::string> Out = replayLines(Svc, Lines);
+    std::vector<std::string> Out = test::runLines(Svc, Lines);
     EXPECT_GT(faultInjector().totals().Injected, 0u);
     std::filesystem::remove_all(Conf.Engine.CacheDir);
     return Out;

@@ -58,12 +58,11 @@ TEST(SuiteRunner, MergesTaskTracesInTaskOrder) {
   SuiteRunner Runner(4);
   Runner.run(8, [](size_t I) {
     ScopedTraceSpan Span("task", std::to_string(I));
-    traceCounter("ticks");
   });
   Trace::setActive(Prev);
 
   // One root span per task, in task order regardless of which worker
-  // finished first, with the counters from every worker merged.
+  // finished first.
   ASSERT_EQ(Parent.spans().size(), 8u);
   for (size_t I = 0; I < Parent.spans().size(); ++I) {
     EXPECT_EQ(Parent.spans()[I].Name, "task");
@@ -71,7 +70,6 @@ TEST(SuiteRunner, MergesTaskTracesInTaskOrder) {
     EXPECT_EQ(Parent.spans()[I].Parent, Trace::NoParent);
     EXPECT_FALSE(Parent.spans()[I].Open);
   }
-  EXPECT_EQ(Parent.counters().get("ticks"), 8u);
 }
 
 /// Rebuilds \p V without object members whose key ends in "_us" — every

@@ -12,8 +12,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/Report.h"
 #include "core/ServiceEngine.h"
+#include "core/ShardedService.h"
 #include "support/BoundedQueue.h"
 #include "support/ThreadPool.h"
 #include "workload/Programs.h"
@@ -62,6 +64,31 @@ std::string parseCode(const ServiceEngine &Engine, const std::string &Line) {
   std::string Code, Error;
   EXPECT_FALSE(Engine.parseRequestLine(Line, Req, &Code, &Error)) << Line;
   return Code;
+}
+
+/// A one-shard, one-job ShardedService over \p Engine: the daemon's
+/// dispatcher in its serial configuration.
+ShardedService::Config serialService(ServiceEngine::Config Engine) {
+  ShardedService::Config Conf;
+  Conf.Shards = 1;
+  Conf.Jobs = 1;
+  Conf.Engine = std::move(Engine);
+  return Conf;
+}
+
+/// Sends \p Line through \p Svc; returns the parsed response envelope.
+JsonValue serve(ShardedService &Svc, const std::string &Line) {
+  std::vector<std::string> Out = test::runLines(Svc, {Line});
+  std::optional<JsonValue> Doc =
+      Out.size() == 1 ? JsonValue::parse(Out[0]) : std::nullopt;
+  EXPECT_TRUE(Doc.has_value()) << Line;
+  return Doc ? std::move(*Doc) : JsonValue();
+}
+
+/// An analyze request line for suite program \p Suite in \p Session.
+std::string analyzeLine(const std::string &Suite, const std::string &Session) {
+  return R"({"op":"analyze","suite":")" + Suite + R"(","session":")" +
+         Session + R"("})";
 }
 
 uint64_t counter(const JsonValue &Body, const char *Name) {
@@ -524,13 +551,10 @@ TEST(ServiceEngineTest, FrontendTripDegradesWithResultFreeReport) {
 }
 
 TEST(ServiceEngineTest, WarmSessionSkipsAllEvaluations) {
-  ServiceEngine Engine(basicConfig());
-  ServiceRequest Req;
-  Req.Suite = "simple";
-  Req.Name = "simple";
-  Req.Session = "warm-test";
-  JsonValue Cold = Engine.analyze(Req);
-  JsonValue Warm = Engine.analyze(Req);
+  ShardedService Svc(serialService(basicConfig()));
+  std::string Line = analyzeLine("simple", "warm-test");
+  JsonValue Cold = serve(Svc, Line);
+  JsonValue Warm = serve(Svc, Line);
   EXPECT_EQ(statusOf(Cold), "ok");
   EXPECT_EQ(statusOf(Warm), "ok");
   EXPECT_GT(counter(Cold, "prop_evaluations"), 0u);
@@ -543,7 +567,7 @@ TEST(ServiceEngineTest, WarmSessionSkipsAllEvaluations) {
   normalizeReportForDiff(NormWarm);
   EXPECT_EQ(NormCold.dump(), NormWarm.dump());
 
-  JsonValue Stats = Engine.statsBody();
+  JsonValue Stats = serve(Svc, R"({"op":"stats"})");
   const JsonValue *S = Stats.find("stats");
   EXPECT_EQ(S->find("analyze_requests")->asInt(), 2);
   EXPECT_EQ(S->find("warm_hits")->asInt(), 1);
@@ -561,24 +585,16 @@ TEST(ServiceEngineTest, DistinctOptionsNeverShareASession) {
   JsonValue Other = Engine.analyze(Lit);
   // Different fingerprint => separate (cold) session, not a poisoned hit.
   EXPECT_EQ(counter(Other, "cache_hits"), 0u);
-  EXPECT_EQ(Engine.residentSessions(), 2u);
+  EXPECT_EQ(Engine.snapshot()[ServiceEngine::SessionsResident], 2u);
 }
 
 TEST(ServiceEngineTest, BatchBodySharesTheSingleRequestPath) {
-  ServiceEngine Engine(basicConfig());
-  ServiceRequest Batch;
-  Batch.Op = ServiceRequest::Kind::AnalyzeBatch;
-  ServiceRequest A;
-  A.Suite = A.Name = "simple";
-  A.ScrubTimings = true;
-  ServiceRequest B;
-  B.Source = "proc main() { print undeclared; }";
-  B.Name = "<request>";
-  B.Id = JsonValue("second");
-  B.HasId = true;
-  Batch.Batch = {A, B};
-
-  JsonValue Body = Engine.analyzeBatch(Batch);
+  ShardedService Svc(serialService(basicConfig()));
+  JsonValue Body = serve(
+      Svc, R"({"op":"analyze-batch","requests":[)"
+           R"({"op":"analyze","suite":"simple","scrub_timings":true},)"
+           R"({"op":"analyze","id":"second",)"
+           R"("source":"proc main() { print undeclared; }"}]})");
   EXPECT_EQ(statusOf(Body), "ok");
   const JsonValue *Responses = Body.find("responses");
   ASSERT_NE(Responses, nullptr);
@@ -587,8 +603,12 @@ TEST(ServiceEngineTest, BatchBodySharesTheSingleRequestPath) {
   EXPECT_EQ(statusOf(Responses->at(0)), "ok");
   EXPECT_EQ(Responses->at(1).find("id")->asString(), "second");
   EXPECT_EQ(statusOf(Responses->at(1)), "error");
-  // The item body is exactly what a lone analyze of the same request
+  // The item body is exactly what a shard's analyze of the same request
   // produces — index/id aside, the bytes cannot diverge.
+  ServiceEngine Engine(basicConfig());
+  ServiceRequest A;
+  A.Suite = A.Name = "simple";
+  A.ScrubTimings = true;
   JsonValue Lone = Engine.analyze(A);
   JsonValue Item = Responses->at(0);
   Item.remove("index");
@@ -639,7 +659,7 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
   Conf.MaxSessions = 1;
 
   {
-    ServiceEngine Engine(Conf);
+    ShardedService Svc(serialService(Conf));
     ServiceRequest A;
     A.Suite = A.Name = "simple";
     A.Session = "a";
@@ -652,26 +672,24 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
           ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(A)))
         break;
     }
-    Engine.analyze(A);
-    Engine.analyze(B); // evicts session a, persisting it
-    JsonValue Stats = Engine.statsBody();
+    serve(Svc, analyzeLine("simple", "a"));
+    serve(Svc, analyzeLine("simple", B.Session)); // evicts a, persisting it
+    JsonValue Stats = serve(Svc, R"({"op":"stats"})");
     const JsonValue *S = Stats.find("stats");
     EXPECT_EQ(S->find("session_evictions")->asInt(), 1);
     EXPECT_EQ(S->find("write_behind_saves")->asInt(), 1);
     EXPECT_EQ(S->find("sessions_resident")->asInt(), 1);
     // Re-acquiring the evicted session loads the disk tier and is warm.
-    JsonValue Again = Engine.analyze(A);
+    JsonValue Again = serve(Svc, analyzeLine("simple", "a"));
     EXPECT_EQ(counter(Again, "prop_evaluations"), 0u);
   }
 
-  // A fresh engine (daemon restart) warms up from the same files.
-  ServiceEngine Fresh(Conf);
-  ServiceRequest A;
-  A.Suite = A.Name = "simple";
-  A.Session = "a";
-  JsonValue Warm = Fresh.analyze(A);
+  // A fresh service (daemon restart) warms up from the same files.
+  ShardedService Fresh(serialService(Conf));
+  JsonValue Warm = serve(Fresh, analyzeLine("simple", "a"));
   EXPECT_EQ(counter(Warm, "prop_evaluations"), 0u);
-  EXPECT_EQ(Fresh.statsBody().find("stats")->find("disk_loads")->asInt(), 1);
+  JsonValue Stats = serve(Fresh, R"({"op":"stats"})");
+  EXPECT_EQ(Stats.find("stats")->find("disk_loads")->asInt(), 1);
   std::filesystem::remove_all(Dir);
 }
 
@@ -680,15 +698,13 @@ TEST(ServiceEngineTest, FlushPersistsAndDropsEverything) {
   std::filesystem::remove_all(Dir);
   ServiceEngine::Config Conf = basicConfig();
   Conf.CacheDir = Dir;
-  ServiceEngine Engine(Conf);
-  ServiceRequest Req;
-  Req.Suite = Req.Name = "simple";
-  Req.Session = "s";
-  Engine.analyze(Req);
-  JsonValue Flush = Engine.flushCacheBody();
+  ShardedService Svc(serialService(Conf));
+  serve(Svc, analyzeLine("simple", "s"));
+  JsonValue Flush = serve(Svc, R"({"op":"flush-cache"})");
   EXPECT_EQ(Flush.find("sessions_flushed")->asInt(), 1);
   EXPECT_EQ(Flush.find("persisted")->asInt(), 1);
-  EXPECT_EQ(Engine.residentSessions(), 0u);
+  JsonValue Stats = serve(Svc, R"({"op":"stats"})");
+  EXPECT_EQ(Stats.find("stats")->find("sessions_resident")->asInt(), 0);
   EXPECT_FALSE(std::filesystem::is_empty(Dir));
   std::filesystem::remove_all(Dir);
 }

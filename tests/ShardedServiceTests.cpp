@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/ServiceEngine.h"
 #include "core/ShardedService.h"
 #include "support/BoundedQueue.h"
@@ -28,6 +29,7 @@
 #include <vector>
 
 using namespace ipcp;
+using test::runLines;
 
 namespace {
 
@@ -50,25 +52,6 @@ ShardedService::Config serviceConfig(unsigned Shards) {
   Conf.Jobs = 4;
   Conf.Engine = engineConfig();
   return Conf;
-}
-
-/// Replays \p Lines through one stream the way the daemon does: a
-/// consumer thread drains responses while the caller submits.
-std::vector<std::string> runLines(ShardedService &Svc,
-                                  const std::vector<std::string> &Lines) {
-  std::unique_ptr<ShardedService::Stream> St = Svc.openStream();
-  std::vector<std::string> Out;
-  std::thread Consumer([&] {
-    std::string Response;
-    while (St->popResponse(Response))
-      Out.push_back(Response);
-  });
-  for (const std::string &Line : Lines)
-    if (Svc.submitLine(*St, Line))
-      break;
-  Svc.finishStream(*St);
-  Consumer.join();
-  return Out;
 }
 
 uint64_t reportCounter(const JsonValue &Body, const char *Name) {
@@ -95,8 +78,8 @@ TEST(ContentStoreTest, RoundTripDedupAndRebind) {
   EXPECT_EQ(Key, ContentStore::contentKey("hello summaries"));
   // Same bytes again: the object already exists, no second write.
   EXPECT_EQ(Store.put("hello summaries"), Key);
-  EXPECT_EQ(Store.stats().ObjectsWritten, 1u);
-  EXPECT_EQ(Store.stats().DedupHits, 1u);
+  EXPECT_EQ(Store.stats()[ContentStore::ObjectsWritten], 1u);
+  EXPECT_EQ(Store.stats()[ContentStore::DedupHits], 1u);
 
   EXPECT_TRUE(Store.bind("prog\nopts", Key));
   std::string Bytes;
@@ -114,7 +97,7 @@ TEST(ContentStoreTest, RoundTripDedupAndRebind) {
   // Unknown names are misses, not errors.
   EXPECT_FALSE(Store.get("no-such-name", Bytes));
   EXPECT_FALSE(Store.contains("no-such-name"));
-  EXPECT_GE(Store.stats().Misses, 1u);
+  EXPECT_GE(Store.stats()[ContentStore::Misses], 1u);
   std::filesystem::remove_all(Dir);
 }
 
@@ -133,7 +116,7 @@ TEST(ContentStoreTest, DetectsCorruptObjects) {
   }
   std::string Bytes;
   EXPECT_FALSE(Store.get("name", Bytes));
-  EXPECT_EQ(Store.stats().IntegrityFailures, 1u);
+  EXPECT_EQ(Store.stats()[ContentStore::IntegrityFailures], 1u);
   std::filesystem::remove_all(Dir);
 }
 
@@ -212,8 +195,8 @@ TEST(ShardedServiceTest, CrossShardWarmStartFromSharedStore) {
   Req.Session = "on-shard-b"; // different session, same logical name
   JsonValue Warm = B.analyze(Req);
   EXPECT_EQ(reportCounter(Warm, "prop_evaluations"), 0u);
-  EXPECT_EQ(B.snapshot().DiskLoads, 1u);
-  EXPECT_GE(Store->stats().Loads, 1u);
+  EXPECT_EQ(B.snapshot()[ServiceEngine::DiskLoads], 1u);
+  EXPECT_GE(Store->stats()[ContentStore::Loads], 1u);
   std::filesystem::remove_all(Dir);
 }
 
@@ -346,9 +329,15 @@ TEST(ShardedServiceTest, StatsAggregateAcrossShards) {
     Lines.push_back(R"({"op":"analyze","id":"r)" + std::to_string(I) +
                     R"(","suite":"simple","session":"s)" +
                     std::to_string(I) + R"("})");
+  // A warm repeat (cache and warm-hit counters), a batch (the
+  // dispatcher's own counter) and an unknown suite (an error).
+  Lines.push_back(R"({"op":"analyze","suite":"simple","session":"s0"})");
+  Lines.push_back(R"({"op":"analyze-batch","requests":[)"
+                  R"({"op":"analyze","suite":"qcd","session":"s1"},)"
+                  R"({"op":"analyze","suite":"no-such-suite"}]})");
   Lines.push_back(R"({"op":"stats","id":"st"})");
   std::vector<std::string> Out = runLines(Svc, Lines);
-  ASSERT_EQ(Out.size(), 13u);
+  ASSERT_EQ(Out.size(), Lines.size());
 
   std::string Error;
   std::optional<JsonValue> Parsed = JsonValue::parse(Out.back(), &Error);
@@ -356,15 +345,67 @@ TEST(ShardedServiceTest, StatsAggregateAcrossShards) {
   JsonValue &Stats = *Parsed;
   const JsonValue *Body = Stats.find("stats");
   ASSERT_NE(Body, nullptr);
-  EXPECT_EQ(Body->find("analyze_requests")->asInt(), 12);
+  EXPECT_EQ(Body->find("analyze_requests")->asInt(), 15);
+  EXPECT_EQ(Body->find("batches")->asInt(), 1);
+  EXPECT_EQ(Body->find("errors")->asInt(), 1);
+  EXPECT_EQ(Body->find("sessions_resident")->asInt(), 13);
+  EXPECT_EQ(Body->find("warm_hits")->asInt(), 1);
   const JsonValue *PerShard = Body->find("shards");
   ASSERT_NE(PerShard, nullptr);
   ASSERT_EQ(PerShard->size(), 3u);
-  int64_t Sum = 0;
-  for (size_t I = 0; I != PerShard->size(); ++I)
-    Sum += PerShard->at(I).find("analyze_requests")->asInt();
-  EXPECT_EQ(Sum, 12);
-  EXPECT_EQ(int64_t(Svc.residentSessions()), 12);
+  // Every per-shard field sums to its aggregate.
+  for (const ServiceEngine::StatField &F : ServiceEngine::StatFields) {
+    if (!F.PerShard)
+      continue;
+    int64_t Sum = 0;
+    for (size_t I = 0; I != PerShard->size(); ++I) {
+      const JsonValue *V = PerShard->at(I).find(F.Key);
+      ASSERT_NE(V, nullptr) << F.Key << " missing from shard " << I;
+      Sum += V->asInt();
+    }
+    EXPECT_EQ(Sum, Body->find(F.Key)->asInt()) << F.Key;
+  }
+}
+
+TEST(ShardedServiceTest, OversizeBatchIsABadRequestNotBusy) {
+  // A batch with more items than the queue limit can never be admitted:
+  // one non-retryable bad-request naming both numbers. A batch that fits
+  // is admitted; limit 0 keeps answering busy.
+  ShardedService::Config Conf = serviceConfig(2);
+  Conf.QueueLimit = 2;
+  ShardedService Svc(Conf);
+  std::string Three = R"({"op":"analyze-batch","id":"b3","requests":[)"
+                      R"({"op":"analyze","suite":"simple"},)"
+                      R"({"op":"analyze","suite":"qcd"},)"
+                      R"({"op":"analyze","suite":"trfd"}]})";
+  std::string Two = R"({"op":"analyze-batch","id":"b2","requests":[)"
+                    R"({"op":"analyze","suite":"simple"},)"
+                    R"({"op":"analyze","suite":"qcd"}]})";
+  std::vector<std::string> Out =
+      runLines(Svc, {Three, Two, R"({"op":"stats"})"});
+  ASSERT_EQ(Out.size(), 3u);
+  std::optional<JsonValue> Rejected = JsonValue::parse(Out[0]);
+  ASSERT_TRUE(Rejected.has_value());
+  EXPECT_EQ(Rejected->find("id")->asString(), "b3");
+  EXPECT_EQ(Rejected->find("status")->asString(), "error");
+  const JsonValue *Err = Rejected->find("error");
+  ASSERT_NE(Err, nullptr);
+  EXPECT_EQ(Err->find("code")->asString(), "bad-request");
+  EXPECT_FALSE(Err->find("retryable")->asBool());
+  EXPECT_NE(Err->find("message")->asString().find("3 items"),
+            std::string::npos);
+  EXPECT_NE(Err->find("message")->asString().find("queue limit of 2"),
+            std::string::npos);
+  EXPECT_NE(Out[1].find("\"responses\":["), std::string::npos);
+  EXPECT_NE(Out[2].find("\"busy_rejections\":0"), std::string::npos);
+  EXPECT_NE(Out[2].find("\"batches\":1"), std::string::npos);
+
+  ShardedService::Config Closed = serviceConfig(1);
+  Closed.QueueLimit = 0;
+  ShardedService AlwaysBusy(Closed);
+  std::vector<std::string> Busy = runLines(AlwaysBusy, {Three});
+  ASSERT_EQ(Busy.size(), 1u);
+  EXPECT_NE(Busy[0].find("\"status\":\"busy\""), std::string::npos);
 }
 
 TEST(ServiceWorkloadTest, StreamMatchesMaterializedLog) {
@@ -379,7 +420,6 @@ TEST(ServiceWorkloadTest, StreamMatchesMaterializedLog) {
   while (Stream.next(Line))
     Streamed.push_back(Line);
   EXPECT_EQ(Whole, Streamed);
-  EXPECT_EQ(Stream.totalAnalyzeRequests(), 30u);
 
   // Multi-session logs actually spread across sessions.
   std::set<std::string> Sessions;

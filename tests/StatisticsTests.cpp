@@ -6,7 +6,7 @@
 //
 // Covers the observability layer end to end: StatisticSet counters and
 // the Counters.def registry, the Timer, the JSON tree (escaping, writer/
-// parser round trips, error reporting), the Trace span/event/counter
+// parser round trips, error reporting), the Trace span/event
 // machinery, and a golden check that the driver-facing JSON report for a
 // fixture program parses and carries the expected CONSTANTS(p) sets,
 // stage timings, and jump-function histogram.
@@ -188,7 +188,6 @@ TEST(TraceTest, SpansNestAndClose) {
   {
     ScopedTraceSpan Outer("outer");
     traceEvent("ev", "detail");
-    traceCounter("hits", 2);
     { ScopedTraceSpan Inner("inner", "p1"); }
   }
   Trace::setActive(Prev);
@@ -202,14 +201,12 @@ TEST(TraceTest, SpansNestAndClose) {
   EXPECT_EQ(T.spans()[1].Depth, 1u);
   ASSERT_EQ(T.events().size(), 1u);
   EXPECT_EQ(T.events()[0].Span, 0u);
-  EXPECT_EQ(T.counters().get("hits"), 2u);
 }
 
 TEST(TraceTest, HelpersAreNoOpsWhenInactive) {
   ASSERT_EQ(Trace::active(), nullptr);
   ScopedTraceSpan S("ignored");
   traceEvent("ignored");
-  traceCounter("ignored");
   // Nothing to observe — the point is that this neither crashes nor
   // requires a trace to exist.
 }
@@ -221,7 +218,6 @@ TEST(TraceTest, TextAndJsonRenderings) {
     ScopedTraceSpan Outer("ipcp");
     traceEvent("ssa.proc", "main");
     ScopedTraceSpan Inner("propagate", "callgraph-worklist");
-    traceCounter("visits", 3);
   }
   Trace::setActive(Prev);
 
@@ -238,7 +234,6 @@ TEST(TraceTest, TextAndJsonRenderings) {
   const JsonValue *Children = Spans->at(0).find("children");
   ASSERT_NE(Children, nullptr);
   EXPECT_EQ(Children->at(0).find("name")->asString(), "propagate");
-  EXPECT_EQ(J.find("counters")->find("visits")->asInt(), 3);
   // The trace JSON itself round-trips.
   auto Back = JsonValue::parse(J.dump(2));
   ASSERT_TRUE(Back.has_value());

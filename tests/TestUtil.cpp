@@ -5,6 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "core/ShardedService.h"
+
+#include <thread>
 
 using namespace ipcp;
 
@@ -43,4 +46,22 @@ void ipcp::test::expectVerifies(const Module &M, VerifyMode Mode) {
   std::vector<std::string> Errors = verifyModule(M, Mode);
   for (const std::string &E : Errors)
     ADD_FAILURE() << E;
+}
+
+std::vector<std::string>
+ipcp::test::runLines(ShardedService &Svc,
+                     const std::vector<std::string> &Lines) {
+  std::unique_ptr<ShardedService::Stream> St = Svc.openStream();
+  std::vector<std::string> Out;
+  std::thread Consumer([&] {
+    std::string Response;
+    while (St->popResponse(Response))
+      Out.push_back(Response);
+  });
+  for (const std::string &Line : Lines)
+    if (Svc.submitLine(*St, Line))
+      break;
+  Svc.finishStream(*St);
+  Consumer.join();
+  return Out;
 }

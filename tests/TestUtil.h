@@ -16,8 +16,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace ipcp {
+
+class ShardedService;
+
 namespace test {
 
 /// Parses and checks \p Source; fails the current test on any diagnostic.
@@ -55,6 +59,12 @@ template <typename T> unsigned countInsts(Procedure &P) {
 
 /// Expects a clean verifier result; reports all violations otherwise.
 void expectVerifies(const Module &M, VerifyMode Mode);
+
+/// Replays \p Lines through one stream of \p Svc the way the daemon
+/// does — a consumer thread drains responses while the caller submits,
+/// and a shutdown line ends the input — and returns the response lines.
+std::vector<std::string> runLines(ShardedService &Svc,
+                                  const std::vector<std::string> &Lines);
 
 } // namespace test
 } // namespace ipcp

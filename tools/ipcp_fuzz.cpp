@@ -9,9 +9,9 @@
 // under tight resource budgets, asserting totality: no crash, no hang, no
 // verifier violation, no unsound constant, and degradation reported
 // exactly when a budget tripped. The same campaign also feeds generated
-// and mutated service-request lines through the ipcp_serverd engine
-// (docs/SERVICE.md), asserting the wire contract: every input is either
-// rejected with an error code or answered with a status-bearing body.
+// and mutated service-request lines through the ipcp_serverd dispatcher
+// (docs/SERVICE.md), asserting the wire contract: every input is answered
+// with a status-bearing body, and every error names a code and a message.
 //
 // Two entry points share one harness:
 //
@@ -340,66 +340,88 @@ bool runOne(const std::string &Source, bool CheckOracle,
   return true;
 }
 
-/// One long-lived engine shared by every service-request input, so the
+/// One long-lived service shared by every service-request input, so the
 /// campaign also exercises warm sessions, LRU eviction, and stat
-/// accounting — not just the request codec.
-ServiceEngine &fuzzServiceEngine() {
-  static ServiceEngine Engine = [] {
-    ServiceEngine::Config Conf;
-    Conf.DefaultLimits = fuzzLimits();
-    Conf.MaxSessions = 4; // small, so eviction happens during the campaign
-    Conf.ScrubTimings = true;
-    Conf.SuiteResolver = [](const std::string &Name, std::string &Out) {
+/// accounting — not just the request codec. One shard and one job: the
+/// daemon's dispatcher in its serial configuration.
+ShardedService &fuzzService() {
+  static ShardedService Svc([] {
+    ShardedService::Config Conf;
+    Conf.Shards = 1;
+    Conf.Jobs = 1;
+    Conf.Engine.DefaultLimits = fuzzLimits();
+    // Per cache bucket, of which there are ServiceEngine::CacheBuckets:
+    // one resident session per bucket makes eviction happen during the
+    // campaign.
+    Conf.Engine.MaxSessions = 1;
+    Conf.Engine.ScrubTimings = true;
+    Conf.Engine.SuiteResolver = [](const std::string &Name, std::string &Out) {
       const SuiteProgram *Prog = findSuiteProgram(Name);
       if (!Prog)
         return false;
       Out = Prog->Source;
       return true;
     };
-    return ServiceEngine(Conf);
-  }();
-  return Engine;
+    return Conf;
+  }());
+  return Svc;
 }
 
-/// One service-protocol pass over \p Line (docs/SERVICE.md): the request
-/// codec must either reject with a code+message or produce a dispatchable
-/// request, and every dispatched body must be an object carrying a
-/// "status" string. Crashes and hangs are, as ever, someone else's to
-/// catch; this asserts the wire contract.
-bool runServiceLine(const std::string &Line, std::string *Failure) {
-  ServiceEngine &Engine = fuzzServiceEngine();
-  ServiceRequest Req;
-  std::string Code, Error;
-  if (!Engine.parseRequestLine(Line, Req, &Code, &Error)) {
-    if (Code.empty() || Error.empty()) {
-      *Failure = "service parse rejection without a code or message";
-      return false;
-    }
-    return true;
-  }
-  JsonValue Body;
-  switch (Req.Op) {
-  case ServiceRequest::Kind::Analyze:
-    Body = Engine.analyze(Req);
-    break;
-  case ServiceRequest::Kind::AnalyzeBatch:
-    Body = Engine.analyzeBatch(Req);
-    break;
-  case ServiceRequest::Kind::Stats:
-    Body = Engine.statsBody();
-    break;
-  case ServiceRequest::Kind::FlushCache:
-    Body = Engine.flushCacheBody();
-    break;
-  case ServiceRequest::Kind::Shutdown:
-    Engine.shutdownFlush();
-    return true;
-  }
+/// Whether \p Body — a response, or one item of a batch's "responses" —
+/// carries a "status" string and, when that status is "error" or "busy",
+/// an "error" object whose code and message are non-empty strings.
+bool wellFormedBody(const JsonValue &Body, std::string *Failure) {
   const JsonValue *Status = Body.find("status");
   if (!Body.isObject() || !Status || !Status->isString()) {
-    *Failure = "service response body lacks a status string";
+    *Failure = "service response lacks a status string";
     return false;
   }
+  if (Status->asString() != "error" && Status->asString() != "busy")
+    return true;
+  const JsonValue *Error = Body.find("error");
+  for (const char *Key : {"code", "message"}) {
+    const JsonValue *Field = Error ? Error->find(Key) : nullptr;
+    if (!Field || !Field->isString() || Field->asString().empty()) {
+      *Failure = "service error without a code or message";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One service-protocol pass over \p Line (docs/SERVICE.md): every
+/// non-blank line gets exactly one response, a JSON object whose body
+/// and batch items are well formed (wellFormedBody) — so a parse
+/// rejection, like a shard's analysis error, must name a code and a
+/// message. Crashes and hangs are, as ever, someone else's to catch;
+/// this asserts the wire contract.
+bool runServiceLine(const std::string &Line, std::string *Failure) {
+  ShardedService &Svc = fuzzService();
+  std::unique_ptr<ShardedService::Stream> St = Svc.openStream();
+  Svc.submitLine(*St, Line);
+  Svc.finishStream(*St);
+  std::vector<std::string> Responses;
+  for (std::string Response; St->popResponse(Response);)
+    Responses.push_back(std::move(Response));
+  bool Blank = Line.find_first_not_of(" \t\r") == std::string::npos;
+  if (Responses.size() != (Blank ? 0u : 1u)) {
+    *Failure = "service answered a line with " +
+               std::to_string(Responses.size()) + " responses";
+    return false;
+  }
+  if (Blank)
+    return true;
+  std::optional<JsonValue> Body = JsonValue::parse(Responses[0]);
+  if (!Body) {
+    *Failure = "service response is not JSON";
+    return false;
+  }
+  if (!wellFormedBody(*Body, Failure))
+    return false;
+  if (const JsonValue *Items = Body->find("responses"))
+    for (size_t I = 0; I != Items->size(); ++I)
+      if (!wellFormedBody(Items->at(I), Failure))
+        return false;
   return true;
 }
 
@@ -827,8 +849,8 @@ int main(int argc, char **argv) {
     }
     // Same campaign, second surface: a short deterministic service log
     // plus a mutated copy of each line through the daemon's request
-    // codec and engine (docs/SERVICE.md). Pristine lines exercise warm
-    // sessions and eviction on the shared engine; mutated ones mostly
+    // dispatcher (docs/SERVICE.md). Pristine lines exercise warm
+    // sessions and eviction on the shared service; mutated ones mostly
     // probe the rejection paths.
     ServiceLogConfig LogConf;
     LogConf.Seed = Seed + Run;
