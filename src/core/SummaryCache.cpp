@@ -27,7 +27,7 @@ namespace {
 /// from ballooning the parse under someone else's deadline.
 constexpr size_t MaxCacheFileBytes = 64u << 20;
 
-constexpr const char *CacheSchema = "ipcp-cache-v1";
+constexpr const char *CacheSchema = "ipcp-cache-v2";
 
 } // namespace
 

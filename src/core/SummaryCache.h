@@ -26,7 +26,7 @@
 /// The store is in-memory first: runIPCP stages fresh entries during a
 /// run and commits them only when the run finished un-degraded, so a
 /// tripped budget can never poison the cache. `load`/`save` move the
-/// whole store through a versioned `ipcp-cache-v1` JSON file whose
+/// whole store through a versioned `ipcp-cache-v2` JSON file whose
 /// payload is checksummed with the same StableHash — truncated,
 /// version-mismatched, or bit-flipped files fail validation atomically
 /// and the run proceeds cold (counted by cache_load_failures).

@@ -23,7 +23,7 @@
 ///     instruction results, and block indices for branch targets.
 ///
 /// The underlying mix is 64-bit FNV-1a: tiny, dependency-free, and fully
-/// specified, so the on-disk `ipcp-cache-v1` format can document it in
+/// specified, so the on-disk `ipcp-cache-v2` format can document it in
 /// one sentence. Cryptographic strength is not a goal; 64 bits over the
 /// handful of procedures a module holds keeps accidental collisions
 /// negligible, and the differential test layer cross-checks the cached

@@ -295,7 +295,7 @@ TEST(IncrementalCache, SerializedRoundTrip) {
   std::unique_ptr<Module> M;
   IPCPOptions Opts;
   std::string Text = populatedCacheText(M, Opts);
-  EXPECT_NE(Text.find("ipcp-cache-v1"), std::string::npos);
+  EXPECT_NE(Text.find("ipcp-cache-v2"), std::string::npos);
 
   SummaryCache Cache;
   ASSERT_TRUE(Cache.loadFromString(Text, Opts));
@@ -321,7 +321,7 @@ TEST(IncrementalCache, VersionMismatchDegradesToCold) {
   std::unique_ptr<Module> M;
   IPCPOptions Opts;
   std::string Text = populatedCacheText(M, Opts);
-  size_t At = Text.find("ipcp-cache-v1");
+  size_t At = Text.find("ipcp-cache-v2");
   ASSERT_NE(At, std::string::npos);
   Text.replace(At, 13, "ipcp-cache-v9");
   expectDegradesToCold(Text, "version");
@@ -362,7 +362,7 @@ TEST(IncrementalCache, OptionsMismatchMissesTheCache) {
 
 TEST(IncrementalCache, FingerprintCoversEveryFingerprintedOption) {
   const std::string Default = SummaryCache::optionsFingerprint(IPCPOptions());
-  EXPECT_EQ(Default, "ipcp-cache-v1;jf=polynomial;rjf=1;mod=1;intra=0;"
+  EXPECT_EQ(Default, "ipcp-cache-v2;jf=polynomial;rjf=1;mod=1;intra=0;"
                      "gated=0;bg=0;sched=scc;engine=jump;maxexpr=64;"
                      "entry=main");
   // Move every setting off its default, one at a time: a fingerprinted
