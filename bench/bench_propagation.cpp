@@ -101,12 +101,12 @@ void BM_SolverFormulation(benchmark::State &State) {
   std::optional<Program> Ast = parseAndCheck(generateProgram(Config), Diags);
   auto M = lowerProgram(*Ast);
 
-  CallGraph CG(*M);
-  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
   IPCPOptions Opts;
-  JumpFunctionTables Tables;
-  buildJumpFunctions(CG, MRI, Opts, Tables);
-  const ForwardJumpFunctions &FJFs = Tables.FJFs;
+  ModuleAnalysis Analysis(*M, Opts);
+  buildJumpFunctions(Analysis, Opts);
+  const CallGraph &CG = Analysis.CG;
+  const ModRefInfo &MRI = Analysis.MRI;
+  const ForwardJumpFunctions &FJFs = Analysis.Tables.FJFs;
 
   bool Binding = State.range(1);
   State.SetLabel(Binding ? "binding-graph" : "call-graph");
@@ -131,12 +131,12 @@ JsonValue printSolverComparison() {
   DiagnosticsEngine Diags;
   std::optional<Program> Ast = parseAndCheck(generateProgram(Config), Diags);
   auto M = lowerProgram(*Ast);
-  CallGraph CG(*M);
-  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
   IPCPOptions Opts;
-  JumpFunctionTables Tables;
-  buildJumpFunctions(CG, MRI, Opts, Tables);
-  const ForwardJumpFunctions &FJFs = Tables.FJFs;
+  ModuleAnalysis Analysis(*M, Opts);
+  buildJumpFunctions(Analysis, Opts);
+  const CallGraph &CG = Analysis.CG;
+  const ModRefInfo &MRI = Analysis.MRI;
+  const ForwardJumpFunctions &FJFs = Analysis.Tables.FJFs;
   PropagatorStats CGStats, BGStats;
   ConstantsMap A = propagateConstants(CG, MRI, FJFs, Opts, &CGStats);
   ConstantsMap B =

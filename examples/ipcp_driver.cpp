@@ -374,20 +374,15 @@ int main(int argc, char **argv) {
     Trace::setActive(nullptr);
 
   if (DumpJF) {
-    // Rebuild the jump functions on a scratch clone and print them — the
-    // analyzer's own view of each call site (paper Sections 3.1/3.2),
-    // under --intra-only too.
+    // Rebuild the jump functions and print them — the analyzer's own view
+    // of each call site (paper Sections 3.1/3.2), under --intra-only too.
     IPCPOptions DumpOpts = Opts;
     DumpOpts.IntraproceduralOnly = false;
-    std::unique_ptr<Module> Scratch = M->clone();
-    CallGraph CG(*Scratch);
-    ModRefInfo MRI = DumpOpts.UseModInformation
-                         ? ModRefInfo::compute(*Scratch, CG)
-                         : ModRefInfo::worstCase(*Scratch);
-    JumpFunctionTables Tables(DumpOpts.MaxExprNodes);
-    buildJumpFunctions(CG, MRI, DumpOpts, Tables);
-    const ForwardJumpFunctions &FJFs = Tables.FJFs;
-    const ReturnJumpFunctions *RJFs = Tables.RJFs.get();
+    ModuleAnalysis A(*M, DumpOpts);
+    buildJumpFunctions(A, DumpOpts);
+    const CallGraph &CG = A.CG;
+    const ForwardJumpFunctions &FJFs = A.Tables.FJFs;
+    const ReturnJumpFunctions *RJFs = A.Tables.RJFs.get();
 
     std::printf("\njump functions (%s class):\n",
                 jumpFunctionKindName(Opts.ForwardKind));
@@ -414,7 +409,7 @@ int main(int argc, char **argv) {
             std::printf("  R(%s.%s) = %s\n", P->getName().c_str(),
                         P->formals()[I]->getName().c_str(),
                         JF->str().c_str());
-        for (Variable *G : MRI.modifiedGlobals(P))
+        for (Variable *G : A.MRI.modifiedGlobals(P))
           if (const JumpFunction *JF = RJFs->find(P, G))
             std::printf("  R(%s.global %s) = %s\n", P->getName().c_str(),
                         G->getName().c_str(), JF->str().c_str());

@@ -23,8 +23,6 @@ static bool isPureValue(const Instruction *Inst) {
   case ValueKind::Unary:
   case ValueKind::Load:
   case ValueKind::ArrayLoad:
-  case ValueKind::Phi:
-  case ValueKind::CallOut:
     return true;
   default:
     return false;
@@ -114,22 +112,8 @@ static void foldBranch(Procedure &P, CondBranchInst *CBr, bool TakeTrue) {
   BasicBlock *Untaken =
       TakeTrue ? CBr->getFalseTarget() : CBr->getTrueTarget();
 
-  if (Untaken != Taken) {
+  if (Untaken != Taken)
     Untaken->removePredecessor(BB);
-    // Pre-SSA modules carry no phis; keep them consistent anyway in case
-    // facts are ever applied to SSA-form IR.
-    for (const std::unique_ptr<Instruction> &Inst : Untaken->instructions()) {
-      auto *Phi = dyn_cast<PhiInst>(Inst.get());
-      if (!Phi)
-        break;
-      for (unsigned I = 0; I < Phi->getNumIncoming();) {
-        if (Phi->getIncomingBlock(I) == BB)
-          Phi->removeIncoming(I);
-        else
-          ++I;
-      }
-    }
-  }
 
   uint64_t Id = P.getModule()->nextInstId();
   SourceLoc Loc = CBr->getLoc();

@@ -19,8 +19,8 @@
 ///    instructions — the "dead code elimination" of the complete
 ///    propagation experiment (Table 3).
 ///
-/// Facts are keyed by clone-stable instruction IDs, so they can be
-/// computed on an SSA-form scratch clone and applied to the original.
+/// Facts are keyed by instruction IDs, which clones keep, so facts the
+/// analysis computed on a module apply to it or to any clone of it.
 ///
 //===----------------------------------------------------------------------===//
 

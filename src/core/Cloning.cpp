@@ -53,28 +53,25 @@ std::string signatureFor(const CallSiteJumpFunctions &JFs,
   return Sig;
 }
 
-/// Plans one round of cloning decisions against a scratch analysis,
-/// charged to the experiment's \p Guard. A round whose planning trips
-/// decides nothing.
+/// Plans one round of cloning decisions against a planning analysis of
+/// \p M, charged to the experiment's \p Guard. A round whose planning
+/// trips decides nothing.
 std::vector<CloneDecision> planRound(const Module &M,
                                      const CloningOptions &Opts,
                                      ResourceGuard &Guard) {
   std::vector<CloneDecision> Decisions;
 
-  std::unique_ptr<Module> Scratch = M.clone();
-  CallGraph CG(*Scratch);
   // Planning reads the forward jump functions even when the measured
   // analysis is intraprocedural.
   IPCPOptions PlanOpts = Opts.Analysis;
   PlanOpts.IntraproceduralOnly = false;
-  ModRefInfo MRI = PlanOpts.UseModInformation
-                       ? ModRefInfo::compute(*Scratch, CG)
-                       : ModRefInfo::worstCase(*Scratch);
-  JumpFunctionTables Tables(PlanOpts.MaxExprNodes);
-  buildJumpFunctions(CG, MRI, PlanOpts, Tables, &Guard);
+  ModuleAnalysis A(M, PlanOpts);
+  buildJumpFunctions(A, PlanOpts, &Guard);
   if (Guard.tripped())
     return Decisions;
-  const ForwardJumpFunctions &FJFs = Tables.FJFs;
+  const CallGraph &CG = A.CG;
+  const ModRefInfo &MRI = A.MRI;
+  const ForwardJumpFunctions &FJFs = A.Tables.FJFs;
   ConstantsMap CM =
       propagateConstants(CG, MRI, FJFs, PlanOpts, nullptr, &Guard);
   // A tripped solve returns an empty map, on which every literal-argument

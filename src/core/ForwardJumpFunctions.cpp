@@ -65,18 +65,13 @@ void ForwardJumpFunctions::buildProcedure(
 
     // Globals are implicit parameters of the callee; the literal class
     // cannot see them at all.
-    auto CallIn = ProcSSA.CallInValues.find(Site);
     for (Variable *G : MRI.extendedGlobals(Callee)) {
       if (Kind == JumpFunctionKind::Literal) {
         JFs.Globals.push_back({G, JumpFunction::bottom()});
         continue;
       }
-      const SymExpr *E = nullptr;
-      if (CallIn != ProcSSA.CallInValues.end()) {
-        auto It = CallIn->second.find(G);
-        if (It != CallIn->second.end())
-          E = Lifter.lift(It->second);
-      }
+      Value *AtCall = ProcSSA.callIn(Site, G);
+      const SymExpr *E = AtCall ? Lifter.lift(AtCall) : nullptr;
       JFs.Globals.push_back({G, trim(Kind, E)});
     }
 

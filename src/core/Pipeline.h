@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The public entry points of the library. One runIPCP call executes the
-/// four stages of the paper's analyzer (Section 4.1) on a scratch clone
-/// of the module:
+/// four stages of the paper's analyzer (Section 4.1), reading the module
+/// and never changing it (SSA form lives in side tables, see
+/// analysis/SSAConstruction.h):
 ///
 ///  1. generation of return jump functions (bottom-up over the call
 ///     graph, using SSA-based value numbering and MOD information);
@@ -77,6 +78,24 @@ struct JumpFunctionTables {
   const SSAResult &ssaOf(Procedure *P, const ModRefInfo &MRI);
 };
 
+/// Stage 0 of the analyzer: the call graph and MOD/REF of a module, plus
+/// the empty tables stages 1-2 fill, all over the module itself. Every
+/// analysis of a module (runIPCP, cloning's planner, the driver's
+/// --dump-jf, tests and benchmarks) starts from one of these and passes
+/// it to buildJumpFunctions with the same options.
+class ModuleAnalysis {
+  Timer Clock; // declared first: it times the two builds below
+
+public:
+  ModuleAnalysis(const Module &M, const IPCPOptions &Opts);
+
+  const CallGraph CG;
+  const uint64_t CallGraphUs; ///< time to build CG
+  const ModRefInfo MRI;       ///< worst case under !Opts.UseModInformation
+  const uint64_t ModRefUs;    ///< time to compute MRI
+  JumpFunctionTables Tables;
+};
+
 /// Stages 1-2 of the analyzer (Section 4.1), the one place they are
 /// built. SSA comes first, in module order; with Tables.Cache set, a
 /// procedure whose body still matches its cache entry waits until its
@@ -88,12 +107,10 @@ struct JumpFunctionTables {
 /// return jump functions are final. IntraproceduralOnly builds SSA
 /// alone. \p Guard's deadline is checked per component and before
 /// stage 2; a trip leaves the tables partial.
-void buildJumpFunctions(const CallGraph &CG, const ModRefInfo &MRI,
-                        const IPCPOptions &Opts, JumpFunctionTables &Tables,
+void buildJumpFunctions(ModuleAnalysis &A, const IPCPOptions &Opts,
                         ResourceGuard *Guard = nullptr);
 
-/// Per-procedure analysis outcome (reported by name: the scratch clone
-/// the analysis ran on is destroyed when the run finishes).
+/// Per-procedure analysis outcome, reported by name.
 struct ProcedureResult {
   std::string Name;
 
@@ -122,8 +139,8 @@ struct IPCPResult {
   /// Sum of |CONSTANTS(p)|.
   unsigned TotalEntryConstants = 0;
 
-  /// Substitution facts keyed by clone-stable instruction IDs; applicable
-  /// to the original module with applyFacts.
+  /// Substitution facts keyed by instruction IDs, which clones keep;
+  /// applicable to the module (or a clone of it) with applyFacts.
   TransformFacts Facts;
 
   /// Phase timings (microseconds) and work counters.

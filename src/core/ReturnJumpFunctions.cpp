@@ -21,6 +21,27 @@ const JumpFunction *ReturnJumpFunctions::find(const Procedure *P,
   return VarIt == ProcIt->second.end() ? nullptr : &VarIt->second;
 }
 
+const JumpFunction *
+ReturnJumpFunctions::forCallOut(const CallOutInst *Out) const {
+  const CallInst *Call = Out->getCall();
+  const Procedure *Callee = Call->getCallee();
+  const Variable *Var = Out->getVariable();
+  const JumpFunction *RJF = nullptr;
+  unsigned Sources = 0;
+  for (unsigned I = 0, E = Call->getNumActuals(); I != E; ++I)
+    if (Call->getActual(I).ByRefLoc == Var)
+      if (const JumpFunction *JF = find(Callee, Callee->formals()[I])) {
+        RJF = JF;
+        ++Sources;
+      }
+  if (Var->isGlobal())
+    if (const JumpFunction *JF = find(Callee, Var)) {
+      RJF = JF;
+      ++Sources;
+    }
+  return Sources == 1 && !RJF->isBottom() ? RJF : nullptr;
+}
+
 unsigned ReturnJumpFunctions::knownCount() const {
   unsigned Count = 0;
   for (const auto &[P, Vars] : Table)
@@ -58,10 +79,8 @@ void ReturnJumpFunctions::liftProcedure(Procedure *P, const SSAResult &ProcSSA,
 
   SymbolicLifter Lifter(Ctx, ProcSSA, this, CallOutMode::Symbolic,
                         UseGatedSSA);
-  for (auto &[Var, JF] : Entries) {
-    auto ExitIt = ProcSSA.ExitValues.find(const_cast<Variable *>(Var));
-    if (ExitIt == ProcSSA.ExitValues.end())
-      continue; // not promoted here (e.g. global untouched): bottom
-    JF = JumpFunction(Lifter.lift(ExitIt->second));
-  }
+  // A variable not promoted here (e.g. an untouched global) stays bottom.
+  for (auto &[Var, JF] : Entries)
+    if (Value *AtExit = ProcSSA.exitValue(Var))
+      JF = JumpFunction(Lifter.lift(AtExit));
 }

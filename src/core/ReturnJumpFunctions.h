@@ -79,6 +79,12 @@ public:
   ///    entry values.
   const JumpFunction *find(const Procedure *P, const Variable *Var) const;
 
+  /// The return jump function \p Out resolves through: that of its
+  /// location's unique modification source at the call (one by-reference
+  /// binding, or the global itself). Null when there are several
+  /// (aliasing), none, or it is bottom.
+  const JumpFunction *forCallOut(const CallOutInst *Out) const;
+
   /// Number of non-bottom return jump functions (for statistics).
   unsigned knownCount() const;
 

@@ -17,6 +17,7 @@ SymbolicLifter::SymbolicLifter(SymExprContext &Ctx, const SSAResult &SSA,
     : Ctx(Ctx), SSA(SSA), RJFs(RJFs), Mode(Mode), UseGatedSSA(UseGatedSSA) {}
 
 const SymExpr *SymbolicLifter::lift(Value *V) {
+  V = SSA.resolve(V);
   auto It = Memo.find(V);
   if (It != Memo.end())
     return It->second;
@@ -71,7 +72,7 @@ const SymExpr *SymbolicLifter::liftImpl(Value *V) {
     return liftCallOut(cast<CallOutInst>(V));
   case ValueKind::ArrayLoad:
   case ValueKind::Read:
-  case ValueKind::Load:
+  case ValueKind::Load: // of a non-promoted scalar
     return nullptr; // opaque sources, exactly as in the paper
   default:
     assert(!V->producesValue() && "unhandled value-producing kind");
@@ -149,34 +150,17 @@ const SymExpr *SymbolicLifter::liftCallOut(CallOutInst *Out) {
   if (!RJFs)
     return nullptr; // configuration without return jump functions
 
+  // The callee must reach this location through exactly one route (a
+  // by-reference binding or the global); aliasing is conservatively
+  // bottom.
+  const JumpFunction *RJF = RJFs->forCallOut(Out);
+  if (!RJF)
+    return nullptr;
   CallInst *Call = Out->getCall();
   Procedure *Callee = Call->getCallee();
-  Variable *Var = Out->getVariable();
-
-  // Identify how the callee reaches this location: through exactly one
-  // by-reference binding, or as a global. Multiple routes (aliasing) are
-  // conservatively bottom.
-  const JumpFunction *RJF = nullptr;
-  unsigned Sources = 0;
-  for (unsigned I = 0, E = Call->getNumActuals(); I != E; ++I) {
-    if (Call->getActual(I).ByRefLoc != Var)
-      continue;
-    if (const JumpFunction *JF = RJFs->find(Callee, Callee->formals()[I])) {
-      RJF = JF;
-      ++Sources;
-    }
-  }
-  if (Var->isGlobal())
-    if (const JumpFunction *JF = RJFs->find(Callee, Var)) {
-      RJF = JF;
-      ++Sources;
-    }
-  if (Sources != 1 || !RJF || RJF->isBottom())
-    return nullptr;
 
   // Compose: substitute the callee's entry values with the caller-side
   // expressions of the corresponding actuals / globals at this site.
-  auto CallIn = SSA.CallInValues.find(Call);
   const SymExpr *Result = Ctx.substitute(
       RJF->expr(), [&](Variable *Support) -> const SymExpr * {
         if (Support->isFormal() && Support->getParent() == Callee) {
@@ -185,11 +169,9 @@ const SymExpr *SymbolicLifter::liftCallOut(CallOutInst *Out) {
             return nullptr;
           return lift(Call->getActualValue(Index));
         }
-        if (Support->isGlobal() && CallIn != SSA.CallInValues.end()) {
-          auto It = CallIn->second.find(Support);
-          if (It != CallIn->second.end())
-            return lift(It->second);
-        }
+        if (Support->isGlobal())
+          if (Value *AtCall = SSA.callIn(Call, Support))
+            return lift(AtCall);
         return nullptr;
       });
 

@@ -10,7 +10,9 @@
 /// existing framework for global value numbering"). The SymbolicLifter
 /// maps each SSA value of one procedure to a canonical symbolic
 /// expression over the procedure's entry values (or bottom), memoized so
-/// that structurally equal values share one hash-consed expression.
+/// that structurally equal values share one hash-consed expression. It
+/// reads the procedure's untouched body through its SSA side tables: a
+/// promoted load lifts as its reaching definition.
 ///
 /// CallOut values — the definitions a call imposes on its MOD set — are
 /// resolved through the callee's return jump function, composed with the

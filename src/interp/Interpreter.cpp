@@ -6,10 +6,12 @@
 
 #include "interp/Interpreter.h"
 
+#include "analysis/DeadCode.h"
 #include "support/Casting.h"
 
 #include <cassert>
 #include <map>
+#include <unordered_set>
 
 using namespace ipcp;
 
@@ -104,6 +106,33 @@ private:
     return &It->second;
   }
 
+  /// Records a contradiction of fact \p Inst, once per instruction.
+  void factViolated(const Procedure &P, const Instruction *Inst,
+                    const std::string &What) {
+    if (Contradicted.insert(Inst->getId()).second)
+      R.FactViolations.push_back("procedure '" + P.getName() + "': " + What +
+                                 " at " + Inst->getLoc().str());
+  }
+
+  void checkLoad(const Procedure &P, const LoadInst *Load, ConstantValue V) {
+    auto It = Opts.Facts->ConstantLoads.find(Load->getId());
+    if (It != Opts.Facts->ConstantLoads.end() && It->second != V)
+      factViolated(P, Load,
+                   "claimed " + Load->getVariable()->getName() + " = " +
+                       std::to_string(It->second) + " but read " +
+                       std::to_string(V));
+  }
+
+  void checkBranch(const Procedure &P, const CondBranchInst *CBr,
+                   bool Taken) {
+    auto It = Opts.Facts->FoldedBranches.find(CBr->getId());
+    if (It != Opts.Facts->FoldedBranches.end() && It->second != Taken)
+      factViolated(P, CBr,
+                   std::string("claimed the branch always goes ") +
+                       (It->second ? "true" : "false") + " but it went " +
+                       (Taken ? "true" : "false"));
+  }
+
   bool value(Frame &F, const Value *V, ConstantValue &Out) {
     if (const auto *C = dyn_cast<ConstantInt>(V)) {
       Out = C->getValue();
@@ -132,6 +161,7 @@ private:
   size_t InputCursor = 0;
   uint64_t InputState = 0x9E3779B97F4A7C15ULL;
   bool Seeded = false;
+  std::unordered_set<uint64_t> Contradicted; ///< fact IDs already reported
 };
 
 } // namespace
@@ -208,10 +238,14 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
         F.Values[Inst] = *Folded;
         break;
       }
-      case ValueKind::Load:
-        F.Values[Inst] =
-            *scalarCell(F, cast<LoadInst>(Inst)->getVariable());
+      case ValueKind::Load: {
+        const auto *Load = cast<LoadInst>(Inst);
+        ConstantValue V = *scalarCell(F, Load->getVariable());
+        F.Values[Inst] = V;
+        if (Opts.Facts)
+          checkLoad(P, Load, V);
         break;
+      }
       case ValueKind::Store: {
         const auto *Store = cast<StoreInst>(Inst);
         ConstantValue V;
@@ -281,15 +315,13 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
         const auto *CBr = cast<CondBranchInst>(Inst);
         ConstantValue Cond;
         value(F, CBr->getCond(), Cond);
+        if (Opts.Facts)
+          checkBranch(P, CBr, Cond != 0);
         Next = Cond != 0 ? CBr->getTrueTarget() : CBr->getFalseTarget();
         break;
       }
       case ValueKind::Ret:
         return true;
-      case ValueKind::Phi:
-      case ValueKind::CallOut:
-        assert(false && "interpreter requires pre-SSA form");
-        return trap("internal: SSA instruction reached the interpreter");
       default:
         assert(false && "unknown instruction kind");
         return trap("internal: unknown instruction kind");

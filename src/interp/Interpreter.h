@@ -16,7 +16,9 @@
 /// ground truth that the soundness oracle checks CONSTANTS(p) against —
 /// every (name, value) pair the analysis reports must hold on every
 /// recorded entry (paper Section 2: "a pair (x, v) in CONSTANTS(p)
-/// indicates that x always has value v when p is invoked").
+/// indicates that x always has value v when p is invoked"). Given an
+/// analysis' substitution facts, it also checks each executed load and
+/// branch those facts speak about.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +33,8 @@
 #include <vector>
 
 namespace ipcp {
+
+struct TransformFacts;
 
 /// Knobs for one execution.
 struct ExecutionOptions {
@@ -48,6 +52,11 @@ struct ExecutionOptions {
 
   /// Record procedure-entry snapshots (disable for pure benchmarking).
   bool RecordEntrySnapshots = true;
+
+  /// Facts to check as the program runs: every executed load named in
+  /// ConstantLoads must read the stated value, and every executed branch
+  /// named in FoldedBranches must go the stated way. Null checks nothing.
+  const TransformFacts *Facts = nullptr;
 };
 
 /// Values of the formals and scalar globals at one dynamic procedure entry.
@@ -75,6 +84,10 @@ struct ExecutionResult {
 
   /// Chronological procedure-entry snapshots (including main's).
   std::vector<EntrySnapshot> Entries;
+
+  /// One message per fact of ExecutionOptions::Facts this run
+  /// contradicted, in the order first contradicted.
+  std::vector<std::string> FactViolations;
 
   bool ok() const { return TheStatus == Status::Ok; }
 };

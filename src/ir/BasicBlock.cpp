@@ -24,28 +24,10 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> Inst) {
   return Insts.back().get();
 }
 
-Instruction *BasicBlock::insertAfter(Instruction *After,
-                                     std::unique_ptr<Instruction> Inst) {
-  auto It = std::find_if(
-      Insts.begin(), Insts.end(),
-      [&](const std::unique_ptr<Instruction> &P) { return P.get() == After; });
-  assert(It != Insts.end() && "insertion point not in this block");
+Instruction *BasicBlock::insertAtTop(std::unique_ptr<Instruction> Inst) {
   Inst->setParent(this);
   Instruction *Raw = Inst.get();
-  Insts.insert(std::next(It), std::move(Inst));
-  invalidateStream();
-  return Raw;
-}
-
-Instruction *BasicBlock::insertAtTop(std::unique_ptr<Instruction> Inst,
-                                     bool AfterPhis) {
-  auto It = Insts.begin();
-  if (AfterPhis)
-    while (It != Insts.end() && isa<PhiInst>(It->get()))
-      ++It;
-  Inst->setParent(this);
-  Instruction *Raw = Inst.get();
-  Insts.insert(It, std::move(Inst));
+  Insts.insert(Insts.begin(), std::move(Inst));
   invalidateStream();
   return Raw;
 }

@@ -43,14 +43,8 @@ public:
   /// Appends \p Inst; asserts nothing follows a terminator.
   Instruction *append(std::unique_ptr<Instruction> Inst);
 
-  /// Inserts \p Inst immediately after existing instruction \p After.
-  Instruction *insertAfter(Instruction *After,
-                           std::unique_ptr<Instruction> Inst);
-
-  /// Inserts \p Inst at the top of the block (before non-phis but after
-  /// existing phis when \p AfterPhis is set).
-  Instruction *insertAtTop(std::unique_ptr<Instruction> Inst,
-                           bool AfterPhis = true);
+  /// Inserts \p Inst at the top of the block.
+  Instruction *insertAtTop(std::unique_ptr<Instruction> Inst);
 
   /// Removes and destroys \p Inst, which must belong to this block.
   void erase(Instruction *Inst);

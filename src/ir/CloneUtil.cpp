@@ -111,10 +111,6 @@ ipcp::cloneInstructionWithMaps(const Instruction *Inst, Module &NewM,
   }
   case ValueKind::Ret:
     return std::make_unique<RetInst>(Id, Loc);
-  case ValueKind::Phi:
-  case ValueKind::CallOut:
-    assert(false && "clone requires pre-SSA form");
-    return nullptr;
   default:
     assert(false && "unknown instruction kind in clone");
     return nullptr;

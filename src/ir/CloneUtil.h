@@ -25,10 +25,9 @@ namespace ipcp {
 
 /// Identity maps for one cloning operation. Variables and instructions
 /// are keyed by their module-unique IDs into dense vectors sized from the
-/// source module's ID bounds — cloning is the hottest path in the
-/// analysis pipeline (every request clones the program onto a scratch
-/// module) and pointer-keyed hash maps dominated its profile. Procedures
-/// and blocks are few; they stay in small hash maps.
+/// source module's ID bounds — pointer-keyed hash maps dominated the
+/// profile of whole-module clones. Procedures and blocks are few; they
+/// stay in small hash maps.
 ///
 /// Populate vars/procs/blocks before cloning instructions; values fill as
 /// instructions are cloned in def-before-use order.

@@ -43,7 +43,7 @@ public:
   /// Reachable blocks in reverse postorder (a valid top-down tree order).
   const std::vector<BasicBlock *> &blocksInRPO() const { return RPO; }
 
-  bool isReachable(BasicBlock *BB) const {
+  bool isReachable(const BasicBlock *BB) const {
     return PostIndex[BB->getDensePos()] != Unreachable;
   }
 

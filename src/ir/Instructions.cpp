@@ -15,9 +15,3 @@ void Instruction::replaceUsesOfWith(Value *From, Value *To) {
     if (Operands[I] == From)
       Operands[I] = To;
 }
-
-void PhiInst::removeIncoming(unsigned I) {
-  assert(I < Blocks.size() && "incoming index out of range");
-  Operands.erase(Operands.begin() + I);
-  Blocks.erase(Blocks.begin() + I);
-}

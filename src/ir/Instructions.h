@@ -127,7 +127,8 @@ private:
 /// `%v = load X` — reads scalar variable X. Every source-level reference
 /// of a scalar lowers to exactly one Load, so the substitution metric (the
 /// paper's "constants substituted into the program") counts Loads whose
-/// value is proven constant. SSA promotion deletes these.
+/// value is proven constant. SSA construction maps each promoted Load to
+/// its reaching definition.
 class LoadInst : public Instruction {
 public:
   LoadInst(uint64_t Id, SourceLoc Loc, Variable *Var)
@@ -283,10 +284,11 @@ private:
 };
 
 /// `%v = callout(call, X)` — the SSA definition of location X after a call
-/// that may modify X (a MOD-set member bound at the site). Inserted by SSA
-/// construction; its meaning is the callee's return jump function for the
-/// bound formal, or bottom. This is how the paper's return jump functions
-/// enter the value graph.
+/// that may modify X (a MOD-set member bound at the site). Created by SSA
+/// construction in its side tables, never inserted into a block; its
+/// meaning is the callee's return jump function for the bound formal, or
+/// bottom. This is how the paper's return jump functions enter the value
+/// graph.
 class CallOutInst : public Instruction {
 public:
   CallOutInst(uint64_t Id, SourceLoc Loc, CallInst *Call, Variable *Var)
@@ -304,7 +306,9 @@ private:
   Variable *Var;
 };
 
-/// SSA phi node; incoming values parallel the incoming block list.
+/// SSA phi node; incoming values parallel the incoming block list. Like
+/// CallOutInst, it lives in SSA construction's side tables: its parent is
+/// the block it merges into, but no block holds it.
 class PhiInst : public Instruction {
 public:
   PhiInst(uint64_t Id, SourceLoc Loc, Variable *Var)
@@ -320,11 +324,7 @@ public:
 
   unsigned getNumIncoming() const { return Blocks.size(); }
   Value *getIncomingValue(unsigned I) const { return getOperand(I); }
-  void setIncomingValue(unsigned I, Value *V) { setOperand(I, V); }
   BasicBlock *getIncomingBlock(unsigned I) const { return Blocks[I]; }
-
-  /// Drops the \p I-th incoming pair (used when a predecessor dies).
-  void removeIncoming(unsigned I);
 
   static bool classof(const Value *V) {
     return V->getKind() == ValueKind::Phi;

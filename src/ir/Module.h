@@ -7,9 +7,9 @@
 /// \file
 /// A Module owns every procedure, every global variable, the uniqued
 /// integer constants, and the ID counters. Modules deep-clone with all
-/// instruction and variable IDs preserved, which is how analysis results
-/// computed on a scratch copy are applied back to the canonical program
-/// during complete propagation (see DESIGN.md).
+/// instruction and variable IDs preserved, so analysis facts computed on a
+/// module apply to any clone of it (complete propagation analyzes and
+/// rewrites its own working copy; see DESIGN.md).
 ///
 //===----------------------------------------------------------------------===//
 

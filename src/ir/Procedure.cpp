@@ -50,28 +50,14 @@ unsigned Procedure::removeUnreachableBlocks() {
   if (Reachable.size() == Blocks.size())
     return 0;
 
-  // Detach dead blocks from live successors: fix predecessor lists and
-  // drop the corresponding phi incoming entries.
+  // Detach dead blocks from live successors' predecessor lists.
   for (const std::unique_ptr<BasicBlock> &BBPtr : Blocks) {
     BasicBlock *BB = BBPtr.get();
     if (Reachable.count(BB))
       continue;
-    for (BasicBlock *Succ : BB->successors()) {
-      if (!Reachable.count(Succ))
-        continue;
-      Succ->removePredecessor(BB);
-      for (const std::unique_ptr<Instruction> &Inst : Succ->instructions()) {
-        auto *Phi = dyn_cast<PhiInst>(Inst.get());
-        if (!Phi)
-          break;
-        for (unsigned I = 0; I < Phi->getNumIncoming();) {
-          if (Phi->getIncomingBlock(I) == BB)
-            Phi->removeIncoming(I);
-          else
-            ++I;
-        }
-      }
-    }
+    for (BasicBlock *Succ : BB->successors())
+      if (Reachable.count(Succ))
+        Succ->removePredecessor(BB);
   }
 
   unsigned Removed = 0;
@@ -122,7 +108,7 @@ Variable *Procedure::findVariable(const std::string &VarName) const {
   return nullptr;
 }
 
-EntryValue *Procedure::getEntryValue(Variable *Var) {
+EntryValue *Procedure::getEntryValue(Variable *Var) const {
   assert(Var->isScalar() && "entry values exist only for scalars");
   assert((Var->isGlobal() || Var->getParent() == this) &&
          "entry value for a foreign variable");

@@ -62,8 +62,8 @@ public:
   /// are destroyed with it.
   void eraseBlock(BasicBlock *BB);
 
-  /// Deletes blocks unreachable from the entry, fixing predecessor lists
-  /// and phis. Returns the number of blocks removed.
+  /// Deletes blocks unreachable from the entry, fixing predecessor lists.
+  /// Returns the number of blocks removed.
   unsigned removeUnreachableBlocks();
 
   //===--------------------------------------------------------------------===
@@ -82,8 +82,9 @@ public:
   /// Looks up a formal or local by name (globals live in the Module).
   Variable *findVariable(const std::string &VarName) const;
 
-  /// The canonical "value of \p Var on entry" SSA object.
-  EntryValue *getEntryValue(Variable *Var);
+  /// The canonical "value of \p Var on entry" SSA object, created on
+  /// first request (a lazy cache, like instStream()).
+  EntryValue *getEntryValue(Variable *Var) const;
 
   //===--------------------------------------------------------------------===
   // Misc
@@ -138,7 +139,8 @@ private:
   std::vector<Variable *> Formals;
   std::vector<Variable *> Locals;
   std::vector<std::unique_ptr<Variable>> OwnedVars;
-  std::unordered_map<Variable *, std::unique_ptr<EntryValue>> EntryValues;
+  mutable std::unordered_map<Variable *, std::unique_ptr<EntryValue>>
+      EntryValues;
   unsigned NextBlockId = 0;
   uint32_t ModuleIndex = 0;
   mutable InstStream Stream;

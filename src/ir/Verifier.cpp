@@ -10,7 +10,6 @@
 #include "ir/IRPrinter.h"
 #include "support/Casting.h"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <unordered_set>
@@ -22,9 +21,8 @@ namespace {
 /// Accumulates violations for one procedure.
 class ProcVerifier {
 public:
-  ProcVerifier(const Procedure &P, VerifyMode Mode,
-               std::vector<std::string> &Errors)
-      : P(P), Mode(Mode), Errors(Errors) {}
+  ProcVerifier(const Procedure &P, std::vector<std::string> &Errors)
+      : P(P), Errors(Errors) {}
 
   void run();
 
@@ -41,7 +39,6 @@ private:
   void checkOperandDominance();
 
   const Procedure &P;
-  VerifyMode Mode;
   std::vector<std::string> &Errors;
 };
 
@@ -53,16 +50,9 @@ void ProcVerifier::checkBlockStructure(const BasicBlock &BB) {
     return;
   }
   unsigned Terminators = 0;
-  bool SeenNonPhi = false;
   for (const std::unique_ptr<Instruction> &Inst : BB.instructions()) {
     if (Inst->isTerminator())
       ++Terminators;
-    if (isa<PhiInst>(Inst.get())) {
-      if (SeenNonPhi)
-        report("phi after non-phi in block '" + BB.getName() + "'");
-    } else {
-      SeenNonPhi = true;
-    }
     if (Inst->getParent() != &BB)
       report("instruction %" + std::to_string(Inst->getId()) +
              " has a stale parent pointer");
@@ -88,26 +78,6 @@ void ProcVerifier::checkEdges() {
     if (Count != 0)
       report("edge " + Edge.first->getName() + " -> " +
              Edge.second->getName() + " has inconsistent pred/succ lists");
-
-  // Phis: incoming blocks must match predecessors as multisets.
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-      const auto *Phi = dyn_cast<PhiInst>(Inst.get());
-      if (!Phi)
-        break;
-      std::vector<const BasicBlock *> Incoming, Preds;
-      for (unsigned I = 0, E = Phi->getNumIncoming(); I != E; ++I)
-        Incoming.push_back(Phi->getIncomingBlock(I));
-      for (const BasicBlock *Pred : BB->predecessors())
-        Preds.push_back(Pred);
-      std::sort(Incoming.begin(), Incoming.end());
-      std::sort(Preds.begin(), Preds.end());
-      if (Incoming != Preds)
-        report("phi %" + std::to_string(Phi->getId()) +
-               " incoming blocks disagree with predecessors of '" +
-               BB->getName() + "'");
-    }
-  }
 }
 
 void ProcVerifier::checkReachability() {
@@ -178,17 +148,13 @@ void ProcVerifier::checkInstruction(const Instruction &Inst) {
     }
   }
 
-  // Scalar loads/stores only ever name scalars (constructor invariant).
-  if (Mode == VerifyMode::SSA && isa<LoadInst, StoreInst>(&Inst))
-    report("scalar load/store %" + std::to_string(Inst.getId()) +
-           " present in SSA form");
-  if (Mode == VerifyMode::PreSSA && isa<PhiInst, CallOutInst>(&Inst))
+  if (isa<PhiInst, CallOutInst>(&Inst))
     report("phi/callout %" + std::to_string(Inst.getId()) +
            " present in pre-SSA form");
 }
 
 void ProcVerifier::checkOperandDominance() {
-  // Pre-SSA discipline: the definition of any instruction-valued operand
+  // The definition of any instruction-valued operand
   // must dominate its use — same block and earlier, or in a strictly
   // dominating block. (Lowering produces this; splitting transforms like
   // the inliner preserve it even though block-vector order changes.)
@@ -241,18 +207,18 @@ void ProcVerifier::run() {
       checkInstruction(*Inst);
   // Dominance is only meaningful over a structurally sound CFG (the
   // dominator computation itself asserts on inconsistent edges).
-  if (Mode == VerifyMode::PreSSA && Errors.size() == ErrorsBefore)
+  if (Errors.size() == ErrorsBefore)
     checkOperandDominance();
 }
 
-void ipcp::verifyProcedure(const Procedure &P, VerifyMode Mode,
+void ipcp::verifyProcedure(const Procedure &P,
                            std::vector<std::string> &Errors) {
-  ProcVerifier(P, Mode, Errors).run();
+  ProcVerifier(P, Errors).run();
 }
 
-std::vector<std::string> ipcp::verifyModule(const Module &M, VerifyMode Mode) {
+std::vector<std::string> ipcp::verifyModule(const Module &M) {
   std::vector<std::string> Errors;
   for (const std::unique_ptr<Procedure> &P : M.procedures())
-    verifyProcedure(*P, Mode, Errors);
+    verifyProcedure(*P, Errors);
   return Errors;
 }

@@ -5,27 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Structural invariant checker for the IR, run by tests after lowering,
-/// after SSA construction, and after every transform. Returns a list of
-/// violation messages (empty means well-formed) rather than asserting, so
-/// tests can report precisely what broke.
+/// Structural invariant checker for the IR, run by tests after lowering
+/// and after every transform. Returns a list of violation messages
+/// (empty means well-formed) rather than asserting, so tests can report
+/// precisely what broke. Modules are always in pre-SSA form; SSA form
+/// lives in side tables (analysis/SSAConstruction.h has its own check).
 ///
-/// Checked in both modes:
+/// Checked:
 ///  - every block ends in exactly one terminator, which is its last
 ///    instruction, and contains no other terminator;
 ///  - predecessor lists exactly mirror successor edges (as multisets);
 ///  - all blocks are reachable from the entry;
 ///  - exactly one Ret, located in the designated exit block;
 ///  - call arity matches the callee, and by-ref actuals are scalars;
-///  - phis appear only at the top of a block; their incoming blocks match
-///    the predecessor list (as multisets).
-///
-/// Pre-SSA mode additionally requires the absence of Phi/CallOut and that
-/// instruction operands are defined earlier in the block-order walk (the
-/// def-before-use discipline Module::clone relies on).
-///
-/// SSA mode additionally requires the absence of scalar Load/Store and
-/// that non-phi operand definitions are in scope.
+///  - no block holds a Phi or CallOut;
+///  - instruction operands are defined earlier in the block-order walk
+///    (the def-before-use discipline Module::clone relies on).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,15 +34,11 @@
 
 namespace ipcp {
 
-/// Which invariant family to check.
-enum class VerifyMode { PreSSA, SSA };
-
 /// Verifies one procedure; appends human-readable violations.
-void verifyProcedure(const Procedure &P, VerifyMode Mode,
-                     std::vector<std::string> &Errors);
+void verifyProcedure(const Procedure &P, std::vector<std::string> &Errors);
 
 /// Verifies the whole module; returns all violations.
-std::vector<std::string> verifyModule(const Module &M, VerifyMode Mode);
+std::vector<std::string> verifyModule(const Module &M);
 
 } // namespace ipcp
 

@@ -60,8 +60,8 @@ enum : uint8_t {
   TagInstLoad = 0x22,
   TagInstArrayLoad = 0x23,
   TagInstRead = 0x24,
-  TagInstPhi = 0x25,
-  TagInstCallOut = 0x26,
+  // 0x25 and 0x26 tagged phis and CallOuts, which no body holds (SSA
+  // form lives in side tables); they stay retired.
   TagInstStore = 0x27,
   TagInstArrayStore = 0x28,
   TagInstPrint = 0x29,
@@ -190,24 +190,6 @@ private:
     case ValueKind::Read:
       H.u8(TagInstRead);
       break;
-    case ValueKind::Phi: {
-      // Pre-SSA bodies (what the cache hashes) carry no phis; handled
-      // anyway so the hash stays total on any verifier-clean body.
-      const auto *Phi = cast<PhiInst>(&I);
-      H.u8(TagInstPhi);
-      hashVar(Phi->getVariable());
-      H.u32(Phi->getNumIncoming());
-      for (unsigned In = 0, E = Phi->getNumIncoming(); In != E; ++In)
-        hashBlockRef(Phi->getIncomingBlock(In));
-      break;
-    }
-    case ValueKind::CallOut: {
-      const auto *Out = cast<CallOutInst>(&I);
-      H.u8(TagInstCallOut);
-      hashOperand(Out->getCall());
-      hashVar(Out->getVariable());
-      break;
-    }
     case ValueKind::Store:
       H.u8(TagInstStore);
       hashVar(cast<StoreInst>(&I)->getVariable());

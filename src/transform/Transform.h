@@ -15,7 +15,7 @@
 ///
 ///  1. constant substitution + folding ("constants"): iterate the full
 ///     interprocedural analysis and applyFacts *on the module itself*
-///     (not a scratch clone) until quiescence — every load proven
+///     (not a working copy) until quiescence — every load proven
 ///     constant becomes a literal, expressions over literals fold,
 ///     constant branches resolve, and unreachable blocks disappear.
 ///     This is runCompletePropagation made real: the rewritten module is

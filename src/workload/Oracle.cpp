@@ -25,9 +25,15 @@ std::string OracleReport::str() const {
 OracleReport ipcp::checkSoundness(const Module &M, const IPCPResult &R,
                                   const ExecutionOptions &Opts) {
   OracleReport Report;
-  ExecutionResult Exec = interpret(M, Opts);
+  ExecutionOptions Run = Opts;
+  Run.Facts = &R.Facts;
+  ExecutionResult Exec = interpret(M, Run);
   Report.ExecStatus = Exec.TheStatus;
   Report.DynamicEntries = Exec.Entries.size();
+  for (std::string &V : Exec.FactViolations) {
+    Report.Sound = false;
+    Report.Violations.push_back(std::move(V));
+  }
 
   // Name -> first result of that name (IPCPResult::findProc's answer),
   // built once: the loop below looks up every dynamic entry.

@@ -10,7 +10,10 @@
 /// interpreter records (paper Section 2's definition of correctness). A
 /// procedure that is never invoked is vacuously satisfied — the paper's
 /// "x retains the value T only if the procedure containing x is never
-/// called".
+/// called". The result's substitution facts are checked the same way:
+/// every executed load in Facts.ConstantLoads must read the stated value
+/// and every executed branch in Facts.FoldedBranches must go the stated
+/// way, so a wrong record stage fails here even without a transform.
 ///
 /// Used by the property tests over random generated programs and by the
 /// suite validation tests; strictly stronger than the paper's informal
@@ -40,9 +43,9 @@ struct OracleReport {
   std::string str() const;
 };
 
-/// Executes \p M and validates \p R against the recorded entries.
-/// A trapped or out-of-fuel execution still validates the entries that
-/// were recorded before the stop.
+/// Executes \p M and validates \p R against the recorded entries and
+/// against its facts (Opts.Facts is set to \p R's). A trapped or
+/// out-of-fuel execution still validates what ran before the stop.
 OracleReport checkSoundness(const Module &M, const IPCPResult &R,
                             const ExecutionOptions &Opts = {});
 

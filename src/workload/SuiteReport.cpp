@@ -36,7 +36,7 @@ SuiteStudyResult ipcp::runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
     const SuiteProgram &Prog = Suite[I];
     ScopedTraceSpan ProgSpan("program", Prog.Name);
     auto M = loadSuiteModule(Prog);
-    for (const std::string &E : verifyModule(*M, VerifyMode::PreSSA)) {
+    for (const std::string &E : verifyModule(*M)) {
       Messages[I] += Prog.Name + ": verify: " + E + "\n";
       ++Failures[I];
     }

@@ -29,22 +29,19 @@ namespace {
 struct DualRun {
   std::unique_ptr<Module> M;
   IPCPOptions Opts;
-  CallGraph CG;
-  ModRefInfo MRI;
-  JumpFunctionTables Tables;
+  ModuleAnalysis A;
 
   explicit DualRun(std::unique_ptr<Module> Input, IPCPOptions TheOpts = {})
-      : M(std::move(Input)), Opts(TheOpts), CG(*M),
-        MRI(Opts.UseModInformation ? ModRefInfo::compute(*M, CG)
-                                   : ModRefInfo::worstCase(*M)) {
-    buildJumpFunctions(CG, MRI, Opts, Tables);
+      : M(std::move(Input)), Opts(TheOpts), A(*M, Opts) {
+    buildJumpFunctions(A, Opts);
   }
 
   ConstantsMap callGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstants(CG, MRI, Tables.FJFs, Opts, Stats);
+    return propagateConstants(A.CG, A.MRI, A.Tables.FJFs, Opts, Stats);
   }
   ConstantsMap bindingGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstantsBindingGraph(CG, MRI, Tables.FJFs, Opts, Stats);
+    return propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs, Opts,
+                                          Stats);
   }
 };
 

@@ -41,7 +41,7 @@ TEST(Cloning, RecoversDivergentConstants) {
   EXPECT_GT(R.RefsAfter, R.RefsBefore)
       << "each copy of kernel now sees a constant n";
   EXPECT_GT(R.ConstantsAfter, R.ConstantsBefore);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(Cloning, ClonedModuleBehavesIdentically) {
@@ -95,7 +95,7 @@ TEST(Cloning, PerProcedureCapRespected) {
   Opts.MaxClonesPerProcedure = 3;
   CloningResult R = cloneForConstants(*M, Opts);
   EXPECT_LE(R.ClonesCreated, 2u) << "original + at most 2 copies";
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(Cloning, GrowthCapStopsCloning) {
@@ -157,7 +157,7 @@ TEST(Cloning, SuiteProgramsRemainSoundAfterCloning) {
     EXPECT_GE(R.RefsAfter, R.RefsBefore) << Name;
     OracleReport Report = checkSoundness(*M, runIPCP(*M));
     EXPECT_TRUE(Report.Sound) << Name << ": " << Report.str();
-    expectVerifies(*M, VerifyMode::PreSSA);
+    expectVerifies(*M);
   }
 }
 

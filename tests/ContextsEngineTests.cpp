@@ -168,7 +168,7 @@ TEST(ContextsEngine, OptimizeDifferentialOnSwapProgram) {
   ASSERT_TRUE(Before.ok());
 
   optimizeModule(*M, contextsOptions());
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult After = interpret(*M, Exec);
   ASSERT_TRUE(After.ok());
   EXPECT_EQ(After.Output, Before.Output)
@@ -185,7 +185,7 @@ TEST(ContextsEngine, OptimizeDifferentialOnSuite) {
     Exec.RecordEntrySnapshots = false;
     ExecutionResult Before = interpret(*M, Exec);
     optimizeModule(*M, contextsOptions());
-    expectVerifies(*M, VerifyMode::PreSSA);
+    expectVerifies(*M);
     ExecutionResult After = interpret(*M, Exec);
     if (Before.ok()) {
       EXPECT_EQ(After.TheStatus, Before.TheStatus) << Prog.Name;

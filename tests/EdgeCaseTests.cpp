@@ -113,12 +113,11 @@ TEST(InterpreterEdge, ShadowedGlobalUntouchedByLocalWrites) {
 TEST(SCCPEdge, EdgeQueriesMatchBlockReachability) {
   auto M = lowerOk("proc main() { var x; x = 0; if (x) { print 1; } else "
                    "{ print 2; } }");
-  auto Clone = M->clone();
-  CallGraph CG(*Clone);
-  ModRefInfo MRI = ModRefInfo::compute(*Clone, CG);
-  Procedure *Main = getProc(*Clone, "main");
-  constructSSA(*Main, MRI);
-  SCCPResult R = runSCCP(*Main);
+  CallGraph CG(*M);
+  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
+  Procedure *Main = getProc(*M, "main");
+  SSAResult SSA = constructSSA(*Main, MRI);
+  SCCPResult R = runSCCP(*Main, SSA);
   unsigned ExecutableEdges = 0, Edges = 0;
   for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
     for (BasicBlock *Succ : BB->successors()) {

@@ -42,22 +42,18 @@ proc main() {
 
 struct FJFFixture {
   std::unique_ptr<Module> M;
-  std::unique_ptr<CallGraph> CG;
-  std::unique_ptr<ModRefInfo> MRI;
-  JumpFunctionTables Tables;
+  ModuleAnalysis A;
 
-  explicit FJFFixture(const std::string &Source) {
-    M = lowerOk(Source);
-    CG = std::make_unique<CallGraph>(*M);
-    MRI = std::make_unique<ModRefInfo>(ModRefInfo::compute(*M, *CG));
-    buildJumpFunctions(*CG, *MRI, {}, Tables);
+  explicit FJFFixture(const std::string &Source)
+      : M(lowerOk(Source)), A(*M, {}) {
+    buildJumpFunctions(A, {});
   }
 
   /// Jump functions at the unique call site inside \p Caller.
   const CallSiteJumpFunctions &site(ForwardJumpFunctions &FJFs,
                                     const std::string &Caller) {
     const std::vector<CallInst *> &Sites =
-        CG->callSitesIn(getProc(*M, Caller));
+        A.CG.callSitesIn(getProc(*M, Caller));
     EXPECT_EQ(Sites.size(), 1u);
     return FJFs.at(Sites.front());
   }
@@ -66,10 +62,10 @@ struct FJFFixture {
   /// equal pointers across classes.
   ForwardJumpFunctions build(JumpFunctionKind Kind, bool WithRJFs = true) {
     ForwardJumpFunctions FJFs;
-    for (Procedure *P : CG->procedures())
-      FJFs.buildProcedure(P, *CG, *MRI, Tables.SSA.at(P),
-                          WithRJFs ? Tables.RJFs.get() : nullptr, Tables.Ctx,
-                          Kind, /*UseGatedSSA=*/false);
+    for (Procedure *P : A.CG.procedures())
+      FJFs.buildProcedure(P, A.CG, A.MRI, A.Tables.SSA.at(P),
+                          WithRJFs ? A.Tables.RJFs.get() : nullptr,
+                          A.Tables.Ctx, Kind, /*UseGatedSSA=*/false);
     return FJFs;
   }
 };
@@ -176,7 +172,7 @@ TEST(ForwardJF, ReturnJumpFunctionConstantFeedsGcp) {
   // The use(v) site: v's value is the CallOut of setv, whose return jump
   // function is the constant 6.
   const std::vector<CallInst *> &Sites =
-      F.CG->callSitesIn(getProc(*F.M, "main"));
+      F.A.CG.callSitesIn(getProc(*F.M, "main"));
   ASSERT_EQ(Sites.size(), 2u);
   const CallSiteJumpFunctions &UseSite = FJFs.at(Sites[1]);
   ASSERT_TRUE(UseSite.Formals[0].isConstant());
@@ -194,7 +190,7 @@ TEST(ForwardJF, NonConstantReturnJumpFunctionIsBottomInForwardPhase) {
                "proc main() { call caller(3); }");
   ForwardJumpFunctions FJFs = F.build(JumpFunctionKind::Polynomial);
   const std::vector<CallInst *> &Sites =
-      F.CG->callSitesIn(getProc(*F.M, "caller"));
+      F.A.CG.callSitesIn(getProc(*F.M, "caller"));
   ASSERT_EQ(Sites.size(), 2u);
   const CallSiteJumpFunctions &UseSite = FJFs.at(Sites[1]);
   EXPECT_TRUE(UseSite.Formals[0].isBottom());
@@ -207,7 +203,7 @@ TEST(ForwardJF, ConstantArgMakesReturnJumpFunctionEvaluable) {
                "proc main() { call caller(); }");
   ForwardJumpFunctions FJFs = F.build(JumpFunctionKind::Polynomial);
   const std::vector<CallInst *> &Sites =
-      F.CG->callSitesIn(getProc(*F.M, "caller"));
+      F.A.CG.callSitesIn(getProc(*F.M, "caller"));
   const CallSiteJumpFunctions &UseSite = FJFs.at(Sites[1]);
   ASSERT_TRUE(UseSite.Formals[0].isConstant());
   EXPECT_EQ(UseSite.Formals[0].expr()->getConst(), 42);
@@ -220,7 +216,7 @@ TEST(ForwardJF, WithoutReturnJumpFunctionsCallOutsAreBottom) {
   ForwardJumpFunctions FJFs =
       F.build(JumpFunctionKind::Polynomial, /*WithRJFs=*/false);
   const std::vector<CallInst *> &Sites =
-      F.CG->callSitesIn(getProc(*F.M, "main"));
+      F.A.CG.callSitesIn(getProc(*F.M, "main"));
   const CallSiteJumpFunctions &UseSite = FJFs.at(Sites[1]);
   EXPECT_TRUE(UseSite.Formals[0].isBottom());
 }

@@ -42,7 +42,7 @@ TEST(IRModule, CloneIsStructurallyIdentical) {
                    "read x; print x; }");
   auto Clone = M->clone();
   EXPECT_EQ(printModule(*M), printModule(*Clone));
-  expectVerifies(*Clone, VerifyMode::PreSSA);
+  expectVerifies(*Clone);
 }
 
 TEST(IRModule, ClonePreservesIds) {
@@ -113,7 +113,7 @@ TEST(IRModule, CloneProcedureIsFoundByItsNewName) {
   EXPECT_EQ(M->findProcedure("p.clone1"), Copy);
   EXPECT_EQ(Copy->getModuleIndex(), 2u);
   EXPECT_EQ(M->findProcedure("p"), P);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(IRModule, ErasedProcedureIsNoLongerFound) {
@@ -154,7 +154,7 @@ TEST(IRBasicBlock, SuccessorsFromTerminator) {
 TEST(IRBasicBlock, PredecessorListsMatchEdges) {
   auto M =
       lowerOk("proc main() { var x; while (x < 2) { x = x + 1; } print x; }");
-  expectVerifies(*M, VerifyMode::PreSSA); // includes the edge consistency check
+  expectVerifies(*M); // includes the edge consistency check
 }
 
 TEST(IRProcedure, RemoveUnreachableBlocks) {
@@ -166,7 +166,7 @@ TEST(IRProcedure, RemoveUnreachableBlocks) {
                                             Main->getExitBlock()));
   Main->getExitBlock()->addPredecessor(Dead);
   EXPECT_EQ(Main->removeUnreachableBlocks(), 1u);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(IRInstruction, ReplaceUsesOfWith) {
@@ -213,7 +213,7 @@ TEST(Verifier, ReportsMissingTerminator) {
   BasicBlock *BB = P->createBlock("entry");
   BB->append(std::make_unique<ReadInst>(M.nextInstId(), SourceLoc()));
   std::vector<std::string> Errors;
-  verifyProcedure(*P, VerifyMode::PreSSA, Errors);
+  verifyProcedure(*P, Errors);
   ASSERT_FALSE(Errors.empty());
   bool Found = false;
   for (const std::string &E : Errors)
@@ -232,7 +232,7 @@ TEST(Verifier, ReportsInconsistentPredecessors) {
   B->append(std::make_unique<RetInst>(M.nextInstId(), SourceLoc()));
   // Deliberately forget B->addPredecessor(A).
   std::vector<std::string> Errors;
-  verifyProcedure(*P, VerifyMode::PreSSA, Errors);
+  verifyProcedure(*P, Errors);
   bool Found = false;
   for (const std::string &E : Errors)
     if (E.find("inconsistent pred/succ") != std::string::npos)
@@ -243,12 +243,10 @@ TEST(Verifier, ReportsInconsistentPredecessors) {
 TEST(Verifier, ReportsPhiInPreSSA) {
   auto M = lowerOk("proc main() { var x; x = 1; }");
   Procedure *Main = getProc(*M, "main");
-  Main->getEntryBlock()->insertAtTop(
-      std::make_unique<PhiInst>(M->nextInstId(), SourceLoc(),
-                                Main->locals()[0]),
-      /*AfterPhis=*/false);
+  Main->getEntryBlock()->insertAtTop(std::make_unique<PhiInst>(
+      M->nextInstId(), SourceLoc(), Main->locals()[0]));
   std::vector<std::string> Errors;
-  verifyProcedure(*Main, VerifyMode::PreSSA, Errors);
+  verifyProcedure(*Main, Errors);
   bool Found = false;
   for (const std::string &E : Errors)
     if (E.find("phi/callout") != std::string::npos)
@@ -271,7 +269,7 @@ TEST(Verifier, ReportsCallArityMismatch) {
                                         std::vector<CallActual>{}));
   BB->append(std::make_unique<RetInst>(M.nextInstId(), SourceLoc()));
   std::vector<std::string> Errors;
-  verifyProcedure(*P, VerifyMode::PreSSA, Errors);
+  verifyProcedure(*P, Errors);
   bool Found = false;
   for (const std::string &E : Errors)
     if (E.find("passes 0 actuals") != std::string::npos)
@@ -293,7 +291,7 @@ TEST(ApplyFacts, SubstitutesConstantLoads) {
   TransformStats Stats = applyFacts(*M, Facts);
   EXPECT_EQ(Stats.LoadsReplaced, 1u);
   EXPECT_EQ(countInsts<LoadInst>(*Main), 0u);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(ApplyFacts, FoldsBranchesAndRemovesDeadBlocks) {
@@ -309,7 +307,7 @@ TEST(ApplyFacts, FoldsBranchesAndRemovesDeadBlocks) {
   EXPECT_EQ(Stats.BlocksRemoved, 1u);
   EXPECT_TRUE(Stats.foundDeadCode());
   EXPECT_EQ(countInsts<PrintInst>(*Main), 1u);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(ApplyFacts, RemovesTriviallyDeadChains) {

@@ -25,7 +25,7 @@ TEST(Inlining, SingleSiteBasics) {
   CallInst *Call = firstInst<CallInst>(*Main);
   ASSERT_NE(Call, nullptr);
   inlineCallSite(*M, *Main, Call);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   EXPECT_EQ(countInsts<CallInst>(*Main), 0u);
   ExecutionResult R = interpret(*M);
   ASSERT_TRUE(R.ok()) << R.TrapMessage;
@@ -39,7 +39,7 @@ TEST(Inlining, ExpressionActualStaysIsolated) {
                    "print v; }");
   Procedure *Main = getProc(*M, "main");
   inlineCallSite(*M, *Main, firstInst<CallInst>(*Main));
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult R = interpret(*M);
   EXPECT_EQ(R.Output, (std::vector<ConstantValue>{4}))
       << "the hidden temporary absorbs the write";
@@ -54,7 +54,7 @@ TEST(Inlining, CalleeLocalsAreFreshPerIntegration) {
   std::vector<CallInst *> Sites = Main->callSites();
   for (CallInst *Site : Sites)
     inlineCallSite(*M, *Main, Site);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult R = interpret(*M);
   EXPECT_EQ(R.Output, (std::vector<ConstantValue>{3, 8}))
       << "each integration zero-initializes its own copy of t";
@@ -68,7 +68,7 @@ TEST(Inlining, ControlFlowInsideCalleeSurvives) {
   Procedure *Main = getProc(*M, "main");
   for (CallInst *Site : Main->callSites())
     inlineCallSite(*M, *Main, Site);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult R = interpret(*M);
   EXPECT_EQ(R.Output, (std::vector<ConstantValue>{7, 3}));
 }
@@ -80,7 +80,7 @@ TEST(Inlining, CallInsideLoopReexecutes) {
                    "print total; }");
   Procedure *Main = getProc(*M, "main");
   inlineCallSite(*M, *Main, firstInst<CallInst>(*Main));
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult R = interpret(*M);
   EXPECT_EQ(R.Output, (std::vector<ConstantValue>{10}));
 }
@@ -92,7 +92,7 @@ TEST(Inlining, NestedCallsNeedRounds) {
                    "proc main() { var v; v = 5; call a(v); print v; }");
   InlineOptions Opts;
   InlineResult R = inlineCalls(*M, Opts);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   EXPECT_GE(R.CallsInlined, 3u);
   EXPECT_GE(R.RoundsRun, 1u);
   EXPECT_EQ(countInsts<CallInst>(*getProc(*M, "main")), 0u);
@@ -153,7 +153,7 @@ TEST_P(InliningPreservesBehavior, GeneratedPrograms) {
   ExecutionResult Before = interpret(*M, Exec);
 
   InlineResult R = inlineCalls(*M);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   ExecutionResult After = interpret(*M, Exec);
   EXPECT_EQ(Before.TheStatus, After.TheStatus) << "inlined " << R.CallsInlined;
   EXPECT_EQ(Before.Output, After.Output);
@@ -167,7 +167,7 @@ TEST(Inlining, SuiteProgramsPreserveOutput) {
     auto M = loadSuiteModule(*findSuiteProgram(Name));
     ExecutionResult Before = interpret(*M);
     inlineCalls(*M);
-    expectVerifies(*M, VerifyMode::PreSSA);
+    expectVerifies(*M);
     ExecutionResult After = interpret(*M);
     EXPECT_EQ(Before.Output, After.Output) << Name;
   }

@@ -136,7 +136,7 @@ TEST(Lowering, ReturnBranchesToExitAndDropsDeadCode) {
   Procedure *Main = getProc(*M, "main");
   // The statements after return are unreachable and removed entirely.
   EXPECT_EQ(countInsts<PrintInst>(*Main), 0u);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST(Lowering, ReadLowersToReadPlusStore) {
@@ -199,7 +199,7 @@ TEST(Lowering, WholeSuiteVerifies) {
       "  call rec(4);\n"
       "  print acc + depth;\n"
       "}\n");
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   EXPECT_GE(M->instructionCount(), 30u);
 }
 

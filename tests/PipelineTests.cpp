@@ -8,6 +8,9 @@
 
 #include "analysis/DeadCode.h"
 #include "core/Pipeline.h"
+#include "ir/IRPrinter.h"
+#include "workload/Generator.h"
+#include "workload/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -74,7 +77,7 @@ TEST(Pipeline, FactsApplyToTheOriginalModule) {
   ASSERT_EQ(R.Facts.ConstantLoads.size(), 1u);
   TransformStats Stats = applyFacts(*M, R.Facts);
   EXPECT_EQ(Stats.LoadsReplaced, 1u);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   // After substitution, no scalar load of the formal remains in f.
   EXPECT_EQ(countInsts<LoadInst>(*getProc(*M, "f")), 0u);
 }
@@ -84,6 +87,58 @@ TEST(Pipeline, ModuleIsNotMutatedByAnalysis) {
   unsigned Before = M->instructionCount();
   runIPCP(*M);
   EXPECT_EQ(M->instructionCount(), Before);
+}
+
+// The analysis only reads its module: SSA form lives in side tables, so
+// runIPCP and a jump-function build leave the printed module, its
+// instruction count and its next instruction and variable IDs as they
+// were. (The module's lazy instruction stream and entry values are the
+// only state they may fill in.)
+TEST(Pipeline, AnalysisLeavesEveryModuleUntouched) {
+  std::vector<std::pair<std::string, std::unique_ptr<Module>>> Modules;
+  for (const SuiteProgram &Prog : benchmarkSuite())
+    Modules.push_back({Prog.Name, loadSuiteModule(Prog)});
+  for (bool Recursion : {false, true})
+    for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+      GeneratorConfig Config;
+      Config.Seed = Seed;
+      Config.NumProcs = 6;
+      Config.NumGlobals = 4;
+      Config.AllowRecursion = Recursion;
+      Modules.push_back({"generated seed " + std::to_string(Seed) +
+                             (Recursion ? " (recursive)" : ""),
+                         lowerOk(generateProgram(Config))});
+    }
+
+  std::vector<std::pair<std::string, IPCPOptions>> Configs(5);
+  Configs[0].first = "default";
+  Configs[1].first = "gated-ssa";
+  Configs[1].second.UseGatedSSA = true;
+  Configs[2].first = "no-mod";
+  Configs[2].second.UseModInformation = false;
+  Configs[3].first = "binding-graph";
+  Configs[3].second.UseBindingGraphPropagator = true;
+  Configs[4].first = "contexts";
+  Configs[4].second.Engine = PropagationEngine::Contexts;
+
+  for (const auto &[Name, M] : Modules) {
+    std::string Text = printModule(*M);
+    unsigned Insts = M->instructionCount();
+    uint64_t InstIds = M->instIdBound(), VarIds = M->varIdBound();
+    auto ExpectUntouched = [&](const std::string &What) {
+      EXPECT_EQ(printModule(*M), Text) << Name << ", " << What;
+      EXPECT_EQ(M->instructionCount(), Insts) << Name << ", " << What;
+      EXPECT_EQ(M->instIdBound(), InstIds) << Name << ", " << What;
+      EXPECT_EQ(M->varIdBound(), VarIds) << Name << ", " << What;
+    };
+    for (const auto &[ConfigName, Opts] : Configs) {
+      runIPCP(*M, Opts);
+      ExpectUntouched("runIPCP " + ConfigName);
+      ModuleAnalysis A(*M, Opts);
+      buildJumpFunctions(A, Opts);
+      ExpectUntouched("buildJumpFunctions " + ConfigName);
+    }
+  }
 }
 
 TEST(Pipeline, OceanPatternNeedsReturnJumpFunctions) {

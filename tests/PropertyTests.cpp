@@ -139,12 +139,11 @@ TEST_P(GeneratedProperties, DeterministicAnalysis) {
 
 TEST_P(GeneratedProperties, SSAFormVerifies) {
   GeneratedCase Case(GetParam());
-  auto Clone = Case.M->clone();
-  CallGraph CG(*Clone);
-  ModRefInfo MRI = ModRefInfo::compute(*Clone, CG);
-  for (const std::unique_ptr<Procedure> &P : Clone->procedures())
-    constructSSA(*P, MRI);
-  expectVerifies(*Clone, VerifyMode::SSA);
+  CallGraph CG(*Case.M);
+  ModRefInfo MRI = ModRefInfo::compute(*Case.M, CG);
+  for (const std::unique_ptr<Procedure> &P : Case.M->procedures())
+    expectVerifiesSSA(*P, constructSSA(*P, MRI));
+  expectVerifies(*Case.M);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedProperties,
@@ -192,7 +191,7 @@ TEST_P(TransformProperties, SubstitutionPreservesOutput) {
 
   IPCPResult R = runIPCP(*Case.M);
   applyFacts(*Case.M, R.Facts);
-  expectVerifies(*Case.M, VerifyMode::PreSSA);
+  expectVerifies(*Case.M);
   ExecutionResult After = interpret(*Case.M, Exec);
 
   if (Before.ok()) {

@@ -18,11 +18,11 @@ namespace {
 /// Builds SSA and the return-jump-function table for a program.
 struct RJFFixture {
   std::unique_ptr<Module> M;
-  JumpFunctionTables Tables;
+  ModuleAnalysis A;
 
-  explicit RJFFixture(const std::string &Source) : M(lowerOk(Source)) {
-    CallGraph CG(*M);
-    buildJumpFunctions(CG, ModRefInfo::compute(*M, CG), {}, Tables);
+  explicit RJFFixture(const std::string &Source)
+      : M(lowerOk(Source)), A(*M, {}) {
+    buildJumpFunctions(A, {});
   }
 
   const JumpFunction *find(const std::string &Proc,
@@ -32,7 +32,7 @@ struct RJFFixture {
     if (!V)
       V = M->findGlobal(Var);
     EXPECT_NE(V, nullptr);
-    return Tables.RJFs->find(P, V);
+    return A.Tables.RJFs->find(P, V);
   }
 };
 
@@ -183,8 +183,8 @@ TEST(ReturnJF, CountsReflectKnowledge) {
   // Entries: known's g, unknown's a, and main's transitive g (main calls
   // known, so MOD(main) includes g). Known: both g entries — main's exit
   // value of g composes through known's constant return jump function.
-  EXPECT_EQ(F.Tables.RJFs->entryCount(), 3u);
-  EXPECT_EQ(F.Tables.RJFs->knownCount(), 2u);
+  EXPECT_EQ(F.A.Tables.RJFs->entryCount(), 3u);
+  EXPECT_EQ(F.A.Tables.RJFs->knownCount(), 2u);
 }
 
 } // namespace

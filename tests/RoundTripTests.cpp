@@ -67,17 +67,32 @@ TEST(IRPrinterCoverage, SSAFormPrintsPhisAndCallOuts) {
                    "proc setter(o) { o = o + 5; g = 6; }\n"
                    "proc main() { var x, c; read c; if (c) { x = 1; } else "
                    "{ x = 2; } call setter(x); print x + g; }");
-  auto Clone = M->clone();
-  CallGraph CG(*Clone);
-  ModRefInfo MRI = ModRefInfo::compute(*Clone, CG);
-  for (const std::unique_ptr<Procedure> &P : Clone->procedures())
-    constructSSA(*P, MRI);
-  std::string Text = printModule(*Clone);
+  std::string Before = printModule(*M);
+  CallGraph CG(*M);
+  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
+  // Print every side phi and CallOut, plus the SSA value that stands for
+  // each load of x.
+  std::string Text;
+  unsigned LoadsOfX = 0;
+  for (const std::unique_ptr<Procedure> &P : M->procedures()) {
+    SSAResult SSA = constructSSA(*P, MRI);
+    for (const PhiInst &Phi : SSA.Phis)
+      Text += printInstruction(&Phi) + "\n";
+    for (const CallOutInst &Out : SSA.CallOuts)
+      Text += printInstruction(&Out) + "\n";
+    for (const auto &[Load, Def] : promotedLoads(*P, SSA)) {
+      Text += printValueRef(Def) + "\n";
+      if (Load->getVariable()->getName() == "x") {
+        ++LoadsOfX;
+        EXPECT_FALSE(isa<LoadInst>(Def)) << "promoted scalars leave no loads";
+      }
+    }
+  }
   EXPECT_NE(Text.find("phi"), std::string::npos);
   EXPECT_NE(Text.find("callout"), std::string::npos);
   EXPECT_NE(Text.find("entry("), std::string::npos);
-  EXPECT_EQ(Text.find("load x"), std::string::npos)
-      << "promoted scalars leave no loads";
+  EXPECT_GT(LoadsOfX, 0u);
+  EXPECT_EQ(printModule(*M), Before) << "the body itself is only read";
 }
 
 //===----------------------------------------------------------------------===//
@@ -96,6 +111,40 @@ TEST(OracleSelfTest, FlagsFabricatedConstants) {
   EXPECT_FALSE(Report.Sound) << "the oracle must reject a = 1 (a is also 2)";
   ASSERT_FALSE(Report.Violations.empty());
   EXPECT_NE(Report.Violations[0].find("observed"), std::string::npos);
+}
+
+TEST(OracleSelfTest, FlagsFabricatedFacts) {
+  auto M = lowerOk("proc main() { var x; read x; if (x < 5000) { print x; "
+                   "} }");
+  IPCPResult R = runIPCP(*M);
+  ASSERT_TRUE(checkSoundness(*M, R).Sound);
+  ASSERT_TRUE(R.Facts.ConstantLoads.empty());
+  ASSERT_TRUE(R.Facts.FoldedBranches.empty());
+  // Forge a constant for every load of x and a fixed direction for the
+  // branch: the inputs are below 2048, so each load reads something else
+  // and the branch always goes true.
+  Procedure *Main = getProc(*M, "main");
+  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
+    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
+      if (isa<LoadInst>(Inst.get()))
+        R.Facts.ConstantLoads[Inst->getId()] = 4096;
+      if (isa<CondBranchInst>(Inst.get()))
+        R.Facts.FoldedBranches[Inst->getId()] = false;
+    }
+  OracleReport Report = checkSoundness(*M, R);
+  EXPECT_FALSE(Report.Sound);
+  unsigned Loads = 0, Branches = 0;
+  for (const std::string &V : Report.Violations) {
+    Loads += V.find("claimed x = 4096 but read") != std::string::npos;
+    Branches += V.find("claimed the branch always goes false but it went "
+                       "true") != std::string::npos;
+  }
+  EXPECT_EQ(Loads, 2u) << Report.str();
+  EXPECT_EQ(Branches, 1u) << Report.str();
+
+  // Without facts the interpreter checks nothing.
+  ExecutionResult Plain = interpret(*M);
+  EXPECT_TRUE(Plain.FactViolations.empty());
 }
 
 TEST(OracleSelfTest, AcceptsVacuousClaimsForDeadProcedures) {

@@ -17,7 +17,7 @@ using namespace ipcp::test;
 
 namespace {
 
-/// Promotes one named procedure and runs SCCP over it.
+/// Builds every procedure's SSA side tables and runs SCCP over one.
 struct SCCPFixture {
   std::unique_ptr<Module> M;
   std::unordered_map<Procedure *, SSAResult> SSA;
@@ -31,15 +31,23 @@ struct SCCPFixture {
   }
 
   SCCPResult run(const std::string &Name, SCCPOptions Opts = {}) {
-    return runSCCP(*getProc(*M, Name), Opts);
+    Procedure *P = getProc(*M, Name);
+    return runSCCP(*P, SSA.at(P), Opts);
   }
 
-  /// Lattice value of the SSA value behind the I-th source-level load.
-  LatticeValue loadValue(const std::string &Name, const SCCPResult &R,
-                         unsigned Index) {
-    const SSAResult &ProcSSA = SSA.at(getProc(*M, Name));
-    EXPECT_LT(Index, ProcSSA.Loads.size());
-    return R.valueOf(ProcSSA.Loads[Index].Replacement);
+  /// \p Name's promoted loads in stream order, with their SSA values.
+  std::vector<std::pair<const LoadInst *, Value *>>
+  loads(const std::string &Name) {
+    Procedure *P = getProc(*M, Name);
+    return promotedLoads(*P, SSA.at(P));
+  }
+
+  /// Lattice value of the SSA value behind the last source-level load.
+  LatticeValue lastLoadValue(const std::string &Name, const SCCPResult &R) {
+    auto Loads = loads(Name);
+    EXPECT_FALSE(Loads.empty());
+    return Loads.empty() ? LatticeValue::top()
+                         : R.valueOf(Loads.back().second);
   }
 };
 
@@ -47,8 +55,7 @@ TEST(SCCP, FoldsStraightLineArithmetic) {
   SCCPFixture F("proc main() { var x, y; x = 6; y = x * 7; print y; }");
   SCCPResult R = F.run("main");
   // print's load of y (the last load).
-  LatticeValue V = F.loadValue("main", R, F.SSA.at(getProc(*F.M, "main"))
-                                              .Loads.size() - 1);
+  LatticeValue V = F.lastLoadValue("main", R);
   ASSERT_TRUE(V.isConstant());
   EXPECT_EQ(V.getConstant(), 42);
 }
@@ -57,8 +64,7 @@ TEST(SCCP, MergesAgreeingBranches) {
   SCCPFixture F("proc main() { var x, c; read c; if (c) { x = 5; } else { "
                 "x = 5; } print x; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  LatticeValue V = R.valueOf(SSA.Loads.back().Replacement);
+  LatticeValue V = F.lastLoadValue("main", R);
   ASSERT_TRUE(V.isConstant()) << "both arms store 5";
   EXPECT_EQ(V.getConstant(), 5);
 }
@@ -67,8 +73,7 @@ TEST(SCCP, ConflictingBranchesAreBottom) {
   SCCPFixture F("proc main() { var x, c; read c; if (c) { x = 5; } else { "
                 "x = 6; } print x; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  EXPECT_TRUE(R.valueOf(SSA.Loads.back().Replacement).isBottom());
+  EXPECT_TRUE(F.lastLoadValue("main", R).isBottom());
 }
 
 TEST(SCCP, ConstantConditionKeepsDeadEdgeUnexecutable) {
@@ -90,8 +95,7 @@ TEST(SCCP, DeadBranchDoesNotPolluteMerge) {
   SCCPFixture F("proc main() { var x, f; f = 0; x = 1; if (f) { x = 2; } "
                 "print x; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  LatticeValue V = R.valueOf(SSA.Loads.back().Replacement);
+  LatticeValue V = F.lastLoadValue("main", R);
   ASSERT_TRUE(V.isConstant());
   EXPECT_EQ(V.getConstant(), 1);
 }
@@ -99,11 +103,10 @@ TEST(SCCP, DeadBranchDoesNotPolluteMerge) {
 TEST(SCCP, LoopInvariantStaysConstantThroughPhis) {
   SCCPFixture F("proc main() { var i, k; k = 3; do i = 1, 4 { print k; } }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
   // The print inside the loop loads k.
   bool FoundK = false;
-  for (const SSAResult::ReplacedLoad &Load : SSA.Loads) {
-    LatticeValue V = R.valueOf(Load.Replacement);
+  for (const auto &[Load, Def] : F.loads("main")) {
+    LatticeValue V = R.valueOf(Def);
     if (V.isConstant() && V.getConstant() == 3)
       FoundK = true;
   }
@@ -114,15 +117,13 @@ TEST(SCCP, LoopCounterIsBottom) {
   SCCPFixture F("proc main() { var i, s; do i = 1, 4 { s = s + i; } print "
                 "s; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  EXPECT_TRUE(R.valueOf(SSA.Loads.back().Replacement).isBottom());
+  EXPECT_TRUE(F.lastLoadValue("main", R).isBottom());
 }
 
 TEST(SCCP, ReadIsBottom) {
   SCCPFixture F("proc main() { var x; read x; print x; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  EXPECT_TRUE(R.valueOf(SSA.Loads.back().Replacement).isBottom());
+  EXPECT_TRUE(F.lastLoadValue("main", R).isBottom());
 }
 
 TEST(SCCP, ArrayLoadIsBottom) {
@@ -138,8 +139,7 @@ TEST(SCCP, ArrayLoadIsBottom) {
 TEST(SCCP, DivisionByZeroDeclines) {
   SCCPFixture F("proc main() { var x, y; x = 0; y = 5 / x; print y; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  EXPECT_TRUE(R.valueOf(SSA.Loads.back().Replacement).isBottom());
+  EXPECT_TRUE(F.lastLoadValue("main", R).isBottom());
 }
 
 TEST(SCCP, EntrySeedsInjectInterproceduralConstants) {
@@ -163,23 +163,49 @@ TEST(SCCP, CallOutDefaultsToBottom) {
   SCCPFixture F("proc setter(o) { o = 9; }\n"
                 "proc main() { var x; call setter(x); print x; }");
   SCCPResult R = F.run("main");
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  EXPECT_TRUE(R.valueOf(SSA.Loads.back().Replacement).isBottom());
+  EXPECT_TRUE(F.lastLoadValue("main", R).isBottom());
 }
 
 TEST(SCCP, CallOutHookSuppliesReturnValues) {
   SCCPFixture F("proc setter(o) { o = 9; }\n"
                 "proc main() { var x; call setter(x); print x; }");
   SCCPOptions Opts;
-  Opts.CallOutEval = [](const CallOutInst *,
-                        const std::function<LatticeValue(const Value *)> &) {
-    return LatticeValue::constant(9);
+  Opts.BindCallOut = [](const CallOutInst *) {
+    CallOutBinding B;
+    B.Evaluate = [](std::span<const LatticeValue>) {
+      return LatticeValue::constant(9);
+    };
+    return B;
   };
   SCCPResult R = F.run("main", Opts);
-  const SSAResult &SSA = F.SSA.at(getProc(*F.M, "main"));
-  LatticeValue V = R.valueOf(SSA.Loads.back().Replacement);
+  LatticeValue V = F.lastLoadValue("main", R);
   ASSERT_TRUE(V.isConstant());
   EXPECT_EQ(V.getConstant(), 9);
+}
+
+TEST(SCCP, CallOutIsReevaluatedWhenAnInputChanges) {
+  // The solver pops the call's CallOut before it evaluates k + 1, so the
+  // CallOut first sees a top input; only its registered input brings it
+  // back once k + 1 folds.
+  SCCPFixture F("proc setter(o, v) { o = v; }\n"
+                "proc main() { var x, k; k = 4; call setter(x, k + 1); "
+                "print x; }");
+  auto *Call = firstInst<CallInst>(*getProc(*F.M, "main"));
+  ASSERT_NE(Call, nullptr);
+  SCCPOptions Opts;
+  Opts.BindCallOut = [Call](const CallOutInst *Out) {
+    EXPECT_EQ(Out->getCall(), Call);
+    CallOutBinding B;
+    B.Inputs = {Call->getActualValue(1)};
+    B.Evaluate = [](std::span<const LatticeValue> Values) {
+      return Values[0];
+    };
+    return B;
+  };
+  SCCPResult R = F.run("main", Opts);
+  LatticeValue V = F.lastLoadValue("main", R);
+  ASSERT_TRUE(V.isConstant());
+  EXPECT_EQ(V.getConstant(), 5);
 }
 
 TEST(SCCP, UnreachableCodeStaysTop) {

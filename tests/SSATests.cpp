@@ -8,6 +8,7 @@
 
 #include "analysis/ModRef.h"
 #include "analysis/SSAConstruction.h"
+#include "ir/IRPrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -16,43 +17,65 @@ using namespace ipcp::test;
 
 namespace {
 
-/// Lowers, computes MOD/REF, and promotes every procedure; returns the
-/// module plus per-procedure results.
+/// Lowers, computes MOD/REF, and builds every procedure's SSA side
+/// tables; returns the module plus per-procedure results. The module
+/// itself must come out unchanged and still pre-SSA.
 struct SSAFixture {
   std::unique_ptr<Module> M;
   std::unordered_map<Procedure *, SSAResult> Results;
 
   explicit SSAFixture(const std::string &Source, bool WorstCaseMod = false) {
     M = lowerOk(Source);
+    std::string Before = printModule(*M);
     CallGraph CG(*M);
     ModRefInfo MRI = WorstCaseMod ? ModRefInfo::worstCase(*M)
                                   : ModRefInfo::compute(*M, CG);
-    for (const std::unique_ptr<Procedure> &P : M->procedures())
-      Results.emplace(P.get(), constructSSA(*P, MRI));
-    expectVerifies(*M, VerifyMode::SSA);
+    for (const std::unique_ptr<Procedure> &P : M->procedures()) {
+      const SSAResult &R =
+          Results.emplace(P.get(), constructSSA(*P, MRI)).first->second;
+      expectVerifiesSSA(*P, R);
+    }
+    EXPECT_EQ(printModule(*M), Before);
+    expectVerifies(*M);
   }
 
   Procedure *proc(const std::string &Name) { return getProc(*M, Name); }
   SSAResult &result(const std::string &Name) {
     return Results.at(proc(Name));
   }
+
+  /// The SSA value standing for \p V in procedure \p Name.
+  Value *resolved(const std::string &Name, Value *V) {
+    return result(Name).resolve(V);
+  }
 };
 
 TEST(SSA, StraightLineLeavesNoLoadsOrStores) {
   SSAFixture F("proc main() { var x, y; x = 1; y = x + 2; print y; }");
   Procedure *Main = F.proc("main");
-  EXPECT_EQ(countInsts<LoadInst>(*Main), 0u);
-  EXPECT_EQ(countInsts<StoreInst>(*Main), 0u);
-  EXPECT_EQ(countInsts<PhiInst>(*Main), 0u) << "no joins, no phis";
+  const SSAResult &R = F.result("main");
+  // Every load and store is a promoted access: each load has a
+  // replacement and SCCP visits none of them.
+  unsigned Accesses = 0;
+  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
+    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+      if (isa<LoadInst, StoreInst>(Inst.get())) {
+        ++Accesses;
+        EXPECT_TRUE(R.isPromotedAccess(Inst.get()));
+      }
+  EXPECT_EQ(Accesses, 6u) << "two zeroing stores, then x, load x, y, load y";
+  EXPECT_EQ(promotedLoads(*Main, R).size(), 2u);
+  EXPECT_EQ(R.Phis.size(), 0u) << "no joins, no phis";
 }
 
 TEST(SSA, DiamondInsertsPhiAtJoin) {
   SSAFixture F(
       "proc main() { var x; if (x == 0) { x = 1; } else { x = 2; } print x; "
       "}");
-  Procedure *Main = F.proc("main");
-  auto *Phi = firstInst<PhiInst>(*Main);
-  ASSERT_NE(Phi, nullptr);
+  const SSAResult &R = F.result("main");
+  ASSERT_EQ(R.Phis.size(), 1u);
+  const PhiInst *Phi = &R.Phis.front();
+  EXPECT_EQ(R.phisOf(Phi->getParent()).size(), 1u);
   EXPECT_EQ(Phi->getNumIncoming(), 2u);
   EXPECT_EQ(Phi->getVariable()->getName(), "x");
   // Both incoming values are the stored constants.
@@ -65,8 +88,7 @@ TEST(SSA, DiamondInsertsPhiAtJoin) {
 
 TEST(SSA, LoopCreatesHeaderPhi) {
   SSAFixture F("proc main() { var i; while (i < 4) { i = i + 1; } print i; }");
-  Procedure *Main = F.proc("main");
-  EXPECT_GE(countInsts<PhiInst>(*Main), 1u);
+  EXPECT_GE(F.result("main").Phis.size(), 1u);
 }
 
 TEST(SSA, FormalsStartAtEntryValues) {
@@ -74,7 +96,7 @@ TEST(SSA, FormalsStartAtEntryValues) {
   Procedure *Proc = F.proc("f");
   auto *Add = firstInst<BinaryInst>(*Proc);
   ASSERT_NE(Add, nullptr);
-  auto *Entry = dyn_cast<EntryValue>(Add->getLHS());
+  auto *Entry = dyn_cast<EntryValue>(F.resolved("f", Add->getLHS()));
   ASSERT_NE(Entry, nullptr);
   EXPECT_EQ(Entry->getVariable()->getName(), "a");
 }
@@ -87,17 +109,18 @@ TEST(SSA, ReferencedGlobalsArePromoted) {
     if (Var->isGlobal())
       GlobalPromoted = true;
   EXPECT_TRUE(GlobalPromoted);
-  ASSERT_EQ(R.Loads.size(), 2u);
-  EXPECT_TRUE(isa<EntryValue>(R.Loads[0].Replacement))
+  auto Loads = promotedLoads(*F.proc("main"), R);
+  ASSERT_EQ(Loads.size(), 2u);
+  EXPECT_TRUE(isa<EntryValue>(Loads[0].second))
       << "first print reads the entry value";
-  auto *C = dyn_cast<ConstantInt>(R.Loads[1].Replacement);
+  auto *C = dyn_cast<ConstantInt>(Loads[1].second);
   ASSERT_NE(C, nullptr) << "second print reads the stored constant";
   EXPECT_EQ(C->getValue(), 2);
 }
 
 TEST(SSA, LoadMapRecordsEveryScalarReference) {
   SSAFixture F("proc main() { var x, y; x = 1; y = x; print x + y; }");
-  EXPECT_EQ(F.result("main").Loads.size(), 3u);
+  EXPECT_EQ(promotedLoads(*F.proc("main"), F.result("main")).size(), 3u);
 }
 
 TEST(SSA, ExitValuesCaptureFinalState) {
@@ -107,10 +130,10 @@ TEST(SSA, ExitValuesCaptureFinalState) {
   Procedure *Proc = F.proc("f");
   Variable *A = Proc->formals()[0];
   Variable *B = Proc->formals()[1];
-  ASSERT_TRUE(R.ExitValues.count(A));
-  ASSERT_TRUE(R.ExitValues.count(B));
-  EXPECT_TRUE(isa<BinaryInst>(R.ExitValues.at(A)));
-  EXPECT_TRUE(isa<EntryValue>(R.ExitValues.at(B)))
+  ASSERT_NE(R.exitValue(A), nullptr);
+  ASSERT_NE(R.exitValue(B), nullptr);
+  EXPECT_TRUE(isa<BinaryInst>(R.exitValue(A)));
+  EXPECT_TRUE(isa<EntryValue>(R.exitValue(B)))
       << "unmodified formal exits with its entry value";
 }
 
@@ -119,12 +142,13 @@ TEST(SSA, CallCreatesCallOutsForKills) {
                "proc setter(o) { o = 5; g = 6; }\n"
                "proc main() { var x; call setter(x); print x + g; }");
   Procedure *Main = F.proc("main");
-  EXPECT_EQ(countInsts<CallOutInst>(*Main), 2u) << "x and g";
-  // The prints' loads resolve to the CallOuts.
   SSAResult &R = F.result("main");
+  EXPECT_EQ(R.CallOuts.size(), 2u) << "x and g";
+  EXPECT_EQ(countInsts<CallOutInst>(*Main), 0u) << "no block holds them";
+  // The prints' loads resolve to the CallOuts.
   unsigned CallOutLoads = 0;
-  for (const SSAResult::ReplacedLoad &Load : R.Loads)
-    if (isa<CallOutInst>(Load.Replacement))
+  for (const auto &[Load, Def] : promotedLoads(*Main, R))
+    if (isa<CallOutInst>(Def))
       ++CallOutLoads;
   EXPECT_EQ(CallOutLoads, 2u);
 }
@@ -132,13 +156,12 @@ TEST(SSA, CallCreatesCallOutsForKills) {
 TEST(SSA, NoCallOutsWhenCalleeIsPure) {
   SSAFixture F("proc pure(a) { print a; }\n"
                "proc main() { var x; x = 1; call pure(x); print x; }");
-  Procedure *Main = F.proc("main");
-  EXPECT_EQ(countInsts<CallOutInst>(*Main), 0u);
-  // x's final print still sees the constant 1 directly.
   SSAResult &R = F.result("main");
+  EXPECT_EQ(R.CallOuts.size(), 0u);
+  // x's final print still sees the constant 1 directly.
   bool SawConstant = false;
-  for (const SSAResult::ReplacedLoad &Load : R.Loads)
-    if (auto *C = dyn_cast<ConstantInt>(Load.Replacement))
+  for (const auto &[Load, Def] : promotedLoads(*F.proc("main"), R))
+    if (auto *C = dyn_cast<ConstantInt>(Def))
       SawConstant |= C->getValue() == 1;
   EXPECT_TRUE(SawConstant);
 }
@@ -148,8 +171,7 @@ TEST(SSA, WorstCaseModeKillsAtEveryCall) {
                "proc pure(a) { print a; }\n"
                "proc main() { var x; x = 1; call pure(x); print x + g; }",
                /*WorstCaseMod=*/true);
-  Procedure *Main = F.proc("main");
-  EXPECT_EQ(countInsts<CallOutInst>(*Main), 2u)
+  EXPECT_EQ(F.result("main").CallOuts.size(), 2u)
       << "without MOD information the call kills x and g";
 }
 
@@ -164,10 +186,12 @@ TEST(SSA, CallInValuesSnapshotPreCallState) {
   Variable *G = F.M->findGlobal("g");
   // Before the first call g is the stored 1; before the second it is the
   // first call's CallOut.
-  auto *C = dyn_cast<ConstantInt>(R.CallInValues.at(Calls[0]).at(G));
+  auto *C = dyn_cast_or_null<ConstantInt>(R.callIn(Calls[0], G));
   ASSERT_NE(C, nullptr);
   EXPECT_EQ(C->getValue(), 1);
-  EXPECT_TRUE(isa<CallOutInst>(R.CallInValues.at(Calls[1]).at(G)));
+  EXPECT_TRUE(isa_and_nonnull<CallOutInst>(R.callIn(Calls[1], G)));
+  // A row holds the promoted globals only.
+  EXPECT_EQ(R.callInRow(Calls[0]).size(), 1u);
 }
 
 TEST(SSA, NestedLoopsAndBranchesVerify) {
@@ -186,12 +210,10 @@ TEST(SSA, NestedLoopsAndBranchesVerify) {
       "}\n");
   // The fixture already verifies SSA form; additionally, every phi must
   // have as many incoming values as predecessors.
-  Procedure *Main = F.proc("main");
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Phi = dyn_cast<PhiInst>(Inst.get())) {
-        EXPECT_EQ(Phi->getNumIncoming(), BB->predecessors().size());
-      }
+  const SSAResult &R = F.result("main");
+  EXPECT_FALSE(R.Phis.empty());
+  for (const PhiInst &Phi : R.Phis)
+    EXPECT_EQ(Phi.getNumIncoming(), Phi.getParent()->predecessors().size());
 }
 
 TEST(SSA, InfiniteLoopStillVerifies) {
@@ -209,7 +231,8 @@ TEST(SSA, EntryValuesAreCanonical) {
   Procedure *Proc = F.proc("f");
   auto *Add = firstInst<BinaryInst>(*Proc);
   ASSERT_NE(Add, nullptr);
-  EXPECT_EQ(Add->getLHS(), Add->getRHS())
+  EXPECT_NE(Add->getLHS(), Add->getRHS()) << "two loads of a";
+  EXPECT_EQ(F.resolved("f", Add->getLHS()), F.resolved("f", Add->getRHS()))
       << "one EntryValue object per (procedure, variable)";
 }
 

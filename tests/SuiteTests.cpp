@@ -34,7 +34,7 @@ protected:
 
 TEST_P(SuitePrograms, CompilesAndVerifies) {
   auto M = loadSuiteModule(program());
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 }
 
 TEST_P(SuitePrograms, ExecutesCleanly) {

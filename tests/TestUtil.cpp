@@ -32,7 +32,7 @@ std::unique_ptr<Module> ipcp::test::lowerOk(const std::string &Source,
                                             bool RequireMain) {
   Program Prog = parseOk(Source, RequireMain);
   std::unique_ptr<Module> M = lowerProgram(Prog);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
   return M;
 }
 
@@ -42,10 +42,27 @@ Procedure *ipcp::test::getProc(Module &M, const std::string &Name) {
   return P;
 }
 
-void ipcp::test::expectVerifies(const Module &M, VerifyMode Mode) {
-  std::vector<std::string> Errors = verifyModule(M, Mode);
+void ipcp::test::expectVerifies(const Module &M) {
+  std::vector<std::string> Errors = verifyModule(M);
   for (const std::string &E : Errors)
     ADD_FAILURE() << E;
+}
+
+void ipcp::test::expectVerifiesSSA(const Procedure &P, const SSAResult &SSA) {
+  std::vector<std::string> Errors;
+  verifySSA(P, SSA, Errors);
+  for (const std::string &E : Errors)
+    ADD_FAILURE() << E;
+}
+
+std::vector<std::pair<const LoadInst *, Value *>>
+ipcp::test::promotedLoads(const Procedure &P, const SSAResult &SSA) {
+  std::vector<std::pair<const LoadInst *, Value *>> Loads;
+  for (Instruction *Inst : P.instStream().Insts)
+    if (auto *Load = dyn_cast<LoadInst>(Inst))
+      if (SSA.isPromotedAccess(Load))
+        Loads.push_back({Load, SSA.resolve(Load)});
+  return Loads;
 }
 
 std::vector<std::string>

@@ -7,6 +7,7 @@
 #ifndef IPCP_TESTS_TESTUTIL_H
 #define IPCP_TESTS_TESTUTIL_H
 
+#include "analysis/SSAConstruction.h"
 #include "frontend/Parser.h"
 #include "ir/AstLower.h"
 #include "ir/Module.h"
@@ -58,7 +59,15 @@ template <typename T> unsigned countInsts(Procedure &P) {
 }
 
 /// Expects a clean verifier result; reports all violations otherwise.
-void expectVerifies(const Module &M, VerifyMode Mode);
+void expectVerifies(const Module &M);
+
+/// Expects \p SSA to pass verifySSA against \p P.
+void expectVerifiesSSA(const Procedure &P, const SSAResult &SSA);
+
+/// \p P's promoted loads in stream order, each with the SSA value that
+/// stands for it.
+std::vector<std::pair<const LoadInst *, Value *>>
+promotedLoads(const Procedure &P, const SSAResult &SSA);
 
 /// Replays \p Lines through one stream of \p Svc the way the daemon
 /// does — a consumer thread drains responses while the caller submits,

@@ -50,7 +50,7 @@ OptimizationResult expectOptimizedEquivalent(Module &M,
                                              const std::string &Label,
                                              const IPCPOptions &Opts = {}) {
   OptimizationResult Result = optimizeModule(M, Opts);
-  expectVerifies(M, VerifyMode::PreSSA);
+  expectVerifies(M);
 
   ExecutionResult After = interpret(M, Exec);
   if (Before.ok()) {
@@ -213,7 +213,7 @@ TEST(TransformPipeline, CopyPropagationUsesModInformation) {
     ModRefInfo MRI =
         UseMod ? ModRefInfo::compute(*M, CG) : ModRefInfo::worstCase(*M);
     unsigned N = propagateCopies(*M, MRI);
-    expectVerifies(*M, VerifyMode::PreSSA);
+    expectVerifies(*M);
     return N;
   };
 
@@ -296,7 +296,7 @@ TEST(TransformPipeline, DegradedRunStaysSound) {
   Opts.Limits.MaxPropagationEvals = 1; // trips inside the first round
   OptimizationResult R = optimizeModule(*M, Opts);
   EXPECT_TRUE(R.Status.Degraded);
-  expectVerifies(*M, VerifyMode::PreSSA);
+  expectVerifies(*M);
 
   ExecutionResult After = interpret(*M, Exec);
   ASSERT_TRUE(Before.ok());

@@ -7,7 +7,10 @@
 #                                                    and .after.ir appended)
 #         [-DUPDATE=1] -P RunTransformGolden.cmake
 #
-# Runs `ipcp_driver SOURCE --optimize --dump-ir`, splits the dump at the
+# First runs the source with `--run` and with `--optimize --run`: the
+# output lines and the execution status must match, so no golden can pin
+# a miscompile (this check runs under -DUPDATE=1 too). Then runs
+# `ipcp_driver SOURCE --optimize --dump-ir`, splits the dump at the
 # before/after markers the driver prints, and byte-compares each half
 # against the checked-in goldens. The .after.ir files pin exactly what
 # the transform pipeline produces — review a diff there like generated
@@ -19,6 +22,33 @@ if(NOT DEFINED DRIVER OR NOT DEFINED SRCDIR OR NOT DEFINED SOURCE OR
    NOT DEFINED OUT OR NOT DEFINED GOLDEN)
   message(FATAL_ERROR "RunTransformGolden.cmake needs -DDRIVER, -DSRCDIR, "
                       "-DSOURCE, -DOUT, and -DGOLDEN")
+endif()
+
+# Behaviour of one run: its execution status (without the step count,
+# which optimization lowers) and its output lines.
+function(run_behaviour Out)
+  execute_process(
+    COMMAND ${DRIVER} ${SRCDIR}/${SOURCE} ${ARGN} --run
+    OUTPUT_VARIABLE Text
+    ERROR_VARIABLE Err
+    RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "${DRIVER} ${ARGN} --run failed (exit ${RC}) on "
+                        "${SOURCE}:\n${Err}")
+  endif()
+  if(NOT Text MATCHES "\nexecution: ([^\n]*), [0-9]+ steps\n")
+    message(FATAL_ERROR "no execution line in ${ARGN} --run of ${SOURCE}")
+  endif()
+  set(Status "${CMAKE_MATCH_1}")
+  string(REGEX MATCHALL "output: [^\n]*" Lines "${Text}")
+  set(${Out} "execution: ${Status};${Lines}" PARENT_SCOPE)
+endfunction()
+
+run_behaviour(Plain)
+run_behaviour(Optimized --optimize)
+if(NOT Plain STREQUAL Optimized)
+  message(FATAL_ERROR "--optimize changes what ${SOURCE} does:\n"
+                      "  source:    ${Plain}\n  optimized: ${Optimized}")
 endif()
 
 execute_process(

@@ -140,7 +140,7 @@ bool runOne(const std::string &Source, bool CheckOracle,
     return true; // rejected cleanly (syntax/sema error or frontend trip)
 
   std::unique_ptr<Module> M = lowerProgram(*Ast);
-  std::vector<std::string> Violations = verifyModule(*M, VerifyMode::PreSSA);
+  std::vector<std::string> Violations = verifyModule(*M);
   if (!Violations.empty()) {
     *Failure = "verifier violation after lowering: " + Violations.front();
     return false;
@@ -305,7 +305,7 @@ bool runOne(const std::string &Source, bool CheckOracle,
     ExecutionResult Before = interpret(*M, Exec);
     optimizeModule(*M, Opts);
     std::vector<std::string> OptViolations =
-        verifyModule(*M, VerifyMode::PreSSA);
+        verifyModule(*M);
     if (!OptViolations.empty()) {
       *Failure =
           "verifier violation after optimization: " + OptViolations.front();

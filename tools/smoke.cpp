@@ -56,23 +56,27 @@ int main() {
     return 1;
   }
   auto M = lowerProgram(*Prog);
-  auto Errs = verifyModule(*M, VerifyMode::PreSSA);
+  auto Errs = verifyModule(*M);
   for (auto &E : Errs)
     std::fprintf(stderr, "preSSA verify: %s\n", E.c_str());
   if (!Errs.empty())
     return 1;
   std::printf("=== pre-SSA IR ===\n%s\n", printModule(*M).c_str());
 
-  // SSA on a clone.
-  auto Clone = M->clone();
-  CallGraph CG(*Clone);
-  ModRefInfo MRI = ModRefInfo::compute(*Clone, CG);
-  for (auto &P : Clone->procedures())
-    constructSSA(*P, MRI);
-  auto SSAErrs = verifyModule(*Clone, VerifyMode::SSA);
+  // SSA side tables over the module, which stays as printed above.
+  CallGraph CG(*M);
+  ModRefInfo MRI = ModRefInfo::compute(*M, CG);
+  std::printf("=== SSA side tables ===\n");
+  std::vector<std::string> SSAErrs;
+  for (auto &P : M->procedures()) {
+    SSAResult SSA = constructSSA(*P, MRI);
+    verifySSA(*P, SSA, SSAErrs);
+    std::printf("%s: %zu promoted, %zu phis, %zu callouts, %zu calls\n",
+                P->getName().c_str(), SSA.PromotedVars.size(),
+                SSA.Phis.size(), SSA.CallOuts.size(), SSA.Calls.size());
+  }
   for (auto &E : SSAErrs)
     std::fprintf(stderr, "SSA verify: %s\n", E.c_str());
-  std::printf("=== SSA IR ===\n%s\n", printModule(*Clone).c_str());
 
   // Full IPCP.
   IPCPOptions Opts;
