@@ -44,6 +44,7 @@
 #include "interp/Interpreter.h"
 #include "ir/AstLower.h"
 #include "ir/IRPrinter.h"
+#include "support/ContentStore.h"
 #include "support/FileIO.h"
 #include "support/Trace.h"
 #include "transform/Transform.h"
@@ -303,15 +304,19 @@ int main(int argc, char **argv) {
 
   // Summary cache: single-run analyses of the unmodified module only
   // (complete propagation, cloning, integration, and optimization all
-  // mutate or re-analyze the module; see docs/INCREMENTAL.md). A load
-  // failure is not an error — the run proceeds cold and reports
-  // cache_load_failures.
-  std::optional<SummaryCache> Cache;
+  // mutate or re-analyze the module; see docs/INCREMENTAL.md). The store
+  // opens without the recovery scrub, so the run reads only its own ref
+  // and object, and get verifies that object. A load failure is not an
+  // error — the run proceeds cold and reports cache_load_failures.
+  std::optional<ContentStore> Store;
+  SummaryCache Cache;
   if (!CacheDir.empty() && !NoCache && !Complete && !Clone && !Integrate &&
       !Optimize) {
-    Cache.emplace(CacheDir);
-    Cache->load(SourceName, Opts, &Guard);
-    Opts.Cache = &*Cache;
+    ContentStore::Options StoreOpts;
+    StoreOpts.ScrubOnOpen = false;
+    Store.emplace(CacheDir, StoreOpts);
+    Cache.load(*Store, SourceName, Opts, &Guard);
+    Opts.Cache = &Cache;
   }
 
   std::optional<CompletePropagationResult> CompleteResult;
@@ -362,9 +367,9 @@ int main(int argc, char **argv) {
                       R.Stats.get("cache_record_reused")));
   }
 
-  if (Cache) {
+  if (Store) {
     std::string Error;
-    if (!Cache->save(SourceName, Opts, &Error))
+    if (!Cache.save(*Store, SourceName, Opts, &Error))
       std::fprintf(stderr, "warning: cache not saved: %s\n", Error.c_str());
   }
 

@@ -95,12 +95,14 @@ public:
                     JumpFunctionTables &Tables)
       : Cache(Cache), CG(CG), MRI(MRI), Opts(Opts), Stats(Stats),
         Guard(Guard), Tables(Tables) {
-    Cache.beginRun();
     for (const char *Name : {"cache_hits", "cache_misses",
                              "cache_invalidations", "cache_val_adopted",
                              "cache_record_reused"})
       Stats.add(Name, 0);
+    // Read before beginRun clears it: only the first run after a failed
+    // load counts that failure.
     Stats.add("cache_load_failures", uint64_t(Cache.loadFailed() ? 1 : 0));
+    Cache.beginRun();
   }
 
   /// Body and caller hashes of every procedure.

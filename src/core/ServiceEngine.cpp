@@ -10,7 +10,6 @@
 #include "core/Report.h"
 #include "frontend/Parser.h"
 #include "ir/AstLower.h"
-#include "support/ContentStore.h"
 #include "support/FaultInjection.h"
 #include "support/StableHash.h"
 
@@ -74,16 +73,7 @@ uint64_t mergeLimit(uint64_t Server, uint64_t Request) {
 
 } // namespace
 
-ServiceEngine::ServiceEngine(Config C) : Conf(std::move(C)) {
-  // A cache directory without an injected store means this engine owns a
-  // private content-addressed tier; the sharded service instead passes
-  // the first shard's store to every other shard.
-  if (!Conf.Store && !Conf.CacheDir.empty()) {
-    ContentStore::Options StoreOpts;
-    StoreOpts.Durable = Conf.DurableStore;
-    Conf.Store = std::make_shared<ContentStore>(Conf.CacheDir, StoreOpts);
-  }
-}
+ServiceEngine::ServiceEngine(Config C) : Conf(std::move(C)) {}
 
 ServiceEngine::~ServiceEngine() { shutdownFlush(); }
 
@@ -252,17 +242,15 @@ bool ServiceEngine::parseRequestLine(const std::string &Line,
 //===----------------------------------------------------------------------===//
 
 struct ServiceEngine::SessionState {
-  // Always memory-only: the write-behind tier is the engine's
-  // ContentStore, not the SummaryCache's own file path.
   SummaryCache Cache;
   std::mutex Lock; ///< serializes analyses sharing this session
   unsigned Bucket = 0; ///< fixed eviction domain, bucketFor(key)
   uint64_t LastUse = 0;
-  bool Dirty = false;         ///< committed entries not yet persisted
-  bool TriedDiskLoad = false; ///< write-behind tier consulted once
+  bool Dirty = false; ///< committed entries not yet persisted
+  /// The source name and options the session key fixes: what load and
+  /// save name the session's summaries by.
   std::string SourceName;
-  IPCPOptions SaveOpts; ///< options of the last run, for save()
-  bool HasSaveOpts = false;
+  IPCPOptions Opts;
 
   /// Ticket turnstile: turns are issued (NextTicket) in request arrival
   /// order and served (NowServing) strictly in that order, so the warm/
@@ -308,15 +296,6 @@ unsigned ServiceEngine::bucketFor(const std::string &SessionKey) {
   return unsigned(stableHashBytes(SessionKey) % CacheBuckets);
 }
 
-/// The content store's logical name for a session's summaries: source
-/// name + options fingerprint, with no session component — sessions
-/// analyzing the same program under the same options share one entry,
-/// and any shard resolves any other shard's persisted work.
-static std::string storeLogicalName(const std::string &SourceName,
-                                    const IPCPOptions &Opts) {
-  return SourceName + '\n' + SummaryCache::optionsFingerprint(Opts);
-}
-
 ServiceEngine::SessionTurn
 ServiceEngine::acquireSession(const ServiceRequest &Req) {
   std::string Key = sessionKeyFor(Req);
@@ -329,6 +308,8 @@ ServiceEngine::acquireSession(const ServiceRequest &Req) {
     if (!Slot) {
       Slot = std::make_shared<SessionState>();
       Slot->Bucket = bucketFor(Key);
+      Slot->SourceName = Req.Name;
+      Slot->Opts = Req.Opts;
       Fresh = true;
     }
     Slot->LastUse = ++UseCounter;
@@ -353,13 +334,9 @@ ServiceEngine::acquireSession(const ServiceRequest &Req) {
   // this acquire's evictions persisted: the store is read at a stream-
   // determined point, so whether a fresh session starts warm never
   // depends on when the pool schedules its first analysis.
-  if (Fresh && Conf.Store) {
-    Turn.S->TriedDiskLoad = true;
-    std::string Bytes;
-    if (Conf.Store->get(storeLogicalName(Req.Name, Req.Opts), Bytes) &&
-        Turn.S->Cache.loadFromString(Bytes, Req.Opts))
-      bump(DiskLoads);
-  }
+  if (Fresh && Conf.Store &&
+      Turn.S->Cache.load(*Conf.Store, Req.Name, Req.Opts))
+    bump(DiskLoads);
   return Turn;
 }
 
@@ -395,13 +372,9 @@ unsigned ServiceEngine::persistSession(SessionState &S) {
   // Caller holds S.Lock. The serialized cache goes into the content
   // store under its bytes' own key; identical caches persisted by other
   // sessions (or other shards) dedupe to one object.
-  if (!Conf.Store || !S.Dirty || !S.HasSaveOpts)
+  if (!Conf.Store || !S.Dirty)
     return 0;
-  std::string Error;
-  if (!Conf.Store
-           ->putNamed(storeLogicalName(S.SourceName, S.SaveOpts),
-                      S.Cache.serialize(S.SaveOpts), &Error)
-           .empty())
+  if (S.Cache.save(*Conf.Store, S.SourceName, S.Opts))
     bump(WriteBehindSaves);
   else
     bump(WriteBehindFailures);
@@ -550,13 +523,8 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
     SingleResult = runIPCP(*M, Opts, &Guard);
 
   if (Session) {
-    if (Session->Cache.committed()) {
+    if (Session->Cache.committed())
       Session->Dirty = true;
-      Session->SourceName = Req.Name;
-      Session->SaveOpts = Opts;
-      Session->SaveOpts.Cache = nullptr;
-      Session->HasSaveOpts = true;
-    }
     if (SingleResult && SingleResult->UsedCache) {
       bump(CacheHits, SingleResult->Stats.get("cache_hits"));
       bump(CacheMisses, SingleResult->Stats.get("cache_misses"));

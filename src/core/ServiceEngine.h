@@ -18,20 +18,20 @@
 ///    of a crash;
 ///
 ///  * session-scoped resident summary caches: a request naming a
-///    `session` analyzes through an in-memory SummaryCache (PR-4's
+///    `session` analyzes through an in-memory SummaryCache (the
 ///    incremental layer) that stays resident between requests, so repeat
 ///    and edited-program requests are warm without any file round-trip.
 ///    Sessions are LRU-evicted beyond Config::MaxSessions per fixed
 ///    hash bucket (CacheBuckets of them, shard-count-independent, so
 ///    eviction points are a function of the request stream alone); when
-///    Config::CacheDir (or Config::Store) is set, a content-addressed
-///    store (support/ContentStore) is the *write-behind* tier — sessions
+///    Config::Store is set, that content-addressed store
+///    (support/ContentStore) is the *write-behind* tier — sessions
 ///    persist on eviction, flush-cache, and shutdown, and a new session
-///    first tries to resolve its logical name in the store. The logical
-///    name is source name + options fingerprint, deliberately session-
-///    independent, so every worker sharing one store (the sharded
-///    daemon, or a restarted daemon) warm-starts from any worker's
-///    persisted summaries;
+///    first loads its summaries from the store. Both go through
+///    SummaryCache's load/save pair, the same one the driver and
+///    suitecheck use, so every worker sharing one store (the sharded
+///    daemon, a restarted daemon, or a command-line tool on the same
+///    directory) warm-starts from any other's persisted summaries;
 ///
 ///  * per-request ResourceGuard budgets: server-wide default limits
 ///    merged with per-request overrides (the stricter value wins for any
@@ -125,18 +125,11 @@ struct ServiceRequest {
 class ServiceEngine {
 public:
   struct Config {
-    /// Root of the content-addressed write-behind tier for session
-    /// caches; empty keeps sessions memory-only (unless Store is set).
-    std::string CacheDir;
-    /// The write-behind store itself. Left null, the engine creates a
-    /// private ContentStore rooted at CacheDir; the sharded service
-    /// injects one shared store into every shard instead, which is what
-    /// lets any worker warm-start any session.
+    /// The write-behind tier for session caches, opened by the caller
+    /// (the daemon from --cache-dir and --durable-store); null keeps
+    /// sessions memory-only. The sharded service hands the same store to
+    /// every shard, which is what lets any worker warm-start any session.
     std::shared_ptr<ContentStore> Store;
-    /// Open the engine-created store in durable mode (fsync before
-    /// rename; see support/ContentStore.h). Ignored when Store is
-    /// injected — the creator of that store chooses.
-    bool DurableStore = false;
     /// Resident session caches per cache bucket before LRU eviction.
     /// There are CacheBuckets fixed buckets (a pure hash of the session
     /// key), so service-wide residency is bounded by
@@ -255,8 +248,6 @@ public:
   /// number persisted and adds the number dropped to \p Dropped when it
   /// is non-null.
   unsigned shutdownFlush(size_t *Dropped = nullptr);
-
-  const Config &config() const { return Conf; }
 
 private:
   JsonValue analyzeLocked(const ServiceRequest &Req, SessionState *Session);

@@ -49,11 +49,11 @@ ShardedService::ShardedService(Config C)
   unsigned PerShard = std::max(1u, Jobs / Conf.Shards);
   for (unsigned I = 0; I != Conf.Shards; ++I) {
     auto W = std::make_unique<Worker>();
+    // Every shard gets the same Engine.Store: one content-addressed
+    // store shared by all shards is what makes cross-shard warm starts
+    // work.
     W->Engine = std::make_unique<ServiceEngine>(Conf.Engine);
     W->Pool = std::make_unique<ThreadPool>(PerShard);
-    // One content-addressed store shared by every shard — the property
-    // that makes cross-shard warm starts work: the first shard opens it.
-    Conf.Engine.Store = W->Engine->config().Store;
     Workers.push_back(std::move(W));
   }
 }

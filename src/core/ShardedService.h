@@ -21,11 +21,12 @@
 ///    response bytes are shard-independent);
 ///
 ///  * every shard owns its in-memory summary caches, but all shards
-///    share one content-addressed store (support/ContentStore) as the
-///    write-behind tier, so a session evicted by shard A warm-starts on
-///    shard B — and warm-starts byte-identically, because the embedded
-///    report's cache counters come from the run's own adoption, not
-///    from where the summaries were loaded;
+///    share the one content-addressed store (support/ContentStore) the
+///    caller opened as Config::Engine.Store, the write-behind tier, so a
+///    session evicted by shard A warm-starts on shard B — and
+///    warm-starts byte-identically, because the embedded report's cache
+///    counters come from the run's own adoption, not from where the
+///    summaries were loaded;
 ///
 ///  * admission control is global: one AdmissionGate bounds in-flight
 ///    analyses across all shards (`busy` beyond the limit; a batch that
@@ -82,8 +83,8 @@ public:
     /// Per-shard engine configuration. MaxSessions is per cache bucket
     /// (ServiceEngine::CacheBuckets fixed buckets service-wide, each
     /// owned wholly by one shard, so eviction is shard-count-
-    /// independent); a non-empty CacheDir becomes ONE content-addressed
-    /// store shared by every shard (Engine.Store is overwritten).
+    /// independent); Engine.Store, when set, is the one store every
+    /// shard shares.
     ServiceEngine::Config Engine;
   };
 

@@ -8,24 +8,17 @@
 
 #include "ir/Module.h"
 #include "ir/Procedure.h"
-#include "support/FaultInjection.h"
-#include "support/FileIO.h"
+#include "support/ContentStore.h"
 #include "support/Json.h"
 #include "support/StableHash.h"
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <optional>
 
 using namespace ipcp;
 
 namespace {
-
-/// A cache file larger than this is rejected outright — no legitimate
-/// store comes close, and refusing early keeps a corrupt or hostile file
-/// from ballooning the parse under someone else's deadline.
-constexpr size_t MaxCacheFileBytes = 64u << 20;
 
 constexpr const char *CacheSchema = "ipcp-cache-v2";
 
@@ -422,7 +415,10 @@ const CacheEntry *SummaryCache::find(const std::string &Name) const {
   return It == Entries.end() ? nullptr : &It->second;
 }
 
-void SummaryCache::beginRun() { Staged.clear(); }
+void SummaryCache::beginRun() {
+  Staged.clear();
+  LoadFailed = false;
+}
 
 void SummaryCache::stage(CacheEntry E) {
   std::string Name = E.Name;
@@ -472,8 +468,6 @@ bool SummaryCache::loadFromString(const std::string &Text,
   Entries.clear();
   LoadFailed = true; // flipped to false only on full success
 
-  if (Text.size() > MaxCacheFileBytes)
-    return false;
   if (Guard) {
     Guard->checkDeadline("analysis");
     if (Guard->tripped())
@@ -525,74 +519,24 @@ bool SummaryCache::loadFromString(const std::string &Text,
   return true;
 }
 
-std::string SummaryCache::filePathFor(const std::string &SourceName,
-                                      const IPCPOptions &Opts) const {
-  std::string Stem;
-  for (char C : SourceName) {
-    bool Safe = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
-                (C >= '0' && C <= '9') || C == '.' || C == '_' || C == '-';
-    Stem += Safe ? C : '_';
-  }
-  if (Stem.size() > 64)
-    Stem = Stem.substr(Stem.size() - 64);
-  // Disambiguates sanitized collisions and separates option axes.
-  std::string Key = stableHashHex(
-      stableHashBytes(SourceName + "\n" + optionsFingerprint(Opts)));
-  return Dir + "/" + Stem + "-" + Key.substr(0, 12) + ".json";
+std::string SummaryCache::storeName(const std::string &SourceName,
+                                    const IPCPOptions &Opts) {
+  return SourceName + '\n' + optionsFingerprint(Opts);
 }
 
-bool SummaryCache::load(const std::string &SourceName,
+bool SummaryCache::load(ContentStore &Store, const std::string &SourceName,
                         const IPCPOptions &Opts, ResourceGuard *Guard) {
   Entries.clear();
-  LoadFailed = false;
-  if (Dir.empty())
-    return false;
-
-  std::string Path = filePathFor(SourceName, Opts);
-  std::error_code EC;
-  if (!std::filesystem::exists(Path, EC) || EC)
-    return false; // cold start, not a failure
-
-  uintmax_t Size = std::filesystem::file_size(Path, EC);
-  if (EC || Size > MaxCacheFileBytes) {
-    LoadFailed = true;
-    return false;
-  }
-
   std::string Text;
-  if (faultInjector().shouldFail("cache.load") ||
-      !readFileToString(Path, Text, nullptr)) {
-    LoadFailed = true;
-    return false;
-  }
-  return loadFromString(Text, Opts, Guard);
+  ContentStore::Lookup Found = Store.get(storeName(SourceName, Opts), Text);
+  LoadFailed = Found == ContentStore::Lookup::Rejected;
+  return Found == ContentStore::Lookup::Found &&
+         loadFromString(Text, Opts, Guard);
 }
 
-bool SummaryCache::save(const std::string &SourceName,
+bool SummaryCache::save(ContentStore &Store, const std::string &SourceName,
                         const IPCPOptions &Opts, std::string *Error) {
-  if (Dir.empty() || !RunCommitted)
-    return true; // nothing to persist
-  if (faultInjector().shouldFail("cache.save", Error))
-    return false;
-
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  if (EC) {
-    if (Error)
-      *Error = "cannot create cache directory " + Dir + ": " + EC.message();
-    return false;
-  }
-
-  std::string Path = filePathFor(SourceName, Opts);
-  std::string Temp = Path + ".tmp";
-  if (!writeStringToFile(Temp, serialize(Opts), Error))
-    return false;
-  std::filesystem::rename(Temp, Path, EC);
-  if (EC) {
-    if (Error)
-      *Error = "cannot rename " + Temp + ": " + EC.message();
-    std::filesystem::remove(Temp, EC);
-    return false;
-  }
-  return true;
+  return !RunCommitted ||
+         !Store.putNamed(storeName(SourceName, Opts), serialize(Opts), Error)
+              .empty();
 }

@@ -25,11 +25,18 @@
 ///
 /// The store is in-memory first: runIPCP stages fresh entries during a
 /// run and commits them only when the run finished un-degraded, so a
-/// tripped budget can never poison the cache. `load`/`save` move the
-/// whole store through a versioned `ipcp-cache-v2` JSON file whose
-/// payload is checksummed with the same StableHash — truncated,
-/// version-mismatched, or bit-flipped files fail validation atomically
-/// and the run proceeds cold (counted by cache_load_failures).
+/// tripped budget can never poison the cache. SummaryCache does no file
+/// I/O of its own: `load`/`save` move the whole store through a
+/// ContentStore (support/ContentStore.h) as one versioned `ipcp-cache-v2`
+/// JSON document, named by `storeName` (source name + options
+/// fingerprint), whose payload is checksummed with the same StableHash.
+/// The driver's and suitecheck's `--cache-dir` and the service's
+/// write-behind tier all call this one pair, so they share one naming
+/// rule, one on-disk layout, and one recovery tool (`ipcp_serverd
+/// --scrub-store`). A truncated, version-mismatched, or bit-flipped
+/// document fails validation atomically — in the store's content check
+/// or in the codec — and the run proceeds cold (counted by
+/// cache_load_failures).
 ///
 /// Expressions and variable references cross the serialization boundary
 /// as a tiny prefix grammar (`C5`, `F0`, `G:x`, `(+ F0 C1)`, `(u- F0)`,
@@ -52,6 +59,7 @@
 
 namespace ipcp {
 
+class ContentStore;
 class Procedure;
 
 /// One procedure's persisted summary. String-typed throughout: entries
@@ -102,29 +110,27 @@ struct CacheEntry {
 /// without touching disk.
 class SummaryCache {
 public:
-  /// In-memory store (tests, fuzzing, same-process warm runs).
-  SummaryCache() = default;
+  /// The ContentStore name of the summaries of \p SourceName under
+  /// \p Opts: source name + options fingerprint, with no tool, session or
+  /// shard component, so every tool sharing a store resolves every other
+  /// tool's persisted summaries.
+  static std::string storeName(const std::string &SourceName,
+                               const IPCPOptions &Opts);
 
-  /// Disk-backed store rooted at \p CacheDir (created on save).
-  explicit SummaryCache(std::string CacheDir) : Dir(std::move(CacheDir)) {}
+  /// Replaces the entries with the summaries \p Store holds for
+  /// \p SourceName under \p Opts; true on a warm start. A name the store
+  /// does not hold is a plain cold start. An object the store rejects, or
+  /// a document the codec rejects (parse error, schema, options or
+  /// checksum mismatch), is a cold start that loadFailed() reports.
+  /// \p Guard, when non-null, bounds the parse against the shared
+  /// deadline.
+  bool load(ContentStore &Store, const std::string &SourceName,
+            const IPCPOptions &Opts, ResourceGuard *Guard = nullptr);
 
-  /// Loads the store for \p SourceName under \p Opts from the cache
-  /// directory. Any failure — missing file, oversized file, parse error,
-  /// schema or options mismatch, checksum mismatch — empties the store
-  /// and returns false (the warm run degrades to a cold one); a missing
-  /// Dir is treated the same way. \p Guard, when non-null, bounds the
-  /// read against the shared deadline.
-  bool load(const std::string &SourceName, const IPCPOptions &Opts,
-            ResourceGuard *Guard = nullptr);
-
-  /// Saves the store (atomically: temp file + rename) if the last run
-  /// committed fresh entries. Returns false only on I/O failure.
-  bool save(const std::string &SourceName, const IPCPOptions &Opts,
-            std::string *Error = nullptr);
-
-  /// The file this (source, options) pair maps to inside Dir.
-  std::string filePathFor(const std::string &SourceName,
-                          const IPCPOptions &Opts) const;
+  /// Puts the entries into \p Store under storeName() once a run has
+  /// committed; returns false only when the store write fails.
+  bool save(ContentStore &Store, const std::string &SourceName,
+            const IPCPOptions &Opts, std::string *Error = nullptr);
 
   /// String-level codec used by load/save; exposed for the differential
   /// tests and the fuzzer's corruption invariant.
@@ -132,17 +138,18 @@ public:
                       ResourceGuard *Guard = nullptr);
   std::string serialize(const IPCPOptions &Opts) const;
 
-  /// True when the last load attempt found a file but rejected it.
+  /// True from a rejected load until the next run begins; that run
+  /// reports it as cache_load_failures, and later runs do not.
   bool loadFailed() const { return LoadFailed; }
 
   size_t size() const { return Entries.size(); }
   const CacheEntry *find(const std::string &Name) const;
 
-  /// Run lifecycle, driven by runIPCP: beginRun clears the staging area,
-  /// stage() collects this run's fresh entries, and finishRun(true)
-  /// replaces the store with them (making this object warm for the next
-  /// run); finishRun(false) — a degraded run — discards the staging area
-  /// and keeps the previous store untouched.
+  /// Run lifecycle, driven by runIPCP: beginRun clears the staging area
+  /// and the load failure, stage() collects this run's fresh entries, and
+  /// finishRun(true) replaces the store with them (making this object
+  /// warm for the next run); finishRun(false) — a degraded run — discards
+  /// the staging area and keeps the previous store untouched.
   void beginRun();
   void stage(CacheEntry E);
   void finishRun(bool Commit);
@@ -171,7 +178,6 @@ public:
                                   SymExprContext &Ctx, bool *Ok);
 
 private:
-  std::string Dir;
   std::unordered_map<std::string, CacheEntry> Entries;
   std::unordered_map<std::string, CacheEntry> Staged;
   bool LoadFailed = false;

@@ -124,6 +124,11 @@ bool atomicWrite(const std::string &Path, const std::string &Bytes,
                  bool Durable) {
   if (faultInjector().shouldFail(FP.Write, Error))
     return false;
+  if (!ensureDir(parentDir(Path))) {
+    if (Error)
+      *Error = "cannot create directory " + parentDir(Path);
+    return false;
+  }
   static std::atomic<uint64_t> Serial{0};
   std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
                     std::to_string(Serial.fetch_add(1));
@@ -207,12 +212,6 @@ std::string ContentStore::put(const std::string &Bytes, std::string *Error) {
     bump(DedupHits);
     return Key;
   }
-  if (!ensureDir(Root) || !ensureDir(Root + "/objects")) {
-    bump(Errors);
-    if (Error)
-      *Error = "cannot create object directory under " + Root;
-    return std::string();
-  }
   WriteFaultPoints FP{"store.write.object", "store.commit.object"};
   if (!atomicWrite(Path, Bytes, Error, FP, Opts.Durable)) {
     bump(Errors);
@@ -224,12 +223,6 @@ std::string ContentStore::put(const std::string &Bytes, std::string *Error) {
 
 bool ContentStore::bind(const std::string &LogicalName, const std::string &Key,
                         std::string *Error) {
-  if (!ensureDir(Root) || !ensureDir(Root + "/refs")) {
-    bump(Errors);
-    if (Error)
-      *Error = "cannot create refs directory under " + Root;
-    return false;
-  }
   WriteFaultPoints FP{"store.write.ref", "store.commit.ref"};
   if (!atomicWrite(refPath(LogicalName), Key + "\n", Error, FP,
                    Opts.Durable)) {
@@ -250,37 +243,40 @@ std::string ContentStore::putNamed(const std::string &LogicalName,
   return Key;
 }
 
-bool ContentStore::get(const std::string &LogicalName, std::string &BytesOut) {
+ContentStore::Lookup ContentStore::get(const std::string &LogicalName,
+                                       std::string &BytesOut) {
   std::string Ref;
   if (faultInjector().shouldFail("store.read.ref") ||
       !readFile(refPath(LogicalName), Ref)) {
     bump(Misses);
-    return false;
+    return Lookup::Missing;
   }
   while (!Ref.empty() && (Ref.back() == '\n' || Ref.back() == '\r'))
     Ref.pop_back();
-  std::string Bytes;
+  std::string Path = objectPath(Ref);
+  struct stat St;
   if (Ref.empty() || faultInjector().shouldFail("store.read.object") ||
-      !readFile(objectPath(Ref), Bytes)) {
+      ::stat(Path.c_str(), &St) != 0) {
     bump(Misses);
-    return false;
+    return Lookup::Missing;
   }
-  if (contentKey(Bytes) != Ref) {
+  std::string Bytes;
+  if (uint64_t(St.st_size) > MaxObjectBytes || !readFile(Path, Bytes) ||
+      contentKey(Bytes) != Ref) {
     bump(IntegrityFailures);
-    return false;
+    if (quarantine(Ref))
+      bump(Quarantined);
+    return Lookup::Rejected;
   }
   bump(Loads);
   BytesOut = std::move(Bytes);
-  return true;
+  return Lookup::Found;
 }
 
-bool ContentStore::contains(const std::string &LogicalName) {
-  std::string Ref;
-  if (!readFile(refPath(LogicalName), Ref))
-    return false;
-  while (!Ref.empty() && (Ref.back() == '\n' || Ref.back() == '\r'))
-    Ref.pop_back();
-  return !Ref.empty() && fileExists(objectPath(Ref));
+bool ContentStore::quarantine(const std::string &Key) {
+  return ensureDir(Root + "/quarantine") &&
+         std::rename(objectPath(Key).c_str(),
+                     quarantinePath(Key + ".blob").c_str()) == 0;
 }
 
 ContentStore::ScrubReport ContentStore::scrub() {
@@ -311,8 +307,7 @@ ContentStore::ScrubReport ContentStore::scrub() {
       std::string Bytes;
       if (readFile(Path, Bytes) && contentKey(Bytes) == Key)
         continue;
-      if (ensureDir(Root + "/quarantine") &&
-          std::rename(Path.c_str(), quarantinePath(Name).c_str()) == 0)
+      if (quarantine(Key))
         ++R.Quarantined;
       else
         R.Ok = false;

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The content-addressed disk tier behind the sharded analysis service
-/// (docs/SCALING.md). Two maps, both plain files:
+/// The content-addressed disk tier that holds persisted summary caches
+/// for every tool: the driver's and suitecheck's `--cache-dir` and the
+/// service's write-behind tier (docs/INCREMENTAL.md, docs/SCALING.md).
+/// Two maps, both plain files:
 ///
 ///  * `objects/<key>.blob` — immutable blobs named by the StableHash of
 ///    their bytes (`contentKey`). Writing the same bytes twice is a
@@ -18,8 +20,9 @@
 ///    the store detects bit rot instead of serving it.
 ///
 ///  * `refs/<hash-of-name>.ref` — a mutable pointer from a logical name
-///    (for the service: source name + options fingerprint, deliberately
-///    session- and shard-independent) to the current object key. Rebinds
+///    (for summaries: source name + options fingerprint, see
+///    SummaryCache::storeName — deliberately tool-, session- and
+///    shard-independent) to the current object key. Rebinds
 ///    are atomic renames, so a crash leaves either the old or the new
 ///    pointer, never a torn one.
 ///
@@ -30,13 +33,17 @@
 /// across processes sharing the directory (atomic renames only).
 ///
 /// Crash safety (docs/ROBUSTNESS.md): opening a store runs a recovery
-/// *scrub* — stale `.tmp.*` files left by a crash mid-write are swept,
-/// every object is re-hashed and corrupt ones are moved aside under
-/// `quarantine/` (never deleted: they are forensic evidence), and refs
-/// whose object is gone are dropped so `get` degrades to a clean miss
-/// instead of an integrity failure. `Options::Durable` additionally
-/// fsyncs data before the rename and the directory after it, so a
-/// renamed object survives power loss, not just process death.
+/// *scrub* (unless `Options::ScrubOnOpen` is off, as in the one-program
+/// command-line tools) — stale `.tmp.*` files left by a crash mid-write
+/// are swept, every object is re-hashed and corrupt ones are moved aside
+/// under `quarantine/` (never deleted: they are forensic evidence), and
+/// refs whose object is gone are dropped so `get` degrades to a clean
+/// miss instead of an integrity failure. `get` applies the same repair to
+/// the one object it reads, so a blob that rots while a store is open is
+/// quarantined on first use and rewritten by the next put.
+/// `Options::Durable` additionally fsyncs data before the rename and the
+/// directory after it, so a renamed object survives power loss, not just
+/// process death.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,13 +93,24 @@ public:
                        const std::string &Bytes,
                        std::string *Error = nullptr);
 
-  /// Resolves \p LogicalName and loads its object into \p BytesOut,
-  /// verifying the bytes against the content key. Returns false for an
-  /// unknown name, a dangling ref, or an integrity failure (counted).
-  bool get(const std::string &LogicalName, std::string &BytesOut);
+  /// What get() found under a logical name.
+  enum class Lookup {
+    Found,    ///< the object, verified against its content key
+    Missing,  ///< no ref, an unreadable ref, or a ref whose object is gone
+    Rejected, ///< an object over MaxObjectBytes, unreadable, or corrupt
+  };
 
-  /// True when \p LogicalName currently resolves to an object.
-  bool contains(const std::string &LogicalName);
+  /// Objects larger than this are rejected before a byte is read: no
+  /// stored summary comes close, and refusing early keeps a corrupt or
+  /// hostile file from ballooning the caller's parse.
+  static constexpr uint64_t MaxObjectBytes = 64u << 20;
+
+  /// Resolves \p LogicalName and loads its object into \p BytesOut,
+  /// verifying the bytes against the content key. A rejected object is
+  /// counted as an integrity failure and moved to `quarantine/`, so the
+  /// ref dangles (the next get is a clean miss) and the next put of those
+  /// bytes writes the object again instead of counting a dedup hit.
+  Lookup get(const std::string &LogicalName, std::string &BytesOut);
 
   /// What one recovery pass found and repaired.
   struct ScrubReport {
@@ -111,9 +129,10 @@ public:
 
   /// Lifetime counters, all monotone, declared once each in
   /// support/StoreStats.def. `DedupHits` counts puts that found their
-  /// object already present; `IntegrityFailures` counts loads whose bytes
-  /// did not hash back to their name. The scrub counters accumulate
-  /// across every `scrub()` run on this handle.
+  /// object already present; `IntegrityFailures` counts gets that
+  /// rejected their object. `Quarantined` counts objects moved aside by
+  /// those gets and by every `scrub()` run on this handle; the other
+  /// scrub counters accumulate across the scrubs alone.
   enum Stat : unsigned {
 #define IPCP_STORE_STAT(Id, Key) Id,
 #include "support/StoreStats.def"
@@ -137,6 +156,8 @@ private:
   void bump(Stat S, uint64_t N = 1) {
     Counters[S].fetch_add(N, std::memory_order_relaxed);
   }
+  /// Moves object \p Key aside under quarantine/.
+  bool quarantine(const std::string &Key);
 
   std::string Root;
   Options Opts;

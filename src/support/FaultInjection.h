@@ -23,7 +23,7 @@
 ///  * no keys    — fail every matching operation.
 ///
 /// Instrumented code brackets each fallible operation with a *named
-/// fault point* (`store.write.object`, `cache.save`, `lineio.write`,
+/// fault point* (`store.write.object`, `store.read.ref`, `lineio.write`,
 /// ...; the full table lives in docs/ROBUSTNESS.md) and asks
 /// `faultInjector().shouldFail(point)`. Rules count their own matches,
 /// so a plan is a pure function of the sequence of matching operations:

@@ -56,14 +56,6 @@ bool ipcp::isRegisteredCounter(const std::string &Name) {
   return describeCounter(Name) != nullptr;
 }
 
-std::vector<std::pair<const char *, const char *>>
-ipcp::registeredCounters() {
-  std::vector<std::pair<const char *, const char *>> Out;
-  for (const CounterDesc &D : Registry)
-    Out.push_back({D.Name, D.Description});
-  return Out;
-}
-
 std::string ipcp::formatStatsTable(const StatisticSet &Stats) {
   // Registry order groups related counters; unregistered names (if any
   // slip through) are appended alphabetically so nothing is hidden.

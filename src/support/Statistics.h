@@ -66,9 +66,6 @@ const char *describeCounter(const std::string &Name);
 /// Whether \p Name appears in support/Counters.def.
 bool isRegisteredCounter(const std::string &Name);
 
-/// All registered (name, description) pairs in registry order.
-std::vector<std::pair<const char *, const char *>> registeredCounters();
-
 /// Renders an aligned human-readable table of \p Stats with the registry
 /// descriptions — the driver's --stats output.
 std::string formatStatsTable(const StatisticSet &Stats);

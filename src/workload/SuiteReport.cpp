@@ -13,12 +13,10 @@
 #include "support/Trace.h"
 #include "workload/Oracle.h"
 
-#include <optional>
-
 using namespace ipcp;
 
 SuiteStudyResult ipcp::runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
-                                     const std::string &CacheDir,
+                                     ContentStore *Store,
                                      PropagationEngine Engine) {
   const std::vector<SuiteProgram> &Suite = benchmarkSuite();
   size_t N = Suite.size();
@@ -40,18 +38,17 @@ SuiteStudyResult ipcp::runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
       Messages[I] += Prog.Name + ": verify: " + E + "\n";
       ++Failures[I];
     }
-    // Each program gets its own cache object (and file): the tasks run
-    // concurrently and must not share mutable cache state.
-    std::optional<SummaryCache> Cache;
+    // Each program gets its own cache object: the tasks run concurrently
+    // and must not share mutable cache state. The store is thread-safe.
+    SummaryCache Cache;
     IPCPOptions ProgOpts = Opts;
-    if (!CacheDir.empty()) {
-      Cache.emplace(CacheDir);
-      Cache->load(Prog.Name, ProgOpts);
-      ProgOpts.Cache = &*Cache;
+    if (Store) {
+      Cache.load(*Store, Prog.Name, ProgOpts);
+      ProgOpts.Cache = &Cache;
     }
     IPCPResult Res = runIPCP(*M, ProgOpts);
-    if (Cache)
-      Cache->save(Prog.Name, ProgOpts);
+    if (Store)
+      Cache.save(*Store, Prog.Name, ProgOpts);
     OracleReport Rep = checkSoundness(*M, Res);
     bool Ok = Rep.Sound && Rep.ExecStatus == ExecutionResult::Status::Ok;
     if (!Ok) {

@@ -30,6 +30,7 @@
 
 namespace ipcp {
 
+class ContentStore;
 class SuiteRunner;
 class Trace;
 
@@ -56,15 +57,16 @@ struct SuiteStudyResult {
 /// Runs the study over the full benchmark suite through \p Runner. With
 /// \p BuildReports, also builds the per-program report entries (they cost
 /// a per-program JSON tree, so suitecheck only asks when --report-json is
-/// given). A non-empty \p CacheDir analyzes each program through a
-/// persistent summary cache rooted there (one file per program; see
-/// docs/INCREMENTAL.md) — table computations always run cold. \p Engine
-/// selects the propagation engine for the per-program analyses (the
-/// contexts engine runs cache-less; docs/CONTEXTS.md); the paper tables
-/// keep their own option sets either way.
+/// given). A non-null \p Store analyzes each program through a summary
+/// cache loaded from and saved to that store (one name per program; see
+/// docs/INCREMENTAL.md); the concurrent tasks share the store, and each
+/// has its own SummaryCache. Table computations always run cold.
+/// \p Engine selects the propagation engine for the per-program analyses
+/// (the contexts engine runs cache-less; docs/CONTEXTS.md); the paper
+/// tables keep their own option sets either way.
 SuiteStudyResult
 runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
-              const std::string &CacheDir = "",
+              ContentStore *Store = nullptr,
               PropagationEngine Engine = PropagationEngine::Jump);
 
 /// Assembles the "ipcp-suite-report-v1" document: schema, failures,

@@ -210,7 +210,7 @@ TEST(ContextsEngine, SuiteReportByteIdenticalAcrossJobCounts) {
   auto ReportAt = [](unsigned Jobs) {
     SuiteRunner Runner(Jobs);
     SuiteStudyResult Study =
-        runSuiteStudy(Runner, /*BuildReports=*/true, /*CacheDir=*/"",
+        runSuiteStudy(Runner, /*BuildReports=*/true, /*Store=*/nullptr,
                       PropagationEngine::Contexts);
     EXPECT_EQ(Study.Failures, 0);
     JsonValue Doc = buildSuiteReport(Study);

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The robustness layer (docs/ROBUSTNESS.md): the fault-plan grammar and
-// its deterministic firing semantics, injection at the FileIO,
-// ContentStore and SummaryCache fault points, torn-write recovery via the
-// startup scrub (temp sweep, corrupt-object quarantine, dangling-ref
-// drop), and the service failure boundary — injected analysis faults become structured
+// its deterministic firing semantics, injection at the FileIO and
+// ContentStore fault points (including the summary cache's load and save,
+// which go through the store), torn-write recovery via the startup scrub
+// (temp sweep, corrupt-object quarantine, dangling-ref drop), and the
+// service failure boundary — injected analysis faults become structured
 // retryable errors and never poison the session cache.
 //
 //===----------------------------------------------------------------------===//
@@ -230,7 +231,7 @@ TEST(FaultInjectionTest, TornCommitLeavesTmpAndScrubSweeps) {
 
   // The store still serves, and the torn object can be re-put.
   std::string Bytes;
-  EXPECT_TRUE(Store.get("name", Bytes));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Found);
   EXPECT_EQ(Bytes, "good bytes");
   EXPECT_FALSE(Store.put("torn bytes").empty());
   std::filesystem::remove_all(Dir);
@@ -257,12 +258,12 @@ TEST(FaultInjectionTest, ScrubQuarantinesCorruptAndDropsDanglingRefs) {
   EXPECT_EQ(Stats[ContentStore::DanglingDropped], 1u);
   EXPECT_TRUE(std::filesystem::exists(Store.quarantinePath(Key + ".blob")));
   std::string Bytes;
-  EXPECT_FALSE(Store.get("name", Bytes)) << "a quarantined object reads "
-                                            "as a clean miss";
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Missing)
+      << "a quarantined object reads as a clean miss";
   // The name is reusable: recovery degrades to a cold start, not a
   // poisoned store.
   EXPECT_FALSE(Store.putNamed("name", "precious bytes").empty());
-  EXPECT_TRUE(Store.get("name", Bytes));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Found);
   EXPECT_EQ(Bytes, "precious bytes");
   std::filesystem::remove_all(Dir);
 }
@@ -281,7 +282,7 @@ TEST(FaultInjectionTest, ScrubOnOpenSweepsStaleTmp) {
   EXPECT_FALSE(std::filesystem::exists(Dir + "/objects/dead.blob.tmp.1.2"));
   EXPECT_FALSE(std::filesystem::exists(Dir + "/refs/dead.ref.tmp.3.4"));
   std::string Bytes;
-  EXPECT_TRUE(Store.get("name", Bytes));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Found);
   std::filesystem::remove_all(Dir);
 }
 
@@ -292,7 +293,7 @@ TEST(FaultInjectionTest, DurableStoreRoundTrips) {
   ContentStore Store(Dir, Opts);
   ASSERT_FALSE(Store.putNamed("name", "fsynced bytes").empty());
   std::string Bytes;
-  EXPECT_TRUE(Store.get("name", Bytes));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Found);
   EXPECT_EQ(Bytes, "fsynced bytes");
   {
     // In durable mode the fsync itself is a fault point; a failed sync
@@ -307,7 +308,7 @@ TEST(FaultInjectionTest, DurableStoreRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Summary-cache file injection (the driver's --cache-dir path)
+// Summary-cache load and save (the --cache-dir path of every tool)
 //===----------------------------------------------------------------------===//
 
 const char *CacheSource = R"(
@@ -320,29 +321,50 @@ TEST(FaultInjectionTest, CacheLoadFaultRunsCold) {
   std::string Dir = freshDir("ipcp-fault-cache-load");
   std::unique_ptr<Module> M = test::lowerOk(CacheSource);
   IPCPOptions Opts;
+  ContentStore Store(Dir);
+  std::string Key;
   {
-    SummaryCache Writer(Dir);
+    SummaryCache Writer;
     IPCPOptions WriterOpts = Opts;
     WriterOpts.Cache = &Writer;
     runIPCP(*M, WriterOpts);
     std::string Error;
-    ASSERT_TRUE(Writer.save("prog.mf", Opts, &Error)) << Error;
+    ASSERT_TRUE(Writer.save(Store, "prog.mf", Opts, &Error)) << Error;
+    Key = ContentStore::contentKey(Writer.serialize(Opts));
   }
-  SummaryCache Reader(Dir);
+  SummaryCache Reader;
   {
-    PlanGuard Guard("cache.load");
-    EXPECT_FALSE(Reader.load("prog.mf", Opts));
+    PlanGuard Guard("store.read.object");
+    EXPECT_FALSE(Reader.load(Store, "prog.mf", Opts));
   }
-  EXPECT_TRUE(Reader.loadFailed());
+  // An injected read fault is a miss, not a summary the store's check or
+  // the codec rejected: the run goes cold without a load failure, and the
+  // object stays in place.
+  EXPECT_FALSE(Reader.loadFailed());
   IPCPOptions ReaderOpts = Opts;
   ReaderOpts.Cache = &Reader;
   IPCPResult Run = runIPCP(*M, ReaderOpts);
-  EXPECT_EQ(Run.Stats.get("cache_load_failures"), 1u);
+  EXPECT_EQ(Run.Stats.get("cache_load_failures"), 0u);
   EXPECT_EQ(Run.Stats.get("cache_hits"), 0u);
   EXPECT_GT(Run.Stats.get("cache_misses"), 0u);
-  // The file itself is sound: without the plan it loads.
-  SummaryCache Healthy(Dir);
-  EXPECT_TRUE(Healthy.load("prog.mf", Opts));
+  EXPECT_EQ(Store.stats()[ContentStore::Quarantined], 0u);
+  // The object itself is sound: without the plan it loads.
+  SummaryCache Healthy;
+  EXPECT_TRUE(Healthy.load(Store, "prog.mf", Opts));
+
+  // A rotten object, by contrast, fails the store's check: a load failure
+  // that the next run reports, and only that run.
+  {
+    std::ofstream Out(Store.objectPath(Key), std::ios::binary);
+    Out << "rotten";
+  }
+  SummaryCache Rejected;
+  EXPECT_FALSE(Rejected.load(Store, "prog.mf", Opts));
+  EXPECT_TRUE(Rejected.loadFailed());
+  IPCPOptions RejectedOpts = Opts;
+  RejectedOpts.Cache = &Rejected;
+  EXPECT_EQ(runIPCP(*M, RejectedOpts).Stats.get("cache_load_failures"), 1u);
+  EXPECT_EQ(runIPCP(*M, RejectedOpts).Stats.get("cache_load_failures"), 0u);
   std::filesystem::remove_all(Dir);
 }
 
@@ -350,16 +372,18 @@ TEST(FaultInjectionTest, CacheSaveFaultWritesNoFile) {
   std::string Dir = freshDir("ipcp-fault-cache-save");
   std::unique_ptr<Module> M = test::lowerOk(CacheSource);
   IPCPOptions Opts;
-  SummaryCache Cache(Dir);
+  ContentStore Store(Dir);
+  SummaryCache Cache;
   IPCPOptions CacheOpts = Opts;
   CacheOpts.Cache = &Cache;
   runIPCP(*M, CacheOpts);
   ASSERT_TRUE(Cache.committed());
   {
-    PlanGuard Guard("cache.save");
+    PlanGuard Guard("store.write.object");
     std::string Error;
-    EXPECT_FALSE(Cache.save("prog.mf", Opts, &Error));
-    EXPECT_NE(Error.find("injected fault: cache.save"), std::string::npos)
+    EXPECT_FALSE(Cache.save(Store, "prog.mf", Opts, &Error));
+    EXPECT_NE(Error.find("injected fault: store.write.object"),
+              std::string::npos)
         << Error;
   }
   EXPECT_FALSE(std::filesystem::exists(Dir))
@@ -427,7 +451,7 @@ TEST(ServiceBoundaryTest, InjectedFaultBecomesRetryableInternalError) {
 TEST(ServiceBoundaryTest, FaultedRunNeverPoisonsThePersistTier) {
   std::string Dir = freshDir("ipcp-fault-engine-store");
   ServiceEngine::Config Conf = engineConfig();
-  Conf.CacheDir = Dir;
+  Conf.Store = std::make_shared<ContentStore>(Dir);
   ServiceRequest Req;
   {
     ServiceEngine Engine(Conf);
@@ -483,11 +507,12 @@ TEST(ShardedChaosTest, StoreFaultReplaysAreByteIdenticalAcrossShards) {
     Conf.Jobs = 2;
     Conf.Engine = engineConfig();
     Conf.Engine.MaxSessions = 2;
-    Conf.Engine.CacheDir = freshDir(Dir);
+    std::string Root = freshDir(Dir);
+    Conf.Engine.Store = std::make_shared<ContentStore>(Root);
     ShardedService Svc(Conf);
     std::vector<std::string> Out = test::runLines(Svc, Lines);
     EXPECT_GT(faultInjector().totals().Injected, 0u);
-    std::filesystem::remove_all(Conf.Engine.CacheDir);
+    std::filesystem::remove_all(Root);
     return Out;
   };
 

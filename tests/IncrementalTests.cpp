@@ -33,6 +33,7 @@
 #include "core/Report.h"
 #include "core/SummaryCache.h"
 #include "ir/Instructions.h"
+#include "support/ContentStore.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
 #include "workload/Generator.h"
@@ -348,11 +349,11 @@ TEST(IncrementalCache, OptionsMismatchMissesTheCache) {
   IPCPOptions A;
   IPCPOptions B;
   B.ForwardKind = JumpFunctionKind::Literal;
-  SummaryCache Probe("/tmp/unused-cache-dir");
-  EXPECT_NE(Probe.filePathFor("prog.mf", A), Probe.filePathFor("prog.mf", B));
+  EXPECT_NE(SummaryCache::storeName("prog.mf", A),
+            SummaryCache::storeName("prog.mf", B));
 
   // A payload saved under A does not validate under B even when handed
-  // over file-path resolution's head: the fingerprint is in the payload.
+  // over the store name's head: the fingerprint is in the payload.
   std::unique_ptr<Module> M;
   std::string Text = populatedCacheText(M, A);
   SummaryCache Cache;
@@ -400,37 +401,43 @@ TEST(IncrementalCache, DiskRoundTripAndTruncation) {
   std::filesystem::remove_all(Dir);
   std::unique_ptr<Module> M = lowerOk(Chain);
   IPCPOptions Opts;
+  // The command-line tools' store: no scrub on open, so a corrupt object
+  // is found by the load itself.
+  ContentStore::Options StoreOpts;
+  StoreOpts.ScrubOnOpen = false;
+  ContentStore Store(Dir, StoreOpts);
 
   // Cold start on a missing directory: not a failure, just cold.
-  SummaryCache Writer(Dir);
-  EXPECT_FALSE(Writer.load("chain.mf", Opts));
+  SummaryCache Writer;
+  EXPECT_FALSE(Writer.load(Store, "chain.mf", Opts));
   EXPECT_FALSE(Writer.loadFailed());
   IPCPOptions WriterOpts = Opts;
   WriterOpts.Cache = &Writer;
   runIPCP(*M, WriterOpts);
   std::string Error;
-  ASSERT_TRUE(Writer.save("chain.mf", Opts, &Error)) << Error;
+  ASSERT_TRUE(Writer.save(Store, "chain.mf", Opts, &Error)) << Error;
 
-  // A fresh object warms up from the file.
-  SummaryCache Reader(Dir);
-  EXPECT_TRUE(Reader.load("chain.mf", Opts));
+  // A fresh object warms up from the store.
+  SummaryCache Reader;
+  EXPECT_TRUE(Reader.load(Store, "chain.mf", Opts));
   EXPECT_EQ(Reader.size(), 3u);
   IPCPOptions ReaderOpts = Opts;
   ReaderOpts.Cache = &Reader;
   IPCPResult Warm = runIPCP(*M, ReaderOpts);
   EXPECT_EQ(Warm.Stats.get("cache_misses"), 0u);
 
-  // Truncate the file on disk: load fails, loadFailed() reports it, and
+  // Truncate the object on disk: load fails, loadFailed() reports it, and
   // the run both proceeds cold and surfaces cache_load_failures.
-  std::string Path = Reader.filePathFor("chain.mf", Opts);
+  std::string Path =
+      Store.objectPath(ContentStore::contentKey(Writer.serialize(Opts)));
   std::string Text;
   ASSERT_TRUE(readFileToString(Path, Text, &Error)) << Error;
   {
     std::ofstream Out(Path, std::ios::trunc | std::ios::binary);
     Out << Text.substr(0, Text.size() / 3);
   }
-  SummaryCache Corrupt(Dir);
-  EXPECT_FALSE(Corrupt.load("chain.mf", Opts));
+  SummaryCache Corrupt;
+  EXPECT_FALSE(Corrupt.load(Store, "chain.mf", Opts));
   EXPECT_TRUE(Corrupt.loadFailed());
   IPCPOptions CorruptOpts = Opts;
   CorruptOpts.Cache = &Corrupt;

@@ -16,7 +16,9 @@
 #include "core/Report.h"
 #include "core/ServiceEngine.h"
 #include "core/ShardedService.h"
+#include "core/SummaryCache.h"
 #include "support/BoundedQueue.h"
+#include "support/ContentStore.h"
 #include "support/ThreadPool.h"
 #include "workload/Programs.h"
 #include "workload/ServiceWorkload.h"
@@ -655,7 +657,7 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
   std::string Dir = ::testing::TempDir() + "ipcp-service-evict";
   std::filesystem::remove_all(Dir);
   ServiceEngine::Config Conf = basicConfig();
-  Conf.CacheDir = Dir;
+  Conf.Store = std::make_shared<ContentStore>(Dir);
   Conf.MaxSessions = 1;
 
   {
@@ -685,6 +687,7 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
   }
 
   // A fresh service (daemon restart) warms up from the same files.
+  Conf.Store = std::make_shared<ContentStore>(Dir);
   ShardedService Fresh(serialService(Conf));
   JsonValue Warm = serve(Fresh, analyzeLine("simple", "a"));
   EXPECT_EQ(counter(Warm, "prop_evaluations"), 0u);
@@ -697,7 +700,7 @@ TEST(ServiceEngineTest, FlushPersistsAndDropsEverything) {
   std::string Dir = ::testing::TempDir() + "ipcp-service-flush";
   std::filesystem::remove_all(Dir);
   ServiceEngine::Config Conf = basicConfig();
-  Conf.CacheDir = Dir;
+  Conf.Store = std::make_shared<ContentStore>(Dir);
   ShardedService Svc(serialService(Conf));
   serve(Svc, analyzeLine("simple", "s"));
   JsonValue Flush = serve(Svc, R"({"op":"flush-cache"})");
@@ -706,6 +709,32 @@ TEST(ServiceEngineTest, FlushPersistsAndDropsEverything) {
   JsonValue Stats = serve(Svc, R"({"op":"stats"})");
   EXPECT_EQ(Stats.find("stats")->find("sessions_resident")->asInt(), 0);
   EXPECT_FALSE(std::filesystem::is_empty(Dir));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ServiceEngineTest, LoadFailureCountsOnlyOnTheRunThatUsedIt) {
+  std::string Dir = ::testing::TempDir() + "ipcp-service-load-failure";
+  std::filesystem::remove_all(Dir);
+  ServiceEngine::Config Conf = basicConfig();
+  Conf.Store = std::make_shared<ContentStore>(Dir);
+  // Bytes that pass the store's check but not the codec, under the name
+  // the session's summaries are stored by.
+  ASSERT_FALSE(Conf.Store
+                   ->putNamed(SummaryCache::storeName("simple", IPCPOptions()),
+                              "not a summary")
+                   .empty());
+  ShardedService Svc(serialService(Conf));
+  JsonValue Cold = serve(Svc, analyzeLine("simple", "s"));
+  EXPECT_EQ(counter(Cold, "cache_load_failures"), 1u);
+  EXPECT_GT(counter(Cold, "cache_misses"), 0u);
+  // The session loaded once; its later runs are warm and did not use
+  // that load.
+  for (int Run = 2; Run <= 3; ++Run) {
+    JsonValue Warm = serve(Svc, analyzeLine("simple", "s"));
+    EXPECT_EQ(counter(Warm, "cache_load_failures"), 0u) << "run " << Run;
+    EXPECT_EQ(counter(Warm, "cache_misses"), 0u) << "run " << Run;
+    EXPECT_GT(counter(Warm, "cache_hits"), 0u) << "run " << Run;
+  }
   std::filesystem::remove_all(Dir);
 }
 

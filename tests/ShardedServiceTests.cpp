@@ -83,20 +83,18 @@ TEST(ContentStoreTest, RoundTripDedupAndRebind) {
 
   EXPECT_TRUE(Store.bind("prog\nopts", Key));
   std::string Bytes;
-  ASSERT_TRUE(Store.get("prog\nopts", Bytes));
+  ASSERT_EQ(Store.get("prog\nopts", Bytes), ContentStore::Lookup::Found);
   EXPECT_EQ(Bytes, "hello summaries");
-  EXPECT_TRUE(Store.contains("prog\nopts"));
 
   // Rebinding moves the name to the new object; the old object remains.
   std::string Key2 = Store.putNamed("prog\nopts", "v2 bytes");
   ASSERT_FALSE(Key2.empty());
-  ASSERT_TRUE(Store.get("prog\nopts", Bytes));
+  ASSERT_EQ(Store.get("prog\nopts", Bytes), ContentStore::Lookup::Found);
   EXPECT_EQ(Bytes, "v2 bytes");
   EXPECT_TRUE(std::filesystem::exists(Store.objectPath(Key)));
 
   // Unknown names are misses, not errors.
-  EXPECT_FALSE(Store.get("no-such-name", Bytes));
-  EXPECT_FALSE(Store.contains("no-such-name"));
+  EXPECT_EQ(Store.get("no-such-name", Bytes), ContentStore::Lookup::Missing);
   EXPECT_GE(Store.stats()[ContentStore::Misses], 1u);
   std::filesystem::remove_all(Dir);
 }
@@ -115,7 +113,39 @@ TEST(ContentStoreTest, DetectsCorruptObjects) {
     Out << "precious bytez";
   }
   std::string Bytes;
-  EXPECT_FALSE(Store.get("name", Bytes));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Rejected);
+  EXPECT_EQ(Store.stats()[ContentStore::IntegrityFailures], 1u);
+  // The failed read moved the rotten object aside, as the scrub would...
+  EXPECT_EQ(Store.stats()[ContentStore::Quarantined], 1u);
+  EXPECT_TRUE(std::filesystem::exists(Store.quarantinePath(Key + ".blob")));
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Missing);
+  // ...so putting the same bytes again writes the object instead of
+  // counting a dedup hit, and the name reads back.
+  EXPECT_EQ(Store.putNamed("name", "precious bytes"), Key);
+  EXPECT_EQ(Store.stats()[ContentStore::ObjectsWritten], 2u);
+  EXPECT_EQ(Store.stats()[ContentStore::DedupHits], 0u);
+  ASSERT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Found);
+  EXPECT_EQ(Bytes, "precious bytes");
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ContentStoreTest, OversizedObjectIsRejectedUnread) {
+  std::string Dir = ::testing::TempDir() + "ipcp-content-store-oversized";
+  std::filesystem::remove_all(Dir);
+  ContentStore Store(Dir);
+  // A sparse object one byte over the bound, named by the key of its
+  // (all-zero) bytes: reading and hashing it would verify, so only the
+  // size check can refuse it.
+  std::string Key = ContentStore::contentKey(
+      std::string(ContentStore::MaxObjectBytes + 1, '\0'));
+  std::filesystem::create_directories(Dir + "/objects");
+  std::ofstream(Store.objectPath(Key)).close();
+  std::filesystem::resize_file(Store.objectPath(Key),
+                               ContentStore::MaxObjectBytes + 1);
+  ASSERT_TRUE(Store.bind("name", Key));
+  std::string Bytes;
+  EXPECT_EQ(Store.get("name", Bytes), ContentStore::Lookup::Rejected);
+  EXPECT_TRUE(Bytes.empty());
   EXPECT_EQ(Store.stats()[ContentStore::IntegrityFailures], 1u);
   std::filesystem::remove_all(Dir);
 }
@@ -265,7 +295,8 @@ TEST(ShardedServiceTest, EvictionPointsAreShardCountInvariant) {
     ShardedService::Config Conf = serviceConfig(Shards);
     Conf.Jobs = Jobs;
     Conf.Engine.MaxSessions = 1;
-    Conf.Engine.CacheDir = Dir;
+    if (!Dir.empty())
+      Conf.Engine.Store = std::make_shared<ContentStore>(Dir);
     ShardedService Svc(Conf);
     std::vector<std::string> Out = runLines(Svc, Lines);
     Svc.shutdownFlush();

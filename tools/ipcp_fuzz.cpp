@@ -505,7 +505,7 @@ std::vector<std::string> chaosReplay(const std::vector<std::string> &Lines,
   Conf.Jobs = Jobs;
   Conf.Engine.ScrubTimings = true;
   Conf.Engine.MaxSessions = 2; // small, so eviction drives store traffic
-  Conf.Engine.CacheDir = CacheDir;
+  Conf.Engine.Store = std::make_shared<ContentStore>(CacheDir);
   Conf.Engine.SuiteResolver = [](const std::string &Name, std::string &Out) {
     const SuiteProgram *Prog = findSuiteProgram(Name);
     if (!Prog)

@@ -65,6 +65,7 @@
 
 #include "../bench/BenchReport.h"
 #include "core/ShardedService.h"
+#include "support/ContentStore.h"
 #include "support/FaultInjection.h"
 #include "support/LineIO.h"
 #include "workload/Programs.h"
@@ -467,6 +468,8 @@ void printRun(const char *Name, const RunResult &R) {
 int main(int argc, char **argv) {
   ShardedService::Config Service;
   Service.Jobs = 0;
+  std::string CacheDir;
+  bool DurableStore = false;
   ServiceLogConfig Workload;
   Workload.Session = "load";
   Workload.SessionCount = 8;
@@ -567,8 +570,8 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Service.Engine.CacheDir = Arg.substr(12);
-      if (Service.Engine.CacheDir.empty()) {
+      CacheDir = Arg.substr(12);
+      if (CacheDir.empty()) {
         std::fprintf(stderr, "error: --cache-dir needs a directory name\n");
         return 1;
       }
@@ -636,7 +639,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--durable-store") {
-      Service.Engine.DurableStore = true;
+      DurableStore = true;
       continue;
     }
     if (Arg.rfind("--connect=", 0) == 0) {
@@ -691,6 +694,12 @@ int main(int argc, char **argv) {
       SourceOut = Prog->Source;
       return true;
     };
+    if (!CacheDir.empty()) {
+      ContentStore::Options StoreOpts;
+      StoreOpts.Durable = DurableStore;
+      Service.Engine.Store =
+          std::make_shared<ContentStore>(CacheDir, StoreOpts);
+    }
     Svc = std::make_unique<ShardedService>(Service);
   }
   auto makeBackend = [&]() -> std::unique_ptr<Backend> {

@@ -156,6 +156,8 @@ int main(int argc, char **argv) {
   Conf.Jobs = 0; // hardware concurrency
   IPCPOptions Budgets; // only Limits is read: the per-request defaults
   std::string SocketPath;
+  std::string CacheDir;
+  bool DurableStore = false;
   std::string ScrubStoreDir;
   std::string FaultPlan;
   bool HaveFaultPlan = false;
@@ -207,7 +209,7 @@ int main(int argc, char **argv) {
       return 1;
     }
     if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Conf.Engine.CacheDir = Arg.substr(12);
+      CacheDir = Arg.substr(12);
       continue;
     }
     if (Arg.rfind("--max-sessions=", 0) == 0) {
@@ -223,7 +225,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--durable-store") {
-      Conf.Engine.DurableStore = true;
+      DurableStore = true;
       continue;
     }
     if (Arg == "--scrub-store=") {
@@ -300,6 +302,13 @@ int main(int argc, char **argv) {
     SourceOut = Prog->Source;
     return true;
   };
+  // The one store every shard shares; opening it runs the recovery
+  // scrub over what a crashed daemon left behind.
+  if (!CacheDir.empty()) {
+    ContentStore::Options StoreOpts;
+    StoreOpts.Durable = DurableStore;
+    Conf.Engine.Store = std::make_shared<ContentStore>(CacheDir, StoreOpts);
+  }
 
   ShardedService Service(std::move(Conf));
 

@@ -16,12 +16,14 @@
 // mechanically.
 #include "core/Report.h"
 #include "core/SuiteRunner.h"
+#include "support/ContentStore.h"
 #include "support/FileIO.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workload/SuiteReport.h"
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 using namespace ipcp;
 
@@ -32,8 +34,8 @@ static void usage(std::FILE *Out) {
                        "[--scrub-timings]\n"
                        "  --jobs=N       analyze programs on N threads "
                        "(default: hardware concurrency)\n"
-                       "  --cache-dir=DIR  persistent per-program summary "
-                       "caches (docs/INCREMENTAL.md)\n"
+                       "  --cache-dir=DIR  summary store shared by the "
+                       "programs (docs/INCREMENTAL.md)\n"
                        "  --no-cache     ignore --cache-dir\n"
                        "  --scrub-timings  zero wall-clock fields in the "
                        "JSON report\n"
@@ -89,10 +91,17 @@ int main(int argc, char **argv) {
   if (TraceOn)
     Trace::setActive(&TraceData);
 
+  // One summary store for all twelve programs, opened without the
+  // recovery scrub: each get verifies the object it reads.
+  std::optional<ContentStore> Store;
+  if (!CacheDir.empty() && !NoCache) {
+    ContentStore::Options StoreOpts;
+    StoreOpts.ScrubOnOpen = false;
+    Store.emplace(CacheDir, StoreOpts);
+  }
   SuiteRunner Runner(Jobs);
-  SuiteStudyResult Study =
-      runSuiteStudy(Runner, !ReportFile.empty(),
-                    NoCache ? std::string() : CacheDir, Opts.Engine);
+  SuiteStudyResult Study = runSuiteStudy(
+      Runner, !ReportFile.empty(), Store ? &*Store : nullptr, Opts.Engine);
   for (const std::string &Message : Study.Messages)
     if (!Message.empty())
       std::printf("%s", Message.c_str());
