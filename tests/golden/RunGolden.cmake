@@ -3,21 +3,22 @@
 #
 #   cmake -DDRIVER=<ipcp_driver> -DSRCDIR=<repo root> -DSOURCE=<relative .mf>
 #         -DOUT=<scratch json> -DGOLDEN=<tests/golden/<name>.json>
-#         [-DUPDATE=1] -P RunGolden.cmake
+#         [-DDRIVER_ARGS=<extra driver flags>] [-DUPDATE=1] -P RunGolden.cmake
 #
 # Runs the driver from the repo root (so the report's source_name field
-# stays machine-independent) with --scrub-timings, then byte-compares
-# the report against the checked-in golden file. With -DUPDATE=1 the
+# stays machine-independent) with --scrub-timings and any DRIVER_ARGS
+# (a CMake list, e.g. --engine=contexts), then byte-compares the report
+# against the checked-in golden file. With -DUPDATE=1 the
 # golden file is rewritten instead — that is what the `update-golden`
 # build target does after an intentional output change.
 
 execute_process(
-  COMMAND ${DRIVER} ${SOURCE} --report-json=${OUT} --scrub-timings
+  COMMAND ${DRIVER} ${SOURCE} ${DRIVER_ARGS} --report-json=${OUT} --scrub-timings
   WORKING_DIRECTORY ${SRCDIR}
   RESULT_VARIABLE RC
   OUTPUT_QUIET)
 if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "ipcp_driver failed (exit ${RC}) on ${SOURCE}")
+  message(FATAL_ERROR "ipcp_driver failed (exit ${RC}) on ${SOURCE} ${DRIVER_ARGS}")
 endif()
 
 if(UPDATE)
