@@ -16,6 +16,11 @@
 //  - parallel (diamond) call sites with agreeing constants cost the same
 //    as one site; disagreeing sites lower twice and stop.
 //
+// It is also a gate: it exits 1 when the call-graph and binding-graph
+// formulations reach different fixpoints, or when a chain lowers more
+// than twice per parameter (Figure 1's depth bound, on which the Section
+// 3.1.5 cost argument rests).
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
@@ -121,7 +126,7 @@ BENCHMARK(BM_SolverFormulation)
     ->ArgsProduct({{16, 48}, {0, 1}})
     ->ArgNames({"procs", "binding"});
 
-JsonValue printSolverComparison() {
+JsonValue printSolverComparison(bool &Ok) {
   std::printf("Solver formulations on one 48-procedure generated program "
               "(identical fixpoints):\n");
   GeneratorConfig Config;
@@ -151,6 +156,10 @@ JsonValue printSolverComparison() {
               (unsigned long long)BGStats.Lowerings);
   std::printf("  fixpoints agree: %s; constants: %u\n",
               A.equals(B) ? "yes" : "NO", A.totalConstants());
+  if (!A.equals(B)) {
+    std::fprintf(stderr, "FATAL: the two formulations' fixpoints differ\n");
+    Ok = false;
+  }
   std::printf("  (lowering counts may differ: a cell can step T->_|_ "
               "directly in one order\n   and T->c->_|_ in the other; "
               "which formulation evaluates less depends on\n   call-graph "
@@ -171,7 +180,7 @@ JsonValue printSolverComparison() {
   return Out;
 }
 
-JsonValue printLoweringLinearity() {
+JsonValue printLoweringLinearity(bool &Ok) {
   std::printf("Lowerings vs chain depth (each VAL entry lowers at most "
               "twice; Figure-1 depth bound):\n");
   std::printf("  depth  parameters  lowerings  evaluations  visits\n");
@@ -184,6 +193,13 @@ JsonValue printLoweringLinearity() {
                 static_cast<unsigned long long>(
                     R.Stats.get("prop_evaluations")),
                 static_cast<unsigned long long>(R.Stats.get("prop_visits")));
+    if (R.Stats.get("prop_lowerings") > 2 * 2 * Depth) {
+      std::fprintf(stderr,
+                   "FATAL: depth-%u chain lowers more than twice per "
+                   "parameter\n",
+                   Depth);
+      Ok = false;
+    }
     JsonValue Row = JsonValue::object();
     Row.set("depth", Depth);
     Row.set("parameters", 2 * Depth);
@@ -199,10 +215,13 @@ JsonValue printLoweringLinearity() {
 } // namespace
 
 int main(int argc, char **argv) {
+  bool Ok = true;
   JsonValue Doc = JsonValue::object();
-  Doc.set("lowering_linearity", printLoweringLinearity());
-  Doc.set("solver_comparison", printSolverComparison());
+  Doc.set("lowering_linearity", printLoweringLinearity(Ok));
+  Doc.set("solver_comparison", printSolverComparison(Ok));
   benchReport("propagation", std::move(Doc));
+  if (!Ok)
+    return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -8,8 +8,6 @@
 
 #include "support/Trace.h"
 
-#include <algorithm>
-
 using namespace ipcp;
 
 namespace {
@@ -20,72 +18,43 @@ namespace {
 /// loop never touches a hash map.
 struct BindingEdge {
   uint32_t CallerPI;   ///< CallGraph::procIndex of the caller
-  uint32_t TargetSlot; ///< dense (callee, variable) slot
+  uint32_t TargetSlot; ///< layout slot of (callee, variable)
   const JumpFunction *JF;
 };
 
 /// The binding multigraph solver. Every (procedure, extended formal) pair
-/// gets one dense slot: formals positionally, then the procedure's
-/// extended globals in ID order, procedures laid out back-to-back in
-/// procIndex order. VAL is one flat vector over those slots, the
-/// dependency index is a CSR adjacency from slots to edge indices, and
-/// the worklist is a FIFO over slots with a pending bitmap — the same
-/// iteration order as the map-and-deque formulation this replaces, so the
-/// work counters are unchanged.
+/// is one slot of the shared ValLayout. VAL is one flat vector over those
+/// slots, the dependency index is a CSR adjacency from slots to edge
+/// indices, and the worklist is a FIFO over slots with a pending bitmap —
+/// the same iteration order as the map-and-deque formulation this
+/// replaces, so the work counters are unchanged.
 class BindingGraphSolver {
 public:
   BindingGraphSolver(const CallGraph &CG, const ModRefInfo &MRI,
                      const ForwardJumpFunctions &FJFs,
                      const IPCPOptions &Opts, PropagatorStats *Stats,
                      ResourceGuard *Guard)
-      : CG(CG), MRI(MRI), FJFs(FJFs), Opts(Opts), Stats(Stats),
-        Guard(Guard) {}
+      : CG(CG), FJFs(FJFs), Stats(Stats), Guard(Guard),
+        Layout(CG, MRI, Opts.EntryProcedure) {}
 
   ConstantsMap solve();
 
 private:
-  /// Slot layout of one procedure within the flat numbering.
-  struct ProcSlots {
-    uint32_t Base = 0; ///< first slot of this procedure
-    uint32_t FormalCount = 0;
-    std::vector<Variable *> Globals; ///< ID-ordered
-  };
-
-  void numberSlots();
   void buildEdges();
-
-  /// Dense slot of (P's procIndex \p PI, \p Var), or ~0u when the
-  /// variable is outside P's extended-formal numbering (its value is
-  /// top everywhere, matching the old missing-map-entry semantics).
-  uint32_t slotOf(uint32_t PI, const Variable *Var) const {
-    const ProcSlots &S = Slots[PI];
-    if (Var->isFormal()) {
-      unsigned I = Var->getFormalIndex();
-      return I < S.FormalCount ? S.Base + I : ~0u;
-    }
-    auto It = std::lower_bound(S.Globals.begin(), S.Globals.end(), Var,
-                               [](const Variable *A, const Variable *B) {
-                                 return A->getId() < B->getId();
-                               });
-    if (It == S.Globals.end() || *It != Var)
-      return ~0u;
-    return S.Base + S.FormalCount + uint32_t(It - S.Globals.begin());
-  }
 
   /// Meets NewVal into a slot; enqueues it when it lowered.
   void lower(uint32_t Slot, LatticeValue NewVal);
+  /// Counts a lowering of \p Slot and enqueues it.
+  void lowered(uint32_t Slot);
   void evaluateEdge(const BindingEdge &Edge);
 
   const CallGraph &CG;
-  const ModRefInfo &MRI;
   const ForwardJumpFunctions &FJFs;
-  const IPCPOptions &Opts;
   PropagatorStats *Stats;
   ResourceGuard *Guard;
 
-  std::vector<ProcSlots> Slots; ///< by procIndex
-  uint32_t TotalSlots = 0;
-  std::vector<LatticeValue> VAL; ///< by dense slot
+  ValLayout Layout;
+  std::vector<LatticeValue> VAL; ///< by slot
 
   std::vector<BindingEdge> Edges;
   /// CSR dependency index: edges to re-evaluate when slot s lowers live
@@ -95,25 +64,10 @@ private:
 
   std::vector<uint32_t> Work; ///< FIFO of slots
   size_t Head = 0;
-  std::vector<char> Pending; ///< by dense slot
+  std::vector<char> Pending; ///< by slot
 };
 
 } // namespace
-
-void BindingGraphSolver::numberSlots() {
-  size_t N = CG.procedures().size();
-  Slots.resize(N);
-  for (Procedure *P : CG.procedures()) {
-    ProcSlots &S = Slots[CG.procIndex(P)];
-    S.Base = TotalSlots;
-    S.FormalCount = uint32_t(P->formals().size());
-    const VariableSet &Ext = MRI.extendedGlobals(P);
-    S.Globals.assign(Ext.begin(), Ext.end()); // ID-ordered by VariableSet
-    TotalSlots += S.FormalCount + uint32_t(S.Globals.size());
-  }
-  VAL.assign(TotalSlots, LatticeValue::top());
-  Pending.assign(TotalSlots, 0);
-}
 
 void BindingGraphSolver::lower(uint32_t Slot, LatticeValue NewVal) {
   LatticeValue Old = VAL[Slot];
@@ -121,6 +75,10 @@ void BindingGraphSolver::lower(uint32_t Slot, LatticeValue NewVal) {
   if (Met == Old)
     return;
   VAL[Slot] = Met;
+  lowered(Slot);
+}
+
+void BindingGraphSolver::lowered(uint32_t Slot) {
   if (Stats)
     ++Stats->Lowerings;
   if (!Pending[Slot]) {
@@ -136,7 +94,7 @@ void BindingGraphSolver::evaluateEdge(const BindingEdge &Edge) {
     Guard->noteEvaluations();
   uint32_t PI = Edge.CallerPI;
   auto Lookup = [this, PI](Variable *Var) {
-    uint32_t Slot = slotOf(PI, Var);
+    uint32_t Slot = Layout.slot(PI, Var);
     return Slot == ~0u ? LatticeValue::top() : VAL[Slot];
   };
   lower(Edge.TargetSlot, Edge.JF->evaluateVia(Lookup));
@@ -146,27 +104,29 @@ void BindingGraphSolver::buildEdges() {
   // Pass 1: materialize the edges with resolved endpoints, counting each
   // support slot's out-degree; pass 2: fill the CSR list in edge order
   // (the re-evaluation order of the old per-pair vectors).
+  uint32_t TotalSlots = Layout.size();
   DepOffsets.assign(TotalSlots + 1, 0);
   for (Procedure *P : CG.procedures()) {
     uint32_t PI = CG.procIndex(P);
     for (CallInst *Site : CG.callSitesIn(P)) {
       const CallSiteJumpFunctions &JFs = FJFs.at(Site);
-      Procedure *Q = Site->getCallee();
-      uint32_t QI = CG.procIndex(Q);
-      auto AddEdge = [&](Variable *Y, const JumpFunction &JF) {
-        uint32_t Target = slotOf(QI, Y);
-        assert(Target != ~0u && "edge target outside callee numbering");
-        Edges.push_back({PI, Target, &JF});
+      uint32_t QI = CG.procIndex(Site->getCallee());
+      assert(JFs.Formals.size() + JFs.Globals.size() == Layout.width(QI) &&
+             "jump functions out of step with the callee's row");
+      // The k-th jump function targets slot k of the callee's row.
+      uint32_t Target = Layout.base(QI);
+      auto AddEdge = [&](const JumpFunction &JF) {
+        Edges.push_back({PI, Target++, &JF});
         for (Variable *SupportVar : JF.support()) {
-          uint32_t Slot = slotOf(PI, SupportVar);
+          uint32_t Slot = Layout.slot(PI, SupportVar);
           assert(Slot != ~0u && "support var outside caller numbering");
           ++DepOffsets[Slot + 1];
         }
       };
-      for (unsigned I = 0, E = unsigned(JFs.Formals.size()); I != E; ++I)
-        AddEdge(Q->formals()[I], JFs.Formals[I]);
+      for (const JumpFunction &JF : JFs.Formals)
+        AddEdge(JF);
       for (const auto &[G, JF] : JFs.Globals)
-        AddEdge(G, JF);
+        AddEdge(JF);
     }
   }
   for (uint32_t S = 0; S != TotalSlots; ++S)
@@ -175,20 +135,19 @@ void BindingGraphSolver::buildEdges() {
   std::vector<uint32_t> Cursor(DepOffsets.begin(), DepOffsets.end() - 1);
   for (uint32_t E = 0, N = uint32_t(Edges.size()); E != N; ++E)
     for (Variable *SupportVar : Edges[E].JF->support())
-      DepList[Cursor[slotOf(Edges[E].CallerPI, SupportVar)]++] = E;
+      DepList[Cursor[Layout.slot(Edges[E].CallerPI, SupportVar)]++] = E;
 }
 
 ConstantsMap BindingGraphSolver::solve() {
-  numberSlots();
+  VAL = Layout.initialVal();
+  Pending.assign(Layout.size(), 0);
   buildEdges();
 
-  // Virtual entry edge: the entry procedure's globals start at zero.
-  for (Procedure *P : CG.procedures())
-    if (P->getName() == Opts.EntryProcedure) {
-      const ProcSlots &S = Slots[CG.procIndex(P)];
-      for (uint32_t I = 0, E = uint32_t(S.Globals.size()); I != E; ++I)
-        lower(S.Base + S.FormalCount + I, LatticeValue::constant(0));
-    }
+  // The virtual entry edge lowered the slots it set; queue them like any
+  // other lowering.
+  for (uint32_t Slot = 0; Slot != Layout.size(); ++Slot)
+    if (!VAL[Slot].isTop())
+      lowered(Slot);
 
   // Seed every edge once (this covers the support-free constant and
   // bottom jump functions; support-carrying ones evaluate to top now and
@@ -214,20 +173,7 @@ ConstantsMap BindingGraphSolver::solve() {
   if (Guard && Guard->tripped())
     return ConstantsMap();
 
-  // Package into a ConstantsMap: each procedure's slot range is already
-  // the extended-formal row layout the map expects.
-  ConstantsMap CM;
-  for (Procedure *P : CG.procedures()) {
-    const ProcSlots &S = Slots[CG.procIndex(P)];
-    std::vector<Variable *> Vars;
-    Vars.reserve(S.FormalCount + S.Globals.size());
-    Vars.insert(Vars.end(), P->formals().begin(), P->formals().end());
-    Vars.insert(Vars.end(), S.Globals.begin(), S.Globals.end());
-    std::vector<LatticeValue> Vals(VAL.begin() + S.Base,
-                                   VAL.begin() + S.Base + Vars.size());
-    CM.adoptRow(P, std::move(Vars), std::move(Vals));
-  }
-  return CM;
+  return ConstantsMap(std::move(Layout), std::move(VAL));
 }
 
 ConstantsMap ipcp::propagateConstantsBindingGraph(

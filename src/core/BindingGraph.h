@@ -11,8 +11,9 @@
 /// models the binding graph computation on the call graph."
 ///
 /// Nodes of the binding multigraph are (procedure, extended formal)
-/// pairs; each forward jump function J_s^y contributes one edge from
-/// every element of support(J_s^y) to the callee pair (q, y). The
+/// pairs, numbered by the slots of the ValLayout every solver shares
+/// (Propagator.h); each forward jump function J_s^y contributes one edge
+/// from every element of support(J_s^y) to the callee pair (q, y). The
 /// worklist then runs over *pairs*: when VAL(p, v) lowers, only the jump
 /// functions whose support actually mentions v are re-evaluated —
 /// realizing the O(sum of cost(J) * |support(J)|) bound of Section 3.1.5

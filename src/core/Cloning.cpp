@@ -35,21 +35,27 @@ std::string signatureFor(const CallSiteJumpFunctions &JFs,
   auto CallerLookup = [&](Variable *Var) {
     return CM.valueOf(Caller, Var);
   };
-  auto Append = [&](Variable *Y, const JumpFunction &JF) {
+  // The k-th jump function targets slot k of the callee's row.
+  std::span<const LatticeValue> Merged = CM.row(Callee).Vals;
+  assert(Merged.size() == JFs.Formals.size() + JFs.Globals.size() &&
+         "jump functions out of step with the callee's row");
+  size_t Slot = 0;
+  auto Append = [&](const JumpFunction &JF) {
     LatticeValue V = JF.evaluateVia(CallerLookup);
+    bool MergedConstant = Merged[Slot++].isConstant();
     if (!V.isConstant()) {
       Sig += "_,";
       return;
     }
     Sig += std::to_string(V.getConstant());
     Sig += ',';
-    if (!CM.valueOf(Callee, Y).isConstant())
+    if (!MergedConstant)
       Profitable = true;
   };
-  for (unsigned I = 0, E = JFs.Formals.size(); I != E; ++I)
-    Append(Callee->formals()[I], JFs.Formals[I]);
+  for (const JumpFunction &JF : JFs.Formals)
+    Append(JF);
   for (const auto &[G, JF] : JFs.Globals)
-    Append(G, JF);
+    Append(JF);
   return Sig;
 }
 

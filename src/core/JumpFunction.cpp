@@ -88,7 +88,7 @@ const SymExpr *SymExprContext::intern(const SymExpr &Node) {
     rehash(64);
   size_t Slot = hashNode(Node) & SlotMask;
   while (Slots[Slot] != ExprId::InvalidIndex) {
-    const SymExpr *Candidate = Nodes.at(ExprId(Slots[Slot]));
+    const SymExpr *Candidate = Nodes[Slots[Slot]];
     if (sameNode(Node, *Candidate))
       return Candidate;
     Slot = (Slot + 1) & SlotMask;
@@ -97,7 +97,7 @@ const SymExpr *SymExprContext::intern(const SymExpr &Node) {
   SymExpr *Stable = NodeArena.create<SymExpr>(Node);
   ExprId Id = ExprId::fromIndex(Nodes.size());
   Stable->Id = Id;
-  Nodes[Id] = Stable;
+  Nodes.push_back(Stable);
   Slots[Slot] = Id.rawValue();
   // Keep the load factor under 3/4 so linear probes stay short.
   if (Nodes.size() * 4 >= Slots.size() * 3)

@@ -148,7 +148,7 @@ public:
   /// The node behind a handle. Valid for every id returned by this
   /// context; ids are dense, so node(ExprId::fromIndex(i)) enumerates the
   /// interned population in creation order.
-  const SymExpr *node(ExprId Id) const { return Nodes.at(Id); }
+  const SymExpr *node(ExprId Id) const { return Nodes[Id.index()]; }
 
 private:
   const SymExpr *intern(const SymExpr &Node);
@@ -158,7 +158,7 @@ private:
 
   unsigned MaxNodes;
   Arena NodeArena;
-  IdMap<ExprId, const SymExpr *> Nodes; ///< handle -> interned node
+  std::vector<const SymExpr *> Nodes; ///< by ExprId::index()
   /// Open-addressing hash-cons table: each slot holds an ExprId raw value
   /// or ExprId::InvalidIndex when empty; power-of-two sized.
   std::vector<uint32_t> Slots;

@@ -187,10 +187,6 @@ const char *ipcp::jumpFunctionKindName(JumpFunctionKind Kind) {
   return canonicalSpelling(JumpFunctionChoices, unsigned(Kind));
 }
 
-const char *ipcp::propagationEngineName(PropagationEngine Engine) {
-  return canonicalSpelling(EngineChoices, unsigned(Engine));
-}
-
 std::string ipcp::optionText(const OptionSpec &Row, const IPCPOptions &Opts) {
   if (Row.Type == OptionType::Name)
     return Row.GetName(Opts);
@@ -235,11 +231,14 @@ bool ipcp::takeOptionFlag(const std::string &Arg, unsigned Surface,
   return Matched;
 }
 
-uint64_t ipcp::parseUintFlag(const std::string &Arg, size_t PrefixLen) {
+uint64_t ipcp::parseUintFlag(const std::string &Arg, size_t PrefixLen,
+                             uint64_t Max) {
   uint64_t Value = 0;
   std::string Error;
   if (!readUintFlag(Arg, PrefixLen, Value, Error))
     exitUsage(Error);
+  if (Value > Max)
+    exitUsage("value out of range in '" + Arg + "'");
   return Value;
 }
 

@@ -24,6 +24,7 @@
 #include "support/ResourceGuard.h"
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -71,9 +72,6 @@ enum class PropagationEngine {
   /// docs/CONTEXTS.md.
   Contexts,
 };
-
-/// Printable name ("jump", "contexts").
-const char *propagationEngineName(PropagationEngine Engine);
 
 /// How the call-graph propagator orders its work. Both schedules reach
 /// the same fixpoint (the lattice meet is order-independent); they differ
@@ -149,8 +147,10 @@ struct IPCPOptions {
   /// still validate, stages fresh ones, and commits the staged set only
   /// when the run finishes un-degraded. Ignored (left untouched) by
   /// configurations the cache does not model: IntraproceduralOnly runs,
-  /// the binding-graph propagator, and the FIFO schedule fall back to
-  /// cold analysis. See docs/INCREMENTAL.md.
+  /// the binding-graph propagator and the contexts engine fall back to
+  /// cold analysis. The FIFO schedule uses the cache but adopts only
+  /// jump-function summaries: it adopts no cached VAL and replays no
+  /// record stage. See docs/INCREMENTAL.md.
   SummaryCache *Cache = nullptr;
 
   /// Resource budgets for the run (all unlimited by default). When a
@@ -231,9 +231,17 @@ bool takeOptionFlag(const std::string &Arg, unsigned Surface,
                     IPCPOptions &Opts);
 
 /// The tools' one numeric-flag parser: the decimal value of a --NAME=N
-/// argument from \p PrefixLen on. A malformed or out-of-range value
+/// argument from \p PrefixLen on. A malformed value, or one above \p Max,
 /// prints the usage error and exits 1.
-uint64_t parseUintFlag(const std::string &Arg, size_t PrefixLen);
+uint64_t parseUintFlag(const std::string &Arg, size_t PrefixLen,
+                       uint64_t Max);
+
+/// parseUintFlag into the type \p T that stores the value: a value \p T
+/// cannot hold is refused, never wrapped.
+template <typename T = uint64_t>
+T parseUintFlag(const std::string &Arg, size_t PrefixLen) {
+  return T(parseUintFlag(Arg, PrefixLen, std::numeric_limits<T>::max()));
+}
 
 /// The --help lines of the flags on \p Surface whose rows are in
 /// \p Group: OnOptions (the analysis options) or OnLimits (the budgets).

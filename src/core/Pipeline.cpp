@@ -270,7 +270,7 @@ public:
         E.ForwardJFs.push_back(std::move(S));
       }
       E.HasVal = true;
-      const ConstantsMap::Row &Row = CM.row(P);
+      ConstantsMap::Row Row = CM.row(P);
       for (size_t I = 0, N = Row.Vars.size(); I != N; ++I) {
         LatticeValue LV = Row.Vals[I];
         if (LV.isTop())

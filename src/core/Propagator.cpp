@@ -13,56 +13,79 @@
 
 using namespace ipcp;
 
+ValLayout::ValLayout(const CallGraph &CG, const ModRefInfo &MRI,
+                     const char *EntryProcedure) {
+  size_t N = CG.procedures().size();
+  Procs.reserve(N);
+  Base.reserve(N + 1);
+  FirstGlobal.reserve(N);
+  for (Procedure *P : CG.procedures()) {
+    assert(CG.procIndex(P) == rows() && "rows follow the module order");
+    if (Entry == ~0u && P->getName() == EntryProcedure)
+      Entry = rows();
+    Procs.push_back(P);
+    Base.push_back(size());
+    Vars.insert(Vars.end(), P->formals().begin(), P->formals().end());
+    FirstGlobal.push_back(size());
+    const VariableSet &Ext = MRI.extendedGlobals(P);
+    Vars.insert(Vars.end(), Ext.begin(), Ext.end()); // ID-ordered
+  }
+  Base.push_back(size());
+}
+
+uint32_t ValLayout::slot(unsigned PI, const Variable *Var) const {
+  if (Var->isFormal()) {
+    uint32_t S = Base[PI] + Var->getFormalIndex();
+    return S < FirstGlobal[PI] && Vars[S] == Var ? S : ~0u;
+  }
+  auto First = Vars.begin() + FirstGlobal[PI];
+  auto Last = Vars.begin() + Base[PI + 1];
+  auto It = std::lower_bound(First, Last, Var,
+                             [](const Variable *A, const Variable *B) {
+                               return A->getId() < B->getId();
+                             });
+  return It != Last && *It == Var ? uint32_t(It - Vars.begin()) : ~0u;
+}
+
+std::vector<LatticeValue> ValLayout::initialVal() const {
+  std::vector<LatticeValue> Val(size(), LatticeValue::top());
+  if (Entry != ~0u)
+    std::fill(Val.begin() + FirstGlobal[Entry], Val.begin() + Base[Entry + 1],
+              LatticeValue::constant(0));
+  return Val;
+}
+
+ConstantsMap::ConstantsMap(ValLayout Layout, std::vector<LatticeValue> Vals)
+    : Layout(std::move(Layout)), Vals(std::move(Vals)) {
+  assert(this->Vals.size() == this->Layout.size() &&
+         "one value per layout slot");
+}
+
+unsigned ConstantsMap::rowOf(const Procedure *P) const {
+  unsigned PI = P->getModuleIndex();
+  return PI < Layout.rows() && Layout.procedure(PI) == P ? PI : ~0u;
+}
+
 LatticeValue ConstantsMap::valueOf(const Procedure *P,
                                    const Variable *Var) const {
-  auto ProcIt = VAL.find(P);
-  if (ProcIt == VAL.end())
-    return LatticeValue::top();
-  const Row &R = ProcIt->second;
-  // Fast path for propagator-built rows: formals sit at their positional
-  // slot. Falls back to a scan, which also serves setValue-built rows.
-  if (Var->isFormal()) {
-    unsigned I = Var->getFormalIndex();
-    if (I < R.Vars.size() && R.Vars[I] == Var)
-      return R.Vals[I];
-  }
-  for (size_t I = 0, E = R.Vars.size(); I != E; ++I)
-    if (R.Vars[I] == Var)
-      return R.Vals[I];
-  return LatticeValue::top();
+  unsigned PI = rowOf(P);
+  uint32_t Slot = PI == ~0u ? ~0u : Layout.slot(PI, Var);
+  return Slot == ~0u ? LatticeValue::top() : Vals[Slot];
 }
 
-const ConstantsMap::Row &ConstantsMap::row(const Procedure *P) const {
-  auto It = VAL.find(P);
-  return It == VAL.end() ? EmptyRow : It->second;
-}
-
-void ConstantsMap::setValue(const Procedure *P, Variable *Var,
-                            LatticeValue V) {
-  if (V.isTop())
-    return;
-  Row &R = VAL[P];
-  for (size_t I = 0, E = R.Vars.size(); I != E; ++I)
-    if (R.Vars[I] == Var) {
-      R.Vals[I] = V;
-      return;
-    }
-  R.Vars.push_back(Var);
-  R.Vals.push_back(V);
-}
-
-void ConstantsMap::adoptRow(const Procedure *P, std::vector<Variable *> Vars,
-                            std::vector<LatticeValue> Vals) {
-  assert(Vars.size() == Vals.size() && "row vectors out of sync");
-  Row &R = VAL[P];
-  R.Vars = std::move(Vars);
-  R.Vals = std::move(Vals);
+ConstantsMap::Row ConstantsMap::row(const Procedure *P) const {
+  unsigned PI = rowOf(P);
+  if (PI == ~0u)
+    return {};
+  return {Layout.vars(PI),
+          std::span<const LatticeValue>(Vals).subspan(Layout.base(PI),
+                                                      Layout.width(PI))};
 }
 
 std::vector<std::pair<Variable *, ConstantValue>>
 ConstantsMap::constantsOf(const Procedure *P) const {
   std::vector<std::pair<Variable *, ConstantValue>> Out;
-  const Row &R = row(P);
+  Row R = row(P);
   for (size_t I = 0, E = R.Vars.size(); I != E; ++I)
     if (R.Vals[I].isConstant())
       Out.push_back({R.Vars[I], R.Vals[I].getConstant()});
@@ -76,52 +99,49 @@ bool ConstantsMap::equals(const ConstantsMap &Other) const {
   // Compare as partial maps with top default: every non-top entry on
   // either side must match the other side's view.
   auto Covers = [](const ConstantsMap &A, const ConstantsMap &B) {
-    for (const auto &[P, R] : A.VAL)
+    for (unsigned PI = 0; PI != A.Layout.rows(); ++PI) {
+      const Procedure *P = A.Layout.procedure(PI);
+      Row R = A.row(P);
       for (size_t I = 0, E = R.Vars.size(); I != E; ++I)
         if (!R.Vals[I].isTop() && B.valueOf(P, R.Vars[I]) != R.Vals[I])
           return false;
+    }
     return true;
   };
   return Covers(*this, Other) && Covers(Other, *this);
 }
 
 unsigned ConstantsMap::totalConstants() const {
-  unsigned Count = 0;
-  for (const auto &[P, R] : VAL)
-    for (LatticeValue LV : R.Vals)
-      if (LV.isConstant())
-        ++Count;
-  return Count;
+  return unsigned(std::count_if(Vals.begin(), Vals.end(), [](LatticeValue V) {
+    return V.isConstant();
+  }));
 }
 
 unsigned ConstantsMap::totalEntries() const {
-  unsigned Count = 0;
-  for (const auto &[P, R] : VAL)
-    for (LatticeValue LV : R.Vals)
-      if (!LV.isTop())
-        ++Count;
-  return Count;
+  return unsigned(std::count_if(Vals.begin(), Vals.end(),
+                                [](LatticeValue V) { return !V.isTop(); }));
 }
 
 namespace ipcp {
 
-/// The worklist solver. VAL lives in dense per-procedure vectors indexed
-/// by the extended-formal numbering (formals positionally, then the
-/// procedure's extended globals in ID order); the hash-map ConstantsMap
-/// is only materialized once at fixpoint.
+/// The worklist solver: VAL is one flat vector over the shared layout.
 class Propagator {
 public:
   Propagator(const CallGraph &CG, const ModRefInfo &MRI,
              const ForwardJumpFunctions &FJFs, const IPCPOptions &Opts,
              PropagatorStats *Stats, ResourceGuard *Guard,
              const IncrementalPropagationPlan *Plan)
-      : CG(CG), MRI(MRI), FJFs(FJFs), Opts(Opts), Stats(Stats),
-        Guard(Guard),
-        Plan(Opts.Schedule == PropagationSchedule::SCC ? Plan : nullptr) {}
+      : CG(CG), FJFs(FJFs), Opts(Opts), Stats(Stats), Guard(Guard),
+        Plan(Opts.Schedule == PropagationSchedule::SCC ? Plan : nullptr),
+        Layout(CG, MRI, Opts.EntryProcedure) {}
 
   ConstantsMap solve() {
-    numberSlots();
-    seedEntry();
+    size_t N = CG.procedures().size();
+    SCCOf.resize(N);
+    for (Procedure *P : CG.procedures())
+      SCCOf[CG.procIndex(P)] = CG.sccIndex(P);
+    Visited.assign(N, false);
+    VAL = Layout.initialVal();
     preloadAdopted();
     if (Opts.Schedule == PropagationSchedule::FIFO)
       solveFIFO();
@@ -131,103 +151,40 @@ public:
     // optimistic; the empty (no-constants) map is the sound fallback.
     if (Guard && Guard->tripped())
       return ConstantsMap();
-    return package();
+    return ConstantsMap(std::move(Layout), std::move(VAL));
   }
 
 private:
-  /// Slot layout of one procedure's extended formals: formals sit at
-  /// their positional index, then the extended globals in ID order, so a
-  /// global's slot is FormalCount + its binary-search position.
-  struct ProcSlots {
-    unsigned FormalCount = 0;
-    std::vector<Variable *> Globals; ///< ID-ordered
-  };
-
-  /// Slot of global \p G in \p S, or ~0u when outside the numbering.
-  static unsigned globalSlot(const ProcSlots &S, const Variable *G) {
-    auto It = std::lower_bound(S.Globals.begin(), S.Globals.end(), G,
-                               [](const Variable *A, const Variable *B) {
-                                 return A->getId() < B->getId();
-                               });
-    if (It == S.Globals.end() || *It != G)
-      return ~0u;
-    return S.FormalCount + unsigned(It - S.Globals.begin());
-  }
-
-  void numberSlots() {
-    size_t N = CG.procedures().size();
-    Slots.resize(N);
-    VAL.resize(N);
-    SCCOf.resize(N);
-    Visited.assign(N, false);
-    for (Procedure *P : CG.procedures()) {
-      unsigned PI = CG.procIndex(P);
-      SCCOf[PI] = CG.sccIndex(P);
-      ProcSlots &S = Slots[PI];
-      S.FormalCount = unsigned(P->formals().size());
-      const VariableSet &Ext = MRI.extendedGlobals(P);
-      S.Globals.assign(Ext.begin(), Ext.end()); // ID-ordered by VariableSet
-      VAL[PI].assign(S.FormalCount + S.Globals.size(), LatticeValue::top());
-    }
-  }
-
-  /// Virtual entry edge: the entry procedure's globals hold their initial
-  /// (zero) values on program start.
-  void seedEntry() {
-    for (Procedure *P : CG.procedures())
-      if (P->getName() == Opts.EntryProcedure) {
-        unsigned PI = CG.procIndex(P);
-        const ProcSlots &S = Slots[PI];
-        for (unsigned I = 0, E = unsigned(S.Globals.size()); I != E; ++I)
-          VAL[PI][S.FormalCount + I] = LatticeValue::constant(0);
-        return;
-      }
-  }
-
   /// Installs the cached fixpoint VAL of every adopted procedure. Runs
-  /// after seedEntry so the cached values (which already absorbed the
-  /// virtual entry edge when they were computed) win.
+  /// after the entry edge so the cached values (which already absorbed
+  /// it when they were computed) win.
   void preloadAdopted() {
     if (!Plan)
       return;
     for (const auto &[P, Vals] : Plan->CachedVal) {
       unsigned PI = CG.procIndex(const_cast<Procedure *>(P));
-      const ProcSlots &S = Slots[PI];
       for (const auto &[Var, LV] : Vals) {
-        if (Var->isFormal()) {
-          VAL[PI][Var->getFormalIndex()] = LV;
-          continue;
-        }
-        unsigned Slot = globalSlot(S, Var);
+        uint32_t Slot = Layout.slot(PI, Var);
         assert(Slot != ~0u &&
                "cached VAL entry outside the extended-formal numbering");
         if (Slot != ~0u)
-          VAL[PI][Slot] = LV;
+          VAL[Slot] = LV;
       }
     }
   }
 
-  /// VAL(P, Var) read through the dense numbering; variables outside P's
-  /// extended formals are top, matching the hash-map env semantics.
-  LatticeValue valueAt(unsigned PI, Variable *Var) const {
-    if (Var->isFormal())
-      return VAL[PI][Var->getFormalIndex()];
-    unsigned Slot = globalSlot(Slots[PI], Var);
-    return Slot == ~0u ? LatticeValue::top() : VAL[PI][Slot];
-  }
-
-  /// Meets \p NewVal into VAL(Q, Slot); true when it lowered.
-  bool lower(unsigned QI, unsigned Slot, LatticeValue NewVal) {
+  /// Meets \p NewVal into VAL[Slot]; true when it lowered.
+  bool lower(uint32_t Slot, LatticeValue NewVal) {
     if (Stats)
       ++Stats->JumpFunctionEvaluations;
     if (Guard)
       Guard->noteEvaluations();
-    LatticeValue Old = VAL[QI][Slot];
+    LatticeValue Old = VAL[Slot];
     LatticeValue Met = meet(Old, NewVal);
     if (Met == Old)
       return false;
     assert(Met.strictlyBelow(Old) && "meet must move down the lattice");
-    VAL[QI][Slot] = Met;
+    VAL[Slot] = Met;
     if (Stats)
       ++Stats->Lowerings;
     return true;
@@ -244,11 +201,13 @@ private:
     }
     Visited[PI] = true;
     Procedure *P = CG.procedures()[PI];
-    auto Lookup = [this, PI](Variable *Var) { return valueAt(PI, Var); };
+    auto Lookup = [this, PI](Variable *Var) {
+      uint32_t Slot = Layout.slot(PI, Var);
+      return Slot == ~0u ? LatticeValue::top() : VAL[Slot];
+    };
 
     for (CallInst *Site : CG.callSitesIn(P)) {
-      Procedure *Q = Site->getCallee();
-      unsigned QI = CG.procIndex(Q);
+      unsigned QI = CG.procIndex(Site->getCallee());
       // An adopted component's VAL is its cached fixpoint, which already
       // includes this edge's contribution (the adoption closure proves
       // the caller is unchanged too) — skipping it is where warm runs
@@ -256,18 +215,16 @@ private:
       if (Plan && Plan->adopted(SCCOf[QI]))
         continue;
       const CallSiteJumpFunctions &JFs = FJFs.at(Site);
-
-      for (unsigned I = 0, E = unsigned(JFs.Formals.size()); I != E; ++I)
-        if (lower(QI, I, JFs.Formals[I].evaluateVia(Lookup)))
+      assert(JFs.Formals.size() + JFs.Globals.size() == Layout.width(QI) &&
+             "jump functions out of step with the callee's row");
+      // The k-th jump function targets slot k of the callee's row.
+      uint32_t Slot = Layout.base(QI);
+      for (const JumpFunction &JF : JFs.Formals)
+        if (lower(Slot++, JF.evaluateVia(Lookup)))
           Lowered(QI);
-      const ProcSlots &QS = Slots[QI];
-      for (const auto &[G, JF] : JFs.Globals) {
-        unsigned Slot = globalSlot(QS, G);
-        assert(Slot != ~0u &&
-               "call-site global jump function outside callee numbering");
-        if (lower(QI, Slot, JF.evaluateVia(Lookup)))
+      for (const auto &[G, JF] : JFs.Globals)
+        if (lower(Slot++, JF.evaluateVia(Lookup)))
           Lowered(QI);
-      }
     }
   }
 
@@ -323,33 +280,15 @@ private:
 
   bool budgetTripped() const { return Guard && Guard->tripped(); }
 
-  /// Hands the dense fixpoint to the external ConstantsMap. Zero-copy:
-  /// each procedure's value vector is moved, not rehashed; the paired
-  /// variable vector is the slot numbering itself.
-  ConstantsMap package() {
-    ConstantsMap CM;
-    for (Procedure *P : CG.procedures()) {
-      unsigned PI = CG.procIndex(P);
-      ProcSlots &S = Slots[PI];
-      std::vector<Variable *> Vars;
-      Vars.reserve(VAL[PI].size());
-      Vars.insert(Vars.end(), P->formals().begin(), P->formals().end());
-      Vars.insert(Vars.end(), S.Globals.begin(), S.Globals.end());
-      CM.adoptRow(P, std::move(Vars), std::move(VAL[PI]));
-    }
-    return CM;
-  }
-
   const CallGraph &CG;
-  const ModRefInfo &MRI;
   const ForwardJumpFunctions &FJFs;
   const IPCPOptions &Opts;
   PropagatorStats *Stats;
   ResourceGuard *Guard;
   const IncrementalPropagationPlan *Plan;
 
-  std::vector<ProcSlots> Slots;
-  std::vector<std::vector<LatticeValue>> VAL;
+  ValLayout Layout;
+  std::vector<LatticeValue> VAL; ///< by slot
   std::vector<size_t> SCCOf;
   std::vector<bool> Visited;
 };

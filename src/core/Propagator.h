@@ -13,16 +13,20 @@
 /// meeting them with the edge's jump function values evaluated in the
 /// caller's VAL environment.
 ///
-/// The solver keeps VAL in dense per-procedure vectors indexed by an
-/// extended-formal numbering (formals positionally, then the procedure's
-/// extended globals), and by default schedules work over the SCC
+/// Every solver — this call-graph worklist, the binding multigraph
+/// (BindingGraph.h) and value contexts (ValueContexts.h) — numbers VAL
+/// through one ValLayout: each procedure's extended formals (formals
+/// positionally, then its extended globals in ID order) get consecutive
+/// slots, the procedures lie back to back in module order, and VAL is one
+/// flat lattice vector over those slots that becomes the ConstantsMap by
+/// move. This solver schedules its work by default over the SCC
 /// condensation of the call graph in reverse post-order: each component
-/// iterates an inner worklist to its local fixpoint before the sweep
-/// moves on, so acyclic regions converge in exactly one visit per
-/// procedure and only members of cyclic components ever re-enter a
-/// worklist. IPCPOptions::Schedule selects the naive all-procedures FIFO
-/// baseline instead; both reach the same fixpoint (bench_scaling.cpp
-/// measures the visit/evaluation gap).
+/// iterates an inner worklist to its local fixpoint before the sweep moves
+/// on, so acyclic regions converge in exactly one visit per procedure and
+/// only members of cyclic components ever re-enter a worklist.
+/// IPCPOptions::Schedule selects the naive all-procedures FIFO baseline
+/// instead; both reach the same fixpoint (bench_scaling.cpp measures the
+/// visit/evaluation gap).
 ///
 /// The meet runs over every edge of G, including edges inside procedures
 /// that are themselves never invoked (their VAL stays top, so their
@@ -45,34 +49,102 @@
 #include "core/ForwardJumpFunctions.h"
 #include "core/Options.h"
 
+#include <span>
 #include <vector>
 
 namespace ipcp {
 
+/// The extended-formal numbering (paper Section 2) that every VAL solver,
+/// ConstantsMap and cloning share. Row PI is the procedure with
+/// Procedure::getModuleIndex() == PI: its formals positionally, then its
+/// extended globals (MRI.extendedGlobals) in ID order. The rows lie back
+/// to back in one flat slot space. A call site's forward jump functions
+/// are its actuals in order, then the callee's extended globals in the
+/// same order, so the k-th jump function of a site targets slot k of its
+/// callee's row. Building a layout costs O(procedures + extended
+/// formals).
+class ValLayout {
+public:
+  /// The empty layout: no rows.
+  ValLayout() = default;
+
+  /// Numbers every procedure of \p CG. The virtual entry edge starts
+  /// the globals of the procedure named \p EntryProcedure at zero.
+  ValLayout(const CallGraph &CG, const ModRefInfo &MRI,
+            const char *EntryProcedure);
+
+  /// Procedure rows.
+  unsigned rows() const { return unsigned(Procs.size()); }
+
+  /// Slots in all rows together.
+  uint32_t size() const { return uint32_t(Vars.size()); }
+
+  /// The procedure of row \p PI.
+  const Procedure *procedure(unsigned PI) const { return Procs[PI]; }
+
+  /// First slot of row \p PI.
+  uint32_t base(unsigned PI) const { return Base[PI]; }
+
+  /// Slots in row \p PI: its formals plus its extended globals.
+  uint32_t width(unsigned PI) const { return Base[PI + 1] - Base[PI]; }
+
+  /// Row \p PI's variables in slot order.
+  std::span<Variable *const> vars(unsigned PI) const {
+    return {Vars.data() + Base[PI], width(PI)};
+  }
+
+  /// Slot of \p Var in row \p PI, or ~0u when it is none of that
+  /// procedure's extended formals (its value is then top).
+  uint32_t slot(unsigned PI, const Variable *Var) const;
+
+  /// Row of the entry procedure, or ~0u when the module has none.
+  unsigned entryRow() const { return Entry; }
+
+  /// The virtual entry edge: VAL before any call edge is evaluated. Every
+  /// slot is top except the entry procedure's globals, which hold their
+  /// initial value (zero in MiniFort).
+  std::vector<LatticeValue> initialVal() const;
+
+private:
+  std::vector<const Procedure *> Procs; ///< by row
+  std::vector<uint32_t> Base;           ///< by row, plus an end sentinel
+  std::vector<uint32_t> FirstGlobal;    ///< by row: its first global's slot
+  std::vector<Variable *> Vars;         ///< by slot
+  unsigned Entry = ~0u;
+};
+
 /// The VAL sets at fixpoint; CONSTANTS(p) is derived from them.
 ///
-/// Storage is structure-of-arrays: one Row of parallel Vars/Vals vectors
-/// per procedure, moved straight out of the dense propagator (zero-copy —
-/// the solver's slot vectors *become* the rows) instead of being rehashed
-/// into per-procedure maps. Rows may contain top entries; every query
-/// treats top as the implicit default, so the observable behavior matches
-/// the hash-map formulation this replaces.
+/// A ValLayout plus one flat lattice vector over it: the solver's own VAL
+/// vector, handed over by move. Slots may hold top; every query treats
+/// top as the implicit default, and a procedure the map has no row for
+/// reads top throughout. The empty map of a tripped solve or an
+/// intraprocedural-only run has no rows at all.
 class ConstantsMap {
 public:
-  /// One procedure's VAL row. For propagator-built maps the order is the
-  /// extended-formal numbering (formals positionally, then extended
-  /// globals in ID order); setValue-built rows are in insertion order.
+  /// One procedure's VAL row, in slot order.
   struct Row {
-    std::vector<Variable *> Vars;
-    std::vector<LatticeValue> Vals;
+    std::span<Variable *const> Vars;
+    std::span<const LatticeValue> Vals;
   };
+
+  /// The empty map: "no interprocedural constants".
+  ConstantsMap() = default;
+
+  /// A fixpoint over \p Layout; \p Vals holds one value per slot.
+  ConstantsMap(ValLayout Layout, std::vector<LatticeValue> Vals);
+
+  const ValLayout &layout() const { return Layout; }
+
+  /// Every slot's value, in layout order.
+  std::span<const LatticeValue> values() const { return Vals; }
 
   /// VAL(p, var); top when never lowered.
   LatticeValue valueOf(const Procedure *P, const Variable *Var) const;
 
-  /// The raw row for \p P (empty when the procedure has no entries).
-  /// Report emission and the summary cache iterate this directly.
-  const Row &row(const Procedure *P) const;
+  /// The row of \p P (empty when the map has none). Report emission and
+  /// the summary cache iterate this directly.
+  Row row(const Procedure *P) const;
 
   /// CONSTANTS(p): the (variable, value) pairs that always hold on entry,
   /// ID-ordered.
@@ -85,21 +157,16 @@ public:
   /// Non-top VAL entries at fixpoint (the prop_val_entries counter).
   unsigned totalEntries() const;
 
-  /// Installs one fixpoint value; used by the pairwise solvers to package
-  /// their results. Top stores are dropped: top is the implicit default,
-  /// and materializing it would skew totalEntries().
-  void setValue(const Procedure *P, Variable *Var, LatticeValue V);
-
-  /// Takes ownership of one procedure's slot-ordered fixpoint vectors.
-  void adoptRow(const Procedure *P, std::vector<Variable *> Vars,
-                std::vector<LatticeValue> Vals);
-
-  /// Structural equality of two fixpoints (same non-top entries).
+  /// Structural equality of two fixpoints of one module (same non-top
+  /// entries).
   bool equals(const ConstantsMap &Other) const;
 
 private:
-  std::unordered_map<const Procedure *, Row> VAL;
-  Row EmptyRow;
+  /// Row index of \p P, or ~0u when the map has no row for it.
+  unsigned rowOf(const Procedure *P) const;
+
+  ValLayout Layout;
+  std::vector<LatticeValue> Vals; ///< by slot
 };
 
 /// Work counters substantiating the complexity discussion.

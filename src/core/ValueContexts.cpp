@@ -8,7 +8,6 @@
 
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -18,9 +17,8 @@ namespace {
 
 /// The context-tabulation solver. Contexts live in SoA tables (proc
 /// index, flat entry-slot spans into one value vector) with a FIFO
-/// worklist of context ids; the per-procedure slot numbering is identical
-/// to the jump engine's (formals positionally, then extended globals in
-/// ID order), so the baseline's rows align slot for slot with ours.
+/// worklist of context ids. An entry vector is one row of the baseline's
+/// ValLayout, so the baseline's rows align slot for slot with ours.
 class ContextSolver {
 public:
   ContextSolver(const CallGraph &CG, const ModRefInfo &MRI,
@@ -31,22 +29,21 @@ public:
         CtxStats(CtxStats) {}
 
   ConstantsMap solve() {
-    numberSlots();
-
     // The baseline 1986 run: the refinement target, the precision yard-
-    // stick for the study, and the sound fallback when a budget trips
-    // mid-tabulation. Its evaluations share this run's guard budget; its
+    // stick for the study, the sound fallback when a budget trips
+    // mid-tabulation, and the layout the tabulation numbers entry
+    // vectors by. Its evaluations share this run's guard budget; its
     // work counters stay out of PropagatorStats (those describe the
     // contexts engine).
-    ConstantsMap Base =
-        propagateConstants(CG, MRI, FJFs, Opts, nullptr, Guard, nullptr);
+    Base = propagateConstants(CG, MRI, FJFs, Opts, nullptr, Guard, nullptr);
     if (CtxStats) {
       CtxStats->Enabled = true;
       CtxStats->BaselineValConstants = Base.totalConstants();
     }
     if (tripped())
-      return Base; // empty: the baseline itself was cut short.
+      return std::move(Base); // empty: the baseline itself was cut short.
 
+    SummaryOf.assign(Base.layout().rows(), -1);
     seedRoot();
     runWorklist();
     publishStats();
@@ -55,43 +52,14 @@ public:
       // optimistic — so degrade to the completed baseline.
       if (CtxStats)
         CtxStats->ValConstants = Base.totalConstants();
-      return Base;
+      return std::move(Base);
     }
-    return package(Base);
+    return refine();
   }
 
 private:
-  /// Slot layout of one procedure's extended formals (identical to the
-  /// jump engine's numbering; see Propagator.cpp).
-  struct ProcSlots {
-    unsigned FormalCount = 0;
-    std::vector<Variable *> Globals; ///< ID-ordered
-  };
-
-  static unsigned globalSlot(const ProcSlots &S, const Variable *G) {
-    auto It = std::lower_bound(S.Globals.begin(), S.Globals.end(), G,
-                               [](const Variable *A, const Variable *B) {
-                                 return A->getId() < B->getId();
-                               });
-    if (It == S.Globals.end() || *It != G)
-      return ~0u;
-    return S.FormalCount + unsigned(It - S.Globals.begin());
-  }
-
-  void numberSlots() {
-    size_t N = CG.procedures().size();
-    Slots.resize(N);
-    Width.resize(N);
-    SummaryOf.assign(N, -1);
-    for (Procedure *P : CG.procedures()) {
-      unsigned PI = CG.procIndex(P);
-      ProcSlots &S = Slots[PI];
-      S.FormalCount = unsigned(P->formals().size());
-      const VariableSet &Ext = MRI.extendedGlobals(P);
-      S.Globals.assign(Ext.begin(), Ext.end()); // ID-ordered by VariableSet
-      Width[PI] = S.FormalCount + unsigned(S.Globals.size());
-    }
-  }
+  /// Slots in procedure \p PI's entry vectors.
+  unsigned width(unsigned PI) const { return Base.layout().width(PI); }
 
   bool tripped() const { return Guard && Guard->tripped(); }
 
@@ -146,18 +114,18 @@ private:
   /// Routes one derived entry vector: reuse an identical tabulated
   /// context, spawn a fresh one while the budget lasts, else meet into
   /// the target procedure's summary context.
-  void dispatch(unsigned QI, const std::vector<LatticeValue> &V) {
-    unsigned N = Width[QI];
-    uint64_t H = hashVector(QI, V.data(), N);
+  void dispatch(unsigned QI, const LatticeValue *V) {
+    unsigned N = width(QI);
+    uint64_t H = hashVector(QI, V, N);
     auto It = Memo.find(H);
     if (It != Memo.end())
       for (uint32_t C : It->second)
-        if (sameVector(C, QI, V.data(), N)) {
+        if (sameVector(C, QI, V, N)) {
           ++Reused;
           return;
         }
     if (CtxProc.size() < Opts.MaxContexts) {
-      uint32_t C = createContext(QI, V.data(), N, /*Summary=*/false);
+      uint32_t C = createContext(QI, V, N, /*Summary=*/false);
       Memo[H].push_back(C);
       return;
     }
@@ -166,7 +134,7 @@ private:
     ++Merges;
     int32_t S = SummaryOf[QI];
     if (S < 0) {
-      SummaryOf[QI] = int32_t(createContext(QI, V.data(), N, /*Summary=*/true));
+      SummaryOf[QI] = int32_t(createContext(QI, V, N, /*Summary=*/true));
       ++SummaryContexts;
       return;
     }
@@ -188,19 +156,15 @@ private:
     }
   }
 
-  /// The virtual entry edge, exactly as the jump engine seeds it: the
-  /// entry procedure starts with top formals and zero-valued globals.
+  /// The virtual entry edge: one context for the entry procedure, on its
+  /// row of the layout's initial VAL.
   void seedRoot() {
-    for (Procedure *P : CG.procedures())
-      if (P->getName() == Opts.EntryProcedure) {
-        unsigned PI = CG.procIndex(P);
-        const ProcSlots &S = Slots[PI];
-        std::vector<LatticeValue> Root(Width[PI], LatticeValue::top());
-        for (unsigned I = 0, E = unsigned(S.Globals.size()); I != E; ++I)
-          Root[S.FormalCount + I] = LatticeValue::constant(0);
-        dispatch(PI, Root);
-        return;
-      }
+    const ValLayout &L = Base.layout();
+    unsigned E = L.entryRow();
+    if (E == ~0u)
+      return;
+    std::vector<LatticeValue> Init = L.initialVal();
+    dispatch(E, Init.data() + L.base(E));
   }
 
   /// Evaluates every jump function out of context \p C on its exact
@@ -218,42 +182,33 @@ private:
     // Snapshot: Entries may reallocate while callee contexts are created,
     // and a self-recursive merge may lower a summary mid-visit (the
     // requeue re-processes the lowered vector).
+    const ValLayout &L = Base.layout();
     std::vector<LatticeValue> U(Entries.begin() + CtxBase[C],
-                                Entries.begin() + CtxBase[C] + Width[PI]);
-    Procedure *P = CG.procedures()[PI];
-    const ProcSlots &PS = Slots[PI];
-    auto Lookup = [&U, &PS](Variable *Var) {
-      if (Var->isFormal())
-        return U[Var->getFormalIndex()];
-      unsigned Slot = globalSlot(PS, Var);
-      return Slot == ~0u ? LatticeValue::top() : U[Slot];
+                                Entries.begin() + CtxBase[C] + width(PI));
+    auto Lookup = [&U, &L, PI](Variable *Var) {
+      uint32_t Slot = L.slot(PI, Var);
+      return Slot == ~0u ? LatticeValue::top() : U[Slot - L.base(PI)];
     };
 
-    for (CallInst *Site : CG.callSitesIn(P)) {
+    for (CallInst *Site : CG.callSitesIn(CG.procedures()[PI])) {
       if (tripped())
         return;
-      Procedure *Q = Site->getCallee();
-      unsigned QI = CG.procIndex(Q);
+      unsigned QI = CG.procIndex(Site->getCallee());
       const CallSiteJumpFunctions &JFs = FJFs.at(Site);
-      const ProcSlots &QS = Slots[QI];
-
-      std::vector<LatticeValue> V(Width[QI], LatticeValue::top());
-      for (unsigned I = 0,
-                    E = std::min(unsigned(JFs.Formals.size()), Width[QI]);
-           I != E; ++I) {
-        V[I] = JFs.Formals[I].evaluateVia(Lookup);
+      // The k-th jump function sets slot k of the callee's entry vector.
+      std::vector<LatticeValue> V;
+      V.reserve(width(QI));
+      auto Evaluate = [&](const JumpFunction &JF) {
+        V.push_back(JF.evaluateVia(Lookup));
         noteEvaluation();
-      }
-      for (const auto &[G, JF] : JFs.Globals) {
-        unsigned Slot = globalSlot(QS, G);
-        assert(Slot != ~0u &&
-               "call-site global jump function outside callee numbering");
-        if (Slot == ~0u)
-          continue;
-        V[Slot] = JF.evaluateVia(Lookup);
-        noteEvaluation();
-      }
-      dispatch(QI, V);
+      };
+      for (const JumpFunction &JF : JFs.Formals)
+        Evaluate(JF);
+      for (const auto &[G, JF] : JFs.Globals)
+        Evaluate(JF);
+      assert(V.size() == width(QI) &&
+             "jump functions out of step with the callee's row");
+      dispatch(QI, V.data());
     }
   }
 
@@ -285,38 +240,25 @@ private:
     CtxStats->BudgetTripped = BudgetTripped;
   }
 
-  /// Meets each procedure's tabulated contexts, refines top slots from
+  /// Meets each procedure's tabulated contexts and refines top slots from
   /// the baseline (adopting its sound conclusion wherever the tabulation
   /// has no evidence — this is what makes the engine's CONSTANTS sets a
-  /// superset of the jump engine's on every program), and packages the
-  /// rows zero-copy.
-  ConstantsMap package(const ConstantsMap &Base) {
-    size_t N = CG.procedures().size();
-    std::vector<std::vector<LatticeValue>> Final(N);
-    for (unsigned PI = 0; PI != N; ++PI)
-      Final[PI].assign(Width[PI], LatticeValue::top());
+  /// superset of the jump engine's on every program).
+  ConstantsMap refine() {
+    const ValLayout &L = Base.layout();
+    std::vector<LatticeValue> Final(L.size(), LatticeValue::top());
     for (uint32_t C = 0, E = uint32_t(CtxProc.size()); C != E; ++C) {
       unsigned PI = CtxProc[C];
       const LatticeValue *U = Entries.data() + CtxBase[C];
-      for (unsigned I = 0, W = Width[PI]; I != W; ++I)
-        Final[PI][I] = meet(Final[PI][I], U[I]);
+      LatticeValue *Row = Final.data() + L.base(PI);
+      for (unsigned I = 0, W = width(PI); I != W; ++I)
+        Row[I] = meet(Row[I], U[I]);
     }
-
-    ConstantsMap CM;
-    for (Procedure *P : CG.procedures()) {
-      unsigned PI = CG.procIndex(P);
-      ProcSlots &S = Slots[PI];
-      const ConstantsMap::Row &BR = Base.row(P);
-      if (BR.Vals.size() == Final[PI].size())
-        for (unsigned I = 0, W = Width[PI]; I != W; ++I)
-          if (Final[PI][I].isTop())
-            Final[PI][I] = BR.Vals[I];
-      std::vector<Variable *> Vars;
-      Vars.reserve(Final[PI].size());
-      Vars.insert(Vars.end(), P->formals().begin(), P->formals().end());
-      Vars.insert(Vars.end(), S.Globals.begin(), S.Globals.end());
-      CM.adoptRow(P, std::move(Vars), std::move(Final[PI]));
-    }
+    std::span<const LatticeValue> BaseVals = Base.values();
+    for (uint32_t Slot = 0; Slot != L.size(); ++Slot)
+      if (Final[Slot].isTop())
+        Final[Slot] = BaseVals[Slot];
+    ConstantsMap CM(L, std::move(Final));
     if (CtxStats)
       CtxStats->ValConstants = CM.totalConstants();
     return CM;
@@ -330,8 +272,7 @@ private:
   ResourceGuard *Guard;
   ContextEngineStats *CtxStats;
 
-  std::vector<ProcSlots> Slots;
-  std::vector<unsigned> Width;
+  ConstantsMap Base; ///< the baseline fixpoint, and its layout
 
   // Context tables (SoA): per-context proc index, span base into the
   // flat entry-value vector, summary/queued flags.

@@ -86,9 +86,10 @@ struct ContextEngineStats {
   uint64_t ValConstants = 0;
 };
 
-/// Runs the value-contexts engine to fixpoint and packages the refined
-/// per-procedure meet as a ConstantsMap (same row layout as the jump
-/// engine: formals positionally, then extended globals in ID order).
+/// Runs the value-contexts engine to fixpoint and returns the refined
+/// per-procedure meet as a ConstantsMap over the baseline run's ValLayout:
+/// an entry vector is one row of that layout, so the engine builds no
+/// numbering of its own.
 /// \p Guard budgets jump-function evaluations and the deadline exactly
 /// like propagateConstants; on a trip the engine returns the baseline
 /// jump-engine result computed before tabulation started (empty if the

@@ -6,11 +6,10 @@
 ///
 /// \file
 /// Dense integer handles for the data-oriented core. A DenseId<Tag> is a
-/// strongly typed wrapper over a uint32_t index: ProcId, BlockId, VarId
-/// and ExprId cannot be mixed up accidentally, and each doubles as a
-/// direct index into the SoA side tables (IdMap) that replace pointer-
-/// keyed hash maps on the hot paths. Invalid ids compare equal to each
-/// other and convert to false.
+/// strongly typed wrapper over a uint32_t index that doubles as a direct
+/// index into a side table. Invalid ids compare equal to each other and
+/// convert to false. ExprId, the handle into a SymExprContext's node
+/// table, is the one in use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +19,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 namespace ipcp {
 
@@ -64,82 +61,11 @@ private:
   uint32_t Index = InvalidIndex;
 };
 
-struct ProcIdTag;
-struct BlockIdTag;
-struct VarIdTag;
 struct ExprIdTag;
 
-/// Dense procedure number (CallGraph::procIndex order).
-using ProcId = DenseId<ProcIdTag>;
-/// Dense basic-block position within one procedure's flat stream.
-using BlockId = DenseId<BlockIdTag>;
-/// Dense variable number (extended-formal numbering within a procedure).
-using VarId = DenseId<VarIdTag>;
 /// Handle into a SymExprContext's node table.
 using ExprId = DenseId<ExprIdTag>;
 
-/// A dense side table keyed by a DenseId: a vector that grows on write
-/// and treats out-of-range reads as the default value. This is the
-/// drop-in replacement for unordered_map<Key*, V> once keys are dense.
-template <typename Id, typename V> class IdMap {
-public:
-  IdMap() = default;
-  explicit IdMap(size_t Size, const V &Init = V()) : Table(Size, Init) {}
-
-  /// Grows to cover at least \p Size keys.
-  void resize(size_t Size, const V &Init = V()) {
-    if (Table.size() < Size)
-      Table.resize(Size, Init);
-  }
-
-  void assign(size_t Size, const V &Init) { Table.assign(Size, Init); }
-  void clear() { Table.clear(); }
-
-  /// Mutable access; grows the table as needed.
-  V &operator[](Id Key) {
-    if (Key.index() >= Table.size())
-      Table.resize(Key.index() + 1);
-    return Table[Key.index()];
-  }
-
-  /// Read-only access; keys beyond the table report the default.
-  const V &lookup(Id Key) const {
-    static const V Default{};
-    return Key.index() < Table.size() ? Table[Key.index()] : Default;
-  }
-
-  /// Unchecked access for keys known to be in range (hot loops).
-  const V &at(Id Key) const {
-    assert(Key.index() < Table.size() && "id outside the dense table");
-    return Table[Key.index()];
-  }
-  V &at(Id Key) {
-    assert(Key.index() < Table.size() && "id outside the dense table");
-    return Table[Key.index()];
-  }
-
-  size_t size() const { return Table.size(); }
-  bool empty() const { return Table.empty(); }
-
-  typename std::vector<V>::iterator begin() { return Table.begin(); }
-  typename std::vector<V>::iterator end() { return Table.end(); }
-  typename std::vector<V>::const_iterator begin() const {
-    return Table.begin();
-  }
-  typename std::vector<V>::const_iterator end() const { return Table.end(); }
-
-private:
-  std::vector<V> Table;
-};
-
 } // namespace ipcp
-
-/// DenseIds hash as their raw index (for the rare cold-path containers
-/// still keyed by id).
-template <typename Tag> struct std::hash<ipcp::DenseId<Tag>> {
-  size_t operator()(ipcp::DenseId<Tag> Id) const {
-    return std::hash<uint32_t>()(Id.rawValue());
-  }
-};
 
 #endif // IPCP_SUPPORT_IDS_H

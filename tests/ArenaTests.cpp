@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Unit coverage for the data-oriented substrate (docs/PERFORMANCE.md,
-// "Memory layout"): the bump-allocator Arena, the typed DenseId handles
-// with their IdMap side tables, and the invariant that materializing a
+// "Memory layout"): the bump-allocator Arena, the typed DenseId handle,
+// and the invariant that materializing a
 // procedure's flat instruction stream is observationally invisible — the
 // printed IR of every example-corpus and suite module is byte-identical
 // before and after instStream(), and again after an invalidate/rebuild
@@ -92,7 +92,7 @@ TEST(Arena, ResetKeepsFirstChunkAndReusesIt) {
 }
 
 //===----------------------------------------------------------------------===//
-// DenseId and IdMap
+// DenseId
 //===----------------------------------------------------------------------===//
 
 TEST(DenseId, InvalidAndRoundTrip) {
@@ -109,43 +109,6 @@ TEST(DenseId, InvalidAndRoundTrip) {
   EXPECT_EQ(E, ExprId(42));
   EXPECT_NE(E, None);
   EXPECT_LT(ExprId::fromIndex(7), E);
-}
-
-TEST(DenseId, DistinctTagsAreDistinctTypes) {
-  static_assert(!std::is_same_v<ProcId, VarId>);
-  static_assert(!std::is_same_v<BlockId, ExprId>);
-  // Hashing goes through the raw index (for cold-path containers).
-  EXPECT_EQ(std::hash<ProcId>()(ProcId::fromIndex(9)), size_t(9));
-}
-
-TEST(IdMap, GrowsOnWriteAndDefaultsOutOfRange) {
-  IdMap<VarId, int> Map;
-  EXPECT_TRUE(Map.empty());
-  EXPECT_EQ(Map.lookup(VarId::fromIndex(5)), 0) << "OOR reads are default";
-
-  Map[VarId::fromIndex(5)] = 55;
-  EXPECT_EQ(Map.size(), 6u) << "operator[] grows to cover the key";
-  EXPECT_EQ(Map.lookup(VarId::fromIndex(5)), 55);
-  EXPECT_EQ(Map.at(VarId::fromIndex(5)), 55);
-  EXPECT_EQ(Map.lookup(VarId::fromIndex(3)), 0) << "gap keys are default";
-  EXPECT_EQ(Map.lookup(VarId::fromIndex(100)), 0);
-}
-
-TEST(IdMap, RoundTripsADensePopulation) {
-  IdMap<ProcId, std::string> Names;
-  const size_t N = 64;
-  for (size_t I = 0; I != N; ++I)
-    Names[ProcId::fromIndex(I)] = "proc" + std::to_string(I);
-  ASSERT_EQ(Names.size(), N);
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Names.at(ProcId::fromIndex(I)), "proc" + std::to_string(I));
-  // Iteration covers the table in index order.
-  size_t Seen = 0;
-  for (const std::string &S : Names) {
-    EXPECT_EQ(S, "proc" + std::to_string(Seen));
-    ++Seen;
-  }
-  EXPECT_EQ(Seen, N);
 }
 
 //===----------------------------------------------------------------------===//

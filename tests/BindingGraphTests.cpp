@@ -68,6 +68,27 @@ TEST(BindingGraph, AgreesOnConflicts) {
   EXPECT_EQ(B.valueOf(F, F->formals()[1]).getConstant(), 9);
 }
 
+TEST(BindingGraph, MapsReadTopWhereTheyHoldNoRow) {
+  // "No constants" is the answer of the empty map (a tripped solve or an
+  // intraprocedural-only run) and of a procedure the map was not solved
+  // for, even one whose module index has a row in it.
+  const char *Source = "proc f(a) { print a; }\n"
+                       "proc main() { call f(1); }";
+  DualRun Run(lowerOk(Source));
+  std::unique_ptr<Module> Other = lowerOk(Source);
+  Procedure *F = getProc(*Run.M, "f");
+  Procedure *OtherF = getProc(*Other, "f");
+  for (const ConstantsMap &CM : {Run.callGraph(), Run.bindingGraph()}) {
+    EXPECT_EQ(CM.valueOf(F, F->formals()[0]).getConstant(), 1);
+    EXPECT_TRUE(CM.valueOf(OtherF, OtherF->formals()[0]).isTop());
+    EXPECT_TRUE(CM.row(OtherF).Vals.empty());
+  }
+  ConstantsMap Empty;
+  EXPECT_TRUE(Empty.valueOf(F, F->formals()[0]).isTop());
+  EXPECT_TRUE(Empty.constantsOf(F).empty());
+  EXPECT_EQ(Empty.totalEntries(), 0u);
+}
+
 TEST(BindingGraph, AgreesOnRecursion) {
   DualRun Run(lowerOk(
       "proc f(n, k) { if (n > 0) { call f(n - 1, k); } print k; }\n"

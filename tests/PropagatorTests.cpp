@@ -250,27 +250,6 @@ TEST(Propagator, RecursiveComponentsStillIterate) {
   }
 }
 
-TEST(ConstantsMap, SetValueSkipsTopStores) {
-  auto M = lowerOk("proc f(a) { print a; }\n"
-                   "proc main() { call f(1); }");
-  Procedure *F = getProc(*M, "f");
-  Variable *A = F->formals()[0];
-
-  ConstantsMap CM;
-  CM.setValue(F, A, LatticeValue::top());
-  EXPECT_EQ(CM.totalEntries(), 0u) << "storing top must not create entries";
-  EXPECT_TRUE(CM.valueOf(F, A).isTop());
-
-  CM.setValue(F, A, LatticeValue::constant(5));
-  EXPECT_EQ(CM.totalEntries(), 1u);
-  EXPECT_EQ(CM.totalConstants(), 1u);
-
-  // A map that never saw the top store is structurally equal.
-  ConstantsMap Direct;
-  Direct.setValue(F, A, LatticeValue::constant(5));
-  EXPECT_TRUE(CM.equals(Direct));
-}
-
 TEST(Propagator, DeterministicAcrossRuns) {
   const char *Source = "global g, h;\n"
                        "proc f(a, b) { g = a; call k(b, 3); }\n"

@@ -369,8 +369,6 @@ TEST(ServiceCodec, OptionTableKeepsTheVocabulary) {
   }
   EXPECT_STREQ(jumpFunctionKindName(JumpFunctionKind::PassThrough),
                "pass-through");
-  EXPECT_STREQ(propagationEngineName(PropagationEngine::Contexts),
-               "contexts");
   EXPECT_NE(optionHelp(OnDriver, OnOptions)
                 .find("--jf=literal|intra|pass-through|passthrough|polynomial"),
             std::string::npos);

@@ -156,13 +156,19 @@ bool runOne(const std::string &Source, bool CheckOracle,
     return true; // partial results; nothing further to cross-check
 
   // A second solve through the binding-multigraph propagator must agree
-  // on the totals (the two formulations compute the same fixpoint).
+  // per procedure on CONSTANTS and constant refs (the two formulations
+  // compute the same fixpoint; equal totals could hide two different
+  // ones).
   IPCPOptions BGOpts = Opts;
   BGOpts.UseBindingGraphPropagator = true;
   IPCPResult BG = runIPCP(*M, BGOpts);
+  auto SameFacts = [](const ProcedureResult &A, const ProcedureResult &B) {
+    return A.Name == B.Name && A.EntryConstants == B.EntryConstants &&
+           A.ConstantRefs == B.ConstantRefs;
+  };
   if (!BG.Status.Degraded &&
-      (BG.TotalEntryConstants != R.TotalEntryConstants ||
-       BG.TotalConstantRefs != R.TotalConstantRefs)) {
+      !std::equal(R.Procs.begin(), R.Procs.end(), BG.Procs.begin(),
+                  BG.Procs.end(), SameFacts)) {
     *Failure = "call-graph and binding-graph propagators disagree";
     return false;
   }

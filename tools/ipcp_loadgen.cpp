@@ -494,7 +494,7 @@ int main(int argc, char **argv) {
       return 0;
     }
     if (Arg.rfind("--requests=", 0) == 0) {
-      Workload.Requests = unsigned(parseUintFlag(Arg, 11));
+      Workload.Requests = parseUintFlag<unsigned>(Arg, 11);
       continue;
     }
     if (Arg.rfind("--seed=", 0) == 0) {
@@ -502,7 +502,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--sessions=", 0) == 0) {
-      Workload.SessionCount = unsigned(parseUintFlag(Arg, 11));
+      Workload.SessionCount = parseUintFlag<unsigned>(Arg, 11);
       if (Workload.SessionCount == 0) {
         std::fprintf(stderr, "error: --sessions must be at least 1\n");
         return 1;
@@ -510,11 +510,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--repeat-chance=", 0) == 0) {
-      Workload.RepeatChance = unsigned(parseUintFlag(Arg, 16));
+      Workload.RepeatChance = parseUintFlag<unsigned>(Arg, 16);
       continue;
     }
     if (Arg.rfind("--batch-chance=", 0) == 0) {
-      Workload.BatchChance = unsigned(parseUintFlag(Arg, 15));
+      Workload.BatchChance = parseUintFlag<unsigned>(Arg, 15);
       continue;
     }
     if (Arg.rfind("--programs=", 0) == 0) {
@@ -542,7 +542,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--shards=", 0) == 0) {
-      Service.Shards = unsigned(parseUintFlag(Arg, 9));
+      Service.Shards = parseUintFlag<unsigned>(Arg, 9);
       if (Service.Shards == 0) {
         std::fprintf(stderr, "error: --shards must be at least 1\n");
         return 1;
@@ -550,19 +550,19 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Service.Jobs = unsigned(parseUintFlag(Arg, 7));
+      Service.Jobs = parseUintFlag<unsigned>(Arg, 7);
       continue;
     }
     if (Arg.rfind("--queue-limit=", 0) == 0) {
-      Service.QueueLimit = size_t(parseUintFlag(Arg, 14));
+      Service.QueueLimit = parseUintFlag<size_t>(Arg, 14);
       continue;
     }
     if (Arg.rfind("--result-buffer=", 0) == 0) {
-      Service.ResultBuffer = size_t(parseUintFlag(Arg, 16));
+      Service.ResultBuffer = parseUintFlag<size_t>(Arg, 16);
       continue;
     }
     if (Arg.rfind("--max-sessions=", 0) == 0) {
-      Service.Engine.MaxSessions = unsigned(parseUintFlag(Arg, 15));
+      Service.Engine.MaxSessions = parseUintFlag<unsigned>(Arg, 15);
       if (Service.Engine.MaxSessions == 0) {
         std::fprintf(stderr, "error: --max-sessions must be at least 1\n");
         return 1;
@@ -594,7 +594,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--saturation=", 0) == 0) {
-      SaturationSteps = unsigned(parseUintFlag(Arg, 13));
+      SaturationSteps = parseUintFlag<unsigned>(Arg, 13);
       continue;
     }
     if (Arg == "--overload") {

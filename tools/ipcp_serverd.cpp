@@ -181,7 +181,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--shards=", 0) == 0) {
-      Conf.Shards = unsigned(parseUintFlag(Arg, 9));
+      Conf.Shards = parseUintFlag<unsigned>(Arg, 9);
       if (Conf.Shards == 0) {
         std::fprintf(stderr, "error: --shards must be at least 1\n");
         return 1;
@@ -189,7 +189,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Conf.Jobs = unsigned(parseUintFlag(Arg, 7));
+      Conf.Jobs = parseUintFlag<unsigned>(Arg, 7);
       if (Conf.Jobs == 0) {
         std::fprintf(stderr, "error: --jobs must be at least 1\n");
         return 1;
@@ -197,11 +197,11 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--queue-limit=", 0) == 0) {
-      Conf.QueueLimit = size_t(parseUintFlag(Arg, 14));
+      Conf.QueueLimit = parseUintFlag<size_t>(Arg, 14);
       continue;
     }
     if (Arg.rfind("--result-buffer=", 0) == 0) {
-      Conf.ResultBuffer = size_t(parseUintFlag(Arg, 16));
+      Conf.ResultBuffer = parseUintFlag<size_t>(Arg, 16);
       continue;
     }
     if (Arg == "--cache-dir=") {
@@ -213,7 +213,7 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg.rfind("--max-sessions=", 0) == 0) {
-      Conf.Engine.MaxSessions = unsigned(parseUintFlag(Arg, 15));
+      Conf.Engine.MaxSessions = parseUintFlag<unsigned>(Arg, 15);
       if (Conf.Engine.MaxSessions == 0) {
         std::fprintf(stderr, "error: --max-sessions must be at least 1\n");
         return 1;
@@ -243,7 +243,7 @@ int main(int argc, char **argv) {
     }
     if (Arg.rfind("--emit-sample-log=", 0) == 0) {
       EmitSample = true;
-      SampleConf.Requests = unsigned(parseUintFlag(Arg, 18));
+      SampleConf.Requests = parseUintFlag<unsigned>(Arg, 18);
       continue;
     }
     if (Arg.rfind("--sample-seed=", 0) == 0) {

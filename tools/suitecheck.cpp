@@ -73,14 +73,12 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--report-json=", 0) == 0 &&
                Arg.size() > 14) {
       ReportFile = Arg.substr(14);
-    } else if (Arg.rfind("--jobs=", 0) == 0 && Arg.size() > 7) {
-      char *End = nullptr;
-      unsigned long Value = std::strtoul(Arg.c_str() + 7, &End, 10);
-      if (*End != '\0' || Value == 0) {
+    } else if (Arg.rfind("--jobs=", 0) == 0) {
+      Jobs = parseUintFlag<unsigned>(Arg, 7);
+      if (Jobs == 0) {
         std::fprintf(stderr, "error: --jobs expects a positive integer\n");
         return 1;
       }
-      Jobs = unsigned(Value);
     } else {
       usage(stderr);
       return 1;
