@@ -88,7 +88,7 @@ CellResult runEngine(const Module &M, JumpFunctionKind Kind,
   CellResult Out;
   Out.Constants = R.TotalEntryConstants;
   Out.Refs = R.TotalConstantRefs;
-  Out.Evaluations = R.Stats.get("prop_evaluations");
+  Out.Evaluations = R.Stats.get(Counter::prop_evaluations);
   if (R.ContextStudy.Enabled) {
     Out.Contexts = R.ContextStudy.Contexts;
     Out.EntryBytes = R.ContextStudy.EntryBytes;

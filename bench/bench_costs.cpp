@@ -79,19 +79,23 @@ void printPhaseBreakdown() {
   std::printf("Section 3.1.5 phase breakdown (%u instructions, "
               "polynomial + return JFs + MOD):\n",
               M->instructionCount());
-  for (const char *Key :
-       {"time_intraprocedural_us", "time_return_jf_us", "time_forward_jf_us",
-        "time_propagation_us", "time_record_us", "time_total_us"})
-    std::printf("  %-26s %8llu us\n", Key,
-                static_cast<unsigned long long>(R.Stats.get(Key)));
+  for (Counter C :
+       {Counter::time_intraprocedural_us, Counter::time_return_jf_us,
+        Counter::time_forward_jf_us, Counter::time_propagation_us,
+        Counter::time_record_us, Counter::time_total_us})
+    std::printf("  %-26s %8llu us\n", counterName(C),
+                static_cast<unsigned long long>(R.Stats.get(C)));
   std::printf("  (paper: \"the cost of intraprocedural analysis dominates "
               "the cost of the interprocedural phase\")\n");
   std::printf("  jump functions built: constant=%llu passthrough=%llu "
               "polynomial=%llu bottom=%llu\n\n",
-              static_cast<unsigned long long>(R.Stats.get("jf_constant")),
-              static_cast<unsigned long long>(R.Stats.get("jf_passthrough")),
-              static_cast<unsigned long long>(R.Stats.get("jf_polynomial")),
-              static_cast<unsigned long long>(R.Stats.get("jf_bottom")));
+              static_cast<unsigned long long>(
+                  R.Stats.get(Counter::jf_constant)),
+              static_cast<unsigned long long>(
+                  R.Stats.get(Counter::jf_passthrough)),
+              static_cast<unsigned long long>(
+                  R.Stats.get(Counter::jf_polynomial)),
+              static_cast<unsigned long long>(R.Stats.get(Counter::jf_bottom)));
 
   JsonValue Doc = JsonValue::object();
   Doc.set("instructions", M->instructionCount());

@@ -76,7 +76,8 @@ void printHashConsingPressure() {
     IPCPResult R = runIPCP(*M);
     std::printf("  %-12s %12u  %12llu\n", Prog.Name.c_str(),
                 M->instructionCount(),
-                static_cast<unsigned long long>(R.Stats.get("unique_exprs")));
+                static_cast<unsigned long long>(
+                    R.Stats.get(Counter::unique_exprs)));
   }
   std::printf("\n");
 }

@@ -189,11 +189,13 @@ JsonValue printLoweringLinearity(bool &Ok) {
     auto M = compile(chainProgram(Depth));
     IPCPResult R = runIPCP(*M);
     std::printf("  %5u  %10u  %9llu  %11llu  %6llu\n", Depth, 2 * Depth,
-                static_cast<unsigned long long>(R.Stats.get("prop_lowerings")),
                 static_cast<unsigned long long>(
-                    R.Stats.get("prop_evaluations")),
-                static_cast<unsigned long long>(R.Stats.get("prop_visits")));
-    if (R.Stats.get("prop_lowerings") > 2 * 2 * Depth) {
+                    R.Stats.get(Counter::prop_lowerings)),
+                static_cast<unsigned long long>(
+                    R.Stats.get(Counter::prop_evaluations)),
+                static_cast<unsigned long long>(
+                    R.Stats.get(Counter::prop_visits)));
+    if (R.Stats.get(Counter::prop_lowerings) > 2 * 2 * Depth) {
       std::fprintf(stderr,
                    "FATAL: depth-%u chain lowers more than twice per "
                    "parameter\n",
@@ -203,9 +205,9 @@ JsonValue printLoweringLinearity(bool &Ok) {
     JsonValue Row = JsonValue::object();
     Row.set("depth", Depth);
     Row.set("parameters", 2 * Depth);
-    Row.set("lowerings", R.Stats.get("prop_lowerings"));
-    Row.set("evaluations", R.Stats.get("prop_evaluations"));
-    Row.set("visits", R.Stats.get("prop_visits"));
+    Row.set("lowerings", R.Stats.get(Counter::prop_lowerings));
+    Row.set("evaluations", R.Stats.get(Counter::prop_evaluations));
+    Row.set("visits", R.Stats.get(Counter::prop_visits));
     Out.push(std::move(Row));
   }
   std::printf("\n");

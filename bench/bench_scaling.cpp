@@ -189,26 +189,25 @@ int main(int argc, char **argv) {
   StatisticSet FIFO = scheduleCounters(PropagationSchedule::FIFO);
   auto CountersJson = [](const StatisticSet &S) {
     JsonValue Obj = JsonValue::object();
-    Obj.set("prop_visits", S.get("prop_visits"));
-    Obj.set("prop_evaluations", S.get("prop_evaluations"));
-    Obj.set("prop_lowerings", S.get("prop_lowerings"));
-    Obj.set("prop_revisits", S.get("prop_revisits"));
+    for (Counter C : {Counter::prop_visits, Counter::prop_evaluations,
+                      Counter::prop_lowerings, Counter::prop_revisits})
+      Obj.set(counterName(C), S.get(C));
     return Obj;
   };
-  bool StrictlyFewer = SCC.get("prop_visits") < FIFO.get("prop_visits") &&
-                       SCC.get("prop_evaluations") <
-                           FIFO.get("prop_evaluations");
+  bool StrictlyFewer =
+      SCC.get(Counter::prop_visits) < FIFO.get(Counter::prop_visits) &&
+      SCC.get(Counter::prop_evaluations) < FIFO.get(Counter::prop_evaluations);
   std::printf("\npropagator work over the suite (scc vs fifo):\n"
               "  visits:      %llu vs %llu\n"
               "  evaluations: %llu vs %llu\n"
               "  revisits:    %llu vs %llu\n"
               "  scc strictly fewer: %s\n\n",
-              (unsigned long long)SCC.get("prop_visits"),
-              (unsigned long long)FIFO.get("prop_visits"),
-              (unsigned long long)SCC.get("prop_evaluations"),
-              (unsigned long long)FIFO.get("prop_evaluations"),
-              (unsigned long long)SCC.get("prop_revisits"),
-              (unsigned long long)FIFO.get("prop_revisits"),
+              (unsigned long long)SCC.get(Counter::prop_visits),
+              (unsigned long long)FIFO.get(Counter::prop_visits),
+              (unsigned long long)SCC.get(Counter::prop_evaluations),
+              (unsigned long long)FIFO.get(Counter::prop_evaluations),
+              (unsigned long long)SCC.get(Counter::prop_revisits),
+              (unsigned long long)FIFO.get(Counter::prop_revisits),
               StrictlyFewer ? "yes" : "NO");
 
   JsonValue Schedules = JsonValue::object();
@@ -238,14 +237,14 @@ int main(int argc, char **argv) {
         if (const JsonValue *BS = BaseSched->find(Sched)) {
           const StatisticSet &Now =
               std::string(Sched) == "scc" ? SCC : FIFO;
-          for (const char *Key :
-               {"prop_visits", "prop_evaluations", "prop_revisits"})
-            if (const JsonValue *BV = BS->find(Key))
-              if (uint64_t(BV->asInt()) != Now.get(Key)) {
+          for (Counter C : {Counter::prop_visits, Counter::prop_evaluations,
+                            Counter::prop_revisits})
+            if (const JsonValue *BV = BS->find(counterName(C)))
+              if (uint64_t(BV->asInt()) != Now.get(C)) {
                 std::printf("  COUNTER DRIFT %s/%s: baseline %lld now "
                             "%llu\n",
-                            Sched, Key, (long long)BV->asInt(),
-                            (unsigned long long)Now.get(Key));
+                            Sched, counterName(C), (long long)BV->asInt(),
+                            (unsigned long long)Now.get(C));
                 CountersStable = false;
               }
         }
@@ -283,12 +282,12 @@ int main(int argc, char **argv) {
     IPCPOptions Warm;
     Warm.Cache = &Cache;
     runIPCP(M, Warm); // populate
-    uint64_t Rerun = runIPCP(M, Warm).Stats.get("prop_evaluations");
+    uint64_t Rerun = runIPCP(M, Warm).Stats.get(Counter::prop_evaluations);
     std::unique_ptr<Module> EditedM = withEditedLeaf(M, Leaf);
     IPCPResult WarmRes = runIPCP(*EditedM, Warm);
     IPCPResult ColdRes = runIPCP(*EditedM);
-    uint64_t WE = WarmRes.Stats.get("prop_evaluations");
-    uint64_t CE = ColdRes.Stats.get("prop_evaluations");
+    uint64_t WE = WarmRes.Stats.get(Counter::prop_evaluations);
+    uint64_t CE = ColdRes.Stats.get(Counter::prop_evaluations);
     JsonValue WarmDoc = resultToJson(WarmRes);
     JsonValue ColdDoc = resultToJson(ColdRes);
     normalizeReportForDiff(WarmDoc);

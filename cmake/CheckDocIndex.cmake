@@ -1,5 +1,5 @@
 # Documentation-coherence lint (the docs-side complement of
-# CheckFlagDocs.cmake). Five drift modes, each fatal:
+# CheckFlagDocs.cmake). Six drift modes, each fatal:
 #
 #   1. An unindexed page: every docs/*.md must be listed in README.md's
 #      documentation index table.
@@ -16,6 +16,9 @@
 #      counter tables (src/core/ServiceStats.def, src/support/
 #      StoreStats.def) must have a row in docs/SERVICE.md's stats table
 #      with the same key and scope.
+#   6. An undocumented counter: every counter registered in
+#      src/support/Counters.def must appear backticked in
+#      docs/OBSERVABILITY.md (the reverse of mode 3).
 #
 # Run by ctest (check_doc_index in tools/CMakeLists.txt) and by the CI
 # docs-lint job:
@@ -79,10 +82,10 @@ endforeach()
 # --- 3. Backticked counter tokens all exist in Counters.def ------------
 
 file(STRINGS ${SRCDIR}/src/support/Counters.def CounterLines
-     REGEX "IPCP_COUNTER\\(")
+     REGEX "^IPCP_COUNTER\\(")
 set(Counters "")
 foreach(Line ${CounterLines})
-  string(REGEX REPLACE ".*IPCP_COUNTER\\(([a-z0-9_]+).*" "\\1" Name
+  string(REGEX REPLACE "^IPCP_COUNTER\\(([a-z0-9_]+).*" "\\1" Name
          "${Line}")
   list(APPEND Counters ${Name})
 endforeach()
@@ -207,6 +210,19 @@ foreach(Row IN LISTS StatRows)
   endif()
 endforeach()
 
+# --- 6. Every registered counter is documented -------------------------
+
+file(READ ${SRCDIR}/docs/OBSERVABILITY.md Text)
+foreach(Name ${Counters})
+  string(FIND "${Text}" "`${Name}`" Found)
+  if(Found EQUAL -1)
+    list(APPEND Problems
+         "undocumented counter: \`${Name}\` is registered in "
+         "src/support/Counters.def but never backticked in "
+         "docs/OBSERVABILITY.md")
+  endif()
+endforeach()
+
 if(Problems)
   list(JOIN Problems "\n  " Pretty)
   message(FATAL_ERROR "documentation lint failed:\n  ${Pretty}")
@@ -214,5 +230,5 @@ endif()
 message(STATUS
         "${NumPages} docs pages indexed, links resolve, counter tokens "
         "match Counters.def (${NumCounters} registered), ${NumSpans} "
-        "documented spans are opened, ${NumStatRows} stats fields are "
-        "documented")
+        "documented spans are opened, ${NumStatRows} stats fields and "
+        "${NumCounters} counters are documented")

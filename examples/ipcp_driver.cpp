@@ -212,6 +212,10 @@ int main(int argc, char **argv) {
     }
   }
 
+  // With --report-json=-, stdout carries the report alone; everything
+  // else the driver prints goes to stderr.
+  FILE *Out = ReportFile == "-" ? stderr : stdout;
+
   DiagnosticsEngine Diags;
   ResourceGuard Guard(Opts.Limits);
   std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
@@ -245,9 +249,9 @@ int main(int argc, char **argv) {
   std::unique_ptr<Module> M = lowerProgram(*Ast);
   Guard.checkIRInstructions(M->instructionCount(), "lowering");
   Guard.checkDeadline("lowering");
-  std::printf("analyzing %s: %zu procedure(s), %u instruction(s)\n",
-              SourceName.c_str(), M->procedures().size(),
-              M->instructionCount());
+  std::fprintf(Out, "analyzing %s: %zu procedure(s), %u instruction(s)\n",
+               SourceName.c_str(), M->procedures().size(),
+               M->instructionCount());
 
   Trace TraceData;
   if (TraceOn)
@@ -256,27 +260,28 @@ int main(int argc, char **argv) {
   if (CheckAlias) {
     std::vector<Diagnostic> Hazards = checkAliasHazards(*M);
     if (Hazards.empty())
-      std::printf("alias check: clean (Fortran no-alias rule satisfied)\n");
+      std::fprintf(Out,
+                   "alias check: clean (Fortran no-alias rule satisfied)\n");
     for (const Diagnostic &D : Hazards)
-      std::printf("alias check: %s\n", D.str().c_str());
+      std::fprintf(Out, "alias check: %s\n", D.str().c_str());
   }
 
   std::optional<CloningResult> CloneResult;
   if (Clone) {
     CloneResult = cloneForConstants(*M, {Opts}, &Guard);
-    std::printf("cloning: %u copies created, %u -> %u instructions\n",
-                CloneResult->ClonesCreated, CloneResult->InstructionsBefore,
-                CloneResult->InstructionsAfter);
+    std::fprintf(Out, "cloning: %u copies created, %u -> %u instructions\n",
+                 CloneResult->ClonesCreated, CloneResult->InstructionsBefore,
+                 CloneResult->InstructionsAfter);
   }
 
   if (Integrate) {
     InlineOptions IOpts;
     IOpts.EntryProcedure = Opts.EntryProcedure;
     InlineResult IR = inlineCalls(*M, IOpts);
-    std::printf("integration: %u call(s) inlined in %u round(s), %u dead "
-                "procedure(s) removed, %u -> %u instructions\n",
-                IR.CallsInlined, IR.RoundsRun, IR.ProceduresRemoved,
-                IR.InstructionsBefore, IR.InstructionsAfter);
+    std::fprintf(Out, "integration: %u call(s) inlined in %u round(s), %u dead "
+                 "procedure(s) removed, %u -> %u instructions\n",
+                 IR.CallsInlined, IR.RoundsRun, IR.ProceduresRemoved,
+                 IR.InstructionsBefore, IR.InstructionsAfter);
   }
 
   // The transform pipeline rewrites the module in place; everything
@@ -289,17 +294,18 @@ int main(int argc, char **argv) {
     if (DumpIR)
       BeforeIR = printModule(*M);
     OptResult = optimizeModule(*M, Opts, PassCfg, &Guard);
-    std::printf("optimization: %u substitution(s), %u fold(s), %u branch(es) "
-                "resolved, %u block(s) removed, %u instruction(s) removed, "
-                "%u cop%s propagated in %u round(s)\n",
-                OptResult->Substitutions, OptResult->Folds,
-                OptResult->BranchesResolved, OptResult->BlocksRemoved,
-                OptResult->InstsRemoved, OptResult->CopiesPropagated,
-                OptResult->CopiesPropagated == 1 ? "y" : "ies",
-                OptResult->Rounds);
+    std::fprintf(Out,
+                 "optimization: %u substitution(s), %u fold(s), %u branch(es) "
+                 "resolved, %u block(s) removed, %u instruction(s) removed, "
+                 "%u cop%s propagated in %u round(s)\n",
+                 OptResult->Substitutions, OptResult->Folds,
+                 OptResult->BranchesResolved, OptResult->BlocksRemoved,
+                 OptResult->InstsRemoved, OptResult->CopiesPropagated,
+                 OptResult->CopiesPropagated == 1 ? "y" : "ies",
+                 OptResult->Rounds);
     if (ShowStats)
-      std::printf("optimization statistics:\n%s",
-                  formatStatsTable(OptResult->Stats).c_str());
+      std::fprintf(Out, "optimization statistics:\n%s",
+                   formatStatsTable(OptResult->Stats).c_str());
   }
 
   // Summary cache: single-run analyses of the unmodified module only
@@ -324,47 +330,49 @@ int main(int argc, char **argv) {
   if (Complete) {
     CompleteResult = runCompletePropagation(*M, Opts, 8, &Guard);
     const CompletePropagationResult &CR = *CompleteResult;
-    std::printf("complete propagation: %u round(s), %u dead blocks "
-                "removed\n",
-                CR.Rounds, CR.BlocksRemoved);
-    std::printf("constant references: %u\n", CR.TotalConstantRefs);
+    std::fprintf(Out, "complete propagation: %u round(s), %u dead blocks "
+                 "removed\n",
+                 CR.Rounds, CR.BlocksRemoved);
+    std::fprintf(Out, "constant references: %u\n", CR.TotalConstantRefs);
     for (const ProcedureResult &PR : CR.FinalRound.Procs) {
-      std::printf("  CONSTANTS(%s) = {", PR.Name.c_str());
+      std::fprintf(Out, "  CONSTANTS(%s) = {", PR.Name.c_str());
       for (size_t I = 0; I != PR.EntryConstants.size(); ++I)
-        std::printf("%s%s=%lld", I ? ", " : "",
-                    PR.EntryConstants[I].first.c_str(),
-                    static_cast<long long>(PR.EntryConstants[I].second));
-      std::printf("}\n");
+        std::fprintf(Out, "%s%s=%lld", I ? ", " : "",
+                     PR.EntryConstants[I].first.c_str(),
+                     static_cast<long long>(PR.EntryConstants[I].second));
+      std::fprintf(Out, "}\n");
     }
     if (ShowStats)
-      std::printf("statistics (all rounds):\n%s",
-                  formatStatsTable(CR.Stats).c_str());
+      std::fprintf(Out, "statistics (all rounds):\n%s",
+                   formatStatsTable(CR.Stats).c_str());
   } else {
     SingleResult = runIPCP(*M, Opts, &Guard);
     const IPCPResult &R = *SingleResult;
-    std::printf("configuration: %s jump functions, return JFs %s, MOD %s%s\n",
-                jumpFunctionKindName(Opts.ForwardKind),
-                Opts.UseReturnJumpFunctions ? "on" : "off",
-                Opts.UseModInformation ? "on" : "off",
-                Opts.IntraproceduralOnly ? ", intraprocedural only" : "");
-    std::printf("entry constants: %u, constant references: %u\n",
-                R.TotalEntryConstants, R.TotalConstantRefs);
+    std::fprintf(Out,
+                 "configuration: %s jump functions, return JFs %s, MOD %s%s\n",
+                 jumpFunctionKindName(Opts.ForwardKind),
+                 Opts.UseReturnJumpFunctions ? "on" : "off",
+                 Opts.UseModInformation ? "on" : "off",
+                 Opts.IntraproceduralOnly ? ", intraprocedural only" : "");
+    std::fprintf(Out, "entry constants: %u, constant references: %u\n",
+                 R.TotalEntryConstants, R.TotalConstantRefs);
     for (const ProcedureResult &PR : R.Procs) {
-      std::printf("  CONSTANTS(%s) = {", PR.Name.c_str());
+      std::fprintf(Out, "  CONSTANTS(%s) = {", PR.Name.c_str());
       for (size_t I = 0; I != PR.EntryConstants.size(); ++I)
-        std::printf("%s%s=%lld", I ? ", " : "",
-                    PR.EntryConstants[I].first.c_str(),
-                    static_cast<long long>(PR.EntryConstants[I].second));
-      std::printf("}  [%u refs]\n", PR.ConstantRefs);
+        std::fprintf(Out, "%s%s=%lld", I ? ", " : "",
+                     PR.EntryConstants[I].first.c_str(),
+                     static_cast<long long>(PR.EntryConstants[I].second));
+      std::fprintf(Out, "}  [%u refs]\n", PR.ConstantRefs);
     }
     if (ShowStats)
-      std::printf("statistics:\n%s", formatStatsTable(R.Stats).c_str());
+      std::fprintf(Out, "statistics:\n%s", formatStatsTable(R.Stats).c_str());
     if (R.UsedCache)
-      std::printf("cache: %llu hit(s), %llu miss(es), %llu replayed\n",
-                  static_cast<unsigned long long>(R.Stats.get("cache_hits")),
-                  static_cast<unsigned long long>(R.Stats.get("cache_misses")),
-                  static_cast<unsigned long long>(
-                      R.Stats.get("cache_record_reused")));
+      std::fprintf(
+          Out, "cache: %llu hit(s), %llu miss(es), %llu replayed\n",
+          static_cast<unsigned long long>(R.Stats.get(Counter::cache_hits)),
+          static_cast<unsigned long long>(R.Stats.get(Counter::cache_misses)),
+          static_cast<unsigned long long>(
+              R.Stats.get(Counter::cache_record_reused)));
   }
 
   if (Store) {
@@ -389,46 +397,46 @@ int main(int argc, char **argv) {
     const ForwardJumpFunctions &FJFs = A.Tables.FJFs;
     const ReturnJumpFunctions *RJFs = A.Tables.RJFs.get();
 
-    std::printf("\njump functions (%s class):\n",
-                jumpFunctionKindName(Opts.ForwardKind));
+    std::fprintf(Out, "\njump functions (%s class):\n",
+                 jumpFunctionKindName(Opts.ForwardKind));
     for (Procedure *P : CG.procedures()) {
       for (CallInst *Site : CG.callSitesIn(P)) {
         const CallSiteJumpFunctions &JFs = FJFs.at(Site);
-        std::printf("  %s:%s -> %s\n", P->getName().c_str(),
-                    Site->getLoc().str().c_str(),
-                    Site->getCallee()->getName().c_str());
+        std::fprintf(Out, "  %s:%s -> %s\n", P->getName().c_str(),
+                     Site->getLoc().str().c_str(),
+                     Site->getCallee()->getName().c_str());
         for (unsigned I = 0; I != JFs.Formals.size(); ++I)
-          std::printf("    J(%s) = %s\n",
-                      Site->getCallee()->formals()[I]->getName().c_str(),
-                      JFs.Formals[I].str().c_str());
+          std::fprintf(Out, "    J(%s) = %s\n",
+                       Site->getCallee()->formals()[I]->getName().c_str(),
+                       JFs.Formals[I].str().c_str());
         for (const auto &[G, JF] : JFs.Globals)
-          std::printf("    J(global %s) = %s\n", G->getName().c_str(),
-                      JF.str().c_str());
+          std::fprintf(Out, "    J(global %s) = %s\n", G->getName().c_str(),
+                       JF.str().c_str());
       }
     }
     if (RJFs) {
-      std::printf("\nreturn jump functions:\n");
+      std::fprintf(Out, "\nreturn jump functions:\n");
       for (Procedure *P : CG.procedures()) {
         for (unsigned I = 0; I != P->getNumFormals(); ++I)
           if (const JumpFunction *JF = RJFs->find(P, P->formals()[I]))
-            std::printf("  R(%s.%s) = %s\n", P->getName().c_str(),
-                        P->formals()[I]->getName().c_str(),
-                        JF->str().c_str());
+            std::fprintf(Out, "  R(%s.%s) = %s\n", P->getName().c_str(),
+                         P->formals()[I]->getName().c_str(),
+                         JF->str().c_str());
         for (Variable *G : A.MRI.modifiedGlobals(P))
           if (const JumpFunction *JF = RJFs->find(P, G))
-            std::printf("  R(%s.global %s) = %s\n", P->getName().c_str(),
-                        G->getName().c_str(), JF->str().c_str());
+            std::fprintf(Out, "  R(%s.global %s) = %s\n", P->getName().c_str(),
+                         G->getName().c_str(), JF->str().c_str());
       }
     }
   }
 
   if (DumpIR) {
     if (Optimize)
-      std::printf("\n; === IR before optimization ===\n%s"
-                  "\n; === IR after optimization ===\n%s",
-                  BeforeIR.c_str(), printModule(*M).c_str());
+      std::fprintf(Out, "\n; === IR before optimization ===\n%s"
+                   "\n; === IR after optimization ===\n%s",
+                   BeforeIR.c_str(), printModule(*M).c_str());
     else
-      std::printf("\n%s", printModule(*M).c_str());
+      std::fprintf(Out, "\n%s", printModule(*M).c_str());
   }
 
   if (TraceOn) {
@@ -470,11 +478,11 @@ int main(int argc, char **argv) {
 
   if (Run) {
     ExecutionResult Exec = interpret(*M);
-    std::printf("\nexecution: %s, %llu steps\n",
-                Exec.ok() ? "ok" : Exec.TrapMessage.c_str(),
-                static_cast<unsigned long long>(Exec.Steps));
+    std::fprintf(Out, "\nexecution: %s, %llu steps\n",
+                 Exec.ok() ? "ok" : Exec.TrapMessage.c_str(),
+                 static_cast<unsigned long long>(Exec.Steps));
     for (ConstantValue V : Exec.Output)
-      std::printf("output: %lld\n", static_cast<long long>(V));
+      std::fprintf(Out, "output: %lld\n", static_cast<long long>(V));
   }
   if (FinalStatus.Degraded) {
     std::fprintf(stderr, "warning: %s\n", FinalStatus.Message.c_str());

@@ -94,14 +94,14 @@ ModRefInfo ModRefInfo::compute(const Module &M, const CallGraph &CG) {
   // callees first reaches the same least fixpoint as any order, and on an
   // acyclic call graph every caller is still pending when its callees
   // settle, so each procedure is visited once.
-  Worklist<Procedure *> Work;
+  IndexWorklist Work;
   Work.reserve(NumProcs);
   for (const std::vector<Procedure *> &SCC : CG.sccsBottomUp())
     for (Procedure *P : SCC)
-      Work.insert(P);
+      Work.insert(P->getModuleIndex());
 
   while (!Work.empty()) {
-    Procedure *P = Work.pop();
+    Procedure *P = M.procedures()[Work.pop()].get();
     bool Changed = false;
     std::vector<bool> &Mods = Info.FormalMod[P->getModuleIndex()];
     VariableSet &GMod = Info.GlobalMod[P->getModuleIndex()];
@@ -139,7 +139,7 @@ ModRefInfo ModRefInfo::compute(const Module &M, const CallGraph &CG) {
 
     if (Changed)
       for (Procedure *Caller : CG.callers(P))
-        Work.insert(Caller);
+        Work.insert(Caller->getModuleIndex());
   }
 
   return Info;

@@ -72,9 +72,9 @@ namespace {
 void recordGuardOutcome(IPCPResult &Result, const ResourceGuard &Guard) {
   Result.Status = Guard.status();
   if (Guard.tripped()) {
-    Result.Stats.add("guard_limit_trips");
+    Result.Stats.add(Counter::guard_limit_trips);
     if (Guard.deadlineTripped())
-      Result.Stats.add("guard_deadline_trips");
+      Result.Stats.add(Counter::guard_deadline_trips);
   }
 }
 
@@ -95,13 +95,14 @@ public:
                     JumpFunctionTables &Tables)
       : Cache(Cache), CG(CG), MRI(MRI), Opts(Opts), Stats(Stats),
         Guard(Guard), Tables(Tables) {
-    for (const char *Name : {"cache_hits", "cache_misses",
-                             "cache_invalidations", "cache_val_adopted",
-                             "cache_record_reused"})
-      Stats.add(Name, 0);
+    for (Counter C : {Counter::cache_hits, Counter::cache_misses,
+                      Counter::cache_invalidations, Counter::cache_val_adopted,
+                      Counter::cache_record_reused})
+      Stats.add(C, 0);
     // Read before beginRun clears it: only the first run after a failed
     // load counts that failure.
-    Stats.add("cache_load_failures", uint64_t(Cache.loadFailed() ? 1 : 0));
+    Stats.add(Counter::cache_load_failures,
+              uint64_t(Cache.loadFailed() ? 1 : 0));
     Cache.beginRun();
   }
 
@@ -138,13 +139,13 @@ public:
     SCCKeyHex[C] = sccKey(Members, C);
     HitSCC[C] = tryAdoptSummaries(Members, C) ? 1 : 0;
     if (HitSCC[C]) {
-      Stats.add("cache_hits", Members.size());
+      Stats.add(Counter::cache_hits, Members.size());
       return true;
     }
-    Stats.add("cache_misses", Members.size());
+    Stats.add(Counter::cache_misses, Members.size());
     for (Procedure *P : Members)
       if (Cache.find(P->getName()))
-        Stats.add("cache_invalidations");
+        Stats.add(Counter::cache_invalidations);
     return false;
   }
 
@@ -202,7 +203,7 @@ public:
           ReplaySet.insert(P);
       }
     }
-    Stats.add("cache_val_adopted", Adopted);
+    Stats.add(Counter::cache_val_adopted, Adopted);
     return &Plan;
   }
 
@@ -216,10 +217,10 @@ public:
       return false;
     const CacheEntry *E = Cache.find(P->getName());
     traceEvent("record.proc", P->getName());
-    Result.Stats.add("sccp_runs");
-    Result.Stats.add("sccp_constant_values", E->SCCPConstantValues);
-    Result.Stats.add("sccp_executable_blocks", E->SCCPExecutableBlocks);
-    Result.Stats.add("cache_record_reused");
+    Result.Stats.add(Counter::sccp_runs);
+    Result.Stats.add(Counter::sccp_constant_values, E->SCCPConstantValues);
+    Result.Stats.add(Counter::sccp_executable_blocks, E->SCCPExecutableBlocks);
+    Result.Stats.add(Counter::cache_record_reused);
 
     ProcedureResult PR;
     PR.Name = P->getName();
@@ -648,12 +649,12 @@ void ipcp::buildJumpFunctions(ModuleAnalysis &A, const IPCPOptions &Opts,
         Cache->finishComponent(Members);
     }
   }
-  Tables.Stats.add("time_intraprocedural_us",
+  Tables.Stats.add(Counter::time_intraprocedural_us,
                    uint64_t((IntraTimer.seconds() - LiftSeconds) * 1e6));
-  Tables.Stats.add("time_return_jf_us", uint64_t(LiftSeconds * 1e6));
+  Tables.Stats.add(Counter::time_return_jf_us, uint64_t(LiftSeconds * 1e6));
   if (RJFs) {
-    Tables.Stats.add("rjf_known", RJFs->knownCount());
-    Tables.Stats.add("rjf_entries", RJFs->entryCount());
+    Tables.Stats.add(Counter::rjf_known, RJFs->knownCount());
+    Tables.Stats.add(Counter::rjf_entries, RJFs->entryCount());
   }
 
   // Stage 2: forward jump functions of every procedure the cache did not
@@ -671,7 +672,8 @@ void ipcp::buildJumpFunctions(ModuleAnalysis &A, const IPCPOptions &Opts,
                                    Tables.Ctx, Opts.ForwardKind,
                                    Opts.UseGatedSSA);
   }
-  Tables.Stats.add("time_forward_jf_us", uint64_t(FJFTimer.seconds() * 1e6));
+  Tables.Stats.add(Counter::time_forward_jf_us,
+                   uint64_t(FJFTimer.seconds() * 1e6));
 }
 
 IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
@@ -696,18 +698,18 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   // Stage 0: structural analyses, on the module itself.
   ModuleAnalysis A(M, Opts);
   const CallGraph &CG = A.CG;
-  Result.Stats.add("time_callgraph_us", A.CallGraphUs);
-  Result.Stats.add("cg_procedures", CG.procedures().size());
+  Result.Stats.add(Counter::time_callgraph_us, A.CallGraphUs);
+  Result.Stats.add(Counter::cg_procedures, CG.procedures().size());
   uint64_t CallSites = 0, RecursiveProcs = 0;
   for (Procedure *P : CG.procedures()) {
     CallSites += CG.callSitesIn(P).size();
     if (CG.isRecursive(P))
       ++RecursiveProcs;
   }
-  Result.Stats.add("cg_call_sites", CallSites);
-  Result.Stats.add("cg_sccs", CG.sccsBottomUp().size());
-  Result.Stats.add("cg_recursive_procs", RecursiveProcs);
-  Result.Stats.add("time_modref_us", A.ModRefUs);
+  Result.Stats.add(Counter::cg_call_sites, CallSites);
+  Result.Stats.add(Counter::cg_sccs, CG.sccsBottomUp().size());
+  Result.Stats.add(Counter::cg_recursive_procs, RecursiveProcs);
+  Result.Stats.add(Counter::time_modref_us, A.ModRefUs);
   const ModRefInfo &MRI = A.MRI;
 
   // The cache only models the configurations the summary format covers;
@@ -732,10 +734,10 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   if (!Opts.IntraproceduralOnly && !Guard->tripped()) {
     const ForwardJumpFunctions &FJFs = Tables.FJFs;
     ForwardJumpFunctions::Stats JS = FJFs.stats();
-    Result.Stats.add("jf_bottom", JS.Bottom);
-    Result.Stats.add("jf_constant", JS.Constant);
-    Result.Stats.add("jf_passthrough", JS.PassThrough);
-    Result.Stats.add("jf_polynomial", JS.Polynomial);
+    Result.Stats.add(Counter::jf_bottom, JS.Bottom);
+    Result.Stats.add(Counter::jf_constant, JS.Constant);
+    Result.Stats.add(Counter::jf_passthrough, JS.PassThrough);
+    Result.Stats.add(Counter::jf_polynomial, JS.Polynomial);
 
     Timer PropTimer;
     PropagatorStats PS;
@@ -748,24 +750,26 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
                ? propagateConstantsBindingGraph(CG, MRI, FJFs, Opts, &PS,
                                                 Guard)
                : propagateConstants(CG, MRI, FJFs, Opts, &PS, Guard, Plan);
-    Result.Stats.add("time_propagation_us",
+    Result.Stats.add(Counter::time_propagation_us,
                      uint64_t(PropTimer.seconds() * 1e6));
-    Result.Stats.add("prop_visits", PS.ProcVisits);
-    Result.Stats.add("prop_evaluations", PS.JumpFunctionEvaluations);
-    Result.Stats.add("prop_lowerings", PS.Lowerings);
-    Result.Stats.add("prop_revisits", PS.Revisits);
-    Result.Stats.add("prop_val_entries", CM.totalEntries());
-    Result.Stats.add("prop_val_constants", CM.totalConstants());
+    Result.Stats.add(Counter::prop_visits, PS.ProcVisits);
+    Result.Stats.add(Counter::prop_evaluations, PS.JumpFunctionEvaluations);
+    Result.Stats.add(Counter::prop_lowerings, PS.Lowerings);
+    Result.Stats.add(Counter::prop_revisits, PS.Revisits);
+    Result.Stats.add(Counter::prop_val_entries, CM.totalEntries());
+    Result.Stats.add(Counter::prop_val_constants, CM.totalConstants());
     if (Result.ContextStudy.Enabled) {
       const ContextEngineStats &CS = Result.ContextStudy;
-      Result.Stats.add("ctx_contexts", CS.Contexts);
-      Result.Stats.add("ctx_summary_contexts", CS.SummaryContexts);
-      Result.Stats.add("ctx_evaluations", CS.Evaluations);
-      Result.Stats.add("ctx_reused", CS.Reused);
-      Result.Stats.add("ctx_merges", CS.Merges);
-      Result.Stats.add("ctx_entry_bytes", CS.EntryBytes);
-      Result.Stats.add("ctx_budget_trips", uint64_t(CS.BudgetTripped ? 1 : 0));
-      Result.Stats.add("ctx_baseline_val_constants", CS.BaselineValConstants);
+      Result.Stats.add(Counter::ctx_contexts, CS.Contexts);
+      Result.Stats.add(Counter::ctx_summary_contexts, CS.SummaryContexts);
+      Result.Stats.add(Counter::ctx_evaluations, CS.Evaluations);
+      Result.Stats.add(Counter::ctx_reused, CS.Reused);
+      Result.Stats.add(Counter::ctx_merges, CS.Merges);
+      Result.Stats.add(Counter::ctx_entry_bytes, CS.EntryBytes);
+      Result.Stats.add(Counter::ctx_budget_trips,
+                       uint64_t(CS.BudgetTripped ? 1 : 0));
+      Result.Stats.add(Counter::ctx_baseline_val_constants,
+                       CS.BaselineValConstants);
     }
   }
 
@@ -795,13 +799,13 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
     setCallOutHook(SCCPOpts, Tables.RJFs.get(), &ProcSSA);
     traceEvent("record.proc", P->getName());
     SCCPResult SCCP = runSCCP(*P, ProcSSA, SCCPOpts);
-    Result.Stats.add("sccp_runs");
-    Result.Stats.add("sccp_constant_values", SCCP.constantValueCount());
+    Result.Stats.add(Counter::sccp_runs);
+    Result.Stats.add(Counter::sccp_constant_values, SCCP.constantValueCount());
     uint64_t ExecBlocks = 0;
     for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
       if (SCCP.isExecutable(BB.get()))
         ++ExecBlocks;
-    Result.Stats.add("sccp_executable_blocks", ExecBlocks);
+    Result.Stats.add(Counter::sccp_executable_blocks, ExecBlocks);
 
     // Each promoted load is one source-level variable reference: note
     // which entry constants the body references, and count (and record
@@ -853,13 +857,15 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   }
   if (Inc)
     Inc->finish(CM, !Guard->tripped());
-  Result.Stats.add("time_record_us", uint64_t(RecordTimer.seconds() * 1e6));
-  Result.Stats.add("time_total_us", uint64_t(Total.seconds() * 1e6));
-  Result.Stats.add("constants_found", Result.TotalEntryConstants);
-  Result.Stats.add("constant_refs", Result.TotalConstantRefs);
+  Result.Stats.add(Counter::time_record_us,
+                   uint64_t(RecordTimer.seconds() * 1e6));
+  Result.Stats.add(Counter::time_total_us, uint64_t(Total.seconds() * 1e6));
+  Result.Stats.add(Counter::constants_found, Result.TotalEntryConstants);
+  Result.Stats.add(Counter::constant_refs, Result.TotalConstantRefs);
   for (const ProcedureResult &PR : Result.Procs)
-    Result.Stats.add("constants_known_irrelevant", PR.IrrelevantConstants);
-  Result.Stats.add("unique_exprs", Tables.Ctx.uniqueExprCount());
+    Result.Stats.add(Counter::constants_known_irrelevant,
+                     PR.IrrelevantConstants);
+  Result.Stats.add(Counter::unique_exprs, Tables.Ctx.uniqueExprCount());
   recordGuardOutcome(Result, *Guard);
 
   return Result;
@@ -895,10 +901,10 @@ ipcp::runCompletePropagation(const Module &M, const IPCPOptions &Opts,
     TransformStats TS = applyFacts(*Working, RoundResult.Facts);
     Result.BlocksRemoved += TS.BlocksRemoved;
     Result.Stats.merge(RoundResult.Stats);
-    Result.Stats.add("cp_loads_replaced", TS.LoadsReplaced);
-    Result.Stats.add("cp_branches_folded", TS.BranchesFolded);
-    Result.Stats.add("cp_blocks_removed", TS.BlocksRemoved);
-    Result.Stats.add("cp_insts_removed", TS.InstsRemoved);
+    Result.Stats.add(Counter::cp_loads_replaced, TS.LoadsReplaced);
+    Result.Stats.add(Counter::cp_branches_folded, TS.BranchesFolded);
+    Result.Stats.add(Counter::cp_blocks_removed, TS.BlocksRemoved);
+    Result.Stats.add(Counter::cp_insts_removed, TS.InstsRemoved);
     Result.FinalRound = std::move(RoundResult);
 
     // A tripped budget ends the experiment with the rounds completed so
@@ -913,6 +919,6 @@ ipcp::runCompletePropagation(const Module &M, const IPCPOptions &Opts,
     if (!TS.foundDeadCode())
       break;
   }
-  Result.Stats.add("cp_rounds", Result.Rounds);
+  Result.Stats.add(Counter::cp_rounds, Result.Rounds);
   return Result;
 }

@@ -49,23 +49,26 @@ void setDegradation(JsonValue &Obj, const PipelineStatus &Status) {
 /// counters so the JSON mirrors exactly what was measured. Each stage's
 /// key is its counter name without the time_ and _us affixes.
 JsonValue timingsToJson(const StatisticSet &Stats) {
-  static const char *const Counters[] = {
-      "time_callgraph_us", "time_modref_us",     "time_intraprocedural_us",
-      "time_return_jf_us", "time_forward_jf_us", "time_propagation_us",
-      "time_record_us",    "time_total_us",
+  static const Counter Timers[] = {
+      Counter::time_callgraph_us,       Counter::time_modref_us,
+      Counter::time_intraprocedural_us, Counter::time_return_jf_us,
+      Counter::time_forward_jf_us,      Counter::time_propagation_us,
+      Counter::time_record_us,          Counter::time_total_us,
   };
   JsonValue Obj = JsonValue::object();
-  for (const std::string Counter : Counters)
-    Obj.set(Counter.substr(5, Counter.size() - 8), Stats.get(Counter));
+  for (Counter C : Timers) {
+    std::string Name = counterName(C);
+    Obj.set(Name.substr(5, Name.size() - 8), Stats.get(C));
+  }
   return Obj;
 }
 
 JsonValue histogramToJson(const StatisticSet &Stats) {
   JsonValue Obj = JsonValue::object();
-  uint64_t Bottom = Stats.get("jf_bottom");
-  uint64_t Constant = Stats.get("jf_constant");
-  uint64_t PassThrough = Stats.get("jf_passthrough");
-  uint64_t Polynomial = Stats.get("jf_polynomial");
+  uint64_t Bottom = Stats.get(Counter::jf_bottom);
+  uint64_t Constant = Stats.get(Counter::jf_constant);
+  uint64_t PassThrough = Stats.get(Counter::jf_passthrough);
+  uint64_t Polynomial = Stats.get(Counter::jf_polynomial);
   Obj.set("bottom", Bottom);
   Obj.set("constant", Constant);
   Obj.set("pass_through", PassThrough);
@@ -105,12 +108,12 @@ JsonValue ipcp::resultToJson(const IPCPResult &Result) {
   Obj.set("counters", Result.Stats.toJson());
   if (Result.UsedCache) {
     JsonValue Cache = JsonValue::object();
-    Cache.set("hits", Result.Stats.get("cache_hits"));
-    Cache.set("misses", Result.Stats.get("cache_misses"));
-    Cache.set("invalidations", Result.Stats.get("cache_invalidations"));
-    Cache.set("val_adopted", Result.Stats.get("cache_val_adopted"));
-    Cache.set("record_reused", Result.Stats.get("cache_record_reused"));
-    Cache.set("load_failures", Result.Stats.get("cache_load_failures"));
+    Cache.set("hits", Result.Stats.get(Counter::cache_hits));
+    Cache.set("misses", Result.Stats.get(Counter::cache_misses));
+    Cache.set("invalidations", Result.Stats.get(Counter::cache_invalidations));
+    Cache.set("val_adopted", Result.Stats.get(Counter::cache_val_adopted));
+    Cache.set("record_reused", Result.Stats.get(Counter::cache_record_reused));
+    Cache.set("load_failures", Result.Stats.get(Counter::cache_load_failures));
     Obj.set("cache", std::move(Cache));
   }
   if (Result.ContextStudy.Enabled) {

@@ -526,9 +526,9 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
     if (Session->Cache.committed())
       Session->Dirty = true;
     if (SingleResult && SingleResult->UsedCache) {
-      bump(CacheHits, SingleResult->Stats.get("cache_hits"));
-      bump(CacheMisses, SingleResult->Stats.get("cache_misses"));
-      if (SingleResult->Stats.get("cache_hits") > 0)
+      bump(CacheHits, SingleResult->Stats.get(Counter::cache_hits));
+      bump(CacheMisses, SingleResult->Stats.get(Counter::cache_misses));
+      if (SingleResult->Stats.get(Counter::cache_hits) > 0)
         bump(WarmHits);
     }
   }

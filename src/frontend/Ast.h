@@ -27,6 +27,7 @@
 #include "support/ConstantMath.h"
 #include "support/SourceLoc.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -386,6 +387,13 @@ struct ProcDecl {
   std::vector<DeclItem> Params; // always scalars
   std::unique_ptr<BlockStmt> Body;
 };
+
+/// Calls \p Visit on each item of every `var` declaration in \p Proc's
+/// body, nested blocks included. A procedure has one flat, Fortran-style
+/// scope, so Sema declares and lowering allocates every local before the
+/// body runs. The visiting order fixes each local's variable ID.
+void forEachLocalDecl(const ProcDecl &Proc,
+                      const std::function<void(const DeclItem &)> &Visit);
 
 /// A whole MiniFort compilation unit.
 struct Program {

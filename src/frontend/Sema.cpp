@@ -75,26 +75,9 @@ void Sema::checkProc(const ProcDecl &Proc) {
   // A use before the textual declaration reads an uninitialized (zero)
   // value, exactly like Fortran; lowering gives locals an explicit zero
   // initialization so execution and analysis agree.
-  std::vector<const Stmt *> Stack{Proc.Body.get()};
-  while (!Stack.empty()) {
-    const Stmt *S = Stack.back();
-    Stack.pop_back();
-    if (const auto *Block = dyn_cast<BlockStmt>(S)) {
-      for (const StmtPtr &Child : Block->getStmts())
-        Stack.push_back(Child.get());
-    } else if (const auto *If = dyn_cast<IfStmt>(S)) {
-      Stack.push_back(If->getThen());
-      if (If->getElse())
-        Stack.push_back(If->getElse());
-    } else if (const auto *While = dyn_cast<WhileStmt>(S)) {
-      Stack.push_back(While->getBody());
-    } else if (const auto *Do = dyn_cast<DoLoopStmt>(S)) {
-      Stack.push_back(Do->getBody());
-    } else if (const auto *Decl = dyn_cast<VarDeclStmt>(S)) {
-      for (const DeclItem &Item : Decl->getItems())
-        declare(Scope, Item, "local variable");
-    }
-  }
+  forEachLocalDecl(Proc, [&](const DeclItem &Item) {
+    declare(Scope, Item, "local variable");
+  });
 
   checkStmt(Scope, Proc.Body.get(), /*LoopIndVar=*/nullptr);
 }

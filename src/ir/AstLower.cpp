@@ -83,26 +83,9 @@ void LoweringContext::declareProcVars(Procedure *P, const ProcDecl &Decl) {
     P->addFormal(Param.Name);
 
   // Hoist every local declaration (Fortran-style flat procedure scope).
-  std::vector<const Stmt *> Stack{Decl.Body.get()};
-  while (!Stack.empty()) {
-    const Stmt *S = Stack.back();
-    Stack.pop_back();
-    if (const auto *Block = dyn_cast<BlockStmt>(S)) {
-      for (const StmtPtr &Child : Block->getStmts())
-        Stack.push_back(Child.get());
-    } else if (const auto *If = dyn_cast<IfStmt>(S)) {
-      Stack.push_back(If->getThen());
-      if (If->getElse())
-        Stack.push_back(If->getElse());
-    } else if (const auto *While = dyn_cast<WhileStmt>(S)) {
-      Stack.push_back(While->getBody());
-    } else if (const auto *Do = dyn_cast<DoLoopStmt>(S)) {
-      Stack.push_back(Do->getBody());
-    } else if (const auto *VarDecl = dyn_cast<VarDeclStmt>(S)) {
-      for (const DeclItem &Item : VarDecl->getItems())
-        P->addLocal(Item.Name, Item.ArraySize);
-    }
-  }
+  forEachLocalDecl(Decl, [P](const DeclItem &Item) {
+    P->addLocal(Item.Name, Item.ArraySize);
+  });
 }
 
 Value *LoweringContext::lowerExpr(const Expr *E) {

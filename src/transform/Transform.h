@@ -59,11 +59,6 @@ struct TransformPassConfig {
 
   /// Run store-to-load copy propagation ("copyprop").
   bool CopyPropagation = true;
-
-  /// Round cap for the constant-substitution fixpoint (the paper's
-  /// complete-propagation experiment converged after one extra round; the
-  /// cap only guards adversarial inputs).
-  unsigned MaxRounds = 8;
 };
 
 /// Parses a comma-separated pass list ("constants", "copyprop", or

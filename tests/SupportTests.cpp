@@ -203,56 +203,6 @@ INSTANTIATE_TEST_SUITE_P(SmallOperands, FoldSweep,
                          ::testing::Values(3, 7, 11, 25, 99, 123, 1024));
 
 //===----------------------------------------------------------------------===//
-// Worklist
-//===----------------------------------------------------------------------===//
-
-TEST(Worklist, FifoOrder) {
-  Worklist<int> W;
-  EXPECT_TRUE(W.insert(1));
-  EXPECT_TRUE(W.insert(2));
-  EXPECT_TRUE(W.insert(3));
-  EXPECT_EQ(W.pop(), 1);
-  EXPECT_EQ(W.pop(), 2);
-  EXPECT_EQ(W.pop(), 3);
-  EXPECT_TRUE(W.empty());
-}
-
-TEST(Worklist, DeduplicatesPendingItems) {
-  Worklist<int> W;
-  EXPECT_TRUE(W.insert(5));
-  EXPECT_FALSE(W.insert(5));
-  EXPECT_EQ(W.size(), 1u);
-  EXPECT_EQ(W.pop(), 5);
-  // After popping, re-insertion is allowed.
-  EXPECT_TRUE(W.insert(5));
-}
-
-TEST(Worklist, InterleavedInsertPop) {
-  Worklist<int> W;
-  W.insert(1);
-  W.insert(2);
-  EXPECT_EQ(W.pop(), 1);
-  W.insert(3);
-  W.insert(1);
-  EXPECT_EQ(W.pop(), 2);
-  EXPECT_EQ(W.pop(), 3);
-  EXPECT_EQ(W.pop(), 1);
-}
-
-TEST(Worklist, ClearDropsPendingItems) {
-  Worklist<int> W;
-  W.reserve(8);
-  W.insert(1);
-  W.insert(2);
-  W.clear();
-  EXPECT_TRUE(W.empty());
-  EXPECT_EQ(W.size(), 0u);
-  // Cleared items are re-insertable.
-  EXPECT_TRUE(W.insert(1));
-  EXPECT_EQ(W.pop(), 1);
-}
-
-//===----------------------------------------------------------------------===//
 // IndexWorklist
 //===----------------------------------------------------------------------===//
 
@@ -397,29 +347,28 @@ TEST(SourceLocTest, Validity) {
 
 TEST(Statistics, CountersAccumulate) {
   StatisticSet Stats;
-  EXPECT_EQ(Stats.get("x"), 0u);
-  Stats.add("x");
-  Stats.add("x", 4);
-  EXPECT_EQ(Stats.get("x"), 5u);
+  EXPECT_EQ(Stats.get(Counter::prop_visits), 0u);
+  EXPECT_FALSE(Stats.has(Counter::prop_visits));
+  Stats.add(Counter::prop_visits);
+  Stats.add(Counter::prop_visits, 4);
+  EXPECT_EQ(Stats.get(Counter::prop_visits), 5u);
+  EXPECT_TRUE(Stats.has(Counter::prop_visits));
 }
 
 TEST(Statistics, Merge) {
   StatisticSet A, B;
-  A.add("shared", 1);
-  B.add("shared", 2);
-  B.add("own", 3);
+  A.add(Counter::cache_hits, 1);
+  B.add(Counter::cache_hits, 2);
+  B.add(Counter::cache_misses, 3);
   A.merge(B);
-  EXPECT_EQ(A.get("shared"), 3u);
-  EXPECT_EQ(A.get("own"), 3u);
+  EXPECT_EQ(A.get(Counter::cache_hits), 3u);
+  EXPECT_EQ(A.get(Counter::cache_misses), 3u);
+  EXPECT_TRUE(A.has(Counter::cache_misses));
 }
 
-TEST(Statistics, RenderSortedByName) {
-  StatisticSet Stats;
-  Stats.add("zeta", 1);
-  Stats.add("alpha", 2);
-  std::string Text = Stats.str();
-  EXPECT_LT(Text.find("alpha = 2"), Text.find("zeta = 1"));
-}
+//===----------------------------------------------------------------------===//
+// Timer
+//===----------------------------------------------------------------------===//
 
 TEST(TimerTest, MeasuresForwardTime) {
   Timer T;

@@ -90,7 +90,7 @@ int main() {
   }
   std::printf("total refs=%u entry constants=%u\n", R.TotalConstantRefs,
               R.TotalEntryConstants);
-  std::printf("%s", R.Stats.str().c_str());
+  std::printf("%s", formatStatsTable(R.Stats).c_str());
 
   // Ablations.
   for (auto Kind :
