@@ -130,13 +130,6 @@ int printEffectivenessTable() {
   Doc.set("totals", std::move(Totals));
   benchReport("optimize", std::move(Doc));
 
-  if (auto Baseline = benchBaseline("optimize"))
-    if (const JsonValue *Base = Baseline->find("totals"))
-      if (const JsonValue *BaseSpeedup = Base->find("speedup"))
-        if (BaseSpeedup->isNumber())
-          printBaselineDelta("suite speedup", BaseSpeedup->asDouble(),
-                             SuiteSpeedup, "x", /*LowerIsBetter=*/false);
-
   // Acceptance floor: the pipeline must keep substituting and resolving
   // on the paper's suite.
   if (Substitutions < 10 || Branches < 1) {

@@ -286,30 +286,6 @@ int main(int argc, char **argv) {
   Doc.set("ok", WarmFree && ColdWorked);
   benchReport("service", std::move(Doc));
 
-  // Delta against the committed pre-rewrite baseline (throughput is
-  // higher-is-better, latency lower-is-better).
-  if (std::optional<JsonValue> Base = benchBaseline("service")) {
-    std::printf("vs committed baseline (bench/baselines):\n");
-    auto Delta = [&](const char *Mode, const ModeResult &Now) {
-      const JsonValue *BM = Base->find(Mode);
-      if (!BM)
-        return;
-      double NowRps = Now.TotalMs > 0 ? Now.Requests / (Now.TotalMs / 1e3)
-                                      : 0.0;
-      if (const JsonValue *V = BM->find("requests_per_sec"))
-        printBaselineDelta((std::string(Mode) + " req/s").c_str(),
-                           V->asDouble(), NowRps, "",
-                           /*LowerIsBetter=*/false);
-      if (const JsonValue *V = BM->find("p99_ms"))
-        printBaselineDelta((std::string(Mode) + " p99").c_str(),
-                           V->asDouble(), Now.P99Ms, "ms");
-    };
-    Delta("cold", Cold);
-    Delta("warm", Warmed);
-    Delta("batched", Batched);
-    std::printf("\n");
-  }
-
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return (WarmFree && ColdWorked) ? 0 : 1;

@@ -40,9 +40,7 @@
 #include "core/Pipeline.h"
 #include "core/Report.h"
 #include "core/SummaryCache.h"
-#include "frontend/Parser.h"
 #include "interp/Interpreter.h"
-#include "ir/AstLower.h"
 #include "ir/IRPrinter.h"
 #include "support/ContentStore.h"
 #include "support/FileIO.h"
@@ -102,14 +100,12 @@ void printUsage() {
 
 int main(int argc, char **argv) {
   std::string Source = DemoSource;
-  std::string SourceName = "<demo>";
-  IPCPOptions Opts;
-  bool Complete = false, Clone = false, DumpIR = false, Run = false;
+  AnalysisRequest Req;
+  Req.Name = "<demo>";
+  bool Clone = false, DumpIR = false, RunProgram = false;
   bool CheckAlias = false, DumpJF = false, Integrate = false;
   bool ShowStats = false, TraceOn = false;
   bool NoCache = false, ScrubTimings = false;
-  bool Optimize = false;
-  TransformPassConfig PassCfg;
   std::string TraceFile, ReportFile, CacheDir;
 
   for (int I = 1; I < argc; ++I) {
@@ -118,7 +114,7 @@ int main(int argc, char **argv) {
       printUsage();
       return 0;
     }
-    if (takeOptionFlag(Arg, OnDriver, Opts))
+    if (takeOptionFlag(Arg, OnDriver, Req.Opts))
       continue;
     if (Arg.rfind("--suite=", 0) == 0) {
       const SuiteProgram *Prog = findSuiteProgram(Arg.substr(8));
@@ -128,7 +124,7 @@ int main(int argc, char **argv) {
         return 1;
       }
       Source = Prog->Source;
-      SourceName = Prog->Name;
+      Req.Name = Prog->Name;
       continue;
     }
     if (Arg == "--report-json=") {
@@ -169,22 +165,22 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--optimize") {
-      Optimize = true;
+      Req.Optimize = true;
       continue;
     }
     if (Arg.rfind("--optimize=", 0) == 0) {
       std::string Error;
-      if (!parsePassSpec(Arg.substr(11), PassCfg, &Error)) {
+      if (!parsePassSpec(Arg.substr(11), Req.Passes, &Error)) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
       }
-      Optimize = true;
+      Req.Optimize = true;
       continue;
     }
     if (Arg == "--check-alias") {
       CheckAlias = true;
     } else if (Arg == "--complete") {
-      Complete = true;
+      Req.Complete = true;
     } else if (Arg == "--clone") {
       Clone = true;
     } else if (Arg == "--integrate") {
@@ -194,7 +190,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--dump-jf") {
       DumpJF = true;
     } else if (Arg == "--run") {
-      Run = true;
+      RunProgram = true;
     } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       printUsage();
@@ -208,57 +204,61 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 2;
       }
-      SourceName = Arg;
+      Req.Name = Arg;
     }
   }
 
   // With --report-json=-, stdout carries the report alone; everything
   // else the driver prints goes to stderr.
   FILE *Out = ReportFile == "-" ? stderr : stdout;
+  const IPCPOptions &Opts = Req.Opts;
+  RequestRun Run(Req);
 
-  DiagnosticsEngine Diags;
-  ResourceGuard Guard(Opts.Limits);
-  std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
-  if (!Ast) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    if (!Guard.tripped())
-      return 3;
-    // A frontend budget trip is degradation, not a source error: emit a
-    // schema-valid (result-free) degraded report when one was asked for,
-    // and exit 5 so callers can tell the two apart.
-    PipelineStatus Status = Guard.status();
-    std::fprintf(stderr, "warning: %s\n", Status.Message.c_str());
+  // Writes the report, runs the program, and picks the exit code. A
+  // frontend budget trip comes here straight from the compile step: it
+  // is degradation, not a source error, so it gets a schema-valid
+  // (result-free) report and exit 5.
+  auto Finish = [&](const Trace *TraceData) {
     if (!ReportFile.empty()) {
-      AnalysisReport Report;
-      Report.SourceName = SourceName;
-      Report.Opts = &Opts;
-      Report.Status = &Status;
       std::string Error;
-      if (!writeJsonFile(ReportFile, buildAnalysisReport(Report), &Error)) {
+      if (!writeJsonFile(ReportFile, Run.report(ScrubTimings, TraceData),
+                         &Error)) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 4;
       }
       if (ReportFile != "-")
         std::printf("report written to %s\n", ReportFile.c_str());
     }
-    return 5;
-  }
-  for (const Diagnostic &D : Diags.diagnostics())
-    std::fprintf(stderr, "%s\n", D.str().c_str()); // surface warnings
+    if (RunProgram && Run.M) {
+      ExecutionResult Exec = interpret(*Run.M);
+      std::fprintf(Out, "\nexecution: %s, %llu steps\n",
+                   Exec.ok() ? "ok" : Exec.TrapMessage.c_str(),
+                   static_cast<unsigned long long>(Exec.Steps));
+      for (ConstantValue V : Exec.Output)
+        std::fprintf(Out, "output: %lld\n", static_cast<long long>(V));
+    }
+    PipelineStatus FinalStatus = Run.Guard.status();
+    if (FinalStatus.Degraded) {
+      std::fprintf(stderr, "warning: %s\n", FinalStatus.Message.c_str());
+      return 5;
+    }
+    return 0;
+  };
 
-  std::unique_ptr<Module> M = lowerProgram(*Ast);
-  Guard.checkIRInstructions(M->instructionCount(), "lowering");
-  Guard.checkDeadline("lowering");
+  bool Compiled = Run.compile(Source);
+  std::fprintf(stderr, "%s", Run.Diags.str().c_str()); // errors or warnings
+  if (!Compiled)
+    return Run.Guard.tripped() ? Finish(nullptr) : 3;
+  Module &M = *Run.M;
   std::fprintf(Out, "analyzing %s: %zu procedure(s), %u instruction(s)\n",
-               SourceName.c_str(), M->procedures().size(),
-               M->instructionCount());
+               Req.Name.c_str(), M.procedures().size(), M.instructionCount());
 
   Trace TraceData;
   if (TraceOn)
     Trace::setActive(&TraceData);
 
   if (CheckAlias) {
-    std::vector<Diagnostic> Hazards = checkAliasHazards(*M);
+    std::vector<Diagnostic> Hazards = checkAliasHazards(M);
     if (Hazards.empty())
       std::fprintf(Out,
                    "alias check: clean (Fortran no-alias rule satisfied)\n");
@@ -266,18 +266,17 @@ int main(int argc, char **argv) {
       std::fprintf(Out, "alias check: %s\n", D.str().c_str());
   }
 
-  std::optional<CloningResult> CloneResult;
   if (Clone) {
-    CloneResult = cloneForConstants(*M, {Opts}, &Guard);
+    const CloningResult &CR = Run.Cloning.emplace(
+        cloneForConstants(M, {Opts}, &Run.Guard));
     std::fprintf(Out, "cloning: %u copies created, %u -> %u instructions\n",
-                 CloneResult->ClonesCreated, CloneResult->InstructionsBefore,
-                 CloneResult->InstructionsAfter);
+                 CR.ClonesCreated, CR.InstructionsBefore, CR.InstructionsAfter);
   }
 
   if (Integrate) {
     InlineOptions IOpts;
     IOpts.EntryProcedure = Opts.EntryProcedure;
-    InlineResult IR = inlineCalls(*M, IOpts);
+    InlineResult IR = inlineCalls(M, IOpts);
     std::fprintf(Out, "integration: %u call(s) inlined in %u round(s), %u dead "
                  "procedure(s) removed, %u -> %u instructions\n",
                  IR.CallsInlined, IR.RoundsRun, IR.ProceduresRemoved,
@@ -285,69 +284,70 @@ int main(int argc, char **argv) {
   }
 
   // The transform pipeline rewrites the module in place; everything
-  // after this point — the reported analysis, --dump-ir, --run — sees
-  // the optimized program. Before-IR is captured first so --dump-ir can
+  // after the run — the reported analysis, --dump-ir, --run — sees the
+  // optimized program. Before-IR is captured first so --dump-ir can
   // show the rewrite as a diffable before/after pair.
-  std::optional<OptimizationResult> OptResult;
   std::string BeforeIR;
-  if (Optimize) {
-    if (DumpIR)
-      BeforeIR = printModule(*M);
-    OptResult = optimizeModule(*M, Opts, PassCfg, &Guard);
+  if (Req.Optimize && DumpIR)
+    BeforeIR = printModule(M);
+
+  // Summary cache: single-run analyses of the unmodified module only
+  // (the request's rule, plus cloning and integration, which rewrite the
+  // module too; see docs/INCREMENTAL.md). The store opens without the
+  // recovery scrub, so the run reads only its own ref and object, and
+  // get verifies that object. A load failure is not an error — the run
+  // proceeds cold and reports cache_load_failures.
+  std::optional<ContentStore> Store;
+  SummaryCache Cache;
+  if (!CacheDir.empty() && !NoCache && Req.usesCache() && !Clone &&
+      !Integrate) {
+    ContentStore::Options StoreOpts;
+    StoreOpts.ScrubOnOpen = false;
+    Store.emplace(CacheDir, StoreOpts);
+    Cache.load(*Store, Req.Name, Opts, &Run.Guard);
+  }
+
+  Run.run(Store ? &Cache : nullptr);
+  if (const std::optional<OptimizationResult> &OR = Run.Optimization) {
     std::fprintf(Out,
                  "optimization: %u substitution(s), %u fold(s), %u branch(es) "
                  "resolved, %u block(s) removed, %u instruction(s) removed, "
                  "%u cop%s propagated in %u round(s)\n",
-                 OptResult->Substitutions, OptResult->Folds,
-                 OptResult->BranchesResolved, OptResult->BlocksRemoved,
-                 OptResult->InstsRemoved, OptResult->CopiesPropagated,
-                 OptResult->CopiesPropagated == 1 ? "y" : "ies",
-                 OptResult->Rounds);
+                 OR->Substitutions, OR->Folds, OR->BranchesResolved,
+                 OR->BlocksRemoved, OR->InstsRemoved, OR->CopiesPropagated,
+                 OR->CopiesPropagated == 1 ? "y" : "ies", OR->Rounds);
     if (ShowStats)
       std::fprintf(Out, "optimization statistics:\n%s",
-                   formatStatsTable(OptResult->Stats).c_str());
+                   formatStatsTable(OR->Stats).c_str());
   }
 
-  // Summary cache: single-run analyses of the unmodified module only
-  // (complete propagation, cloning, integration, and optimization all
-  // mutate or re-analyze the module; see docs/INCREMENTAL.md). The store
-  // opens without the recovery scrub, so the run reads only its own ref
-  // and object, and get verifies that object. A load failure is not an
-  // error — the run proceeds cold and reports cache_load_failures.
-  std::optional<ContentStore> Store;
-  SummaryCache Cache;
-  if (!CacheDir.empty() && !NoCache && !Complete && !Clone && !Integrate &&
-      !Optimize) {
-    ContentStore::Options StoreOpts;
-    StoreOpts.ScrubOnOpen = false;
-    Store.emplace(CacheDir, StoreOpts);
-    Cache.load(*Store, SourceName, Opts, &Guard);
-    Opts.Cache = &Cache;
-  }
-
-  std::optional<CompletePropagationResult> CompleteResult;
-  std::optional<IPCPResult> SingleResult;
-  if (Complete) {
-    CompleteResult = runCompletePropagation(*M, Opts, 8, &Guard);
-    const CompletePropagationResult &CR = *CompleteResult;
-    std::fprintf(Out, "complete propagation: %u round(s), %u dead blocks "
-                 "removed\n",
-                 CR.Rounds, CR.BlocksRemoved);
-    std::fprintf(Out, "constant references: %u\n", CR.TotalConstantRefs);
-    for (const ProcedureResult &PR : CR.FinalRound.Procs) {
+  // CONSTANTS(p) per procedure, with its substitution count when Refs.
+  auto PrintConstants = [&](const std::vector<ProcedureResult> &Procs,
+                            bool Refs) {
+    for (const ProcedureResult &PR : Procs) {
       std::fprintf(Out, "  CONSTANTS(%s) = {", PR.Name.c_str());
       for (size_t I = 0; I != PR.EntryConstants.size(); ++I)
         std::fprintf(Out, "%s%s=%lld", I ? ", " : "",
                      PR.EntryConstants[I].first.c_str(),
                      static_cast<long long>(PR.EntryConstants[I].second));
-      std::fprintf(Out, "}\n");
+      if (Refs)
+        std::fprintf(Out, "}  [%u refs]\n", PR.ConstantRefs);
+      else
+        std::fprintf(Out, "}\n");
     }
+  };
+  if (Run.Complete) {
+    const CompletePropagationResult &CR = *Run.Complete;
+    std::fprintf(Out, "complete propagation: %u round(s), %u dead blocks "
+                 "removed\n",
+                 CR.Rounds, CR.BlocksRemoved);
+    std::fprintf(Out, "constant references: %u\n", CR.TotalConstantRefs);
+    PrintConstants(CR.FinalRound.Procs, false);
     if (ShowStats)
       std::fprintf(Out, "statistics (all rounds):\n%s",
                    formatStatsTable(CR.Stats).c_str());
   } else {
-    SingleResult = runIPCP(*M, Opts, &Guard);
-    const IPCPResult &R = *SingleResult;
+    const IPCPResult &R = *Run.Single;
     std::fprintf(Out,
                  "configuration: %s jump functions, return JFs %s, MOD %s%s\n",
                  jumpFunctionKindName(Opts.ForwardKind),
@@ -356,14 +356,7 @@ int main(int argc, char **argv) {
                  Opts.IntraproceduralOnly ? ", intraprocedural only" : "");
     std::fprintf(Out, "entry constants: %u, constant references: %u\n",
                  R.TotalEntryConstants, R.TotalConstantRefs);
-    for (const ProcedureResult &PR : R.Procs) {
-      std::fprintf(Out, "  CONSTANTS(%s) = {", PR.Name.c_str());
-      for (size_t I = 0; I != PR.EntryConstants.size(); ++I)
-        std::fprintf(Out, "%s%s=%lld", I ? ", " : "",
-                     PR.EntryConstants[I].first.c_str(),
-                     static_cast<long long>(PR.EntryConstants[I].second));
-      std::fprintf(Out, "}  [%u refs]\n", PR.ConstantRefs);
-    }
+    PrintConstants(R.Procs, true);
     if (ShowStats)
       std::fprintf(Out, "statistics:\n%s", formatStatsTable(R.Stats).c_str());
     if (R.UsedCache)
@@ -377,7 +370,7 @@ int main(int argc, char **argv) {
 
   if (Store) {
     std::string Error;
-    if (!Cache.save(*Store, SourceName, Opts, &Error))
+    if (!Cache.save(*Store, Req.Name, Opts, &Error))
       std::fprintf(stderr, "warning: cache not saved: %s\n", Error.c_str());
   }
 
@@ -391,7 +384,7 @@ int main(int argc, char **argv) {
     // of each call site (paper Sections 3.1/3.2), under --intra-only too.
     IPCPOptions DumpOpts = Opts;
     DumpOpts.IntraproceduralOnly = false;
-    ModuleAnalysis A(*M, DumpOpts);
+    ModuleAnalysis A(M, DumpOpts);
     buildJumpFunctions(A, DumpOpts);
     const CallGraph &CG = A.CG;
     const ForwardJumpFunctions &FJFs = A.Tables.FJFs;
@@ -431,12 +424,12 @@ int main(int argc, char **argv) {
   }
 
   if (DumpIR) {
-    if (Optimize)
+    if (Req.Optimize)
       std::fprintf(Out, "\n; === IR before optimization ===\n%s"
                    "\n; === IR after optimization ===\n%s",
-                   BeforeIR.c_str(), printModule(*M).c_str());
+                   BeforeIR.c_str(), printModule(M).c_str());
     else
-      std::fprintf(Out, "\n%s", printModule(*M).c_str());
+      std::fprintf(Out, "\n%s", printModule(M).c_str());
   }
 
   if (TraceOn) {
@@ -451,42 +444,5 @@ int main(int argc, char **argv) {
       }
     }
   }
-
-  PipelineStatus FinalStatus = Guard.status();
-  if (!ReportFile.empty()) {
-    AnalysisReport Report;
-    Report.SourceName = SourceName;
-    Report.M = M.get();
-    Report.Opts = &Opts;
-    Report.Single = SingleResult ? &*SingleResult : nullptr;
-    Report.Complete = CompleteResult ? &*CompleteResult : nullptr;
-    Report.Cloning = CloneResult ? &*CloneResult : nullptr;
-    Report.Optimization = OptResult ? &*OptResult : nullptr;
-    Report.TraceData = TraceOn ? &TraceData : nullptr;
-    Report.Status = &FinalStatus;
-    JsonValue Doc = buildAnalysisReport(Report);
-    if (ScrubTimings)
-      scrubReportTimings(Doc);
-    std::string Error;
-    if (!writeJsonFile(ReportFile, Doc, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 4;
-    }
-    if (ReportFile != "-")
-      std::printf("report written to %s\n", ReportFile.c_str());
-  }
-
-  if (Run) {
-    ExecutionResult Exec = interpret(*M);
-    std::fprintf(Out, "\nexecution: %s, %llu steps\n",
-                 Exec.ok() ? "ok" : Exec.TrapMessage.c_str(),
-                 static_cast<unsigned long long>(Exec.Steps));
-    for (ConstantValue V : Exec.Output)
-      std::fprintf(Out, "output: %lld\n", static_cast<long long>(V));
-  }
-  if (FinalStatus.Degraded) {
-    std::fprintf(stderr, "warning: %s\n", FinalStatus.Message.c_str());
-    return 5;
-  }
-  return 0;
+  return Finish(TraceOn ? &TraceData : nullptr);
 }

@@ -6,6 +6,8 @@
 
 #include "core/Report.h"
 
+#include "frontend/Parser.h"
+#include "ir/AstLower.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -228,6 +230,45 @@ JsonValue ipcp::buildAnalysisReport(const AnalysisReport &Report) {
   if (Status && Status->Degraded)
     Obj.set("degradation", statusToJson(*Status));
   return Obj;
+}
+
+bool RequestRun::compile(std::string_view Source) {
+  std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
+  if (!Ast)
+    return false;
+  M = lowerProgram(*Ast);
+  Guard.checkIRInstructions(M->instructionCount(), "lowering");
+  Guard.checkDeadline("lowering");
+  return true;
+}
+
+void RequestRun::run(SummaryCache *Cache) {
+  if (Req.Optimize)
+    Optimization = optimizeModule(*M, Req.Opts, Req.Passes, &Guard);
+  IPCPOptions Opts = Req.Opts;
+  Opts.Cache = Cache;
+  if (Req.Complete)
+    Complete = runCompletePropagation(*M, Opts, 8, &Guard);
+  else
+    Single = runIPCP(*M, Opts, &Guard);
+}
+
+JsonValue RequestRun::report(bool Scrub, const Trace *TraceData) const {
+  PipelineStatus Status = Guard.status();
+  AnalysisReport Report;
+  Report.SourceName = Req.Name;
+  Report.M = M.get();
+  Report.Opts = &Req.Opts;
+  Report.Single = Single ? &*Single : nullptr;
+  Report.Complete = Complete ? &*Complete : nullptr;
+  Report.Cloning = Cloning ? &*Cloning : nullptr;
+  Report.Optimization = Optimization ? &*Optimization : nullptr;
+  Report.TraceData = TraceData;
+  Report.Status = &Status;
+  JsonValue Doc = buildAnalysisReport(Report);
+  if (Scrub)
+    scrubReportTimings(Doc);
+  return Doc;
 }
 
 namespace {

@@ -13,6 +13,10 @@
 /// documented field by field in docs/OBSERVABILITY.md; tests round-trip
 /// it through the support/Json parser.
 ///
+/// Also the request path that ipcp_driver and the service share, from
+/// source text to that report (AnalysisRequest, RequestRun), so the
+/// service embeds the driver's report bytes by construction.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_CORE_REPORT_H
@@ -20,8 +24,13 @@
 
 #include "core/Cloning.h"
 #include "core/Pipeline.h"
+#include "support/Diagnostics.h"
 #include "support/Json.h"
 #include "transform/Transform.h"
+
+#include <memory>
+#include <optional>
+#include <string_view>
 
 namespace ipcp {
 
@@ -70,6 +79,53 @@ struct AnalysisReport {
 
 /// Builds the top-level "ipcp-report-v1" document.
 JsonValue buildAnalysisReport(const AnalysisReport &Report);
+
+/// One analysis request, as the driver's flags and the service's analyze
+/// and optimize ops state it.
+struct AnalysisRequest {
+  std::string Name; ///< the report's "source"
+  IPCPOptions Opts;
+  /// Complete propagation (analysis interleaved with DCE) instead of one
+  /// analysis.
+  bool Complete = false;
+  /// Run the transform pipeline, with Passes, before the analysis.
+  bool Optimize = false;
+  TransformPassConfig Passes;
+
+  /// A summary cache applies only to one analysis of the module as
+  /// lowered: complete propagation and the transform pipeline re-analyze
+  /// a rewritten module (docs/INCREMENTAL.md).
+  bool usesCache() const { return !Complete && !Optimize; }
+};
+
+/// The request path of ipcp_driver and the service: compile(), run(),
+/// report(). Between compile() and run() the driver may rewrite M
+/// (--clone, --integrate) and capture it (--dump-ir).
+struct RequestRun {
+  explicit RequestRun(const AnalysisRequest &R)
+      : Req(R), Guard(R.Opts.Limits) {}
+
+  /// Parses and checks \p Source under the guard, lowers it, and checks
+  /// the lowering budgets. False when the frontend rejected the source:
+  /// Diags says why, and a tripped guard makes it a degradation rather
+  /// than a source error.
+  bool compile(std::string_view Source);
+  /// Runs the transform pipeline when asked, then one analysis of M:
+  /// complete propagation, or runIPCP through \p Cache.
+  void run(SummaryCache *Cache);
+  /// The report of what ran, with the guard's final status; \p Scrub
+  /// zeroes its wall-clock fields.
+  JsonValue report(bool Scrub, const Trace *TraceData = nullptr) const;
+
+  const AnalysisRequest &Req; ///< outlives the run
+  ResourceGuard Guard;
+  DiagnosticsEngine Diags;
+  std::unique_ptr<Module> M; ///< null until compile() succeeds
+  std::optional<CloningResult> Cloning; ///< set by the driver's --clone
+  std::optional<OptimizationResult> Optimization;
+  std::optional<IPCPResult> Single;
+  std::optional<CompletePropagationResult> Complete;
+};
 
 /// Strips, in place, everything that may legitimately differ between a
 /// warm (summary-cache) and a cold run of the same analysis: timings,

@@ -6,10 +6,6 @@
 
 #include "core/ServiceEngine.h"
 
-#include "core/Pipeline.h"
-#include "core/Report.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
 #include "support/FaultInjection.h"
 #include "support/StableHash.h"
 
@@ -286,7 +282,7 @@ std::string ServiceEngine::sessionKeyFor(const ServiceRequest &Req) {
   // part of the resident key (exactly as it is part of the store's
   // logical names).
   if (Req.Op != ServiceRequest::Kind::Analyze || Req.Session.empty() ||
-      Req.Complete || Req.Optimize)
+      !Req.usesCache())
     return std::string();
   return Req.Session + '\x1f' + Req.Name + '\x1f' +
          SummaryCache::optionsFingerprint(Req.Opts);
@@ -297,8 +293,8 @@ unsigned ServiceEngine::bucketFor(const std::string &SessionKey) {
 }
 
 ServiceEngine::SessionTurn
-ServiceEngine::acquireSession(const ServiceRequest &Req) {
-  std::string Key = sessionKeyFor(Req);
+ServiceEngine::acquireSession(const ServiceRequest &Req,
+                              const std::string &Key) {
   SessionTurn Turn;
   bool Fresh = false;
   std::vector<std::shared_ptr<SessionState>> Evicted;
@@ -392,13 +388,8 @@ JsonValue ServiceEngine::analyze(const ServiceRequest &Req) {
 
 ServiceEngine::SessionTurn
 ServiceEngine::reserveTurn(const ServiceRequest &Req) {
-  // Session caching follows the driver's --cache-dir rule: single-run
-  // analyses only (complete propagation and the transform pipeline both
-  // re-analyze a mutated module).
-  if (Req.Op != ServiceRequest::Kind::Analyze || Req.Session.empty() ||
-      Req.Complete || Req.Optimize)
-    return SessionTurn();
-  return acquireSession(Req);
+  std::string Key = sessionKeyFor(Req);
+  return Key.empty() ? SessionTurn() : acquireSession(Req, Key);
 }
 
 JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
@@ -452,10 +443,7 @@ JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
 
 JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
                                        SessionState *Session) {
-  IPCPOptions Opts = Req.Opts;
-  bool Scrub = Req.ScrubTimings || Conf.ScrubTimings;
   JsonValue Body = JsonValue::object();
-
   std::string SourceText = Req.Source;
   if (!Req.Suite.empty() &&
       (!Conf.SuiteResolver || !Conf.SuiteResolver(Req.Suite, SourceText))) {
@@ -467,89 +455,38 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
     return Body;
   }
 
-  // From here on the request follows exactly the driver's code path
-  // (examples/ipcp_driver.cpp), so the embedded report is byte-identical
-  // to `ipcp_driver --report-json` for the same program and options.
-  ResourceGuard Guard(Opts.Limits);
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(SourceText, Diags, true, &Guard);
-  if (!Ast) {
-    if (!Guard.tripped()) {
-      bump(Errors);
-      Body.set("status", "error");
-      Body.set("error", serviceErrorObject("source-error", Diags.str()));
-      return Body;
-    }
-    // A frontend budget trip degrades the request (driver exit code 5):
-    // the response still carries a schema-valid, result-free report.
-    PipelineStatus Status = Guard.status();
-    AnalysisReport Report;
-    Report.SourceName = Req.Name;
-    Report.Opts = &Opts;
-    Report.Status = &Status;
-    JsonValue Doc = buildAnalysisReport(Report);
-    if (Scrub)
-      scrubReportTimings(Doc);
-    bump(Degraded);
-    Body.set("status", "degraded");
-    Body.set("report", std::move(Doc));
+  // A source error fails the request (driver exit code 3); a frontend
+  // budget trip only degrades it (exit code 5), and the response still
+  // carries a schema-valid, result-free report.
+  RequestRun Run(Req);
+  if (!Run.compile(SourceText) && !Run.Guard.tripped()) {
+    bump(Errors);
+    Body.set("status", "error");
+    Body.set("error", serviceErrorObject("source-error", Run.Diags.str()));
     return Body;
   }
-
-  std::unique_ptr<Module> M = lowerProgram(*Ast);
-  Guard.checkIRInstructions(M->instructionCount(), "lowering");
-  Guard.checkDeadline("lowering");
-
-  // Optimize requests run the transform pipeline first, then analyze the
-  // optimized module — the same order as `ipcp_driver --optimize`, so
-  // the embedded report (result + optimization blocks) stays
-  // byte-identical to the driver's. Session is always null here
-  // (reserveTurn refuses optimize requests).
-  std::optional<OptimizationResult> OptResult;
-  if (Req.Optimize)
-    OptResult = optimizeModule(*M, Opts, Req.Passes, &Guard);
-
-  // The write-behind tier was already consulted in acquireSession, on
-  // the ordering thread — doing it here would read the store at a
-  // scheduling-dependent moment and break byte determinism.
-  if (Session)
-    Opts.Cache = &Session->Cache;
-
-  std::optional<CompletePropagationResult> CompleteResult;
-  std::optional<IPCPResult> SingleResult;
-  if (Req.Complete)
-    CompleteResult = runCompletePropagation(*M, Opts, 8, &Guard);
-  else
-    SingleResult = runIPCP(*M, Opts, &Guard);
-
-  if (Session) {
-    if (Session->Cache.committed())
-      Session->Dirty = true;
-    if (SingleResult && SingleResult->UsedCache) {
-      bump(CacheHits, SingleResult->Stats.get(Counter::cache_hits));
-      bump(CacheMisses, SingleResult->Stats.get(Counter::cache_misses));
-      if (SingleResult->Stats.get(Counter::cache_hits) > 0)
-        bump(WarmHits);
+  if (Run.M) {
+    // The write-behind tier was already consulted in acquireSession, on
+    // the ordering thread — doing it here would read the store at a
+    // scheduling-dependent moment and break byte determinism.
+    Run.run(Session ? &Session->Cache : nullptr);
+    if (Session) {
+      if (Session->Cache.committed())
+        Session->Dirty = true;
+      const IPCPResult &R = *Run.Single; // sessions serve single analyses
+      if (R.UsedCache) {
+        bump(CacheHits, R.Stats.get(Counter::cache_hits));
+        bump(CacheMisses, R.Stats.get(Counter::cache_misses));
+        if (R.Stats.get(Counter::cache_hits) > 0)
+          bump(WarmHits);
+      }
     }
   }
 
-  PipelineStatus FinalStatus = Guard.status();
-  AnalysisReport Report;
-  Report.SourceName = Req.Name;
-  Report.M = M.get();
-  Report.Opts = &Opts;
-  Report.Single = SingleResult ? &*SingleResult : nullptr;
-  Report.Complete = CompleteResult ? &*CompleteResult : nullptr;
-  Report.Optimization = OptResult ? &*OptResult : nullptr;
-  Report.Status = &FinalStatus;
-  JsonValue Doc = buildAnalysisReport(Report);
-  if (Scrub)
-    scrubReportTimings(Doc);
-
-  if (FinalStatus.Degraded)
+  if (Run.Guard.tripped())
     bump(Degraded);
-  Body.set("status", FinalStatus.Degraded ? "degraded" : "ok");
-  Body.set("report", std::move(Doc));
+  Body.set("status", Run.Guard.tripped() ? "degraded" : "ok");
+  Body.set("report", Run.report(Req.ScrubTimings || Conf.ScrubTimings));
   return Body;
 }
 

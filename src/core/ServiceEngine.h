@@ -40,8 +40,9 @@
 ///
 ///  * driver-parity reports: an analyze response embeds exactly the
 ///    `ipcp-report-v1` document `ipcp_driver --report-json` writes for
-///    the same program and options — the differential tests and the CI
-///    service-smoke job byte-compare the two (after timing scrub);
+///    the same program and options. Parity holds by construction — both
+///    go from source text to report through RequestRun (core/Report.h)
+///    — and the `service_driver_parity` ctest pins it;
 ///
 ///  * the shard's counters, indexed by the stats table
 ///    (core/ServiceStats.def), which the dispatcher sums across shards.
@@ -60,10 +61,8 @@
 #ifndef IPCP_CORE_SERVICEENGINE_H
 #define IPCP_CORE_SERVICEENGINE_H
 
-#include "core/Options.h"
+#include "core/Report.h"
 #include "core/SummaryCache.h"
-#include "support/Json.h"
-#include "transform/Transform.h"
 
 #include <array>
 #include <atomic>
@@ -79,8 +78,12 @@ namespace ipcp {
 
 class ContentStore;
 
-/// One parsed `ipcp-service-v1` request line.
-struct ServiceRequest {
+/// One parsed `ipcp-service-v1` request line. An analyze request fills
+/// the AnalysisRequest base: Name (defaults to the suite name or
+/// "<request>"), Opts (the "options" object, and the "limits" object
+/// merged with the server's default budgets), Complete, and, for the
+/// `optimize` op, Optimize and Passes.
+struct ServiceRequest : AnalysisRequest {
   enum class Kind { Analyze, AnalyzeBatch, Stats, FlushCache, Shutdown };
   Kind Op = Kind::Analyze;
 
@@ -94,28 +97,11 @@ struct ServiceRequest {
   std::string Source;
   /// Name of a built-in suite program to analyze instead of Source.
   std::string Suite;
-  /// Report source name (defaults to the suite name or "<request>").
-  std::string Name;
   /// Resident-cache session key; empty disables the summary cache for
   /// this request.
   std::string Session;
-  /// Run complete propagation (analysis interleaved with DCE) instead of
-  /// a single analysis; such requests never use the cache (the driver's
-  /// rule for --complete).
-  bool Complete = false;
-  /// The `optimize` op: run the transform pipeline on the program, then
-  /// analyze the optimized module; the report gains an "optimization"
-  /// block. Parsed like analyze minus 'session'/'complete' (optimization
-  /// mutates the module, so such requests never use the session cache —
-  /// the driver's rule for --optimize).
-  bool Optimize = false;
-  /// Pass selection for optimize requests (the "passes" member).
-  TransformPassConfig Passes;
   /// Zero every wall-clock field in the embedded report.
   bool ScrubTimings = false;
-  /// Analysis configuration ("options" object) and effective budgets
-  /// ("limits" object merged with the server defaults).
-  IPCPOptions Opts;
 
   // -- analyze-batch -----------------------------------------------------
   std::vector<ServiceRequest> Batch;
@@ -251,7 +237,8 @@ public:
 
 private:
   JsonValue analyzeLocked(const ServiceRequest &Req, SessionState *Session);
-  SessionTurn acquireSession(const ServiceRequest &Req);
+  SessionTurn acquireSession(const ServiceRequest &Req,
+                             const std::string &Key);
   void evictOverflowSessions(unsigned Bucket,
                              std::vector<std::shared_ptr<SessionState>> &Out);
   unsigned persistSession(SessionState &S);

@@ -8,7 +8,6 @@
 #include "support/ConstantMath.h"
 #include "support/Diagnostics.h"
 #include "support/Statistics.h"
-#include "support/StringInterner.h"
 #include "support/ThreadPool.h"
 #include "support/Worklist.h"
 
@@ -81,34 +80,6 @@ TEST(Casting, ConstOverloads) {
   const Shape *S = &C;
   EXPECT_EQ(cast<Circle>(S), &C);
   EXPECT_EQ(dyn_cast<Square>(S), nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// StringInterner
-//===----------------------------------------------------------------------===//
-
-TEST(StringInterner, SameContentSameHandle) {
-  StringInterner Interner;
-  const std::string *A = Interner.intern("hello");
-  const std::string *B = Interner.intern(std::string("hel") + "lo");
-  EXPECT_EQ(A, B);
-  EXPECT_EQ(*A, "hello");
-  EXPECT_EQ(Interner.size(), 1u);
-}
-
-TEST(StringInterner, DistinctContentDistinctHandle) {
-  StringInterner Interner;
-  EXPECT_NE(Interner.intern("a"), Interner.intern("b"));
-  EXPECT_EQ(Interner.size(), 2u);
-}
-
-TEST(StringInterner, HandlesStayValidAcrossGrowth) {
-  StringInterner Interner;
-  const std::string *First = Interner.intern("first");
-  for (int I = 0; I != 1000; ++I)
-    Interner.intern("filler" + std::to_string(I));
-  EXPECT_EQ(First, Interner.intern("first"));
-  EXPECT_EQ(*First, "first");
 }
 
 //===----------------------------------------------------------------------===//

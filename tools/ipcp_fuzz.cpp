@@ -69,9 +69,7 @@
 #include "core/ServiceEngine.h"
 #include "core/ShardedService.h"
 #include "core/SummaryCache.h"
-#include "frontend/Parser.h"
 #include "interp/Interpreter.h"
-#include "ir/AstLower.h"
 #include "ir/Verifier.h"
 #include "support/ContentStore.h"
 #include "support/FaultInjection.h"
@@ -130,25 +128,22 @@ ResourceLimits fuzzLimits() {
 /// sanitizers' and the timeout's to catch.
 bool runOne(const std::string &Source, bool CheckOracle,
             std::string *Failure) {
-  IPCPOptions Opts;
-  Opts.Limits = fuzzLimits();
-  ResourceGuard Guard(Opts.Limits);
-
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
-  if (!Ast)
+  AnalysisRequest Req;
+  Req.Opts.Limits = fuzzLimits();
+  const IPCPOptions &Opts = Req.Opts;
+  RequestRun Run(Req);
+  if (!Run.compile(Source))
     return true; // rejected cleanly (syntax/sema error or frontend trip)
 
-  std::unique_ptr<Module> M = lowerProgram(*Ast);
+  Module *M = Run.M.get();
   std::vector<std::string> Violations = verifyModule(*M);
   if (!Violations.empty()) {
     *Failure = "verifier violation after lowering: " + Violations.front();
     return false;
   }
 
-  Guard.checkIRInstructions(M->instructionCount(), "lowering");
-  IPCPResult R = runIPCP(*M, Opts, &Guard);
-  if (R.Status.Degraded != Guard.tripped()) {
+  IPCPResult R = runIPCP(*M, Opts, &Run.Guard);
+  if (R.Status.Degraded != Run.Guard.tripped()) {
     *Failure = "degradation flag disagrees with the guard latch";
     return false;
   }

@@ -13,7 +13,8 @@
 //
 // The JSON report carries one "ipcp-report-v1" result per program plus
 // the three paper tables, so suite-wide trajectories can be produced
-// mechanically.
+// mechanically. With --report-json=-, stdout carries the report alone;
+// the diagnostics, tables and counters go to stderr.
 #include "core/Report.h"
 #include "core/SuiteRunner.h"
 #include "support/ContentStore.h"
@@ -100,18 +101,18 @@ int main(int argc, char **argv) {
   SuiteRunner Runner(Jobs);
   SuiteStudyResult Study = runSuiteStudy(
       Runner, !ReportFile.empty(), Store ? &*Store : nullptr, Opts.Engine);
+  std::FILE *Out = ReportFile == "-" ? stderr : stdout;
   for (const std::string &Message : Study.Messages)
-    if (!Message.empty())
-      std::printf("%s", Message.c_str());
+    std::fprintf(Out, "%s", Message.c_str());
 
-  std::printf("%s\n", formatTable1(Study.T1).c_str());
-  std::printf("%s\n", formatTable2(Study.T2).c_str());
-  std::printf("%s\n", formatTable3(Study.T3).c_str());
-  std::printf("failures: %d\n", Study.Failures);
+  std::fprintf(Out, "%s\n", formatTable1(Study.T1).c_str());
+  std::fprintf(Out, "%s\n", formatTable2(Study.T2).c_str());
+  std::fprintf(Out, "%s\n", formatTable3(Study.T3).c_str());
+  std::fprintf(Out, "failures: %d\n", Study.Failures);
 
   if (ShowStats)
-    std::printf("statistics (all programs):\n%s",
-                formatStatsTable(Study.Counters).c_str());
+    std::fprintf(Out, "statistics (all programs):\n%s",
+                 formatStatsTable(Study.Counters).c_str());
 
   if (TraceOn) {
     Trace::setActive(nullptr);
