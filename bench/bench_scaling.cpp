@@ -124,19 +124,14 @@ void BM_SuiteCached(benchmark::State &State) {
   // rerun (all summaries adopted, no propagation work).
   std::vector<SummaryCache> Caches(suiteModules().size());
   if (Warm)
-    for (size_t I = 0; I != suiteModules().size(); ++I) {
-      IPCPOptions Opts;
-      Opts.Cache = &Caches[I];
-      runIPCP(*suiteModules()[I], Opts);
-    }
+    for (size_t I = 0; I != suiteModules().size(); ++I)
+      runIPCP(*suiteModules()[I], {}, nullptr, &Caches[I]);
   for (auto _ : State) {
     unsigned Total = 0;
-    for (size_t I = 0; I != suiteModules().size(); ++I) {
-      IPCPOptions Opts;
-      if (Warm)
-        Opts.Cache = &Caches[I];
-      Total += runIPCP(*suiteModules()[I], Opts).TotalConstantRefs;
-    }
+    for (size_t I = 0; I != suiteModules().size(); ++I)
+      Total += runIPCP(*suiteModules()[I], {}, nullptr,
+                       Warm ? &Caches[I] : nullptr)
+                   .TotalConstantRefs;
     benchmark::DoNotOptimize(Total);
   }
 }
@@ -279,12 +274,11 @@ int main(int argc, char **argv) {
     }
     ++Edited;
     SummaryCache Cache;
-    IPCPOptions Warm;
-    Warm.Cache = &Cache;
-    runIPCP(M, Warm); // populate
-    uint64_t Rerun = runIPCP(M, Warm).Stats.get(Counter::prop_evaluations);
+    runIPCP(M, {}, nullptr, &Cache); // populate
+    uint64_t Rerun =
+        runIPCP(M, {}, nullptr, &Cache).Stats.get(Counter::prop_evaluations);
     std::unique_ptr<Module> EditedM = withEditedLeaf(M, Leaf);
-    IPCPResult WarmRes = runIPCP(*EditedM, Warm);
+    IPCPResult WarmRes = runIPCP(*EditedM, {}, nullptr, &Cache);
     IPCPResult ColdRes = runIPCP(*EditedM);
     uint64_t WE = WarmRes.Stats.get(Counter::prop_evaluations);
     uint64_t CE = ColdRes.Stats.get(Counter::prop_evaluations);

@@ -60,6 +60,17 @@ unsigned ipcp::removeTriviallyDeadInstructions(Procedure &P) {
   return Removed;
 }
 
+void ipcp::replaceOperands(
+    Procedure &P, const std::unordered_map<const Value *, Value *> &Subst) {
+  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
+    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+      for (unsigned I = 0, E = Inst->getNumOperands(); I != E; ++I) {
+        auto It = Subst.find(Inst->getOperand(I));
+        if (It != Subst.end())
+          Inst->setOperand(I, It->second);
+      }
+}
+
 unsigned ipcp::foldConstantExpressions(Procedure &P) {
   Module &M = *P.getModule();
   unsigned Folded = 0;
@@ -67,7 +78,7 @@ unsigned ipcp::foldConstantExpressions(Procedure &P) {
   while (Changed) {
     Changed = false;
     // Collect fold results first, then rewrite uses in one sweep.
-    std::unordered_map<const Value *, ConstantInt *> Subst;
+    std::unordered_map<const Value *, Value *> Subst;
     std::vector<Instruction *> ToErase;
     for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
       for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
@@ -89,13 +100,7 @@ unsigned ipcp::foldConstantExpressions(Procedure &P) {
     }
     if (Subst.empty())
       break;
-    for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-        for (unsigned I = 0, E = Inst->getNumOperands(); I != E; ++I) {
-          auto It = Subst.find(Inst->getOperand(I));
-          if (It != Subst.end())
-            Inst->setOperand(I, It->second);
-        }
+    replaceOperands(P, Subst);
     for (Instruction *Inst : ToErase) {
       Inst->getParent()->erase(Inst);
       ++Folded;
@@ -129,7 +134,7 @@ TransformStats ipcp::applyFacts(Module &M, const TransformFacts &Facts) {
     // Pass 1: substitute constant loads into their users in one sweep
     // (constants cannot cascade into new loads, so one pass suffices).
     std::vector<LoadInst *> ReplacedLoads;
-    std::unordered_map<const Value *, ConstantInt *> LoadSubst;
+    std::unordered_map<const Value *, Value *> LoadSubst;
     for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
       for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
         if (auto *Load = dyn_cast<LoadInst>(Inst.get())) {
@@ -141,13 +146,7 @@ TransformStats ipcp::applyFacts(Module &M, const TransformFacts &Facts) {
         }
 
     if (!LoadSubst.empty()) {
-      for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-        for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-          for (unsigned I = 0, E = Inst->getNumOperands(); I != E; ++I) {
-            auto It = LoadSubst.find(Inst->getOperand(I));
-            if (It != LoadSubst.end())
-              Inst->setOperand(I, It->second);
-          }
+      replaceOperands(*P, LoadSubst);
       for (LoadInst *Load : ReplacedLoads) {
         Load->getParent()->erase(Load);
         ++Stats.LoadsReplaced;

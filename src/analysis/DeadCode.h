@@ -67,6 +67,12 @@ struct TransformStats {
 /// Applies \p Facts to \p M (pre-SSA form) and cleans up.
 TransformStats applyFacts(Module &M, const TransformFacts &Facts);
 
+/// The one operand-substitution sweep: every operand of every
+/// instruction in \p P that \p Subst maps is rewritten to its image.
+/// Images must not themselves be keys (one sweep, no chasing).
+void replaceOperands(Procedure &P,
+                     const std::unordered_map<const Value *, Value *> &Subst);
+
 /// Deletes pure value-producing instructions with no uses, iteratively.
 /// Returns the number of instructions removed.
 unsigned removeTriviallyDeadInstructions(Procedure &P);

@@ -139,13 +139,8 @@ CloningResult ipcp::cloneForConstants(Module &M, const CloningOptions &Opts,
   if (!Guard)
     Guard = &LocalGuard;
   Result.InstructionsBefore = M.instructionCount();
-  // The before/after measurement runs must not consult (or restock) a
-  // summary cache: the module mutates between them.
-  CloningOptions MeasureOpts = Opts;
-  MeasureOpts.Analysis.Cache = nullptr;
-  const IPCPOptions &AnalysisOpts = MeasureOpts.Analysis;
   {
-    IPCPResult Before = runIPCP(M, AnalysisOpts, Guard);
+    IPCPResult Before = runIPCP(M, Opts.Analysis, Guard);
     Result.RefsBefore = Before.TotalConstantRefs;
     Result.ConstantsBefore = Before.TotalEntryConstants;
   }
@@ -204,7 +199,7 @@ CloningResult ipcp::cloneForConstants(Module &M, const CloningOptions &Opts,
   }
 
   {
-    IPCPResult After = runIPCP(M, AnalysisOpts, Guard);
+    IPCPResult After = runIPCP(M, Opts.Analysis, Guard);
     Result.RefsAfter = After.TotalConstantRefs;
     Result.ConstantsAfter = After.TotalEntryConstants;
   }

@@ -18,10 +18,10 @@ std::string SymExpr::str() const {
   case Kind::Formal:
     return Var->getName();
   case Kind::Binary:
-    return "(" + L->str() + " " + binaryOpSpelling(BinOp) + " " + R->str() +
+    return '(' + L->str() + " " + binaryOpSpelling(BinOp) + " " + R->str() +
            ")";
   case Kind::Unary:
-    return "(" + std::string(unaryOpSpelling(UnOp)) + L->str() + ")";
+    return '(' + std::string(unaryOpSpelling(UnOp)) + L->str() + ")";
   }
   return "?";
 }

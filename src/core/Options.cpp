@@ -251,7 +251,7 @@ std::string ipcp::optionHelp(unsigned Surface, unsigned Group) {
       continue;
     std::string Line = std::string("  ") + Row.Flag;
     for (size_t I = 0; I != Row.Choices.size(); ++I)
-      Line += (I ? "|" : "=") + std::string(Row.Choices[I].Spelling);
+      Line += (I ? '|' : '=') + std::string(Row.Choices[I].Spelling);
     if (Row.Type == OptionType::Count)
       Line += "=N";
     Line += Line.size() + 2 > Column ? "\n" + std::string(Column, ' ')

@@ -31,7 +31,6 @@
 namespace ipcp {
 
 class JsonValue;
-class SummaryCache;
 
 /// The four forward jump function classes, in increasing order of power.
 /// Each class propagates a superset of the constants of its predecessor
@@ -120,13 +119,14 @@ struct IPCPOptions {
   /// formulation [7]) instead of the per-procedure call-graph worklist.
   /// Both compute the same fixpoint; the binding graph re-evaluates only
   /// the jump functions whose support actually changed. Applies to the
-  /// Jump engine only; Engine == Contexts takes precedence.
+  /// Jump engine only; Engine == Contexts takes precedence. Runs without
+  /// the summary cache (SummaryCache::models).
   bool UseBindingGraphPropagator = false;
 
   /// Which propagation engine to run (--engine=jump|contexts). The
-  /// contexts engine runs cache-less (like the binding-graph propagator,
-  /// the summary format does not model it) and ignores Schedule — its
-  /// worklist is over contexts, not procedures.
+  /// contexts engine runs without the summary cache
+  /// (SummaryCache::models) and ignores Schedule — its worklist is over
+  /// contexts, not procedures.
   PropagationEngine Engine = PropagationEngine::Jump;
 
   /// Context-count budget for the contexts engine. Once this many
@@ -141,17 +141,6 @@ struct IPCPOptions {
   /// Name of the entry procedure; its globals start at their initial
   /// value (zero) on the virtual entry edge.
   const char *EntryProcedure = "main";
-
-  /// Persistent summary store for incremental analysis (null = every run
-  /// is cold). Owned by the caller; runIPCP reads entries whose keys
-  /// still validate, stages fresh ones, and commits the staged set only
-  /// when the run finishes un-degraded. Ignored (left untouched) by
-  /// configurations the cache does not model: IntraproceduralOnly runs,
-  /// the binding-graph propagator and the contexts engine fall back to
-  /// cold analysis. The FIFO schedule uses the cache but adopts only
-  /// jump-function summaries: it adopts no cached VAL and replays no
-  /// record stage. See docs/INCREMENTAL.md.
-  SummaryCache *Cache = nullptr;
 
   /// Resource budgets for the run (all unlimited by default). When a
   /// budget trips, the pipeline degrades gracefully: it stops the

@@ -14,8 +14,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <optional>
 #include <unordered_set>
 
@@ -277,9 +275,7 @@ public:
         if (LV.isTop())
           continue;
         E.Val.push_back({SummaryCache::varRef(Row.Vars[I]),
-                         LV.isConstant()
-                             ? "c:" + std::to_string(LV.getConstant())
-                             : std::string("bot")});
+                         SummaryCache::valueString(LV)});
       }
       std::sort(E.Val.begin(), E.Val.end());
       auto RC = Records.find(P);
@@ -440,9 +436,9 @@ private:
       // have been seeded with.
       std::vector<std::string> Expected;
       for (unsigned I : E.ModFormals)
-        Expected.push_back("F" + std::to_string(I));
-      for (const std::string &Name : E.ModGlobals)
-        Expected.push_back("G:" + Name);
+        Expected.push_back(SummaryCache::varRef(P->formals()[I]));
+      for (Variable *G : MRI.modifiedGlobals(P))
+        Expected.push_back(SummaryCache::varRef(G));
       std::sort(Expected.begin(), Expected.end());
       std::vector<std::string> Got;
       for (const auto &[Ref, Text] : E.ReturnJFs)
@@ -516,18 +512,8 @@ private:
       if (Var->isGlobal() && !Ext.count(Var))
         return false;
       LatticeValue LV;
-      if (Text == "bot") {
-        LV = LatticeValue::bottom();
-      } else if (Text.size() > 2 && Text[0] == 'c' && Text[1] == ':') {
-        errno = 0;
-        char *End = nullptr;
-        long long V = std::strtoll(Text.c_str() + 2, &End, 10);
-        if (errno != 0 || !End || *End != '\0')
-          return false;
-        LV = LatticeValue::constant(V);
-      } else {
+      if (!SummaryCache::parseValue(Text, LV))
         return false;
-      }
       Out.push_back({Var, LV});
     }
     return true;
@@ -584,7 +570,7 @@ void ipcp::buildJumpFunctions(ModuleAnalysis &A, const IPCPOptions &Opts,
   const CallGraph &CG = A.CG;
   const ModRefInfo &MRI = A.MRI;
   JumpFunctionTables &Tables = A.Tables;
-  IncrementalEngine *Cache = Tables.Cache;
+  IncrementalEngine *Cache = Tables.Incremental;
   Timer IntraTimer;
   double LiftSeconds = 0;
 
@@ -677,7 +663,7 @@ void ipcp::buildJumpFunctions(ModuleAnalysis &A, const IPCPOptions &Opts,
 }
 
 IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
-                         ResourceGuard *Guard) {
+                         ResourceGuard *Guard, SummaryCache *Cache) {
   IPCPResult Result;
   Timer Total;
   ScopedTraceSpan RunSpan("ipcp");
@@ -712,11 +698,7 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   Result.Stats.add(Counter::time_modref_us, A.ModRefUs);
   const ModRefInfo &MRI = A.MRI;
 
-  // The cache only models the configurations the summary format covers;
-  // others silently run the ordinary cold path (see Options.h).
-  SummaryCache *Cache = Opts.Cache;
-  if (Cache && (Opts.IntraproceduralOnly || Opts.UseBindingGraphPropagator ||
-                Opts.Engine == PropagationEngine::Contexts))
+  if (!SummaryCache::models(Opts))
     Cache = nullptr;
   Result.UsedCache = Cache != nullptr;
 
@@ -724,8 +706,8 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   JumpFunctionTables &Tables = A.Tables;
   std::optional<IncrementalEngine> Inc;
   if (Cache)
-    Tables.Cache = &Inc.emplace(*Cache, CG, MRI, Opts, Result.Stats, *Guard,
-                                Tables);
+    Tables.Incremental =
+        &Inc.emplace(*Cache, CG, MRI, Opts, Result.Stats, *Guard, Tables);
   buildJumpFunctions(A, Opts, Guard);
   Result.Stats.merge(Tables.Stats);
 
@@ -871,54 +853,61 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
   return Result;
 }
 
+/// Round cap for the analyze-substitute loop (the paper's
+/// complete-propagation experiment converged after one extra round; the
+/// cap only guards adversarial inputs).
+constexpr unsigned MaxSubstitutionRounds = 8;
+
+SubstitutionResult ipcp::substituteConstants(Module &M,
+                                             const IPCPOptions &Opts,
+                                             bool UntilNoDeadCode,
+                                             ResourceGuard &Guard) {
+  SubstitutionResult Result;
+  while (Result.Rounds < MaxSubstitutionRounds) {
+    ScopedTraceSpan RoundSpan("round", std::to_string(++Result.Rounds));
+    Result.LastRound = runIPCP(M, Opts, &Guard);
+    Result.Stats.merge(Result.LastRound.Stats);
+    TransformStats TS = applyFacts(M, Result.LastRound.Facts);
+    Result.Applied.LoadsReplaced += TS.LoadsReplaced;
+    Result.Applied.BranchesFolded += TS.BranchesFolded;
+    Result.Applied.BlocksRemoved += TS.BlocksRemoved;
+    Result.Applied.InstsRemoved += TS.InstsRemoved;
+    Result.Applied.ExprsFolded += TS.ExprsFolded;
+    if (Guard.tripped() ||
+        !(UntilNoDeadCode ? TS.foundDeadCode() : TS.changedAnything()))
+      break;
+  }
+  return Result;
+}
+
 CompletePropagationResult
 ipcp::runCompletePropagation(const Module &M, const IPCPOptions &Opts,
-                             unsigned MaxRounds, ResourceGuard *Guard) {
+                             ResourceGuard *Guard) {
   CompletePropagationResult Result;
   ScopedTraceSpan CompleteSpan("complete-propagation");
   std::unique_ptr<Module> Working = M.clone();
-  std::unordered_set<uint64_t> CountedLoads;
-
-  // Replayed procedures contribute no substitution facts, so the
-  // analyze-substitute rounds must run cache-less (Pipeline.h).
-  IPCPOptions RoundOpts = Opts;
-  RoundOpts.Cache = nullptr;
 
   // One guard spans every round, so a deadline bounds the whole
   // experiment rather than restarting per round.
   ResourceGuard LocalGuard(Opts.Limits);
   if (!Guard)
     Guard = &LocalGuard;
-
-  for (unsigned Round = 0; Round < MaxRounds; ++Round) {
-    ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
-    IPCPResult RoundResult = runIPCP(*Working, RoundOpts, Guard);
-    ++Result.Rounds;
-    for (const auto &[LoadId, Value] : RoundResult.Facts.ConstantLoads)
-      CountedLoads.insert(LoadId);
-    Result.TotalConstantRefs = CountedLoads.size();
-
-    TransformStats TS = applyFacts(*Working, RoundResult.Facts);
-    Result.BlocksRemoved += TS.BlocksRemoved;
-    Result.Stats.merge(RoundResult.Stats);
-    Result.Stats.add(Counter::cp_loads_replaced, TS.LoadsReplaced);
-    Result.Stats.add(Counter::cp_branches_folded, TS.BranchesFolded);
-    Result.Stats.add(Counter::cp_blocks_removed, TS.BlocksRemoved);
-    Result.Stats.add(Counter::cp_insts_removed, TS.InstsRemoved);
-    Result.FinalRound = std::move(RoundResult);
-
-    // A tripped budget ends the experiment with the rounds completed so
-    // far (the facts already applied stay sound).
-    if (Guard->tripped()) {
-      Result.Status = Guard->status();
-      break;
-    }
-
-    // Paper: "In each case, only one pass of dead code elimination was
-    // needed" — we loop until quiescence anyway.
-    if (!TS.foundDeadCode())
-      break;
-  }
-  Result.Stats.add(Counter::cp_rounds, Result.Rounds);
+  // Paper: "In each case, only one pass of dead code elimination was
+  // needed" — the loop runs until a round finds none anyway.
+  SubstitutionResult SR = substituteConstants(*Working, Opts, true, *Guard);
+  Result.Rounds = SR.Rounds;
+  Result.TotalConstantRefs = SR.Applied.LoadsReplaced;
+  Result.BlocksRemoved = SR.Applied.BlocksRemoved;
+  Result.Stats = std::move(SR.Stats);
+  Result.Stats.add(Counter::cp_rounds, SR.Rounds);
+  Result.Stats.add(Counter::cp_loads_replaced, SR.Applied.LoadsReplaced);
+  Result.Stats.add(Counter::cp_branches_folded, SR.Applied.BranchesFolded);
+  Result.Stats.add(Counter::cp_blocks_removed, SR.Applied.BlocksRemoved);
+  Result.Stats.add(Counter::cp_insts_removed, SR.Applied.InstsRemoved);
+  Result.FinalRound = std::move(SR.LastRound);
+  // A tripped budget ends the experiment with the rounds completed so far
+  // (the facts already applied stay sound).
+  if (Guard->tripped())
+    Result.Status = Guard->status();
   return Result;
 }

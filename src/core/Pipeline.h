@@ -23,9 +23,9 @@
 ///     effectiveness measure the paper reports in Tables 2 and 3.
 ///
 /// runCompletePropagation additionally interleaves dead code elimination
-/// and re-runs the analysis from scratch until no new dead code appears
-/// (Table 3, "Complete Propagation"). runIPCP with IntraproceduralOnly
-/// gives the Table 3 intraprocedural baseline.
+/// (substituteConstants) and re-runs the analysis until no new dead code
+/// appears (Table 3, "Complete Propagation"). runIPCP with
+/// IntraproceduralOnly gives the Table 3 intraprocedural baseline.
 ///
 /// Both drivers are *total*: they honor the resource budgets in
 /// IPCPOptions::Limits (or an externally supplied ResourceGuard) and,
@@ -51,6 +51,7 @@
 namespace ipcp {
 
 class IncrementalEngine;
+class SummaryCache;
 
 /// What stages 1-2 produce for one module: every procedure's SSA form,
 /// the return jump functions and the forward jump functions of every call
@@ -72,7 +73,7 @@ struct JumpFunctionTables {
 
   /// The summary-cache hooks runIPCP installs on a cached run; null
   /// everywhere else.
-  IncrementalEngine *Cache = nullptr;
+  IncrementalEngine *Incremental = nullptr;
 
   /// \p P's SSA form, constructed on first request.
   const SSAResult &ssaOf(Procedure *P, const ModRefInfo &MRI);
@@ -97,7 +98,7 @@ public:
 };
 
 /// Stages 1-2 of the analyzer (Section 4.1), the one place they are
-/// built. SSA comes first, in module order; with Tables.Cache set, a
+/// built. SSA comes first, in module order; with Tables.Incremental set, a
 /// procedure whose body still matches its cache entry waits until its
 /// component misses. Stage 1 then walks the SCCs bottom-up: a component
 /// is either adopted from the cache or has bottoms seeded for every
@@ -146,11 +147,11 @@ struct IPCPResult {
   /// Phase timings (microseconds) and work counters.
   StatisticSet Stats;
 
-  /// True when this run consulted a summary cache (Options::Cache was
-  /// set and the configuration is cacheable). The cache_* counters in
-  /// Stats and the report's "cache" object are emitted exactly when this
-  /// is set. Note: replayed procedures contribute no entries to Facts —
-  /// complete propagation therefore always runs cache-less.
+  /// True when this run consulted a summary cache (one was passed and
+  /// SummaryCache::models the options). The cache_* counters in Stats and
+  /// the report's "cache" object are emitted exactly when this is set.
+  /// Note: replayed procedures contribute no entries to Facts — the
+  /// substitution rounds therefore always run cache-less.
   bool UsedCache = false;
 
   /// Whether the run completed or degraded under a resource budget. A
@@ -177,9 +178,29 @@ struct IPCPResult {
 /// Runs one full analysis of \p M under \p Opts. \p M is not modified.
 /// When \p Guard is null a run-local guard is created from Opts.Limits;
 /// pass an external guard to share one deadline across several pipeline
-/// calls (the complete-propagation rounds do this internally).
+/// calls (the substitution rounds do this). A non-null \p Cache makes the
+/// run incremental when SummaryCache::models(Opts) (docs/INCREMENTAL.md);
+/// other configurations run cold and leave it untouched.
 IPCPResult runIPCP(const Module &M, const IPCPOptions &Opts = {},
-                   ResourceGuard *Guard = nullptr);
+                   ResourceGuard *Guard = nullptr,
+                   SummaryCache *Cache = nullptr);
+
+/// Rounds run, applyFacts' changes summed over them, every round's
+/// counters, and the last round's result.
+struct SubstitutionResult {
+  unsigned Rounds = 0;
+  TransformStats Applied;
+  StatisticSet Stats;
+  IPCPResult LastRound;
+};
+
+/// The analyze-substitute loop: runIPCP on \p M, then applyFacts to \p M
+/// (sound even in a round that tripped \p Guard). Stops at the round cap,
+/// on a trip, or after a round that removes no block (UntilNoDeadCode:
+/// complete propagation) or changes nothing (the constants pass).
+SubstitutionResult substituteConstants(Module &M, const IPCPOptions &Opts,
+                                       bool UntilNoDeadCode,
+                                       ResourceGuard &Guard);
 
 /// Result of the iterated analyze-substitute-eliminate experiment.
 struct CompletePropagationResult {
@@ -188,7 +209,8 @@ struct CompletePropagationResult {
 
   /// Distinct variable references proven constant across all rounds —
   /// comparable to (and never less than) a single run's
-  /// TotalConstantRefs.
+  /// TotalConstantRefs: the sum of the rounds' LoadsReplaced, since a
+  /// round deletes every load it proves.
   unsigned TotalConstantRefs = 0;
 
   /// Dead blocks removed over all rounds.
@@ -206,13 +228,13 @@ struct CompletePropagationResult {
   PipelineStatus Status;
 };
 
-/// Iterates runIPCP + applyFacts on a scratch copy of \p M until dead
-/// code elimination finds nothing new (paper: one extra round sufficed).
-/// All rounds share one ResourceGuard (from \p Guard or Opts.Limits), so
-/// a deadline bounds the whole experiment, not each round.
+/// substituteConstants on a scratch copy of \p M until dead code
+/// elimination finds nothing new (paper: one extra round sufficed). All
+/// rounds share one ResourceGuard (from \p Guard or Opts.Limits), so a
+/// deadline bounds the whole experiment, not each round.
 CompletePropagationResult
 runCompletePropagation(const Module &M, const IPCPOptions &Opts = {},
-                       unsigned MaxRounds = 8, ResourceGuard *Guard = nullptr);
+                       ResourceGuard *Guard = nullptr);
 
 } // namespace ipcp
 

@@ -245,12 +245,10 @@ bool RequestRun::compile(std::string_view Source) {
 void RequestRun::run(SummaryCache *Cache) {
   if (Req.Optimize)
     Optimization = optimizeModule(*M, Req.Opts, Req.Passes, &Guard);
-  IPCPOptions Opts = Req.Opts;
-  Opts.Cache = Cache;
   if (Req.Complete)
-    Complete = runCompletePropagation(*M, Opts, 8, &Guard);
+    Complete = runCompletePropagation(*M, Req.Opts, &Guard);
   else
-    Single = runIPCP(*M, Opts, &Guard);
+    Single = runIPCP(*M, Req.Opts, &Guard, Cache);
 }
 
 JsonValue RequestRun::report(bool Scrub, const Trace *TraceData) const {

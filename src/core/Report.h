@@ -24,6 +24,7 @@
 
 #include "core/Cloning.h"
 #include "core/Pipeline.h"
+#include "core/SummaryCache.h"
 #include "support/Diagnostics.h"
 #include "support/Json.h"
 #include "transform/Transform.h"
@@ -93,9 +94,11 @@ struct AnalysisRequest {
   TransformPassConfig Passes;
 
   /// A summary cache applies only to one analysis of the module as
-  /// lowered: complete propagation and the transform pipeline re-analyze
-  /// a rewritten module (docs/INCREMENTAL.md).
-  bool usesCache() const { return !Complete && !Optimize; }
+  /// lowered, under options it models: complete propagation and the
+  /// transform pipeline re-analyze a rewritten module.
+  bool usesCache() const {
+    return !Complete && !Optimize && SummaryCache::models(Opts);
+  }
 };
 
 /// The request path of ipcp_driver and the service: compile(), run(),

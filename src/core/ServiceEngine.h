@@ -165,7 +165,7 @@ public:
   /// Issues the session turn for an analyze request. Call on the thread
   /// that orders requests (the dispatcher's reader), in arrival order;
   /// returns an empty turn for requests that do not use the session
-  /// cache (no session, or complete propagation).
+  /// cache: no session, or !AnalysisRequest::usesCache().
   SessionTurn reserveTurn(const ServiceRequest &Req);
 
   /// The resident-session key of an analyze request — session name,

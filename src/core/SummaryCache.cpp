@@ -13,6 +13,7 @@
 #include "support/StableHash.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <optional>
 
@@ -33,18 +34,21 @@ std::string SummaryCache::optionsFingerprint(const IPCPOptions &Opts) {
   return FP;
 }
 
+bool SummaryCache::models(const IPCPOptions &Opts) {
+  return !Opts.IntraproceduralOnly && !Opts.UseBindingGraphPropagator &&
+         Opts.Engine != PropagationEngine::Contexts;
+}
+
 //===----------------------------------------------------------------------===//
-// Variable reference codec
+// Variable reference and value codecs
 //===----------------------------------------------------------------------===//
 
 std::string SummaryCache::varRef(const Variable *V) {
   if (!V)
     return "?";
-  if (V->isFormal())
-    return "F" + std::to_string(V->getFormalIndex());
-  if (V->isGlobal())
-    return "G:" + V->getName();
-  return "L:" + V->getName();
+  std::string Ref = V->isFormal() ? "F" : V->isGlobal() ? "G:" : "L:";
+  Ref += V->isFormal() ? std::to_string(V->getFormalIndex()) : V->getName();
+  return Ref;
 }
 
 Variable *SummaryCache::resolveVarRef(const std::string &Ref,
@@ -69,6 +73,30 @@ Variable *SummaryCache::resolveVarRef(const std::string &Ref,
   return nullptr;
 }
 
+std::string SummaryCache::valueString(LatticeValue V) {
+  if (!V.isConstant())
+    return "bot";
+  std::string Text = "c:";
+  Text += std::to_string(V.getConstant());
+  return Text;
+}
+
+bool SummaryCache::parseValue(const std::string &Text, LatticeValue &V) {
+  if (Text == "bot") {
+    V = LatticeValue::bottom();
+    return true;
+  }
+  if (Text.size() <= 2 || Text[0] != 'c' || Text[1] != ':')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  long long N = std::strtoll(Text.c_str() + 2, &End, 10);
+  if (errno != 0 || !End || *End != '\0')
+    return false;
+  V = LatticeValue::constant(N);
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Expression codec
 //===----------------------------------------------------------------------===//
@@ -78,7 +106,8 @@ namespace {
 void renderExpr(const SymExpr *E, std::string &Out) {
   switch (E->getKind()) {
   case SymExpr::Kind::Const:
-    Out += "C" + std::to_string(E->getConst());
+    Out += 'C';
+    Out += std::to_string(E->getConst());
     return;
   case SymExpr::Kind::Formal:
     Out += SummaryCache::varRef(E->getFormal());

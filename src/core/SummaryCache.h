@@ -161,11 +161,21 @@ public:
   /// into the cache key and the on-disk payload.
   static std::string optionsFingerprint(const IPCPOptions &Opts);
 
+  /// The one cache rule: false for IntraproceduralOnly, the binding-graph
+  /// propagator and the contexts engine, which runIPCP runs cold. The
+  /// FIFO schedule is modeled but adopts only jump-function summaries:
+  /// no cached VAL, no record-stage replay.
+  static bool models(const IPCPOptions &Opts);
+
   /// Variable reference codec: "F<i>" (formal of the owning procedure,
   /// by position), "G:<name>" (global), "L:<name>" (local). Resolution
   /// returns null on any mismatch with the current module.
   static std::string varRef(const Variable *V);
   static Variable *resolveVarRef(const std::string &Ref, Procedure *Owner);
+
+  /// VAL value codec: "c:<n>" or "bot"; parseValue rejects anything else.
+  static std::string valueString(LatticeValue V);
+  static bool parseValue(const std::string &Text, LatticeValue &V);
 
   /// Expression codec (prefix, space-separated): "_" bottom, "C<n>"
   /// constant, variable refs as above, "(<op> L R)" binary with the

@@ -46,7 +46,7 @@ std::string ipcp::printValueRef(const Value *V) {
   if (isa<UndefValue>(V))
     return "undef";
   const auto *Inst = cast<Instruction>(V);
-  return "%" + std::to_string(Inst->getId());
+  return '%' + std::to_string(Inst->getId());
 }
 
 std::string ipcp::printInstruction(const Instruction *Inst) {
@@ -57,7 +57,7 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
     const auto *Bin = cast<BinaryInst>(Inst);
     Def();
     Out += binaryOpName(Bin->getOp());
-    Out += " " + printValueRef(Bin->getLHS()) + ", " +
+    Out += ' ' + printValueRef(Bin->getLHS()) + ", " +
            printValueRef(Bin->getRHS());
     break;
   }
@@ -106,7 +106,7 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
     for (unsigned I = 0, E = Phi->getNumIncoming(); I != E; ++I) {
       if (I)
         Out += ", ";
-      Out += "[" + printValueRef(Phi->getIncomingValue(I)) + ", " +
+      Out += '[' + printValueRef(Phi->getIncomingValue(I)) + ", " +
              Phi->getIncomingBlock(I)->getName() + "]";
     }
     break;
@@ -179,7 +179,7 @@ std::string ipcp::printModule(const Module &M) {
   for (const Variable *G : M.globals()) {
     Out += "global " + G->getName();
     if (G->isArray())
-      Out += "[" + std::to_string(G->getArraySize()) + "]";
+      Out += '[' + std::to_string(G->getArraySize()) + "]";
     Out += "\n";
   }
   for (const std::unique_ptr<Procedure> &P : M.procedures()) {

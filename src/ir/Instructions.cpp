@@ -9,9 +9,3 @@
 using namespace ipcp;
 
 Instruction::~Instruction() = default;
-
-void Instruction::replaceUsesOfWith(Value *From, Value *To) {
-  for (unsigned I = 0, E = Operands.size(); I != E; ++I)
-    if (Operands[I] == From)
-      Operands[I] = To;
-}

@@ -58,9 +58,6 @@ public:
   }
   const std::vector<Value *> &operands() const { return Operands; }
 
-  /// Replaces every occurrence of \p From in the operand list with \p To.
-  void replaceUsesOfWith(Value *From, Value *To);
-
   /// True for Branch, CondBranch, and Ret.
   bool isTerminator() const {
     return getKind() == ValueKind::Branch ||

@@ -19,11 +19,6 @@
 
 using namespace ipcp;
 
-/// Round cap for the constant-substitution fixpoint (the paper's
-/// complete-propagation experiment converged after one extra round; the
-/// cap only guards adversarial inputs).
-constexpr unsigned MaxSubstitutionRounds = 8;
-
 bool ipcp::parsePassSpec(const std::string &Spec, TransformPassConfig &Config,
                          std::string *Error) {
   Config.ConstantSubstitution = false;
@@ -56,8 +51,7 @@ unsigned ipcp::propagateCopies(Module &M, const ModRefInfo &MRI) {
 
     // Forwarded load -> replacement value. Every value placed in Avail is
     // itself fully resolved (never a load scheduled for deletion), so one
-    // operand-rewrite sweep suffices — the same discipline applyFacts
-    // uses for constant substitution.
+    // replaceOperands sweep suffices.
     std::unordered_map<const Value *, Value *> LoadSubst;
     std::vector<LoadInst *> ForwardedLoads;
 
@@ -103,13 +97,7 @@ unsigned ipcp::propagateCopies(Module &M, const ModRefInfo &MRI) {
 
     if (LoadSubst.empty())
       continue;
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-        for (unsigned I = 0, E = Inst->getNumOperands(); I != E; ++I) {
-          auto It = LoadSubst.find(Inst->getOperand(I));
-          if (It != LoadSubst.end())
-            Inst->setOperand(I, It->second);
-        }
+    replaceOperands(*P, LoadSubst);
     for (LoadInst *Ld : ForwardedLoads) {
       Ld->getParent()->erase(Ld);
       ++Forwarded;
@@ -130,11 +118,6 @@ OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
   Timer Total;
   Result.InstructionsBefore = M.instructionCount();
 
-  // Replayed procedures contribute no substitution facts, so the
-  // analyze-substitute rounds must run cache-less (Pipeline.h).
-  IPCPOptions RoundOpts = Opts;
-  RoundOpts.Cache = nullptr;
-
   // One guard spans every pass and round, so a deadline bounds the whole
   // optimization rather than restarting per round.
   ResourceGuard LocalGuard(Opts.Limits);
@@ -144,29 +127,16 @@ OptimizationResult ipcp::optimizeModule(Module &M, const IPCPOptions &Opts,
   if (Config.ConstantSubstitution) {
     ScopedTraceSpan PassSpan("constant-substitution");
     Timer PassTimer;
-    for (unsigned Round = 0; Round < MaxSubstitutionRounds; ++Round) {
-      ScopedTraceSpan RoundSpan("round", std::to_string(Round + 1));
-      IPCPResult RoundResult = runIPCP(M, RoundOpts, Guard);
-      ++Result.Rounds;
-      Result.Stats.merge(RoundResult.Stats);
-
-      // Facts from a degraded round are still sound (a cut-short
-      // propagation discards its too-optimistic map entirely), so apply
-      // whatever this round proved before stopping.
-      TransformStats TS = applyFacts(M, RoundResult.Facts);
-      Result.Substitutions += TS.LoadsReplaced;
-      Result.Folds += TS.ExprsFolded;
-      Result.BranchesResolved += TS.BranchesFolded;
-      Result.BlocksRemoved += TS.BlocksRemoved;
-      Result.InstsRemoved += TS.LoadsReplaced + TS.InstsRemoved;
-
-      if (Guard->tripped()) {
-        Result.Status = Guard->status();
-        break;
-      }
-      if (!TS.changedAnything())
-        break;
-    }
+    SubstitutionResult SR = substituteConstants(M, Opts, false, *Guard);
+    Result.Rounds = SR.Rounds;
+    Result.Stats.merge(SR.Stats);
+    Result.Substitutions = SR.Applied.LoadsReplaced;
+    Result.Folds = SR.Applied.ExprsFolded;
+    Result.BranchesResolved = SR.Applied.BranchesFolded;
+    Result.BlocksRemoved = SR.Applied.BlocksRemoved;
+    Result.InstsRemoved = SR.Applied.LoadsReplaced + SR.Applied.InstsRemoved;
+    if (Guard->tripped())
+      Result.Status = Guard->status();
     Result.PassTimings.push_back({"constants", elapsedUs(PassTimer)});
   }
 

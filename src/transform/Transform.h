@@ -13,13 +13,13 @@
 ///
 /// Two passes, in order:
 ///
-///  1. constant substitution + folding ("constants"): iterate the full
-///     interprocedural analysis and applyFacts *on the module itself*
-///     (not a working copy) until quiescence — every load proven
-///     constant becomes a literal, expressions over literals fold,
-///     constant branches resolve, and unreachable blocks disappear.
-///     This is runCompletePropagation made real: the rewritten module is
-///     the result, not just the counters.
+///  1. constant substitution + folding ("constants"): substituteConstants
+///     (core/Pipeline.h) *on the module itself* (not a working copy)
+///     until a round changes nothing — every load proven constant becomes
+///     a literal, expressions over literals fold, constant branches
+///     resolve, and unreachable blocks disappear. This is
+///     runCompletePropagation made real: the rewritten module is the
+///     result, not just the counters.
 ///
 ///  2. interprocedural copy propagation ("copyprop"): per-block
 ///     store-to-load forwarding over the flat instStream(), killing
@@ -120,9 +120,8 @@ struct OptimizationResult {
   }
 };
 
-/// Optimizes \p M in place under analysis configuration \p Opts. The
-/// summary cache is never consulted (replayed procedures carry no
-/// substitution facts — same restriction as runCompletePropagation).
+/// Optimizes \p M in place under analysis configuration \p Opts, without
+/// a summary cache (replayed procedures carry no substitution facts).
 /// When \p Guard is null a run-local guard is created from Opts.Limits;
 /// pass an external guard to share one deadline with surrounding work.
 OptimizationResult optimizeModule(Module &M, const IPCPOptions &Opts = {},

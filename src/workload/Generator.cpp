@@ -68,12 +68,12 @@ std::string ProgramGenerator::varName(unsigned ProcIdx) {
   unsigned Total = NumParams + NumLocals + Config.NumGlobals;
   unsigned Pick = below(Total);
   if (Pick < NumParams)
-    return "a" + std::to_string(Pick);
+    return 'a' + std::to_string(Pick);
   Pick -= NumParams;
   if (Pick < NumLocals)
-    return "v" + std::to_string(Pick);
+    return 'v' + std::to_string(Pick);
   Pick -= NumLocals;
-  return "g" + std::to_string(Pick);
+  return 'g' + std::to_string(Pick);
 }
 
 std::string ProgramGenerator::expr(unsigned ProcIdx, unsigned DepthLeft) {
@@ -84,7 +84,7 @@ std::string ProgramGenerator::expr(unsigned ProcIdx, unsigned DepthLeft) {
   }
   static const char *Ops[] = {"+", "+", "-", "*", "<", "=="};
   const char *Op = Ops[below(6)];
-  return "(" + expr(ProcIdx, DepthLeft - 1) + " " + Op + " " +
+  return '(' + expr(ProcIdx, DepthLeft - 1) + " " + Op + " " +
          expr(ProcIdx, DepthLeft - 1) + ")";
 }
 
@@ -116,8 +116,8 @@ std::string ProgramGenerator::callStmt(unsigned ProcIdx) {
       for (unsigned Try = 0; Try != 4 && Name.empty(); ++Try) {
         unsigned Pick = below(Total);
         std::string Candidate = Pick < NumParams
-                                    ? "a" + std::to_string(Pick)
-                                    : "v" + std::to_string(Pick - NumParams);
+                                    ? 'a' + std::to_string(Pick)
+                                    : 'v' + std::to_string(Pick - NumParams);
         bool Dup = false;
         for (const std::string &Used : UsedVars)
           if (Used == Candidate)
@@ -137,7 +137,7 @@ std::string ProgramGenerator::callStmt(unsigned ProcIdx) {
     // inside the callee (the Fortran nonconformance the framework
     // assumes away). Value numbering folds the identity, so the
     // analysis still sees the underlying expression.
-    Call += "(" + expr(ProcIdx, 2) + " + 0)";
+    Call += '(' + expr(ProcIdx, 2) + " + 0)";
   }
   Call += ");";
   return Call;
@@ -182,7 +182,7 @@ void ProgramGenerator::stmt(unsigned ProcIdx, unsigned Budget,
     return;
   } else if (Roll < Config.CallChance + Config.IfChance + Config.LoopChance &&
              Budget > 1 && LoopDepth < 2) {
-    std::string IndVar = "i" + std::to_string(LoopCounter++ % 2);
+    std::string IndVar = 'i' + std::to_string(LoopCounter++ % 2);
     unsigned Lo = below(4);
     line("do " + IndVar + " = " + std::to_string(Lo) + ", " +
          std::to_string(Lo + 1 + below(6)) + " {");
@@ -202,7 +202,7 @@ void ProgramGenerator::stmt(unsigned ProcIdx, unsigned Budget,
     // loops (no other statement ever reads or writes them), so every
     // write is either a small initialization or the decrement below:
     // termination is guaranteed even when loops nest and share one.
-    std::string Counter = "w" + std::to_string(LoopCounter++ % 2);
+    std::string Counter = 'w' + std::to_string(LoopCounter++ % 2);
     line(Counter + " = " + std::to_string(1 + below(6)) + ";");
     line("while (" + Counter + " > 0) {");
     ++Depth;
@@ -218,7 +218,7 @@ void ProgramGenerator::stmt(unsigned ProcIdx, unsigned Budget,
            expr(ProcIdx, Config.MaxExprDepth) + ";");
     } else {
       std::string Arr = chance(50) ? "ga" : "la";
-      line("v" + std::to_string(below(NumLocals)) + " = " + Arr + "[" +
+      line('v' + std::to_string(below(NumLocals)) + " = " + Arr + "[" +
            arrayIndex() + "];");
     }
     return;
@@ -230,13 +230,13 @@ void ProgramGenerator::stmt(unsigned ProcIdx, unsigned Budget,
   // Assignment.
   std::string Target;
   if (chance(Config.GlobalAssignChance) && Config.NumGlobals)
-    Target = "g" + std::to_string(below(Config.NumGlobals));
+    Target = 'g' + std::to_string(below(Config.NumGlobals));
   else if (chance(50))
-    Target = "v" + std::to_string(below(NumLocals));
+    Target = 'v' + std::to_string(below(NumLocals));
   else if (Procs[ProcIdx].NumParams)
-    Target = "a" + std::to_string(below(Procs[ProcIdx].NumParams));
+    Target = 'a' + std::to_string(below(Procs[ProcIdx].NumParams));
   else
-    Target = "v" + std::to_string(below(NumLocals));
+    Target = 'v' + std::to_string(below(NumLocals));
   // Bias toward constants so there is something to propagate.
   std::string Value = chance(35) ? std::to_string(below(500))
                                  : expr(ProcIdx, Config.MaxExprDepth);
@@ -255,7 +255,7 @@ void ProgramGenerator::proc(unsigned ProcIdx) {
   for (unsigned I = 0; I != Shape.NumParams; ++I) {
     if (I)
       Header += ", ";
-    Header += "a" + std::to_string(I);
+    Header += 'a' + std::to_string(I);
   }
   Header += ") {";
   line(Header);
@@ -294,7 +294,7 @@ std::string ProgramGenerator::run() {
     for (unsigned I = 0; I != Config.NumGlobals; ++I) {
       if (I)
         Out += ", ";
-      Out += "g" + std::to_string(I);
+      Out += 'g' + std::to_string(I);
     }
     Out += ";\n";
   }
@@ -306,7 +306,7 @@ std::string ProgramGenerator::run() {
   Procs.push_back({"main", 0});
   for (unsigned I = 0; I != Config.NumProcs; ++I)
     Procs.push_back(
-        {"p" + std::to_string(I), 1 + below(Config.MaxParams)});
+        {'p' + std::to_string(I), 1 + below(Config.MaxParams)});
 
   for (unsigned I = 0; I != Procs.size(); ++I)
     proc(I);

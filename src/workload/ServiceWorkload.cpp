@@ -46,7 +46,7 @@ ServiceLogStream::ServiceLogStream(ServiceLogConfig C)
 JsonValue ServiceLogStream::makeAnalyze(unsigned Id) {
   JsonValue Req = JsonValue::object();
   Req.set("op", "analyze");
-  Req.set("id", "r" + std::to_string(Id));
+  Req.set("id", 'r' + std::to_string(Id));
   Req.set("suite", Programs[ProgIndex]);
   if (!Config.Session.empty()) {
     if (Config.SessionCount <= 1)
@@ -76,7 +76,7 @@ bool ServiceLogStream::next(std::string &LineOut) {
       unsigned Size = 2 + rngBelow(Left < 4 ? Left - 1 : 3);
       JsonValue Batch = JsonValue::object();
       Batch.set("op", "analyze-batch");
-      Batch.set("id", "b" + std::to_string(Emitted));
+      Batch.set("id", 'b' + std::to_string(Emitted));
       JsonValue Items = JsonValue::array();
       for (unsigned I = 0; I != Size; ++I) {
         Items.push(makeAnalyze(Emitted + I));

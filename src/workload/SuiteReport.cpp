@@ -27,29 +27,34 @@ SuiteStudyResult ipcp::runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
   std::vector<StatisticSet> Stats(N);
   std::vector<JsonValue> Entries(N);
   std::vector<int> Failures(N, 0);
-  IPCPOptions Opts;
-  Opts.Engine = Engine;
 
   Runner.run(N, [&](size_t I) {
     const SuiteProgram &Prog = Suite[I];
     ScopedTraceSpan ProgSpan("program", Prog.Name);
-    auto M = loadSuiteModule(Prog);
-    for (const std::string &E : verifyModule(*M)) {
+    AnalysisRequest Req;
+    Req.Name = Prog.Name;
+    Req.Opts.Engine = Engine;
+    RequestRun Run(Req);
+    if (!Run.compile(Prog.Source)) {
+      Messages[I] += Prog.Name + ": " + Run.Diags.str();
+      ++Failures[I];
+      return;
+    }
+    for (const std::string &E : verifyModule(*Run.M)) {
       Messages[I] += Prog.Name + ": verify: " + E + "\n";
       ++Failures[I];
     }
     // Each program gets its own cache object: the tasks run concurrently
     // and must not share mutable cache state. The store is thread-safe.
     SummaryCache Cache;
-    IPCPOptions ProgOpts = Opts;
-    if (Store) {
-      Cache.load(*Store, Prog.Name, ProgOpts);
-      ProgOpts.Cache = &Cache;
-    }
-    IPCPResult Res = runIPCP(*M, ProgOpts);
-    if (Store)
-      Cache.save(*Store, Prog.Name, ProgOpts);
-    OracleReport Rep = checkSoundness(*M, Res);
+    bool Cached = Store && Req.usesCache();
+    if (Cached)
+      Cache.load(*Store, Prog.Name, Req.Opts);
+    Run.run(Cached ? &Cache : nullptr);
+    if (Cached)
+      Cache.save(*Store, Prog.Name, Req.Opts);
+    const IPCPResult &Res = *Run.Single;
+    OracleReport Rep = checkSoundness(*Run.M, Res);
     bool Ok = Rep.Sound && Rep.ExecStatus == ExecutionResult::Status::Ok;
     if (!Ok) {
       Messages[I] += Prog.Name + ": " + Rep.str() + " (exec status " +
@@ -58,14 +63,8 @@ SuiteStudyResult ipcp::runSuiteStudy(SuiteRunner &Runner, bool BuildReports,
     }
     Stats[I] = Res.Stats;
     if (BuildReports) {
-      AnalysisReport Report;
-      Report.SourceName = Prog.Name;
-      Report.M = M.get();
-      Report.Opts = &Opts;
-      Report.Single = &Res;
-      JsonValue Entry = buildAnalysisReport(Report);
-      Entry.set("sound", Ok);
-      Entries[I] = std::move(Entry);
+      Entries[I] = Run.report(false);
+      Entries[I].set("sound", Ok);
     }
   });
 

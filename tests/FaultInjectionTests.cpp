@@ -325,9 +325,7 @@ TEST(FaultInjectionTest, CacheLoadFaultRunsCold) {
   std::string Key;
   {
     SummaryCache Writer;
-    IPCPOptions WriterOpts = Opts;
-    WriterOpts.Cache = &Writer;
-    runIPCP(*M, WriterOpts);
+    runIPCP(*M, Opts, nullptr, &Writer);
     std::string Error;
     ASSERT_TRUE(Writer.save(Store, "prog.mf", Opts, &Error)) << Error;
     Key = ContentStore::contentKey(Writer.serialize(Opts));
@@ -341,9 +339,7 @@ TEST(FaultInjectionTest, CacheLoadFaultRunsCold) {
   // the codec rejected: the run goes cold without a load failure, and the
   // object stays in place.
   EXPECT_FALSE(Reader.loadFailed());
-  IPCPOptions ReaderOpts = Opts;
-  ReaderOpts.Cache = &Reader;
-  IPCPResult Run = runIPCP(*M, ReaderOpts);
+  IPCPResult Run = runIPCP(*M, Opts, nullptr, &Reader);
   EXPECT_EQ(Run.Stats.get("cache_load_failures"), 0u);
   EXPECT_EQ(Run.Stats.get("cache_hits"), 0u);
   EXPECT_GT(Run.Stats.get("cache_misses"), 0u);
@@ -361,10 +357,12 @@ TEST(FaultInjectionTest, CacheLoadFaultRunsCold) {
   SummaryCache Rejected;
   EXPECT_FALSE(Rejected.load(Store, "prog.mf", Opts));
   EXPECT_TRUE(Rejected.loadFailed());
-  IPCPOptions RejectedOpts = Opts;
-  RejectedOpts.Cache = &Rejected;
-  EXPECT_EQ(runIPCP(*M, RejectedOpts).Stats.get("cache_load_failures"), 1u);
-  EXPECT_EQ(runIPCP(*M, RejectedOpts).Stats.get("cache_load_failures"), 0u);
+  EXPECT_EQ(runIPCP(*M, Opts, nullptr, &Rejected)
+                .Stats.get("cache_load_failures"),
+            1u);
+  EXPECT_EQ(runIPCP(*M, Opts, nullptr, &Rejected)
+                .Stats.get("cache_load_failures"),
+            0u);
   std::filesystem::remove_all(Dir);
 }
 
@@ -374,9 +372,7 @@ TEST(FaultInjectionTest, CacheSaveFaultWritesNoFile) {
   IPCPOptions Opts;
   ContentStore Store(Dir);
   SummaryCache Cache;
-  IPCPOptions CacheOpts = Opts;
-  CacheOpts.Cache = &Cache;
-  runIPCP(*M, CacheOpts);
+  runIPCP(*M, Opts, nullptr, &Cache);
   ASSERT_TRUE(Cache.committed());
   {
     PlanGuard Guard("store.write.object");

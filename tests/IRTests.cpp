@@ -169,19 +169,6 @@ TEST(IRProcedure, RemoveUnreachableBlocks) {
   expectVerifies(*M);
 }
 
-TEST(IRInstruction, ReplaceUsesOfWith) {
-  Module M;
-  Procedure *P = M.createProcedure("p");
-  BasicBlock *BB = P->createBlock("entry");
-  Value *C1 = M.getConstant(1);
-  Value *C2 = M.getConstant(2);
-  auto *Add = cast<BinaryInst>(BB->append(std::make_unique<BinaryInst>(
-      M.nextInstId(), SourceLoc(), BinaryOp::Add, C1, C1)));
-  Add->replaceUsesOfWith(C1, C2);
-  EXPECT_EQ(Add->getLHS(), C2);
-  EXPECT_EQ(Add->getRHS(), C2);
-}
-
 TEST(IRInstruction, TerminatorPredicate) {
   Module M;
   Procedure *P = M.createProcedure("p");

@@ -67,10 +67,8 @@ void expectWarmEqualsCold(Module &M, const std::string &Label) {
   IPCPResult Plain = runIPCP(M);
 
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  IPCPResult Cold = runIPCP(M, WithCache);
-  IPCPResult Warm = runIPCP(M, WithCache);
+  IPCPResult Cold = runIPCP(M, {}, nullptr, &Cache);
+  IPCPResult Warm = runIPCP(M, {}, nullptr, &Cache);
 
   std::string Reference = normalized(Plain);
   EXPECT_EQ(Reference, normalized(Cold)) << Label << ": populating run";
@@ -90,11 +88,9 @@ void expectWarmEqualsCold(Module &M, const std::string &Label) {
 void expectStaleWarmEqualsCold(Module &Original, Module &Mutant,
                                const std::string &Label) {
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  runIPCP(Original, WithCache);
+  runIPCP(Original, {}, nullptr, &Cache);
 
-  IPCPResult Warm = runIPCP(Mutant, WithCache);
+  IPCPResult Warm = runIPCP(Mutant, {}, nullptr, &Cache);
   IPCPResult Cold = runIPCP(Mutant);
   EXPECT_EQ(normalized(Cold), normalized(Warm)) << Label;
 }
@@ -228,12 +224,10 @@ proc main() {
 TEST(Incremental, LeafEditDoesStrictlyLessWork) {
   std::unique_ptr<Module> M = lowerOk(Chain);
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  runIPCP(*M, WithCache);
+  runIPCP(*M, {}, nullptr, &Cache);
 
   // A fully warm rerun evaluates no jump functions at all.
-  IPCPResult Rerun = runIPCP(*M, WithCache);
+  IPCPResult Rerun = runIPCP(*M, {}, nullptr, &Cache);
   EXPECT_EQ(Rerun.Stats.get("prop_evaluations"), 0u);
   EXPECT_EQ(Rerun.Stats.get("cache_misses"), 0u);
 
@@ -246,7 +240,7 @@ TEST(Incremental, LeafEditDoesStrictlyLessWork) {
       ->getEntryBlock()
       ->insertAtTop(std::make_unique<PrintInst>(
           Edited->nextInstId(), SourceLoc(), Edited->getConstant(1)));
-  IPCPResult Warm = runIPCP(*Edited, WithCache);
+  IPCPResult Warm = runIPCP(*Edited, {}, nullptr, &Cache);
   IPCPResult Cold = runIPCP(*Edited);
   EXPECT_EQ(normalized(Cold), normalized(Warm));
   EXPECT_LT(Warm.Stats.get("prop_evaluations"),
@@ -267,9 +261,7 @@ std::string populatedCacheText(std::unique_ptr<Module> &M,
                                const IPCPOptions &Opts) {
   M = lowerOk(Chain);
   SummaryCache Cache;
-  IPCPOptions WithCache = Opts;
-  WithCache.Cache = &Cache;
-  runIPCP(*M, WithCache);
+  runIPCP(*M, Opts, nullptr, &Cache);
   EXPECT_TRUE(Cache.committed());
   return Cache.serialize(Opts);
 }
@@ -281,12 +273,10 @@ void expectDegradesToCold(const std::string &Text, const std::string &Label) {
   IPCPResult Reference = runIPCP(*M);
 
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  EXPECT_FALSE(Cache.loadFromString(Text, WithCache)) << Label;
+  EXPECT_FALSE(Cache.loadFromString(Text, IPCPOptions())) << Label;
   EXPECT_EQ(Cache.size(), 0u) << Label;
 
-  IPCPResult Run = runIPCP(*M, WithCache);
+  IPCPResult Run = runIPCP(*M, {}, nullptr, &Cache);
   EXPECT_EQ(normalized(Reference), normalized(Run)) << Label;
   EXPECT_EQ(Run.Stats.get("cache_hits"), 0u) << Label;
   EXPECT_GT(Run.Stats.get("cache_misses"), 0u) << Label;
@@ -302,9 +292,7 @@ TEST(IncrementalCache, SerializedRoundTrip) {
   ASSERT_TRUE(Cache.loadFromString(Text, Opts));
   EXPECT_EQ(Cache.size(), 3u); // leaf, mid, main
 
-  IPCPOptions WithCache = Opts;
-  WithCache.Cache = &Cache;
-  IPCPResult Warm = runIPCP(*M, WithCache);
+  IPCPResult Warm = runIPCP(*M, Opts, nullptr, &Cache);
   EXPECT_EQ(Warm.Stats.get("cache_misses"), 0u);
   EXPECT_EQ(normalized(runIPCP(*M)), normalized(Warm));
 }
@@ -411,9 +399,7 @@ TEST(IncrementalCache, DiskRoundTripAndTruncation) {
   SummaryCache Writer;
   EXPECT_FALSE(Writer.load(Store, "chain.mf", Opts));
   EXPECT_FALSE(Writer.loadFailed());
-  IPCPOptions WriterOpts = Opts;
-  WriterOpts.Cache = &Writer;
-  runIPCP(*M, WriterOpts);
+  runIPCP(*M, Opts, nullptr, &Writer);
   std::string Error;
   ASSERT_TRUE(Writer.save(Store, "chain.mf", Opts, &Error)) << Error;
 
@@ -421,9 +407,7 @@ TEST(IncrementalCache, DiskRoundTripAndTruncation) {
   SummaryCache Reader;
   EXPECT_TRUE(Reader.load(Store, "chain.mf", Opts));
   EXPECT_EQ(Reader.size(), 3u);
-  IPCPOptions ReaderOpts = Opts;
-  ReaderOpts.Cache = &Reader;
-  IPCPResult Warm = runIPCP(*M, ReaderOpts);
+  IPCPResult Warm = runIPCP(*M, Opts, nullptr, &Reader);
   EXPECT_EQ(Warm.Stats.get("cache_misses"), 0u);
 
   // Truncate the object on disk: load fails, loadFailed() reports it, and
@@ -439,9 +423,7 @@ TEST(IncrementalCache, DiskRoundTripAndTruncation) {
   SummaryCache Corrupt;
   EXPECT_FALSE(Corrupt.load(Store, "chain.mf", Opts));
   EXPECT_TRUE(Corrupt.loadFailed());
-  IPCPOptions CorruptOpts = Opts;
-  CorruptOpts.Cache = &Corrupt;
-  IPCPResult Run = runIPCP(*M, CorruptOpts);
+  IPCPResult Run = runIPCP(*M, Opts, nullptr, &Corrupt);
   EXPECT_GT(Run.Stats.get("cache_load_failures"), 0u);
   EXPECT_GT(Run.Stats.get("cache_misses"), 0u);
   EXPECT_EQ(normalized(runIPCP(*M)), normalized(Run));
@@ -455,9 +437,7 @@ TEST(IncrementalCache, DiskRoundTripAndTruncation) {
 TEST(IncrementalCache, DegradedRunDoesNotPoisonTheStore) {
   std::unique_ptr<Module> M = lowerOk(Chain);
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  runIPCP(*M, WithCache);
+  runIPCP(*M, {}, nullptr, &Cache);
   EXPECT_TRUE(Cache.committed());
 
   // Edit the *root* procedure and rerun with a budget that trips
@@ -469,13 +449,13 @@ TEST(IncrementalCache, DegradedRunDoesNotPoisonTheStore) {
       ->getEntryBlock()
       ->insertAtTop(std::make_unique<PrintInst>(
           Edited->nextInstId(), SourceLoc(), Edited->getConstant(2)));
-  IPCPOptions Tripping = WithCache;
+  IPCPOptions Tripping;
   Tripping.Limits.MaxPropagationEvals = 1;
-  IPCPResult Degraded = runIPCP(*Edited, Tripping);
+  IPCPResult Degraded = runIPCP(*Edited, Tripping, nullptr, &Cache);
   EXPECT_TRUE(Degraded.Status.Degraded);
 
   // The store still serves the *original* module perfectly warm.
-  IPCPResult Warm = runIPCP(*M, WithCache);
+  IPCPResult Warm = runIPCP(*M, {}, nullptr, &Cache);
   EXPECT_EQ(Warm.Stats.get("cache_misses"), 0u);
   EXPECT_EQ(normalized(runIPCP(*M)), normalized(Warm));
 }
@@ -485,9 +465,7 @@ TEST(IncrementalCache, DegradedRunDoesNotPoisonTheStore) {
 TEST(IncrementalCache, ReportSurface) {
   std::unique_ptr<Module> M = lowerOk(Chain);
   SummaryCache Cache;
-  IPCPOptions WithCache;
-  WithCache.Cache = &Cache;
-  IPCPResult Res = runIPCP(*M, WithCache);
+  IPCPResult Res = runIPCP(*M, {}, nullptr, &Cache);
   EXPECT_TRUE(Res.UsedCache);
 
   JsonValue Doc = resultToJson(Res);

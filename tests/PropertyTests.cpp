@@ -12,7 +12,8 @@
 //     <= pass-through <= polynomial jump functions;
 //  2. return jump functions only add information;
 //  3. MOD information only adds information;
-//  4. complete propagation finds at least as much as a single pass;
+//  4. complete propagation finds at least as much as a single pass, and
+//     counts each constant load once over its rounds;
 //  5. soundness: every claimed CONSTANTS pair holds on every dynamic
 //     procedure entry (interpreter oracle), in every configuration;
 //  6. determinism: repeated analysis produces identical results.
@@ -24,8 +25,11 @@
 #include "core/Pipeline.h"
 #include "workload/Generator.h"
 #include "workload/Oracle.h"
+#include "workload/Programs.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 using namespace ipcp;
 using namespace ipcp::test;
@@ -46,6 +50,38 @@ struct GeneratedCase {
 
   unsigned refs(IPCPOptions Opts) { return runIPCP(*M, Opts).TotalConstantRefs; }
 };
+
+/// Complete propagation by hand on a clone of \p M, under each of five
+/// configurations: rounds of runIPCP and applyFacts until one removes no
+/// block (at most eight), each load any round proves constant counted
+/// once by its ID. runCompletePropagation must agree on both figures.
+void expectCompleteMatchesReference(const Module &M, const std::string &Name) {
+  std::vector<IPCPOptions> Configs(5);
+  Configs[1].ForwardKind = JumpFunctionKind::Literal;
+  Configs[2].UseModInformation = false;
+  Configs[3].UseGatedSSA = true;
+  Configs[4].Engine = PropagationEngine::Contexts;
+  for (size_t C = 0; C != Configs.size(); ++C) {
+    std::unique_ptr<Module> Working = M.clone();
+    std::unordered_set<uint64_t> Loads;
+    unsigned Rounds = 0;
+    for (bool DeadCode = true; DeadCode && Rounds != 8;) {
+      IPCPResult R = runIPCP(*Working, Configs[C]);
+      ++Rounds;
+      for (const auto &[Id, Value] : R.Facts.ConstantLoads)
+        Loads.insert(Id);
+      DeadCode = applyFacts(*Working, R.Facts).foundDeadCode();
+    }
+    CompletePropagationResult CP = runCompletePropagation(M, Configs[C]);
+    EXPECT_EQ(CP.TotalConstantRefs, Loads.size()) << Name << " config " << C;
+    EXPECT_EQ(CP.Rounds, Rounds) << Name << " config " << C;
+  }
+}
+
+TEST(CompletePropagation, SuiteCountsEachConstantLoadOnce) {
+  for (const SuiteProgram &Prog : benchmarkSuite())
+    expectCompleteMatchesReference(*loadSuiteModule(Prog), Prog.Name);
+}
 
 class GeneratedProperties : public ::testing::TestWithParam<uint64_t> {};
 
@@ -86,6 +122,11 @@ TEST_P(GeneratedProperties, CompleteAtLeastSinglePass) {
   unsigned Single = Case.refs(IPCPOptions());
   CompletePropagationResult Complete = runCompletePropagation(*Case.M);
   EXPECT_GE(Complete.TotalConstantRefs, Single);
+}
+
+TEST_P(GeneratedProperties, CompleteCountsEachConstantLoadOnce) {
+  GeneratedCase Case(GetParam());
+  expectCompleteMatchesReference(*Case.M, "seed " + std::to_string(GetParam()));
 }
 
 TEST_P(GeneratedProperties, InterproceduralBeatsIntraprocedural) {

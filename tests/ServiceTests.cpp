@@ -588,6 +588,32 @@ TEST(ServiceEngineTest, DistinctOptionsNeverShareASession) {
   EXPECT_EQ(Engine.snapshot()[ServiceEngine::SessionsResident], 2u);
 }
 
+TEST(ServiceEngineTest, UnmodeledOptionsTakeNoSession) {
+  // The summary format does not model these configurations
+  // (SummaryCache::models), so a session request keeps no session and
+  // answers exactly as the same request without one.
+  ShardedService Svc(serialService(basicConfig()));
+  auto Resident = [&] {
+    JsonValue Stats = serve(Svc, R"({"op":"stats"})");
+    return Stats.find("stats")->find("sessions_resident")->asInt();
+  };
+  for (std::string Options : {R"("engine":"contexts")",
+                              R"("binding_graph":true)",
+                              R"("intraprocedural_only":true)"}) {
+    std::string Line = R"({"op":"analyze","suite":"simple",)"
+                       R"("scrub_timings":true,"options":{)" +
+                       Options + "}";
+    JsonValue Plain = serve(Svc, Line + "}");
+    JsonValue InSession = serve(Svc, Line + R"(,"session":"s"})");
+    EXPECT_EQ(statusOf(InSession), "ok") << Options;
+    EXPECT_EQ(InSession.find("report")->dump(), Plain.find("report")->dump())
+        << Options;
+  }
+  EXPECT_EQ(Resident(), 0);
+  serve(Svc, analyzeLine("simple", "s"));
+  EXPECT_EQ(Resident(), 1);
+}
+
 TEST(ServiceEngineTest, BatchBodySharesTheSingleRequestPath) {
   ShardedService Svc(serialService(basicConfig()));
   JsonValue Body = serve(
@@ -667,7 +693,7 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
     // Eviction is per cache bucket, so B must land in A's bucket to
     // contend for the single resident slot.
     for (int I = 0;; ++I) {
-      B.Session = "b" + std::to_string(I);
+      B.Session = 'b' + std::to_string(I);
       if (ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(B)) ==
           ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(A)))
         break;

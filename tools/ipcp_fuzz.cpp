@@ -234,7 +234,7 @@ bool runOne(const std::string &Source, bool CheckOracle,
     }
   }
 
-  CompletePropagationResult CP = runCompletePropagation(*M, Opts, 4);
+  CompletePropagationResult CP = runCompletePropagation(*M, Opts);
   if (CP.TotalConstantRefs < R.TotalConstantRefs) {
     *Failure = "complete propagation found fewer constant refs than one "
                "analysis round";
@@ -247,10 +247,8 @@ bool runOne(const std::string &Source, bool CheckOracle,
   // degrade to a cold run — never crash, never change results.
   {
     SummaryCache Cache;
-    IPCPOptions CacheOpts = Opts;
-    CacheOpts.Cache = &Cache;
-    IPCPResult Cold = runIPCP(*M, CacheOpts);
-    IPCPResult Warm = runIPCP(*M, CacheOpts);
+    IPCPResult Cold = runIPCP(*M, Opts, nullptr, &Cache);
+    IPCPResult Warm = runIPCP(*M, Opts, nullptr, &Cache);
     JsonValue ColdDoc = resultToJson(Cold);
     JsonValue WarmDoc = resultToJson(Warm);
     normalizeReportForDiff(ColdDoc);
@@ -261,15 +259,13 @@ bool runOne(const std::string &Source, bool CheckOracle,
       return false;
     }
     if (Cache.committed()) {
-      std::string Text = Cache.serialize(CacheOpts);
+      std::string Text = Cache.serialize(Opts);
       std::string Bad = Text;
       if (!Bad.empty())
         Bad[Bad.size() / 2] ^= 0x20;
       SummaryCache Corrupt;
-      Corrupt.loadFromString(Bad, CacheOpts); // may reject; must not crash
-      IPCPOptions CorruptOpts = Opts;
-      CorruptOpts.Cache = &Corrupt;
-      IPCPResult After = runIPCP(*M, CorruptOpts);
+      Corrupt.loadFromString(Bad, Opts); // may reject; must not crash
+      IPCPResult After = runIPCP(*M, Opts, nullptr, &Corrupt);
       JsonValue AfterDoc = resultToJson(After);
       normalizeReportForDiff(AfterDoc);
       if (!After.Status.Degraded && AfterDoc != ColdDoc) {
