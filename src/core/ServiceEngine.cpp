@@ -415,10 +415,10 @@ JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
   // The failure boundary: whatever the pipeline throws becomes a
   // structured, retryable "internal" error response. Nothing below this
   // point marks the session dirty before its run committed, so an
-  // aborted run is never persisted — the staged (uncommitted) entries
-  // are discarded by the next run's beginRun, and the last committed
-  // state remains valid. The turnstile and lock unwind normally, so the
-  // session keeps serving.
+  // aborted run is never persisted — a run changes the session's cache
+  // only in its final commit, so the last committed state remains valid.
+  // The turnstile and lock unwind normally, so the session keeps
+  // serving.
   try {
     std::string Msg;
     if (faultInjector().shouldFail("service.analyze", &Msg))

@@ -12,8 +12,6 @@
 #include "support/Casting.h"
 #include "support/ConstantMath.h"
 
-#include <unordered_map>
-
 using namespace ipcp;
 
 uint64_t ipcp::stableHashBytes(std::string_view Data) {
@@ -22,12 +20,32 @@ uint64_t ipcp::stableHashBytes(std::string_view Data) {
   return H.result();
 }
 
-std::string ipcp::stableHashHex(uint64_t H) {
+StableHashDigits ipcp::stableHashDigits(uint64_t H) {
   static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
+  StableHashDigits Out;
   for (int I = 15; I >= 0; --I, H >>= 4)
-    Out[size_t(I)] = Digits[H & 0xf];
+    Out.Digits[I] = Digits[H & 0xf];
   return Out;
+}
+
+std::string ipcp::stableHashHex(uint64_t H) {
+  return std::string(stableHashDigits(H).view());
+}
+
+bool ipcp::parseStableHashHex(std::string_view Text, uint64_t &H) {
+  if (Text.size() != 16)
+    return false;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C >= '0' && C <= '9')
+      V = V << 4 | uint64_t(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      V = V << 4 | uint64_t(C - 'a' + 10);
+    else
+      return false;
+  }
+  H = V;
+  return true;
 }
 
 namespace {
@@ -73,26 +91,21 @@ enum : uint8_t {
 };
 
 /// Serializes one procedure body into a StableHasher. Identity of
-/// instructions is their dense traversal-order number (assigned up
-/// front, so forward references — phi inputs — still resolve); identity
-/// of blocks is their position in the block list.
+/// instructions is their position in the procedure's instruction stream
+/// (block order, so forward references — phi inputs — still resolve);
+/// identity of blocks is their position in the block list. Both are the
+/// dense numbers the stream assigns; an operand or target outside \p P
+/// has none and hashes as ~0.
 class BodyHasher {
 public:
-  explicit BodyHasher(const Procedure &P) : P(P) {}
+  explicit BodyHasher(const Procedure &P) : P(P), Stream(P.instStream()) {}
 
   uint64_t hash() {
     H.u8(TagProcedure);
     H.str(P.getName());
     H.u32(uint32_t(P.getNumFormals()));
 
-    uint32_t NextInst = 0, NextBlock = 0;
-    for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
-      BlockIndex.emplace(BB.get(), NextBlock++);
-      for (const std::unique_ptr<Instruction> &I : BB->instructions())
-        InstIndex.emplace(I.get(), NextInst++);
-    }
-
-    H.u32(NextBlock);
+    H.u32(uint32_t(P.blocks().size()));
     for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
       H.u8(TagBlock);
       H.u32(uint32_t(BB->instructions().size()));
@@ -159,14 +172,15 @@ private:
       return;
     }
     const auto *I = cast<Instruction>(V);
-    auto It = InstIndex.find(I);
+    uint32_t Idx = I->getLocalIdx();
     H.u8(TagOpInstruction);
-    H.u32(It == InstIndex.end() ? ~0u : It->second);
+    H.u32(Idx < Stream.size() && Stream.Insts[Idx] == I ? Idx : ~0u);
   }
 
   void hashBlockRef(const BasicBlock *BB) {
-    auto It = BlockIndex.find(BB);
-    H.u32(It == BlockIndex.end() ? ~0u : It->second);
+    uint32_t Pos = BB ? BB->getDensePos() : ~0u;
+    H.u32(Pos < P.blocks().size() && P.blocks()[Pos].get() == BB ? Pos
+                                                                  : ~0u);
   }
 
   void hashInst(const Instruction &I) {
@@ -239,9 +253,8 @@ private:
   }
 
   const Procedure &P;
+  const Procedure::InstStream &Stream;
   StableHasher H;
-  std::unordered_map<const Instruction *, uint32_t> InstIndex;
-  std::unordered_map<const BasicBlock *, uint32_t> BlockIndex;
 };
 
 } // namespace

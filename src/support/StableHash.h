@@ -91,16 +91,28 @@ private:
 /// classic published test vectors).
 uint64_t stableHashBytes(std::string_view Data);
 
+/// The 16 lowercase hex digits of a hash, rendered without allocating.
+struct StableHashDigits {
+  char Digits[16];
+  std::string_view view() const { return {Digits, sizeof(Digits)}; }
+};
+StableHashDigits stableHashDigits(uint64_t H);
+
 /// Fixed-width lowercase hex rendering of a hash (16 digits).
 std::string stableHashHex(uint64_t H);
 
+/// Parses the stableHashHex form: exactly 16 lowercase hex digits.
+bool parseStableHashHex(std::string_view Text, uint64_t &H);
+
 /// The structural hash of one procedure's lowered (pre-SSA) body. Covers
 /// the procedure name, formal count, every instruction's opcode and
-/// operands (instruction results by dense traversal-order number,
+/// operands (instruction results by their position in the instruction
+/// stream, Instruction::getLocalIdx(),
 /// variables by kind + formal index or name, constants by value), binary
 /// and unary operator spellings, callee names, by-reference binding and
 /// literal-actual flags at call sites, and branch targets as block
-/// indices. Excludes instruction ids, variable ids, source locations,
+/// indices (BasicBlock::getDensePos()). Builds \p P's instruction stream
+/// when it is stale. Excludes instruction ids, variable ids, source locations,
 /// and anything reachable only through global state — see
 /// docs/INCREMENTAL.md for the byte-level format.
 uint64_t hashProcedureBody(const Procedure &P);

@@ -10,8 +10,6 @@
 
 using namespace ipcp;
 
-thread_local Trace *Trace::Active = nullptr;
-
 size_t Trace::beginSpan(std::string Name, std::string Detail) {
   Span S;
   S.Name = std::move(Name);

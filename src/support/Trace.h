@@ -114,7 +114,7 @@ private:
 
   JsonValue spanToJson(size_t Index) const;
 
-  static thread_local Trace *Active;
+  static inline thread_local Trace *Active = nullptr;
 
   Clock::time_point Start;
   std::vector<Span> Spans;

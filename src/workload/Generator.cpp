@@ -84,8 +84,12 @@ std::string ProgramGenerator::expr(unsigned ProcIdx, unsigned DepthLeft) {
   }
   static const char *Ops[] = {"+", "+", "-", "*", "<", "=="};
   const char *Op = Ops[below(6)];
-  return '(' + expr(ProcIdx, DepthLeft - 1) + " " + Op + " " +
-         expr(ProcIdx, DepthLeft - 1) + ")";
+  // The operands of a concatenation are unsequenced, so each draw gets a
+  // statement of its own. The order, right operand first, is the one
+  // GCC 12 chose when they shared one, which keeps the seeded programs.
+  std::string RHS = expr(ProcIdx, DepthLeft - 1);
+  std::string LHS = expr(ProcIdx, DepthLeft - 1);
+  return '(' + LHS + " " + Op + " " + RHS + ")";
 }
 
 std::string ProgramGenerator::callStmt(unsigned ProcIdx) {
@@ -214,12 +218,14 @@ void ProgramGenerator::stmt(unsigned ProcIdx, unsigned Budget,
   } else if (Config.UseArrays && chance(12)) {
     if (chance(50)) {
       std::string Arr = chance(50) ? "ga" : "la";
-      line(Arr + "[" + arrayIndex() + "] = " +
-           expr(ProcIdx, Config.MaxExprDepth) + ";");
+      std::string Value = expr(ProcIdx, Config.MaxExprDepth);
+      std::string Index = arrayIndex();
+      line(Arr + "[" + Index + "] = " + Value + ";");
     } else {
       std::string Arr = chance(50) ? "ga" : "la";
-      line('v' + std::to_string(below(NumLocals)) + " = " + Arr + "[" +
-           arrayIndex() + "];");
+      std::string Index = arrayIndex();
+      unsigned Dest = below(NumLocals);
+      line('v' + std::to_string(Dest) + " = " + Arr + "[" + Index + "];");
     }
     return;
   } else if (chance(8)) {

@@ -8,6 +8,7 @@
 
 #include "analysis/CallGraph.h"
 #include "interp/Interpreter.h"
+#include "support/StableHash.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,35 @@ TEST(Generator, DeterministicPerSeed) {
   GeneratorConfig Other = Config;
   Other.Seed = 43;
   EXPECT_NE(generateProgram(Config), generateProgram(Other));
+}
+
+// The generated text is an input of the benchmark and of many tests, so
+// its bytes are pinned: a change to the generator, or to the order its
+// random draws happen in, fails here instead of silently moving them.
+TEST(Generator, GeneratedTextIsPinned) {
+  struct Pin {
+    uint64_t Seed;
+    unsigned NumProcs;
+    bool AllowRecursion;
+    bool UseArrays;
+    const char *Hash;
+  };
+  const Pin Pins[] = {
+      {1, 8, false, true, "bf9999aa795323cd"},
+      {7, 5, true, true, "2834e383c8b3bd60"},
+      {42, 64, false, true, "06c28727792f328a"},
+      {1, 512, false, true, "e2c02fd06ab26957"},
+      {3, 3, true, false, "de70c0c7b64175ec"},
+  };
+  for (const Pin &P : Pins) {
+    GeneratorConfig Config;
+    Config.Seed = P.Seed;
+    Config.NumProcs = P.NumProcs;
+    Config.AllowRecursion = P.AllowRecursion;
+    Config.UseArrays = P.UseArrays;
+    EXPECT_EQ(stableHashHex(stableHashBytes(generateProgram(Config))), P.Hash)
+        << "seed " << P.Seed << ", " << P.NumProcs << " procedures";
+  }
 }
 
 TEST(Generator, RespectsShapeParameters) {

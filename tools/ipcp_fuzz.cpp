@@ -70,6 +70,7 @@
 #include "core/ShardedService.h"
 #include "core/SummaryCache.h"
 #include "interp/Interpreter.h"
+#include "ir/Instructions.h"
 #include "ir/Verifier.h"
 #include "support/ContentStore.h"
 #include "support/FaultInjection.h"
@@ -243,8 +244,9 @@ bool runOne(const std::string &Source, bool CheckOracle,
 
   // Incremental-cache invariants (docs/INCREMENTAL.md): a warm rerun
   // through an in-memory summary cache must normalize to the same report
-  // as its cold populating run, and a corrupted serialization must
-  // degrade to a cold run — never crash, never change results.
+  // as its cold populating run, a corrupted serialization must degrade
+  // to a cold run — never crash, never change results — and an edit
+  // analyzed against the stale cache must match a cold run of the edit.
   {
     SummaryCache Cache;
     IPCPResult Cold = runIPCP(*M, Opts, nullptr, &Cache);
@@ -271,6 +273,34 @@ bool runOne(const std::string &Source, bool CheckOracle,
       if (!After.Status.Degraded && AfterDoc != ColdDoc) {
         *Failure = "corrupted cache changed analysis results";
         return false;
+      }
+    }
+    // The stale step: a clone with a `print` prepended to one procedure,
+    // analyzed against the warm cache, must normalize to the clone's cold
+    // report and commit exactly what a fresh cache commits cold.
+    if (Cache.committed() && !M->procedures().empty()) {
+      std::unique_ptr<Module> Edited = M->clone();
+      Procedure *P =
+          Edited->procedures()[Source.size() % Edited->procedures().size()]
+              .get();
+      P->getEntryBlock()->insertAtTop(std::make_unique<PrintInst>(
+          Edited->nextInstId(), SourceLoc(), Edited->getConstant(9)));
+      IPCPResult Stale = runIPCP(*Edited, Opts, nullptr, &Cache);
+      SummaryCache Fresh;
+      IPCPResult EditedCold = runIPCP(*Edited, Opts, nullptr, &Fresh);
+      JsonValue StaleDoc = resultToJson(Stale);
+      JsonValue EditedDoc = resultToJson(EditedCold);
+      normalizeReportForDiff(StaleDoc);
+      normalizeReportForDiff(EditedDoc);
+      if (!Stale.Status.Degraded && !EditedCold.Status.Degraded) {
+        if (StaleDoc != EditedDoc) {
+          *Failure = "stale cache run disagrees with a cold run of the edit";
+          return false;
+        }
+        if (Cache.serialize(Opts) != Fresh.serialize(Opts)) {
+          *Failure = "a warm run committed other summaries than a cold run";
+          return false;
+        }
       }
     }
   }
