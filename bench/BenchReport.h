@@ -1,11 +1,13 @@
-//===- bench/BenchReport.h - JSON emission for bench harnesses --*- C++ -*-===//
+//===- bench/BenchReport.h - Helpers the bench harnesses share --*- C++ -*-===//
 //
 // Part of the ipcp project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lets every bench harness publish its headline numbers as JSON without
+/// What every bench harness shares: the suite modules, loaded once; the
+/// one parse-check-lower step for the programs a harness spells out or
+/// generates; and publication of its headline numbers as JSON without
 /// touching its console output. When the IPCP_BENCH_JSON_DIR environment
 /// variable is set, benchReport("table2", Doc) writes Doc (wrapped in an
 /// "ipcp-bench-report-v1" envelope) to $IPCP_BENCH_JSON_DIR/BENCH_table2.json;
@@ -17,16 +19,47 @@
 #ifndef IPCP_BENCH_BENCHREPORT_H
 #define IPCP_BENCH_BENCHREPORT_H
 
+#include "frontend/Parser.h"
+#include "ir/AstLower.h"
+#include "ir/Module.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
+#include "workload/Programs.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace ipcp {
+
+/// The twelve suite modules, loaded once; harnesses analyze them
+/// read-only.
+inline const std::vector<std::unique_ptr<Module>> &suiteModules() {
+  static const std::vector<std::unique_ptr<Module>> Modules = [] {
+    std::vector<std::unique_ptr<Module>> Out;
+    for (const SuiteProgram &Prog : benchmarkSuite())
+      Out.push_back(loadSuiteModule(Prog));
+    return Out;
+  }();
+  return Modules;
+}
+
+/// Parses, checks and lowers \p Source. A harness's own programs are
+/// well formed, so a frontend error aborts with its diagnostics.
+inline std::unique_ptr<Module> benchModule(const std::string &Source) {
+  DiagnosticsEngine Diags;
+  std::optional<Program> Ast = parseAndCheck(Source, Diags);
+  if (!Ast) {
+    std::fprintf(stderr, "bench program failed to compile:\n%s",
+                 Diags.str().c_str());
+    std::abort();
+  }
+  return lowerProgram(*Ast);
+}
 
 /// Writes BENCH_<name>.json into $IPCP_BENCH_JSON_DIR, if set. Returns
 /// false (after printing to stderr) only when the write itself failed.

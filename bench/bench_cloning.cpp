@@ -13,10 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/Cloning.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
-#include "workload/Programs.h"
 
 #include <benchmark/benchmark.h>
 
@@ -43,12 +41,6 @@ std::string divergentProgram(unsigned Kernels, unsigned SitesPerKernel) {
   return Src;
 }
 
-std::unique_ptr<Module> compile(const std::string &Source) {
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(Source, Diags);
-  return lowerProgram(*Ast);
-}
-
 void printCloningTable() {
   std::printf("Cloning application (paper Section 5 / refs [6, 13]):\n");
   std::printf("program      clones  refs-before  refs-after  insts-before  "
@@ -63,7 +55,7 @@ void printCloningTable() {
     Report(Prog.Name, cloneForConstants(*M));
   }
   for (unsigned Sites : {2u, 3u}) {
-    auto M = compile(divergentProgram(3, Sites));
+    auto M = benchModule(divergentProgram(3, Sites));
     Report("divergent-" + std::to_string(Sites), cloneForConstants(*M));
   }
   std::printf("\n");
@@ -73,7 +65,7 @@ void BM_CloneForConstants(benchmark::State &State) {
   std::string Source = divergentProgram(State.range(0), 3);
   for (auto _ : State) {
     State.PauseTiming();
-    auto M = compile(Source); // cloning mutates: fresh module per run
+    auto M = benchModule(Source); // cloning mutates: fresh module per run
     State.ResumeTiming();
     CloningResult R = cloneForConstants(*M);
     benchmark::DoNotOptimize(R.RefsAfter);

@@ -28,10 +28,7 @@
 
 #include "BenchReport.h"
 #include "core/Pipeline.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
 #include "workload/Generator.h"
-#include "workload/Programs.h"
 
 #include <benchmark/benchmark.h>
 
@@ -43,12 +40,6 @@
 using namespace ipcp;
 
 namespace {
-
-std::unique_ptr<Module> compile(const std::string &Source) {
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(Source, Diags);
-  return lowerProgram(*Ast);
-}
 
 /// A swap fan of the given width: every blend_i receives the same value
 /// pair in swapped orders, so the sum it forwards is invariant — but
@@ -170,7 +161,7 @@ JsonValue generatedStudy() {
     Config.NumProcs = 12;
     Config.NumGlobals = 4;
     Config.StmtsPerProc = 10;
-    std::unique_ptr<Module> M = compile(generateProgram(Config));
+    std::unique_ptr<Module> M = benchModule(generateProgram(Config));
     Rows.push(studyRow("gen" + std::to_string(Seed), *M,
                        JumpFunctionKind::Polynomial));
   }
@@ -186,7 +177,7 @@ JsonValue swapFanStudy() {
   // Width 1 would be degenerate — (1,1) swapped is itself — so the
   // family starts where the correlation is real.
   for (unsigned Width : {2u, 4u, 16u, 64u}) {
-    std::unique_ptr<Module> M = compile(swapFanProgram(Width));
+    std::unique_ptr<Module> M = benchModule(swapFanProgram(Width));
     JsonValue Row = studyRow("swapfan" + std::to_string(Width), *M,
                              JumpFunctionKind::Polynomial);
     if (Row.find("constants_delta")->asInt() <= 0) {
@@ -218,7 +209,7 @@ BENCHMARK(BM_EngineOnSuite)
     ->ArgNames({"program", "contexts"});
 
 void BM_EngineOnSwapFan(benchmark::State &State) {
-  std::unique_ptr<Module> M = compile(swapFanProgram(State.range(0)));
+  std::unique_ptr<Module> M = benchModule(swapFanProgram(State.range(0)));
   bool Contexts = State.range(1);
   IPCPOptions Opts;
   if (Contexts)

@@ -23,8 +23,6 @@
 
 #include "BenchReport.h"
 #include "core/Pipeline.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
 #include "workload/Generator.h"
 
 #include <benchmark/benchmark.h>
@@ -41,10 +39,7 @@ std::unique_ptr<Module> makeProgram(unsigned Procs, uint64_t Seed) {
   Config.NumProcs = Procs;
   Config.NumGlobals = 6;
   Config.StmtsPerProc = 14;
-  std::string Source = generateProgram(Config);
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(Source, Diags);
-  return lowerProgram(*Ast);
+  return benchModule(generateProgram(Config));
 }
 
 /// Full analysis cost by forward jump function class, over program size.

@@ -19,8 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
+#include "BenchReport.h"
 #include "workload/Generator.h"
 #include "workload/Study.h"
 
@@ -86,9 +85,7 @@ void BM_ExpressionCap(benchmark::State &State) {
   GeneratorConfig Config;
   Config.Seed = 31;
   Config.NumProcs = 24;
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(generateProgram(Config), Diags);
-  auto M = lowerProgram(*Ast);
+  auto M = benchModule(generateProgram(Config));
   IPCPOptions Opts;
   Opts.MaxExprNodes = State.range(0);
   for (auto _ : State) {

@@ -51,17 +51,6 @@ using namespace ipcp;
 
 namespace {
 
-/// The twelve suite modules, loaded once and shared by every section.
-const std::vector<std::unique_ptr<Module>> &suiteModules() {
-  static std::vector<std::unique_ptr<Module>> Mods = [] {
-    std::vector<std::unique_ptr<Module>> Out;
-    for (const SuiteProgram &Prog : benchmarkSuite())
-      Out.push_back(loadSuiteModule(Prog));
-    return Out;
-  }();
-  return Mods;
-}
-
 /// Every formal of every suite procedure, in module/procedure order —
 /// the variable population real jump-function construction runs over.
 const std::vector<Variable *> &suiteFormals() {

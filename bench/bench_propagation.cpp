@@ -26,8 +26,6 @@
 #include "BenchReport.h"
 #include "core/BindingGraph.h"
 #include "core/Pipeline.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
 #include "workload/Generator.h"
 
 #include <benchmark/benchmark.h>
@@ -67,14 +65,8 @@ std::string fanProgram(unsigned Width, bool Agree) {
   return Src;
 }
 
-std::unique_ptr<Module> compile(const std::string &Source) {
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(Source, Diags);
-  return lowerProgram(*Ast);
-}
-
 void BM_ChainDepth(benchmark::State &State) {
-  auto M = compile(chainProgram(State.range(0)));
+  auto M = benchModule(chainProgram(State.range(0)));
   for (auto _ : State) {
     IPCPResult R = runIPCP(*M);
     benchmark::DoNotOptimize(R.TotalConstantRefs);
@@ -84,7 +76,7 @@ void BM_ChainDepth(benchmark::State &State) {
 BENCHMARK(BM_ChainDepth)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->ArgName("depth");
 
 void BM_FanWidth(benchmark::State &State) {
-  auto M = compile(fanProgram(State.range(0), State.range(1)));
+  auto M = benchModule(fanProgram(State.range(0), State.range(1)));
   State.SetLabel(State.range(1) ? "agreeing" : "disagreeing");
   for (auto _ : State) {
     IPCPResult R = runIPCP(*M);
@@ -102,9 +94,7 @@ void BM_SolverFormulation(benchmark::State &State) {
   Config.Seed = 17;
   Config.NumProcs = State.range(0);
   Config.NumGlobals = 8;
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(generateProgram(Config), Diags);
-  auto M = lowerProgram(*Ast);
+  auto M = benchModule(generateProgram(Config));
 
   IPCPOptions Opts;
   ModuleAnalysis Analysis(*M, Opts);
@@ -133,9 +123,7 @@ JsonValue printSolverComparison(bool &Ok) {
   Config.Seed = 17;
   Config.NumProcs = 48;
   Config.NumGlobals = 8;
-  DiagnosticsEngine Diags;
-  std::optional<Program> Ast = parseAndCheck(generateProgram(Config), Diags);
-  auto M = lowerProgram(*Ast);
+  auto M = benchModule(generateProgram(Config));
   IPCPOptions Opts;
   ModuleAnalysis Analysis(*M, Opts);
   buildJumpFunctions(Analysis, Opts);
@@ -186,7 +174,7 @@ JsonValue printLoweringLinearity(bool &Ok) {
   std::printf("  depth  parameters  lowerings  evaluations  visits\n");
   JsonValue Out = JsonValue::array();
   for (unsigned Depth : {4u, 16u, 64u, 256u}) {
-    auto M = compile(chainProgram(Depth));
+    auto M = benchModule(chainProgram(Depth));
     IPCPResult R = runIPCP(*M);
     std::printf("  %5u  %10u  %9llu  %11llu  %6llu\n", Depth, 2 * Depth,
                 static_cast<unsigned long long>(

@@ -16,30 +16,20 @@
 //     prop_evaluations, prop_revisits) are summed over the suite for
 //     both schedules.
 //
-//  3. Incremental re-analysis through the summary cache beats a cold
-//     run after a single-procedure edit: each program is analyzed once
-//     to populate an in-memory cache, one leaf procedure is edited, and
-//     the warm rerun must perform strictly fewer jump-function
-//     evaluations (prop_evaluations) than an identical cold run — while
-//     producing a byte-identical normalized report. An *unedited* warm
-//     rerun must perform none at all.
-//
-// The headline numbers land in BENCH_scaling.json and
-// BENCH_incremental.json (when IPCP_BENCH_JSON_DIR is set) so
-// trajectories can compare them mechanically; the google-benchmark
-// timings cover the same suite pass per thread count plus the
-// warm-vs-cold suite pass.
+// The headline numbers land in BENCH_scaling.json (when
+// IPCP_BENCH_JSON_DIR is set) so trajectories can compare them
+// mechanically; the google-benchmark timings cover the same suite pass
+// per thread count plus a warm-vs-cold suite pass through the summary
+// cache. The warm-vs-cold work claims are tier-1 tests
+// (tests/IncrementalTests.cpp).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
-#include "analysis/CallGraph.h"
-#include "core/Report.h"
+#include "core/Pipeline.h"
 #include "core/SuiteRunner.h"
 #include "core/SummaryCache.h"
-#include "ir/Instructions.h"
 #include "support/Statistics.h"
-#include "workload/Study.h"
 
 #include <benchmark/benchmark.h>
 
@@ -48,17 +38,6 @@
 using namespace ipcp;
 
 namespace {
-
-/// Modules parsed once; analysis runs re-use them read-only.
-std::vector<std::unique_ptr<Module>> &suiteModules() {
-  static std::vector<std::unique_ptr<Module>> Modules = [] {
-    std::vector<std::unique_ptr<Module>> Out;
-    for (const SuiteProgram &Prog : benchmarkSuite())
-      Out.push_back(loadSuiteModule(Prog));
-    return Out;
-  }();
-  return Modules;
-}
 
 /// One full suite analysis across \p Jobs workers; returns the summed
 /// constant-reference count (also serving as a determinism check).
@@ -92,29 +71,6 @@ void BM_AnalyzeSuiteJobs(benchmark::State &State) {
     benchmark::DoNotOptimize(analyzeSuite(Jobs));
 }
 BENCHMARK(BM_AnalyzeSuiteJobs)->RangeMultiplier(2)->Range(1, 8)->ArgName("jobs");
-
-/// The leaf procedure (no call sites of its own, at least one caller) a
-/// single-procedure edit targets, or "" when the program has none.
-std::string editableLeaf(Module &M) {
-  CallGraph CG(M);
-  for (Procedure *P : CG.procedures())
-    if (CG.callSitesIn(P).empty() && !CG.callers(P).empty())
-      return P->getName();
-  return std::string();
-}
-
-/// Clones \p M and prepends `print 7` to procedure \p Leaf. The body
-/// hash changes but the summary content (MOD, jump functions) does not,
-/// so the edit models the smallest interesting incremental change: the
-/// leaf's SCC must re-analyze while every caller cuts off early.
-std::unique_ptr<Module> withEditedLeaf(const Module &M,
-                                       const std::string &Leaf) {
-  std::unique_ptr<Module> Edited = M.clone();
-  Procedure *P = Edited->findProcedure(Leaf);
-  P->getEntryBlock()->insertAtTop(std::make_unique<PrintInst>(
-      Edited->nextInstId(), SourceLoc(), Edited->getConstant(7)));
-  return Edited;
-}
 
 void BM_SuiteCached(benchmark::State &State) {
   bool Warm = State.range(0) != 0;
@@ -247,82 +203,7 @@ int main(int argc, char **argv) {
                 CountersStable ? "unchanged" : "CHANGED");
   }
 
-  // Incremental re-analysis: populate a per-program summary cache from a
-  // pristine run, edit one leaf procedure, and compare the warm rerun
-  // against an identical cold run. Three claims, each per program:
-  //   - an unedited warm rerun evaluates no jump functions at all;
-  //   - the warm edited rerun evaluates strictly fewer than cold;
-  //   - the normalized warm and cold reports are byte-identical.
-  const std::vector<SuiteProgram> &Suite = benchmarkSuite();
-  JsonValue Programs = JsonValue::array();
-  uint64_t ColdEvals = 0, WarmEvals = 0, RerunEvals = 0;
-  unsigned Edited = 0;
-  bool AllMatch = true;
-  std::printf("incremental rerun after one leaf edit (warm vs cold "
-              "prop_evaluations):\n");
-  for (size_t I = 0; I != suiteModules().size(); ++I) {
-    Module &M = *suiteModules()[I];
-    JsonValue Entry = JsonValue::object();
-    Entry.set("program", Suite[I].Name);
-    std::string Leaf = editableLeaf(M);
-    if (Leaf.empty()) {
-      Entry.set("skipped", true);
-      std::printf("  %-12s (no leaf procedure with callers; skipped)\n",
-                  Suite[I].Name.c_str());
-      Programs.push(std::move(Entry));
-      continue;
-    }
-    ++Edited;
-    SummaryCache Cache;
-    runIPCP(M, {}, nullptr, &Cache); // populate
-    uint64_t Rerun =
-        runIPCP(M, {}, nullptr, &Cache).Stats.get(Counter::prop_evaluations);
-    std::unique_ptr<Module> EditedM = withEditedLeaf(M, Leaf);
-    IPCPResult WarmRes = runIPCP(*EditedM, {}, nullptr, &Cache);
-    IPCPResult ColdRes = runIPCP(*EditedM);
-    uint64_t WE = WarmRes.Stats.get(Counter::prop_evaluations);
-    uint64_t CE = ColdRes.Stats.get(Counter::prop_evaluations);
-    JsonValue WarmDoc = resultToJson(WarmRes);
-    JsonValue ColdDoc = resultToJson(ColdRes);
-    normalizeReportForDiff(WarmDoc);
-    normalizeReportForDiff(ColdDoc);
-    bool Match = WarmDoc.dump() == ColdDoc.dump();
-    RerunEvals += Rerun;
-    WarmEvals += WE;
-    ColdEvals += CE;
-    AllMatch = AllMatch && Match;
-    std::printf("  %-12s edit %-10s warm %4llu vs cold %4llu  rerun %llu"
-                "%s\n",
-                Suite[I].Name.c_str(), Leaf.c_str(),
-                (unsigned long long)WE, (unsigned long long)CE,
-                (unsigned long long)Rerun, Match ? "" : "  REPORT MISMATCH");
-    Entry.set("edited_procedure", Leaf);
-    Entry.set("warm_evaluations", WE);
-    Entry.set("cold_evaluations", CE);
-    Entry.set("warm_rerun_evaluations", Rerun);
-    Entry.set("reports_match", Match);
-    Programs.push(std::move(Entry));
-  }
-  bool IncrementalOk = Edited > 0 && WarmEvals < ColdEvals &&
-                       RerunEvals == 0 && AllMatch;
-  std::printf("  total: warm %llu vs cold %llu, unedited reruns %llu, "
-              "reports %s -> %s\n\n",
-              (unsigned long long)WarmEvals, (unsigned long long)ColdEvals,
-              (unsigned long long)RerunEvals,
-              AllMatch ? "match" : "MISMATCH", IncrementalOk ? "ok" : "FAIL");
-
-  JsonValue IncDoc = JsonValue::object();
-  IncDoc.set("programs", std::move(Programs));
-  IncDoc.set("edited_programs", Edited);
-  IncDoc.set("warm_evaluations", WarmEvals);
-  IncDoc.set("cold_evaluations", ColdEvals);
-  IncDoc.set("warm_rerun_evaluations", RerunEvals);
-  IncDoc.set("reports_match", AllMatch);
-  IncDoc.set("warm_strictly_fewer", WarmEvals < ColdEvals);
-  IncDoc.set("ok", IncrementalOk);
-  benchReport("incremental", std::move(IncDoc));
-
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return (StrictlyFewer && IncrementalOk) ? 0 : 1;
+  return StrictlyFewer ? 0 : 1;
 }

@@ -12,9 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchReport.h"
 #include "core/SuiteRunner.h"
-#include "frontend/Parser.h"
-#include "ir/AstLower.h"
 #include "workload/Study.h"
 
 #include <benchmark/benchmark.h>
@@ -26,12 +25,8 @@ using namespace ipcp;
 static void BM_FrontendPerProgram(benchmark::State &State) {
   const SuiteProgram &Prog = benchmarkSuite()[State.range(0)];
   State.SetLabel(Prog.Name);
-  for (auto _ : State) {
-    DiagnosticsEngine Diags;
-    std::optional<Program> Ast = parseAndCheck(Prog.Source, Diags);
-    auto M = lowerProgram(*Ast);
-    benchmark::DoNotOptimize(M->instructionCount());
-  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(benchModule(Prog.Source)->instructionCount());
 }
 BENCHMARK(BM_FrontendPerProgram)->DenseRange(0, 11)->ArgName("program");
 

@@ -31,17 +31,6 @@ using namespace ipcp;
 
 namespace {
 
-/// Modules parsed once; analysis benchmarks re-run on them.
-std::vector<std::unique_ptr<Module>> &suiteModules() {
-  static std::vector<std::unique_ptr<Module>> Modules = [] {
-    std::vector<std::unique_ptr<Module>> Out;
-    for (const SuiteProgram &Prog : benchmarkSuite())
-      Out.push_back(loadSuiteModule(Prog));
-    return Out;
-  }();
-  return Modules;
-}
-
 void runSuite(benchmark::State &State, IPCPOptions Opts) {
   for (auto _ : State) {
     unsigned Total = 0;

@@ -28,16 +28,6 @@ using namespace ipcp;
 
 namespace {
 
-std::vector<std::unique_ptr<Module>> &suiteModules() {
-  static std::vector<std::unique_ptr<Module>> Modules = [] {
-    std::vector<std::unique_ptr<Module>> Out;
-    for (const SuiteProgram &Prog : benchmarkSuite())
-      Out.push_back(loadSuiteModule(Prog));
-    return Out;
-  }();
-  return Modules;
-}
-
 void BM_SuiteWithConfig(benchmark::State &State) {
   IPCPOptions Opts;
   bool Complete = false;

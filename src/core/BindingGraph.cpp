@@ -7,6 +7,7 @@
 #include "core/BindingGraph.h"
 
 #include "support/Trace.h"
+#include "support/Worklist.h"
 
 using namespace ipcp;
 
@@ -25,9 +26,9 @@ struct BindingEdge {
 /// The binding multigraph solver. Every (procedure, extended formal) pair
 /// is one slot of the shared ValLayout. VAL is one flat vector over those
 /// slots, the dependency index is a CSR adjacency from slots to edge
-/// indices, and the worklist is a FIFO over slots with a pending bitmap —
-/// the same iteration order as the map-and-deque formulation this
-/// replaces, so the work counters are unchanged.
+/// indices, and the worklist is an IndexWorklist over slots — the same
+/// iteration order as the map-and-deque formulation this replaces, so the
+/// work counters are unchanged.
 class BindingGraphSolver {
 public:
   BindingGraphSolver(const CallGraph &CG, const ModRefInfo &MRI,
@@ -62,9 +63,7 @@ private:
   std::vector<uint32_t> DepOffsets;
   std::vector<uint32_t> DepList;
 
-  std::vector<uint32_t> Work; ///< FIFO of slots
-  size_t Head = 0;
-  std::vector<char> Pending; ///< by slot
+  IndexWorklist Work; ///< of slots
 };
 
 } // namespace
@@ -81,10 +80,7 @@ void BindingGraphSolver::lower(uint32_t Slot, LatticeValue NewVal) {
 void BindingGraphSolver::lowered(uint32_t Slot) {
   if (Stats)
     ++Stats->Lowerings;
-  if (!Pending[Slot]) {
-    Pending[Slot] = 1;
-    Work.push_back(Slot);
-  }
+  Work.insert(Slot);
 }
 
 void BindingGraphSolver::evaluateEdge(const BindingEdge &Edge) {
@@ -140,7 +136,7 @@ void BindingGraphSolver::buildEdges() {
 
 ConstantsMap BindingGraphSolver::solve() {
   VAL = Layout.initialVal();
-  Pending.assign(Layout.size(), 0);
+  Work.reserve(Layout.size());
   buildEdges();
 
   // The virtual entry edge lowered the slots it set; queue them like any
@@ -158,9 +154,8 @@ ConstantsMap BindingGraphSolver::solve() {
     evaluateEdge(Edge);
   }
 
-  while (Head != Work.size() && !(Guard && Guard->tripped())) {
-    uint32_t Slot = Work[Head++];
-    Pending[Slot] = 0;
+  while (!Work.empty() && !(Guard && Guard->tripped())) {
+    uint32_t Slot = Work.pop();
     if (Stats)
       ++Stats->ProcVisits; // here: pair visits
     for (uint32_t D = DepOffsets[Slot], E = DepOffsets[Slot + 1]; D != E;

@@ -81,7 +81,8 @@ enum class PropagationSchedule {
   /// regions converge in one visit per procedure.
   SCC,
   /// The naive all-procedures FIFO worklist; kept as the measurable
-  /// baseline for the scheduling benchmark.
+  /// baseline for the scheduling benchmark. Runs without the summary
+  /// cache (SummaryCache::models).
   FIFO,
 };
 

@@ -206,7 +206,7 @@ public:
   /// Also lays out the cached VAL row of every procedure whose component
   /// hit, which replay compares against the fresh fixpoint.
   const IncrementalPropagationPlan *buildPlan() {
-    if (Opts.Schedule != PropagationSchedule::SCC || Guard.tripped())
+    if (Guard.tripped())
       return nullptr;
     const std::vector<Procedure *> &Procs = CG.procedures();
     Plan.Layout = ValLayout(CG, MRI, Opts.EntryProcedure);

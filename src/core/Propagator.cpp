@@ -132,9 +132,11 @@ public:
              PropagatorStats *Stats, ResourceGuard *Guard,
              const IncrementalPropagationPlan *Plan)
       : CG(CG), FJFs(FJFs), Opts(Opts), Stats(Stats), Guard(Guard),
-        Plan(Opts.Schedule == PropagationSchedule::SCC ? Plan : nullptr),
-        Layout(this->Plan ? this->Plan->Layout
-                          : ValLayout(CG, MRI, Opts.EntryProcedure)) {}
+        Plan(Plan), Layout(Plan ? Plan->Layout
+                                : ValLayout(CG, MRI, Opts.EntryProcedure)) {
+    assert((!Plan || Opts.Schedule == PropagationSchedule::SCC) &&
+           "the summary cache models only the SCC schedule");
+  }
 
   ConstantsMap solve() {
     size_t N = CG.procedures().size();

@@ -214,8 +214,8 @@ struct IncrementalPropagationPlan {
 /// iteration leaves VAL entries too high — optimistically wrong — so the
 /// only sound partial answer is "no interprocedural constants"); the
 /// caller observes Guard->tripped() and reports degradation. \p Plan,
-/// when non-null, preloads adopted SCCs from cached VAL sets (SCC
-/// schedule only; the FIFO baseline ignores it).
+/// when non-null, preloads adopted SCCs from cached VAL sets; the
+/// summary cache models only the SCC schedule.
 ConstantsMap propagateConstants(const CallGraph &CG, const ModRefInfo &MRI,
                                 const ForwardJumpFunctions &FJFs,
                                 const IPCPOptions &Opts,

@@ -36,7 +36,8 @@ std::string SummaryCache::optionsFingerprint(const IPCPOptions &Opts) {
 
 bool SummaryCache::models(const IPCPOptions &Opts) {
   return !Opts.IntraproceduralOnly && !Opts.UseBindingGraphPropagator &&
-         Opts.Engine != PropagationEngine::Contexts;
+         Opts.Engine != PropagationEngine::Contexts &&
+         Opts.Schedule == PropagationSchedule::SCC;
 }
 
 //===----------------------------------------------------------------------===//

@@ -277,9 +277,8 @@ public:
   static std::string optionsFingerprint(const IPCPOptions &Opts);
 
   /// The one cache rule: false for IntraproceduralOnly, the binding-graph
-  /// propagator and the contexts engine, which runIPCP runs cold. The
-  /// FIFO schedule is modeled but adopts only jump-function summaries:
-  /// no cached VAL, no record-stage replay.
+  /// propagator, the contexts engine and the FIFO schedule, which runIPCP
+  /// runs cold.
   static bool models(const IPCPOptions &Opts);
 
 private:

@@ -6,8 +6,11 @@
 
 #include "core/ValueContexts.h"
 
+#include "support/StableHash.h"
 #include "support/Trace.h"
+#include "support/Worklist.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -16,9 +19,10 @@ using namespace ipcp;
 namespace {
 
 /// The context-tabulation solver. Contexts live in SoA tables (proc
-/// index, flat entry-slot spans into one value vector) with a FIFO
-/// worklist of context ids. An entry vector is one row of the baseline's
-/// ValLayout, so the baseline's rows align slot for slot with ours.
+/// index, flat entry-slot spans into one value vector) with an
+/// IndexWorklist of context ids. An entry vector is one row of the
+/// baseline's ValLayout, so the baseline's rows align slot for slot with
+/// ours.
 class ContextSolver {
 public:
   ContextSolver(const CallGraph &CG, const ModRefInfo &MRI,
@@ -63,28 +67,22 @@ private:
 
   bool tripped() const { return Guard && Guard->tripped(); }
 
-  /// FNV-1a over (proc, tagged slot values): the memo key for exact
+  /// StableHash of (proc, tagged slot values): the memo key for exact
   /// entry vectors.
   static uint64_t hashVector(unsigned PI, const LatticeValue *V, unsigned N) {
-    uint64_t H = 1469598103934665603ull;
-    auto Mix = [&H](uint64_t X) {
-      for (unsigned B = 0; B != 8; ++B) {
-        H ^= (X >> (B * 8)) & 0xff;
-        H *= 1099511628211ull;
-      }
-    };
-    Mix(PI);
+    StableHasher H;
+    H.u64(PI);
     for (unsigned I = 0; I != N; ++I) {
       if (V[I].isTop()) {
-        Mix(0);
+        H.u64(0);
       } else if (V[I].isBottom()) {
-        Mix(2);
+        H.u64(2);
       } else {
-        Mix(1);
-        Mix(uint64_t(V[I].getConstant()));
+        H.u64(1);
+        H.i64(V[I].getConstant());
       }
     }
-    return H;
+    return H.result();
   }
 
   bool sameVector(uint32_t C, unsigned PI, const LatticeValue *V,
@@ -105,9 +103,13 @@ private:
     CtxProc.push_back(PI);
     CtxBase.push_back(Entries.size());
     CtxIsSummary.push_back(Summary ? 1 : 0);
-    CtxQueued.push_back(1);
     Entries.insert(Entries.end(), V, V + N);
-    Queue.push_back(C);
+    // The key set grows with the contexts: reserve it geometrically.
+    if (C == Reserved) {
+      Reserved = std::max<size_t>(64, 2 * Reserved);
+      Work.reserve(Reserved);
+    }
+    Work.insert(C);
     return C;
   }
 
@@ -150,10 +152,8 @@ private:
           ++Stats->Lowerings;
       }
     }
-    if (Lowered && !CtxQueued[size_t(S)]) {
-      CtxQueued[size_t(S)] = 1;
-      Queue.push_back(uint32_t(S));
-    }
+    if (Lowered)
+      Work.insert(uint32_t(S));
   }
 
   /// The virtual entry edge: one context for the entry procedure, on its
@@ -221,11 +221,8 @@ private:
   }
 
   void runWorklist() {
-    while (Head < Queue.size() && !tripped()) {
-      uint32_t C = Queue[Head++];
-      CtxQueued[C] = 0;
-      processContext(C);
-    }
+    while (!Work.empty() && !tripped())
+      processContext(Work.pop());
   }
 
   void publishStats() {
@@ -275,18 +272,17 @@ private:
   ConstantsMap Base; ///< the baseline fixpoint, and its layout
 
   // Context tables (SoA): per-context proc index, span base into the
-  // flat entry-value vector, summary/queued flags.
+  // flat entry-value vector, summary flag.
   std::vector<uint32_t> CtxProc;
   std::vector<size_t> CtxBase;
   std::vector<char> CtxIsSummary;
-  std::vector<char> CtxQueued;
   std::vector<LatticeValue> Entries;
   std::vector<int32_t> SummaryOf;
   std::unordered_map<uint64_t, std::vector<uint32_t>> Memo;
   std::unordered_set<uint32_t> VisitedSummary;
 
-  std::vector<uint32_t> Queue;
-  size_t Head = 0;
+  IndexWorklist Work; ///< of context ids
+  size_t Reserved = 0; ///< context ids Work has room for
 
   uint64_t Evaluations = 0;
   uint64_t Reused = 0;

@@ -7,11 +7,12 @@
 /// \file
 /// Seeded generator of `ipcp-service-v1` request logs (docs/SERVICE.md)
 /// for replaying against the analysis daemon: the CI service-smoke job
-/// boots ipcp_serverd, feeds it a generated log, and diffs every
-/// embedded report against a one-shot ipcp_driver run of the same
-/// program; bench_service replays logs to measure cold, warm, and
-/// batched throughput. Same config -> same lines, so a replay is a
-/// deterministic workload, not a flaky one.
+/// boots ipcp_serverd, feeds it a generated log, and compares a
+/// concurrent replay with a serial one; ServiceTests replays the same
+/// log and diffs every embedded report against a cold run of the same
+/// request; ipcp_loadgen streams logs to measure throughput and
+/// latency. Same config -> same lines, so a replay is a deterministic
+/// workload, not a flaky one.
 ///
 /// Logs are built from the benchmark suite (workload/Programs): every
 /// request names a suite program, asks for a scrubbed-timings report,

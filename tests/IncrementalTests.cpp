@@ -46,7 +46,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 using namespace ipcp;
 using namespace ipcp::test;
@@ -64,7 +66,8 @@ std::string normalized(const IPCPResult &Res) {
 /// The core differential check on one module: a cache-populating cold
 /// run, the warm rerun behind it, and a cache-less reference must agree
 /// on the normalized report — and the warm run must actually have been
-/// warm (every procedure a hit, at least one VAL set adopted).
+/// warm (every procedure a hit, at least one VAL set adopted, no jump
+/// function evaluated).
 void expectWarmEqualsCold(Module &M, const std::string &Label) {
   IPCPResult Plain = runIPCP(M);
 
@@ -81,6 +84,7 @@ void expectWarmEqualsCold(Module &M, const std::string &Label) {
   EXPECT_EQ(Warm.Stats.get("cache_misses"), 0u) << Label;
   EXPECT_GT(Warm.Stats.get("cache_hits"), 0u) << Label;
   EXPECT_GT(Warm.Stats.get("cache_val_adopted"), 0u) << Label;
+  EXPECT_EQ(Warm.Stats.get("prop_evaluations"), 0u) << Label;
 }
 
 /// The stale-cache differential check: analyze \p Mutant against the
@@ -293,6 +297,39 @@ proc main() {
 }
 )";
 
+/// Index of the first procedure of \p M that has callers but no call
+/// sites of its own, or none.
+std::optional<size_t> leafWithCallers(const Module &M) {
+  CallGraph CG(M);
+  for (Procedure *P : CG.procedures())
+    if (CG.callSitesIn(P).empty() && !CG.callers(P).empty())
+      return P->getModuleIndex();
+  return std::nullopt;
+}
+
+/// Prepends `print 9;` to procedure \p Leaf of \p M and analyzes the
+/// edit through \p Cache, which holds \p M's summaries. The warm run
+/// re-analyzes the leaf's SCC but adopts its callers (the body edit left
+/// the leaf's summary content unchanged, so the callers' keys still
+/// validate): it evaluates strictly fewer jump functions than the
+/// identical cold run, and the normalized reports are equal.
+void expectLeafEditDoesLessWork(const Module &M, size_t Leaf,
+                                SummaryCache &Cache,
+                                const std::string &Label) {
+  std::unique_ptr<Module> Edited = withPrintPrepended(M, Leaf);
+  IPCPResult Warm = runIPCP(*Edited, {}, nullptr, &Cache);
+  IPCPResult Cold = runIPCP(*Edited);
+  EXPECT_EQ(normalized(Cold), normalized(Warm)) << Label;
+  EXPECT_LT(Warm.Stats.get("prop_evaluations"),
+            Cold.Stats.get("prop_evaluations"))
+      << Label;
+  EXPECT_GT(Warm.Stats.get("cache_hits"), 0u) << Label;
+  EXPECT_GT(Warm.Stats.get("cache_invalidations") +
+                Warm.Stats.get("cache_misses"),
+            0u)
+      << Label;
+}
+
 TEST(Incremental, LeafEditDoesStrictlyLessWork) {
   std::unique_ptr<Module> M = lowerOk(Chain);
   SummaryCache Cache;
@@ -303,24 +340,19 @@ TEST(Incremental, LeafEditDoesStrictlyLessWork) {
   EXPECT_EQ(Rerun.Stats.get("prop_evaluations"), 0u);
   EXPECT_EQ(Rerun.Stats.get("cache_misses"), 0u);
 
-  // After editing only `leaf`, the warm run re-analyzes the leaf's SCC
-  // but adopts `mid` and `main` (the body edit left the leaf's summary
-  // content unchanged, so the callers' keys still validate) — strictly
-  // fewer evaluations than the identical cold run.
-  std::unique_ptr<Module> Edited = M->clone();
-  getProc(*Edited, "leaf")
-      ->getEntryBlock()
-      ->insertAtTop(std::make_unique<PrintInst>(
-          Edited->nextInstId(), SourceLoc(), Edited->getConstant(1)));
-  IPCPResult Warm = runIPCP(*Edited, {}, nullptr, &Cache);
-  IPCPResult Cold = runIPCP(*Edited);
-  EXPECT_EQ(normalized(Cold), normalized(Warm));
-  EXPECT_LT(Warm.Stats.get("prop_evaluations"),
-            Cold.Stats.get("prop_evaluations"));
-  EXPECT_GT(Warm.Stats.get("cache_hits"), 0u);
-  EXPECT_GT(Warm.Stats.get("cache_invalidations") +
-                Warm.Stats.get("cache_misses"),
-            0u);
+  // After editing only `leaf`, `mid` and `main` are adopted.
+  expectLeafEditDoesLessWork(*M, getProc(*M, "leaf")->getModuleIndex(), Cache,
+                             "Chain");
+
+  // The same edit to the first leaf with callers of every suite program.
+  for (const SuiteProgram &Prog : benchmarkSuite()) {
+    std::unique_ptr<Module> SM = loadSuiteModule(Prog);
+    std::optional<size_t> Leaf = leafWithCallers(*SM);
+    ASSERT_TRUE(Leaf) << Prog.Name;
+    SummaryCache SuiteCache;
+    runIPCP(*SM, {}, nullptr, &SuiteCache);
+    expectLeafEditDoesLessWork(*SM, *Leaf, SuiteCache, Prog.Name);
+  }
 }
 
 // Deleting a procedure and its call: the commit drops its entry, so the
@@ -645,6 +677,26 @@ TEST(IncrementalCache, OptionsMismatchMissesTheCache) {
   SummaryCache Cache;
   EXPECT_FALSE(Cache.loadFromString(Text, B));
   EXPECT_EQ(Cache.size(), 0u);
+}
+
+// The configurations the summary format does not model run cold even
+// when handed a cache: nothing is adopted and nothing is committed.
+TEST(IncrementalCache, UnmodeledConfigurationsLeaveTheCacheEmpty) {
+  std::unique_ptr<Module> M = lowerOk(Chain);
+  std::vector<IPCPOptions> Unmodeled(4);
+  Unmodeled[0].IntraproceduralOnly = true;
+  Unmodeled[1].UseBindingGraphPropagator = true;
+  Unmodeled[2].Engine = PropagationEngine::Contexts;
+  Unmodeled[3].Schedule = PropagationSchedule::FIFO;
+  for (const IPCPOptions &Opts : Unmodeled) {
+    std::string Label = SummaryCache::optionsFingerprint(Opts);
+    SummaryCache Cache;
+    IPCPResult Res = runIPCP(*M, Opts, nullptr, &Cache);
+    EXPECT_FALSE(SummaryCache::models(Opts)) << Label;
+    EXPECT_FALSE(Res.UsedCache) << Label;
+    EXPECT_EQ(Cache.size(), 0u) << Label;
+    EXPECT_FALSE(Cache.committed()) << Label;
+  }
 }
 
 TEST(IncrementalCache, FingerprintCoversEveryFingerprintedOption) {

@@ -551,27 +551,96 @@ TEST(ServiceEngineTest, FrontendTripDegradesWithResultFreeReport) {
 }
 
 TEST(ServiceEngineTest, WarmSessionSkipsAllEvaluations) {
+  // Every suite program cold then warm in its session, then one warm
+  // batch of the whole suite: a warm request, single or batched,
+  // evaluates no jump function.
   ShardedService Svc(serialService(basicConfig()));
-  std::string Line = analyzeLine("simple", "warm-test");
-  JsonValue Cold = serve(Svc, Line);
-  JsonValue Warm = serve(Svc, Line);
-  EXPECT_EQ(statusOf(Cold), "ok");
-  EXPECT_EQ(statusOf(Warm), "ok");
-  EXPECT_GT(counter(Cold, "prop_evaluations"), 0u);
-  EXPECT_EQ(counter(Warm, "prop_evaluations"), 0u);
-  EXPECT_GT(counter(Warm, "cache_hits"), 0u);
-  // Results are identical modulo the warm-volatile fields.
-  JsonValue NormCold = *Cold.find("report");
-  JsonValue NormWarm = *Warm.find("report");
-  normalizeReportForDiff(NormCold);
-  normalizeReportForDiff(NormWarm);
-  EXPECT_EQ(NormCold.dump(), NormWarm.dump());
+  const std::vector<SuiteProgram> &Suite = benchmarkSuite();
+  std::string Batch = R"({"op":"analyze-batch","requests":[)";
+  for (const SuiteProgram &Prog : Suite) {
+    std::string Line = analyzeLine(Prog.Name, "warm-test");
+    JsonValue Cold = serve(Svc, Line);
+    JsonValue Warm = serve(Svc, Line);
+    EXPECT_EQ(statusOf(Cold), "ok") << Prog.Name;
+    EXPECT_EQ(statusOf(Warm), "ok") << Prog.Name;
+    EXPECT_GT(counter(Cold, "prop_evaluations"), 0u) << Prog.Name;
+    EXPECT_EQ(counter(Warm, "prop_evaluations"), 0u) << Prog.Name;
+    EXPECT_GT(counter(Warm, "cache_hits"), 0u) << Prog.Name;
+    // Results are identical modulo the warm-volatile fields.
+    JsonValue NormCold = *Cold.find("report");
+    JsonValue NormWarm = *Warm.find("report");
+    normalizeReportForDiff(NormCold);
+    normalizeReportForDiff(NormWarm);
+    EXPECT_EQ(NormCold.dump(), NormWarm.dump()) << Prog.Name;
+    Batch += (&Prog == &Suite.front() ? "" : ",") + Line;
+  }
+  JsonValue Batched = serve(Svc, Batch + "]}");
+  EXPECT_EQ(statusOf(Batched), "ok");
+  const JsonValue *Items = Batched.find("responses");
+  ASSERT_NE(Items, nullptr);
+  ASSERT_EQ(Items->size(), Suite.size());
+  for (size_t I = 0; I != Suite.size(); ++I) {
+    EXPECT_EQ(statusOf(Items->at(I)), "ok") << Suite[I].Name;
+    EXPECT_EQ(counter(Items->at(I), "prop_evaluations"), 0u) << Suite[I].Name;
+    EXPECT_GT(counter(Items->at(I), "cache_hits"), 0u) << Suite[I].Name;
+  }
 
   JsonValue Stats = serve(Svc, R"({"op":"stats"})");
   const JsonValue *S = Stats.find("stats");
-  EXPECT_EQ(S->find("analyze_requests")->asInt(), 2);
-  EXPECT_EQ(S->find("warm_hits")->asInt(), 1);
-  EXPECT_EQ(S->find("sessions_resident")->asInt(), 1);
+  int64_t N = int64_t(Suite.size());
+  EXPECT_EQ(S->find("analyze_requests")->asInt(), 3 * N);
+  EXPECT_EQ(S->find("warm_hits")->asInt(), 2 * N);
+  EXPECT_EQ(S->find("sessions_resident")->asInt(), N);
+}
+
+// The log `ipcp_serverd --emit-sample-log=24 --sample-seed=7` prints,
+// replayed through the serial dispatcher: every ok embedded report, warm
+// or cold, equals the report of a cold RequestRun of the same request
+// once normalizeReportForDiff strips the warm-volatile fields.
+TEST(ServiceEngineTest, ReplayedReportsEqualColdRuns) {
+  ServiceLogConfig Config;
+  Config.Seed = 7;
+  Config.Requests = 24;
+  std::vector<std::string> Log = generateServiceLog(Config);
+  ShardedService Svc(serialService(basicConfig()));
+  std::vector<std::string> Out = test::runLines(Svc, Log);
+  ASSERT_EQ(Out.size(), Log.size());
+
+  ServiceEngine Parser(basicConfig());
+  unsigned Checked = 0, Warm = 0;
+  auto Check = [&](const ServiceRequest &Req, const JsonValue &Body) {
+    if (statusOf(Body) != "ok")
+      return;
+    const SuiteProgram *Prog = findSuiteProgram(Req.Suite);
+    ASSERT_NE(Prog, nullptr) << Req.Suite;
+    RequestRun Run(Req);
+    ASSERT_TRUE(Run.compile(Prog->Source)) << Req.Suite;
+    Run.run(nullptr);
+    JsonValue Cold = Run.report(/*Scrub=*/true);
+    JsonValue Got = *Body.find("report");
+    normalizeReportForDiff(Cold);
+    normalizeReportForDiff(Got);
+    EXPECT_EQ(Got.dump(), Cold.dump()) << Req.Id.dump();
+    Warm += counter(Body, "cache_hits") > 0;
+    ++Checked;
+  };
+  for (size_t I = 0; I != Log.size(); ++I) {
+    ServiceRequest Req = parseOk(Parser, Log[I]);
+    std::optional<JsonValue> Response = JsonValue::parse(Out[I]);
+    ASSERT_TRUE(Response.has_value()) << Out[I];
+    EXPECT_EQ(Response->find("seq")->asInt(), int64_t(I));
+    if (Req.Op == ServiceRequest::Kind::Analyze) {
+      Check(Req, *Response);
+    } else if (Req.Op == ServiceRequest::Kind::AnalyzeBatch) {
+      const JsonValue *Items = Response->find("responses");
+      ASSERT_NE(Items, nullptr) << Out[I];
+      ASSERT_EQ(Items->size(), Req.Batch.size()) << Out[I];
+      for (size_t K = 0; K != Req.Batch.size(); ++K)
+        Check(Req.Batch[K], Items->at(K));
+    }
+  }
+  EXPECT_EQ(Checked, Config.Requests);
+  EXPECT_GT(Warm, 0u);
 }
 
 TEST(ServiceEngineTest, DistinctOptionsNeverShareASession) {

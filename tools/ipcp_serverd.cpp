@@ -36,7 +36,7 @@
 //   --emit-sample-log=N [--sample-seed=S]
 //                      print N generated analyze requests (plus stats and
 //                      shutdown) to stdout and exit — replay fodder for
-//                      the CI smoke job and bench_service
+//                      the CI smoke job
 //   --help
 //
 // Request lines are answered in request order (responses carry "seq");
