@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "core/ShardedService.h"
+#include "core/ServiceDispatcher.h"
 
 #include <thread>
 
@@ -66,9 +66,9 @@ ipcp::test::promotedLoads(const Procedure &P, const SSAResult &SSA) {
 }
 
 std::vector<std::string>
-ipcp::test::runLines(ShardedService &Svc,
+ipcp::test::runLines(ServiceDispatcher &Svc,
                      const std::vector<std::string> &Lines) {
-  std::unique_ptr<ShardedService::Stream> St = Svc.openStream();
+  std::unique_ptr<ServiceDispatcher::Stream> St = Svc.openStream();
   std::vector<std::string> Out;
   std::thread Consumer([&] {
     std::string Response;

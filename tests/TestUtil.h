@@ -21,7 +21,7 @@
 
 namespace ipcp {
 
-class ShardedService;
+class ServiceDispatcher;
 
 namespace test {
 
@@ -72,7 +72,7 @@ promotedLoads(const Procedure &P, const SSAResult &SSA);
 /// Replays \p Lines through one stream of \p Svc the way the daemon
 /// does — a consumer thread drains responses while the caller submits,
 /// and a shutdown line ends the input — and returns the response lines.
-std::vector<std::string> runLines(ShardedService &Svc,
+std::vector<std::string> runLines(ServiceDispatcher &Svc,
                                   const std::vector<std::string> &Lines);
 
 } // namespace test
