@@ -84,8 +84,9 @@ inline bool benchReport(const std::string &Name, JsonValue Body) {
 /// Loads the committed pre-optimization baseline for one harness from
 /// bench/baselines/BENCH_<name>.json (compiled-in source path, override
 /// with IPCP_BENCH_BASELINE_DIR) and returns its "data" object, so
-/// harnesses can print measured-vs-baseline deltas. Nullopt when the
-/// baseline file is absent or malformed — deltas are then skipped.
+/// harnesses can compare their counters with it. Nullopt when the
+/// baseline file is absent or malformed — the comparison is then
+/// skipped.
 inline std::optional<JsonValue> benchBaseline(const std::string &Name) {
   const char *Dir = std::getenv("IPCP_BENCH_BASELINE_DIR");
 #ifdef IPCP_BENCH_BASELINE_SRCDIR
@@ -104,17 +105,6 @@ inline std::optional<JsonValue> benchBaseline(const std::string &Name) {
   if (!Data || !Data->isObject())
     return std::nullopt;
   return *Data;
-}
-
-/// Prints one "<label>: baseline B -> now N (Rx)" delta line, where R is
-/// the improvement ratio for lower-is-better quantities.
-inline void printBaselineDelta(const char *Label, double Baseline,
-                               double Now, const char *Unit,
-                               bool LowerIsBetter = true) {
-  double Ratio = LowerIsBetter ? (Now > 0 ? Baseline / Now : 0.0)
-                               : (Baseline > 0 ? Now / Baseline : 0.0);
-  std::printf("  %-24s baseline %10.3f %s -> now %10.3f %s  (%.2fx)\n",
-              Label, Baseline, Unit, Now, Unit, Ratio);
 }
 
 } // namespace ipcp

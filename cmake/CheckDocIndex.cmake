@@ -171,7 +171,7 @@ string(FIND "${Table}" "\n\n" TableEnd)
 string(SUBSTRING "${Table}" 0 ${TableEnd} Table)
 
 # Each table row's expected "| `key` | scope |" prefix, read from the
-# rows themselves: IPCP_SERVICE_STAT(Id, "key", per-shard) and
+# rows themselves: IPCP_SERVICE_STAT(Id, "key", in-entry) and
 # IPCP_STORE_STAT(Id, "key").
 set(StatRows "")
 file(STRINGS ${SRCDIR}/src/core/ServiceStats.def StatLines
@@ -181,9 +181,9 @@ foreach(Line ${StatLines})
          "^IPCP_SERVICE_STAT\\([A-Za-z]+, \"([a-z_]+)\", (true|false)\\)$"
          "\\1;\\2" Row "${Line}")
   list(GET Row 0 Key)
-  list(GET Row 1 PerShard)
-  if(PerShard)
-    list(APPEND StatRows "| `${Key}` | aggregate, per-shard |")
+  list(GET Row 1 InEntry)
+  if(InEntry)
+    list(APPEND StatRows "| `${Key}` | aggregate, `shards` entry |")
   else()
     list(APPEND StatRows "| `${Key}` | aggregate |")
   endif()

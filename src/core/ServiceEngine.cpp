@@ -341,10 +341,10 @@ void ServiceEngine::evictOverflowSessions(
   // Caller holds SessionsMutex. Eviction is scoped to one fixed hash
   // bucket and is strict LRU within it: LastUse orders acquires, which
   // follow the request stream, so the set of evictions after any stream
-  // prefix is the same for every shard count and jobs setting. The
-  // just-acquired session has the highest LastUse and is never the
-  // victim while another resident shares its bucket; busy victims are
-  // drained by the caller, not skipped.
+  // prefix is the same at every jobs setting. The just-acquired session
+  // has the highest LastUse and is never the victim while another
+  // resident shares its bucket; busy victims are drained by the caller,
+  // not skipped.
   unsigned Cap = Conf.MaxSessions ? Conf.MaxSessions : 1;
   for (;;) {
     size_t Resident = 0;
@@ -367,7 +367,7 @@ void ServiceEngine::evictOverflowSessions(
 unsigned ServiceEngine::persistSession(SessionState &S) {
   // Caller holds S.Lock. The serialized cache goes into the content
   // store under its bytes' own key; identical caches persisted by other
-  // sessions (or other shards) dedupe to one object.
+  // sessions dedupe to one object.
   if (!Conf.Store || !S.Dirty)
     return 0;
   if (S.Cache.save(*Conf.Store, S.SourceName, S.Opts))
@@ -491,7 +491,7 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
 }
 
 const ServiceEngine::StatField ServiceEngine::StatFields[NumStats] = {
-#define IPCP_SERVICE_STAT(Id, Key, PerShard) {Key, PerShard},
+#define IPCP_SERVICE_STAT(Id, Key, InEntry) {Key, InEntry},
 #include "core/ServiceStats.def"
 #undef IPCP_SERVICE_STAT
 };

@@ -180,9 +180,9 @@ public:
   static constexpr uint32_t NoName = ~0u;
 
   /// The ContentStore name of the summaries of \p SourceName under
-  /// \p Opts: source name + options fingerprint, with no tool, session or
-  /// shard component, so every tool sharing a store resolves every other
-  /// tool's persisted summaries.
+  /// \p Opts: source name + options fingerprint, with no tool or session
+  /// component, so every tool sharing a store resolves every other tool's
+  /// persisted summaries.
   static std::string storeName(const std::string &SourceName,
                                const IPCPOptions &Opts);
 

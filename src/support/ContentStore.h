@@ -13,7 +13,7 @@
 ///  * `objects/<key>.blob` — immutable blobs named by the StableHash of
 ///    their bytes (`contentKey`). Writing the same bytes twice is a
 ///    dedup hit, not a second file: identical session caches persisted
-///    by different shards (or different sessions analyzing the same
+///    by different sessions (or different tools analyzing the same
 ///    program under the same options) collapse to one object. Objects
 ///    are written once via temp-file + rename, so readers never see a
 ///    partial blob, and a reread is verified against its own name —
@@ -21,16 +21,17 @@
 ///
 ///  * `refs/<hash-of-name>.ref` — a mutable pointer from a logical name
 ///    (for summaries: source name + options fingerprint, see
-///    SummaryCache::storeName — deliberately tool-, session- and
-///    shard-independent) to the current object key. Rebinds
-///    are atomic renames, so a crash leaves either the old or the new
+///    SummaryCache::storeName — deliberately tool- and
+///    session-independent) to the current object key. Rebinds are
+///    atomic renames, so a crash leaves either the old or the new
 ///    pointer, never a torn one.
 ///
-/// The split is what makes the tier shared: any worker resolves any
-/// logical name to the same object, so a session evicted by shard A
-/// warm-starts on shard B (or in a restarted daemon) with zero
-/// jump-function evaluations. Thread-safe; all operations are also safe
-/// across processes sharing the directory (atomic renames only).
+/// The split is what makes the tier shared: any reader resolves any
+/// logical name to the same object, so a session evicted from the
+/// daemon's memory warm-starts there again (or in a restarted daemon, or
+/// in a command-line tool) with zero jump-function evaluations.
+/// Thread-safe; all operations are also safe across processes sharing
+/// the directory (atomic renames only).
 ///
 /// Crash safety (docs/ROBUSTNESS.md): opening a store runs a recovery
 /// *scrub* (unless `Options::ScrubOnOpen` is off, as in the one-program

@@ -44,7 +44,7 @@ struct ServiceLogConfig {
   /// Distinct sessions: 1 uses the prefix verbatim (and the exact
   /// historical request bytes); above 1 each analyze request draws a
   /// session "<prefix>-<i>", i in [0, SessionCount) — the knob that
-  /// spreads a load run across many shard-routable sessions.
+  /// spreads a load run across many sessions and cache buckets.
   unsigned SessionCount = 1;
   /// Restrict generation to these suite program names (empty = the whole
   /// benchmark suite). Smaller programs make million-request replays

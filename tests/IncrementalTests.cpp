@@ -632,7 +632,7 @@ TEST(IncrementalCache, ForgedFormalIndexFailsTheLoad) {
 // as a fresh cache's would.
 TEST(IncrementalCache, NameTableStaysBoundedAcrossRenames) {
   auto Source = [](int K) {
-    std::string F = "f" + std::to_string(K), G = "g" + std::to_string(K);
+    std::string F = 'f' + std::to_string(K), G = 'g' + std::to_string(K);
     return "global " + G + ";\n"
            "proc h(c) { c = c + 1; }\n"
            "proc " + F + "(a) { a = a * 2 + " + G + "; }\n"

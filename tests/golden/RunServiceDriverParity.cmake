@@ -3,7 +3,7 @@
 #   cmake -DDRIVER=<ipcp_driver> -DSERVERD=<ipcp_serverd>
 #         -DWORKDIR=<scratch dir> -P RunServiceDriverParity.cmake
 #
-# Sends one conversation through a sharded, concurrent ipcp_serverd and
+# Sends one conversation through a concurrent ipcp_serverd and
 # runs ipcp_driver once per request with the matching flags. Every
 # embedded report must equal the driver's --report-json document (both
 # with scrubbed timings), a degraded response must be the driver's exit
@@ -61,7 +61,7 @@ parity_case(source_error
 
 file(WRITE ${WORKDIR}/requests.jsonl "${Requests}{\"op\":\"shutdown\"}\n")
 execute_process(
-  COMMAND ${SERVERD} --shards=4 --jobs=4
+  COMMAND ${SERVERD} --jobs=4
   INPUT_FILE ${WORKDIR}/requests.jsonl
   OUTPUT_VARIABLE Responses
   RESULT_VARIABLE RC)
