@@ -130,14 +130,14 @@ size_t walkLinear() {
 }
 
 /// The nested walk the stream replaced: block list, then each block's
-/// instruction vector of unique_ptrs.
+/// linked instruction list.
 size_t walkNested() {
   size_t Count = 0;
   for (const auto &M : suiteModules())
     for (const auto &P : M->procedures())
-      for (const auto &B : P->blocks())
-        for (const auto &I : B->instructions()) {
-          benchmark::DoNotOptimize(I.get());
+      for (BasicBlock *B : P->blocks())
+        for (Instruction *I : B->instructions()) {
+          benchmark::DoNotOptimize(I);
           ++Count;
         }
   return Count;

@@ -398,13 +398,14 @@ int main(int argc, char **argv) {
         std::fprintf(Out, "  %s:%s -> %s\n", P->getName().c_str(),
                      Site->getLoc().str().c_str(),
                      Site->getCallee()->getName().c_str());
-        for (unsigned I = 0; I != JFs.Formals.size(); ++I)
-          std::fprintf(Out, "    J(%s) = %s\n",
-                       Site->getCallee()->formals()[I]->getName().c_str(),
+        for (unsigned I = 0; I != JFs.Formals.size(); ++I) {
+          std::string Formal(Site->getCallee()->formals()[I]->getName());
+          std::fprintf(Out, "    J(%s) = %s\n", Formal.c_str(),
                        JFs.Formals[I].str().c_str());
+        }
         for (const auto &[G, JF] : JFs.Globals)
-          std::fprintf(Out, "    J(global %s) = %s\n", G->getName().c_str(),
-                       JF.str().c_str());
+          std::fprintf(Out, "    J(global %s) = %s\n",
+                       std::string(G->getName()).c_str(), JF.str().c_str());
       }
     }
     if (RJFs) {
@@ -413,12 +414,13 @@ int main(int argc, char **argv) {
         for (unsigned I = 0; I != P->getNumFormals(); ++I)
           if (const JumpFunction *JF = RJFs->find(P, P->formals()[I]))
             std::fprintf(Out, "  R(%s.%s) = %s\n", P->getName().c_str(),
-                         P->formals()[I]->getName().c_str(),
+                         std::string(P->formals()[I]->getName()).c_str(),
                          JF->str().c_str());
         for (Variable *G : A.MRI.modifiedGlobals(P))
           if (const JumpFunction *JF = RJFs->find(P, G))
             std::fprintf(Out, "  R(%s.global %s) = %s\n", P->getName().c_str(),
-                         G->getName().c_str(), JF->str().c_str());
+                         std::string(G->getName()).c_str(),
+                         JF->str().c_str());
       }
     }
   }

@@ -80,7 +80,7 @@ namespace {
 unsigned knownBoundLoops(const Module &M) {
   unsigned Known = 0;
   for (const std::unique_ptr<Procedure> &P : M.procedures()) {
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks()) {
+    for (BasicBlock *BB : P->blocks()) {
       const auto *CBr = dyn_cast_or_null<CondBranchInst>(BB->getTerminator());
       if (!CBr || BB->predecessors().size() < 2)
         continue;
@@ -104,7 +104,7 @@ unsigned knownBoundLoopsUnder(const Module &M, const IPCPResult &R) {
 unsigned totalLoops(const Module &M) {
   unsigned Loops = 0;
   for (const std::unique_ptr<Procedure> &P : M.procedures())
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
+    for (BasicBlock *BB : P->blocks())
       if (isa_and_nonnull<CondBranchInst>(BB->getTerminator()) &&
           BB->predecessors().size() >= 2)
         ++Loops;

@@ -32,8 +32,8 @@ std::vector<Diagnostic> ipcp::checkAliasHazards(const Module &M,
           if (MRI.formalMayBeModified(Callee, I) ||
               MRI.formalMayBeModified(Callee, J))
             Warn(Call->getLoc(),
-                 "variable '" + LocI->getName() +
-                     "' is passed twice to '" + Callee->getName() +
+                 "variable '" + std::string(LocI->getName()) +
+                     "' is passed twice to '" + std::string(Callee->getName()) +
                      "' and a bound parameter may be modified; the "
                      "analysis assumes Fortran's no-alias rule");
         }
@@ -50,8 +50,9 @@ std::vector<Diagnostic> ipcp::checkAliasHazards(const Module &M,
         bool GlobalMod = MRI.modifiedGlobals(Callee).count(Loc) != 0;
         if ((FormalMod && GlobalTouched) || GlobalMod)
           Warn(Call->getLoc(),
-               "global '" + Loc->getName() + "' is passed by reference "
-               "to '" + Callee->getName() +
+               "global '" + std::string(Loc->getName()) +
+                   "' is passed by reference to '" +
+                   std::string(Callee->getName()) +
                    "' which also accesses it directly; the analysis "
                    "assumes Fortran's no-alias rule");
       }

@@ -31,17 +31,17 @@ static bool isPureValue(const Instruction *Inst) {
 
 unsigned ipcp::removeTriviallyDeadInstructions(Procedure &P) {
   std::unordered_map<const Value *, unsigned> UseCount;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
       for (const Value *Op : Inst->operands())
         if (Op && Op->isInstruction())
           ++UseCount[Op];
 
   std::deque<Instruction *> Dead;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isPureValue(Inst.get()) && UseCount[Inst.get()] == 0)
-        Dead.push_back(Inst.get());
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isPureValue(Inst) && UseCount[Inst] == 0)
+        Dead.push_back(Inst);
 
   unsigned Removed = 0;
   while (!Dead.empty()) {
@@ -62,8 +62,8 @@ unsigned ipcp::removeTriviallyDeadInstructions(Procedure &P) {
 
 void ipcp::replaceOperands(
     Procedure &P, const std::unordered_map<const Value *, Value *> &Subst) {
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
       for (unsigned I = 0, E = Inst->getNumOperands(); I != E; ++I) {
         auto It = Subst.find(Inst->getOperand(I));
         if (It != Subst.end())
@@ -80,22 +80,22 @@ unsigned ipcp::foldConstantExpressions(Procedure &P) {
     // Collect fold results first, then rewrite uses in one sweep.
     std::unordered_map<const Value *, Value *> Subst;
     std::vector<Instruction *> ToErase;
-    for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
+    for (BasicBlock *BB : P.blocks()) {
+      for (Instruction *Inst : BB->instructions()) {
         std::optional<ConstantValue> Result;
-        if (auto *Bin = dyn_cast<BinaryInst>(Inst.get())) {
+        if (auto *Bin = dyn_cast<BinaryInst>(Inst)) {
           auto *L = dyn_cast<ConstantInt>(Bin->getLHS());
           auto *R = dyn_cast<ConstantInt>(Bin->getRHS());
           if (L && R)
             Result = foldBinary(Bin->getOp(), L->getValue(), R->getValue());
-        } else if (auto *Un = dyn_cast<UnaryInst>(Inst.get())) {
+        } else if (auto *Un = dyn_cast<UnaryInst>(Inst)) {
           if (auto *V = dyn_cast<ConstantInt>(Un->getValueOperand()))
             Result = foldUnary(Un->getOp(), V->getValue());
         }
         if (!Result)
           continue;
-        Subst[Inst.get()] = M.getConstant(*Result);
-        ToErase.push_back(Inst.get());
+        Subst[Inst] = M.getConstant(*Result);
+        ToErase.push_back(Inst);
       }
     }
     if (Subst.empty())
@@ -123,7 +123,7 @@ static void foldBranch(Procedure &P, CondBranchInst *CBr, bool TakeTrue) {
   uint64_t Id = P.getModule()->nextInstId();
   SourceLoc Loc = CBr->getLoc();
   BB->erase(CBr);
-  BB->append(std::make_unique<BranchInst>(Id, Loc, Taken));
+  BB->append(P.create<BranchInst>(Id, Loc, Taken));
 }
 
 TransformStats ipcp::applyFacts(Module &M, const TransformFacts &Facts) {
@@ -135,9 +135,9 @@ TransformStats ipcp::applyFacts(Module &M, const TransformFacts &Facts) {
     // (constants cannot cascade into new loads, so one pass suffices).
     std::vector<LoadInst *> ReplacedLoads;
     std::unordered_map<const Value *, Value *> LoadSubst;
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-        if (auto *Load = dyn_cast<LoadInst>(Inst.get())) {
+    for (BasicBlock *BB : P->blocks())
+      for (Instruction *Inst : BB->instructions())
+        if (auto *Load = dyn_cast<LoadInst>(Inst)) {
           auto It = Facts.ConstantLoads.find(Load->getId());
           if (It == Facts.ConstantLoads.end())
             continue;
@@ -155,7 +155,7 @@ TransformStats ipcp::applyFacts(Module &M, const TransformFacts &Facts) {
 
     // Pass 2: fold branches with constant conditions.
     std::vector<std::pair<CondBranchInst *, bool>> ToFold;
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
+    for (BasicBlock *BB : P->blocks())
       if (auto *CBr =
               dyn_cast_or_null<CondBranchInst>(BB->getTerminator())) {
         auto It = Facts.FoldedBranches.find(CBr->getId());

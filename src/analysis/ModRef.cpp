@@ -72,9 +72,9 @@ ModRefInfo ModRefInfo::compute(const Module &M, const CallGraph &CG) {
     Mods.assign(P->getNumFormals(), false);
     VariableSet &GMod = Info.GlobalMod[P->getModuleIndex()];
     VariableSet &Ext = Info.ExtGlobals[P->getModuleIndex()];
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks()) {
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-        if (const auto *Store = dyn_cast<StoreInst>(Inst.get())) {
+    for (BasicBlock *BB : P->blocks()) {
+      for (Instruction *Inst : BB->instructions()) {
+        if (const auto *Store = dyn_cast<StoreInst>(Inst)) {
           Variable *Var = Store->getVariable();
           if (Var->isFormal())
             Mods[Var->getFormalIndex()] = true;
@@ -82,7 +82,7 @@ ModRefInfo ModRefInfo::compute(const Module &M, const CallGraph &CG) {
             GMod.insert(Var);
             Ext.insert(Var);
           }
-        } else if (const auto *Load = dyn_cast<LoadInst>(Inst.get())) {
+        } else if (const auto *Load = dyn_cast<LoadInst>(Inst)) {
           if (Load->getVariable()->isGlobal())
             Ext.insert(Load->getVariable());
         }

@@ -266,7 +266,7 @@ void SCCPSolverImpl::solve() {
     while (!EdgeWork.empty()) {
       uint32_t Enc = EdgeWork.back();
       EdgeWork.pop_back();
-      markEdgeExecutable(P.blocks()[Enc >> 1].get(), Enc & 1);
+      markEdgeExecutable(P.blocks()[Enc >> 1], Enc & 1);
     }
     if (InstWork.empty())
       break;

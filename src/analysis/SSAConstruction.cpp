@@ -107,7 +107,7 @@ void SSABuilder::placeCallOutsAndPhis(const DominatorTree &DT,
   std::vector<std::pair<CallInst *, Variable *>> Outs;
   Result.OutBegin.assign(NumBlocks + 1, 0);
   for (size_t BI = 0; BI != NumBlocks; ++BI) {
-    BasicBlock *BB = P.blocks()[BI].get();
+    BasicBlock *BB = P.blocks()[BI];
     Result.OutBegin[BI] = uint32_t(Outs.size());
     if (!DT.isReachable(BB))
       continue;
@@ -180,7 +180,7 @@ void SSABuilder::placeCallOutsAndPhis(const DominatorTree &DT,
     for (uint32_t I = Result.PhiBegin[BI]; I != Result.PhiBegin[BI + 1]; ++I) {
       PhiInst &Phi = Result.Phis.emplace_back(SideId + I, SourceLoc(),
                                               Result.PromotedVars[Slot[I]]);
-      Phi.setParent(P.blocks()[BI].get());
+      Phi.setParent(P.blocks()[BI]);
       Phi.setLocalIdx(uint32_t(StreamSize + I));
     }
 
@@ -329,7 +329,7 @@ void ipcp::verifySSA(const Procedure &P, const SSAResult &SSA,
   }
   const DominatorTree &DT = *SSA.DomTree;
   for (size_t BI = 0; BI != Stream.numBlocks(); ++BI) {
-    const BasicBlock *BB = P.blocks()[BI].get();
+    const BasicBlock *BB = P.blocks()[BI];
     bool Reachable = DT.isReachable(BB);
     for (uint32_t I = Stream.Spans[BI].Begin; I != Stream.Spans[BI].End;
          ++I) {
@@ -368,19 +368,21 @@ void ipcp::verifySSA(const Procedure &P, const SSAResult &SSA,
         Incoming.push_back(Phi.getIncomingBlock(I));
         const Value *V = Phi.getIncomingValue(I);
         if (!V || SSA.resolve(V) != V || !V->producesValue())
-          Report("phi for '" + Phi.getVariable()->getName() + "' in '" +
-                 BB->getName() + "' has an incoming non-SSA value");
+          Report("phi for '" + std::string(Phi.getVariable()->getName()) +
+                 "' in '" + std::string(BB->getName()) +
+                 "' has an incoming non-SSA value");
       }
       std::sort(Incoming.begin(), Incoming.end());
       if (Phi.getParent() != BB || Incoming != Preds)
-        Report("phi for '" + Phi.getVariable()->getName() + "' in '" +
-               BB->getName() +
+        Report("phi for '" + std::string(Phi.getVariable()->getName()) +
+               "' in '" + std::string(BB->getName()) +
                "' disagrees with the block's reachable predecessors");
     }
     for (const CallOutInst &Out : SSA.callOutsOf(BB))
       if (Out.getParent() != BB || Out.getCall()->getParent() != BB)
-        Report("CallOut of '" + Out.getVariable()->getName() +
-               "' is not in its call's block '" + BB->getName() + "'");
+        Report("CallOut of '" + std::string(Out.getVariable()->getName()) +
+               "' is not in its call's block '" + std::string(BB->getName()) +
+               "'");
   }
 
   const BasicBlock *Exit = P.getExitBlock();

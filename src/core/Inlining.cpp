@@ -34,10 +34,10 @@ BasicBlock *ipcp::inlineCallSite(Module &M, Procedure &Caller,
   {
     std::vector<Instruction *> After;
     bool Seen = false;
-    for (const std::unique_ptr<Instruction> &Inst : B->instructions()) {
+    for (Instruction *Inst : B->instructions()) {
       if (Seen)
-        After.push_back(Inst.get());
-      if (Inst.get() == Call)
+        After.push_back(Inst);
+      if (Inst == Call)
         Seen = true;
     }
     assert(Seen && "call not inside its own parent block");
@@ -67,34 +67,33 @@ BasicBlock *ipcp::inlineCallSite(Module &M, Procedure &Caller,
     }
     // Expression actual: an initialized hidden temporary, updates lost.
     Variable *Temp =
-        Caller.addLocal(Formal->getName() + Suffix + ".arg");
-    B->append(std::make_unique<StoreInst>(M.nextInstId(), Call->getLoc(),
-                                          Temp, Call->getActualValue(I)));
+        Caller.addLocal(std::string(Formal->getName()) + Suffix + ".arg");
+    B->append(Caller.create<StoreInst>(M.nextInstId(), Call->getLoc(), Temp,
+                                       Call->getActualValue(I)));
     Maps.mapVar(Formal, Temp);
   }
   for (const Variable *L : Callee->locals())
-    Maps.mapVar(
-        L, Caller.addLocal(L->getName() + Suffix, L->getArraySize()));
+    Maps.mapVar(L, Caller.addLocal(std::string(L->getName()) + Suffix,
+                                   L->getArraySize()));
 
   // 3. Clone the body. Rets become branches to the continuation.
-  for (const std::unique_ptr<BasicBlock> &BB : Callee->blocks())
-    Maps.Blocks.emplace(BB.get(),
-                        Caller.createBlock(BB->getName() + Suffix));
+  for (BasicBlock *BB : Callee->blocks())
+    Maps.Blocks.emplace(
+        BB, Caller.createBlock(std::string(BB->getName()) + Suffix));
 
-  for (const std::unique_ptr<BasicBlock> &BB : Callee->blocks()) {
-    BasicBlock *NewBB = Maps.block(BB.get());
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-      if (isa<RetInst>(Inst.get())) {
-        NewBB->append(std::make_unique<BranchInst>(M.nextInstId(),
-                                                   Inst->getLoc(), Cont));
+  for (BasicBlock *BB : Callee->blocks()) {
+    BasicBlock *NewBB = Maps.block(BB);
+    for (Instruction *Inst : BB->instructions()) {
+      if (isa<RetInst>(Inst)) {
+        NewBB->append(
+            Caller.create<BranchInst>(M.nextInstId(), Inst->getLoc(), Cont));
         Cont->addPredecessor(NewBB);
         continue;
       }
-      std::unique_ptr<Instruction> NewInst =
-          cloneInstructionWithMaps(Inst.get(), M, Maps);
+      Instruction *NewInst = cloneInstructionWithMaps(Inst, Caller, Maps);
       NewInst->setId(M.nextInstId());
-      Maps.mapValue(Inst.get(), NewInst.get());
-      NewBB->append(std::move(NewInst));
+      Maps.mapValue(Inst, NewInst);
+      NewBB->append(NewInst);
     }
     for (BasicBlock *Pred : BB->predecessors())
       NewBB->addPredecessor(Maps.block(Pred));
@@ -105,8 +104,7 @@ BasicBlock *ipcp::inlineCallSite(Module &M, Procedure &Caller,
   // 4. Replace the call with a branch into the integrated entry.
   BasicBlock *NewEntry = Maps.block(Callee->getEntryBlock());
   B->erase(Call);
-  B->append(std::make_unique<BranchInst>(M.nextInstId(), SourceLoc(),
-                                         NewEntry));
+  B->append(Caller.create<BranchInst>(M.nextInstId(), SourceLoc(), NewEntry));
   NewEntry->addPredecessor(B);
 
   // A callee that can only loop forever leaves Cont unreachable.

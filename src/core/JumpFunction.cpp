@@ -16,7 +16,7 @@ std::string SymExpr::str() const {
   case Kind::Const:
     return std::to_string(C);
   case Kind::Formal:
-    return Var->getName();
+    return std::string(Var->getName());
   case Kind::Binary:
     return '(' + L->str() + " " + binaryOpSpelling(BinOp) + " " + R->str() +
            ")";

@@ -275,7 +275,7 @@ public:
     ProcedureResult PR;
     PR.Name = P->getName();
     for (const auto &[Var, Value] : CM.constantsOf(P))
-      PR.EntryConstants.push_back({Var->getName(), Value});
+      PR.EntryConstants.push_back({std::string(Var->getName()), Value});
     PR.ConstantRefs = unsigned(R.ConstantRefs);
     PR.IrrelevantConstants = unsigned(R.IrrelevantConstants);
     Result.TotalEntryConstants += PR.EntryConstants.size();
@@ -852,8 +852,8 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
     Result.Stats.add(Counter::sccp_runs);
     Result.Stats.add(Counter::sccp_constant_values, SCCP.constantValueCount());
     uint64_t ExecBlocks = 0;
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-      if (SCCP.isExecutable(BB.get()))
+    for (BasicBlock *BB : P->blocks())
+      if (SCCP.isExecutable(BB))
         ++ExecBlocks;
     Result.Stats.add(Counter::sccp_executable_blocks, ExecBlocks);
 
@@ -881,7 +881,7 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
 
     for (size_t C = 0; C != Constants.size(); ++C) {
       PR.EntryConstants.push_back(
-          {Constants[C].first->getName(), Constants[C].second});
+          {std::string(Constants[C].first->getName()), Constants[C].second});
       // "Known but irrelevant": the constant variable is never
       // referenced in this procedure's body.
       if (!Referenced[C])
@@ -889,8 +889,8 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
     }
     Result.TotalEntryConstants += PR.EntryConstants.size();
 
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks()) {
-      if (!SCCP.isExecutable(BB.get()))
+    for (BasicBlock *BB : P->blocks()) {
+      if (!SCCP.isExecutable(BB))
         continue;
       const auto *CBr = dyn_cast_or_null<CondBranchInst>(BB->getTerminator());
       if (!CBr)

@@ -444,15 +444,20 @@ JsonValue ServiceEngine::analyze(const ServiceRequest &Req, SessionTurn Turn) {
 JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
                                        SessionState *Session) {
   JsonValue Body = JsonValue::object();
-  std::string SourceText = Req.Source;
-  if (!Req.Suite.empty() &&
-      (!Conf.SuiteResolver || !Conf.SuiteResolver(Req.Suite, SourceText))) {
-    bump(Errors);
-    Body.set("status", "error");
-    Body.set("error", serviceErrorObject(
-                          "unknown-suite",
-                          "no suite program named '" + Req.Suite + "'"));
-    return Body;
+  // A suite request compiles the suite program's text; any other request
+  // compiles its own, uncopied.
+  std::string SuiteText;
+  std::string_view SourceText = Req.Source;
+  if (!Req.Suite.empty()) {
+    if (!Conf.SuiteResolver || !Conf.SuiteResolver(Req.Suite, SuiteText)) {
+      bump(Errors);
+      Body.set("status", "error");
+      Body.set("error", serviceErrorObject(
+                            "unknown-suite",
+                            "no suite program named '" + Req.Suite + "'"));
+      return Body;
+    }
+    SourceText = SuiteText;
   }
 
   // A source error fails the request (driver exit code 3); a frontend

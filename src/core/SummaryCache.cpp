@@ -281,16 +281,19 @@ bool decodeValue(const JsonValue &V, LatticeValue &Out) {
 // Names and fresh entries
 //===----------------------------------------------------------------------===//
 
-uint32_t SummaryCache::findName(const std::string &Name) const {
+uint32_t SummaryCache::findName(std::string_view Name) const {
   auto It = NameIndex.find(Name);
   return It == NameIndex.end() ? NoName : It->second;
 }
 
-uint32_t SummaryCache::intern(const std::string &Name) {
-  auto [It, Inserted] = NameIndex.emplace(Name, uint32_t(Names.size()));
-  if (Inserted)
-    Names.push_back(Name);
-  return It->second;
+uint32_t SummaryCache::intern(std::string_view Name) {
+  auto It = NameIndex.find(Name);
+  if (It != NameIndex.end())
+    return It->second;
+  uint32_t Index = uint32_t(Names.size());
+  NameIndex.emplace(std::string(Name), Index);
+  Names.emplace_back(Name);
+  return Index;
 }
 
 SummaryVar SummaryCache::var(const Variable *V) {

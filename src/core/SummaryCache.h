@@ -73,9 +73,11 @@
 #include "core/JumpFunction.h"
 #include "core/Options.h"
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -218,8 +220,8 @@ public:
   /// interned once. Indices stay valid until the next run begins, which
   /// re-interns just the names the entries use whenever the table has
   /// more than doubled since the last load or compaction.
-  uint32_t findName(const std::string &Name) const;
-  uint32_t intern(const std::string &Name);
+  uint32_t findName(std::string_view Name) const;
+  uint32_t intern(std::string_view Name);
   const std::string &name(uint32_t Index) const { return Names[Index]; }
   size_t nameCount() const { return Names.size(); }
 
@@ -290,7 +292,16 @@ private:
   void compactNames();
 
   std::vector<std::string> Names;
-  std::unordered_map<std::string, uint32_t> NameIndex;
+  /// Hashes a name and a view of one alike, so lookups by view copy
+  /// nothing.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
+      NameIndex;
   /// By name index; null for names no entry has.
   std::vector<std::unique_ptr<CacheEntry>> Entries;
   /// Names.size() after the last load or compaction.

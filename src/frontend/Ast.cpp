@@ -8,31 +8,31 @@
 
 using namespace ipcp;
 
-// Out-of-line virtual destructors anchor the vtables (see LLVM coding
-// standards, "Provide a Virtual Method Anchor for Classes in Headers").
-Expr::~Expr() = default;
-Stmt::~Stmt() = default;
+/// Visits the declarations under \p S in reverse pre-order: children last
+/// to first, an `else` before its `then`. That is the order lowering has
+/// always numbered locals in.
+static void
+visitLocalDecls(const Stmt *S,
+                const std::function<void(const DeclItem &)> &Visit) {
+  if (const auto *Block = dyn_cast<BlockStmt>(S)) {
+    std::span<Stmt *const> Stmts = Block->getStmts();
+    for (size_t I = Stmts.size(); I-- != 0;)
+      visitLocalDecls(Stmts[I], Visit);
+  } else if (const auto *If = dyn_cast<IfStmt>(S)) {
+    if (If->getElse())
+      visitLocalDecls(If->getElse(), Visit);
+    visitLocalDecls(If->getThen(), Visit);
+  } else if (const auto *While = dyn_cast<WhileStmt>(S)) {
+    visitLocalDecls(While->getBody(), Visit);
+  } else if (const auto *Do = dyn_cast<DoLoopStmt>(S)) {
+    visitLocalDecls(Do->getBody(), Visit);
+  } else if (const auto *Decl = dyn_cast<VarDeclStmt>(S)) {
+    for (const DeclItem &Item : Decl->getItems())
+      Visit(Item);
+  }
+}
 
 void ipcp::forEachLocalDecl(
     const ProcDecl &Proc, const std::function<void(const DeclItem &)> &Visit) {
-  std::vector<const Stmt *> Stack{Proc.Body.get()};
-  while (!Stack.empty()) {
-    const Stmt *S = Stack.back();
-    Stack.pop_back();
-    if (const auto *Block = dyn_cast<BlockStmt>(S)) {
-      for (const StmtPtr &Child : Block->getStmts())
-        Stack.push_back(Child.get());
-    } else if (const auto *If = dyn_cast<IfStmt>(S)) {
-      Stack.push_back(If->getThen());
-      if (If->getElse())
-        Stack.push_back(If->getElse());
-    } else if (const auto *While = dyn_cast<WhileStmt>(S)) {
-      Stack.push_back(While->getBody());
-    } else if (const auto *Do = dyn_cast<DoLoopStmt>(S)) {
-      Stack.push_back(Do->getBody());
-    } else if (const auto *Decl = dyn_cast<VarDeclStmt>(S)) {
-      for (const DeclItem &Item : Decl->getItems())
-        Visit(Item);
-    }
-  }
+  visitLocalDecls(Proc.Body, Visit);
 }

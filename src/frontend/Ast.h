@@ -9,6 +9,11 @@
 /// root. Nodes carry source locations and participate in the LLVM-style
 /// isa/cast/dyn_cast machinery through Kind enums.
 ///
+/// Every node is trivially destructible and bump-allocated from the arena
+/// its Program owns: child links are plain pointers, child lists are spans
+/// of arena memory, and names are views into the Program's own copy of
+/// the source text. Dropping a Program frees the whole tree in O(chunks).
+///
 /// Semantics relevant to the analysis (see DESIGN.md):
 ///  - all scalar values are 64-bit integers;
 ///  - parameters are passed by reference (Fortran call semantics) — a plain
@@ -23,14 +28,14 @@
 #ifndef IPCP_FRONTEND_AST_H
 #define IPCP_FRONTEND_AST_H
 
+#include "support/Arena.h"
 #include "support/Casting.h"
 #include "support/ConstantMath.h"
 #include "support/SourceLoc.h"
 
 #include <functional>
-#include <memory>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 namespace ipcp {
 
@@ -49,8 +54,6 @@ public:
     Unary,
   };
 
-  virtual ~Expr();
-
   Kind getKind() const { return TheKind; }
   SourceLoc getLoc() const { return Loc; }
 
@@ -61,8 +64,6 @@ private:
   Kind TheKind;
   SourceLoc Loc;
 };
-
-using ExprPtr = std::unique_ptr<Expr>;
 
 /// An integer literal such as `42`.
 class IntLiteralExpr : public Expr {
@@ -83,71 +84,69 @@ private:
 /// A reference to a scalar variable (local, formal, or global).
 class VarRefExpr : public Expr {
 public:
-  VarRefExpr(SourceLoc Loc, std::string Name)
-      : Expr(Kind::VarRef, Loc), Name(std::move(Name)) {}
+  VarRefExpr(SourceLoc Loc, std::string_view Name)
+      : Expr(Kind::VarRef, Loc), Name(Name) {}
 
-  const std::string &getName() const { return Name; }
+  std::string_view getName() const { return Name; }
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::VarRef; }
 
 private:
-  std::string Name;
+  std::string_view Name;
 };
 
 /// A subscripted array reference `a[i]`.
 class ArrayRefExpr : public Expr {
 public:
-  ArrayRefExpr(SourceLoc Loc, std::string Name, ExprPtr Index)
-      : Expr(Kind::ArrayRef, Loc), Name(std::move(Name)),
-        Index(std::move(Index)) {}
+  ArrayRefExpr(SourceLoc Loc, std::string_view Name, Expr *Index)
+      : Expr(Kind::ArrayRef, Loc), Name(Name), Index(Index) {}
 
-  const std::string &getName() const { return Name; }
-  const Expr *getIndex() const { return Index.get(); }
-  Expr *getIndex() { return Index.get(); }
+  std::string_view getName() const { return Name; }
+  const Expr *getIndex() const { return Index; }
+  Expr *getIndex() { return Index; }
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::ArrayRef; }
 
 private:
-  std::string Name;
-  ExprPtr Index;
+  std::string_view Name;
+  Expr *Index;
 };
 
 /// A binary arithmetic or comparison expression.
 class BinaryExpr : public Expr {
 public:
-  BinaryExpr(SourceLoc Loc, BinaryOp Op, ExprPtr LHS, ExprPtr RHS)
-      : Expr(Kind::Binary, Loc), Op(Op), LHS(std::move(LHS)),
-        RHS(std::move(RHS)) {}
+  BinaryExpr(SourceLoc Loc, BinaryOp Op, Expr *LHS, Expr *RHS)
+      : Expr(Kind::Binary, Loc), Op(Op), LHS(LHS), RHS(RHS) {}
 
   BinaryOp getOp() const { return Op; }
-  const Expr *getLHS() const { return LHS.get(); }
-  const Expr *getRHS() const { return RHS.get(); }
-  Expr *getLHS() { return LHS.get(); }
-  Expr *getRHS() { return RHS.get(); }
+  const Expr *getLHS() const { return LHS; }
+  const Expr *getRHS() const { return RHS; }
+  Expr *getLHS() { return LHS; }
+  Expr *getRHS() { return RHS; }
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::Binary; }
 
 private:
   BinaryOp Op;
-  ExprPtr LHS;
-  ExprPtr RHS;
+  Expr *LHS;
+  Expr *RHS;
 };
 
 /// A unary negation or logical-not expression.
 class UnaryExpr : public Expr {
 public:
-  UnaryExpr(SourceLoc Loc, UnaryOp Op, ExprPtr Operand)
-      : Expr(Kind::Unary, Loc), Op(Op), Operand(std::move(Operand)) {}
+  UnaryExpr(SourceLoc Loc, UnaryOp Op, Expr *Operand)
+      : Expr(Kind::Unary, Loc), Op(Op), Operand(Operand) {}
 
   UnaryOp getOp() const { return Op; }
-  const Expr *getOperand() const { return Operand.get(); }
-  Expr *getOperand() { return Operand.get(); }
+  const Expr *getOperand() const { return Operand; }
+  Expr *getOperand() { return Operand; }
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::Unary; }
 
 private:
   UnaryOp Op;
-  ExprPtr Operand;
+  Expr *Operand;
 };
 
 //===----------------------------------------------------------------------===//
@@ -170,8 +169,6 @@ public:
     Block,
   };
 
-  virtual ~Stmt();
-
   Kind getKind() const { return TheKind; }
   SourceLoc getLoc() const { return Loc; }
 
@@ -183,12 +180,10 @@ private:
   SourceLoc Loc;
 };
 
-using StmtPtr = std::unique_ptr<Stmt>;
-
 /// One declared name: a scalar, or an array with its extent.
 struct DeclItem {
   SourceLoc Loc;
-  std::string Name;
+  std::string_view Name;
   /// Zero for scalars; the declared extent for arrays.
   ConstantValue ArraySize = 0;
   bool isArray() const { return ArraySize != 0; }
@@ -197,75 +192,73 @@ struct DeclItem {
 /// `var a, b;` or `var t[10];` — procedure-scoped declarations.
 class VarDeclStmt : public Stmt {
 public:
-  VarDeclStmt(SourceLoc Loc, std::vector<DeclItem> Items)
-      : Stmt(Kind::VarDecl, Loc), Items(std::move(Items)) {}
+  VarDeclStmt(SourceLoc Loc, std::span<const DeclItem> Items)
+      : Stmt(Kind::VarDecl, Loc), Items(Items) {}
 
-  const std::vector<DeclItem> &getItems() const { return Items; }
+  std::span<const DeclItem> getItems() const { return Items; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::VarDecl; }
 
 private:
-  std::vector<DeclItem> Items;
+  std::span<const DeclItem> Items;
 };
 
 /// `lvalue = expr;`. The target is a VarRefExpr or ArrayRefExpr.
 class AssignStmt : public Stmt {
 public:
-  AssignStmt(SourceLoc Loc, ExprPtr Target, ExprPtr Value)
-      : Stmt(Kind::Assign, Loc), Target(std::move(Target)),
-        Value(std::move(Value)) {}
+  AssignStmt(SourceLoc Loc, Expr *Target, Expr *Value)
+      : Stmt(Kind::Assign, Loc), Target(Target), Value(Value) {}
 
-  const Expr *getTarget() const { return Target.get(); }
-  const Expr *getValue() const { return Value.get(); }
-  Expr *getTarget() { return Target.get(); }
-  Expr *getValue() { return Value.get(); }
+  const Expr *getTarget() const { return Target; }
+  const Expr *getValue() const { return Value; }
+  Expr *getTarget() { return Target; }
+  Expr *getValue() { return Value; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Assign; }
 
 private:
-  ExprPtr Target;
-  ExprPtr Value;
+  Expr *Target;
+  Expr *Value;
 };
 
 /// `if (cond) block [else block-or-if]`. Nonzero condition is true.
 class IfStmt : public Stmt {
 public:
-  IfStmt(SourceLoc Loc, ExprPtr Cond, StmtPtr Then, StmtPtr Else)
-      : Stmt(Kind::If, Loc), Cond(std::move(Cond)), Then(std::move(Then)),
-        Else(std::move(Else)) {}
+  IfStmt(SourceLoc Loc, Expr *Cond, Stmt *Then, Stmt *Else)
+      : Stmt(Kind::If, Loc), Cond(Cond), Then(Then), Else(Else) {}
 
-  const Expr *getCond() const { return Cond.get(); }
-  Expr *getCond() { return Cond.get(); }
-  const Stmt *getThen() const { return Then.get(); }
-  Stmt *getThen() { return Then.get(); }
+  const Expr *getCond() const { return Cond; }
+  Expr *getCond() { return Cond; }
+  const Stmt *getThen() const { return Then; }
+  Stmt *getThen() { return Then; }
   /// May be null.
-  const Stmt *getElse() const { return Else.get(); }
-  Stmt *getElse() { return Else.get(); }
+  const Stmt *getElse() const { return Else; }
+  Stmt *getElse() { return Else; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::If; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Then;
-  StmtPtr Else;
+  Expr *Cond;
+  Stmt *Then;
+  Stmt *Else;
 };
 
 /// `while (cond) block`.
 class WhileStmt : public Stmt {
 public:
-  WhileStmt(SourceLoc Loc, ExprPtr Cond, StmtPtr Body)
-      : Stmt(Kind::While, Loc), Cond(std::move(Cond)), Body(std::move(Body)) {}
+  WhileStmt(SourceLoc Loc, Expr *Cond, Stmt *Body)
+      : Stmt(Kind::While, Loc), Cond(Cond), Body(Body) {}
 
-  const Expr *getCond() const { return Cond.get(); }
-  Expr *getCond() { return Cond.get(); }
-  const Stmt *getBody() const { return Body.get(); }
-  Stmt *getBody() { return Body.get(); }
+  const Expr *getCond() const { return Cond; }
+  Expr *getCond() { return Cond; }
+  const Stmt *getBody() const { return Body; }
+  Stmt *getBody() { return Body; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::While; }
 
 private:
-  ExprPtr Cond;
-  StmtPtr Body;
+  Expr *Cond;
+  Stmt *Body;
 };
 
 /// `do i = lo, hi [, step] block` — the Fortran DO loop. The induction
@@ -273,78 +266,77 @@ private:
 /// a negative literal), incremented by `step` (default 1) each iteration.
 class DoLoopStmt : public Stmt {
 public:
-  DoLoopStmt(SourceLoc Loc, std::string IndVar, ExprPtr Lo, ExprPtr Hi,
-             ExprPtr Step, StmtPtr Body)
-      : Stmt(Kind::DoLoop, Loc), IndVar(std::move(IndVar)), Lo(std::move(Lo)),
-        Hi(std::move(Hi)), Step(std::move(Step)), Body(std::move(Body)) {}
+  DoLoopStmt(SourceLoc Loc, std::string_view IndVar, Expr *Lo, Expr *Hi,
+             Expr *Step, Stmt *Body)
+      : Stmt(Kind::DoLoop, Loc), IndVar(IndVar), Lo(Lo), Hi(Hi), Step(Step),
+        Body(Body) {}
 
-  const std::string &getIndVar() const { return IndVar; }
-  const Expr *getLo() const { return Lo.get(); }
-  Expr *getLo() { return Lo.get(); }
-  const Expr *getHi() const { return Hi.get(); }
-  Expr *getHi() { return Hi.get(); }
+  std::string_view getIndVar() const { return IndVar; }
+  const Expr *getLo() const { return Lo; }
+  Expr *getLo() { return Lo; }
+  const Expr *getHi() const { return Hi; }
+  Expr *getHi() { return Hi; }
   /// May be null (step 1).
-  const Expr *getStep() const { return Step.get(); }
-  Expr *getStep() { return Step.get(); }
-  const Stmt *getBody() const { return Body.get(); }
-  Stmt *getBody() { return Body.get(); }
+  const Expr *getStep() const { return Step; }
+  Expr *getStep() { return Step; }
+  const Stmt *getBody() const { return Body; }
+  Stmt *getBody() { return Body; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::DoLoop; }
 
 private:
-  std::string IndVar;
-  ExprPtr Lo;
-  ExprPtr Hi;
-  ExprPtr Step;
-  StmtPtr Body;
+  std::string_view IndVar;
+  Expr *Lo;
+  Expr *Hi;
+  Expr *Step;
+  Stmt *Body;
 };
 
 /// `call p(e1, ..., en);`.
 class CallStmt : public Stmt {
 public:
-  CallStmt(SourceLoc Loc, std::string Callee, std::vector<ExprPtr> Args)
-      : Stmt(Kind::Call, Loc), Callee(std::move(Callee)),
-        Args(std::move(Args)) {}
+  CallStmt(SourceLoc Loc, std::string_view Callee,
+           std::span<Expr *const> Args)
+      : Stmt(Kind::Call, Loc), Callee(Callee), Args(Args) {}
 
-  const std::string &getCallee() const { return Callee; }
-  const std::vector<ExprPtr> &getArgs() const { return Args; }
-  std::vector<ExprPtr> &getArgs() { return Args; }
+  std::string_view getCallee() const { return Callee; }
+  std::span<Expr *const> getArgs() const { return Args; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Call; }
 
 private:
-  std::string Callee;
-  std::vector<ExprPtr> Args;
+  std::string_view Callee;
+  std::span<Expr *const> Args;
 };
 
 /// `print expr;` — the observable output of a program.
 class PrintStmt : public Stmt {
 public:
-  PrintStmt(SourceLoc Loc, ExprPtr Value)
-      : Stmt(Kind::Print, Loc), Value(std::move(Value)) {}
+  PrintStmt(SourceLoc Loc, Expr *Value)
+      : Stmt(Kind::Print, Loc), Value(Value) {}
 
-  const Expr *getValue() const { return Value.get(); }
-  Expr *getValue() { return Value.get(); }
+  const Expr *getValue() const { return Value; }
+  Expr *getValue() { return Value; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Print; }
 
 private:
-  ExprPtr Value;
+  Expr *Value;
 };
 
 /// `read lvalue;` — reads an external (hence non-constant) integer.
 class ReadStmt : public Stmt {
 public:
-  ReadStmt(SourceLoc Loc, ExprPtr Target)
-      : Stmt(Kind::Read, Loc), Target(std::move(Target)) {}
+  ReadStmt(SourceLoc Loc, Expr *Target)
+      : Stmt(Kind::Read, Loc), Target(Target) {}
 
-  const Expr *getTarget() const { return Target.get(); }
-  Expr *getTarget() { return Target.get(); }
+  const Expr *getTarget() const { return Target; }
+  Expr *getTarget() { return Target; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Read; }
 
 private:
-  ExprPtr Target;
+  Expr *Target;
 };
 
 /// `return;` — exits the current procedure.
@@ -358,16 +350,15 @@ public:
 /// `{ stmt* }`.
 class BlockStmt : public Stmt {
 public:
-  BlockStmt(SourceLoc Loc, std::vector<StmtPtr> Stmts)
-      : Stmt(Kind::Block, Loc), Stmts(std::move(Stmts)) {}
+  BlockStmt(SourceLoc Loc, std::span<Stmt *const> Stmts)
+      : Stmt(Kind::Block, Loc), Stmts(Stmts) {}
 
-  const std::vector<StmtPtr> &getStmts() const { return Stmts; }
-  std::vector<StmtPtr> &getStmts() { return Stmts; }
+  std::span<Stmt *const> getStmts() const { return Stmts; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Block; }
 
 private:
-  std::vector<StmtPtr> Stmts;
+  std::span<Stmt *const> Stmts;
 };
 
 //===----------------------------------------------------------------------===//
@@ -377,15 +368,15 @@ private:
 /// A `global` declaration of one or more shared scalars or arrays.
 struct GlobalDecl {
   SourceLoc Loc;
-  std::vector<DeclItem> Items;
+  std::span<const DeclItem> Items;
 };
 
 /// A `proc name(params) { ... }` definition.
 struct ProcDecl {
   SourceLoc Loc;
-  std::string Name;
-  std::vector<DeclItem> Params; // always scalars
-  std::unique_ptr<BlockStmt> Body;
+  std::string_view Name;
+  std::span<const DeclItem> Params; // always scalars
+  const BlockStmt *Body = nullptr;
 };
 
 /// Calls \p Visit on each item of every `var` declaration in \p Proc's
@@ -395,18 +386,21 @@ struct ProcDecl {
 void forEachLocalDecl(const ProcDecl &Proc,
                       const std::function<void(const DeclItem &)> &Visit);
 
-/// A whole MiniFort compilation unit.
-struct Program {
-  std::vector<GlobalDecl> Globals;
-  std::vector<ProcDecl> Procs;
+/// A whole MiniFort compilation unit. It owns the arena holding every
+/// node, declaration list and name of its tree, plus its own copy of the
+/// source text the names view, so it outlives the buffer it was parsed
+/// from. Movable; moving keeps every node in place.
+class Program {
+public:
+  Program() = default;
 
-  /// Finds a procedure by name; null if absent.
-  const ProcDecl *findProc(const std::string &Name) const {
-    for (const ProcDecl &P : Procs)
-      if (P.Name == Name)
-        return &P;
-    return nullptr;
-  }
+  std::span<const GlobalDecl> Globals;
+  std::span<const ProcDecl> Procs;
+
+private:
+  friend class Parser;
+
+  Arena Mem;
 };
 
 } // namespace ipcp

@@ -31,7 +31,7 @@ public:
         Out += P.Params[I].Name;
       }
       Out += ") ";
-      printStmt(P.Body.get());
+      printStmt(P.Body);
       Out += "\n";
     }
     return std::move(Out);
@@ -43,7 +43,7 @@ public:
 private:
   void indent() { Out.append(2 * Depth, ' '); }
 
-  void printItems(const std::vector<DeclItem> &Items) {
+  void printItems(std::span<const DeclItem> Items) {
     for (size_t I = 0; I != Items.size(); ++I) {
       if (I)
         Out += ", ";
@@ -156,11 +156,11 @@ private:
       Out += "call ";
       Out += Call->getCallee();
       Out += "(";
-      const auto &Args = Call->getArgs();
+      std::span<Expr *const> Args = Call->getArgs();
       for (size_t I = 0; I != Args.size(); ++I) {
         if (I)
           Out += ", ";
-        printExpr(Args[I].get());
+        printExpr(Args[I]);
       }
       Out += ");";
       return;
@@ -181,9 +181,9 @@ private:
     case Stmt::Kind::Block: {
       Out += "{\n";
       ++Depth;
-      for (const StmtPtr &Child : cast<BlockStmt>(S)->getStmts()) {
+      for (const Stmt *Child : cast<BlockStmt>(S)->getStmts()) {
         indent();
-        printStmt(Child.get());
+        printStmt(Child);
         Out += "\n";
       }
       --Depth;

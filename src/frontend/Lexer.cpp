@@ -7,7 +7,7 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
-#include <unordered_map>
+#include <string>
 
 using namespace ipcp;
 
@@ -127,32 +127,65 @@ void Lexer::skipWhitespaceAndComments() {
   }
 }
 
-Token Lexer::makeToken(TokenKind Kind, SourceLoc Loc, std::string Text) {
+Token Lexer::makeToken(TokenKind Kind, SourceLoc Loc, std::string_view Text) {
   Token Tok;
   Tok.Kind = Kind;
   Tok.Loc = Loc;
-  Tok.Text = std::move(Text);
+  Tok.Text = Text;
   return Tok;
 }
 
-Token Lexer::lexIdentifierOrKeyword(SourceLoc Loc) {
-  static const std::unordered_map<std::string_view, TokenKind> Keywords = {
-      {"global", TokenKind::KwGlobal}, {"proc", TokenKind::KwProc},
-      {"var", TokenKind::KwVar},       {"array", TokenKind::KwArray},
-      {"if", TokenKind::KwIf},         {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},   {"do", TokenKind::KwDo},
-      {"call", TokenKind::KwCall},     {"print", TokenKind::KwPrint},
-      {"read", TokenKind::KwRead},     {"return", TokenKind::KwReturn},
+/// The keyword spelled \p Text, or Identifier. Dispatches on length and
+/// first letter, so no identifier is hashed.
+static TokenKind keywordKind(std::string_view Text) {
+  auto Is = [&](std::string_view Spelling, TokenKind Kind) {
+    return Text == Spelling ? Kind : TokenKind::Identifier;
   };
+  switch (Text.size()) {
+  case 2:
+    return Text[0] == 'i' ? Is("if", TokenKind::KwIf)
+                          : Is("do", TokenKind::KwDo);
+  case 3:
+    return Is("var", TokenKind::KwVar);
+  case 4:
+    switch (Text[0]) {
+    case 'p':
+      return Is("proc", TokenKind::KwProc);
+    case 'e':
+      return Is("else", TokenKind::KwElse);
+    case 'c':
+      return Is("call", TokenKind::KwCall);
+    case 'r':
+      return Is("read", TokenKind::KwRead);
+    default:
+      return TokenKind::Identifier;
+    }
+  case 5:
+    switch (Text[0]) {
+    case 'a':
+      return Is("array", TokenKind::KwArray);
+    case 'w':
+      return Is("while", TokenKind::KwWhile);
+    case 'p':
+      return Is("print", TokenKind::KwPrint);
+    default:
+      return TokenKind::Identifier;
+    }
+  case 6:
+    return Text[0] == 'g' ? Is("global", TokenKind::KwGlobal)
+                          : Is("return", TokenKind::KwReturn);
+  default:
+    return TokenKind::Identifier;
+  }
+}
 
+Token Lexer::lexIdentifierOrKeyword(SourceLoc Loc) {
   size_t Begin = Pos;
   while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
                       peek() == '_'))
     advance();
-  std::string Text(Source.substr(Begin, Pos - Begin));
-  auto It = Keywords.find(Text);
-  TokenKind Kind = It == Keywords.end() ? TokenKind::Identifier : It->second;
-  return makeToken(Kind, Loc, std::move(Text));
+  std::string_view Text = Source.substr(Begin, Pos - Begin);
+  return makeToken(keywordKind(Text), Loc, Text);
 }
 
 Token Lexer::lexNumber(SourceLoc Loc) {
@@ -169,12 +202,13 @@ Token Lexer::lexNumber(SourceLoc Loc) {
     }
     Overflow = true;
   }
-  std::string Text(Source.substr(Begin, Pos - Begin));
+  std::string_view Text = Source.substr(Begin, Pos - Begin);
   if (Overflow) {
-    Diags.error(Loc, "integer literal '" + Text + "' is too large");
-    return makeToken(TokenKind::Error, Loc, std::move(Text));
+    Diags.error(Loc, "integer literal '" + std::string(Text) +
+                         "' is too large");
+    return makeToken(TokenKind::Error, Loc, Text);
   }
-  Token Tok = makeToken(TokenKind::IntLiteral, Loc, std::move(Text));
+  Token Tok = makeToken(TokenKind::IntLiteral, Loc, Text);
   Tok.IntValue = Value;
   return Tok;
 }
@@ -245,12 +279,14 @@ Token Lexer::next() {
     return makeToken(TokenKind::Greater, Loc, ">");
   default:
     Diags.error(Loc, std::string("unexpected character '") + C + "'");
-    return makeToken(TokenKind::Error, Loc, std::string(1, C));
+    return makeToken(TokenKind::Error, Loc, Source.substr(Pos - 1, 1));
   }
 }
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
+  // MiniFort averages well over three source bytes per token.
+  Tokens.reserve(Source.size() / 3 + 16);
   while (true) {
     Tokens.push_back(next());
     if (Tokens.back().is(TokenKind::Eof))

@@ -25,7 +25,8 @@ namespace ipcp {
 /// Streams tokens out of a MiniFort source buffer.
 class Lexer {
 public:
-  /// \p Source must outlive the lexer. Errors go to \p Diags.
+  /// \p Source must outlive the lexer and its tokens, whose spellings
+  /// view it. Errors go to \p Diags.
   Lexer(std::string_view Source, DiagnosticsEngine &Diags);
 
   /// Lexes and returns the next token. After end of input, returns Eof
@@ -41,7 +42,7 @@ private:
   char advance();
   bool atEnd() const { return Pos >= Source.size(); }
   void skipWhitespaceAndComments();
-  Token makeToken(TokenKind Kind, SourceLoc Loc, std::string Text);
+  Token makeToken(TokenKind Kind, SourceLoc Loc, std::string_view Text);
   Token lexIdentifierOrKeyword(SourceLoc Loc);
   Token lexNumber(SourceLoc Loc);
 

@@ -8,12 +8,21 @@
 
 #include "frontend/Sema.h"
 
+#include <algorithm>
+
 using namespace ipcp;
+
+/// First chunk of a Program's arena per source byte: the text copy plus
+/// the tree, which takes about eight bytes per source byte.
+constexpr size_t ArenaBytesPerSourceByte = 10;
 
 Parser::Parser(std::string_view Source, DiagnosticsEngine &Diags,
                ResourceGuard *Guard)
     : Diags(Diags), Guard(Guard) {
-  Lexer Lex(Source, Diags);
+  Prog.Mem = Arena(std::max<size_t>(4096, Source.size() *
+                                              ArenaBytesPerSourceByte),
+                   /*MaxChunkBytes=*/1 << 20);
+  Lexer Lex(Prog.Mem.copyString(Source), Diags);
   Tokens = Lex.lexAll();
   if (Guard) {
     if (Guard->limits().MaxParseDepth != 0)
@@ -61,8 +70,8 @@ const Token &Parser::peekAhead() const {
   return Tokens[Next];
 }
 
-Token Parser::consume() {
-  Token Tok = Tokens[Index];
+const Token &Parser::consume() {
+  const Token &Tok = Tokens[Index];
   if (!Tok.is(TokenKind::Eof))
     ++Index;
   return Tok;
@@ -101,50 +110,50 @@ void Parser::syncToTopLevel() {
     consume();
 }
 
-std::vector<DeclItem> Parser::parseDeclItems(bool AllowArrays) {
-  std::vector<DeclItem> Items;
+std::span<const DeclItem> Parser::parseDeclItems(bool AllowArrays) {
+  size_t Begin = ItemStack.size();
   do {
-    Token Name = consume();
+    const Token &Name = consume();
     if (!Name.is(TokenKind::Identifier)) {
       Diags.error(Name.Loc, "expected identifier in declaration, found " +
                                 std::string(tokenKindName(Name.Kind)));
-      return Items;
+      break;
     }
     DeclItem Item;
     Item.Loc = Name.Loc;
     Item.Name = Name.Text;
     if (check(TokenKind::LBracket)) {
       consume();
-      Token Size = consume();
+      const Token &Size = consume();
       if (!Size.is(TokenKind::IntLiteral)) {
         Diags.error(Size.Loc, "expected integer literal array extent");
       } else if (Size.IntValue <= 0) {
         Diags.error(Size.Loc, "array extent must be positive");
       } else if (!AllowArrays) {
-        Diags.error(Name.Loc,
-                    "array '" + Item.Name + "' not allowed in this context");
+        Diags.error(Name.Loc, "array '" + std::string(Item.Name) +
+                                  "' not allowed in this context");
       } else {
         Item.ArraySize = Size.IntValue;
       }
       expect(TokenKind::RBracket, "after array extent");
     }
-    Items.push_back(std::move(Item));
+    ItemStack.push_back(Item);
   } while (match(TokenKind::Comma));
-  return Items;
+  return popInto(ItemStack, Begin);
 }
 
-void Parser::parseGlobalDecl(Program &Prog) {
+void Parser::parseGlobalDecl() {
   GlobalDecl Decl;
   Decl.Loc = consume().Loc; // 'global'
   Decl.Items = parseDeclItems(/*AllowArrays=*/true);
   expect(TokenKind::Semicolon, "after global declaration");
-  Prog.Globals.push_back(std::move(Decl));
+  GlobalList.push_back(Decl);
 }
 
-void Parser::parseProcDecl(Program &Prog) {
+void Parser::parseProcDecl() {
   ProcDecl Decl;
   Decl.Loc = consume().Loc; // 'proc'
-  Token Name = consume();
+  const Token &Name = consume();
   if (!Name.is(TokenKind::Identifier)) {
     Diags.error(Name.Loc, "expected procedure name after 'proc'");
     syncToTopLevel();
@@ -164,29 +173,30 @@ void Parser::parseProcDecl(Program &Prog) {
     return;
   }
   Decl.Body = parseBlock();
-  Prog.Procs.push_back(std::move(Decl));
+  ProcList.push_back(Decl);
 }
 
-std::unique_ptr<BlockStmt> Parser::parseBlock() {
+BlockStmt *Parser::parseBlock() {
   if (atDepthLimit())
     return nullptr;
   DepthScope Scope(*this);
   SourceLoc Loc = peek().Loc;
   expect(TokenKind::LBrace, "to begin block");
-  std::vector<StmtPtr> Stmts;
+  size_t Begin = StmtStack.size();
   while (!check(TokenKind::RBrace) && !check(TokenKind::Eof)) {
     // Stop when we fell off the end of a malformed body into a new
     // top-level declaration.
     if (check(TokenKind::KwProc) || check(TokenKind::KwGlobal))
       break;
-    if (StmtPtr S = parseStmt())
-      Stmts.push_back(std::move(S));
+    if (Stmt *S = parseStmt())
+      StmtStack.push_back(S);
   }
   expect(TokenKind::RBrace, "to end block");
-  return makeNode<BlockStmt>(Loc, std::move(Stmts));
+  std::span<Stmt *const> Stmts = popInto(StmtStack, Begin);
+  return makeNode<BlockStmt>(Loc, Stmts);
 }
 
-StmtPtr Parser::parseStmt() {
+Stmt *Parser::parseStmt() {
   if (atDepthLimit())
     return nullptr;
   DepthScope Scope(*this);
@@ -194,9 +204,9 @@ StmtPtr Parser::parseStmt() {
   switch (peek().Kind) {
   case TokenKind::KwVar: {
     consume();
-    std::vector<DeclItem> Items = parseDeclItems(/*AllowArrays=*/true);
+    std::span<const DeclItem> Items = parseDeclItems(/*AllowArrays=*/true);
     expect(TokenKind::Semicolon, "after variable declaration");
-    return makeNode<VarDeclStmt>(Loc, std::move(Items));
+    return makeNode<VarDeclStmt>(Loc, Items);
   }
   case TokenKind::KwIf:
     return parseIf();
@@ -208,19 +218,19 @@ StmtPtr Parser::parseStmt() {
     return parseCall();
   case TokenKind::KwPrint: {
     consume();
-    ExprPtr Value = parseExpr();
+    Expr *Value = parseExpr();
     expect(TokenKind::Semicolon, "after print statement");
     if (!Value)
       return nullptr;
-    return makeNode<PrintStmt>(Loc, std::move(Value));
+    return makeNode<PrintStmt>(Loc, Value);
   }
   case TokenKind::KwRead: {
     consume();
-    ExprPtr Target = parseLValue();
+    Expr *Target = parseLValue();
     expect(TokenKind::Semicolon, "after read statement");
     if (!Target)
       return nullptr;
-    return makeNode<ReadStmt>(Loc, std::move(Target));
+    return makeNode<ReadStmt>(Loc, Target);
   }
   case TokenKind::KwReturn: {
     consume();
@@ -239,16 +249,16 @@ StmtPtr Parser::parseStmt() {
   }
 }
 
-StmtPtr Parser::parseIf() {
+Stmt *Parser::parseIf() {
   if (atDepthLimit())
     return nullptr;
   DepthScope Scope(*this);
   SourceLoc Loc = consume().Loc; // 'if'
   expect(TokenKind::LParen, "after 'if'");
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   expect(TokenKind::RParen, "after if condition");
-  StmtPtr Then = parseBlock();
-  StmtPtr Else;
+  Stmt *Then = parseBlock();
+  Stmt *Else = nullptr;
   if (match(TokenKind::KwElse)) {
     if (check(TokenKind::KwIf))
       Else = parseIf();
@@ -257,70 +267,68 @@ StmtPtr Parser::parseIf() {
   }
   if (!Cond || !Then)
     return nullptr;
-  return makeNode<IfStmt>(Loc, std::move(Cond), std::move(Then),
-                                  std::move(Else));
+  return makeNode<IfStmt>(Loc, Cond, Then, Else);
 }
 
-StmtPtr Parser::parseWhile() {
+Stmt *Parser::parseWhile() {
   SourceLoc Loc = consume().Loc; // 'while'
   expect(TokenKind::LParen, "after 'while'");
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   expect(TokenKind::RParen, "after while condition");
-  StmtPtr Body = parseBlock();
+  Stmt *Body = parseBlock();
   if (!Cond || !Body)
     return nullptr;
-  return makeNode<WhileStmt>(Loc, std::move(Cond), std::move(Body));
+  return makeNode<WhileStmt>(Loc, Cond, Body);
 }
 
-StmtPtr Parser::parseDoLoop() {
+Stmt *Parser::parseDoLoop() {
   SourceLoc Loc = consume().Loc; // 'do'
-  Token IndVar = consume();
+  const Token &IndVar = consume();
   if (!IndVar.is(TokenKind::Identifier)) {
     Diags.error(IndVar.Loc, "expected induction variable after 'do'");
     syncToStmtBoundary();
     return nullptr;
   }
   expect(TokenKind::Assign, "after do-loop induction variable");
-  ExprPtr Lo = parseExpr();
+  Expr *Lo = parseExpr();
   expect(TokenKind::Comma, "after do-loop lower bound");
-  ExprPtr Hi = parseExpr();
-  ExprPtr Step;
+  Expr *Hi = parseExpr();
+  Expr *Step = nullptr;
   if (match(TokenKind::Comma))
     Step = parseExpr();
-  StmtPtr Body = parseBlock();
+  Stmt *Body = parseBlock();
   if (!Lo || !Hi || !Body)
     return nullptr;
-  return makeNode<DoLoopStmt>(Loc, IndVar.Text, std::move(Lo),
-                                      std::move(Hi), std::move(Step),
-                                      std::move(Body));
+  return makeNode<DoLoopStmt>(Loc, IndVar.Text, Lo, Hi, Step, Body);
 }
 
-StmtPtr Parser::parseCall() {
+Stmt *Parser::parseCall() {
   SourceLoc Loc = consume().Loc; // 'call'
-  Token Callee = consume();
+  const Token &Callee = consume();
   if (!Callee.is(TokenKind::Identifier)) {
     Diags.error(Callee.Loc, "expected procedure name after 'call'");
     syncToStmtBoundary();
     return nullptr;
   }
   expect(TokenKind::LParen, "after callee name");
-  std::vector<ExprPtr> Args;
+  size_t Begin = ArgStack.size();
   if (!check(TokenKind::RParen)) {
     do {
-      if (ExprPtr Arg = parseExpr())
-        Args.push_back(std::move(Arg));
+      if (Expr *Arg = parseExpr())
+        ArgStack.push_back(Arg);
       else
         break;
     } while (match(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "after call arguments");
   expect(TokenKind::Semicolon, "after call statement");
-  return makeNode<CallStmt>(Loc, Callee.Text, std::move(Args));
+  std::span<Expr *const> Args = popInto(ArgStack, Begin);
+  return makeNode<CallStmt>(Loc, Callee.Text, Args);
 }
 
-StmtPtr Parser::parseAssign() {
+Stmt *Parser::parseAssign() {
   SourceLoc Loc = peek().Loc;
-  ExprPtr Target = parseLValue();
+  Expr *Target = parseLValue();
   if (!Target) {
     syncToStmtBoundary();
     return nullptr;
@@ -329,28 +337,26 @@ StmtPtr Parser::parseAssign() {
     syncToStmtBoundary();
     return nullptr;
   }
-  ExprPtr Value = parseExpr();
+  Expr *Value = parseExpr();
   expect(TokenKind::Semicolon, "after assignment");
   if (!Value)
     return nullptr;
-  return makeNode<AssignStmt>(Loc, std::move(Target),
-                                      std::move(Value));
+  return makeNode<AssignStmt>(Loc, Target, Value);
 }
 
-ExprPtr Parser::parseLValue() {
-  Token Name = consume();
+Expr *Parser::parseLValue() {
+  const Token &Name = consume();
   if (!Name.is(TokenKind::Identifier)) {
     Diags.error(Name.Loc, "expected variable name, found " +
                               std::string(tokenKindName(Name.Kind)));
     return nullptr;
   }
   if (match(TokenKind::LBracket)) {
-    ExprPtr Index = parseExpr();
+    Expr *Index = parseExpr();
     expect(TokenKind::RBracket, "after array subscript");
     if (!Index)
       return nullptr;
-    return makeNode<ArrayRefExpr>(Name.Loc, Name.Text,
-                                          std::move(Index));
+    return makeNode<ArrayRefExpr>(Name.Loc, Name.Text, Index);
   }
   return makeNode<VarRefExpr>(Name.Loc, Name.Text);
 }
@@ -374,57 +380,54 @@ static std::optional<BinaryOp> relOpFor(TokenKind Kind) {
   }
 }
 
-ExprPtr Parser::parseExpr() {
+Expr *Parser::parseExpr() {
   if (atDepthLimit())
     return nullptr;
   DepthScope Scope(*this);
-  ExprPtr LHS = parseAddExpr();
+  Expr *LHS = parseAddExpr();
   if (!LHS)
     return nullptr;
   if (auto Op = relOpFor(peek().Kind)) {
     SourceLoc Loc = consume().Loc;
-    ExprPtr RHS = parseAddExpr();
+    Expr *RHS = parseAddExpr();
     if (!RHS)
       return nullptr;
-    return makeNode<BinaryExpr>(Loc, *Op, std::move(LHS),
-                                        std::move(RHS));
+    return makeNode<BinaryExpr>(Loc, *Op, LHS, RHS);
   }
   return LHS;
 }
 
-ExprPtr Parser::parseAddExpr() {
-  ExprPtr LHS = parseMulExpr();
+Expr *Parser::parseAddExpr() {
+  Expr *LHS = parseMulExpr();
   while (LHS && (check(TokenKind::Plus) || check(TokenKind::Minus))) {
-    Token Op = consume();
-    ExprPtr RHS = parseMulExpr();
+    const Token &Op = consume();
+    Expr *RHS = parseMulExpr();
     if (!RHS)
       return nullptr;
     BinaryOp Kind =
         Op.is(TokenKind::Plus) ? BinaryOp::Add : BinaryOp::Sub;
-    LHS = makeNode<BinaryExpr>(Op.Loc, Kind, std::move(LHS),
-                                       std::move(RHS));
+    LHS = makeNode<BinaryExpr>(Op.Loc, Kind, LHS, RHS);
   }
   return LHS;
 }
 
-ExprPtr Parser::parseMulExpr() {
-  ExprPtr LHS = parseUnary();
+Expr *Parser::parseMulExpr() {
+  Expr *LHS = parseUnary();
   while (LHS && (check(TokenKind::Star) || check(TokenKind::Slash) ||
                  check(TokenKind::Percent))) {
-    Token Op = consume();
-    ExprPtr RHS = parseUnary();
+    const Token &Op = consume();
+    Expr *RHS = parseUnary();
     if (!RHS)
       return nullptr;
     BinaryOp Kind = Op.is(TokenKind::Star)    ? BinaryOp::Mul
                     : Op.is(TokenKind::Slash) ? BinaryOp::Div
                                               : BinaryOp::Mod;
-    LHS = makeNode<BinaryExpr>(Op.Loc, Kind, std::move(LHS),
-                                       std::move(RHS));
+    LHS = makeNode<BinaryExpr>(Op.Loc, Kind, LHS, RHS);
   }
   return LHS;
 }
 
-ExprPtr Parser::parseUnary() {
+Expr *Parser::parseUnary() {
   if (atDepthLimit())
     return nullptr;
   DepthScope Scope(*this);
@@ -433,26 +436,26 @@ ExprPtr Parser::parseUnary() {
     // Fold a negated literal into a single literal so `-5` is a literal
     // constant for the literal jump function, as it would be in Fortran.
     if (check(TokenKind::IntLiteral)) {
-      Token Lit = consume();
+      const Token &Lit = consume();
       return makeNode<IntLiteralExpr>(Loc, -Lit.IntValue);
     }
-    ExprPtr Operand = parseUnary();
+    Expr *Operand = parseUnary();
     if (!Operand)
       return nullptr;
-    return makeNode<UnaryExpr>(Loc, UnaryOp::Neg, std::move(Operand));
+    return makeNode<UnaryExpr>(Loc, UnaryOp::Neg, Operand);
   }
   if (match(TokenKind::Not)) {
-    ExprPtr Operand = parseUnary();
+    Expr *Operand = parseUnary();
     if (!Operand)
       return nullptr;
-    return makeNode<UnaryExpr>(Loc, UnaryOp::Not, std::move(Operand));
+    return makeNode<UnaryExpr>(Loc, UnaryOp::Not, Operand);
   }
   if (check(TokenKind::IntLiteral)) {
-    Token Lit = consume();
+    const Token &Lit = consume();
     return makeNode<IntLiteralExpr>(Loc, Lit.IntValue);
   }
   if (match(TokenKind::LParen)) {
-    ExprPtr Inner = parseExpr();
+    Expr *Inner = parseExpr();
     expect(TokenKind::RParen, "after parenthesized expression");
     return Inner;
   }
@@ -465,12 +468,11 @@ ExprPtr Parser::parseUnary() {
 }
 
 Program Parser::parseProgram() {
-  Program Prog;
   while (!check(TokenKind::Eof)) {
     if (check(TokenKind::KwGlobal)) {
-      parseGlobalDecl(Prog);
+      parseGlobalDecl();
     } else if (check(TokenKind::KwProc)) {
-      parseProcDecl(Prog);
+      parseProcDecl();
     } else {
       Diags.error(peek().Loc,
                   std::string("expected 'global' or 'proc' at top level, "
@@ -481,7 +483,9 @@ Program Parser::parseProgram() {
         break;
     }
   }
-  return Prog;
+  Prog.Globals = Prog.Mem.copyArray(std::span<const GlobalDecl>(GlobalList));
+  Prog.Procs = Prog.Mem.copyArray(std::span<const ProcDecl>(ProcList));
+  return std::move(Prog);
 }
 
 std::optional<Program> ipcp::parseAndCheck(std::string_view Source,

@@ -27,6 +27,11 @@
 ///   unary     := ('-'|'!') unary | intlit | lvalue | '(' expr ')'
 /// \endcode
 ///
+/// The parser copies the source into the Program it builds and lexes that
+/// copy, so tokens, and the names the AST keeps, view memory the Program
+/// owns. Nodes come from the Program's arena; child lists are gathered on
+/// reusable scratch stacks and copied into the arena once complete.
+///
 /// On a syntax error the parser reports a diagnostic and synchronizes at
 /// the next statement or declaration boundary, so one run reports many
 /// errors. A program with errors must not be consumed downstream.
@@ -68,7 +73,7 @@ public:
 private:
   const Token &peek() const { return Tokens[Index]; }
   const Token &peekAhead() const;
-  Token consume();
+  const Token &consume();
   bool check(TokenKind Kind) const { return peek().is(Kind); }
   bool match(TokenKind Kind);
   /// Consumes a token of kind \p Kind or reports an error; returns whether
@@ -84,11 +89,18 @@ private:
   bool atDepthLimit();
   /// Charges one AST node against the guard's budget.
   void noteNode();
-  /// Allocates an AST node, charging the budget.
-  template <typename T, typename... ArgTs>
-  std::unique_ptr<T> makeNode(ArgTs &&...Args) {
+  /// Allocates an AST node in the program's arena, charging the budget.
+  template <typename T, typename... ArgTs> T *makeNode(ArgTs &&...Args) {
     noteNode();
-    return std::make_unique<T>(std::forward<ArgTs>(Args)...);
+    return Prog.Mem.create<T>(std::forward<ArgTs>(Args)...);
+  }
+  /// Moves \p Stack's entries from \p Begin on into the arena.
+  template <typename T>
+  std::span<const T> popInto(std::vector<T> &Stack, size_t Begin) {
+    std::span<const T> Items = Prog.Mem.copyArray(
+        std::span<const T>(Stack.data() + Begin, Stack.size() - Begin));
+    Stack.resize(Begin);
+    return Items;
   }
   /// RAII recursion-depth counter.
   struct DepthScope {
@@ -97,23 +109,31 @@ private:
     ~DepthScope() { --P.Depth; }
   };
 
-  std::vector<DeclItem> parseDeclItems(bool AllowArrays);
-  void parseGlobalDecl(Program &Prog);
-  void parseProcDecl(Program &Prog);
-  std::unique_ptr<BlockStmt> parseBlock();
-  StmtPtr parseStmt();
-  StmtPtr parseIf();
-  StmtPtr parseWhile();
-  StmtPtr parseDoLoop();
-  StmtPtr parseCall();
-  StmtPtr parseAssign();
-  ExprPtr parseLValue();
-  ExprPtr parseExpr();
-  ExprPtr parseAddExpr();
-  ExprPtr parseMulExpr();
-  ExprPtr parseUnary();
+  std::span<const DeclItem> parseDeclItems(bool AllowArrays);
+  void parseGlobalDecl();
+  void parseProcDecl();
+  BlockStmt *parseBlock();
+  Stmt *parseStmt();
+  Stmt *parseIf();
+  Stmt *parseWhile();
+  Stmt *parseDoLoop();
+  Stmt *parseCall();
+  Stmt *parseAssign();
+  Expr *parseLValue();
+  Expr *parseExpr();
+  Expr *parseAddExpr();
+  Expr *parseMulExpr();
+  Expr *parseUnary();
 
+  Program Prog;
   std::vector<Token> Tokens;
+  /// Scratch stacks for child lists under construction; a nested list
+  /// pushes above its parent's and is popped before the parent resumes.
+  std::vector<Stmt *> StmtStack;
+  std::vector<Expr *> ArgStack;
+  std::vector<DeclItem> ItemStack;
+  std::vector<GlobalDecl> GlobalList;
+  std::vector<ProcDecl> ProcList;
   size_t Index = 0;
   DiagnosticsEngine &Diags;
   ResourceGuard *Guard = nullptr;

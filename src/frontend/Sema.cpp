@@ -17,16 +17,18 @@ bool Sema::check(const Program &Prog) {
     for (const DeclItem &Item : G.Items) {
       Symbol Sym = Item.isArray() ? Symbol::Array : Symbol::Scalar;
       if (!GlobalNames.emplace(Item.Name, Sym).second)
-        Diags.error(Item.Loc, "redefinition of global '" + Item.Name + "'");
+        Diags.error(Item.Loc,
+                    "redefinition of global '" + std::string(Item.Name) + "'");
     }
   }
 
   ProcDecls.reserve(Prog.Procs.size());
   for (const ProcDecl &P : Prog.Procs) {
     if (!ProcDecls.emplace(P.Name, &P).second)
-      Diags.error(P.Loc, "redefinition of procedure '" + P.Name + "'");
+      Diags.error(P.Loc,
+                  "redefinition of procedure '" + std::string(P.Name) + "'");
     if (GlobalNames.count(P.Name))
-      Diags.error(P.Loc, "procedure '" + P.Name +
+      Diags.error(P.Loc, "procedure '" + std::string(P.Name) +
                              "' has the same name as a global variable");
   }
 
@@ -49,12 +51,12 @@ void Sema::declare(ProcScope &Scope, const DeclItem &Item, const char *What) {
   Symbol Sym = Item.isArray() ? Symbol::Array : Symbol::Scalar;
   if (!Scope.Names.emplace(Item.Name, Sym).second)
     Diags.error(Item.Loc, std::string("redefinition of ") + What + " '" +
-                              Item.Name + "' in procedure '" +
-                              Scope.Proc->Name + "'");
+                              std::string(Item.Name) + "' in procedure '" +
+                              std::string(Scope.Proc->Name) + "'");
 }
 
 std::optional<Sema::Symbol> Sema::lookup(const ProcScope &Scope,
-                                         const std::string &Name) const {
+                                         std::string_view Name) const {
   auto Local = Scope.Names.find(Name);
   if (Local != Scope.Names.end())
     return Local->second;
@@ -65,7 +67,7 @@ std::optional<Sema::Symbol> Sema::lookup(const ProcScope &Scope,
 }
 
 void Sema::checkProc(const ProcDecl &Proc) {
-  ProcScope Scope;
+  ProcScope Scope(&NodePool);
   Scope.Proc = &Proc;
   for (const DeclItem &Param : Proc.Params)
     declare(Scope, Param, "parameter");
@@ -79,11 +81,11 @@ void Sema::checkProc(const ProcDecl &Proc) {
     declare(Scope, Item, "local variable");
   });
 
-  checkStmt(Scope, Proc.Body.get(), /*LoopIndVar=*/nullptr);
+  checkStmt(Scope, Proc.Body, /*LoopIndVar=*/nullptr);
 }
 
 void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
-                     const std::string *LoopIndVar) {
+                     const std::string_view *LoopIndVar) {
   switch (S->getKind()) {
   case Stmt::Kind::VarDecl:
     return; // handled during hoisting
@@ -96,7 +98,8 @@ void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
         if (Ref->getName() == *LoopIndVar)
           Diags.warning(S->getLoc(), "assignment to do-loop induction "
                                      "variable '" +
-                                         *LoopIndVar + "' inside the loop");
+                                         std::string(*LoopIndVar) +
+                                         "' inside the loop");
     }
     return;
   }
@@ -119,15 +122,16 @@ void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
     auto Sym = lookup(Scope, Do->getIndVar());
     if (!Sym)
       Diags.error(S->getLoc(), "use of undeclared variable '" +
-                                   Do->getIndVar() + "'");
+                                   std::string(Do->getIndVar()) + "'");
     else if (*Sym == Symbol::Array)
       Diags.error(S->getLoc(), "do-loop induction variable '" +
-                                   Do->getIndVar() + "' is an array");
+                                   std::string(Do->getIndVar()) +
+                                   "' is an array");
     checkExpr(Scope, Do->getLo());
     checkExpr(Scope, Do->getHi());
     if (Do->getStep())
       checkExpr(Scope, Do->getStep());
-    const std::string IndVar = Do->getIndVar();
+    const std::string_view IndVar = Do->getIndVar();
     checkStmt(Scope, Do->getBody(), &IndVar);
     return;
   }
@@ -136,27 +140,28 @@ void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
     auto Found = ProcDecls.find(Call->getCallee());
     const ProcDecl *Callee = Found == ProcDecls.end() ? nullptr : Found->second;
     if (!Callee) {
-      Diags.error(S->getLoc(),
-                  "call to undefined procedure '" + Call->getCallee() + "'");
+      Diags.error(S->getLoc(), "call to undefined procedure '" +
+                                   std::string(Call->getCallee()) + "'");
     } else if (Callee->Params.size() != Call->getArgs().size()) {
       Diags.error(S->getLoc(),
-                  "procedure '" + Call->getCallee() + "' expects " +
+                  "procedure '" + std::string(Call->getCallee()) +
+                      "' expects " +
                       std::to_string(Callee->Params.size()) +
                       " argument(s), got " +
                       std::to_string(Call->getArgs().size()));
     }
-    for (const ExprPtr &Arg : Call->getArgs()) {
+    for (const Expr *Arg : Call->getArgs()) {
       // A bare array name is not a valid argument (arrays are shared via
       // globals); a subscripted element is fine.
-      if (const auto *Ref = dyn_cast<VarRefExpr>(Arg.get())) {
+      if (const auto *Ref = dyn_cast<VarRefExpr>(Arg)) {
         auto Sym = lookup(Scope, Ref->getName());
         if (Sym && *Sym == Symbol::Array) {
-          Diags.error(Arg->getLoc(), "array '" + Ref->getName() +
+          Diags.error(Arg->getLoc(), "array '" + std::string(Ref->getName()) +
                                          "' cannot be passed as an argument");
           continue;
         }
       }
-      checkExpr(Scope, Arg.get());
+      checkExpr(Scope, Arg);
     }
     return;
   }
@@ -169,8 +174,8 @@ void Sema::checkStmt(ProcScope &Scope, const Stmt *S,
   case Stmt::Kind::Return:
     return;
   case Stmt::Kind::Block:
-    for (const StmtPtr &Child : cast<BlockStmt>(S)->getStmts())
-      checkStmt(Scope, Child.get(), LoopIndVar);
+    for (const Stmt *Child : cast<BlockStmt>(S)->getStmts())
+      checkStmt(Scope, Child, LoopIndVar);
     return;
   }
 }
@@ -192,22 +197,22 @@ void Sema::checkExpr(const ProcScope &Scope, const Expr *E) {
     const auto *Ref = cast<VarRefExpr>(E);
     auto Sym = lookup(Scope, Ref->getName());
     if (!Sym)
-      Diags.error(E->getLoc(),
-                  "use of undeclared variable '" + Ref->getName() + "'");
+      Diags.error(E->getLoc(), "use of undeclared variable '" +
+                                   std::string(Ref->getName()) + "'");
     else if (*Sym == Symbol::Array)
-      Diags.error(E->getLoc(),
-                  "array '" + Ref->getName() + "' used without a subscript");
+      Diags.error(E->getLoc(), "array '" + std::string(Ref->getName()) +
+                                   "' used without a subscript");
     return;
   }
   case Expr::Kind::ArrayRef: {
     const auto *Ref = cast<ArrayRefExpr>(E);
     auto Sym = lookup(Scope, Ref->getName());
     if (!Sym)
-      Diags.error(E->getLoc(),
-                  "use of undeclared array '" + Ref->getName() + "'");
+      Diags.error(E->getLoc(), "use of undeclared array '" +
+                                   std::string(Ref->getName()) + "'");
     else if (*Sym == Symbol::Scalar)
-      Diags.error(E->getLoc(),
-                  "scalar '" + Ref->getName() + "' subscripted like an array");
+      Diags.error(E->getLoc(), "scalar '" + std::string(Ref->getName()) +
+                                   "' subscripted like an array");
     checkExpr(Scope, Ref->getIndex());
     return;
   }

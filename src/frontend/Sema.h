@@ -29,7 +29,8 @@
 #include "frontend/Ast.h"
 #include "support/Diagnostics.h"
 
-#include <string>
+#include <memory_resource>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -51,28 +52,35 @@ private:
   /// What a name refers to inside a procedure.
   enum class Symbol { Scalar, Array };
 
+  /// Names view the checked Program's text; map nodes come from NodePool.
+  template <typename V>
+  using NameMap = std::pmr::unordered_map<std::string_view, V>;
+
   struct ProcScope {
-    std::unordered_map<std::string, Symbol> Names;
+    explicit ProcScope(std::pmr::memory_resource *Pool) : Names(Pool) {}
+    NameMap<Symbol> Names;
     const ProcDecl *Proc = nullptr;
   };
 
   void checkProc(const ProcDecl &Proc);
   void declare(ProcScope &Scope, const DeclItem &Item, const char *What);
   void checkStmt(ProcScope &Scope, const Stmt *S,
-                 const std::string *LoopIndVar);
+                 const std::string_view *LoopIndVar);
   void checkExpr(const ProcScope &Scope, const Expr *E);
   void checkLValue(const ProcScope &Scope, const Expr *E);
   /// Looks up \p Name in the procedure scope, then globals; nullopt when
   /// undeclared.
   std::optional<Symbol> lookup(const ProcScope &Scope,
-                               const std::string &Name) const;
+                               std::string_view Name) const;
 
   DiagnosticsEngine &Diags;
   bool RequireMain = true;
-  std::unordered_map<std::string, Symbol> GlobalNames;
-  /// Name -> first definition of that name, viewing the names of the
-  /// Program being checked; empty outside check().
-  std::unordered_map<std::string_view, const ProcDecl *> ProcDecls;
+  /// Recycles map nodes from one procedure's scope to the next, so a
+  /// check allocates per pool block rather than per name.
+  std::pmr::unsynchronized_pool_resource NodePool;
+  NameMap<Symbol> GlobalNames{&NodePool};
+  /// Name -> first definition of that name; empty outside check().
+  NameMap<const ProcDecl *> ProcDecls{&NodePool};
 };
 
 } // namespace ipcp

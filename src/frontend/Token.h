@@ -20,7 +20,7 @@
 #include "support/ConstantMath.h"
 #include "support/SourceLoc.h"
 
-#include <string>
+#include <string_view>
 
 namespace ipcp {
 
@@ -77,12 +77,12 @@ enum class TokenKind {
 /// Returns a stable human-readable name for \p Kind ("identifier", "'=='").
 const char *tokenKindName(TokenKind Kind);
 
-/// One lexed token. \c Text is the source spelling; \c IntValue is set only
-/// for IntLiteral tokens.
+/// One lexed token: a view of its spelling in the lexed buffer, which must
+/// outlive the token. \c IntValue is set only for IntLiteral tokens.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLoc Loc;
-  std::string Text;
+  std::string_view Text;
   ConstantValue IntValue = 0;
 
   bool is(TokenKind K) const { return Kind == K; }

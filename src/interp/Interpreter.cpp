@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <map>
+#include <span>
 #include <unordered_set>
 
 using namespace ipcp;
@@ -36,7 +37,18 @@ struct Frame {
   std::unordered_map<const Instruction *, ConstantValue> Values;
 };
 
-/// Whole-execution state.
+/// One activation on the machine's explicit call stack: the procedure,
+/// its frame, the next instruction to run, and the call depth.
+struct Activation {
+  const Procedure *Proc;
+  Frame F;
+  const Instruction *Pos = nullptr;
+  unsigned Depth = 0;
+};
+
+/// Whole-execution state. MiniFort calls run on an explicit stack of
+/// activations rather than on the C++ stack, so MaxCallDepth bounds the
+/// work in every build, sanitizers included.
 class Machine {
 public:
   Machine(const Module &M, const ExecutionOptions &Opts, ExecutionResult &R)
@@ -52,7 +64,8 @@ public:
   void run() {
     const Procedure *Main = M.findProcedure("main");
     assert(Main && "interpret requires a main procedure");
-    callProcedure(*Main, /*ArgCells=*/{}, /*Depth=*/0);
+    if (enter(*Main, /*ArgCells=*/{}, /*Depth=*/0))
+      execute();
   }
 
 private:
@@ -118,8 +131,8 @@ private:
     auto It = Opts.Facts->ConstantLoads.find(Load->getId());
     if (It != Opts.Facts->ConstantLoads.end() && It->second != V)
       factViolated(P, Load,
-                   "claimed " + Load->getVariable()->getName() + " = " +
-                       std::to_string(It->second) + " but read " +
+                   "claimed " + std::string(Load->getVariable()->getName()) +
+                       " = " + std::to_string(It->second) + " but read " +
                        std::to_string(V));
   }
 
@@ -146,12 +159,14 @@ private:
     return true;
   }
 
-  /// Executes \p P with formal cells already bound into \p F by the
-  /// caller. Returns false when execution must stop (trap/fuel).
-  bool execute(const Procedure &P, Frame &F, unsigned Depth);
+  /// Runs activations until the stack empties. Returns false when
+  /// execution must stop (trap/fuel).
+  bool execute();
 
-  bool callProcedure(const Procedure &P,
-                     const std::vector<Cell *> &ArgCells, unsigned Depth);
+  /// Pushes an activation of \p P at \p Depth, its formals bound to
+  /// \p ArgCells. Returns false (out of fuel) past MaxCallDepth.
+  bool enter(const Procedure &P, std::span<Cell *const> ArgCells,
+             unsigned Depth);
 
   const Module &M;
   const ExecutionOptions &Opts;
@@ -162,13 +177,14 @@ private:
   uint64_t InputState = 0x9E3779B97F4A7C15ULL;
   bool Seeded = false;
   std::unordered_set<uint64_t> Contradicted; ///< fact IDs already reported
+  std::vector<Activation> Stack;
+  std::vector<Cell *> ArgScratch; ///< a call's argument cells
 };
 
 } // namespace
 
-bool Machine::callProcedure(const Procedure &P,
-                            const std::vector<Cell *> &ArgCells,
-                            unsigned Depth) {
+bool Machine::enter(const Procedure &P, std::span<Cell *const> ArgCells,
+                    unsigned Depth) {
   if (!Seeded) {
     InputState ^= Opts.InputSeed * 0x2545F4914F6CDD1DULL + 1;
     Seeded = true;
@@ -177,7 +193,10 @@ bool Machine::callProcedure(const Procedure &P,
     return outOfFuel("call depth limit exceeded in '" + P.getName() + "'");
   assert(ArgCells.size() == P.getNumFormals() && "arity mismatch at call");
 
-  Frame F;
+  Activation &A = Stack.emplace_back();
+  A.Proc = &P;
+  A.Depth = Depth;
+  Frame &F = A.F;
   for (unsigned I = 0, E = P.getNumFormals(); I != E; ++I)
     F.ScalarCells[P.formals()[I]] = ArgCells[I];
   for (const Variable *L : P.locals()) {
@@ -199,20 +218,32 @@ bool Machine::callProcedure(const Procedure &P,
     R.Entries.push_back(std::move(Snap));
   }
 
-  return execute(P, F, Depth);
+  const BasicBlock *Entry = P.getEntryBlock();
+  assert(Entry && "procedure with no blocks");
+  A.Pos = Entry->instructions().front();
+  return true;
 }
 
-bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
-  const BasicBlock *BB = P.getEntryBlock();
-  assert(BB && "procedure with no blocks");
-
-  while (BB) {
-    const BasicBlock *Next = nullptr;
-    for (const std::unique_ptr<Instruction> &InstPtr : BB->instructions()) {
-      const Instruction *Inst = InstPtr.get();
+bool Machine::execute() {
+  while (!Stack.empty()) {
+    // Runs the top activation until it returns or calls; a call pushes
+    // the callee and resumes the caller after the call once it returns.
+    Activation &A = Stack.back();
+    const Procedure &P = *A.Proc;
+    Frame &F = A.F;
+    const Instruction *Inst = A.Pos;
+    bool Returned = false;
+    bool Called = false;
+    while (!Returned && !Called) {
+      assert(Inst && "fell off a block without a terminator");
+      if (!Inst) {
+        Returned = true;
+        break;
+      }
       if (++R.Steps > Opts.MaxSteps)
         return outOfFuel("step budget exhausted in '" + P.getName() + "'");
 
+      const Instruction *Next = Inst->getNextNode();
       switch (Inst->getKind()) {
       case ValueKind::Binary: {
         const auto *Bin = cast<BinaryInst>(Inst);
@@ -260,8 +291,9 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
         std::vector<Cell> *Storage = arrayStorage(F, ALoad->getArray());
         if (Index < 0 || Index >= static_cast<ConstantValue>(Storage->size()))
           return trap("array index " + std::to_string(Index) +
-                      " out of bounds for '" + ALoad->getArray()->getName() +
-                      "' at " + Inst->getLoc().str());
+                      " out of bounds for '" +
+                      std::string(ALoad->getArray()->getName()) + "' at " +
+                      Inst->getLoc().str());
         F.Values[Inst] = (*Storage)[Index];
         break;
       }
@@ -273,8 +305,9 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
         std::vector<Cell> *Storage = arrayStorage(F, AStore->getArray());
         if (Index < 0 || Index >= static_cast<ConstantValue>(Storage->size()))
           return trap("array index " + std::to_string(Index) +
-                      " out of bounds for '" + AStore->getArray()->getName() +
-                      "' at " + Inst->getLoc().str());
+                      " out of bounds for '" +
+                      std::string(AStore->getArray()->getName()) + "' at " +
+                      Inst->getLoc().str());
         (*Storage)[Index] = V;
         break;
       }
@@ -289,11 +322,11 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
       }
       case ValueKind::Call: {
         const auto *Call = cast<CallInst>(Inst);
-        std::vector<Cell *> ArgCells;
+        ArgScratch.clear();
         for (unsigned I = 0, E = Call->getNumActuals(); I != E; ++I) {
-          const CallActual &A = Call->getActual(I);
-          if (A.ByRefLoc) {
-            ArgCells.push_back(scalarCell(F, A.ByRefLoc));
+          const CallActual &Actual = Call->getActual(I);
+          if (Actual.ByRefLoc) {
+            ArgScratch.push_back(scalarCell(F, Actual.ByRefLoc));
           } else {
             // Expression actual: hidden temporary (Fortran-style);
             // callee updates are discarded.
@@ -301,15 +334,19 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
             value(F, Call->getActualValue(I), V);
             Cell &Temp = F.TempCells[{Call, I}];
             Temp = V;
-            ArgCells.push_back(&Temp);
+            ArgScratch.push_back(&Temp);
           }
         }
-        if (!callProcedure(*Call->getCallee(), ArgCells, Depth + 1))
+        A.Pos = Next;
+        // Pushing the callee may move A: it is not touched again before
+        // the outer loop fetches the callee.
+        if (!enter(*Call->getCallee(), ArgScratch, A.Depth + 1))
           return false;
+        Called = true;
         break;
       }
       case ValueKind::Branch:
-        Next = cast<BranchInst>(Inst)->getTarget();
+        Next = cast<BranchInst>(Inst)->getTarget()->instructions().front();
         break;
       case ValueKind::CondBranch: {
         const auto *CBr = cast<CondBranchInst>(Inst);
@@ -317,18 +354,22 @@ bool Machine::execute(const Procedure &P, Frame &F, unsigned Depth) {
         value(F, CBr->getCond(), Cond);
         if (Opts.Facts)
           checkBranch(P, CBr, Cond != 0);
-        Next = Cond != 0 ? CBr->getTrueTarget() : CBr->getFalseTarget();
+        Next = (Cond != 0 ? CBr->getTrueTarget() : CBr->getFalseTarget())
+                   ->instructions()
+                   .front();
         break;
       }
       case ValueKind::Ret:
-        return true;
+        Returned = true;
+        break;
       default:
         assert(false && "unknown instruction kind");
         return trap("internal: unknown instruction kind");
       }
+      Inst = Next;
     }
-    BB = Next;
-    assert(BB && "fell off a block without a terminator");
+    if (Returned)
+      Stack.pop_back();
   }
   return true;
 }

@@ -41,7 +41,8 @@ struct ExecutionOptions {
   /// Instruction budget; exceeded -> Status::OutOfFuel.
   uint64_t MaxSteps = 10'000'000;
 
-  /// C++ recursion guard for deep call chains.
+  /// Bound on the depth of MiniFort calls; exceeded -> Status::OutOfFuel.
+  /// Calls run on an explicit stack, so the bound holds in every build.
   unsigned MaxCallDepth = 2'000;
 
   /// Values returned by `read`, in order. When exhausted (or empty), a

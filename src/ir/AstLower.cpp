@@ -8,7 +8,9 @@
 
 #include "support/Casting.h"
 
-#include <unordered_map>
+#include <charconv>
+#include <cstring>
+#include <vector>
 
 using namespace ipcp;
 
@@ -26,11 +28,10 @@ private:
   void link(BasicBlock *From, BasicBlock *To) { To->addPredecessor(From); }
 
   template <typename InstT, typename... ArgTs> InstT *emit(ArgTs &&...Args) {
-    auto Inst = std::make_unique<InstT>(M->nextInstId(),
-                                        std::forward<ArgTs>(Args)...);
-    InstT *Raw = Inst.get();
-    Cur->append(std::move(Inst));
-    return Raw;
+    uint64_t Id = M->nextInstId();
+    InstT *Inst = CurProc->create<InstT>(Id, std::forward<ArgTs>(Args)...);
+    Cur->append(Inst);
+    return Inst;
   }
 
   void branchTo(SourceLoc Loc, BasicBlock *Target) {
@@ -48,7 +49,7 @@ private:
 
   // Name resolution ------------------------------------------------------
 
-  Variable *resolve(const std::string &Name) {
+  Variable *resolve(std::string_view Name) {
     Variable *V = CurProc->findVariable(Name);
     if (!V)
       V = M->findGlobal(Name);
@@ -70,10 +71,199 @@ private:
   BasicBlock *Cur = nullptr;
   BasicBlock *Exit = nullptr;
   unsigned NameCounter = 0;
+  /// Reused for each call's actual list (calls do not nest).
+  std::vector<CallActual> Actuals;
+  char NameBuf[32];
 
-  std::string freshName(const char *Stem) {
-    return std::string(Stem) + std::to_string(NameCounter++);
+  /// \p Stem followed by the next counter value; valid until the next
+  /// call (createBlock copies it).
+  std::string_view freshName(std::string_view Stem) {
+    size_t Len = Stem.copy(NameBuf, sizeof(NameBuf) - 12);
+    auto Res =
+        std::to_chars(NameBuf + Len, NameBuf + sizeof(NameBuf), NameCounter++);
+    return {NameBuf, size_t(Res.ptr - NameBuf)};
   }
+};
+
+/// Predicts the arena bytes lowering a procedure takes, so its arena's
+/// first chunk holds all of them: no second chunk, no slack. It walks the
+/// body in lowering's order and mirrors what each construct creates, block
+/// names included (it keeps its own copy of the name counter). A mismatch
+/// costs memory, never correctness.
+class ArenaSizer {
+public:
+  size_t procBytes(const ProcDecl &Decl) {
+    Bytes = 0;
+    NumBlocks = 0;
+    ExitPreds = 1; // the body's fall-through edge
+    NumLocals = NumScalars = 0;
+    for (const DeclItem &Param : Decl.Params)
+      variable(Param.Name);
+    Bytes += listBytes(Decl.Params.size());
+    forEachLocalDecl(Decl, [this](const DeclItem &Item) {
+      variable(Item.Name);
+      ++NumLocals;
+      NumScalars += !Item.isArray();
+    });
+    Bytes += listBytes(NumLocals);
+
+    block(std::strlen("entry"), 0);
+    Bytes += NumScalars * instBytes<StoreInst>(); // zero-initialization
+    stmt(Decl.Body);
+    Bytes += instBytes<BranchInst>() + instBytes<RetInst>();
+    block(std::strlen("exit"), ExitPreds);
+    return Bytes + listBytes(NumBlocks);
+  }
+
+private:
+  template <typename InstT> static constexpr size_t instBytes() {
+    return InstT::NumFixedOps * sizeof(Value *) + sizeof(InstT);
+  }
+  /// A name is padded by the 8-aligned block or variable that follows it.
+  static size_t alignedName(size_t Len) {
+    static_assert(alignof(BasicBlock) == 8 && alignof(Variable) == 8);
+    return (Len + 7) & ~size_t(7);
+  }
+  /// An ArenaVector of \p N pointers: every capacity it grew through.
+  static size_t listBytes(size_t N) {
+    size_t Total = 0;
+    for (size_t Cap = 2; N != 0; Cap *= 2) {
+      Total += Cap;
+      if (Cap >= N)
+        break;
+    }
+    return Total * sizeof(void *);
+  }
+
+  void variable(std::string_view Name) {
+    Bytes += alignedName(Name.size()) + sizeof(Variable);
+  }
+  void block(size_t NameLen, size_t Preds) {
+    Bytes += alignedName(NameLen) + sizeof(BasicBlock) + listBytes(Preds);
+    ++NumBlocks;
+  }
+  void freshBlock(std::string_view Stem, size_t Preds) {
+    char Digits[16];
+    auto Res = std::to_chars(Digits, Digits + sizeof(Digits), NameCounter++);
+    block(Stem.size() + size_t(Res.ptr - Digits), Preds);
+  }
+
+  void expr(const Expr *E) {
+    switch (E->getKind()) {
+    case Expr::Kind::IntLiteral:
+      return; // a module constant
+    case Expr::Kind::VarRef:
+      Bytes += instBytes<LoadInst>();
+      return;
+    case Expr::Kind::ArrayRef:
+      expr(cast<ArrayRefExpr>(E)->getIndex());
+      Bytes += instBytes<ArrayLoadInst>();
+      return;
+    case Expr::Kind::Binary:
+      expr(cast<BinaryExpr>(E)->getLHS());
+      expr(cast<BinaryExpr>(E)->getRHS());
+      Bytes += instBytes<BinaryInst>();
+      return;
+    case Expr::Kind::Unary:
+      expr(cast<UnaryExpr>(E)->getOperand());
+      Bytes += instBytes<UnaryInst>();
+      return;
+    }
+  }
+
+  void store(const Expr *Target) {
+    if (const auto *Ref = dyn_cast<ArrayRefExpr>(Target)) {
+      expr(Ref->getIndex());
+      Bytes += instBytes<ArrayStoreInst>();
+    } else {
+      Bytes += instBytes<StoreInst>();
+    }
+  }
+
+  // Every statement leaves an unterminated block behind (a return leaves
+  // its dead block), so each arm and loop body ends in one more branch.
+  void stmt(const Stmt *S) {
+    switch (S->getKind()) {
+    case Stmt::Kind::VarDecl:
+      return;
+    case Stmt::Kind::Assign:
+      expr(cast<AssignStmt>(S)->getValue());
+      store(cast<AssignStmt>(S)->getTarget());
+      return;
+    case Stmt::Kind::If: {
+      const auto *If = cast<IfStmt>(S);
+      expr(If->getCond());
+      freshBlock("if.then.", 1);
+      freshBlock("if.merge.", 2);
+      if (If->getElse())
+        freshBlock("if.else.", 1);
+      Bytes += instBytes<CondBranchInst>();
+      stmt(If->getThen());
+      Bytes += instBytes<BranchInst>();
+      if (If->getElse()) {
+        stmt(If->getElse());
+        Bytes += instBytes<BranchInst>();
+      }
+      return;
+    }
+    case Stmt::Kind::While:
+      freshBlock("while.header.", 2);
+      freshBlock("while.body.", 1);
+      freshBlock("while.exit.", 1);
+      expr(cast<WhileStmt>(S)->getCond());
+      stmt(cast<WhileStmt>(S)->getBody());
+      Bytes += 2 * instBytes<BranchInst>() + instBytes<CondBranchInst>();
+      return;
+    case Stmt::Kind::DoLoop: {
+      const auto *Do = cast<DoLoopStmt>(S);
+      expr(Do->getLo());
+      expr(Do->getHi());
+      if (Do->getStep())
+        expr(Do->getStep());
+      freshBlock("do.header.", 2);
+      freshBlock("do.body.", 1);
+      freshBlock("do.exit.", 1);
+      stmt(Do->getBody());
+      Bytes += 2 * (instBytes<StoreInst>() + instBytes<LoadInst>() +
+                    instBytes<BinaryInst>() + instBytes<BranchInst>()) +
+               instBytes<CondBranchInst>();
+      return;
+    }
+    case Stmt::Kind::Call: {
+      std::span<Expr *const> Args = cast<CallStmt>(S)->getArgs();
+      for (const Expr *Arg : Args)
+        if (!isa<IntLiteralExpr>(Arg))
+          expr(Arg); // a variable is loaded, like an expression
+      Bytes += sizeof(CallInst) +
+               Args.size() * (sizeof(Value *) + sizeof(CallActual));
+      return;
+    }
+    case Stmt::Kind::Print:
+      expr(cast<PrintStmt>(S)->getValue());
+      Bytes += instBytes<PrintInst>();
+      return;
+    case Stmt::Kind::Read:
+      Bytes += instBytes<ReadInst>();
+      store(cast<ReadStmt>(S)->getTarget());
+      return;
+    case Stmt::Kind::Return:
+      Bytes += instBytes<BranchInst>();
+      ++ExitPreds;
+      freshBlock("dead.", 0);
+      return;
+    case Stmt::Kind::Block:
+      for (const Stmt *Child : cast<BlockStmt>(S)->getStmts())
+        stmt(Child);
+      return;
+    }
+  }
+
+  size_t Bytes = 0;
+  size_t NumBlocks = 0;
+  size_t ExitPreds = 0;
+  size_t NumLocals = 0;
+  size_t NumScalars = 0;
+  unsigned NameCounter = 0;
 };
 
 } // namespace
@@ -221,23 +411,24 @@ void LoweringContext::lowerStmt(const Stmt *S) {
     const auto *Call = cast<CallStmt>(S);
     Procedure *Callee = M->findProcedure(Call->getCallee());
     assert(Callee && "Sema guarantees the callee exists");
-    std::vector<CallActual> Actuals;
-    for (const ExprPtr &Arg : Call->getArgs()) {
+    Actuals.clear();
+    for (const Expr *Arg : Call->getArgs()) {
       CallActual Actual;
-      if (const auto *Lit = dyn_cast<IntLiteralExpr>(Arg.get())) {
+      if (const auto *Lit = dyn_cast<IntLiteralExpr>(Arg)) {
         Actual.Val = M->getConstant(Lit->getValue());
         Actual.WasLiteral = true;
-      } else if (const auto *Ref = dyn_cast<VarRefExpr>(Arg.get())) {
+      } else if (const auto *Ref = dyn_cast<VarRefExpr>(Arg)) {
         Variable *Var = resolve(Ref->getName());
         assert(Var->isScalar() && "Sema rejects bare array arguments");
         Actual.Val = emit<LoadInst>(Arg->getLoc(), Var);
         Actual.ByRefLoc = Var; // Fortran by-reference binding
       } else {
-        Actual.Val = lowerExpr(Arg.get()); // hidden temporary
+        Actual.Val = lowerExpr(Arg); // hidden temporary
       }
       Actuals.push_back(Actual);
     }
-    emit<CallInst>(S->getLoc(), Callee, std::move(Actuals));
+    emit<CallInst>(S->getLoc(), Callee,
+                   std::span<const CallActual>(Actuals));
     return;
   }
   case Stmt::Kind::Print: {
@@ -258,8 +449,8 @@ void LoweringContext::lowerStmt(const Stmt *S) {
     return;
   }
   case Stmt::Kind::Block:
-    for (const StmtPtr &Child : cast<BlockStmt>(S)->getStmts())
-      lowerStmt(Child.get());
+    for (const Stmt *Child : cast<BlockStmt>(S)->getStmts())
+      lowerStmt(Child);
     return;
   }
 }
@@ -276,7 +467,7 @@ void LoweringContext::lowerProc(const ProcDecl &Decl) {
     if (Local->isScalar())
       emit<StoreInst>(Decl.Loc, Local, M->getConstant(0));
 
-  lowerStmt(Decl.Body.get());
+  lowerStmt(Decl.Body);
   if (!Cur->hasTerminator())
     branchTo(Decl.Loc, Exit);
 
@@ -295,8 +486,9 @@ std::unique_ptr<Module> LoweringContext::run(const Program &Prog) {
       M->addGlobal(Item.Name, Item.ArraySize);
 
   // Create all procedures first so calls can be resolved in one pass.
+  ArenaSizer Sizer;
   for (const ProcDecl &P : Prog.Procs)
-    declareProcVars(M->createProcedure(P.Name), P);
+    declareProcVars(M->createProcedure(P.Name, Sizer.procBytes(P)), P);
 
   for (const ProcDecl &P : Prog.Procs)
     lowerProc(P);

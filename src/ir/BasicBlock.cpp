@@ -16,48 +16,59 @@ void BasicBlock::invalidateStream() {
     Parent->invalidateInstStream();
 }
 
-Instruction *BasicBlock::append(std::unique_ptr<Instruction> Inst) {
+Instruction *BasicBlock::append(Instruction *Inst) {
   assert(!hasTerminator() && "appending past a terminator");
+  assert(!Inst->getParent() && "appending an instruction still in a block");
   Inst->setParent(this);
-  Insts.push_back(std::move(Inst));
+  Inst->Next = nullptr;
+  if (Last)
+    Last->Next = Inst;
+  else
+    First = Inst;
+  Last = Inst;
+  ++NumInsts;
   invalidateStream();
-  return Insts.back().get();
+  return Inst;
 }
 
-Instruction *BasicBlock::insertAtTop(std::unique_ptr<Instruction> Inst) {
+Instruction *BasicBlock::insertAtTop(Instruction *Inst) {
+  assert(!Inst->getParent() && "inserting an instruction still in a block");
   Inst->setParent(this);
-  Instruction *Raw = Inst.get();
-  Insts.insert(Insts.begin(), std::move(Inst));
+  Inst->Next = First;
+  First = Inst;
+  if (!Last)
+    Last = Inst;
+  ++NumInsts;
   invalidateStream();
-  return Raw;
+  return Inst;
+}
+
+void BasicBlock::unlink(Instruction *Inst) {
+  assert(Inst->getParent() == this && "instruction not in this block");
+  Instruction *Prev = nullptr;
+  Instruction *It = First;
+  while (It != Inst) {
+    assert(It && "instruction not in this block");
+    Prev = It;
+    It = It->Next;
+  }
+  (Prev ? Prev->Next : First) = Inst->Next;
+  if (Last == Inst)
+    Last = Prev;
+  --NumInsts;
+  Inst->setParent(nullptr);
+  Inst->Next = nullptr;
+  invalidateStream();
 }
 
 void BasicBlock::erase(Instruction *Inst) {
-  auto It = std::find_if(
-      Insts.begin(), Insts.end(),
-      [&](const std::unique_ptr<Instruction> &P) { return P.get() == Inst; });
-  assert(It != Insts.end() && "erasing instruction not in this block");
-  Insts.erase(It);
-  invalidateStream();
+  unlink(Inst);
+  Arena::poison(Inst->allocationBegin(), Inst->allocationSize());
 }
 
-std::unique_ptr<Instruction> BasicBlock::detach(Instruction *Inst) {
-  auto It = std::find_if(
-      Insts.begin(), Insts.end(),
-      [&](const std::unique_ptr<Instruction> &P) { return P.get() == Inst; });
-  assert(It != Insts.end() && "detaching instruction not in this block");
-  std::unique_ptr<Instruction> Owned = std::move(*It);
-  Insts.erase(It);
-  Owned->setParent(nullptr);
-  invalidateStream();
-  return Owned;
-}
-
-Instruction *BasicBlock::getTerminator() const {
-  if (Insts.empty())
-    return nullptr;
-  Instruction *Last = Insts.back().get();
-  return Last->isTerminator() ? Last : nullptr;
+Instruction *BasicBlock::detach(Instruction *Inst) {
+  unlink(Inst);
+  return Inst;
 }
 
 std::vector<BasicBlock *> BasicBlock::successors() const {
@@ -90,8 +101,23 @@ BasicBlock *BasicBlock::getSuccessor(unsigned I) const {
   return I == 0 ? CBr->getTrueTarget() : CBr->getFalseTarget();
 }
 
+void BasicBlock::addPredecessor(BasicBlock *BB) {
+  Preds.push_back(Parent->arena(), BB);
+}
+
 void BasicBlock::removePredecessor(BasicBlock *BB) {
   auto It = std::find(Preds.begin(), Preds.end(), BB);
   if (It != Preds.end())
-    Preds.erase(It);
+    Preds.eraseAt(It - Preds.begin());
+}
+
+void BasicBlock::poisonRemoved() {
+  for (Instruction *Inst = First; Inst;) {
+    Instruction *Next = Inst->Next;
+    Arena::poison(Inst->allocationBegin(), Inst->allocationSize());
+    Inst = Next;
+  }
+  if (Preds.capacity())
+    Arena::poison(Preds.begin(), Preds.capacity() * sizeof(BasicBlock *));
+  Arena::poison(this, sizeof(BasicBlock));
 }

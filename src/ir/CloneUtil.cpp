@@ -29,9 +29,10 @@ void ipcp::patchClonedOperands(IRCloneMaps &Maps) {
   }
 }
 
-std::unique_ptr<Instruction>
-ipcp::cloneInstructionWithMaps(const Instruction *Inst, Module &NewM,
-                               IRCloneMaps &Maps) {
+Instruction *ipcp::cloneInstructionWithMaps(const Instruction *Inst,
+                                            Procedure &NewP,
+                                            IRCloneMaps &Maps) {
+  Module &NewM = *NewP.getModule();
   auto MapValue = [&](Value *Old) -> Value * {
     if (auto *C = dyn_cast<ConstantInt>(Old))
       return NewM.getConstant(C->getValue());
@@ -48,46 +49,46 @@ ipcp::cloneInstructionWithMaps(const Instruction *Inst, Module &NewM,
   switch (Inst->getKind()) {
   case ValueKind::Binary: {
     const auto *Bin = cast<BinaryInst>(Inst);
-    return std::make_unique<BinaryInst>(Id, Loc, Bin->getOp(),
-                                        MapValue(Bin->getLHS()),
-                                        MapValue(Bin->getRHS()));
+    return NewP.create<BinaryInst>(Id, Loc, Bin->getOp(),
+                                   MapValue(Bin->getLHS()),
+                                   MapValue(Bin->getRHS()));
   }
   case ValueKind::Unary: {
     const auto *Un = cast<UnaryInst>(Inst);
-    return std::make_unique<UnaryInst>(Id, Loc, Un->getOp(),
-                                       MapValue(Un->getValueOperand()));
+    return NewP.create<UnaryInst>(Id, Loc, Un->getOp(),
+                                  MapValue(Un->getValueOperand()));
   }
   case ValueKind::Load: {
     const auto *Load = cast<LoadInst>(Inst);
-    return std::make_unique<LoadInst>(Id, Loc, Maps.var(Load->getVariable()));
+    return NewP.create<LoadInst>(Id, Loc, Maps.var(Load->getVariable()));
   }
   case ValueKind::Store: {
     const auto *Store = cast<StoreInst>(Inst);
-    return std::make_unique<StoreInst>(Id, Loc, Maps.var(Store->getVariable()),
-                                       MapValue(Store->getValueOperand()));
+    return NewP.create<StoreInst>(Id, Loc, Maps.var(Store->getVariable()),
+                                  MapValue(Store->getValueOperand()));
   }
   case ValueKind::ArrayLoad: {
     const auto *ALoad = cast<ArrayLoadInst>(Inst);
-    return std::make_unique<ArrayLoadInst>(
-        Id, Loc, Maps.var(ALoad->getArray()), MapValue(ALoad->getIndex()));
+    return NewP.create<ArrayLoadInst>(Id, Loc, Maps.var(ALoad->getArray()),
+                                      MapValue(ALoad->getIndex()));
   }
   case ValueKind::ArrayStore: {
     const auto *AStore = cast<ArrayStoreInst>(Inst);
-    return std::make_unique<ArrayStoreInst>(
+    return NewP.create<ArrayStoreInst>(
         Id, Loc, Maps.var(AStore->getArray()), MapValue(AStore->getIndex()),
         MapValue(AStore->getValueOperand()));
   }
   case ValueKind::Read:
-    return std::make_unique<ReadInst>(Id, Loc);
+    return NewP.create<ReadInst>(Id, Loc);
   case ValueKind::Print: {
     const auto *Print = cast<PrintInst>(Inst);
-    return std::make_unique<PrintInst>(Id, Loc,
-                                       MapValue(Print->getValueOperand()));
+    return NewP.create<PrintInst>(Id, Loc,
+                                  MapValue(Print->getValueOperand()));
   }
   case ValueKind::Call: {
     const auto *Call = cast<CallInst>(Inst);
-    std::vector<CallActual> Actuals;
-    Actuals.reserve(Call->getNumActuals());
+    std::vector<CallActual> &Actuals = Maps.ActualScratch;
+    Actuals.clear();
     for (unsigned I = 0, E = Call->getNumActuals(); I != E; ++I) {
       CallActual A = Call->getActual(I);
       A.Val = MapValue(Call->getActualValue(I));
@@ -96,21 +97,20 @@ ipcp::cloneInstructionWithMaps(const Instruction *Inst, Module &NewM,
     }
     auto It = Maps.Procs.find(Call->getCallee());
     assert(It != Maps.Procs.end() && "call to unmapped procedure");
-    return std::make_unique<CallInst>(Id, Loc, It->second,
-                                      std::move(Actuals));
+    return NewP.create<CallInst>(Id, Loc, It->second, Actuals);
   }
   case ValueKind::Branch: {
     const auto *Br = cast<BranchInst>(Inst);
-    return std::make_unique<BranchInst>(Id, Loc, Maps.block(Br->getTarget()));
+    return NewP.create<BranchInst>(Id, Loc, Maps.block(Br->getTarget()));
   }
   case ValueKind::CondBranch: {
     const auto *CBr = cast<CondBranchInst>(Inst);
-    return std::make_unique<CondBranchInst>(
+    return NewP.create<CondBranchInst>(
         Id, Loc, MapValue(CBr->getCond()), Maps.block(CBr->getTrueTarget()),
         Maps.block(CBr->getFalseTarget()));
   }
   case ValueKind::Ret:
-    return std::make_unique<RetInst>(Id, Loc);
+    return NewP.create<RetInst>(Id, Loc);
   default:
     assert(false && "unknown instruction kind in clone");
     return nullptr;

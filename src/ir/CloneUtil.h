@@ -43,6 +43,8 @@ struct IRCloneMaps {
   std::vector<Instruction *> Clones;  ///< every mapped clone, in order
   std::unordered_map<const Procedure *, Procedure *> Procs;
   std::unordered_map<const BasicBlock *, BasicBlock *> Blocks;
+  /// Reused while cloning each call's actual list.
+  std::vector<CallActual> ActualScratch;
 
   void mapVar(const Variable *Old, Variable *New) {
     assert(Old->getId() < Vars.size() && "variable outside the source module");
@@ -80,15 +82,15 @@ struct IRCloneMaps {
   }
 };
 
-/// Clones \p Inst into \p NewM, mapping operands/variables/blocks through
-/// \p Maps (constants are re-uniqued). Instruction-valued operands whose
-/// clone does not exist yet are left pointing at the *original* value;
-/// run patchClonedOperands over all clones afterwards. The clone keeps
-/// the original's instruction ID; callers wanting fresh identity must
-/// setId afterwards.
-std::unique_ptr<Instruction>
-cloneInstructionWithMaps(const Instruction *Inst, Module &NewM,
-                         IRCloneMaps &Maps);
+/// Clones \p Inst into \p NewP's arena, mapping operands/variables/blocks
+/// through \p Maps (constants are re-uniqued in NewP's module). The clone
+/// belongs to no block yet. Instruction-valued operands whose clone does
+/// not exist yet are left pointing at the *original* value; run
+/// patchClonedOperands over all clones afterwards. The clone keeps the
+/// original's instruction ID; callers wanting fresh identity must setId
+/// afterwards.
+Instruction *cloneInstructionWithMaps(const Instruction *Inst,
+                                      Procedure &NewP, IRCloneMaps &Maps);
 
 /// Second pass of a cloning operation: rewrites every instruction-valued
 /// operand of the cloned instructions through Maps.Values. Every such

@@ -97,7 +97,7 @@ DominanceFrontier::DominanceFrontier(const Procedure &P,
   // Cooper-Harvey-Kennedy frontier computation: for each join point, walk
   // each predecessor's idom chain up to the join's idom.
   for (BasicBlock *BB : DT.blocksInRPO()) {
-    const std::vector<BasicBlock *> &Preds = BB->predecessors();
+    std::span<BasicBlock *const> Preds = BB->predecessors();
     if (Preds.size() < 2)
       continue;
     for (BasicBlock *Pred : Preds) {

@@ -42,7 +42,7 @@ std::string ipcp::printValueRef(const Value *V) {
   if (const auto *C = dyn_cast<ConstantInt>(V))
     return std::to_string(C->getValue());
   if (const auto *E = dyn_cast<EntryValue>(V))
-    return "entry(" + E->getVariable()->getName() + ")";
+    return "entry(" + std::string(E->getVariable()->getName()) + ")";
   if (isa<UndefValue>(V))
     return "undef";
   const auto *Inst = cast<Instruction>(V);
@@ -70,24 +70,25 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
   }
   case ValueKind::Load:
     Def();
-    Out += "load " + cast<LoadInst>(Inst)->getVariable()->getName();
+    Out += "load ";
+    Out += cast<LoadInst>(Inst)->getVariable()->getName();
     break;
   case ValueKind::Store: {
     const auto *Store = cast<StoreInst>(Inst);
-    Out += "store " + Store->getVariable()->getName() + ", " +
+    Out += "store " + std::string(Store->getVariable()->getName()) + ", " +
            printValueRef(Store->getValueOperand());
     break;
   }
   case ValueKind::ArrayLoad: {
     const auto *ALoad = cast<ArrayLoadInst>(Inst);
     Def();
-    Out += "aload " + ALoad->getArray()->getName() + "[" +
+    Out += "aload " + std::string(ALoad->getArray()->getName()) + "[" +
            printValueRef(ALoad->getIndex()) + "]";
     break;
   }
   case ValueKind::ArrayStore: {
     const auto *AStore = cast<ArrayStoreInst>(Inst);
-    Out += "astore " + AStore->getArray()->getName() + "[" +
+    Out += "astore " + std::string(AStore->getArray()->getName()) + "[" +
            printValueRef(AStore->getIndex()) + "], " +
            printValueRef(AStore->getValueOperand());
     break;
@@ -102,12 +103,12 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
   case ValueKind::Phi: {
     const auto *Phi = cast<PhiInst>(Inst);
     Def();
-    Out += "phi " + Phi->getVariable()->getName() + " ";
+    Out += "phi " + std::string(Phi->getVariable()->getName()) + " ";
     for (unsigned I = 0, E = Phi->getNumIncoming(); I != E; ++I) {
       if (I)
         Out += ", ";
       Out += '[' + printValueRef(Phi->getIncomingValue(I)) + ", " +
-             Phi->getIncomingBlock(I)->getName() + "]";
+             std::string(Phi->getIncomingBlock(I)->getName()) + "]";
     }
     break;
   }
@@ -119,7 +120,7 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
         Out += ", ";
       Out += printValueRef(Call->getActualValue(I));
       if (Variable *Loc = Call->getActual(I).ByRefLoc)
-        Out += " @" + Loc->getName();
+        Out += " @" + std::string(Loc->getName());
     }
     Out += ")";
     break;
@@ -128,17 +129,17 @@ std::string ipcp::printInstruction(const Instruction *Inst) {
     const auto *Out2 = cast<CallOutInst>(Inst);
     Def();
     Out += "callout %" + std::to_string(Out2->getCall()->getId()) + ", " +
-           Out2->getVariable()->getName();
+           std::string(Out2->getVariable()->getName());
     break;
   }
   case ValueKind::Branch:
-    Out += "br " + cast<BranchInst>(Inst)->getTarget()->getName();
+    Out += "br " + std::string(cast<BranchInst>(Inst)->getTarget()->getName());
     break;
   case ValueKind::CondBranch: {
     const auto *CBr = cast<CondBranchInst>(Inst);
     Out += "cbr " + printValueRef(CBr->getCond()) + ", " +
-           CBr->getTrueTarget()->getName() + ", " +
-           CBr->getFalseTarget()->getName();
+           std::string(CBr->getTrueTarget()->getName()) + ", " +
+           std::string(CBr->getFalseTarget()->getName());
     break;
   }
   case ValueKind::Ret:
@@ -159,16 +160,16 @@ std::string ipcp::printProcedure(const Procedure &P) {
     Out += P.formals()[I]->getName();
   }
   Out += ") {\n";
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
-    Out += BB->getName() + ":";
+  for (BasicBlock *BB : P.blocks()) {
+    Out += std::string(BB->getName()) + ":";
     if (!BB->predecessors().empty()) {
       Out += "    ; preds:";
       for (BasicBlock *Pred : BB->predecessors())
-        Out += " " + Pred->getName();
+        Out += " " + std::string(Pred->getName());
     }
     Out += "\n";
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      Out += "  " + printInstruction(Inst.get()) + "\n";
+    for (Instruction *Inst : BB->instructions())
+      Out += "  " + printInstruction(Inst) + "\n";
   }
   Out += "}\n";
   return Out;
@@ -177,7 +178,7 @@ std::string ipcp::printProcedure(const Procedure &P) {
 std::string ipcp::printModule(const Module &M) {
   std::string Out;
   for (const Variable *G : M.globals()) {
-    Out += "global " + G->getName();
+    Out += "global " + std::string(G->getName());
     if (G->isArray())
       Out += '[' + std::to_string(G->getArraySize()) + "]";
     Out += "\n";

@@ -10,15 +10,16 @@
 
 using namespace ipcp;
 
-Procedure *Module::createProcedure(const std::string &Name) {
-  Procs.push_back(std::make_unique<Procedure>(this, Name));
+Procedure *Module::createProcedure(std::string_view Name, size_t ArenaBytes) {
+  Procs.push_back(
+      std::make_unique<Procedure>(this, std::string(Name), ArenaBytes));
   Procedure *P = Procs.back().get();
   P->ModuleIndex = uint32_t(Procs.size() - 1);
   ProcIndex.emplace(P->getName(), P); // an earlier namesake keeps the slot
   return P;
 }
 
-Procedure *Module::findProcedure(const std::string &Name) const {
+Procedure *Module::findProcedure(std::string_view Name) const {
   auto It = ProcIndex.find(Name);
   return It == ProcIndex.end() ? nullptr : It->second;
 }
@@ -41,18 +42,17 @@ void Module::eraseProcedure(Procedure *P) {
     (*It)->ModuleIndex = uint32_t(It - Procs.begin());
 }
 
-Variable *Module::addGlobal(const std::string &Name, ConstantValue ArraySize) {
+Variable *Module::addGlobal(std::string_view Name, ConstantValue ArraySize) {
   Variable::Kind Kind =
       ArraySize ? Variable::Kind::GlobalArray : Variable::Kind::Global;
-  auto Var = std::make_unique<Variable>(nextVarId(), Kind, Name,
-                                        /*Parent=*/nullptr,
-                                        /*FormalIndex=*/0, ArraySize);
-  Globals.push_back(Var.get());
-  OwnedGlobals.push_back(std::move(Var));
-  return Globals.back();
+  Variable *Var = Mem.create<Variable>(nextVarId(), Kind, Mem.copyString(Name),
+                                       /*Parent=*/nullptr,
+                                       /*FormalIndex=*/0, ArraySize);
+  Globals.push_back(Var);
+  return Var;
 }
 
-Variable *Module::findGlobal(const std::string &Name) const {
+Variable *Module::findGlobal(std::string_view Name) const {
   for (Variable *V : Globals)
     if (V->getName() == Name)
       return V;
@@ -60,13 +60,10 @@ Variable *Module::findGlobal(const std::string &Name) const {
 }
 
 ConstantInt *Module::getConstant(ConstantValue V) {
-  auto It = Constants.find(V);
-  if (It != Constants.end())
-    return It->second.get();
-  auto C = std::make_unique<ConstantInt>(V);
-  ConstantInt *Raw = C.get();
-  Constants.emplace(V, std::move(C));
-  return Raw;
+  auto [It, Inserted] = Constants.try_emplace(V, nullptr);
+  if (Inserted)
+    It->second = Mem.create<ConstantInt>(V);
+  return It->second;
 }
 
 unsigned Module::instructionCount() const {
@@ -91,7 +88,8 @@ std::unique_ptr<Module> Module::clone() const {
   // targets can be mapped while cloning instructions.
   NewM->ProcIndex.reserve(ProcIndex.size());
   for (const std::unique_ptr<Procedure> &P : Procs) {
-    Procedure *NewP = NewM->createProcedure(P->getName());
+    Procedure *NewP = NewM->createProcedure(P->getName(),
+                                            P->arena().bytesAllocated());
     Maps.Procs.emplace(P.get(), NewP);
     for (const Variable *F : P->formals()) {
       Variable *NewF = NewP->addFormal(F->getName());
@@ -103,20 +101,20 @@ std::unique_ptr<Module> Module::clone() const {
       NewL->setId(L->getId());
       Maps.mapVar(L, NewL);
     }
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-      Maps.Blocks.emplace(BB.get(), NewP->createBlock(BB->getName()));
+    for (BasicBlock *BB : P->blocks())
+      Maps.Blocks.emplace(BB, NewP->createBlock(BB->getName()));
     if (P->getExitBlock())
       NewP->setExitBlock(Maps.block(P->getExitBlock()));
   }
 
   for (const std::unique_ptr<Procedure> &P : Procs) {
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks()) {
-      BasicBlock *NewBB = Maps.block(BB.get());
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-        std::unique_ptr<Instruction> NewInst =
-            cloneInstructionWithMaps(Inst.get(), *NewM, Maps);
-        Maps.mapValue(Inst.get(), NewInst.get());
-        NewBB->append(std::move(NewInst));
+    Procedure &NewP = *Maps.Procs.at(P.get());
+    for (BasicBlock *BB : P->blocks()) {
+      BasicBlock *NewBB = Maps.block(BB);
+      for (Instruction *Inst : BB->instructions()) {
+        Instruction *NewInst = cloneInstructionWithMaps(Inst, NewP, Maps);
+        Maps.mapValue(Inst, NewInst);
+        NewBB->append(NewInst);
       }
       for (BasicBlock *Pred : BB->predecessors())
         NewBB->addPredecessor(Maps.block(Pred));
@@ -132,7 +130,7 @@ std::unique_ptr<Module> Module::clone() const {
 }
 
 Procedure *Module::cloneProcedure(const Procedure &Src,
-                                  const std::string &NewName) {
+                                  std::string_view NewName) {
   assert(Src.getModule() == this && "cloning a foreign procedure");
   IRCloneMaps Maps(*this);
   // Globals and procedures are shared; local storage is fresh.
@@ -141,24 +139,24 @@ Procedure *Module::cloneProcedure(const Procedure &Src,
   for (const std::unique_ptr<Procedure> &P : Procs)
     Maps.Procs.emplace(P.get(), P.get());
 
-  Procedure *NewP = createProcedure(NewName);
+  Procedure *NewP =
+      createProcedure(NewName, Src.arena().bytesAllocated());
   for (const Variable *F : Src.formals())
     Maps.mapVar(F, NewP->addFormal(F->getName()));
   for (const Variable *L : Src.locals())
     Maps.mapVar(L, NewP->addLocal(L->getName(), L->getArraySize()));
-  for (const std::unique_ptr<BasicBlock> &BB : Src.blocks())
-    Maps.Blocks.emplace(BB.get(), NewP->createBlock(BB->getName()));
+  for (BasicBlock *BB : Src.blocks())
+    Maps.Blocks.emplace(BB, NewP->createBlock(BB->getName()));
   if (Src.getExitBlock())
     NewP->setExitBlock(Maps.block(Src.getExitBlock()));
 
-  for (const std::unique_ptr<BasicBlock> &BB : Src.blocks()) {
-    BasicBlock *NewBB = Maps.block(BB.get());
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-      std::unique_ptr<Instruction> NewInst =
-          cloneInstructionWithMaps(Inst.get(), *this, Maps);
+  for (BasicBlock *BB : Src.blocks()) {
+    BasicBlock *NewBB = Maps.block(BB);
+    for (Instruction *Inst : BB->instructions()) {
+      Instruction *NewInst = cloneInstructionWithMaps(Inst, *NewP, Maps);
       NewInst->setId(nextInstId()); // fresh identity for the copy
-      Maps.mapValue(Inst.get(), NewInst.get());
-      NewBB->append(std::move(NewInst));
+      Maps.mapValue(Inst, NewInst);
+      NewBB->append(NewInst);
     }
     for (BasicBlock *Pred : BB->predecessors())
       NewBB->addPredecessor(Maps.block(Pred));

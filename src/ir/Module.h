@@ -11,12 +11,16 @@
 /// module apply to any clone of it (complete propagation analyzes and
 /// rewrites its own working copy; see DESIGN.md).
 ///
+/// Globals and constants live in the module's arena; each procedure's IR
+/// lives in that procedure's own (see Procedure.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_IR_MODULE_H
 #define IPCP_IR_MODULE_H
 
 #include "ir/Procedure.h"
+#include "support/Arena.h"
 
 #include <memory>
 #include <string>
@@ -37,7 +41,8 @@ public:
   // Procedures and globals
   //===--------------------------------------------------------------------===
 
-  Procedure *createProcedure(const std::string &Name);
+  /// Appends a procedure; \p ArenaBytes sizes its arena's first chunk.
+  Procedure *createProcedure(std::string_view Name, size_t ArenaBytes = 0);
 
   const std::vector<std::unique_ptr<Procedure>> &procedures() const {
     return Procs;
@@ -45,7 +50,7 @@ public:
 
   /// The first procedure named \p Name in module order; null if absent.
   /// A hash lookup: lowering resolves every call site through it.
-  Procedure *findProcedure(const std::string &Name) const;
+  Procedure *findProcedure(std::string_view Name) const;
 
   /// Destroys \p P and removes it from the module. The caller must
   /// ensure no live procedure still calls it (the inliner removes whole
@@ -53,11 +58,11 @@ public:
   void eraseProcedure(Procedure *P);
 
   /// Creates a global scalar (ArraySize 0) or array.
-  Variable *addGlobal(const std::string &Name, ConstantValue ArraySize = 0);
+  Variable *addGlobal(std::string_view Name, ConstantValue ArraySize = 0);
 
   const std::vector<Variable *> &globals() const { return Globals; }
 
-  Variable *findGlobal(const std::string &Name) const;
+  Variable *findGlobal(std::string_view Name) const;
 
   //===--------------------------------------------------------------------===
   // Uniqued values and IDs
@@ -94,19 +99,20 @@ public:
   /// \p NewName, with fresh instruction and variable IDs. Globals and
   /// callee references are shared with the original. Used by the
   /// procedure-cloning transformation; requires pre-SSA form.
-  Procedure *cloneProcedure(const Procedure &Src, const std::string &NewName);
+  Procedure *cloneProcedure(const Procedure &Src, std::string_view NewName);
 
   /// Total instructions across all procedures.
   unsigned instructionCount() const;
 
 private:
+  /// Declared first so it outlives everything that points into it.
+  Arena Mem;
   std::vector<std::unique_ptr<Procedure>> Procs;
   /// Name -> first procedure of that name. Keys view the procedures' own
   /// names, which never change after creation.
   std::unordered_map<std::string_view, Procedure *> ProcIndex;
   std::vector<Variable *> Globals;
-  std::vector<std::unique_ptr<Variable>> OwnedGlobals;
-  std::unordered_map<ConstantValue, std::unique_ptr<ConstantInt>> Constants;
+  std::unordered_map<ConstantValue, ConstantInt *> Constants;
   UndefValue Undef;
   uint64_t NextInstId = 0;
   uint64_t NextVarId = 0;

@@ -9,27 +9,25 @@
 #include "ir/Module.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
 using namespace ipcp;
 
-BasicBlock *Procedure::createBlock(std::string BlockName) {
-  Blocks.push_back(
-      std::make_unique<BasicBlock>(NextBlockId++, std::move(BlockName), this));
+BasicBlock *Procedure::createBlock(std::string_view BlockName) {
+  BasicBlock *BB =
+      Mem.create<BasicBlock>(NextBlockId++, Mem.copyString(BlockName), this);
+  Blocks.push_back(Mem, BB);
   invalidateInstStream();
-  return Blocks.back().get();
+  return BB;
 }
 
 void Procedure::eraseBlock(BasicBlock *BB) {
   assert(BB->predecessors().empty() && "erasing block with live predecessors");
   if (BB == ExitBlock)
     ExitBlock = nullptr;
-  auto It = std::find_if(
-      Blocks.begin(), Blocks.end(),
-      [&](const std::unique_ptr<BasicBlock> &P) { return P.get() == BB; });
+  auto It = std::find(Blocks.begin(), Blocks.end(), BB);
   assert(It != Blocks.end() && "block not in this procedure");
-  Blocks.erase(It);
+  Blocks.eraseAt(It - Blocks.begin());
+  BB->poisonRemoved();
   invalidateInstStream();
 }
 
@@ -37,68 +35,83 @@ unsigned Procedure::removeUnreachableBlocks() {
   if (Blocks.empty())
     return 0;
 
-  std::unordered_set<BasicBlock *> Reachable;
-  std::deque<BasicBlock *> Queue{getEntryBlock()};
-  Reachable.insert(getEntryBlock());
-  while (!Queue.empty()) {
-    BasicBlock *BB = Queue.front();
-    Queue.pop_front();
-    for (BasicBlock *Succ : BB->successors())
-      if (Reachable.insert(Succ).second)
-        Queue.push_back(Succ);
+  // Mark what the entry reaches; blocks carry the mark, so the only
+  // allocation is the worklist.
+  for (BasicBlock *BB : Blocks)
+    BB->Reached = false;
+  std::vector<BasicBlock *> Work;
+  Work.reserve(Blocks.size());
+  Work.push_back(getEntryBlock());
+  getEntryBlock()->Reached = true;
+  size_t NumReached = 1;
+  while (!Work.empty()) {
+    BasicBlock *BB = Work.back();
+    Work.pop_back();
+    for (unsigned I = 0, N = BB->getNumSuccessors(); I != N; ++I) {
+      BasicBlock *Succ = BB->getSuccessor(I);
+      if (!Succ->Reached) {
+        Succ->Reached = true;
+        ++NumReached;
+        Work.push_back(Succ);
+      }
+    }
   }
-  if (Reachable.size() == Blocks.size())
+  if (NumReached == Blocks.size())
     return 0;
 
   // Detach dead blocks from live successors' predecessor lists.
-  for (const std::unique_ptr<BasicBlock> &BBPtr : Blocks) {
-    BasicBlock *BB = BBPtr.get();
-    if (Reachable.count(BB))
+  for (BasicBlock *BB : Blocks) {
+    if (BB->Reached)
       continue;
-    for (BasicBlock *Succ : BB->successors())
-      if (Reachable.count(Succ))
-        Succ->removePredecessor(BB);
+    for (unsigned I = 0, N = BB->getNumSuccessors(); I != N; ++I)
+      if (BB->getSuccessor(I)->Reached)
+        BB->getSuccessor(I)->removePredecessor(BB);
   }
 
-  unsigned Removed = 0;
-  for (auto It = Blocks.begin(); It != Blocks.end();) {
-    if (Reachable.count(It->get())) {
-      ++It;
+  // Move the live blocks forward in order and the dead ones to the tail;
+  // poison the dead only after the sweep, since a dead block's terminator
+  // may name another.
+  size_t Kept = 0;
+  for (size_t I = 0, E = Blocks.size(); I != E; ++I) {
+    BasicBlock *BB = Blocks[I];
+    if (!BB->Reached) {
+      // A procedure that can only loop forever loses its exit block;
+      // return jump functions treat a missing exit as "never returns".
+      if (BB == ExitBlock)
+        ExitBlock = nullptr;
       continue;
     }
-    // A procedure that can only loop forever loses its exit block; return
-    // jump functions treat a missing exit as "never returns" (bottom-free).
-    if (It->get() == ExitBlock)
-      ExitBlock = nullptr;
-    It = Blocks.erase(It);
-    ++Removed;
+    std::swap(Blocks[Kept++], Blocks[I]);
   }
-  if (Removed)
-    invalidateInstStream();
+  unsigned Removed = unsigned(Blocks.size() - Kept);
+  while (Blocks.size() > Kept) {
+    Blocks.back()->poisonRemoved();
+    Blocks.eraseAt(Blocks.size() - 1);
+  }
+  invalidateInstStream();
   return Removed;
 }
 
-Variable *Procedure::addFormal(const std::string &VarName) {
-  auto Var = std::make_unique<Variable>(
-      Parent->nextVarId(), Variable::Kind::Formal, VarName, this,
-      /*FormalIndex=*/static_cast<unsigned>(Formals.size()));
-  Formals.push_back(Var.get());
-  OwnedVars.push_back(std::move(Var));
-  return Formals.back();
+Variable *Procedure::addFormal(std::string_view VarName) {
+  Variable *Var = Mem.create<Variable>(
+      Parent->nextVarId(), Variable::Kind::Formal, Mem.copyString(VarName),
+      this, /*FormalIndex=*/static_cast<unsigned>(Formals.size()));
+  Formals.push_back(Mem, Var);
+  return Var;
 }
 
-Variable *Procedure::addLocal(const std::string &VarName,
+Variable *Procedure::addLocal(std::string_view VarName,
                               ConstantValue ArraySize) {
   Variable::Kind Kind =
       ArraySize ? Variable::Kind::LocalArray : Variable::Kind::Local;
-  auto Var = std::make_unique<Variable>(Parent->nextVarId(), Kind, VarName,
-                                        this, /*FormalIndex=*/0, ArraySize);
-  Locals.push_back(Var.get());
-  OwnedVars.push_back(std::move(Var));
-  return Locals.back();
+  Variable *Var =
+      Mem.create<Variable>(Parent->nextVarId(), Kind, Mem.copyString(VarName),
+                           this, /*FormalIndex=*/0, ArraySize);
+  Locals.push_back(Mem, Var);
+  return Var;
 }
 
-Variable *Procedure::findVariable(const std::string &VarName) const {
+Variable *Procedure::findVariable(std::string_view VarName) const {
   for (Variable *V : Formals)
     if (V->getName() == VarName)
       return V;
@@ -123,7 +136,7 @@ EntryValue *Procedure::getEntryValue(Variable *Var) const {
 
 unsigned Procedure::instructionCount() const {
   unsigned Count = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : Blocks)
+  for (BasicBlock *BB : Blocks)
     Count += BB->instructions().size();
   return Count;
 }
@@ -136,13 +149,13 @@ const Procedure::InstStream &Procedure::instStream() const {
   Stream.Spans.reserve(Blocks.size());
   Stream.Insts.reserve(instructionCount());
   for (size_t BI = 0; BI != Blocks.size(); ++BI) {
-    BasicBlock *BB = Blocks[BI].get();
+    BasicBlock *BB = Blocks[BI];
     BB->setDensePos(uint32_t(BI));
     InstStream::Span Span;
     Span.Begin = uint32_t(Stream.Insts.size());
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
+    for (Instruction *Inst : BB->instructions()) {
       Inst->setLocalIdx(uint32_t(Stream.Insts.size()));
-      Stream.Insts.push_back(Inst.get());
+      Stream.Insts.push_back(Inst);
     }
     Span.End = uint32_t(Stream.Insts.size());
     Stream.Spans.push_back(Span);
@@ -153,9 +166,9 @@ const Procedure::InstStream &Procedure::instStream() const {
 
 std::vector<CallInst *> Procedure::callSites() const {
   std::vector<CallInst *> Calls;
-  for (const std::unique_ptr<BasicBlock> &BB : Blocks)
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Call = dyn_cast<CallInst>(Inst.get()))
+  for (BasicBlock *BB : Blocks)
+    for (Instruction *Inst : BB->instructions())
+      if (auto *Call = dyn_cast<CallInst>(Inst))
         Calls.push_back(Call);
   return Calls;
 }

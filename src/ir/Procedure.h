@@ -10,6 +10,12 @@
 /// Lowering guarantees a single entry block and a single exit block whose
 /// only instruction is the Ret.
 ///
+/// Blocks, block names, variables and instructions all live in the
+/// procedure's own arena, which it frees in O(chunks) when it dies. An
+/// erased instruction or block keeps its bytes there until then; the
+/// transform pipeline's round cap bounds that growth. The analysis never
+/// allocates in the arena: entry values sit in a heap-backed side map.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_IR_PROCEDURE_H
@@ -18,9 +24,13 @@
 #include "ir/BasicBlock.h"
 #include "ir/Value.h"
 #include "ir/Variable.h"
+#include "support/Arena.h"
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -31,8 +41,12 @@ class Module;
 /// One MiniFort procedure in IR form.
 class Procedure {
 public:
-  Procedure(Module *Parent, std::string Name)
-      : Parent(Parent), Name(std::move(Name)) {}
+  /// \p ArenaBytes sizes the arena's first chunk (0: a small default).
+  Procedure(Module *Parent, std::string Name, size_t ArenaBytes = 0)
+      : Parent(Parent), Name(std::move(Name)), Mem(ArenaBytes) {}
+
+  Procedure(const Procedure &) = delete;
+  Procedure &operator=(const Procedure &) = delete;
 
   Module *getModule() const { return Parent; }
   const std::string &getName() const { return Name; }
@@ -44,22 +58,20 @@ public:
   // Blocks
   //===--------------------------------------------------------------------===
 
-  /// Creates and appends a new block.
-  BasicBlock *createBlock(std::string BlockName);
+  /// Creates and appends a new block; the name is copied into the arena.
+  BasicBlock *createBlock(std::string_view BlockName);
 
-  const std::vector<std::unique_ptr<BasicBlock>> &blocks() const {
-    return Blocks;
-  }
+  std::span<BasicBlock *const> blocks() const { return Blocks.span(); }
 
   BasicBlock *getEntryBlock() const {
-    return Blocks.empty() ? nullptr : Blocks.front().get();
+    return Blocks.empty() ? nullptr : Blocks.front();
   }
 
   BasicBlock *getExitBlock() const { return ExitBlock; }
   void setExitBlock(BasicBlock *BB) { ExitBlock = BB; }
 
-  /// Destroys \p BB (must have no predecessors left). Instructions inside
-  /// are destroyed with it.
+  /// Removes \p BB (must have no predecessors left) with the
+  /// instructions inside; their memory stays in the arena, poisoned.
   void eraseBlock(BasicBlock *BB);
 
   /// Deletes blocks unreachable from the entry, fixing predecessor lists.
@@ -71,20 +83,40 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Appends a formal parameter (in positional order).
-  Variable *addFormal(const std::string &VarName);
+  Variable *addFormal(std::string_view VarName);
 
   /// Adds a scalar or array local.
-  Variable *addLocal(const std::string &VarName, ConstantValue ArraySize = 0);
+  Variable *addLocal(std::string_view VarName, ConstantValue ArraySize = 0);
 
-  const std::vector<Variable *> &formals() const { return Formals; }
-  const std::vector<Variable *> &locals() const { return Locals; }
+  std::span<Variable *const> formals() const { return Formals.span(); }
+  std::span<Variable *const> locals() const { return Locals.span(); }
 
   /// Looks up a formal or local by name (globals live in the Module).
-  Variable *findVariable(const std::string &VarName) const;
+  Variable *findVariable(std::string_view VarName) const;
 
   /// The canonical "value of \p Var on entry" SSA object, created on
   /// first request (a lazy cache, like instStream()).
   EntryValue *getEntryValue(Variable *Var) const;
+
+  //===--------------------------------------------------------------------===
+  // Instructions
+  //===--------------------------------------------------------------------===
+
+  /// Allocates an instruction of kind \p InstT in this procedure's arena,
+  /// belonging to no block yet.
+  template <typename InstT, typename... ArgTs>
+  InstT *create(ArgTs &&...Args) {
+    static_assert(std::is_trivially_destructible_v<InstT>,
+                  "arena instructions are never destroyed");
+    if constexpr (std::is_same_v<InstT, CallInst>)
+      return CallInst::create(Mem, std::forward<ArgTs>(Args)...);
+    else
+      return Instruction::create<InstT>(Mem, std::forward<ArgTs>(Args)...);
+  }
+
+  /// The arena holding this procedure's IR.
+  Arena &arena() { return Mem; }
+  const Arena &arena() const { return Mem; }
 
   //===--------------------------------------------------------------------===
   // Misc
@@ -134,11 +166,11 @@ private:
 
   Module *Parent;
   std::string Name;
-  std::vector<std::unique_ptr<BasicBlock>> Blocks;
+  Arena Mem;
+  ArenaVector<BasicBlock *> Blocks;
   BasicBlock *ExitBlock = nullptr;
-  std::vector<Variable *> Formals;
-  std::vector<Variable *> Locals;
-  std::vector<std::unique_ptr<Variable>> OwnedVars;
+  ArenaVector<Variable *> Formals;
+  ArenaVector<Variable *> Locals;
   mutable std::unordered_map<Variable *, std::unique_ptr<EntryValue>>
       EntryValues;
   unsigned NextBlockId = 0;

@@ -25,7 +25,7 @@ namespace ipcp {
 
 /// Discriminator for the whole Value hierarchy (constants and
 /// instructions). Instruction kinds are a contiguous sub-range.
-enum class ValueKind {
+enum class ValueKind : uint8_t {
   ConstantInt,
   EntryValue,
   Undef,

@@ -12,6 +12,9 @@
 ///
 /// Variables carry module-unique IDs that deep-cloning preserves, so
 /// analysis facts computed on a clone can be mapped back to the original.
+/// They live in their owner's arena (a procedure's, or the module's for
+/// globals) and are trivially destructible: the name views a copy in the
+/// same arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipcp {
@@ -40,16 +43,17 @@ public:
     LocalArray,  ///< procedure-scoped array, zero-initialized
   };
 
-  Variable(uint64_t Id, Kind TheKind, std::string Name, Procedure *Parent,
-           unsigned FormalIndex = 0, ConstantValue ArraySize = 0)
-      : Id(Id), TheKind(TheKind), Name(std::move(Name)), Parent(Parent),
+  Variable(uint64_t Id, Kind TheKind, std::string_view Name,
+           Procedure *Parent, unsigned FormalIndex = 0,
+           ConstantValue ArraySize = 0)
+      : Id(Id), TheKind(TheKind), Name(Name), Parent(Parent),
         FormalIndex(FormalIndex), ArraySize(ArraySize) {}
 
   uint64_t getId() const { return Id; }
   /// Used only by Module::clone to preserve IDs across deep copies.
   void setId(uint64_t NewId) { Id = NewId; }
   Kind getKind() const { return TheKind; }
-  const std::string &getName() const { return Name; }
+  std::string_view getName() const { return Name; }
 
   /// The owning procedure; null for globals.
   Procedure *getParent() const { return Parent; }
@@ -76,7 +80,7 @@ public:
 private:
   uint64_t Id;
   Kind TheKind;
-  std::string Name;
+  std::string_view Name;
   Procedure *Parent;
   unsigned FormalIndex;
   ConstantValue ArraySize;

@@ -46,11 +46,11 @@ private:
 
 void ProcVerifier::checkBlockStructure(const BasicBlock &BB) {
   if (BB.empty()) {
-    report("block '" + BB.getName() + "' is empty");
+    report("block '" + std::string(BB.getName()) + "' is empty");
     return;
   }
   unsigned Terminators = 0;
-  for (const std::unique_ptr<Instruction> &Inst : BB.instructions()) {
+  for (Instruction *Inst : BB.instructions()) {
     if (Inst->isTerminator())
       ++Terminators;
     if (Inst->getParent() != &BB)
@@ -58,26 +58,28 @@ void ProcVerifier::checkBlockStructure(const BasicBlock &BB) {
              " has a stale parent pointer");
   }
   if (Terminators != 1)
-    report("block '" + BB.getName() + "' has " + std::to_string(Terminators) +
-           " terminators");
+    report("block '" + std::string(BB.getName()) + "' has " +
+           std::to_string(Terminators) + " terminators");
   else if (!BB.instructions().back()->isTerminator())
-    report("terminator is not last in block '" + BB.getName() + "'");
+    report("terminator is not last in block '" + std::string(BB.getName()) +
+           "'");
 }
 
 void ProcVerifier::checkEdges() {
   // Successor edges, counted per (from, to) pair, must equal predecessor
   // list entries.
   std::map<std::pair<const BasicBlock *, const BasicBlock *>, int> EdgeCount;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
+  for (BasicBlock *BB : P.blocks())
     for (BasicBlock *Succ : BB->successors())
-      ++EdgeCount[{BB.get(), Succ}];
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
+      ++EdgeCount[{BB, Succ}];
+  for (BasicBlock *BB : P.blocks())
     for (BasicBlock *Pred : BB->predecessors())
-      --EdgeCount[{Pred, BB.get()}];
+      --EdgeCount[{Pred, BB}];
   for (const auto &[Edge, Count] : EdgeCount)
     if (Count != 0)
-      report("edge " + Edge.first->getName() + " -> " +
-             Edge.second->getName() + " has inconsistent pred/succ lists");
+      report("edge " + std::string(Edge.first->getName()) + " -> " +
+             std::string(Edge.second->getName()) +
+             " has inconsistent pred/succ lists");
 }
 
 void ProcVerifier::checkReachability() {
@@ -95,18 +97,18 @@ void ProcVerifier::checkReachability() {
       if (Reachable.insert(Succ).second)
         Queue.push_back(Succ);
   }
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    if (!Reachable.count(BB.get()))
-      report("block '" + BB->getName() + "' is unreachable");
+  for (BasicBlock *BB : P.blocks())
+    if (!Reachable.count(BB))
+      report("block '" + std::string(BB->getName()) + "' is unreachable");
 }
 
 void ProcVerifier::checkRet() {
   unsigned Rets = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isa<RetInst>(Inst.get())) {
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isa<RetInst>(Inst)) {
         ++Rets;
-        if (BB.get() != P.getExitBlock())
+        if (BB != P.getExitBlock())
           report("ret outside the designated exit block");
       }
   if (P.getExitBlock()) {
@@ -129,8 +131,9 @@ void ProcVerifier::checkInstruction(const Instruction &Inst) {
     if (const auto *Entry = dyn_cast<EntryValue>(Op)) {
       const Variable *Var = Entry->getVariable();
       if (!Var->isGlobal() && Var->getParent() != &P)
-        report("entry value of foreign variable '" + Var->getName() +
-               "' used in %" + std::to_string(Inst.getId()));
+        report("entry value of foreign variable '" +
+               std::string(Var->getName()) + "' used in %" +
+               std::to_string(Inst.getId()));
     }
   }
 
@@ -164,16 +167,16 @@ void ProcVerifier::checkOperandDominance() {
 
   // Position of each instruction within its block for same-block checks.
   std::unordered_map<const Instruction *, unsigned> Position;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
+  for (BasicBlock *BB : P.blocks()) {
     unsigned Index = 0;
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      Position[Inst.get()] = Index++;
+    for (Instruction *Inst : BB->instructions())
+      Position[Inst] = Index++;
   }
 
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
-    if (!DT.isReachable(BB.get()))
+  for (BasicBlock *BB : P.blocks()) {
+    if (!DT.isReachable(BB))
       continue;
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
+    for (Instruction *Inst : BB->instructions()) {
       for (Value *Op : Inst->operands()) {
         auto *Def = dyn_cast_or_null<Instruction>(Op);
         if (!Def)
@@ -182,10 +185,10 @@ void ProcVerifier::checkOperandDominance() {
         bool Dominates;
         if (!DefBB || !DT.isReachable(DefBB))
           Dominates = false;
-        else if (DefBB == BB.get())
-          Dominates = Position[Def] < Position[Inst.get()];
+        else if (DefBB == BB)
+          Dominates = Position[Def] < Position[Inst];
         else
-          Dominates = DT.dominates(DefBB, BB.get());
+          Dominates = DT.dominates(DefBB, BB);
         if (!Dominates)
           report("operand %" + std::to_string(Def->getId()) + " of %" +
                  std::to_string(Inst->getId()) +
@@ -197,13 +200,13 @@ void ProcVerifier::checkOperandDominance() {
 
 void ProcVerifier::run() {
   size_t ErrorsBefore = Errors.size();
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
+  for (BasicBlock *BB : P.blocks())
     checkBlockStructure(*BB);
   checkEdges();
   checkReachability();
   checkRet();
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
       checkInstruction(*Inst);
   // Dominance is only meaningful over a structurally sound CFG (the
   // dominator computation itself asserts on inconsistent edges).

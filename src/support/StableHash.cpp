@@ -106,10 +106,10 @@ public:
     H.u32(uint32_t(P.getNumFormals()));
 
     H.u32(uint32_t(P.blocks().size()));
-    for (const std::unique_ptr<BasicBlock> &BB : P.blocks()) {
+    for (BasicBlock *BB : P.blocks()) {
       H.u8(TagBlock);
       H.u32(uint32_t(BB->instructions().size()));
-      for (const std::unique_ptr<Instruction> &I : BB->instructions())
+      for (Instruction *I : BB->instructions())
         hashInst(*I);
     }
     return H.result();
@@ -179,8 +179,7 @@ private:
 
   void hashBlockRef(const BasicBlock *BB) {
     uint32_t Pos = BB ? BB->getDensePos() : ~0u;
-    H.u32(Pos < P.blocks().size() && P.blocks()[Pos].get() == BB ? Pos
-                                                                  : ~0u);
+    H.u32(Pos < P.blocks().size() && P.blocks()[Pos] == BB ? Pos : ~0u);
   }
 
   void hashInst(const Instruction &I) {

@@ -91,6 +91,51 @@ TEST(Arena, ResetKeepsFirstChunkAndReusesIt) {
   EXPECT_EQ(First, Again) << "reset must rewind to the start of chunk 0";
 }
 
+TEST(Arena, MovedFromArenaDoesNotAliasTarget) {
+  Arena A;
+  int *Kept = A.create<int>(1);
+  Arena B(std::move(A));
+  // The source is empty; a new allocation from it takes a fresh chunk
+  // instead of bumping through the chunk B now owns.
+  EXPECT_EQ(A.chunkCount(), 0u);
+  EXPECT_EQ(A.bytesAllocated(), 0u);
+  int *FromA = A.create<int>(2);
+  int *FromB = B.create<int>(3);
+  EXPECT_NE(FromA, FromB);
+  EXPECT_EQ(*FromA, 2);
+  EXPECT_EQ(*FromB, 3);
+  EXPECT_EQ(*Kept, 1) << "the moved chunk keeps its contents";
+
+  Arena C;
+  C.create<int>(4);
+  C = std::move(B);
+  EXPECT_EQ(B.chunkCount(), 0u);
+  int *FromC = C.create<int>(5);
+  int *FromB2 = B.create<int>(6);
+  EXPECT_NE(FromC, FromB2);
+  EXPECT_EQ(*FromC, 5);
+  EXPECT_EQ(*FromB2, 6);
+  EXPECT_EQ(*FromB, 3);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// An erased instruction stays in its procedure's arena, poisoned, so
+// AddressSanitizer still reports a stale pointer to it.
+TEST(ArenaDeathTest, ErasedInstructionIsPoisoned) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto M = lowerOk("proc main() { var x; x = 1 + 2; print x; }");
+  PrintInst *Print = firstInst<PrintInst>(*getProc(*M, "main"));
+  ASSERT_NE(Print, nullptr);
+  Print->getParent()->erase(Print);
+  EXPECT_DEATH(
+      {
+        volatile Value *Stale = Print->getValueOperand();
+        (void)Stale;
+      },
+      "use-after-poison");
+}
+#endif
+
 //===----------------------------------------------------------------------===//
 // DenseId
 //===----------------------------------------------------------------------===//

@@ -20,9 +20,9 @@ using namespace ipcp::test;
 namespace {
 
 BasicBlock *blockNamed(Procedure &P, const std::string &Prefix) {
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
+  for (BasicBlock *BB : P.blocks())
     if (BB->getName().rfind(Prefix, 0) == 0)
-      return BB.get();
+      return BB;
   ADD_FAILURE() << "no block with prefix " << Prefix;
   return nullptr;
 }
@@ -136,12 +136,12 @@ TEST_P(DominatorDefinitionCheck, MatchesRemovalDefinition) {
   auto M = lowerOk(GetParam());
   for (const std::unique_ptr<Procedure> &P : M->procedures()) {
     DominatorTree DT(*P);
-    for (const std::unique_ptr<BasicBlock> &A : P->blocks())
-      for (const std::unique_ptr<BasicBlock> &B : P->blocks()) {
-        if (A.get() == B.get())
+    for (BasicBlock *A : P->blocks())
+      for (BasicBlock *B : P->blocks()) {
+        if (A == B)
           continue;
-        bool Dominates = DT.dominates(A.get(), B.get());
-        bool Disconnects = !reachableAvoiding(*P, A.get(), B.get());
+        bool Dominates = DT.dominates(A, B);
+        bool Disconnects = !reachableAvoiding(*P, A, B);
         EXPECT_EQ(Dominates, Disconnects)
             << P->getName() << ": " << A->getName() << " vs " << B->getName();
       }

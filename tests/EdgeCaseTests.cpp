@@ -119,12 +119,12 @@ TEST(SCCPEdge, EdgeQueriesMatchBlockReachability) {
   SSAResult SSA = constructSSA(*Main, MRI);
   SCCPResult R = runSCCP(*Main, SSA);
   unsigned ExecutableEdges = 0, Edges = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
+  for (BasicBlock *BB : Main->blocks())
     for (BasicBlock *Succ : BB->successors()) {
       ++Edges;
-      if (R.isExecutableEdge(BB.get(), Succ)) {
+      if (R.isExecutableEdge(BB, Succ)) {
         ++ExecutableEdges;
-        EXPECT_TRUE(R.isExecutable(BB.get()));
+        EXPECT_TRUE(R.isExecutable(BB));
         EXPECT_TRUE(R.isExecutable(Succ));
       }
     }

@@ -29,8 +29,8 @@ TEST(IRModule, InstructionIdsAreUnique) {
   auto M = lowerOk("proc main() { var x; x = 1 + 2; print x; }");
   std::set<uint64_t> Ids;
   for (const std::unique_ptr<Procedure> &P : M->procedures())
-    for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-      for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+    for (BasicBlock *BB : P->blocks())
+      for (Instruction *Inst : BB->instructions())
         EXPECT_TRUE(Ids.insert(Inst->getId()).second)
             << "duplicate id " << Inst->getId();
 }
@@ -51,8 +51,8 @@ TEST(IRModule, ClonePreservesIds) {
   auto Collect = [](Module &Mod) {
     std::vector<uint64_t> Ids;
     for (const std::unique_ptr<Procedure> &P : Mod.procedures())
-      for (const std::unique_ptr<BasicBlock> &BB : P->blocks())
-        for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
+      for (BasicBlock *BB : P->blocks())
+        for (Instruction *Inst : BB->instructions())
           Ids.push_back(Inst->getId());
     return Ids;
   };
@@ -65,7 +65,7 @@ TEST(IRModule, CloneIsIndependent) {
   // Mutating the clone must not affect the original.
   Procedure *CloneMain = Clone->findProcedure("main");
   BasicBlock *Entry = CloneMain->getEntryBlock();
-  Instruction *First = Entry->instructions().front().get();
+  Instruction *First = Entry->instructions().front();
   Entry->erase(First);
   EXPECT_NE(printModule(*M), printModule(*Clone));
 }
@@ -162,8 +162,8 @@ TEST(IRProcedure, RemoveUnreachableBlocks) {
   Procedure *Main = getProc(*M, "main");
   // Manufacture an unreachable block.
   BasicBlock *Dead = Main->createBlock("dead");
-  Dead->append(std::make_unique<BranchInst>(M->nextInstId(), SourceLoc(),
-                                            Main->getExitBlock()));
+  Dead->append(Main->create<BranchInst>(M->nextInstId(), SourceLoc(),
+                                        Main->getExitBlock()));
   Main->getExitBlock()->addPredecessor(Dead);
   EXPECT_EQ(Main->removeUnreachableBlocks(), 1u);
   expectVerifies(*M);
@@ -173,9 +173,9 @@ TEST(IRInstruction, TerminatorPredicate) {
   Module M;
   Procedure *P = M.createProcedure("p");
   BasicBlock *A = P->createBlock("a");
-  auto Br = std::make_unique<BranchInst>(M.nextInstId(), SourceLoc(), A);
+  auto *Br = P->create<BranchInst>(M.nextInstId(), SourceLoc(), A);
   EXPECT_TRUE(Br->isTerminator());
-  auto Read = std::make_unique<ReadInst>(M.nextInstId(), SourceLoc());
+  auto *Read = P->create<ReadInst>(M.nextInstId(), SourceLoc());
   EXPECT_FALSE(Read->isTerminator());
 }
 
@@ -184,8 +184,9 @@ TEST(IRValue, KindPredicates) {
   EXPECT_TRUE(M.getConstant(5)->producesValue());
   EXPECT_FALSE(M.getConstant(5)->isInstruction());
   EXPECT_TRUE(M.getUndef()->producesValue());
-  auto Print = std::make_unique<PrintInst>(M.nextInstId(), SourceLoc(),
-                                           M.getConstant(1));
+  Procedure *P = M.createProcedure("p");
+  auto *Print =
+      P->create<PrintInst>(M.nextInstId(), SourceLoc(), M.getConstant(1));
   EXPECT_TRUE(Print->isInstruction());
   EXPECT_FALSE(Print->producesValue());
 }
@@ -198,7 +199,7 @@ TEST(Verifier, ReportsMissingTerminator) {
   Module M;
   Procedure *P = M.createProcedure("p");
   BasicBlock *BB = P->createBlock("entry");
-  BB->append(std::make_unique<ReadInst>(M.nextInstId(), SourceLoc()));
+  BB->append(P->create<ReadInst>(M.nextInstId(), SourceLoc()));
   std::vector<std::string> Errors;
   verifyProcedure(*P, Errors);
   ASSERT_FALSE(Errors.empty());
@@ -215,8 +216,8 @@ TEST(Verifier, ReportsInconsistentPredecessors) {
   BasicBlock *A = P->createBlock("a");
   BasicBlock *B = P->createBlock("b");
   P->setExitBlock(B);
-  A->append(std::make_unique<BranchInst>(M.nextInstId(), SourceLoc(), B));
-  B->append(std::make_unique<RetInst>(M.nextInstId(), SourceLoc()));
+  A->append(P->create<BranchInst>(M.nextInstId(), SourceLoc(), B));
+  B->append(P->create<RetInst>(M.nextInstId(), SourceLoc()));
   // Deliberately forget B->addPredecessor(A).
   std::vector<std::string> Errors;
   verifyProcedure(*P, Errors);
@@ -230,8 +231,9 @@ TEST(Verifier, ReportsInconsistentPredecessors) {
 TEST(Verifier, ReportsPhiInPreSSA) {
   auto M = lowerOk("proc main() { var x; x = 1; }");
   Procedure *Main = getProc(*M, "main");
-  Main->getEntryBlock()->insertAtTop(std::make_unique<PhiInst>(
-      M->nextInstId(), SourceLoc(), Main->locals()[0]));
+  // Phis live in SSA side tables, never in an arena; this one lives here.
+  PhiInst Phi(M->nextInstId(), SourceLoc(), Main->locals()[0]);
+  Main->getEntryBlock()->insertAtTop(&Phi);
   std::vector<std::string> Errors;
   verifyProcedure(*Main, Errors);
   bool Found = false;
@@ -247,14 +249,14 @@ TEST(Verifier, ReportsCallArityMismatch) {
   Callee->addFormal("a");
   BasicBlock *CB = Callee->createBlock("entry");
   Callee->setExitBlock(CB);
-  CB->append(std::make_unique<RetInst>(M.nextInstId(), SourceLoc()));
+  CB->append(Callee->create<RetInst>(M.nextInstId(), SourceLoc()));
 
   Procedure *P = M.createProcedure("p");
   BasicBlock *BB = P->createBlock("entry");
   P->setExitBlock(BB);
-  BB->append(std::make_unique<CallInst>(M.nextInstId(), SourceLoc(), Callee,
-                                        std::vector<CallActual>{}));
-  BB->append(std::make_unique<RetInst>(M.nextInstId(), SourceLoc()));
+  BB->append(P->create<CallInst>(M.nextInstId(), SourceLoc(), Callee,
+                                 std::span<const CallActual>()));
+  BB->append(P->create<RetInst>(M.nextInstId(), SourceLoc()));
   std::vector<std::string> Errors;
   verifyProcedure(*P, Errors);
   bool Found = false;
@@ -302,9 +304,9 @@ TEST(ApplyFacts, RemovesTriviallyDeadChains) {
   Procedure *Main = getProc(*M, "main");
   // Deleting the final store manually leaves the whole expression dead.
   StoreInst *TheStore = nullptr;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Store = dyn_cast<StoreInst>(Inst.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (auto *Store = dyn_cast<StoreInst>(Inst))
         if (Store->getVariable()->getName() == "y")
           TheStore = Store;
   ASSERT_NE(TheStore, nullptr);
@@ -320,9 +322,9 @@ TEST(ApplyFacts, ReadsAreNeverDeleted) {
   // The read's value is stored; delete the store so the read is unused.
   auto *Store = firstInst<StoreInst>(*Main);
   // Find the store fed by the read specifically.
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *S = dyn_cast<StoreInst>(Inst.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (auto *S = dyn_cast<StoreInst>(Inst))
         if (isa<ReadInst>(S->getValueOperand()))
           Store = S;
   Store->getParent()->erase(Store);

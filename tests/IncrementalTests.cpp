@@ -107,7 +107,7 @@ void expectStaleWarmEqualsCold(Module &Original, Module &Mutant,
 std::unique_ptr<Module> withPrintPrepended(const Module &M, size_t Victim) {
   std::unique_ptr<Module> Mut = M.clone();
   Procedure *P = Mut->procedures()[Victim % Mut->procedures().size()].get();
-  P->getEntryBlock()->insertAtTop(std::make_unique<PrintInst>(
+  P->getEntryBlock()->insertAtTop(P->create<PrintInst>(
       Mut->nextInstId(), SourceLoc(), Mut->getConstant(9)));
   return Mut;
 }
@@ -128,7 +128,7 @@ std::unique_ptr<Module> withGlobalStorePrepended(const Module &M,
   if (!Global)
     return nullptr;
   Procedure *P = Mut->procedures()[Victim % Mut->procedures().size()].get();
-  P->getEntryBlock()->insertAtTop(std::make_unique<StoreInst>(
+  P->getEntryBlock()->insertAtTop(P->create<StoreInst>(
       Mut->nextInstId(), SourceLoc(), Global, Mut->getConstant(7)));
   return Mut;
 }
@@ -795,10 +795,9 @@ TEST(IncrementalCache, DegradedRunDoesNotPoisonTheStore) {
   // propagation must do real work): the degraded run must not commit
   // its partial summaries.
   std::unique_ptr<Module> Edited = M->clone();
-  getProc(*Edited, "main")
-      ->getEntryBlock()
-      ->insertAtTop(std::make_unique<PrintInst>(
-          Edited->nextInstId(), SourceLoc(), Edited->getConstant(2)));
+  Procedure *EditedMain = getProc(*Edited, "main");
+  EditedMain->getEntryBlock()->insertAtTop(EditedMain->create<PrintInst>(
+      Edited->nextInstId(), SourceLoc(), Edited->getConstant(2)));
   IPCPOptions Tripping;
   Tripping.Limits.MaxPropagationEvals = 1;
   std::string Before = Cache.serialize(Tripping);

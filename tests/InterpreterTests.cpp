@@ -170,6 +170,16 @@ TEST(Interpreter, CallDepthGuard) {
   EXPECT_EQ(R.TheStatus, ExecutionResult::Status::OutOfFuel);
 }
 
+TEST(Interpreter, DeepRecursionStopsAtTheDepthBound) {
+  // Calls run on the interpreter's own stack, so 5000 nested MiniFort
+  // calls reach MaxCallDepth in every build instead of overflowing the
+  // native stack first.
+  ExecutionResult R = run("proc f(n) { if (n > 0) { call f(n - 1); } }\n"
+                          "proc main() { call f(5000); print 1; }");
+  EXPECT_EQ(R.TheStatus, ExecutionResult::Status::OutOfFuel);
+  EXPECT_EQ(R.TrapMessage, "call depth limit exceeded in 'f'");
+}
+
 TEST(Interpreter, Recursion) {
   ExecutionResult R = run("proc fib(n, out) {\n"
                           "  var a, b;\n"

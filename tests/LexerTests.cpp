@@ -12,7 +12,9 @@ using namespace ipcp;
 
 namespace {
 
-std::vector<Token> lex(const std::string &Source, DiagnosticsEngine &Diags) {
+/// Tokens view \p Source, which must outlive them (the callers pass
+/// literals).
+std::vector<Token> lex(std::string_view Source, DiagnosticsEngine &Diags) {
   Lexer Lex(Source, Diags);
   return Lex.lexAll();
 }

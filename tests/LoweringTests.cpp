@@ -28,9 +28,9 @@ TEST(Lowering, ScalarLocalsZeroInitialized) {
   auto M = lowerOk("proc main() { var x, y; print x + y; }");
   Procedure *Main = getProc(*M, "main");
   unsigned ZeroStores = 0;
-  for (const std::unique_ptr<Instruction> &Inst :
+  for (Instruction *Inst :
        Main->getEntryBlock()->instructions()) {
-    auto *Store = dyn_cast<StoreInst>(Inst.get());
+    auto *Store = dyn_cast<StoreInst>(Inst);
     if (!Store)
       continue;
     auto *C = dyn_cast<ConstantInt>(Store->getValueOperand());
@@ -71,7 +71,7 @@ TEST(Lowering, WhileLoopShape) {
   EXPECT_EQ(Main->blocks().size(), 5u);
   // The header has two predecessors: entry and the body (back edge).
   bool FoundLoopHeader = false;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
+  for (BasicBlock *BB : Main->blocks())
     if (BB->predecessors().size() == 2)
       FoundLoopHeader = true;
   EXPECT_TRUE(FoundLoopHeader);
@@ -84,9 +84,9 @@ TEST(Lowering, DoLoopEvaluatesBoundsOnce) {
   // The bound expression g+5 is computed in the preheader: exactly one
   // Add of a load with 5 in the entry block.
   unsigned AddsInEntry = 0;
-  for (const std::unique_ptr<Instruction> &Inst :
+  for (Instruction *Inst :
        Main->getEntryBlock()->instructions())
-    if (isa<BinaryInst>(Inst.get()))
+    if (isa<BinaryInst>(Inst))
       ++AddsInEntry;
   EXPECT_EQ(AddsInEntry, 1u);
 }
@@ -95,9 +95,9 @@ TEST(Lowering, DoLoopNegativeLiteralStepComparesDownward) {
   auto M = lowerOk("proc main() { var i, s; do i = 9, 0, -3 { s = s + i; } }");
   Procedure *Main = getProc(*M, "main");
   bool FoundGe = false;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Bin = dyn_cast<BinaryInst>(Inst.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (auto *Bin = dyn_cast<BinaryInst>(Inst))
         if (Bin->getOp() == BinaryOp::CmpGe)
           FoundGe = true;
   EXPECT_TRUE(FoundGe);
@@ -145,9 +145,9 @@ TEST(Lowering, ReadLowersToReadPlusStore) {
   EXPECT_EQ(countInsts<ReadInst>(*Main), 1u);
   auto *Read = firstInst<ReadInst>(*Main);
   bool Stored = false;
-  for (const std::unique_ptr<Instruction> &Inst :
+  for (Instruction *Inst :
        Main->getEntryBlock()->instructions())
-    if (auto *Store = dyn_cast<StoreInst>(Inst.get()))
+    if (auto *Store = dyn_cast<StoreInst>(Inst))
       if (Store->getValueOperand() == Read)
         Stored = true;
   EXPECT_TRUE(Stored);
@@ -172,9 +172,9 @@ TEST(Lowering, LocalShadowsGlobalInLoweredIR) {
   auto M = lowerOk("global g;\nproc main() { var g; g = 5; }");
   Procedure *Main = getProc(*M, "main");
   bool StoreTargetsLocal = false;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Store = dyn_cast<StoreInst>(Inst.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (auto *Store = dyn_cast<StoreInst>(Inst))
         if (auto *C = dyn_cast<ConstantInt>(Store->getValueOperand());
             C && C->getValue() == 5)
           StoreTargetsLocal = Store->getVariable()->isLocal();

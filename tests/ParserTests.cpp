@@ -16,11 +16,19 @@ using namespace ipcp::test;
 
 namespace {
 
+/// The procedure named \p Name in \p Prog; null if absent.
+const ProcDecl *findProc(const Program &Prog, std::string_view Name) {
+  for (const ProcDecl &P : Prog.Procs)
+    if (P.Name == Name)
+      return &P;
+  return nullptr;
+}
+
 /// Parses a single-procedure program and returns its body statements.
 const BlockStmt *mainBody(const Program &Prog) {
-  const ProcDecl *Main = Prog.findProc("main");
+  const ProcDecl *Main = findProc(Prog, "main");
   EXPECT_NE(Main, nullptr);
-  return Main->Body.get();
+  return Main->Body;
 }
 
 TEST(Parser, EmptyMain) {
@@ -40,7 +48,7 @@ TEST(Parser, GlobalDeclarations) {
 
 TEST(Parser, Parameters) {
   Program Prog = parseOk("proc f(x, y, z) { }\nproc main() { }");
-  const ProcDecl *F = Prog.findProc("f");
+  const ProcDecl *F = findProc(Prog, "f");
   ASSERT_NE(F, nullptr);
   ASSERT_EQ(F->Params.size(), 3u);
   EXPECT_EQ(F->Params[1].Name, "y");
@@ -49,28 +57,28 @@ TEST(Parser, Parameters) {
 TEST(Parser, PrecedenceMulOverAdd) {
   Program Prog = parseOk("proc main() { var x; x = 1 + 2 * 3; }");
   const auto *Assign =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_EQ(printExpr(Assign->getValue()), "(1 + (2 * 3))");
 }
 
 TEST(Parser, PrecedenceComparisonLowest) {
   Program Prog = parseOk("proc main() { var x; x = 1 + 2 < 3 * 4; }");
   const auto *Assign =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_EQ(printExpr(Assign->getValue()), "((1 + 2) < (3 * 4))");
 }
 
 TEST(Parser, LeftAssociativity) {
   Program Prog = parseOk("proc main() { var x; x = 10 - 3 - 2; }");
   const auto *Assign =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_EQ(printExpr(Assign->getValue()), "((10 - 3) - 2)");
 }
 
 TEST(Parser, NegativeLiteralFoldsIntoConstant) {
   Program Prog = parseOk("proc main() { var x; x = -5; }");
   const auto *Assign =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   const auto *Lit = dyn_cast<IntLiteralExpr>(Assign->getValue());
   ASSERT_NE(Lit, nullptr) << "-5 should be a single literal";
   EXPECT_EQ(Lit->getValue(), -5);
@@ -79,10 +87,10 @@ TEST(Parser, NegativeLiteralFoldsIntoConstant) {
 TEST(Parser, UnaryOnExpressionStaysUnary) {
   Program Prog = parseOk("proc main() { var x; x = -(x + 1); x = !x; }");
   const auto *Neg =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_TRUE(isa<UnaryExpr>(Neg->getValue()));
   const auto *Not =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[2].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[2]);
   EXPECT_EQ(cast<UnaryExpr>(Not->getValue())->getOp(), UnaryOp::Not);
 }
 
@@ -90,24 +98,24 @@ TEST(Parser, IfElseChain) {
   Program Prog = parseOk(
       "proc main() { var x; if (x < 1) { x = 1; } else if (x < 2) { x = 2; } "
       "else { x = 3; } }");
-  const auto *If = cast<IfStmt>(mainBody(Prog)->getStmts()[1].get());
+  const auto *If = cast<IfStmt>(mainBody(Prog)->getStmts()[1]);
   ASSERT_NE(If->getElse(), nullptr);
   EXPECT_TRUE(isa<IfStmt>(If->getElse()));
 }
 
 TEST(Parser, WhileLoop) {
   Program Prog = parseOk("proc main() { var x; while (x < 10) { x = x + 1; } }");
-  const auto *While = cast<WhileStmt>(mainBody(Prog)->getStmts()[1].get());
+  const auto *While = cast<WhileStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_TRUE(isa<BinaryExpr>(While->getCond()));
 }
 
 TEST(Parser, DoLoopWithAndWithoutStep) {
   Program Prog = parseOk(
       "proc main() { var i; do i = 1, 10 { } do i = 10, 1, -2 { } }");
-  const auto *Do1 = cast<DoLoopStmt>(mainBody(Prog)->getStmts()[1].get());
+  const auto *Do1 = cast<DoLoopStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_EQ(Do1->getIndVar(), "i");
   EXPECT_EQ(Do1->getStep(), nullptr);
-  const auto *Do2 = cast<DoLoopStmt>(mainBody(Prog)->getStmts()[2].get());
+  const auto *Do2 = cast<DoLoopStmt>(mainBody(Prog)->getStmts()[2]);
   ASSERT_NE(Do2->getStep(), nullptr);
   EXPECT_EQ(cast<IntLiteralExpr>(Do2->getStep())->getValue(), -2);
 }
@@ -115,20 +123,20 @@ TEST(Parser, DoLoopWithAndWithoutStep) {
 TEST(Parser, CallStatement) {
   Program Prog = parseOk(
       "proc f(a, b) { }\nproc main() { var x; call f(3, x + 1); }");
-  const auto *Call = cast<CallStmt>(mainBody(Prog)->getStmts()[1].get());
+  const auto *Call = cast<CallStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_EQ(Call->getCallee(), "f");
   ASSERT_EQ(Call->getArgs().size(), 2u);
-  EXPECT_TRUE(isa<IntLiteralExpr>(Call->getArgs()[0].get()));
-  EXPECT_TRUE(isa<BinaryExpr>(Call->getArgs()[1].get()));
+  EXPECT_TRUE(isa<IntLiteralExpr>(Call->getArgs()[0]));
+  EXPECT_TRUE(isa<BinaryExpr>(Call->getArgs()[1]));
 }
 
 TEST(Parser, ArrayAccess) {
   Program Prog = parseOk(
       "proc main() { var a[5], i; a[i + 1] = a[0] * 2; read a[2]; }");
   const auto *Assign =
-      cast<AssignStmt>(mainBody(Prog)->getStmts()[1].get());
+      cast<AssignStmt>(mainBody(Prog)->getStmts()[1]);
   EXPECT_TRUE(isa<ArrayRefExpr>(Assign->getTarget()));
-  const auto *Read = cast<ReadStmt>(mainBody(Prog)->getStmts()[2].get());
+  const auto *Read = cast<ReadStmt>(mainBody(Prog)->getStmts()[2]);
   EXPECT_TRUE(isa<ArrayRefExpr>(Read->getTarget()));
 }
 
@@ -136,15 +144,15 @@ TEST(Parser, PrintReadReturn) {
   Program Prog = parseOk(
       "proc main() { var x; read x; print x * 2; return; }");
   const auto &Stmts = mainBody(Prog)->getStmts();
-  EXPECT_TRUE(isa<ReadStmt>(Stmts[1].get()));
-  EXPECT_TRUE(isa<PrintStmt>(Stmts[2].get()));
-  EXPECT_TRUE(isa<ReturnStmt>(Stmts[3].get()));
+  EXPECT_TRUE(isa<ReadStmt>(Stmts[1]));
+  EXPECT_TRUE(isa<PrintStmt>(Stmts[2]));
+  EXPECT_TRUE(isa<ReturnStmt>(Stmts[3]));
 }
 
 TEST(Parser, NestedBlocks) {
   Program Prog = parseOk("proc main() { { { print 1; } } }");
-  const auto *Outer = cast<BlockStmt>(mainBody(Prog)->getStmts()[0].get());
-  EXPECT_TRUE(isa<BlockStmt>(Outer->getStmts()[0].get()));
+  const auto *Outer = cast<BlockStmt>(mainBody(Prog)->getStmts()[0]);
+  EXPECT_TRUE(isa<BlockStmt>(Outer->getStmts()[0]));
 }
 
 //===----------------------------------------------------------------------===//

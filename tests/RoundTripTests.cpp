@@ -124,11 +124,11 @@ TEST(OracleSelfTest, FlagsFabricatedFacts) {
   // branch: the inputs are below 2048, so each load reads something else
   // and the branch always goes true.
   Procedure *Main = getProc(*M, "main");
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions()) {
-      if (isa<LoadInst>(Inst.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions()) {
+      if (isa<LoadInst>(Inst))
         R.Facts.ConstantLoads[Inst->getId()] = 4096;
-      if (isa<CondBranchInst>(Inst.get()))
+      if (isa<CondBranchInst>(Inst))
         R.Facts.FoldedBranches[Inst->getId()] = false;
     }
   OracleReport Report = checkSoundness(*M, R);

@@ -82,9 +82,9 @@ TEST(SCCP, ConstantConditionKeepsDeadEdgeUnexecutable) {
   SCCPResult R = F.run("main");
   Procedure *Main = getProc(*F.M, "main");
   unsigned ExecutablePrints = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isa<PrintInst>(Inst.get()) && R.isExecutable(BB.get()))
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isa<PrintInst>(Inst) && R.isExecutable(BB))
         ++ExecutablePrints;
   EXPECT_EQ(ExecutablePrints, 1u) << "the else arm is statically dead";
 }
@@ -213,10 +213,10 @@ TEST(SCCP, UnreachableCodeStaysTop) {
                 "print x; } }");
   SCCPResult R = F.run("main");
   Procedure *Main = getProc(*F.M, "main");
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isa<PrintInst>(Inst.get())) {
-        EXPECT_FALSE(R.isExecutable(BB.get()));
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isa<PrintInst>(Inst)) {
+        EXPECT_FALSE(R.isExecutable(BB));
       }
 }
 

@@ -57,11 +57,11 @@ TEST(SSA, StraightLineLeavesNoLoadsOrStores) {
   // Every load and store is a promoted access: each load has a
   // replacement and SCCP visits none of them.
   unsigned Accesses = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : Main->blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isa<LoadInst, StoreInst>(Inst.get())) {
+  for (BasicBlock *BB : Main->blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isa<LoadInst, StoreInst>(Inst)) {
         ++Accesses;
-        EXPECT_TRUE(R.isPromotedAccess(Inst.get()));
+        EXPECT_TRUE(R.isPromotedAccess(Inst));
       }
   EXPECT_EQ(Accesses, 6u) << "two zeroing stores, then x, load x, y, load y";
   EXPECT_EQ(promotedLoads(*Main, R).size(), 2u);

@@ -223,7 +223,7 @@ TEST(StableHash, MutationCorpusSensitivity) {
     for (const std::unique_ptr<Procedure> &Victim : M->procedures()) {
       std::unique_ptr<Module> Mut = M->clone();
       Procedure *P = Mut->findProcedure(Victim->getName());
-      P->getEntryBlock()->insertAtTop(std::make_unique<PrintInst>(
+      P->getEntryBlock()->insertAtTop(P->create<PrintInst>(
           Mut->nextInstId(), SourceLoc(), Mut->getConstant(9)));
       for (const std::unique_ptr<Procedure> &Q : M->procedures()) {
         uint64_t Before = hashProcedureBody(*Q);

@@ -41,9 +41,9 @@ Procedure *getProc(Module &M, const std::string &Name);
 
 /// Finds the first instruction of kind T in \p P; null if absent.
 template <typename T> T *firstInst(Procedure &P) {
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (auto *Match = dyn_cast<T>(Inst.get()))
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (auto *Match = dyn_cast<T>(Inst))
         return Match;
   return nullptr;
 }
@@ -51,9 +51,9 @@ template <typename T> T *firstInst(Procedure &P) {
 /// Counts instructions of kind T in \p P.
 template <typename T> unsigned countInsts(Procedure &P) {
   unsigned Count = 0;
-  for (const std::unique_ptr<BasicBlock> &BB : P.blocks())
-    for (const std::unique_ptr<Instruction> &Inst : BB->instructions())
-      if (isa<T>(Inst.get()))
+  for (BasicBlock *BB : P.blocks())
+    for (Instruction *Inst : BB->instructions())
+      if (isa<T>(Inst))
         ++Count;
   return Count;
 }

@@ -284,7 +284,7 @@ bool runOne(const std::string &Source, bool CheckOracle,
       Procedure *P =
           Edited->procedures()[Source.size() % Edited->procedures().size()]
               .get();
-      P->getEntryBlock()->insertAtTop(std::make_unique<PrintInst>(
+      P->getEntryBlock()->insertAtTop(P->create<PrintInst>(
           Edited->nextInstId(), SourceLoc(), Edited->getConstant(9)));
       IPCPResult Stale = runIPCP(*Edited, Opts, nullptr, &Cache);
       SummaryCache Fresh;
