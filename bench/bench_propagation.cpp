@@ -107,8 +107,8 @@ void BM_SolverFormulation(benchmark::State &State) {
   State.SetLabel(Binding ? "binding-graph" : "call-graph");
   for (auto _ : State) {
     ConstantsMap CM =
-        Binding ? propagateConstantsBindingGraph(CG, MRI, FJFs, Opts)
-                : propagateConstants(CG, MRI, FJFs, Opts);
+        Binding ? propagateConstantsBindingGraph(CG, MRI, FJFs)
+                : propagateConstants(CG, MRI, FJFs);
     benchmark::DoNotOptimize(CM.totalConstants());
   }
 }
@@ -131,9 +131,8 @@ JsonValue printSolverComparison(bool &Ok) {
   const ModRefInfo &MRI = Analysis.MRI;
   const ForwardJumpFunctions &FJFs = Analysis.Tables.FJFs;
   PropagatorStats CGStats, BGStats;
-  ConstantsMap A = propagateConstants(CG, MRI, FJFs, Opts, &CGStats);
-  ConstantsMap B =
-      propagateConstantsBindingGraph(CG, MRI, FJFs, Opts, &BGStats);
+  ConstantsMap A = propagateConstants(CG, MRI, FJFs, &CGStats);
+  ConstantsMap B = propagateConstantsBindingGraph(CG, MRI, FJFs, &BGStats);
   std::printf("  call-graph worklist:      %6llu JF evaluations, %4llu "
               "lowerings\n",
               (unsigned long long)CGStats.JumpFunctionEvaluations,

@@ -34,7 +34,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AliasCheck.h"
-#include "core/BindingGraph.h"
 #include "core/Cloning.h"
 #include "core/Inlining.h"
 #include "core/Pipeline.h"
@@ -274,9 +273,7 @@ int main(int argc, char **argv) {
   }
 
   if (Integrate) {
-    InlineOptions IOpts;
-    IOpts.EntryProcedure = Opts.EntryProcedure;
-    InlineResult IR = inlineCalls(M, IOpts);
+    InlineResult IR = inlineCalls(M);
     std::fprintf(Out, "integration: %u call(s) inlined in %u round(s), %u dead "
                  "procedure(s) removed, %u -> %u instructions\n",
                  IR.CallsInlined, IR.RoundsRun, IR.ProceduresRemoved,

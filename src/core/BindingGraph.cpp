@@ -32,11 +32,9 @@ struct BindingEdge {
 class BindingGraphSolver {
 public:
   BindingGraphSolver(const CallGraph &CG, const ModRefInfo &MRI,
-                     const ForwardJumpFunctions &FJFs,
-                     const IPCPOptions &Opts, PropagatorStats *Stats,
+                     const ForwardJumpFunctions &FJFs, PropagatorStats *Stats,
                      ResourceGuard *Guard)
-      : CG(CG), FJFs(FJFs), Stats(Stats), Guard(Guard),
-        Layout(CG, MRI, Opts.EntryProcedure) {}
+      : CG(CG), FJFs(FJFs), Stats(Stats), Guard(Guard), Layout(CG, MRI) {}
 
   ConstantsMap solve();
 
@@ -173,9 +171,9 @@ ConstantsMap BindingGraphSolver::solve() {
 
 ConstantsMap ipcp::propagateConstantsBindingGraph(
     const CallGraph &CG, const ModRefInfo &MRI,
-    const ForwardJumpFunctions &FJFs, const IPCPOptions &Opts,
-    PropagatorStats *Stats, ResourceGuard *Guard) {
+    const ForwardJumpFunctions &FJFs, PropagatorStats *Stats,
+    ResourceGuard *Guard) {
   ScopedTraceSpan PropSpan("propagate", "binding-multigraph");
-  BindingGraphSolver Solver(CG, MRI, FJFs, Opts, Stats, Guard);
+  BindingGraphSolver Solver(CG, MRI, FJFs, Stats, Guard);
   return Solver.solve();
 }

@@ -21,7 +21,9 @@
 ///
 /// Both propagators compute the same (greatest) fixpoint; the property
 /// tests check they agree exactly, and bench_propagation.cpp compares
-/// their evaluation counts.
+/// their evaluation counts. The analyzer runs propagateConstants; this
+/// formulation is kept as the reference the tests, ipcp_fuzz and
+/// bench_propagation check it against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +41,6 @@ namespace ipcp {
 ConstantsMap propagateConstantsBindingGraph(const CallGraph &CG,
                                             const ModRefInfo &MRI,
                                             const ForwardJumpFunctions &FJFs,
-                                            const IPCPOptions &Opts,
                                             PropagatorStats *Stats = nullptr,
                                             ResourceGuard *Guard = nullptr);
 

@@ -6,6 +6,7 @@
 
 #include "core/Cloning.h"
 
+#include "frontend/Sema.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -78,15 +79,14 @@ std::vector<CloneDecision> planRound(const Module &M,
   const CallGraph &CG = A.CG;
   const ModRefInfo &MRI = A.MRI;
   const ForwardJumpFunctions &FJFs = A.Tables.FJFs;
-  ConstantsMap CM =
-      propagateConstants(CG, MRI, FJFs, PlanOpts, nullptr, &Guard);
+  ConstantsMap CM = propagateConstants(CG, MRI, FJFs, nullptr, &Guard);
   // A tripped solve returns an empty map, on which every literal-argument
   // site would look profitable.
   if (Guard.tripped())
     return Decisions;
 
   for (Procedure *Q : CG.procedures()) {
-    if (Q->getName() == Opts.Analysis.EntryProcedure || CG.isRecursive(Q))
+    if (Q->getName() == EntryProcedureName || CG.isRecursive(Q))
       continue;
 
     // Gather every call site targeting Q, grouped by constant signature.

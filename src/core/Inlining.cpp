@@ -7,6 +7,7 @@
 #include "core/Inlining.h"
 
 #include "analysis/CallGraph.h"
+#include "frontend/Sema.h"
 #include "ir/CloneUtil.h"
 
 #include <unordered_set>
@@ -142,7 +143,7 @@ InlineResult ipcp::inlineCalls(Module &M, const InlineOptions &Opts) {
     ++Result.RoundsRun;
   }
 
-  Procedure *Entry = M.findProcedure(Opts.EntryProcedure);
+  Procedure *Entry = M.findProcedure(EntryProcedureName);
   if (Opts.RemoveDeadProcedures && Entry) {
     CallGraph CG(M);
     std::unordered_set<Procedure *> Live = CG.reachableFrom(Entry);
@@ -167,7 +168,6 @@ IntegrationResult ipcp::runIntegrationBasedIPCP(const Module &M,
 
   IPCPOptions Intra;
   Intra.IntraproceduralOnly = true;
-  Intra.EntryProcedure = Opts.EntryProcedure;
   IPCPResult R = runIPCP(*Working, Intra);
   Result.ConstantRefs = R.TotalConstantRefs;
   Result.EntryConstants = R.TotalEntryConstants;

@@ -42,11 +42,9 @@ struct InlineOptions {
   /// Integration rounds (each round exposes the next call depth).
   unsigned MaxRounds = 4;
 
-  /// Drop procedures unreachable from the entry after integration (the
+  /// Drop procedures unreachable from `main` after integration (the
   /// integrated copies subsume them), so growth numbers are honest.
   bool RemoveDeadProcedures = true;
-
-  const char *EntryProcedure = "main";
 };
 
 /// What inlineCalls did.

@@ -25,10 +25,6 @@ constexpr OptionChoice JumpFunctionChoices[] = {
     {"passthrough", unsigned(JumpFunctionKind::PassThrough)},
     {"polynomial", unsigned(JumpFunctionKind::Polynomial)},
 };
-constexpr OptionChoice ScheduleChoices[] = {
-    {"scc", unsigned(PropagationSchedule::SCC)},
-    {"fifo", unsigned(PropagationSchedule::FIFO)},
-};
 constexpr OptionChoice EngineChoices[] = {
     {"jump", unsigned(PropagationEngine::Jump)},
     {"contexts", unsigned(PropagationEngine::Contexts)},
@@ -62,11 +58,6 @@ constexpr OptionSpec Table[] = {
     {.Key = "gated_ssa", .Flag = "--gated-ssa", .FingerprintTag = "gated",
      .Surfaces = Analysis, .Help = "lift jump functions over gated SSA",
      FIELD(UseGatedSSA, bool)},
-    {.Key = "binding_graph", .Flag = "--binding-graph", .FingerprintTag = "bg",
-     .Surfaces = Analysis, .Help = "propagate over the binding multigraph",
-     FIELD(UseBindingGraphPropagator, bool)},
-    {.Key = "schedule", .FingerprintTag = "sched", .Type = OptionType::Choice,
-     .Choices = ScheduleChoices, FIELD(Schedule, PropagationSchedule)},
     {.Key = "engine", .Flag = "--engine", .FingerprintTag = "engine",
      .Surfaces = Analysis | OnSuitecheck, .Type = OptionType::Choice,
      .Choices = EngineChoices, .Help = "propagation engine",
@@ -77,9 +68,6 @@ constexpr OptionSpec Table[] = {
     {.Key = "max_expr_nodes", .FingerprintTag = "maxexpr",
      .Surfaces = OnOptions | OnReport, .Type = OptionType::Count, .Min = 1,
      .Max = TableCap, FIELD(MaxExprNodes, unsigned)},
-    {.Key = "entry_procedure", .FingerprintTag = "entry", .Surfaces = OnReport,
-     .Type = OptionType::Name,
-     .GetName = [](const IPCPOptions &O) { return O.EntryProcedure; }},
 
     {.Key = "parse_depth", .Flag = "--limit-parse-depth", .Surfaces = Budget,
      .Type = OptionType::Count, .Min = 1, .Max = TableCap,
@@ -188,8 +176,6 @@ const char *ipcp::jumpFunctionKindName(JumpFunctionKind Kind) {
 }
 
 std::string ipcp::optionText(const OptionSpec &Row, const IPCPOptions &Opts) {
-  if (Row.Type == OptionType::Name)
-    return Row.GetName(Opts);
   uint64_t Value = Row.Get(Opts);
   if (Row.Type == OptionType::Choice)
     return canonicalSpelling(Row.Choices, unsigned(Value));

@@ -72,20 +72,6 @@ enum class PropagationEngine {
   Contexts,
 };
 
-/// How the call-graph propagator orders its work. Both schedules reach
-/// the same fixpoint (the lattice meet is order-independent); they differ
-/// only in how many procedure visits it takes.
-enum class PropagationSchedule {
-  /// Condense the call graph into SCCs (Tarjan) and sweep the condensation
-  /// in reverse post-order, iterating only within each component. Acyclic
-  /// regions converge in one visit per procedure.
-  SCC,
-  /// The naive all-procedures FIFO worklist; kept as the measurable
-  /// baseline for the scheduling benchmark. Runs without the summary
-  /// cache (SummaryCache::models).
-  FIFO,
-};
-
 /// One analysis configuration.
 struct IPCPOptions {
   JumpFunctionKind ForwardKind = JumpFunctionKind::Polynomial;
@@ -112,22 +98,9 @@ struct IPCPOptions {
   /// achieves the complete-propagation results in a single pass.
   bool UseGatedSSA = false;
 
-  /// Work order for the call-graph propagator (ignored by the binding
-  /// multigraph propagator, which has its own edge-level worklist).
-  PropagationSchedule Schedule = PropagationSchedule::SCC;
-
-  /// Use the binding-multigraph worklist (the paper's cited alternative
-  /// formulation [7]) instead of the per-procedure call-graph worklist.
-  /// Both compute the same fixpoint; the binding graph re-evaluates only
-  /// the jump functions whose support actually changed. Applies to the
-  /// Jump engine only; Engine == Contexts takes precedence. Runs without
-  /// the summary cache (SummaryCache::models).
-  bool UseBindingGraphPropagator = false;
-
   /// Which propagation engine to run (--engine=jump|contexts). The
   /// contexts engine runs without the summary cache
-  /// (SummaryCache::models) and ignores Schedule — its worklist is over
-  /// contexts, not procedures.
+  /// (SummaryCache::models).
   PropagationEngine Engine = PropagationEngine::Jump;
 
   /// Context-count budget for the contexts engine. Once this many
@@ -138,10 +111,6 @@ struct IPCPOptions {
   /// recursion that would otherwise enumerate unbounded entry vectors
   /// (f(n) calling f(n+1)). Reported as ctx_budget_trips.
   unsigned MaxContexts = 4096;
-
-  /// Name of the entry procedure; its globals start at their initial
-  /// value (zero) on the virtual entry edge.
-  const char *EntryProcedure = "main";
 
   /// Resource budgets for the run (all unlimited by default). When a
   /// budget trips, the pipeline degrades gracefully: it stops the
@@ -172,7 +141,6 @@ enum class OptionType {
   Switch, ///< a boolean; its bare flag turns it away from its default
   Choice, ///< an enumerator, named by one of the row's spellings
   Count,  ///< an unsigned integer within [Min, Max]
-  Name,   ///< a procedure name (echo and fingerprint only)
 };
 
 /// One spelling of a Choice row's enumerator. The first spelling of each
@@ -183,8 +151,8 @@ struct OptionChoice {
 };
 
 /// One setting. Get/Set reach its IPCPOptions field (a budget through
-/// IPCPOptions::Limits) as an integer; the Name row reads GetName. The
-/// defaults are the member initializers above.
+/// IPCPOptions::Limits) as an integer. The defaults are the member
+/// initializers above.
 struct OptionSpec {
   const char *Key;                      ///< request and report key
   const char *Flag = nullptr;           ///< flag without "=VALUE"
@@ -198,7 +166,6 @@ struct OptionSpec {
   const char *Help = nullptr;
   uint64_t (*Get)(const IPCPOptions &) = nullptr;
   void (*Set)(IPCPOptions &, uint64_t) = nullptr;
-  const char *(*GetName)(const IPCPOptions &) = nullptr;
 };
 
 /// Every setting once: the IPCPOptions fields in report-echo order, then
@@ -206,7 +173,7 @@ struct OptionSpec {
 std::span<const OptionSpec> optionTable();
 
 /// A row's value as the fingerprint spells it: "1"/"0", a decimal count,
-/// the canonical spelling, or the procedure name.
+/// or the canonical spelling.
 std::string optionText(const OptionSpec &Row, const IPCPOptions &Opts);
 
 /// True when \p Arg is the flag of a row on \p Surface (OptionSurface

@@ -7,7 +7,6 @@
 #include "core/Pipeline.h"
 
 #include "analysis/SCCP.h"
-#include "core/BindingGraph.h"
 #include "core/SummaryCache.h"
 #include "support/Casting.h"
 #include "support/StableHash.h"
@@ -209,7 +208,7 @@ public:
     if (Guard.tripped())
       return nullptr;
     const std::vector<Procedure *> &Procs = CG.procedures();
-    Plan.Layout = ValLayout(CG, MRI, Opts.EntryProcedure);
+    Plan.Layout = ValLayout(CG, MRI);
     const ValLayout &Layout = Plan.Layout;
     Plan.CachedVal.assign(Layout.size(), LatticeValue::top());
     HasCachedVal.assign(Procs.size(), 0);
@@ -796,10 +795,7 @@ IPCPResult ipcp::runIPCP(const Module &M, const IPCPOptions &Opts,
       CM = propagateConstantsContexts(CG, MRI, FJFs, Opts, &PS, Guard,
                                       &Result.ContextStudy);
     else
-      CM = Opts.UseBindingGraphPropagator
-               ? propagateConstantsBindingGraph(CG, MRI, FJFs, Opts, &PS,
-                                                Guard)
-               : propagateConstants(CG, MRI, FJFs, Opts, &PS, Guard, Plan);
+      CM = propagateConstants(CG, MRI, FJFs, &PS, Guard, Plan);
     Result.Stats.add(Counter::time_propagation_us,
                      uint64_t(PropTimer.seconds() * 1e6));
     Result.Stats.add(Counter::prop_visits, PS.ProcVisits);

@@ -6,6 +6,7 @@
 
 #include "core/Propagator.h"
 
+#include "frontend/Sema.h"
 #include "support/Trace.h"
 #include "support/Worklist.h"
 
@@ -13,15 +14,14 @@
 
 using namespace ipcp;
 
-ValLayout::ValLayout(const CallGraph &CG, const ModRefInfo &MRI,
-                     const char *EntryProcedure) {
+ValLayout::ValLayout(const CallGraph &CG, const ModRefInfo &MRI) {
   size_t N = CG.procedures().size();
   Procs.reserve(N);
   Base.reserve(N + 1);
   FirstGlobal.reserve(N);
   for (Procedure *P : CG.procedures()) {
     assert(CG.procIndex(P) == rows() && "rows follow the module order");
-    if (Entry == ~0u && P->getName() == EntryProcedure)
+    if (Entry == ~0u && P->getName() == EntryProcedureName)
       Entry = rows();
     Procs.push_back(P);
     Base.push_back(size());
@@ -128,17 +128,13 @@ namespace ipcp {
 class Propagator {
 public:
   Propagator(const CallGraph &CG, const ModRefInfo &MRI,
-             const ForwardJumpFunctions &FJFs, const IPCPOptions &Opts,
-             PropagatorStats *Stats, ResourceGuard *Guard,
-             const IncrementalPropagationPlan *Plan)
-      : CG(CG), FJFs(FJFs), Opts(Opts), Stats(Stats), Guard(Guard),
-        Plan(Plan), Layout(Plan ? Plan->Layout
-                                : ValLayout(CG, MRI, Opts.EntryProcedure)) {
-    assert((!Plan || Opts.Schedule == PropagationSchedule::SCC) &&
-           "the summary cache models only the SCC schedule");
-  }
+             const ForwardJumpFunctions &FJFs, PropagatorStats *Stats,
+             ResourceGuard *Guard, const IncrementalPropagationPlan *Plan)
+      : CG(CG), FJFs(FJFs), Stats(Stats), Guard(Guard), Plan(Plan),
+        Layout(Plan ? Plan->Layout : ValLayout(CG, MRI)) {}
 
-  ConstantsMap solve() {
+  /// Solves over the FIFO schedule when \p FIFO, else the SCC sweep.
+  ConstantsMap solve(bool FIFO) {
     size_t N = CG.procedures().size();
     SCCOf.resize(N);
     for (Procedure *P : CG.procedures())
@@ -146,7 +142,7 @@ public:
     Visited.assign(N, false);
     VAL = Layout.initialVal();
     preloadAdopted();
-    if (Opts.Schedule == PropagationSchedule::FIFO)
+    if (FIFO)
       solveFIFO();
     else
       solveSCC();
@@ -287,7 +283,6 @@ private:
 
   const CallGraph &CG;
   const ForwardJumpFunctions &FJFs;
-  const IPCPOptions &Opts;
   PropagatorStats *Stats;
   ResourceGuard *Guard;
   const IncrementalPropagationPlan *Plan;
@@ -303,14 +298,19 @@ private:
 ConstantsMap ipcp::propagateConstants(const CallGraph &CG,
                                       const ModRefInfo &MRI,
                                       const ForwardJumpFunctions &FJFs,
-                                      const IPCPOptions &Opts,
                                       PropagatorStats *Stats,
                                       ResourceGuard *Guard,
                                       const IncrementalPropagationPlan *Plan) {
-  ScopedTraceSpan PropSpan("propagate",
-                           Opts.Schedule == PropagationSchedule::FIFO
-                               ? "callgraph-fifo"
-                               : "callgraph-scc");
-  Propagator Solver(CG, MRI, FJFs, Opts, Stats, Guard, Plan);
-  return Solver.solve();
+  ScopedTraceSpan PropSpan("propagate", "callgraph-scc");
+  Propagator Solver(CG, MRI, FJFs, Stats, Guard, Plan);
+  return Solver.solve(/*FIFO=*/false);
+}
+
+ConstantsMap ipcp::propagateConstantsFIFO(const CallGraph &CG,
+                                          const ModRefInfo &MRI,
+                                          const ForwardJumpFunctions &FJFs,
+                                          PropagatorStats *Stats) {
+  ScopedTraceSpan PropSpan("propagate", "callgraph-fifo");
+  Propagator Solver(CG, MRI, FJFs, Stats, nullptr, nullptr);
+  return Solver.solve(/*FIFO=*/true);
 }

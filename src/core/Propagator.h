@@ -19,22 +19,21 @@
 /// positionally, then its extended globals in ID order) get consecutive
 /// slots, the procedures lie back to back in module order, and VAL is one
 /// flat lattice vector over those slots that becomes the ConstantsMap by
-/// move. This solver schedules its work by default over the SCC
-/// condensation of the call graph in reverse post-order: each component
-/// iterates an inner worklist to its local fixpoint before the sweep moves
-/// on, so acyclic regions converge in exactly one visit per procedure and
-/// only members of cyclic components ever re-enter a worklist.
-/// IPCPOptions::Schedule selects the naive all-procedures FIFO baseline
-/// instead; both reach the same fixpoint (bench_scaling.cpp measures the
-/// visit/evaluation gap).
+/// move. This solver schedules its work over the SCC condensation of the
+/// call graph in reverse post-order: each component iterates an inner
+/// worklist to its local fixpoint before the sweep moves on, so acyclic
+/// regions converge in exactly one visit per procedure and only members
+/// of cyclic components ever re-enter a worklist. propagateConstantsFIFO
+/// runs the naive all-procedures FIFO worklist instead; both reach the
+/// same fixpoint (bench_scaling.cpp measures the visit/evaluation gap).
 ///
 /// The meet runs over every edge of G, including edges inside procedures
 /// that are themselves never invoked (their VAL stays top, so their
 /// support-carrying jump functions evaluate to top and lower nothing —
 /// but their constant jump functions do lower the callee, exactly the
 /// conservatism the complete-propagation experiment removes with dead
-/// code elimination). The entry procedure receives a virtual edge that
-/// sets every global to its initial value (zero in MiniFort).
+/// code elimination). The entry procedure, `main`, receives a virtual
+/// edge that sets every global to its initial value (zero in MiniFort).
 ///
 /// Because the lattice has depth two, each VAL entry lowers at most
 /// twice, bounding total work by O(sum over jump functions of cost(J) *
@@ -47,7 +46,7 @@
 #define IPCP_CORE_PROPAGATOR_H
 
 #include "core/ForwardJumpFunctions.h"
-#include "core/Options.h"
+#include "support/ResourceGuard.h"
 
 #include <span>
 #include <vector>
@@ -69,9 +68,8 @@ public:
   ValLayout() = default;
 
   /// Numbers every procedure of \p CG. The virtual entry edge starts
-  /// the globals of the procedure named \p EntryProcedure at zero.
-  ValLayout(const CallGraph &CG, const ModRefInfo &MRI,
-            const char *EntryProcedure);
+  /// the globals of `main` (EntryProcedureName) at zero.
+  ValLayout(const CallGraph &CG, const ModRefInfo &MRI);
 
   /// Procedure rows.
   unsigned rows() const { return unsigned(Procs.size()); }
@@ -97,7 +95,7 @@ public:
   /// procedure's extended formals (its value is then top).
   uint32_t slot(unsigned PI, const Variable *Var) const;
 
-  /// Row of the entry procedure, or ~0u when the module has none.
+  /// Row of `main`, or ~0u when the module has none.
   unsigned entryRow() const { return Entry; }
 
   /// The virtual entry edge: VAL before any call edge is evaluated. Every
@@ -191,9 +189,9 @@ struct PropagatorStats {
 /// dirty ones are still evaluated (dirty procedures restart from top and
 /// need every caller's contribution).
 struct IncrementalPropagationPlan {
-  /// The run's VAL numbering, over the same call graph, MOD/REF and entry
-  /// procedure the solver is given; the solver numbers VAL by it instead
-  /// of building its own.
+  /// The run's VAL numbering, over the same call graph and MOD/REF the
+  /// solver is given; the solver numbers VAL by it instead of building
+  /// its own.
   ValLayout Layout;
 
   /// Indexed by SCC index (CallGraph::sccIndex). Non-zero = adopted.
@@ -208,21 +206,28 @@ struct IncrementalPropagationPlan {
   }
 };
 
-/// Runs the worklist propagation to fixpoint. \p Guard, when non-null,
-/// budgets jump-function evaluations and the wall-clock deadline: on a
-/// trip the solver stops early and returns an EMPTY map (a cut-short
-/// iteration leaves VAL entries too high — optimistically wrong — so the
-/// only sound partial answer is "no interprocedural constants"); the
-/// caller observes Guard->tripped() and reports degradation. \p Plan,
-/// when non-null, preloads adopted SCCs from cached VAL sets; the
-/// summary cache models only the SCC schedule.
+/// Runs the worklist propagation to fixpoint over the SCC schedule.
+/// \p Guard, when non-null, budgets jump-function evaluations and the
+/// wall-clock deadline: on a trip the solver stops early and returns an
+/// EMPTY map (a cut-short iteration leaves VAL entries too high —
+/// optimistically wrong — so the only sound partial answer is "no
+/// interprocedural constants"); the caller observes Guard->tripped() and
+/// reports degradation. \p Plan, when non-null, preloads adopted SCCs
+/// from cached VAL sets.
 ConstantsMap propagateConstants(const CallGraph &CG, const ModRefInfo &MRI,
                                 const ForwardJumpFunctions &FJFs,
-                                const IPCPOptions &Opts,
                                 PropagatorStats *Stats = nullptr,
                                 ResourceGuard *Guard = nullptr,
                                 const IncrementalPropagationPlan *Plan =
                                     nullptr);
+
+/// propagateConstants over the naive FIFO schedule: every procedure
+/// starts pending and lowering a callee re-queues it. The same fixpoint
+/// with more visits; the baseline bench_scaling measures the SCC schedule
+/// against.
+ConstantsMap propagateConstantsFIFO(const CallGraph &CG, const ModRefInfo &MRI,
+                                    const ForwardJumpFunctions &FJFs,
+                                    PropagatorStats *Stats = nullptr);
 
 } // namespace ipcp
 

@@ -233,7 +233,7 @@ JsonValue ipcp::buildAnalysisReport(const AnalysisReport &Report) {
 }
 
 bool RequestRun::compile(std::string_view Source) {
-  std::optional<Program> Ast = parseAndCheck(Source, Diags, true, &Guard);
+  std::optional<Program> Ast = parseAndCheck(Source, Diags, &Guard);
   if (!Ast)
     return false;
   M = lowerProgram(*Ast);

@@ -35,9 +35,7 @@ std::string SummaryCache::optionsFingerprint(const IPCPOptions &Opts) {
 }
 
 bool SummaryCache::models(const IPCPOptions &Opts) {
-  return !Opts.IntraproceduralOnly && !Opts.UseBindingGraphPropagator &&
-         Opts.Engine != PropagationEngine::Contexts &&
-         Opts.Schedule == PropagationSchedule::SCC;
+  return !Opts.IntraproceduralOnly && Opts.Engine == PropagationEngine::Jump;
 }
 
 //===----------------------------------------------------------------------===//

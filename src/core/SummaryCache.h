@@ -278,9 +278,8 @@ public:
   /// into the cache key and the on-disk payload.
   static std::string optionsFingerprint(const IPCPOptions &Opts);
 
-  /// The one cache rule: false for IntraproceduralOnly, the binding-graph
-  /// propagator, the contexts engine and the FIFO schedule, which runIPCP
-  /// runs cold.
+  /// The one cache rule: false for IntraproceduralOnly and the contexts
+  /// engine, which runIPCP runs cold.
   static bool models(const IPCPOptions &Opts);
 
 private:

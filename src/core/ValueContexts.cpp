@@ -39,7 +39,7 @@ public:
     // vectors by. Its evaluations share this run's guard budget; its
     // work counters stay out of PropagatorStats (those describe the
     // contexts engine).
-    Base = propagateConstants(CG, MRI, FJFs, Opts, nullptr, Guard, nullptr);
+    Base = propagateConstants(CG, MRI, FJFs, nullptr, Guard);
     if (CtxStats) {
       CtxStats->Enabled = true;
       CtxStats->BaselineValConstants = Base.totalConstants();

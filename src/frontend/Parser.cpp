@@ -490,14 +490,12 @@ Program Parser::parseProgram() {
 
 std::optional<Program> ipcp::parseAndCheck(std::string_view Source,
                                            DiagnosticsEngine &Diags,
-                                           bool RequireMain,
                                            ResourceGuard *Guard) {
   Parser P(Source, Diags, Guard);
   Program Prog = P.parseProgram();
   if (Diags.hasErrors())
     return std::nullopt;
   Sema Checker(Diags);
-  Checker.setRequireMain(RequireMain);
   Checker.check(Prog);
   if (Diags.hasErrors())
     return std::nullopt;

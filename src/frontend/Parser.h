@@ -144,12 +144,10 @@ private:
 };
 
 /// Convenience: lex+parse+check \p Source; returns nullopt (with
-/// diagnostics) on any error. \p RequireMain demands a zero-argument
-/// `main` procedure, which whole-program analysis needs. \p Guard, when
-/// non-null, bounds the frontend's work (see Parser).
+/// diagnostics) on any error, a missing or parameterized `main` included.
+/// \p Guard, when non-null, bounds the frontend's work (see Parser).
 std::optional<Program> parseAndCheck(std::string_view Source,
                                      DiagnosticsEngine &Diags,
-                                     bool RequireMain = true,
                                      ResourceGuard *Guard = nullptr);
 
 } // namespace ipcp

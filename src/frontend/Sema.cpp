@@ -35,13 +35,11 @@ bool Sema::check(const Program &Prog) {
   for (const ProcDecl &P : Prog.Procs)
     checkProc(P);
 
-  if (RequireMain) {
-    auto Main = ProcDecls.find("main");
-    if (Main == ProcDecls.end())
-      Diags.error(SourceLoc(), "program has no 'main' procedure");
-    else if (!Main->second->Params.empty())
-      Diags.error(Main->second->Loc, "'main' must take no parameters");
-  }
+  auto Main = ProcDecls.find(EntryProcedureName);
+  if (Main == ProcDecls.end())
+    Diags.error(SourceLoc(), "program has no 'main' procedure");
+  else if (!Main->second->Params.empty())
+    Diags.error(Main->second->Loc, "'main' must take no parameters");
 
   ProcDecls.clear();
   return !Diags.hasErrors();

@@ -16,8 +16,8 @@
 ///  - arrays are always subscripted and scalars never are;
 ///  - arrays are not passed as bare call arguments (globals are the
 ///    sharing mechanism, matching the analysis' array-opacity assumption);
-///  - optionally, a zero-argument `main` procedure exists (whole-program
-///    analysis needs an entry point);
+///  - a zero-argument `main` procedure exists (whole-program analysis
+///    needs an entry point);
 ///  - warning when a do-loop induction variable is assigned in the loop
 ///    body (nonconforming Fortran; the analysis stays sound regardless).
 ///
@@ -36,14 +36,17 @@
 
 namespace ipcp {
 
+/// MiniFort's entry procedure (docs/LANGUAGE.md). Sema requires it with
+/// no parameters; the interpreter starts there; the analysis starts the
+/// entry's globals at zero on its virtual entry edge; cloning never
+/// copies it and integration keeps what it reaches.
+inline constexpr std::string_view EntryProcedureName = "main";
+
 /// Runs the MiniFort semantic checks and reports through a
 /// DiagnosticsEngine.
 class Sema {
 public:
   explicit Sema(DiagnosticsEngine &Diags) : Diags(Diags) {}
-
-  /// Demand a `main()` procedure (default true).
-  void setRequireMain(bool Require) { RequireMain = Require; }
 
   /// Checks \p Prog; returns true when no errors were found.
   bool check(const Program &Prog);
@@ -74,7 +77,6 @@ private:
                                std::string_view Name) const;
 
   DiagnosticsEngine &Diags;
-  bool RequireMain = true;
   /// Recycles map nodes from one procedure's scope to the next, so a
   /// check allocates per pool block rather than per name.
   std::pmr::unsynchronized_pool_resource NodePool;

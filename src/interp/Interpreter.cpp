@@ -7,6 +7,7 @@
 #include "interp/Interpreter.h"
 
 #include "analysis/DeadCode.h"
+#include "frontend/Sema.h"
 #include "support/Casting.h"
 
 #include <cassert>
@@ -62,7 +63,7 @@ public:
   }
 
   void run() {
-    const Procedure *Main = M.findProcedure("main");
+    const Procedure *Main = M.findProcedure(EntryProcedureName);
     assert(Main && "interpret requires a main procedure");
     if (enter(*Main, /*ArgCells=*/{}, /*Depth=*/0))
       execute();

@@ -165,7 +165,7 @@ std::string ipcp::printProcedure(const Procedure &P) {
     if (!BB->predecessors().empty()) {
       Out += "    ; preds:";
       for (BasicBlock *Pred : BB->predecessors())
-        Out += " " + std::string(Pred->getName());
+        Out.append(" ").append(Pred->getName());
     }
     Out += "\n";
     for (Instruction *Inst : BB->instructions())

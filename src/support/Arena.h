@@ -35,13 +35,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <span>
 #include <string_view>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -52,7 +50,9 @@ namespace ipcp {
 
 /// A chunked bump allocator. Allocation is a pointer bump in the common
 /// case; chunks grow geometrically up to MaxChunkBytes so large arenas
-/// amortize to O(log n) mallocs total.
+/// amortize to O(log n) mallocs total. Each chunk is one heap allocation:
+/// a small header, then the payload, with the headers linking the chunks
+/// newest to oldest, so the arena keeps no side table of its chunks.
 class Arena {
 public:
   explicit Arena(size_t FirstChunkBytes = 4096,
@@ -144,12 +144,11 @@ public:
   /// reset-and-refill cycle settles into zero mallocs.
   void reset() {
     releaseChunks(1);
-    if (!Chunks.empty()) {
-      Cur = reinterpret_cast<uintptr_t>(Chunks.front().Data.get());
-      End = Cur + Chunks.front().Bytes;
+    if (Last) {
+      Cur = reinterpret_cast<uintptr_t>(Last->payload());
+      End = Cur + Last->Bytes;
 #ifdef IPCP_ARENA_ASAN
-      ASAN_POISON_MEMORY_REGION(Chunks.front().Data.get(),
-                                Chunks.front().Bytes);
+      ASAN_POISON_MEMORY_REGION(Last->payload(), Last->Bytes);
 #endif
     } else {
       Cur = End = 0;
@@ -161,35 +160,37 @@ public:
   size_t bytesAllocated() const { return Allocated; }
 
   /// Chunks currently owned (1 after reset unless empty).
-  size_t chunkCount() const { return Chunks.size(); }
+  size_t chunkCount() const { return NumChunks; }
 
 private:
-  struct Chunk {
-    std::unique_ptr<std::byte[]> Data;
-    size_t Bytes = 0;
+  /// Sits in front of each chunk's payload, in the same allocation. Its
+  /// size keeps the payload aligned for any type.
+  struct alignas(std::max_align_t) ChunkHeader {
+    ChunkHeader *Prev; ///< the chunk allocated before this one, or null
+    size_t Bytes;      ///< payload bytes
+    std::byte *payload() { return reinterpret_cast<std::byte *>(this + 1); }
   };
 
   void take(Arena &Other) {
-    Chunks = std::move(Other.Chunks);
-    Cur = Other.Cur;
-    End = Other.End;
-    Allocated = Other.Allocated;
+    Last = std::exchange(Other.Last, nullptr);
+    NumChunks = std::exchange(Other.NumChunks, 0);
+    Cur = std::exchange(Other.Cur, 0);
+    End = std::exchange(Other.End, 0);
+    Allocated = std::exchange(Other.Allocated, 0);
     NextChunkBytes = Other.NextChunkBytes;
     MaxChunkBytes = Other.MaxChunkBytes;
-    Other.Chunks.clear();
-    Other.Cur = Other.End = 0;
-    Other.Allocated = 0;
   }
 
-  /// Frees every chunk after the first \p Keep.
+  /// Frees every chunk but the first \p Keep allocated.
   void releaseChunks(size_t Keep) {
-    while (Chunks.size() > Keep) {
+    while (NumChunks > Keep) {
+      ChunkHeader *C = std::exchange(Last, Last->Prev);
 #ifdef IPCP_ARENA_ASAN
       // The heap allocator owns these bytes again.
-      ASAN_UNPOISON_MEMORY_REGION(Chunks.back().Data.get(),
-                                  Chunks.back().Bytes);
+      ASAN_UNPOISON_MEMORY_REGION(C->payload(), C->Bytes);
 #endif
-      Chunks.pop_back();
+      ::operator delete(C);
+      --NumChunks;
     }
   }
 
@@ -199,20 +200,22 @@ private:
       Bytes *= 2;
     if (NextChunkBytes < MaxChunkBytes)
       NextChunkBytes = std::min(NextChunkBytes * 2, MaxChunkBytes);
-    Chunk C;
-    // Default-initialized: untouched pages of a large chunk stay out of
-    // the resident set.
-    C.Data.reset(new std::byte[Bytes]);
-    C.Bytes = Bytes;
-    Cur = reinterpret_cast<uintptr_t>(C.Data.get());
+    // The header comes on top of the payload, so a chunk sized to fit an
+    // owner's bytes exactly still fits them. The payload is left
+    // uninitialized: untouched pages of a large chunk stay out of the
+    // resident set.
+    Last = ::new (::operator new(sizeof(ChunkHeader) + Bytes))
+        ChunkHeader{Last, Bytes};
+    ++NumChunks;
+    Cur = reinterpret_cast<uintptr_t>(Last->payload());
     End = Cur + Bytes;
 #ifdef IPCP_ARENA_ASAN
-    ASAN_POISON_MEMORY_REGION(C.Data.get(), Bytes);
+    ASAN_POISON_MEMORY_REGION(Last->payload(), Bytes);
 #endif
-    Chunks.push_back(std::move(C));
   }
 
-  std::vector<Chunk> Chunks;
+  ChunkHeader *Last = nullptr; ///< the newest chunk
+  size_t NumChunks = 0;
   uintptr_t Cur = 0;
   uintptr_t End = 0;
   size_t Allocated = 0;

@@ -16,10 +16,12 @@
 
 #include "TestUtil.h"
 
+#include "core/Report.h"
 #include "ir/IRPrinter.h"
 #include "support/Arena.h"
 #include "support/FileIO.h"
 #include "support/Ids.h"
+#include "workload/Generator.h"
 #include "workload/Programs.h"
 
 #include <cstdint>
@@ -116,6 +118,42 @@ TEST(Arena, MovedFromArenaDoesNotAliasTarget) {
   EXPECT_EQ(*FromC, 5);
   EXPECT_EQ(*FromB2, 6);
   EXPECT_EQ(*FromB, 3);
+}
+
+TEST(Arena, ExactFirstChunkHoldsItsBytes) {
+  // A first chunk sized to what its owner will allocate takes all of it:
+  // the chunk's bookkeeping does not come out of the payload.
+  Arena A(/*FirstChunkBytes=*/96);
+  for (int I = 0; I != 12; ++I)
+    A.allocate(8, alignof(uint64_t));
+  EXPECT_EQ(A.bytesAllocated(), 96u);
+  EXPECT_EQ(A.chunkCount(), 1u);
+  A.allocate(1, 1);
+  EXPECT_EQ(A.chunkCount(), 2u) << "the 97th byte needs a second chunk";
+}
+
+// Lowering sizes each procedure's first arena chunk to the bytes the
+// procedure takes (ArenaSizer in ir/AstLower.cpp), so every procedure a
+// compile lowers owns exactly one chunk.
+TEST(Arena, CompiledProceduresOwnOneChunkEach) {
+  for (unsigned NumProcs : {64u, 512u}) {
+    GeneratorConfig Config;
+    Config.Seed = 1;
+    Config.NumProcs = NumProcs;
+    AnalysisRequest Req;
+    RequestRun Run(Req);
+    ASSERT_TRUE(Run.compile(generateProgram(Config))) << NumProcs;
+    const auto &Procs = Run.M->procedures();
+    EXPECT_EQ(Procs.size(), NumProcs + 1) << "the generated procs and main";
+    std::vector<std::string> Spilled;
+    for (const std::unique_ptr<Procedure> &P : Procs)
+      if (P->arena().chunkCount() != 1)
+        Spilled.push_back(P->getName());
+    EXPECT_TRUE(Spilled.empty())
+        << Spilled.size() << " of " << Procs.size() << " procedures at "
+        << NumProcs << " own other than one chunk, first "
+        << (Spilled.empty() ? "" : Spilled.front());
+  }
 }
 
 #if defined(__SANITIZE_ADDRESS__)

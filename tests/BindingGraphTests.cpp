@@ -15,6 +15,7 @@
 
 #include "core/BindingGraph.h"
 #include "core/Pipeline.h"
+#include "support/FileIO.h"
 #include "workload/Generator.h"
 #include "workload/Programs.h"
 
@@ -37,11 +38,13 @@ struct DualRun {
   }
 
   ConstantsMap callGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstants(A.CG, A.MRI, A.Tables.FJFs, Opts, Stats);
+    return propagateConstants(A.CG, A.MRI, A.Tables.FJFs, Stats);
+  }
+  ConstantsMap fifo(PropagatorStats *Stats = nullptr) {
+    return propagateConstantsFIFO(A.CG, A.MRI, A.Tables.FJFs, Stats);
   }
   ConstantsMap bindingGraph(PropagatorStats *Stats = nullptr) {
-    return propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs, Opts,
-                                          Stats);
+    return propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs, Stats);
   }
 };
 
@@ -138,11 +141,9 @@ TEST(BindingGraph, ReevaluatesOnlyDependentEdges) {
   // The binding graph's claimed advantage is over the naive FIFO
   // worklist (the SCC schedule also avoids the revisit, so pin the
   // baseline explicitly).
-  IPCPOptions Fifo;
-  Fifo.Schedule = PropagationSchedule::FIFO;
-  DualRun Run(lowerOk(Src), Fifo);
+  DualRun Run(lowerOk(Src));
   PropagatorStats CGStats, BGStats;
-  ConstantsMap A = Run.callGraph(&CGStats);
+  ConstantsMap A = Run.fifo(&CGStats);
   ConstantsMap B = Run.bindingGraph(&BGStats);
   EXPECT_TRUE(A.equals(B));
   // FIFO worklist: hub is revisited after v lowers, re-evaluating all 31
@@ -152,16 +153,35 @@ TEST(BindingGraph, ReevaluatesOnlyDependentEdges) {
             CGStats.JumpFunctionEvaluations);
 }
 
-TEST(BindingGraph, PipelineOptionProducesSameResults) {
-  for (const char *Name : {"ocean", "linpackd", "snasa7"}) {
-    auto M = loadSuiteModule(*findSuiteProgram(Name));
-    IPCPOptions Binding;
-    Binding.UseBindingGraphPropagator = true;
-    IPCPResult A = runIPCP(*M);
-    IPCPResult B = runIPCP(*M, Binding);
-    EXPECT_EQ(A.TotalConstantRefs, B.TotalConstantRefs) << Name;
-    EXPECT_EQ(A.TotalEntryConstants, B.TotalEntryConstants) << Name;
-    EXPECT_EQ(A.Facts.ConstantLoads, B.Facts.ConstantLoads) << Name;
+// The golden corpus (tests/golden/): the binding multigraph reaches the
+// analyzer's fixpoint on every program, and its work counters stay
+// pinned as visits/evaluations/lowerings/revisits.
+TEST(BindingGraph, GoldenCorpusCounters) {
+  struct Expected {
+    const char *Program;
+    PropagatorStats Stats;
+  };
+  const Expected Corpus[] = {
+      {"heat", {9, 10, 10, 0}},
+      {"deep_nest", {0, 0, 0, 0}},
+      {"divergent", {2, 6, 3, 0}},
+      {"context_swap", {6, 11, 9, 0}},
+  };
+  for (const auto &[Program, Want] : Corpus) {
+    std::string Source, Error;
+    ASSERT_TRUE(readFileToString(std::string(IPCP_EXAMPLES_DIR) + "/" +
+                                     Program + ".mf",
+                                 Source, &Error))
+        << Error;
+    DualRun Run(lowerOk(Source));
+    PropagatorStats Got;
+    ConstantsMap B = Run.bindingGraph(&Got);
+    EXPECT_TRUE(Run.callGraph().equals(B)) << Program;
+    EXPECT_EQ(Got.ProcVisits, Want.ProcVisits) << Program;
+    EXPECT_EQ(Got.JumpFunctionEvaluations, Want.JumpFunctionEvaluations)
+        << Program;
+    EXPECT_EQ(Got.Lowerings, Want.Lowerings) << Program;
+    EXPECT_EQ(Got.Revisits, Want.Revisits) << Program;
   }
 }
 

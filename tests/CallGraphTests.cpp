@@ -118,8 +118,7 @@ TEST(CallGraph, ReachabilityFromEntry) {
 }
 
 TEST(CallGraph, SelfLoopSCC) {
-  auto M = lowerOk("proc f() { call f(); }\nproc main() { }",
-                   /*RequireMain=*/true);
+  auto M = lowerOk("proc f() { call f(); }\nproc main() { }");
   CallGraph CG(*M);
   EXPECT_TRUE(CG.isRecursive(getProc(*M, "f")));
   for (const std::vector<Procedure *> &SCC : CG.sccsBottomUp())

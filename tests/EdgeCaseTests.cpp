@@ -8,6 +8,7 @@
 
 #include "analysis/SCCP.h"
 #include "analysis/SSAConstruction.h"
+#include "core/BindingGraph.h"
 #include "core/Pipeline.h"
 #include "frontend/Lexer.h"
 #include "interp/Interpreter.h"
@@ -149,12 +150,14 @@ TEST(PipelineEdge, BindingGraphOptionMatchesOnEveryClass) {
   for (JumpFunctionKind Kind :
        {JumpFunctionKind::Literal, JumpFunctionKind::IntraproceduralConstant,
         JumpFunctionKind::PassThrough, JumpFunctionKind::Polynomial}) {
-    IPCPOptions A;
-    A.ForwardKind = Kind;
-    IPCPOptions B = A;
-    B.UseBindingGraphPropagator = true;
-    EXPECT_EQ(runIPCP(*M, A).TotalConstantRefs,
-              runIPCP(*M, B).TotalConstantRefs)
+    IPCPOptions Opts;
+    Opts.ForwardKind = Kind;
+    ModuleAnalysis A(*M, Opts);
+    buildJumpFunctions(A, Opts);
+    ConstantsMap Worklist = propagateConstants(A.CG, A.MRI, A.Tables.FJFs);
+    EXPECT_GT(Worklist.totalEntries(), 0u) << jumpFunctionKindName(Kind);
+    EXPECT_TRUE(Worklist.equals(
+        propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs)))
         << jumpFunctionKindName(Kind);
   }
 }
@@ -286,11 +289,16 @@ TEST(OverflowAgreement, JumpFunctionCompositionDeclinesOverflow) {
     EXPECT_NE(Name, "w") << "overflowing composition must go to bottom";
 
   // The binding-graph formulation must agree on the same composition.
-  IPCPOptions BG;
-  BG.UseBindingGraphPropagator = true;
-  IPCPResult RB = runIPCP(*M, BG);
-  EXPECT_EQ(RB.TotalEntryConstants, R.TotalEntryConstants);
-  EXPECT_EQ(RB.TotalConstantRefs, R.TotalConstantRefs);
+  ModuleAnalysis A(*M, IPCPOptions());
+  buildJumpFunctions(A, IPCPOptions());
+  ConstantsMap BG = propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs);
+  EXPECT_TRUE(BG.equals(propagateConstants(A.CG, A.MRI, A.Tables.FJFs)));
+  Procedure *MidProc = getProc(*M, "mid");
+  Procedure *LeafProc = getProc(*M, "leaf");
+  ASSERT_TRUE(BG.valueOf(MidProc, MidProc->formals()[0]).isConstant());
+  EXPECT_EQ(BG.valueOf(MidProc, MidProc->formals()[0]).getConstant(),
+            int64_t(1) << 62);
+  EXPECT_TRUE(BG.valueOf(LeafProc, LeafProc->formals()[0]).isBottom());
 }
 
 TEST(PipelineEdge, IrrelevantPlusCountedConsistent) {

@@ -679,15 +679,40 @@ TEST(IncrementalCache, OptionsMismatchMissesTheCache) {
   EXPECT_EQ(Cache.size(), 0u);
 }
 
+/// \p Row moved off its default, one variant per other value: the
+/// flipped switch, every other choice, or the least and the next count.
+std::vector<IPCPOptions> offDefault(const OptionSpec &Row) {
+  std::vector<IPCPOptions> Variants;
+  const IPCPOptions Defaults;
+  if (Row.Type == OptionType::Switch) {
+    Row.Set(Variants.emplace_back(), !Row.Get(Defaults));
+  } else if (Row.Type == OptionType::Choice) {
+    for (const OptionChoice &C : Row.Choices)
+      if (C.Value != Row.Get(Defaults))
+        Row.Set(Variants.emplace_back(), C.Value);
+  } else {
+    for (uint64_t V : {Row.Min, Row.Get(Defaults) + 1})
+      if (V != Row.Get(Defaults))
+        Row.Set(Variants.emplace_back(), V);
+  }
+  return Variants;
+}
+
 // The configurations the summary format does not model run cold even
 // when handed a cache: nothing is adopted and nothing is committed.
+// SummaryCache::models reads intraprocedural_only and engine alone:
+// moving any other setting off its default keeps the run cached.
 TEST(IncrementalCache, UnmodeledConfigurationsLeaveTheCacheEmpty) {
+  for (const OptionSpec &Row : optionTable()) {
+    bool Read = Row.Key == std::string("intraprocedural_only") ||
+                Row.Key == std::string("engine");
+    for (const IPCPOptions &Opts : offDefault(Row))
+      EXPECT_EQ(SummaryCache::models(Opts), !Read) << Row.Key;
+  }
   std::unique_ptr<Module> M = lowerOk(Chain);
-  std::vector<IPCPOptions> Unmodeled(4);
+  std::vector<IPCPOptions> Unmodeled(2);
   Unmodeled[0].IntraproceduralOnly = true;
-  Unmodeled[1].UseBindingGraphPropagator = true;
-  Unmodeled[2].Engine = PropagationEngine::Contexts;
-  Unmodeled[3].Schedule = PropagationSchedule::FIFO;
+  Unmodeled[1].Engine = PropagationEngine::Contexts;
   for (const IPCPOptions &Opts : Unmodeled) {
     std::string Label = SummaryCache::optionsFingerprint(Opts);
     SummaryCache Cache;
@@ -702,27 +727,12 @@ TEST(IncrementalCache, UnmodeledConfigurationsLeaveTheCacheEmpty) {
 TEST(IncrementalCache, FingerprintCoversEveryFingerprintedOption) {
   const std::string Default = SummaryCache::optionsFingerprint(IPCPOptions());
   EXPECT_EQ(Default, "ipcp-cache-v2;jf=polynomial;rjf=1;mod=1;intra=0;"
-                     "gated=0;bg=0;sched=scc;engine=jump;maxexpr=64;"
-                     "entry=main");
+                     "gated=0;engine=jump;maxexpr=64");
   // Move every setting off its default, one at a time: a fingerprinted
   // setting must change the fingerprint, and max_contexts and the
   // budgets, which cached summaries do not depend on, must not.
   for (const OptionSpec &Row : optionTable()) {
-    std::vector<IPCPOptions> Variants;
-    const IPCPOptions Defaults;
-    if (Row.Type == OptionType::Name) {
-      Variants.emplace_back().EntryProcedure = "start";
-    } else if (Row.Type == OptionType::Switch) {
-      Row.Set(Variants.emplace_back(), !Row.Get(Defaults));
-    } else if (Row.Type == OptionType::Choice) {
-      for (const OptionChoice &C : Row.Choices)
-        if (C.Value != Row.Get(Defaults))
-          Row.Set(Variants.emplace_back(), C.Value);
-    } else {
-      for (uint64_t V : {Row.Min, Row.Get(Defaults) + 1})
-        if (V != Row.Get(Defaults))
-          Row.Set(Variants.emplace_back(), V);
-    }
+    std::vector<IPCPOptions> Variants = offDefault(Row);
     ASSERT_FALSE(Variants.empty()) << Row.Key;
     for (const IPCPOptions &V : Variants) {
       if (Row.FingerprintTag) {

@@ -7,6 +7,7 @@
 #include "TestUtil.h"
 
 #include "analysis/DeadCode.h"
+#include "core/BindingGraph.h"
 #include "core/Pipeline.h"
 #include "ir/IRPrinter.h"
 #include "workload/Generator.h"
@@ -110,16 +111,14 @@ TEST(Pipeline, AnalysisLeavesEveryModuleUntouched) {
                          lowerOk(generateProgram(Config))});
     }
 
-  std::vector<std::pair<std::string, IPCPOptions>> Configs(5);
+  std::vector<std::pair<std::string, IPCPOptions>> Configs(4);
   Configs[0].first = "default";
   Configs[1].first = "gated-ssa";
   Configs[1].second.UseGatedSSA = true;
   Configs[2].first = "no-mod";
   Configs[2].second.UseModInformation = false;
-  Configs[3].first = "binding-graph";
-  Configs[3].second.UseBindingGraphPropagator = true;
-  Configs[4].first = "contexts";
-  Configs[4].second.Engine = PropagationEngine::Contexts;
+  Configs[3].first = "contexts";
+  Configs[3].second.Engine = PropagationEngine::Contexts;
 
   for (const auto &[Name, M] : Modules) {
     std::string Text = printModule(*M);
@@ -137,6 +136,9 @@ TEST(Pipeline, AnalysisLeavesEveryModuleUntouched) {
       ModuleAnalysis A(*M, Opts);
       buildJumpFunctions(A, Opts);
       ExpectUntouched("buildJumpFunctions " + ConfigName);
+      propagateConstantsFIFO(A.CG, A.MRI, A.Tables.FJFs);
+      propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs);
+      ExpectUntouched("the reference solvers " + ConfigName);
     }
   }
 }
@@ -216,18 +218,6 @@ TEST(Pipeline, NoModOptionUsesWorstCase) {
   IPCPResult Without = runIPCP(*M, NoMod);
   EXPECT_GT(With.TotalConstantRefs, Without.TotalConstantRefs)
       << "without MOD the second call site loses g";
-}
-
-TEST(Pipeline, CustomEntryProcedure) {
-  auto M = lowerOk("global g;\nproc start() { print g; }\n"
-                   "proc main() { print 1; }");
-  IPCPOptions Opts;
-  Opts.EntryProcedure = "start";
-  IPCPResult R = runIPCP(*M, Opts);
-  const ProcedureResult *Start = R.findProc("start");
-  ASSERT_EQ(Start->EntryConstants.size(), 1u);
-  EXPECT_EQ(Start->EntryConstants[0].first, "g");
-  EXPECT_EQ(Start->EntryConstants[0].second, 0);
 }
 
 TEST(Pipeline, EmptyProgramIsFine) {

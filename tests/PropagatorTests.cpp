@@ -34,6 +34,24 @@ IPCPResult analyze(const std::string &Source, IPCPOptions Opts = {}) {
   return runIPCP(*M, Opts);
 }
 
+/// A module's jump functions, built once, solved under either schedule.
+struct Schedules {
+  std::unique_ptr<Module> M;
+  ModuleAnalysis A;
+
+  explicit Schedules(const std::string &Source)
+      : M(lowerOk(Source)), A(*M, IPCPOptions()) {
+    buildJumpFunctions(A, IPCPOptions());
+  }
+
+  ConstantsMap scc(PropagatorStats *Stats = nullptr) {
+    return propagateConstants(A.CG, A.MRI, A.Tables.FJFs, Stats);
+  }
+  ConstantsMap fifo(PropagatorStats *Stats = nullptr) {
+    return propagateConstantsFIFO(A.CG, A.MRI, A.Tables.FJFs, Stats);
+  }
+};
+
 TEST(Propagator, SingleEdgeLiteral) {
   IPCPResult R = analyze("proc f(a) { print a; }\n"
                          "proc main() { call f(7); }");
@@ -200,53 +218,52 @@ TEST(Propagator, SccAndFifoSchedulesAgree) {
         "global g, h;\n"
         "proc use() { print g + h; }\n"
         "proc main() { g = 5; call use(); }"}) {
-    auto M = lowerOk(Source);
-    IPCPOptions Fifo;
-    Fifo.Schedule = PropagationSchedule::FIFO;
-    IPCPResult Scc = runIPCP(*M);
-    IPCPResult Naive = runIPCP(*M, Fifo);
-    ASSERT_EQ(Scc.Procs.size(), Naive.Procs.size());
-    for (unsigned I = 0; I != Scc.Procs.size(); ++I) {
-      EXPECT_EQ(Scc.Procs[I].EntryConstants, Naive.Procs[I].EntryConstants);
-      EXPECT_EQ(Scc.Procs[I].ConstantRefs, Naive.Procs[I].ConstantRefs);
-    }
+    Schedules S(Source);
+    ConstantsMap Scc = S.scc();
+    EXPECT_GT(Scc.totalEntries(), 0u) << Source;
+    EXPECT_TRUE(Scc.equals(S.fifo())) << Source;
   }
 }
 
 TEST(Propagator, SccScheduleNeverRevisitsAcyclicGraphs) {
   // Module order lists callees first, the worst case for the FIFO
   // schedule; the SCC sweep still visits each procedure exactly once.
-  auto M = lowerOk("proc c(z) { print z; }\n"
-                   "proc b(y) { call c(y); }\n"
-                   "proc a(x) { call b(x); }\n"
-                   "proc main() { call a(9); }");
-  IPCPResult Scc = runIPCP(*M);
-  EXPECT_EQ(Scc.Stats.get("prop_revisits"), 0u);
-  EXPECT_EQ(Scc.Stats.get("prop_visits"), 4u);
+  Schedules S("proc c(z) { print z; }\n"
+              "proc b(y) { call c(y); }\n"
+              "proc a(x) { call b(x); }\n"
+              "proc main() { call a(9); }");
+  IPCPResult R = runIPCP(*S.M);
+  EXPECT_EQ(R.Stats.get("prop_revisits"), 0u);
+  EXPECT_EQ(R.Stats.get("prop_visits"), 4u);
 
-  IPCPOptions Fifo;
-  Fifo.Schedule = PropagationSchedule::FIFO;
-  IPCPResult Naive = runIPCP(*M, Fifo);
-  EXPECT_GT(Naive.Stats.get("prop_revisits"), 0u);
-  EXPECT_LT(Scc.Stats.get("prop_visits"), Naive.Stats.get("prop_visits"));
-  EXPECT_LT(Scc.Stats.get("prop_evaluations"),
-            Naive.Stats.get("prop_evaluations"));
+  PropagatorStats Scc, Naive;
+  S.scc(&Scc);
+  S.fifo(&Naive);
+  EXPECT_EQ(Scc.Revisits, 0u);
+  EXPECT_EQ(Scc.ProcVisits, 4u);
+  EXPECT_EQ(Scc.JumpFunctionEvaluations, R.Stats.get("prop_evaluations"));
+  EXPECT_GT(Naive.Revisits, 0u);
+  EXPECT_LT(Scc.ProcVisits, Naive.ProcVisits);
+  EXPECT_LT(Scc.JumpFunctionEvaluations, Naive.JumpFunctionEvaluations);
 }
 
 TEST(Propagator, RecursiveComponentsStillIterate) {
   // A cyclic component must keep iterating until its members converge:
   // the conflicting recursive argument has to reach bottom, not stop at
   // the first visit's value.
-  IPCPOptions Fifo;
-  Fifo.Schedule = PropagationSchedule::FIFO;
-  for (IPCPOptions Opts : {IPCPOptions(), Fifo}) {
-    IPCPResult R = analyze(
-        "proc f(n, k) { if (n > 0) { call f(n - 1, k); } print n + k; }\n"
-        "proc main() { call f(3, 42); }",
-        Opts);
-    auto C = constantsOf(R, "f");
-    EXPECT_FALSE(C.count("n")) << "n meets 3, 2, 1, ... -> bottom";
-    EXPECT_EQ(C["k"], 42);
+  const char *Source =
+      "proc f(n, k) { if (n > 0) { call f(n - 1, k); } print n + k; }\n"
+      "proc main() { call f(3, 42); }";
+  auto C = constantsOf(analyze(Source), "f");
+  EXPECT_FALSE(C.count("n")) << "n meets 3, 2, 1, ... -> bottom";
+  EXPECT_EQ(C["k"], 42);
+
+  Schedules S(Source);
+  Procedure *F = getProc(*S.M, "f");
+  for (const ConstantsMap &CM : {S.scc(), S.fifo()}) {
+    EXPECT_TRUE(CM.valueOf(F, F->formals()[0]).isBottom());
+    ASSERT_TRUE(CM.valueOf(F, F->formals()[1]).isConstant());
+    EXPECT_EQ(CM.valueOf(F, F->formals()[1]).getConstant(), 42);
   }
 }
 

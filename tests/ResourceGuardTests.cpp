@@ -13,6 +13,7 @@
 
 #include "TestUtil.h"
 
+#include "core/BindingGraph.h"
 #include "core/Pipeline.h"
 #include "core/Report.h"
 #include "support/FileIO.h"
@@ -103,7 +104,7 @@ bool parseAtDepth(unsigned Parens, unsigned Limit,
   Expr += "1";
   Expr.append(Parens, ')');
   std::optional<Program> Ast =
-      parseAndCheck("proc main() { print " + Expr + "; }", Diags, true, &Guard);
+      parseAndCheck("proc main() { print " + Expr + "; }", Diags, &Guard);
   if (ErrsOut)
     *ErrsOut = Diags.str();
   if (TrippedOut)
@@ -148,7 +149,7 @@ TEST(ParserGuard, BlockDepthBoundaryDiagnosesCleanly) {
     for (unsigned I = 0; I != Depth; ++I)
       Body = "{ " + Body + " }";
     std::optional<Program> Ast =
-        parseAndCheck("proc main() { " + Body + " }", Diags, true, &Guard);
+        parseAndCheck("proc main() { " + Body + " }", Diags, &Guard);
     if (Errs)
       *Errs = Diags.str();
     return Ast.has_value();
@@ -183,7 +184,7 @@ TEST(ParserGuard, TokenBudgetTripsWithDiagnostic) {
   ResourceGuard Guard(Limits);
   DiagnosticsEngine Diags;
   std::optional<Program> Ast = parseAndCheck(
-      "proc main() { print 1 + 2 + 3 + 4; }", Diags, true, &Guard);
+      "proc main() { print 1 + 2 + 3 + 4; }", Diags, &Guard);
   EXPECT_FALSE(Ast.has_value());
   EXPECT_TRUE(Guard.tripped());
   EXPECT_EQ(Guard.status().TrippedLimit, "tokens");
@@ -196,7 +197,7 @@ TEST(ParserGuard, AstNodeBudgetTripsWithDiagnostic) {
   ResourceGuard Guard(Limits);
   DiagnosticsEngine Diags;
   std::optional<Program> Ast = parseAndCheck(
-      "proc main() { print 1 + 2 + 3 + 4 + 5 + 6; }", Diags, true, &Guard);
+      "proc main() { print 1 + 2 + 3 + 4 + 5 + 6; }", Diags, &Guard);
   EXPECT_FALSE(Ast.has_value());
   EXPECT_TRUE(Guard.tripped());
   EXPECT_EQ(Guard.status().TrippedLimit, "ast-nodes");
@@ -210,8 +211,7 @@ TEST(ParserGuard, GenerousBudgetsLeaveParsingUntouched) {
   ResourceGuard Guard(Limits);
   DiagnosticsEngine Diags;
   std::optional<Program> Ast = parseAndCheck(
-      "proc f(x) { print x; }\nproc main() { call f(1); }", Diags, true,
-      &Guard);
+      "proc f(x) { print x; }\nproc main() { call f(1); }", Diags, &Guard);
   EXPECT_TRUE(Ast.has_value());
   EXPECT_FALSE(Guard.tripped());
   EXPECT_FALSE(Diags.hasErrors());
@@ -247,12 +247,25 @@ TEST(PipelineGuard, PropagationBudgetDegradesToSoundEmptyMap) {
 TEST(PipelineGuard, BindingGraphPropagatorDegradesIdentically) {
   auto M = lowerOk(FanoutSource);
   IPCPOptions Opts;
-  Opts.UseBindingGraphPropagator = true;
-  Opts.Limits.MaxPropagationEvals = 1;
-  IPCPResult R = runIPCP(*M, Opts);
-  EXPECT_TRUE(R.Status.Degraded);
-  EXPECT_EQ(R.Status.TrippedLimit, "prop-evals");
-  EXPECT_EQ(R.TotalEntryConstants, 0u);
+  ModuleAnalysis A(*M, Opts);
+  buildJumpFunctions(A, Opts);
+  ResourceLimits Limits;
+  Limits.MaxPropagationEvals = 1;
+  for (bool Binding : {false, true}) {
+    ResourceGuard Guard(Limits);
+    ConstantsMap CM =
+        Binding ? propagateConstantsBindingGraph(A.CG, A.MRI, A.Tables.FJFs,
+                                                 nullptr, &Guard)
+                : propagateConstants(A.CG, A.MRI, A.Tables.FJFs, nullptr,
+                                     &Guard);
+    PipelineStatus Status = Guard.status();
+    EXPECT_TRUE(Status.Degraded) << Binding;
+    EXPECT_EQ(Status.TrippedLimit, "prop-evals") << Binding;
+    EXPECT_EQ(Status.Stage, "propagation") << Binding;
+    // The cut-short fixpoint is discarded whole: the empty map.
+    EXPECT_EQ(CM.layout().rows(), 0u) << Binding;
+    EXPECT_EQ(CM.totalEntries(), 0u) << Binding;
+  }
 }
 
 TEST(PipelineGuard, IRBudgetShortCircuitsTheRun) {

@@ -161,7 +161,7 @@ TEST(Sema, DoLoopInductionAssignmentWarns) {
 TEST(Sema, MainRequired) {
   EXPECT_NE(parseErrors("proc f() { }").find("no 'main'"),
             std::string::npos);
-  parseOk("proc f() { }", /*RequireMain=*/false);
+  parseOk("proc f() { }\nproc main() { call f(); }");
 }
 
 TEST(Sema, MainMustTakeNoParameters) {

@@ -240,12 +240,9 @@ const Setting Vocabulary[] = {
     {"mod_information", "--no-mod", FIELD(UseModInformation, bool)},
     {"intraprocedural_only", "--intra-only", FIELD(IntraproceduralOnly, bool)},
     {"gated_ssa", "--gated-ssa", FIELD(UseGatedSSA, bool)},
-    {"binding_graph", "--binding-graph", FIELD(UseBindingGraphPropagator, bool)},
-    {"schedule", nullptr, FIELD(Schedule, PropagationSchedule)},
     {"engine", "--engine", FIELD(Engine, PropagationEngine)},
     {"max_contexts", "--max-contexts", FIELD(MaxContexts, unsigned)},
     {"max_expr_nodes", nullptr, FIELD(MaxExprNodes, unsigned)},
-    {"entry_procedure", nullptr, nullptr},
     {"parse_depth", "--limit-parse-depth", FIELD(Limits.MaxParseDepth, unsigned)},
     {"tokens", "--limit-tokens", FIELD(Limits.MaxTokens, uint64_t)},
     {"ast_nodes", "--limit-ast-nodes", FIELD(Limits.MaxAstNodes, uint64_t)},
@@ -264,12 +261,8 @@ void expectSameOptions(const IPCPOptions &A, const IPCPOptions &B,
   EXPECT_EQ(A.IntraproceduralOnly, B.IntraproceduralOnly) << Where;
   EXPECT_EQ(A.MaxExprNodes, B.MaxExprNodes) << Where;
   EXPECT_EQ(A.UseGatedSSA, B.UseGatedSSA) << Where;
-  EXPECT_EQ(A.Schedule, B.Schedule) << Where;
-  EXPECT_EQ(A.UseBindingGraphPropagator, B.UseBindingGraphPropagator)
-      << Where;
   EXPECT_EQ(A.Engine, B.Engine) << Where;
   EXPECT_EQ(A.MaxContexts, B.MaxContexts) << Where;
-  EXPECT_STREQ(A.EntryProcedure, B.EntryProcedure) << Where;
   EXPECT_EQ(A.Limits.MaxParseDepth, B.Limits.MaxParseDepth) << Where;
   EXPECT_EQ(A.Limits.MaxTokens, B.Limits.MaxTokens) << Where;
   EXPECT_EQ(A.Limits.MaxAstNodes, B.Limits.MaxAstNodes) << Where;
@@ -323,9 +316,6 @@ TEST(ServiceCodec, OptionTableKeepsTheVocabulary) {
                      (Row.Surfaces & OnOptions))) {
       EXPECT_NE(Row.Help, nullptr) << Row.Key << " is parsed but has no help";
     }
-    if (Row.Type == OptionType::Name) {
-      EXPECT_EQ(Row.Surfaces & (OnOptions | OnLimits), 0u) << Row.Key;
-    }
     if (Row.Surfaces & OnDriver)
       Driver += std::string(Row.Flag) + " ";
     if (Row.Surfaces & OnServerd)
@@ -340,18 +330,18 @@ TEST(ServiceCodec, OptionTableKeepsTheVocabulary) {
       Tags += std::string(Row.FingerprintTag) + " ";
   }
   EXPECT_EQ(Driver, "--jf --no-return-jf --no-mod --intra-only --gated-ssa "
-                    "--binding-graph --engine --max-contexts "
+                    "--engine --max-contexts "
                     "--limit-parse-depth --limit-tokens --limit-ast-nodes "
                     "--limit-ir-insts --limit-prop-evals --deadline-ms ");
   EXPECT_EQ(Serverd, "--limit-parse-depth --limit-tokens --limit-ast-nodes "
                      "--limit-ir-insts --limit-prop-evals --deadline-ms ");
   EXPECT_EQ(Suitecheck, "--engine ");
   EXPECT_EQ(Options, "forward_jf return_jf mod_information "
-                     "intraprocedural_only gated_ssa binding_graph engine "
+                     "intraprocedural_only gated_ssa engine "
                      "max_contexts max_expr_nodes ");
   EXPECT_EQ(Limits,
             "parse_depth tokens ast_nodes ir_insts prop_evals deadline_ms ");
-  EXPECT_EQ(Tags, "jf rjf mod intra gated bg sched engine maxexpr entry ");
+  EXPECT_EQ(Tags, "jf rjf mod intra gated engine maxexpr ");
   // Every accepted spelling and the enumerator it names.
   const std::pair<const char *, JumpFunctionKind> Kinds[] = {
       {"literal", JumpFunctionKind::Literal},
@@ -379,8 +369,8 @@ TEST(ServiceCodec, OptionTableKeepsTheVocabulary) {
   for (const auto &[Key, Val] : Echo.members())
     Echoed += Key + " ";
   EXPECT_EQ(Echoed, "forward_jf return_jf mod_information "
-                    "intraprocedural_only gated_ssa binding_graph engine "
-                    "max_contexts max_expr_nodes entry_procedure ");
+                    "intraprocedural_only gated_ssa engine "
+                    "max_contexts max_expr_nodes ");
 }
 
 TEST(ServiceCodec, OptionTableRowsAgreeAcrossSurfaces) {
@@ -395,10 +385,6 @@ TEST(ServiceCodec, OptionTableRowsAgreeAcrossSurfaces) {
   std::span<const OptionSpec> Table = optionTable();
   for (size_t I = 0; I != Table.size(); ++I) {
     const OptionSpec &Row = Table[I];
-    if (Row.Type == OptionType::Name) {
-      EXPECT_EQ(optionsToJson(Base).find(Row.Key)->asString(), "main");
-      continue;
-    }
     for (const Sample &S : legalSamples(Row)) {
       std::string Where = std::string(Row.Key) + "=" + S.Json;
       IPCPOptions Expected = Base;
@@ -428,9 +414,8 @@ TEST(ServiceCodec, OptionTableRowsAgreeAcrossSurfaces) {
       expectSameOptions(Req.Opts, Expected, Where + " via the request");
 
       // The report echo, fed back as a request, lands on the same
-      // options (entry_procedure is echoed but never requested).
+      // options.
       JsonValue Echo = optionsToJson(Req.Opts);
-      Echo.remove("entry_procedure");
       ServiceRequest Back = parseOk(
           Engine,
           R"({"op":"analyze","suite":"simple","options":)" + Echo.dump() + "}");
@@ -665,9 +650,8 @@ TEST(ServiceEngineTest, UnmodeledOptionsTakeNoSession) {
     JsonValue Stats = serve(Svc, R"({"op":"stats"})");
     return Stats.find("stats")->find("sessions_resident")->asInt();
   };
-  for (std::string Options : {R"("engine":"contexts")",
-                              R"("binding_graph":true)",
-                              R"("intraprocedural_only":true)"}) {
+  for (std::string Options :
+       {R"("engine":"contexts")", R"("intraprocedural_only":true)"}) {
     std::string Line = R"({"op":"analyze","suite":"simple",)"
                        R"("scrub_timings":true,"options":{)" +
                        Options + "}";
@@ -680,6 +664,22 @@ TEST(ServiceEngineTest, UnmodeledOptionsTakeNoSession) {
   EXPECT_EQ(Resident(), 0);
   serve(Svc, analyzeLine("simple", "s"));
   EXPECT_EQ(Resident(), 1);
+}
+
+TEST(ServiceEngineTest, BindingGraphIsAnUnknownOptionsKey) {
+  // The binding multigraph is a reference solver, not an option: a
+  // request that names it is refused like any other unknown key, never
+  // analyzed under defaults.
+  ServiceDispatcher Svc(serialService(basicConfig()));
+  JsonValue Body =
+      serve(Svc, R"({"op":"analyze","suite":"simple",)"
+                 R"("options":{"binding_graph":false}})");
+  EXPECT_EQ(statusOf(Body), "error");
+  ASSERT_NE(Body.find("error"), nullptr);
+  EXPECT_EQ(Body.find("error")->find("code")->asString(), "bad-request");
+  EXPECT_EQ(Body.find("error")->find("message")->asString(),
+            "unknown options key 'binding_graph'");
+  EXPECT_EQ(Body.find("report"), nullptr);
 }
 
 TEST(ServiceEngineTest, BatchBodySharesTheSingleRequestPath) {

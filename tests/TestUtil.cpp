@@ -11,26 +11,24 @@
 
 using namespace ipcp;
 
-Program ipcp::test::parseOk(const std::string &Source, bool RequireMain) {
+Program ipcp::test::parseOk(const std::string &Source) {
   DiagnosticsEngine Diags;
-  std::optional<Program> Prog = parseAndCheck(Source, Diags, RequireMain);
+  std::optional<Program> Prog = parseAndCheck(Source, Diags);
   EXPECT_TRUE(Prog.has_value()) << "unexpected diagnostics:\n" << Diags.str();
   if (!Prog)
     return Program();
   return std::move(*Prog);
 }
 
-std::string ipcp::test::parseErrors(const std::string &Source,
-                                    bool RequireMain) {
+std::string ipcp::test::parseErrors(const std::string &Source) {
   DiagnosticsEngine Diags;
-  std::optional<Program> Prog = parseAndCheck(Source, Diags, RequireMain);
+  std::optional<Program> Prog = parseAndCheck(Source, Diags);
   EXPECT_FALSE(Prog.has_value()) << "expected diagnostics, got none";
   return Diags.str();
 }
 
-std::unique_ptr<Module> ipcp::test::lowerOk(const std::string &Source,
-                                            bool RequireMain) {
-  Program Prog = parseOk(Source, RequireMain);
+std::unique_ptr<Module> ipcp::test::lowerOk(const std::string &Source) {
+  Program Prog = parseOk(Source);
   std::unique_ptr<Module> M = lowerProgram(Prog);
   expectVerifies(*M);
   return M;

@@ -26,15 +26,14 @@ class ServiceDispatcher;
 namespace test {
 
 /// Parses and checks \p Source; fails the current test on any diagnostic.
-Program parseOk(const std::string &Source, bool RequireMain = true);
+Program parseOk(const std::string &Source);
 
 /// Parses \p Source expecting at least one error; returns the rendered
 /// diagnostics for substring assertions.
-std::string parseErrors(const std::string &Source, bool RequireMain = true);
+std::string parseErrors(const std::string &Source);
 
 /// Parses, checks, lowers, and pre-SSA-verifies \p Source.
-std::unique_ptr<Module> lowerOk(const std::string &Source,
-                                bool RequireMain = true);
+std::unique_ptr<Module> lowerOk(const std::string &Source);
 
 /// Finds a procedure or aborts the test.
 Procedure *getProc(Module &M, const std::string &Name);

@@ -34,9 +34,6 @@ parity_case(jf_literal
 parity_case(no_mod
   [[{"op":"analyze","id":"no_mod","suite":"qcd","options":{"mod_information":false},"scrub_timings":true}]]
   --suite=qcd --no-mod)
-parity_case(binding_graph
-  [[{"op":"analyze","id":"binding_graph","suite":"simple","options":{"binding_graph":true},"scrub_timings":true}]]
-  --suite=simple --binding-graph)
 parity_case(contexts
   [[{"op":"analyze","id":"contexts","suite":"spec77","options":{"engine":"contexts"},"scrub_timings":true}]]
   --suite=spec77 --engine=contexts)

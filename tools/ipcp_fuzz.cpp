@@ -65,6 +65,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/BindingGraph.h"
 #include "core/Pipeline.h"
 #include "core/Report.h"
 #include "core/ServiceDispatcher.h"
@@ -152,22 +153,20 @@ bool runOne(const std::string &Source, bool CheckOracle,
   if (R.Status.Degraded)
     return true; // partial results; nothing further to cross-check
 
-  // A second solve through the binding-multigraph propagator must agree
-  // per procedure on CONSTANTS and constant refs (the two formulations
-  // compute the same fixpoint; equal totals could hide two different
-  // ones).
-  IPCPOptions BGOpts = Opts;
-  BGOpts.UseBindingGraphPropagator = true;
-  IPCPResult BG = runIPCP(*M, BGOpts);
-  auto SameFacts = [](const ProcedureResult &A, const ProcedureResult &B) {
-    return A.Name == B.Name && A.EntryConstants == B.EntryConstants &&
-           A.ConstantRefs == B.ConstantRefs;
-  };
-  if (!BG.Status.Degraded &&
-      !std::equal(R.Procs.begin(), R.Procs.end(), BG.Procs.begin(),
-                  BG.Procs.end(), SameFacts)) {
-    *Failure = "call-graph and binding-graph propagators disagree";
-    return false;
+  // The binding-multigraph formulation must reach the call-graph
+  // worklist's fixpoint, VAL entry for VAL entry, on the same jump
+  // functions.
+  {
+    ModuleAnalysis A(*M, Opts);
+    buildJumpFunctions(A, Opts);
+    ResourceGuard Guard(Opts.Limits);
+    ConstantsMap Worklist = propagateConstants(A.CG, A.MRI, A.Tables.FJFs);
+    ConstantsMap Binding = propagateConstantsBindingGraph(
+        A.CG, A.MRI, A.Tables.FJFs, nullptr, &Guard);
+    if (!Guard.tripped() && !Worklist.equals(Binding)) {
+      *Failure = "call-graph and binding-graph propagators disagree";
+      return false;
+    }
   }
 
   // Value-contexts invariants (--contexts; docs/CONTEXTS.md): the
