@@ -8,7 +8,8 @@
 # Runs the driver from the repo root (so the report's source_name field
 # stays machine-independent) with --scrub-timings and any DRIVER_ARGS
 # (a CMake list, e.g. --engine=contexts), then byte-compares the report
-# against the checked-in golden file. With -DUPDATE=1 the
+# against the checked-in golden file. DRIVER is ipcp_driver, or
+# binding_graph_report for the binding-multigraph goldens. With -DUPDATE=1 the
 # golden file is rewritten instead — that is what the `update-golden`
 # build target does after an intentional output change.
 
@@ -18,7 +19,7 @@ execute_process(
   RESULT_VARIABLE RC
   OUTPUT_QUIET)
 if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "ipcp_driver failed (exit ${RC}) on ${SOURCE} ${DRIVER_ARGS}")
+  message(FATAL_ERROR "${DRIVER} failed (exit ${RC}) on ${SOURCE} ${DRIVER_ARGS}")
 endif()
 
 if(UPDATE)
