@@ -13,9 +13,9 @@
 #      must be opened by a `ScopedTraceSpan Name("span"` somewhere under
 #      src/ or tools/.
 #   5. An undocumented stats field: every row of the service's two
-#      counter tables (src/core/ServiceStats.def, src/support/
+#      stats tables (src/core/ServiceStats.def, src/support/
 #      StoreStats.def) must have a row in docs/SERVICE.md's stats table
-#      with the same key and scope.
+#      with the same key and scope (`service` or `store`).
 #   6. An undocumented counter: every counter registered in
 #      src/support/Counters.def must appear backticked in
 #      docs/OBSERVABILITY.md (the reverse of mode 3).
@@ -171,22 +171,16 @@ string(FIND "${Table}" "\n\n" TableEnd)
 string(SUBSTRING "${Table}" 0 ${TableEnd} Table)
 
 # Each table row's expected "| `key` | scope |" prefix, read from the
-# rows themselves: IPCP_SERVICE_STAT(Id, "key", in-entry) and
-# IPCP_STORE_STAT(Id, "key").
+# rows themselves: IPCP_SERVICE_STAT(Id, "key") and
+# IPCP_STORE_STAT(Id, "key"). A row of any other shape keeps its whole
+# line as the key, so it can never match the doc table.
 set(StatRows "")
 file(STRINGS ${SRCDIR}/src/core/ServiceStats.def StatLines
      REGEX "^IPCP_SERVICE_STAT\\(")
 foreach(Line ${StatLines})
-  string(REGEX REPLACE
-         "^IPCP_SERVICE_STAT\\([A-Za-z]+, \"([a-z_]+)\", (true|false)\\)$"
-         "\\1;\\2" Row "${Line}")
-  list(GET Row 0 Key)
-  list(GET Row 1 InEntry)
-  if(InEntry)
-    list(APPEND StatRows "| `${Key}` | aggregate, `shards` entry |")
-  else()
-    list(APPEND StatRows "| `${Key}` | aggregate |")
-  endif()
+  string(REGEX REPLACE "^IPCP_SERVICE_STAT\\([A-Za-z]+, \"([a-z_]+)\"\\)$"
+         "\\1" Key "${Line}")
+  list(APPEND StatRows "| `${Key}` | service |")
 endforeach()
 file(STRINGS ${SRCDIR}/src/support/StoreStats.def StatLines
      REGEX "^IPCP_STORE_STAT\\(")

@@ -82,7 +82,6 @@ void printUsage() {
       "  --report-json=FILE  write the full analysis report as JSON\n"
       "  --cache-dir=DIR  persistent summary cache for incremental reruns\n"
       "                   (single-run analyses only; see docs/INCREMENTAL.md)\n"
-      "  --no-cache       ignore --cache-dir (one-off cold run)\n"
       "  --scrub-timings  zero wall-clock fields in the JSON report so\n"
       "                   identical runs produce identical bytes\n"
       "analysis options:\n%s"
@@ -104,7 +103,7 @@ int main(int argc, char **argv) {
   bool Clone = false, DumpIR = false, RunProgram = false;
   bool CheckAlias = false, DumpJF = false, Integrate = false;
   bool ShowStats = false, TraceOn = false;
-  bool NoCache = false, ScrubTimings = false;
+  bool ScrubTimings = false;
   std::string TraceFile, ReportFile, CacheDir;
 
   for (int I = 1; I < argc; ++I) {
@@ -153,10 +152,6 @@ int main(int argc, char **argv) {
     }
     if (Arg.rfind("--cache-dir=", 0) == 0) {
       CacheDir = Arg.substr(12);
-      continue;
-    }
-    if (Arg == "--no-cache") {
-      NoCache = true;
       continue;
     }
     if (Arg == "--scrub-timings") {
@@ -296,8 +291,7 @@ int main(int argc, char **argv) {
   // proceeds cold and reports cache_load_failures.
   std::optional<ContentStore> Store;
   SummaryCache Cache;
-  if (!CacheDir.empty() && !NoCache && Req.usesCache() && !Clone &&
-      !Integrate) {
+  if (!CacheDir.empty() && Req.usesCache() && !Clone && !Integrate) {
     ContentStore::Options StoreOpts;
     StoreOpts.ScrubOnOpen = false;
     Store.emplace(CacheDir, StoreOpts);

@@ -13,7 +13,7 @@
 using namespace ipcp;
 
 //===----------------------------------------------------------------------===//
-// Construction and the pool
+// Construction
 //===----------------------------------------------------------------------===//
 
 /// Shared in-flight state of one analyze-batch: items land in their
@@ -31,17 +31,6 @@ ServiceDispatcher::ServiceDispatcher(Config C)
       Pool(Conf.Jobs ? Conf.Jobs : ThreadPool::defaultConcurrency()) {}
 
 ServiceDispatcher::~ServiceDispatcher() = default;
-
-void ServiceDispatcher::submit(std::function<void()> Task) {
-  uint64_t D = Depth.fetch_add(1) + 1;
-  uint64_t P = Peak.load();
-  while (D > P && !Peak.compare_exchange_weak(P, D)) {
-  }
-  Pool.submit([this, Task = std::move(Task)] {
-    Task();
-    Depth.fetch_sub(1);
-  });
-}
 
 //===----------------------------------------------------------------------===//
 // Streams and dispatch
@@ -117,14 +106,14 @@ bool ServiceDispatcher::submitLine(Stream &St, const std::string &Line) {
   switch (Req.Op) {
   case ServiceRequest::Kind::Analyze: {
     if (!Gate.tryAcquire()) {
-      ++Counters[ServiceEngine::BusyRejections];
+      Engine.bump(ServiceEngine::BusyRejections);
       pushEnvelope(St, Seq, Id, busyBody());
       break;
     }
     // Reserve the session turn here on the reader thread, in arrival
     // order — the turnstile that makes concurrent bytes serial-equal.
     ServiceEngine::SessionTurn Turn = Engine.reserveTurn(Req);
-    submit([this, &St, Seq, Req = std::move(Req), Turn]() mutable {
+    Pool.submit([this, &St, Seq, Req = std::move(Req), Turn]() mutable {
       JsonValue Body = analyzeOnWorker(Engine, Req, std::move(Turn));
       pushEnvelope(St, Seq, Req.HasId ? &Req.Id : nullptr, std::move(Body));
       Gate.release();
@@ -144,11 +133,11 @@ bool ServiceDispatcher::submitLine(Stream &St, const std::string &Line) {
       break;
     }
     if (!Gate.tryAcquire(N)) {
-      ++Counters[ServiceEngine::BusyRejections];
+      Engine.bump(ServiceEngine::BusyRejections);
       pushEnvelope(St, Seq, Id, busyBody());
       break;
     }
-    ++Counters[ServiceEngine::Batches];
+    Engine.bump(ServiceEngine::Batches);
     auto State = std::make_shared<BatchState>();
     State->Items.resize(N);
     State->Remaining.store(N);
@@ -159,7 +148,7 @@ bool ServiceDispatcher::submitLine(Stream &St, const std::string &Line) {
     // warm/cold sequence no matter how the pool schedules the items.
     for (size_t I = 0; I != N; ++I) {
       ServiceEngine::SessionTurn Turn = Engine.reserveTurn(Req.Batch[I]);
-      submit([this, &St, State, I, Item = Req.Batch[I], Turn]() mutable {
+      Pool.submit([this, &St, State, I, Item = Req.Batch[I], Turn]() mutable {
         State->Items[I] =
             batchItem(Item, I, analyzeOnWorker(Engine, Item, std::move(Turn)));
         Gate.release();
@@ -178,12 +167,12 @@ bool ServiceDispatcher::submitLine(Stream &St, const std::string &Line) {
     break;
   }
   case ServiceRequest::Kind::Stats: {
-    // Sample queue gauges at arrival — the drain below would read them
-    // as zero — then barrier so the counters are a function of the
-    // request stream alone.
-    uint64_t QueueDepth = Depth.load(), QueuePeak = Peak.load();
+    // Sample the queue gauges at arrival — the drain below would read
+    // the depth as zero — then barrier so the counters are a function of
+    // the request stream alone.
+    ThreadPool::Depth Queue = Pool.depth();
     Pool.wait();
-    pushEnvelope(St, Seq, Id, statsBody(QueueDepth, QueuePeak));
+    pushEnvelope(St, Seq, Id, statsBody(Queue));
     break;
   }
   case ServiceRequest::Kind::FlushCache: {
@@ -218,28 +207,17 @@ void ServiceDispatcher::finishStream(Stream &St) {
 // Stats
 //===----------------------------------------------------------------------===//
 
-JsonValue ServiceDispatcher::statsBody(uint64_t QueueDepth,
-                                       uint64_t QueuePeak) {
-  // Aggregate counters first (the dispatcher's own plus the engine's),
-  // then the one-entry `shards` array the wire format keeps, then the
-  // store's counters — each walks its stats table.
+JsonValue ServiceDispatcher::statsBody(ThreadPool::Depth Queue) {
+  // The service's fields, then the store's counters — each walks its
+  // stats table. The queue gauges are the only timing-dependent fields.
   ServiceEngine::Counts Snap = Engine.snapshot();
+  if (!Conf.Engine.ScrubTimings) {
+    Snap[ServiceEngine::QueueDepth] = Queue.Now;
+    Snap[ServiceEngine::QueuePeak] = Queue.Peak;
+  }
   JsonValue Stats = JsonValue::object();
   for (unsigned F = 0; F != ServiceEngine::NumStats; ++F)
-    Stats.set(ServiceEngine::StatFields[F].Key, Counters[F].load() + Snap[F]);
-
-  JsonValue Entry = JsonValue::object();
-  Entry.set("shard", uint64_t(0));
-  for (unsigned F = 0; F != ServiceEngine::NumStats; ++F)
-    if (ServiceEngine::StatFields[F].InEntry)
-      Entry.set(ServiceEngine::StatFields[F].Key, Snap[F]);
-  // The queue gauges are the only timing-dependent stats fields.
-  bool Scrub = Conf.Engine.ScrubTimings;
-  Entry.set("queue_depth", Scrub ? uint64_t(0) : QueueDepth);
-  Entry.set("queue_peak", Scrub ? uint64_t(0) : QueuePeak);
-  JsonValue Entries = JsonValue::array();
-  Entries.push(std::move(Entry));
-  Stats.set("shards", std::move(Entries));
+    Stats.set(ServiceEngine::StatKeys[F], Snap[F]);
 
   JsonValue StoreStats = JsonValue::object();
   const std::shared_ptr<ContentStore> &Store = Conf.Engine.Store;

@@ -27,9 +27,10 @@
 ///    request backlog;
 ///
 ///  * control ops (stats, flush-cache, shutdown) are barriers: they wait
-///    for every in-flight analysis. `stats` adds the dispatcher's own
-///    counters (batches, busy rejections) to the engine's by walking the
-///    stats table (core/ServiceStats.def).
+///    for every in-flight analysis. The dispatcher counts its own stats
+///    fields (batches, busy rejections) in the engine, and `stats` walks
+///    the stats table (core/ServiceStats.def) over the engine's snapshot
+///    and the pool's queue gauges.
 ///
 /// Response bytes do not depend on Jobs; one job is the serial reference
 /// configuration.
@@ -43,10 +44,7 @@
 #include "support/BoundedQueue.h"
 #include "support/ThreadPool.h"
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -66,9 +64,8 @@ public:
     /// block (0 = unbounded). The next-in-order response is always
     /// accepted, so this throttles without deadlocking.
     size_t ResultBuffer = 1024;
-    /// The engine's configuration. MaxSessions is per cache bucket
-    /// (ServiceEngine::CacheBuckets of them); Engine.Store, when set, is
-    /// the write-behind tier.
+    /// The engine's configuration. MaxSessions bounds every resident
+    /// session; Engine.Store, when set, is the write-behind tier.
     ServiceEngine::Config Engine;
   };
 
@@ -122,21 +119,13 @@ public:
 private:
   struct BatchState;
 
-  void submit(std::function<void()> Task);
-  JsonValue statsBody(uint64_t QueueDepth, uint64_t QueuePeak);
+  JsonValue statsBody(ThreadPool::Depth Queue);
   void pushEnvelope(Stream &St, uint64_t Seq, const JsonValue *Id,
                     JsonValue Body);
 
   Config Conf;
   AdmissionGate Gate;
   ServiceEngine Engine;
-  /// Submitted-but-unfinished tasks, and its high-water mark: the
-  /// `stats` queue gauges.
-  std::atomic<uint64_t> Depth{0};
-  std::atomic<uint64_t> Peak{0};
-  /// The dispatcher's own counters (Batches, BusyRejections), indexed
-  /// like the engine's.
-  std::array<std::atomic<uint64_t>, ServiceEngine::NumStats> Counters{};
   /// Declared last, so it is destroyed — draining its tasks — before
   /// anything those tasks touch.
   ThreadPool Pool;

@@ -7,7 +7,6 @@
 #include "core/ServiceEngine.h"
 
 #include "support/FaultInjection.h"
-#include "support/StableHash.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -240,7 +239,6 @@ bool ServiceEngine::parseRequestLine(const std::string &Line,
 struct ServiceEngine::SessionState {
   SummaryCache Cache;
   std::mutex Lock; ///< serializes analyses sharing this session
-  unsigned Bucket = 0; ///< fixed eviction domain, bucketFor(key)
   uint64_t LastUse = 0;
   bool Dirty = false; ///< committed entries not yet persisted
   /// The source name and options the session key fixes: what load and
@@ -288,10 +286,6 @@ std::string ServiceEngine::sessionKeyFor(const ServiceRequest &Req) {
          SummaryCache::optionsFingerprint(Req.Opts);
 }
 
-unsigned ServiceEngine::bucketFor(const std::string &SessionKey) {
-  return unsigned(stableHashBytes(SessionKey) % CacheBuckets);
-}
-
 ServiceEngine::SessionTurn
 ServiceEngine::acquireSession(const ServiceRequest &Req,
                               const std::string &Key) {
@@ -303,7 +297,6 @@ ServiceEngine::acquireSession(const ServiceRequest &Req,
     std::shared_ptr<SessionState> &Slot = Sessions[Key];
     if (!Slot) {
       Slot = std::make_shared<SessionState>();
-      Slot->Bucket = bucketFor(Key);
       Slot->SourceName = Req.Name;
       Slot->Opts = Req.Opts;
       Fresh = true;
@@ -311,7 +304,7 @@ ServiceEngine::acquireSession(const ServiceRequest &Req,
     Slot->LastUse = ++UseCounter;
     Turn.S = Slot;
     Turn.Ticket = Turn.S->NextTicket.fetch_add(1);
-    evictOverflowSessions(Turn.S->Bucket, Evicted);
+    evictOverflowSessions(Evicted);
   }
   // Persist evicted sessions outside the map lock: saving can do disk
   // I/O and must wait for every turn the session has already been
@@ -337,28 +330,19 @@ ServiceEngine::acquireSession(const ServiceRequest &Req,
 }
 
 void ServiceEngine::evictOverflowSessions(
-    unsigned Bucket, std::vector<std::shared_ptr<SessionState>> &Out) {
-  // Caller holds SessionsMutex. Eviction is scoped to one fixed hash
-  // bucket and is strict LRU within it: LastUse orders acquires, which
-  // follow the request stream, so the set of evictions after any stream
-  // prefix is the same at every jobs setting. The just-acquired session
-  // has the highest LastUse and is never the victim while another
-  // resident shares its bucket; busy victims are drained by the caller,
-  // not skipped.
-  unsigned Cap = Conf.MaxSessions ? Conf.MaxSessions : 1;
-  for (;;) {
-    size_t Resident = 0;
-    auto Victim = Sessions.end();
-    for (auto It = Sessions.begin(); It != Sessions.end(); ++It) {
-      if (It->second->Bucket != Bucket)
-        continue;
-      ++Resident;
-      if (Victim == Sessions.end() ||
-          It->second->LastUse < Victim->second->LastUse)
-        Victim = It;
-    }
-    if (Resident <= Cap)
-      return;
+    std::vector<std::shared_ptr<SessionState>> &Out) {
+  // Caller holds SessionsMutex. Strict LRU over every resident session:
+  // LastUse orders acquires, which follow the request stream, so the set
+  // of evictions after any stream prefix is the same at every jobs
+  // setting. The just-acquired session has the highest LastUse and is
+  // never the victim; busy victims are drained by the caller, not
+  // skipped.
+  size_t Cap = Conf.MaxSessions ? Conf.MaxSessions : 1;
+  while (Sessions.size() > Cap) {
+    auto Victim = std::min_element(
+        Sessions.begin(), Sessions.end(), [](const auto &A, const auto &B) {
+          return A.second->LastUse < B.second->LastUse;
+        });
     Out.push_back(Victim->second);
     Sessions.erase(Victim);
   }
@@ -495,8 +479,8 @@ JsonValue ServiceEngine::analyzeLocked(const ServiceRequest &Req,
   return Body;
 }
 
-const ServiceEngine::StatField ServiceEngine::StatFields[NumStats] = {
-#define IPCP_SERVICE_STAT(Id, Key, InEntry) {Key, InEntry},
+const char *const ServiceEngine::StatKeys[NumStats] = {
+#define IPCP_SERVICE_STAT(Id, Key) Key,
 #include "core/ServiceStats.def"
 #undef IPCP_SERVICE_STAT
 };

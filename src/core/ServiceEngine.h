@@ -21,16 +21,16 @@
 ///    `session` analyzes through an in-memory SummaryCache (the
 ///    incremental layer) that stays resident between requests, so repeat
 ///    and edited-program requests are warm without any file round-trip.
-///    Sessions are LRU-evicted beyond Config::MaxSessions per fixed
-///    hash bucket (CacheBuckets of them, so eviction points are a
-///    function of the request stream alone); when Config::Store is set,
-///    that content-addressed store (support/ContentStore) is the
-///    *write-behind* tier — sessions persist on eviction, flush-cache,
-///    and shutdown, and a new session first loads its summaries from the
-///    store. Both go through SummaryCache's load/save pair, the same one
-///    the driver and suitecheck use, so every engine sharing one store
-///    (a restarted daemon, or a command-line tool on the same directory)
-///    warm-starts from any other's persisted summaries;
+///    Beyond Config::MaxSessions resident sessions the least recently
+///    used one is evicted, at a point that is a function of the request
+///    stream alone; when Config::Store is set, that content-addressed
+///    store (support/ContentStore) is the *write-behind* tier — sessions
+///    persist on eviction, flush-cache, and shutdown, and a new session
+///    first loads its summaries from the store. Both go through
+///    SummaryCache's load/save pair, the same one the driver and
+///    suitecheck use, so every engine sharing one store (a restarted
+///    daemon, or a command-line tool on the same directory) warm-starts
+///    from any other's persisted summaries;
 ///
 ///  * per-request ResourceGuard budgets: server-wide default limits
 ///    merged with per-request overrides (the stricter value wins for any
@@ -43,8 +43,9 @@
 ///    go from source text to report through RequestRun (core/Report.h)
 ///    — and the `service_driver_parity` ctest pins it;
 ///
-///  * the engine's counters, indexed by the stats table
-///    (core/ServiceStats.def), to which the dispatcher adds its own.
+///  * the service's counters, indexed by the stats table
+///    (core/ServiceStats.def); the dispatcher counts its own fields
+///    through bump().
 ///
 /// All entry points except the parse helpers are safe to call from
 /// multiple threads; analyses of distinct sessions (and cache-less
@@ -114,10 +115,7 @@ public:
     /// (the daemon from --cache-dir and --durable-store); null keeps
     /// sessions memory-only.
     std::shared_ptr<ContentStore> Store;
-    /// Resident session caches per cache bucket before LRU eviction.
-    /// There are CacheBuckets fixed buckets (a pure hash of the session
-    /// key), so residency is bounded by MaxSessions * CacheBuckets, and
-    /// the bucket is the eviction domain.
+    /// Resident session caches before LRU eviction.
     unsigned MaxSessions = 64;
     /// Default per-request budgets. A request's "limits" object
     /// overrides them field by field, except that a budget the server
@@ -168,13 +166,6 @@ public:
   /// no session cache.
   static std::string sessionKeyFor(const ServiceRequest &Req);
 
-  /// Fixed number of session-cache buckets. A session key's bucket is a
-  /// pure hash, independent of configuration, and eviction runs per
-  /// bucket, so which request runs warm is a function of the request
-  /// stream alone.
-  static constexpr unsigned CacheBuckets = 16;
-  static unsigned bucketFor(const std::string &SessionKey);
-
   /// Parses one request line. Returns false and fills \p Error (with
   /// \p ErrorCode one of "bad-json", "bad-request") when the line is not
   /// a well-formed request; \p Req is then unspecified.
@@ -199,25 +190,24 @@ public:
   /// persisted.
   JsonValue analyze(const ServiceRequest &Req, SessionTurn Turn);
 
-  /// The aggregate fields of the `stats` body, declared once each in
-  /// core/ServiceStats.def, in body order. The engine counts every field
-  /// except Batches and BusyRejections, which the dispatcher counts, and
-  /// SessionsResident, a gauge snapshot() reads from the session map.
+  /// The service fields of the `stats` body, declared once each in
+  /// core/ServiceStats.def, in body order. The engine counts every
+  /// counter except Batches and BusyRejections, which the dispatcher
+  /// counts through bump(). The gauges are not counted: snapshot() reads
+  /// SessionsResident from the session map, and the dispatcher samples
+  /// QueueDepth and QueuePeak from its pool.
   enum Stat : unsigned {
-#define IPCP_SERVICE_STAT(Id, Key, InEntry) Id,
+#define IPCP_SERVICE_STAT(Id, Key) Id,
 #include "core/ServiceStats.def"
 #undef IPCP_SERVICE_STAT
     NumStats
   };
-  /// One row of the stats table: the JSON key, and whether the one
-  /// entry of the `shards` array also reports the field.
-  struct StatField {
-    const char *Key;
-    bool InEntry;
-  };
-  static const StatField StatFields[NumStats];
+  static const char *const StatKeys[NumStats];
 
-  /// Counter values indexed by Stat: a snapshot, or a sum.
+  /// Adds \p N to counter \p S (thread-safe).
+  void bump(Stat S, uint64_t N = 1) { Counters[S] += N; }
+
+  /// Field values indexed by Stat; the queue gauges read zero.
   using Counts = std::array<uint64_t, NumStats>;
   Counts snapshot() const;
 
@@ -231,11 +221,8 @@ private:
   JsonValue analyzeLocked(const ServiceRequest &Req, SessionState *Session);
   SessionTurn acquireSession(const ServiceRequest &Req,
                              const std::string &Key);
-  void evictOverflowSessions(unsigned Bucket,
-                             std::vector<std::shared_ptr<SessionState>> &Out);
+  void evictOverflowSessions(std::vector<std::shared_ptr<SessionState>> &Out);
   unsigned persistSession(SessionState &S);
-
-  void bump(Stat S, uint64_t N = 1) { Counters[S] += N; }
 
   Config Conf;
 

@@ -6,6 +6,8 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+
 using namespace ipcp;
 
 ThreadPool::ThreadPool(unsigned ThreadCount) {
@@ -30,7 +32,7 @@ void ThreadPool::submit(std::function<void()> Task) {
   {
     std::unique_lock<std::mutex> Lock(Mutex);
     Tasks.push_back(std::move(Task));
-    ++Unfinished;
+    PeakUnfinished = std::max(PeakUnfinished, ++Unfinished);
   }
   TasksAvailable.notify_one();
 }
@@ -38,6 +40,11 @@ void ThreadPool::submit(std::function<void()> Task) {
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(Mutex);
   AllIdle.wait(Lock, [this] { return Unfinished == 0; });
+}
+
+ThreadPool::Depth ThreadPool::depth() const {
+  std::unique_lock<std::mutex> Lock(Mutex);
+  return {Unfinished, PeakUnfinished};
 }
 
 unsigned ThreadPool::defaultConcurrency() {

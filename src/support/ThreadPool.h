@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A fixed-size, queue-based thread pool with no external dependencies —
-/// the execution engine behind the parallel suite runner (core/SuiteRunner).
+/// the execution engine behind the parallel suite runner (core/SuiteRunner)
+/// and the service dispatcher, whose `stats` queue gauges read depth().
 /// Workers block on a single shared FIFO queue; there is no work stealing
 /// because suite-analysis tasks are coarse (one whole program each) and a
 /// shared queue keeps the implementation small and obviously correct.
@@ -49,6 +50,14 @@ public:
 
   unsigned threadCount() const { return unsigned(Workers.size()); }
 
+  /// Tasks submitted and not yet finished (queued plus running), and
+  /// the high-water mark of that count, sampled together.
+  struct Depth {
+    size_t Now = 0;
+    size_t Peak = 0;
+  };
+  Depth depth() const;
+
   /// std::thread::hardware_concurrency with a floor of one (the value is
   /// zero on platforms that cannot report it).
   static unsigned defaultConcurrency();
@@ -58,10 +67,11 @@ private:
 
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Tasks;
-  std::mutex Mutex;
+  mutable std::mutex Mutex;
   std::condition_variable TasksAvailable;
   std::condition_variable AllIdle;
   size_t Unfinished = 0; ///< queued + currently running tasks
+  size_t PeakUnfinished = 0;
   bool Stopping = false;
 };
 

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The service dispatcher (docs/SCALING.md): session cache buckets, the
+// The service dispatcher (docs/SCALING.md): session keys, the
 // shared content-addressed store that lets any engine warm-start any
 // session, the bounded reorder buffer, overload backpressure, and the
 // headline contract — the response stream is byte-identical across job
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -170,26 +171,23 @@ TEST(OrderedResultQueueTest, BoundBlocksOutOfOrderButNeverInOrder) {
 }
 
 TEST(CacheBucketTest, SessionAffinityIsStableAndCoversBuckets) {
-  // Property: the cache bucket of a request — its eviction domain — is
-  // a pure function of its session key: same key, same bucket, on every
-  // call and at every request. Enough distinct sessions reach every
-  // bucket.
-  std::set<unsigned> Hit;
+  // Property: the session key of a request — what names its resident
+  // cache — is a pure function of the request: the same request gives
+  // the same key on every call, and distinct sessions give distinct
+  // keys.
+  std::set<std::string> Keys;
   for (int I = 0; I != 200; ++I) {
     ServiceRequest Req;
     Req.Suite = Req.Name = "simple";
     Req.Session = "sess-" + std::to_string(I);
     std::string Key = ServiceEngine::sessionKeyFor(Req);
     ASSERT_FALSE(Key.empty());
-    unsigned Bucket = ServiceEngine::bucketFor(Key);
-    ASSERT_LT(Bucket, ServiceEngine::CacheBuckets);
-    EXPECT_EQ(Bucket, ServiceEngine::bucketFor(Key));
+    EXPECT_EQ(Key, ServiceEngine::sessionKeyFor(Req));
     ServiceRequest Again = Req;
-    EXPECT_EQ(Bucket,
-              ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(Again)));
-    Hit.insert(Bucket);
+    EXPECT_EQ(Key, ServiceEngine::sessionKeyFor(Again));
+    Keys.insert(Key);
   }
-  EXPECT_EQ(Hit.size(), ServiceEngine::CacheBuckets);
+  EXPECT_EQ(Keys.size(), 200u);
 
   // Requests that use no session cache have no session key.
   ServiceRequest Cold;
@@ -280,10 +278,10 @@ TEST(ServiceDispatcherTest, ContextsEngineIdenticalAcrossJobCounts) {
 }
 
 TEST(ServiceDispatcherTest, EvictionPointsAreJobCountInvariant) {
-  // Force heavy eviction (one resident session per cache bucket): the
-  // warm/cold sequence — and with it every response byte — must still
-  // be identical whether one worker runs every analysis or four run
-  // them side by side, both memory-only and with a write-behind store.
+  // Force heavy eviction (one resident session): the warm/cold
+  // sequence — and with it every response byte — must still be
+  // identical whether one worker runs every analysis or four run them
+  // side by side, both memory-only and with a write-behind store.
   ServiceLogConfig Log;
   Log.Seed = 23;
   Log.Requests = 80;
@@ -346,12 +344,12 @@ TEST(ServiceDispatcherTest, OverloadAnswersEveryLineInOrderWithBoundedBusy) {
         << "response " << I << " out of order";
   }
 
-  // The stats barrier reports the rejections and the `shards` entry.
+  // The stats barrier reports the rejections and the queue gauges.
   std::vector<std::string> Stats =
       runLines(Svc, {R"({"op":"stats","id":"s"})"});
   ASSERT_EQ(Stats.size(), 1u);
   EXPECT_NE(Stats[0].find("\"busy_rejections\":40"), std::string::npos);
-  EXPECT_NE(Stats[0].find("\"shards\":["), std::string::npos);
+  EXPECT_NE(Stats[0].find("\"queue_peak\":"), std::string::npos);
 }
 
 TEST(ServiceDispatcherTest, StatsEntryEqualsAggregates) {
@@ -382,21 +380,21 @@ TEST(ServiceDispatcherTest, StatsEntryEqualsAggregates) {
   EXPECT_EQ(Body->find("errors")->asInt(), 1);
   EXPECT_EQ(Body->find("sessions_resident")->asInt(), 13);
   EXPECT_EQ(Body->find("warm_hits")->asInt(), 1);
-  // The wire format keeps a `shards` array of exactly one entry,
-  // `"shard": 0`, whose fields equal their aggregates.
-  const JsonValue *Entries = Body->find("shards");
-  ASSERT_NE(Entries, nullptr);
-  ASSERT_EQ(Entries->size(), 1u);
-  const JsonValue &Entry = Entries->at(0);
-  ASSERT_NE(Entry.find("shard"), nullptr);
-  EXPECT_EQ(Entry.find("shard")->asInt(), 0);
-  for (const ServiceEngine::StatField &F : ServiceEngine::StatFields) {
-    if (!F.InEntry)
-      continue;
-    const JsonValue *V = Entry.find(F.Key);
-    ASSERT_NE(V, nullptr) << F.Key << " missing from the entry";
-    EXPECT_EQ(V->asInt(), Body->find(F.Key)->asInt()) << F.Key;
-  }
+  // One flat body: the stats table's rows, then `store`, and nothing
+  // else — no `shards` member — with the queue gauges right after
+  // `disk_loads`.
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Val] : Body->members())
+    Keys.push_back(Key);
+  std::vector<std::string> Expected(std::begin(ServiceEngine::StatKeys),
+                                    std::end(ServiceEngine::StatKeys));
+  Expected.push_back("store");
+  EXPECT_EQ(Keys, Expected);
+  size_t Disk =
+      std::find(Keys.begin(), Keys.end(), "disk_loads") - Keys.begin();
+  ASSERT_LT(Disk + 2, Keys.size());
+  EXPECT_EQ(Keys[Disk + 1], "queue_depth");
+  EXPECT_EQ(Keys[Disk + 2], "queue_peak");
 }
 
 TEST(ServiceDispatcherTest, OversizeBatchIsABadRequestNotBusy) {

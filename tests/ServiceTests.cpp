@@ -754,20 +754,8 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
 
   {
     ServiceDispatcher Svc(serialService(Conf));
-    ServiceRequest A;
-    A.Suite = A.Name = "simple";
-    A.Session = "a";
-    ServiceRequest B = A;
-    // Eviction is per cache bucket, so B must land in A's bucket to
-    // contend for the single resident slot.
-    for (int I = 0;; ++I) {
-      B.Session = 'b' + std::to_string(I);
-      if (ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(B)) ==
-          ServiceEngine::bucketFor(ServiceEngine::sessionKeyFor(A)))
-        break;
-    }
     serve(Svc, analyzeLine("simple", "a"));
-    serve(Svc, analyzeLine("simple", B.Session)); // evicts a, persisting it
+    serve(Svc, analyzeLine("simple", "b")); // evicts a, persisting it
     JsonValue Stats = serve(Svc, R"({"op":"stats"})");
     const JsonValue *S = Stats.find("stats");
     EXPECT_EQ(S->find("session_evictions")->asInt(), 1);
@@ -786,6 +774,26 @@ TEST(ServiceEngineTest, EvictionWritesBehindAndReloads) {
   JsonValue Stats = serve(Fresh, R"({"op":"stats"})");
   EXPECT_EQ(Stats.find("stats")->find("disk_loads")->asInt(), 1);
   std::filesystem::remove_all(Dir);
+}
+
+TEST(ServiceEngineTest, MaxSessionsBoundsEveryResidentSession) {
+  // The cap bounds the whole daemon: five sessions under a cap of two
+  // leave the two most recently used resident after three evictions.
+  ServiceEngine::Config Conf = basicConfig();
+  Conf.MaxSessions = 2;
+  ServiceDispatcher Svc(serialService(Conf));
+  for (const char *Session : {"a", "b", "c", "d", "e"})
+    serve(Svc, analyzeLine("simple", Session));
+  JsonValue Stats = serve(Svc, R"({"op":"stats"})");
+  const JsonValue *S = Stats.find("stats");
+  EXPECT_EQ(S->find("sessions_resident")->asInt(), 2);
+  EXPECT_EQ(S->find("session_evictions")->asInt(), 3);
+  // The most recent session is still warm; the least recent one, with
+  // no store behind it, starts cold.
+  EXPECT_EQ(counter(serve(Svc, analyzeLine("simple", "e")), "prop_evaluations"),
+            0u);
+  EXPECT_GT(counter(serve(Svc, analyzeLine("simple", "a")), "prop_evaluations"),
+            0u);
 }
 
 TEST(ServiceEngineTest, FlushPersistsAndDropsEverything) {

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <limits>
+#include <mutex>
 
 using namespace ipcp;
 
@@ -261,6 +262,23 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
       Pool.submit([&Counter] { ++Counter; });
   }
   EXPECT_EQ(Counter.load(), 20);
+}
+
+TEST(ThreadPool, DepthCountsUnfinishedTasksAndTheirPeak) {
+  ThreadPool Pool(1);
+  std::mutex Gate;
+  std::unique_lock<std::mutex> Hold(Gate);
+  // The first task blocks the only worker, so all three stay unfinished.
+  for (int I = 0; I != 3; ++I)
+    Pool.submit([&Gate] { std::lock_guard<std::mutex> Pass(Gate); });
+  ThreadPool::Depth Busy = Pool.depth();
+  EXPECT_EQ(Busy.Now, 3u);
+  EXPECT_EQ(Busy.Peak, 3u);
+  Hold.unlock();
+  Pool.wait();
+  ThreadPool::Depth Idle = Pool.depth();
+  EXPECT_EQ(Idle.Now, 0u);
+  EXPECT_EQ(Idle.Peak, 3u);
 }
 
 TEST(ThreadPool, ZeroThreadCountClampsToOne) {

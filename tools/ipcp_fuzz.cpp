@@ -376,9 +376,7 @@ ServiceDispatcher &fuzzService() {
     ServiceDispatcher::Config Conf;
     Conf.Jobs = 1;
     Conf.Engine.DefaultLimits = fuzzLimits();
-    // Per cache bucket, of which there are ServiceEngine::CacheBuckets:
-    // one resident session per bucket makes eviction happen during the
-    // campaign.
+    // One resident session makes eviction happen during the campaign.
     Conf.Engine.MaxSessions = 1;
     Conf.Engine.ScrubTimings = true;
     Conf.Engine.SuiteResolver = [](const std::string &Name, std::string &Out) {

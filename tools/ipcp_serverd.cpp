@@ -21,8 +21,8 @@
 //                      0 = unbounded)
 //   --cache-dir=DIR    content-addressed write-behind tier for session
 //                      caches
-//   --max-sessions=N   resident session caches per cache bucket (16
-//                      fixed buckets service-wide) before LRU eviction
+//   --max-sessions=N   resident session caches before LRU eviction
+//                      (default 64)
 //   --scrub-timings    zero wall-clock fields in every response (and the
 //                      timing-dependent queue gauges in stats)
 //   the resource-budget flags of core/Options.h's table
@@ -83,9 +83,8 @@ void printUsage() {
       "                     workers block (default 1024; 0 = unbounded)\n"
       "  --cache-dir=DIR    content-addressed write-behind tier for\n"
       "                     session caches\n"
-      "  --max-sessions=N   resident session caches per cache bucket\n"
-      "                     (16 fixed buckets) before LRU eviction\n"
-      "                     (default 64)\n"
+      "  --max-sessions=N   resident session caches before LRU\n"
+      "                     eviction (default 64)\n"
       "  --scrub-timings    zero wall-clock fields in every response\n"
       "  --durable-store    fsync store writes before rename (crash-safe\n"
       "                     across power loss, not just process death)\n"

@@ -2,7 +2,7 @@
 // the three tables. Shares the driver's observability surface:
 //
 //   suitecheck [--jobs=N] [--stats] [--trace[=FILE]] [--report-json=FILE]
-//             [--cache-dir=DIR] [--no-cache] [--scrub-timings]
+//             [--cache-dir=DIR] [--scrub-timings]
 //             [--engine=jump|contexts]
 //
 // Programs (and table rows) are analyzed concurrently across N worker
@@ -31,13 +31,11 @@ using namespace ipcp;
 static void usage(std::FILE *Out) {
   std::fprintf(Out, "usage: suitecheck [--jobs=N] [--stats] "
                        "[--trace[=FILE]] [--report-json=FILE]\n"
-                       "                  [--cache-dir=DIR] [--no-cache] "
-                       "[--scrub-timings]\n"
+                       "                  [--cache-dir=DIR] [--scrub-timings]\n"
                        "  --jobs=N       analyze programs on N threads "
                        "(default: hardware concurrency)\n"
                        "  --cache-dir=DIR  summary store shared by the "
                        "programs (docs/INCREMENTAL.md)\n"
-                       "  --no-cache     ignore --cache-dir\n"
                        "  --scrub-timings  zero wall-clock fields in the "
                        "JSON report\n"
                        "per-program analysis options (contexts runs "
@@ -47,7 +45,7 @@ static void usage(std::FILE *Out) {
 
 int main(int argc, char **argv) {
   bool ShowStats = false, TraceOn = false;
-  bool NoCache = false, ScrubTimings = false;
+  bool ScrubTimings = false;
   std::string TraceFile, ReportFile, CacheDir;
   IPCPOptions Opts; // only Engine is read
   unsigned Jobs = ThreadPool::defaultConcurrency();
@@ -62,8 +60,6 @@ int main(int argc, char **argv) {
       ShowStats = true;
     } else if (Arg.rfind("--cache-dir=", 0) == 0 && Arg.size() > 12) {
       CacheDir = Arg.substr(12);
-    } else if (Arg == "--no-cache") {
-      NoCache = true;
     } else if (Arg == "--scrub-timings") {
       ScrubTimings = true;
     } else if (Arg == "--trace") {
@@ -93,7 +89,7 @@ int main(int argc, char **argv) {
   // One summary store for all twelve programs, opened without the
   // recovery scrub: each get verifies the object it reads.
   std::optional<ContentStore> Store;
-  if (!CacheDir.empty() && !NoCache) {
+  if (!CacheDir.empty()) {
     ContentStore::Options StoreOpts;
     StoreOpts.ScrubOnOpen = false;
     Store.emplace(CacheDir, StoreOpts);
