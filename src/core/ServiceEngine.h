@@ -115,8 +115,11 @@ public:
     /// (the daemon from --cache-dir and --durable-store); null keeps
     /// sessions memory-only.
     std::shared_ptr<ContentStore> Store;
-    /// Resident session caches before LRU eviction.
-    unsigned MaxSessions = 64;
+    /// Resident session caches before LRU eviction. A session's key is
+    /// (session, program, options fingerprint), so one editor session
+    /// working over several programs or jump-function kinds holds
+    /// several entries.
+    unsigned MaxSessions = 1024;
     /// Default per-request budgets. A request's "limits" object
     /// overrides them field by field, except that a budget the server
     /// configures (non-zero) is a ceiling: the stricter value wins.

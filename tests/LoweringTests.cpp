@@ -83,12 +83,12 @@ TEST(Lowering, DoLoopEvaluatesBoundsOnce) {
   Procedure *Main = getProc(*M, "main");
   // The bound expression g+5 is computed in the preheader: exactly one
   // Add of a load with 5 in the entry block.
-  unsigned EntryBlockAdds = 0;
+  unsigned AddsInEntry = 0;
   for (Instruction *Inst :
        Main->getEntryBlock()->instructions())
     if (isa<BinaryInst>(Inst))
-      ++EntryBlockAdds;
-  EXPECT_EQ(EntryBlockAdds, 1u);
+      ++AddsInEntry;
+  EXPECT_EQ(AddsInEntry, 1u);
 }
 
 TEST(Lowering, DoLoopNegativeLiteralStepComparesDownward) {

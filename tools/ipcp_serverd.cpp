@@ -22,7 +22,7 @@
 //   --cache-dir=DIR    content-addressed write-behind tier for session
 //                      caches
 //   --max-sessions=N   resident session caches before LRU eviction
-//                      (default 64)
+//                      (default 1024)
 //   --scrub-timings    zero wall-clock fields in every response (and the
 //                      timing-dependent queue gauges in stats)
 //   the resource-budget flags of core/Options.h's table
@@ -84,7 +84,7 @@ void printUsage() {
       "  --cache-dir=DIR    content-addressed write-behind tier for\n"
       "                     session caches\n"
       "  --max-sessions=N   resident session caches before LRU\n"
-      "                     eviction (default 64)\n"
+      "                     eviction (default 1024)\n"
       "  --scrub-timings    zero wall-clock fields in every response\n"
       "  --durable-store    fsync store writes before rename (crash-safe\n"
       "                     across power loss, not just process death)\n"
